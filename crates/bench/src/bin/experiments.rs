@@ -2060,14 +2060,19 @@ fn e_shard() {
 ///
 /// A synthetic review table (`HYBRID_ROWS` rows, default 20k) carries
 /// an ordered index on `price = i % 1000`, so `price < c` has exact
-/// selectivity `c / 1000`. Every cell of a selectivity grid runs a
-/// fixed query pool under all three strategies — filter-first pushdown,
+/// selectivity `c / 1000`. Every cell of a selectivity grid starts the
+/// planner cold (a write drops the table's filter memo), lets it serve
+/// the query pool once, and then times the pool under the planner's
+/// own choice and under all three strategies — filter-first,
 /// search-first over-fetch + post-filter, and exhaustive scan — forced
 /// via `hybrid_query_planned`. The lists must be bit-identical per
-/// query (plan choice is purely a performance decision), and at <= 1%
-/// selectivity the index-resolved pushdown must beat
-/// search-then-post-filter by at least 3x. The planner's EXPLAIN for
-/// each cell lands in BENCH_hybrid.json.
+/// query (plan choice is purely a performance decision), the planner's
+/// steady-state choice must cost at most 1.25x the best forced plan in
+/// every cell (planner regret), and at <= 1% selectivity the set path
+/// must beat search-then-post-filter by at least 3x. A last cell
+/// repeats one filter with and without a write before every query:
+/// what resolving the filter once saves, and what a table under steady
+/// writes pays instead. Everything lands in BENCH_hybrid.json.
 fn e_hybrid() {
     let rows: usize = std::env::var("HYBRID_ROWS")
         .ok()
@@ -2125,23 +2130,67 @@ fn e_hybrid() {
         HybridPlan::Scan,
     ];
     let grid = [0.001f64, 0.01, 0.05, 0.2, 0.5];
-    let reps: usize = if rows <= 8_000 { 2 } else { 3 };
+    let reps: usize = 5;
 
     struct Cell {
         selectivity: f64,
         cutoff: i64,
+        cold_plan: &'static str,
+        resolved_after: Option<usize>,
         chosen: &'static str,
         access: String,
         estimated: Option<usize>,
         est_selectivity: Option<f64>,
+        chosen_ms: f64,
         plan_ms: [f64; 3],
         identical_queries: usize,
     }
     let mut cells: Vec<Cell> = Vec::new();
 
+    // Any write drops the filter memo: the planner starts cold.
+    let forget = |table: &mut IndexedTable| {
+        let id = table.insert(Record::new(vec![
+            Value::Text("wine-x".into()),
+            Value::Text("plain".into()),
+            Value::Int(1_000_000),
+        ]));
+        table.delete(id);
+    };
+    // One pass of the query pool, ms — the second of two, so that a
+    // 0.1 ms pass is not timed on the caches a 15 ms scan pass left.
+    let pool_ms = |table: &IndexedTable, filter: &Filter, plan: Option<HybridPlan>| -> f64 {
+        let mut pass_ms = 0.0;
+        for _ in 0..2 {
+            let start = Instant::now();
+            for q in &queries {
+                let hq = HybridQuery::new(q.clone(), filter.clone(), k);
+                std::hint::black_box(
+                    table
+                        .hybrid_query_planned(&hq, plan)
+                        .expect("fulltext enabled"),
+                );
+            }
+            pass_ms = start.elapsed().as_secs_f64() * 1e3;
+        }
+        pass_ms
+    };
+
     for &s in &grid {
         let cutoff = (1000.0 * s) as i64;
         let filter = Filter::cmp(2, CmpOp::Lt, Value::Int(cutoff));
+        let explain = |table: &IndexedTable| {
+            table.hybrid_explain(&HybridQuery::new(queries[0].clone(), filter.clone(), k))
+        };
+
+        // Cold start: what the planner picks before the filter was ever
+        // served, and how many queries it takes to resolve its set.
+        forget(&mut table);
+        let cold_plan = explain(&table).plan.name();
+        let resolved_after = queries.iter().position(|q| {
+            let hq = HybridQuery::new(q.clone(), filter.clone(), k);
+            let r = table.hybrid_query(&hq).expect("fulltext enabled");
+            r.explain.set_len.is_some()
+        });
 
         // Identity pass: every query, every strategy, one list.
         let key = |r: &HybridResult| {
@@ -2168,79 +2217,131 @@ fn e_hybrid() {
             identical += 1;
         }
 
-        // Timing pass: whole query pool per strategy, averaged over reps.
-        let mut plan_ms = [0f64; 3];
-        for (pi, p) in plans.iter().enumerate() {
-            let start = Instant::now();
-            for _ in 0..reps {
-                for q in &queries {
-                    let hq = HybridQuery::new(q.clone(), filter.clone(), k);
-                    std::hint::black_box(
-                        table
-                            .hybrid_query_planned(&hq, Some(*p))
-                            .expect("fulltext enabled"),
-                    );
-                }
+        // Timing pass, steady state: the planner's choice and each
+        // forced strategy take turns, and each keeps its best pass (the
+        // host only ever adds time, and taking turns spreads a slow
+        // stretch over all four).
+        let mut chosen_ms = f64::INFINITY;
+        let mut plan_ms = [f64::INFINITY; 3];
+        for _ in 0..reps {
+            chosen_ms = chosen_ms.min(pool_ms(&table, &filter, None));
+            for (best, p) in plan_ms.iter_mut().zip(plans) {
+                *best = best.min(pool_ms(&table, &filter, Some(p)));
             }
-            plan_ms[pi] = start.elapsed().as_secs_f64() * 1e3 / reps as f64;
         }
 
         // EXPLAIN depends only on the filter; any query stands in.
-        let ex = table.hybrid_explain(&HybridQuery::new(queries[0].clone(), filter.clone(), k));
+        let ex = explain(&table);
         cells.push(Cell {
             selectivity: s,
             cutoff,
+            cold_plan,
+            resolved_after,
             chosen: ex.plan.name(),
             access: format!("{:?}", ex.access),
             estimated: ex.estimated_matches,
             est_selectivity: ex.selectivity,
+            chosen_ms,
             plan_ms,
             identical_queries: identical,
         });
     }
 
+    // Repeated filter: the 5% filter served over and over, untouched
+    // and with a write before every query.
+    let repeated = Filter::cmp(2, CmpOp::Lt, Value::Int(50));
+    forget(&mut table);
+    let mut reuse_flags = Vec::new();
+    for q in &queries {
+        let hq = HybridQuery::new(q.clone(), repeated.clone(), k);
+        let ex = table.hybrid_query(&hq).expect("fulltext enabled").explain;
+        reuse_flags.push((ex.set_reused, ex.set_len));
+    }
+    let reuse_ms = (0..reps)
+        .map(|_| pool_ms(&table, &repeated, None))
+        .fold(f64::INFINITY, f64::min);
+    let rewrite_ms = (0..reps)
+        .map(|_| {
+            let mut spent = 0.0;
+            for q in &queries {
+                forget(&mut table);
+                let hq = HybridQuery::new(q.clone(), repeated.clone(), k);
+                let start = Instant::now();
+                std::hint::black_box(table.hybrid_query(&hq).expect("fulltext enabled"));
+                spent += start.elapsed().as_secs_f64() * 1e3;
+            }
+            spent
+        })
+        .fold(f64::INFINITY, f64::min);
+
+    // Planner regret: its own choice against the best pass on record
+    // (its own included, as the ledger's `datastore.plan_regret_*`).
+    let best_ms = |c: &Cell| c.plan_ms.iter().copied().fold(c.chosen_ms, f64::min);
+    let regret = |c: &Cell| c.chosen_ms / best_ms(c);
     let table_rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
             vec![
                 format!("{:.1}%", c.selectivity * 100.0),
-                c.chosen.to_string(),
+                c.cold_plan.to_string(),
+                c.resolved_after
+                    .map_or("-".into(), |n| format!("query {}", n + 1)),
                 c.estimated.map_or("-".into(), |e| e.to_string()),
+                format!("{:.2}", c.chosen_ms),
                 format!("{:.2}", c.plan_ms[0]),
                 format!("{:.2}", c.plan_ms[1]),
                 format!("{:.2}", c.plan_ms[2]),
-                format!("{:.1}x", c.plan_ms[1] / c.plan_ms[0].max(1e-9)),
+                format!("{:.2}", regret(c)),
             ]
         })
         .collect();
     print_table(
         &format!(
-            "E-hybrid — {} rows, {} queries x {reps} reps, k={k} (ms per query-pool pass)",
+            "E-hybrid — {} rows, {} queries, best of {reps} passes, k={k} (ms per query-pool pass)",
             rows,
             queries.len(),
         ),
-        &["sel", "plan", "est", "ff ms", "sf ms", "scan ms", "ff gain"],
+        &[
+            "sel",
+            "cold plan",
+            "set resolved",
+            "est",
+            "planner ms",
+            "ff ms",
+            "sf ms",
+            "scan ms",
+            "regret",
+        ],
         &table_rows,
+    );
+    println!(
+        "repeated 5% filter: {reuse_ms:.2} ms per pool pass reusing the set, \
+         {rewrite_ms:.2} ms with a write before every query"
     );
 
     let mut cells_json = String::new();
     for (i, c) in cells.iter().enumerate() {
         cells_json.push_str(&format!(
-            "    {{ \"selectivity\": {}, \"price_cutoff\": {}, \"chosen_plan\": \"{}\", \
+            "    {{ \"selectivity\": {}, \"price_cutoff\": {}, \"cold_plan\": \"{}\", \
+             \"set_resolved_after_queries\": {}, \"chosen_plan\": \"{}\", \
              \"access\": \"{}\", \"estimated_matches\": {}, \"est_selectivity\": {}, \
-             \"filter_first_ms\": {:.3}, \"search_first_ms\": {:.3}, \"scan_ms\": {:.3}, \
-             \"speedup_vs_search_first\": {:.2}, \"identical_queries\": {} }}{}\n",
+             \"planner_ms\": {:.3}, \"filter_first_ms\": {:.3}, \"search_first_ms\": {:.3}, \
+             \"scan_ms\": {:.3}, \"regret\": {:.3}, \"identical_queries\": {} }}{}\n",
             c.selectivity,
             c.cutoff,
+            c.cold_plan,
+            c.resolved_after
+                .map_or("null".into(), |n| (n + 1).to_string()),
             c.chosen,
             c.access,
             c.estimated.map_or("null".into(), |e| e.to_string()),
             c.est_selectivity
                 .map_or("null".into(), |v| format!("{v:.4}")),
+            c.chosen_ms,
             c.plan_ms[0],
             c.plan_ms[1],
             c.plan_ms[2],
-            c.plan_ms[1] / c.plan_ms[0].max(1e-9),
+            regret(c),
             c.identical_queries,
             if i + 1 == cells.len() { "" } else { "," },
         ));
@@ -2253,7 +2354,9 @@ fn e_hybrid() {
             "  \"queries\": {},\n",
             "  \"reps\": {},\n",
             "  \"k\": {},\n",
-            "  \"cells\": [\n{}  ]\n",
+            "  \"cells\": [\n{}  ],\n",
+            "  \"repeated_filter\": {{ \"selectivity\": 0.05, \"sets_reused\": {}, \
+             \"reuse_ms\": {:.3}, \"write_before_every_query_ms\": {:.3} }}\n",
             "}}\n"
         ),
         rows,
@@ -2261,6 +2364,9 @@ fn e_hybrid() {
         reps,
         k,
         cells_json,
+        reuse_flags.iter().filter(|(reused, _)| *reused).count(),
+        reuse_ms,
+        rewrite_ms,
     );
     std::fs::write("BENCH_hybrid.json", &json).expect("write BENCH_hybrid.json");
     println!("wrote BENCH_hybrid.json");
@@ -2273,14 +2379,16 @@ fn e_hybrid() {
             "every query must be bit-identical across plans at selectivity {}",
             c.selectivity,
         );
+        assert!(
+            regret(c) <= 1.25,
+            "planner regret at selectivity {}: {} took {:.2} ms, the best forced plan {:.2} ms",
+            c.selectivity,
+            c.chosen,
+            c.chosen_ms,
+            best_ms(c),
+        );
     }
     for c in cells.iter().filter(|c| c.selectivity <= 0.01) {
-        assert_eq!(
-            c.chosen,
-            "filter-first",
-            "the planner must push down a {:.1}% filter",
-            c.selectivity * 100.0,
-        );
         assert!(
             c.plan_ms[1] >= 3.0 * c.plan_ms[0],
             "filter-first must be >= 3x faster than search-then-post-filter \
@@ -2290,9 +2398,13 @@ fn e_hybrid() {
             c.plan_ms[1],
         );
     }
-    let densest = cells.last().expect("grid is non-empty");
-    assert_eq!(
-        densest.chosen, "search-first",
-        "a 50% filter must not be enumerated through the index",
+    // One set per filter: the first query resolves it, the rest reuse it.
+    let (first, rest) = reuse_flags.split_first().expect("pool is non-empty");
+    assert!(!first.0 && first.1.is_some(), "{first:?}");
+    assert!(rest.iter().all(|r| r.0 && r.1 == first.1), "{rest:?}");
+    assert!(
+        reuse_ms < rewrite_ms,
+        "reusing the resolved set must beat re-resolving it per query: \
+         {reuse_ms:.2} ms vs {rewrite_ms:.2} ms",
     );
 }

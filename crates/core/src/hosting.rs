@@ -733,12 +733,6 @@ impl Platform {
         if log_interactions {
             log_impressions(&self.click_log, app_name, query, &resp.impressions, at);
         }
-        // Build the hit variant once, at insert time (the one clone a
-        // miss pays); every later hit shares it.
-        let mut hit = resp.clone();
-        hit.trace.cache_hit = true;
-        hit.virtual_ms = CACHE_HIT_MS;
-        hit.trace.total_ms = CACHE_HIT_MS;
         // A degraded response (deadline cut, breaker open, source
         // errors) must not shadow a healthy re-execution for the full
         // response TTL: give it the same short TTL as a negative
@@ -758,6 +752,12 @@ impl Platform {
         // queued arrivals can process at that frozen instant and ride
         // the entry past admission control.
         if ttl > 0 {
+            // Build the hit variant once, at insert time (the one clone
+            // a cached miss pays); every later hit shares it.
+            let mut hit = resp.clone();
+            hit.trace.cache_hit = true;
+            hit.virtual_ms = CACHE_HIT_MS;
+            hit.trace.total_ms = CACHE_HIT_MS;
             hosted
                 .cache
                 .lock()

@@ -315,6 +315,9 @@ pub fn execute_resilient(
             }
             out
         }
+        // Nothing to fan out: no scheduler grant is billed and no
+        // thread scope opened.
+        ExecMode::Parallel if tasks.is_empty() => Vec::new(),
         ExecMode::Parallel => {
             // All fan-out fetches start together, once the primaries
             // are in: same virtual start time and deadline budget.
@@ -352,45 +355,45 @@ pub fn execute_resilient(
                 .map_or(n.min(MAX_FANOUT_WORKERS), |g| g.workers());
             pool_workers = workers;
             let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<Fetched>> = (0..n).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let tasks = &tasks;
-                        let grants = &grants;
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= tasks.len() {
-                                    break;
-                                }
-                                let t = &tasks[i];
-                                let sctx = SourceCtx {
-                                    now_ms: start_ms,
-                                    budget_ms: budget,
-                                    retries_allowed: grants[i],
-                                    breakers: ctx.breakers,
-                                };
-                                let o = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    dispatch(app, t, subs, &sctx, ctx.source_cache)
-                                }))
-                                .unwrap_or_else(|p| {
-                                    Fetched::uncached(panic_outcome(&t.source, p.as_ref()))
-                                });
-                                local.push((i, o));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, o) in h.join().expect("fan-out pool worker died") {
-                        slots[i] = Some(o);
+            let worker = || {
+                let mut local = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= tasks.len() {
+                        break;
                     }
+                    let t = &tasks[i];
+                    let sctx = SourceCtx {
+                        now_ms: start_ms,
+                        budget_ms: budget,
+                        retries_allowed: grants[i],
+                        breakers: ctx.breakers,
+                    };
+                    let o = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        dispatch(app, t, subs, &sctx, ctx.source_cache)
+                    }))
+                    .unwrap_or_else(|p| Fetched::uncached(panic_outcome(&t.source, p.as_ref())));
+                    local.push((i, o));
                 }
-            });
+                local
+            };
+            let mut slots: Vec<Option<Fetched>> = (0..n).map(|_| None).collect();
+            if workers == 1 {
+                // One worker (a lone task, or a one-thread share): the
+                // calling thread is that worker.
+                for (i, o) in worker() {
+                    slots[i] = Some(o);
+                }
+            } else {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+                    for h in handles {
+                        for (i, o) in h.join().expect("fan-out pool worker died") {
+                            slots[i] = Some(o);
+                        }
+                    }
+                });
+            }
             let outcomes: Vec<Fetched> = slots
                 .into_iter()
                 .map(|o| o.expect("every fan-out task ran"))
@@ -1158,6 +1161,67 @@ mod tests {
         assert!(fanout.detail.contains("workers"), "{}", fanout.detail);
         // The grant was released once the fan-out finished.
         assert_eq!(pool.outstanding(), (0, 0));
+    }
+
+    #[test]
+    fn empty_fanout_bills_no_grant_and_a_lone_task_runs_inline() {
+        use crate::admission::FanoutScheduler;
+        // A service that reports which thread served it.
+        struct WhoService(std::sync::Arc<parking_lot::Mutex<Vec<std::thread::ThreadId>>>);
+        impl symphony_services::Service for WhoService {
+            fn describe(&self) -> symphony_services::ServiceDescription {
+                symphony_services::ServiceDescription {
+                    name: "who".into(),
+                    protocol: symphony_services::Protocol::Rest,
+                    operations: vec![],
+                }
+            }
+            fn handle(
+                &self,
+                _: &symphony_services::ServiceRequest,
+            ) -> Result<symphony_services::ServiceResponse, symphony_services::ServiceFault>
+            {
+                self.0.lock().push(std::thread::current().id());
+                Ok(symphony_services::ServiceResponse::single(&[(
+                    "price", "1.00",
+                )]))
+            }
+        }
+        let served = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mut transport = SimulatedTransport::new(7);
+        transport.register(
+            "who",
+            Box::new(WhoService(served.clone())),
+            LatencyModel::fast(),
+        );
+        let (store, tenant, key, app) = wide_app(1, "who");
+        let subs = Substrates {
+            space: Some(store.space(tenant, &key).unwrap()),
+            engine: None,
+            transport: Some(&transport),
+            ads: None,
+            scatter: None,
+        };
+        let pool = FanoutScheduler::new(MAX_FANOUT_WORKERS);
+        let ctx = ExecCtx {
+            scheduler: Some(&pool),
+            ..ExecCtx::default()
+        };
+        let run = |query: &str| {
+            execute_resilient(&app, query, subs, ExecMode::Parallel, &HashMap::new(), &ctx)
+        };
+        // No primary hit, so no supplemental task: the scheduler never
+        // hears of the query.
+        let none = run("zzzqqq");
+        assert!(none.trace.find("supplemental fan-out").is_none());
+        assert_eq!(pool.granted(tenant.0 as u64), 0);
+        // One task: billed one worker as before, served on this thread.
+        let one = run("gadget");
+        let fanout = one.trace.find("supplemental fan-out").unwrap();
+        assert_eq!(fanout.detail, "parallel: max of 1 fetches (1 workers)");
+        assert_eq!(pool.granted(tenant.0 as u64), 1);
+        assert_eq!(pool.outstanding(), (0, 0));
+        assert_eq!(*served.lock(), vec![std::thread::current().id()]);
     }
 
     #[test]

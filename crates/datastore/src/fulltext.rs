@@ -8,6 +8,7 @@
 use crate::error::StoreError;
 use crate::schema::Schema;
 use crate::table::{Record, RecordId};
+use symphony_text::postings::NO_DOC;
 use symphony_text::query::Query;
 use symphony_text::{
     Doc, DocId, DocSet, FieldId, Index, IndexConfig, MaintenanceReport, Searcher, SegmentPolicy,
@@ -20,8 +21,12 @@ pub struct FullTextView {
     cols: Vec<(usize, FieldId)>,
     /// Doc id -> record id (dense, grows with adds).
     doc_to_record: Vec<RecordId>,
-    /// Record id -> live doc id.
-    record_to_doc: std::collections::HashMap<RecordId, DocId>,
+    /// Record id -> live doc id, indexed by record id (record ids are
+    /// dense and never reused); [`NO_DOC`] marks a record the view does
+    /// not hold.
+    record_to_doc: Vec<u32>,
+    /// Entries of `record_to_doc` that hold a doc id.
+    live: usize,
 }
 
 impl std::fmt::Debug for FullTextView {
@@ -60,7 +65,8 @@ impl FullTextView {
             index,
             cols,
             doc_to_record: Vec::new(),
-            record_to_doc: std::collections::HashMap::new(),
+            record_to_doc: Vec::new(),
+            live: 0,
         })
     }
 
@@ -81,16 +87,41 @@ impl FullTextView {
     /// a fresh doc id), so re-crawls and edits never rebuild the view.
     pub fn add(&mut self, id: RecordId, record: &Record) {
         let doc = self.build_doc(record);
-        let doc_id = match self.record_to_doc.get(&id) {
-            Some(&old) => self
+        let doc_id = match self.doc_of(id) {
+            Some(old) => self
                 .index
-                .update(old, doc)
+                .update(DocId(old), doc)
                 .expect("record_to_doc only maps live doc ids"),
             None => self.index.add(doc),
         };
+        self.map_record(id, doc_id);
+    }
+
+    /// The live doc id of `id`, when the view holds the record.
+    fn doc_of(&self, id: RecordId) -> Option<u32> {
+        self.record_to_doc
+            .get(id.as_usize())
+            .copied()
+            .filter(|&d| d != NO_DOC)
+    }
+
+    /// Grow `record_to_doc` to hold a slot for `id`.
+    fn cover(&mut self, id: RecordId) {
+        if self.record_to_doc.len() <= id.as_usize() {
+            self.record_to_doc.resize(id.as_usize() + 1, NO_DOC);
+        }
+    }
+
+    /// Point `id` at its freshly assigned `doc_id` (both directions).
+    fn map_record(&mut self, id: RecordId, doc_id: DocId) {
         debug_assert_eq!(doc_id.as_usize(), self.doc_to_record.len());
         self.doc_to_record.push(id);
-        self.record_to_doc.insert(id, doc_id);
+        self.cover(id);
+        let slot = &mut self.record_to_doc[id.as_usize()];
+        if *slot == NO_DOC {
+            self.live += 1;
+        }
+        *slot = doc_id.0;
     }
 
     /// Bulk-index a batch of records using up to `threads` worker
@@ -105,24 +136,29 @@ impl FullTextView {
         let mut ids = Vec::new();
         let mut docs = Vec::new();
         for (id, record) in rows {
-            if self.record_to_doc.contains_key(&id) {
-                self.remove(id);
-            }
+            self.remove(id);
             ids.push(id);
             docs.push(self.build_doc(record));
         }
+        // Size the record map for the batch in one step, before the
+        // build: regrown record by record afterwards, its final block
+        // lands among the build threads' freed arenas and pins tens of
+        // MB of them (`peak_rss_mb` on the ledger's 100k-row catalog).
+        if let Some(&last) = ids.iter().max() {
+            self.cover(last);
+        }
         let doc_ids = self.index.build_parallel(docs, threads);
         for (id, doc_id) in ids.into_iter().zip(doc_ids) {
-            debug_assert_eq!(doc_id.as_usize(), self.doc_to_record.len());
-            self.doc_to_record.push(id);
-            self.record_to_doc.insert(id, doc_id);
+            self.map_record(id, doc_id);
         }
     }
 
     /// Drop a record from the view (no-op when absent).
     pub fn remove(&mut self, id: RecordId) {
-        if let Some(doc) = self.record_to_doc.remove(&id) {
-            self.index.delete(doc);
+        if let Some(doc) = self.doc_of(id) {
+            self.index.delete(DocId(doc));
+            self.record_to_doc[id.as_usize()] = NO_DOC;
+            self.live -= 1;
         }
     }
 
@@ -195,14 +231,14 @@ impl FullTextView {
         DocSet::from_unsorted(
             records
                 .into_iter()
-                .filter_map(|id| self.record_to_doc.get(&id).map(|d| d.0))
+                .filter_map(|id| self.doc_of(id))
                 .collect(),
         )
     }
 
     /// Number of live (searchable) records in the view.
     pub fn live_records(&self) -> usize {
-        self.record_to_doc.len()
+        self.live
     }
 
     fn map_hits(&self, hits: Vec<symphony_text::SearchHit>) -> Vec<TextHit> {

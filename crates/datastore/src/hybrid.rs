@@ -7,14 +7,19 @@
 //! one of three rank-equivalent strategies:
 //!
 //! * **filter-first** — resolve the structured predicate through the
-//!   secondary indexes into an exact record set, translate it to a
-//!   [`DocSet`](symphony_text::DocSet), and run pruned top-k with the
-//!   set riding the executor as a non-scoring conjunctive cursor
-//!   (selective predicates skip posting blocks decode-free);
+//!   secondary indexes into an exact [`DocSet`](symphony_text::DocSet)
+//!   and run pruned top-k restricted to it (the executor mounts the
+//!   set as a driving gate or as a per-candidate probe, by density);
 //! * **search-first** — pruned top-k with geometric over-fetch and a
-//!   post-filter refill, for predicates too dense to enumerate;
+//!   post-filter refill, for predicates too dense to enumerate for one
+//!   query; a refill that keeps coming up short gives up and takes the
+//!   set path;
 //! * **scan** — exhaustive scoring under a closure, for tables too
 //!   small to plan about.
+//!
+//! A designer bakes the predicate into the source, so every query an
+//! app serves carries the same one: the table memoises resolved sets
+//! (see [`IndexedTable`]) and a memoised set is always the plan.
 //!
 //! All three return bit-identical `(record, score)` lists (see the
 //! `hybrid_plan_invariance` proptest): the pruned executor is rank-safe
@@ -25,11 +30,14 @@
 
 use crate::error::StoreError;
 use crate::filter::Filter;
+use crate::fulltext::FullTextView;
 use crate::fulltext::TextHit;
 use crate::indexed::{AccessPath, IndexedTable, TableQuery};
 use crate::table::RecordId;
 use crate::value::{Value, ValueKey};
+use std::sync::Arc;
 use symphony_text::query::Query;
+use symphony_text::DocSet;
 
 /// Planner's choice of execution strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +103,13 @@ pub struct HybridExplain {
     pub table_rows: usize,
     /// `estimated_matches / table_rows`, when both are known.
     pub selectivity: Option<f64>,
+    /// The filter's doc set came out of the table's memo (for a plan
+    /// that was not run: it would).
+    pub set_reused: bool,
+    /// Members of the doc set the query ran on; `None` when it resolved
+    /// none. `Some` under [`HybridPlan::SearchFirst`] means the refill
+    /// loop gave up and took the set path.
+    pub set_len: Option<usize>,
 }
 
 /// Facet counts for one column over the structured candidate set.
@@ -121,45 +136,84 @@ pub struct HybridResult {
 /// exhaustive scan of a tiny table beats any plan overhead.
 const SCAN_FLOOR_ROWS: usize = 32;
 
-/// Filter-first is chosen when the estimated match fraction is at or
-/// under this: enumerating the candidate set is then cheaper than the
-/// blocks the pushdown cursor lets the executor skip.
-const FILTER_FIRST_MAX_SELECTIVITY: f64 = 0.05;
+/// Cost of resolving one index row into a filter's doc set, and of one
+/// ranked hit search-first over-fetches, in ns. Fitted from the
+/// forced-plan probe over the ledger's `hybrid_sweep` world — the
+/// cells behind its `datastore.hybrid_s05_us` / `_s20_us` / `_s50_us`
+/// rows (EXPERIMENTS.md, E-hybrid, "cost constants"): a cold filter-first
+/// query costs its set query plus 16–20 ns per estimated row (5 000–
+/// 50 000 rows), a search-first one a plain search plus 4.6–7.5 µs per
+/// hit of its expected `k / selectivity` over-fetch.
+const SET_BUILD_NS_PER_ROW: f64 = 20.0;
+const OVERFETCH_NS_PER_HIT: f64 = 5_000.0;
 
 /// First over-fetch budget for search-first, as a function of `k`.
 fn initial_overfetch(k: usize) -> usize {
     k * 4 + 8
 }
 
+/// Refills search-first runs (each doubling its fetch) before it stops
+/// re-searching and resolves the filter's set instead: by then the
+/// filter has proven sparser among the ranked hits than planned for,
+/// and every further doubling re-runs the whole search.
+const MAX_REFILLS: u32 = 2;
+
 impl IndexedTable {
     /// Plan a hybrid query without running it.
     pub fn hybrid_explain(&self, q: &HybridQuery) -> HybridExplain {
+        let (mut explain, memoised, _) = self.plan_hybrid(q);
+        explain.set_reused = memoised.is_some();
+        explain.set_len = memoised.map(|set| set.len());
+        explain
+    }
+
+    /// The plan for `q`, the filter's memoised doc set when the table
+    /// holds one, and the over-fetch a search-first run of `q` is
+    /// expected to spend (0 when the index counters give no estimate).
+    ///
+    /// A memoised set is always the plan. An unresolved filter is
+    /// resolved once that is estimated cheaper than the over-fetch
+    /// search-first has spent under it since the last write plus what
+    /// this query would add: a sparse filter on the first query, a
+    /// dense one after as many queries as its set costs to build, and
+    /// never on a table that is written before every read.
+    fn plan_hybrid(&self, q: &HybridQuery) -> (HybridExplain, Option<Arc<DocSet>>, f64) {
         let table_rows = self.table().len();
         let access = self.explain(&q.filter);
         let estimated_matches = self.estimate_filter_matches(&q.filter);
         let selectivity = estimated_matches
             .filter(|_| table_rows > 0)
             .map(|e| e as f64 / table_rows as f64);
+        let (memoised, spent_ns) = self.memo_lookup(&q.filter);
+        let overfetch_ns = selectivity
+            .filter(|&s| s > 0.0)
+            .map_or(0.0, |s| q.k as f64 / s * OVERFETCH_NS_PER_HIT);
         let plan = if table_rows <= SCAN_FLOOR_ROWS {
             HybridPlan::Scan
+        } else if memoised.is_some() {
+            HybridPlan::FilterFirst
         } else {
-            match (estimated_matches, selectivity) {
-                (Some(0), _) => HybridPlan::FilterFirst,
-                (Some(_), Some(s))
-                    if s <= FILTER_FIRST_MAX_SELECTIVITY && access != AccessPath::FullScan =>
-                {
+            match estimated_matches {
+                // An estimate implies an index-backed access path, so
+                // the set is `est` index rows away.
+                Some(est) if est as f64 * SET_BUILD_NS_PER_ROW <= spent_ns + overfetch_ns => {
                     HybridPlan::FilterFirst
                 }
                 _ => HybridPlan::SearchFirst,
             }
         };
-        HybridExplain {
+        let explain = HybridExplain {
             plan,
             access,
             estimated_matches,
             table_rows,
             selectivity,
-        }
+            // Filled in by whoever resolves a set (or, for a plan that
+            // is not run, reads the memo).
+            set_reused: false,
+            set_len: None,
+        };
+        (explain, memoised, overfetch_ns)
     }
 
     /// Run a hybrid query under the planner's chosen strategy.
@@ -177,21 +231,16 @@ impl IndexedTable {
         force: Option<HybridPlan>,
     ) -> Result<HybridResult, StoreError> {
         let ft = self.fulltext().ok_or(StoreError::NoFullText)?;
-        let mut explain = self.hybrid_explain(q);
+        let (mut explain, memoised, overfetch_ns) = self.plan_hybrid(q);
         if let Some(p) = force {
             explain.plan = p;
         }
         let hits = match explain.plan {
-            HybridPlan::FilterFirst => {
-                // Exact candidate set via the structured planner (index
-                // lookup + residual eval), then pushdown.
-                let (rows, _) = self.query_explained(&TableQuery::filtered(q.filter.clone()));
-                let set = ft.doc_set_for(rows.into_iter().map(|(id, _)| id));
-                ft.search_docset(&q.text, q.k, &set)
-            }
+            HybridPlan::FilterFirst => self.search_in_set(ft, q, memoised, &mut explain),
             HybridPlan::SearchFirst => {
                 let accept = |id: RecordId| self.table().get(id).is_some_and(|r| q.filter.eval(r));
                 let mut fetch = initial_overfetch(q.k);
+                let mut refills = 0;
                 loop {
                     let ranked = ft.search(&q.text, fetch);
                     let complete = ranked.len() < fetch;
@@ -201,9 +250,16 @@ impl IndexedTable {
                     // prefix we fully hold, or the prefix is the whole
                     // match set.
                     if kept.len() >= q.k || complete {
+                        if memoised.is_none() && overfetch_ns > 0.0 {
+                            self.charge_overfetch(&q.filter, overfetch_ns);
+                        }
                         kept.truncate(q.k);
                         break kept;
                     }
+                    if refills == MAX_REFILLS {
+                        break self.search_in_set(ft, q, memoised, &mut explain);
+                    }
+                    refills += 1;
                     fetch *= 2;
                 }
             }
@@ -218,6 +274,21 @@ impl IndexedTable {
             facets,
             explain,
         })
+    }
+
+    /// The set path: pruned top-k restricted to the filter's doc set,
+    /// memoised or resolved (and memoised) now.
+    fn search_in_set(
+        &self,
+        ft: &FullTextView,
+        q: &HybridQuery,
+        memoised: Option<Arc<DocSet>>,
+        explain: &mut HybridExplain,
+    ) -> Vec<TextHit> {
+        explain.set_reused = memoised.is_some();
+        let set = memoised.unwrap_or_else(|| self.resolve_doc_set(ft, &q.filter));
+        explain.set_len = Some(set.len());
+        ft.search_docset(&q.text, q.k, &set)
     }
 
     /// Facet counts over the structured candidate set. When the filter
@@ -338,16 +409,105 @@ mod tests {
         let ex = it.hybrid_explain(&q);
         assert_eq!(ex.plan, HybridPlan::FilterFirst);
         assert_eq!(ex.access, AccessPath::IndexRange { col: 2 });
-        // Inclusive-bound upper estimate: prices 0..=3 → 4 keys × 5 rows.
-        assert_eq!(ex.estimated_matches, Some(20));
-        assert!(ex.selectivity.unwrap() <= 0.05);
+        // The strict bound sheds price == 3: prices 0..=2 → 3 keys × 5 rows.
+        assert_eq!(ex.estimated_matches, Some(15));
+        assert_eq!((ex.set_reused, ex.set_len), (false, None));
     }
 
     #[test]
-    fn planner_picks_search_first_when_dense() {
-        let it = reviews(500);
+    fn dense_filter_is_resolved_once_overfetch_has_paid_for_it() {
+        // 6 000 rows, 80 % pass: the set costs 4 800 rows x 20 ns to
+        // build, one search-first query over-fetches 12.5 hits x 5 us.
+        let it = reviews(6_000);
         let q = HybridQuery::new(Query::parse("oak"), price_under(80), 10);
         assert_eq!(it.hybrid_explain(&q).plan, HybridPlan::SearchFirst);
+        let first = it.hybrid_query(&q).unwrap();
+        assert_eq!(first.explain.plan, HybridPlan::SearchFirst);
+        assert_eq!(first.explain.set_len, None);
+        // The second query finds the first one's over-fetch on the
+        // books, resolves the set, and every later one reuses it.
+        let second = it.hybrid_query(&q).unwrap();
+        assert_eq!(second.explain.plan, HybridPlan::FilterFirst);
+        assert_eq!(
+            (second.explain.set_reused, second.explain.set_len),
+            (false, Some(4_800))
+        );
+        let third = it.hybrid_query(&q).unwrap();
+        assert_eq!(
+            (third.explain.set_reused, third.explain.set_len),
+            (true, Some(4_800))
+        );
+        assert_eq!(first.hits, second.hits);
+        assert_eq!(first.hits, third.hits);
+        let planned = it.hybrid_explain(&q);
+        assert_eq!(planned.plan, HybridPlan::FilterFirst);
+        assert!(planned.set_reused);
+    }
+
+    #[test]
+    fn a_write_between_reads_keeps_a_dense_filter_on_search_first() {
+        let mut it = reviews(6_000);
+        let q = HybridQuery::new(Query::parse("oak"), price_under(80), 10);
+        for _ in 0..4 {
+            let r = it.hybrid_query(&q).unwrap();
+            assert_eq!(r.explain.plan, HybridPlan::SearchFirst);
+            let id = it.insert(Record::new(vec![
+                Value::Text("product-x".into()),
+                Value::Text("plain".into()),
+                Value::Int(99),
+                Value::Bool(false),
+            ]));
+            it.delete(id);
+        }
+    }
+
+    #[test]
+    fn refill_that_keeps_coming_up_short_takes_the_set_path() {
+        // Every row matches "oak" or "citrus"; 1 % pass the filter, so
+        // 48, 96 and 192 ranked hits all hold fewer than k survivors.
+        let it = reviews(6_000);
+        let q = HybridQuery::new(Query::parse("oak citrus"), price_under(1), 10);
+        let sf = it
+            .hybrid_query_planned(&q, Some(HybridPlan::SearchFirst))
+            .unwrap();
+        assert_eq!(sf.explain.plan, HybridPlan::SearchFirst);
+        assert_eq!(sf.explain.set_len, Some(60));
+        let sc = it.hybrid_query_planned(&q, Some(HybridPlan::Scan)).unwrap();
+        assert_eq!(sf.hits, sc.hits);
+        assert_eq!(sf.hits.len(), 10);
+    }
+
+    #[test]
+    fn concurrent_readers_of_one_cold_filter_agree() {
+        fn shared<T: Send + Sync>(_: &T) {}
+        let it = reviews(2_000);
+        shared(&it);
+        let q = HybridQuery::new(Query::parse("oak finish"), price_under(7), 10);
+        let expect = it.hybrid_query_planned(&q, Some(HybridPlan::Scan)).unwrap();
+        let start = std::sync::Barrier::new(4);
+        let results: Vec<HybridResult> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        it.hybrid_query(&q).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let key = |r: &HybridResult| {
+            r.hits
+                .iter()
+                .map(|h| (h.record, h.score.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for r in &results {
+            assert_eq!(key(r), key(&expect));
+            assert_eq!(r.explain.set_len, Some(140));
+        }
+        // Whoever raced, one set was kept and the next reader reuses it.
+        assert!(it.hybrid_query(&q).unwrap().explain.set_reused);
     }
 
     #[test]

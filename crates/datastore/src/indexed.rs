@@ -8,6 +8,9 @@ use crate::fulltext::{FullTextView, TextHit};
 use crate::indexes::{IndexKind, SecondaryIndex};
 use crate::table::{Record, RecordId, Table};
 use crate::value::Value;
+use std::ops::Bound;
+use std::sync::{Arc, Mutex};
+use symphony_text::DocSet;
 
 /// Sort direction for [`TableQuery::sort`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,13 +85,13 @@ enum PlannedAccess<'a> {
         col: usize,
         value: Value,
     },
-    /// Range scan on an ordered index (inclusive bounds; the residual
-    /// filter re-checks strict comparisons).
+    /// Range scan on an ordered index, between the bounds of one lower
+    /// and one upper conjunct on `col` (strict where the operator is).
     Range {
         ix: &'a SecondaryIndex,
         col: usize,
-        low: Option<Value>,
-        high: Option<Value>,
+        low: Bound<Value>,
+        high: Bound<Value>,
     },
     /// Full table scan.
     Scan,
@@ -105,6 +108,43 @@ impl PlannedAccess<'_> {
     }
 }
 
+/// Filters remembered per table. A designer bakes a handful of filters
+/// into an app's sources; `hybrid_sweep` (BENCHMARK.json) serves four
+/// over one table.
+const FILTER_MEMO_CAP: usize = 8;
+
+/// What a table remembers of one filter between two writes.
+#[derive(Debug)]
+struct FilterMemo {
+    filter: Filter,
+    /// The filter's full-text doc set, once some query resolved it.
+    set: Option<Arc<DocSet>>,
+    /// Estimated over-fetch, in ns, that search-first queries have
+    /// spent under this filter while it stayed unresolved (see
+    /// [`IndexedTable::charge_overfetch`]).
+    overfetch_ns: f64,
+}
+
+/// The entry of `filter`, appended (evicting the oldest at capacity)
+/// when the memo does not hold one.
+fn memo_entry<'m>(memo: &'m mut Vec<FilterMemo>, filter: &Filter) -> &'m mut FilterMemo {
+    let at = memo
+        .iter()
+        .position(|m| m.filter == *filter)
+        .unwrap_or_else(|| {
+            if memo.len() == FILTER_MEMO_CAP {
+                memo.remove(0);
+            }
+            memo.push(FilterMemo {
+                filter: filter.clone(),
+                set: None,
+                overfetch_ns: 0.0,
+            });
+            memo.len() - 1
+        });
+    &mut memo[at]
+}
+
 /// A table with maintained secondary indexes and an optional full-text
 /// view.
 #[derive(Debug)]
@@ -112,6 +152,12 @@ pub struct IndexedTable {
     table: Table,
     secondary: Vec<SecondaryIndex>,
     fulltext: Option<FullTextView>,
+    /// Recently served filters, oldest first. A resolved set is valid
+    /// for the exact row set and record -> doc mapping it was built
+    /// from, so every `&mut self` method that changes either clears the
+    /// memo — no versions to compare, and a table under steady writes
+    /// simply never reuses a set.
+    filter_memo: Mutex<Vec<FilterMemo>>,
 }
 
 impl IndexedTable {
@@ -122,7 +168,16 @@ impl IndexedTable {
             table,
             secondary: Vec::new(),
             fulltext: None,
+            filter_memo: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Drop every memoised filter set (see `filter_memo`).
+    fn clear_filter_memo(&mut self) {
+        self.filter_memo
+            .get_mut()
+            .expect("filter memo lock poisoned")
+            .clear();
     }
 
     /// Borrow the underlying table.
@@ -133,6 +188,7 @@ impl IndexedTable {
     /// Create a secondary index over `col_name`, backfilling existing
     /// rows.
     pub fn create_index(&mut self, col_name: &str, kind: IndexKind) -> Result<(), StoreError> {
+        self.clear_filter_memo();
         let col = self
             .table
             .schema()
@@ -153,6 +209,7 @@ impl IndexedTable {
     /// backfilling existing rows (in parallel when the table is large
     /// enough to benefit). Replaces any previous view.
     pub fn enable_fulltext(&mut self, searchable: &[(&str, f32)]) -> Result<(), StoreError> {
+        self.clear_filter_memo();
         let mut view = FullTextView::new(self.table.schema(), searchable)?;
         view.add_bulk(self.table.iter(), symphony_text::default_build_threads());
         self.fulltext = Some(view);
@@ -174,6 +231,8 @@ impl IndexedTable {
     /// staleness window, then at most one background merge. `None`
     /// without a view. The hosting layer calls this from its virtual
     /// clock so segment lifecycle is deterministic under replay.
+    /// Sealing and merging never renumber a doc id (purged docs leave
+    /// holes), so memoised filter sets stay valid across it.
     pub fn maintain_fulltext(&mut self, now_ms: u64) -> Option<symphony_text::MaintenanceReport> {
         self.fulltext.as_mut().map(|ft| ft.maintain(now_ms))
     }
@@ -188,6 +247,7 @@ impl IndexedTable {
 
     /// Insert a record, maintaining all indexes.
     pub fn insert(&mut self, record: Record) -> RecordId {
+        self.clear_filter_memo();
         let id = self.table.insert(record);
         let rec = self.table.get(id).expect("just inserted");
         for ix in &mut self.secondary {
@@ -202,6 +262,7 @@ impl IndexedTable {
     /// Insert from raw strings (see
     /// [`Table::insert_raw`](crate::table::Table::insert_raw)).
     pub fn insert_raw(&mut self, raw: &[String]) -> RecordId {
+        self.clear_filter_memo();
         let id = self.table.insert_raw(raw);
         let rec = self.table.get(id).expect("just inserted");
         for ix in &mut self.secondary {
@@ -215,6 +276,7 @@ impl IndexedTable {
 
     /// Delete a record, maintaining all indexes.
     pub fn delete(&mut self, id: RecordId) -> Option<Record> {
+        self.clear_filter_memo();
         let old = self.table.delete(id)?;
         for ix in &mut self.secondary {
             ix.remove(old.get(ix.col()), id);
@@ -227,6 +289,7 @@ impl IndexedTable {
 
     /// Update a record, maintaining all indexes.
     pub fn update(&mut self, id: RecordId, record: Record) -> Option<Record> {
+        self.clear_filter_memo();
         let old = self.table.update(id, record)?;
         let new = self.table.get(id).expect("just updated");
         for ix in &mut self.secondary {
@@ -243,8 +306,12 @@ impl IndexedTable {
     /// resolved index reference and lookup values, so execution never
     /// re-derives them from the filter shape (a mismatch used to panic
     /// here; now it is unrepresentable — anything the planner cannot
-    /// fully resolve degrades to [`PlannedAccess::Scan`]).
-    fn plan<'a>(&'a self, filter: &Filter) -> PlannedAccess<'a> {
+    /// fully resolve degrades to [`PlannedAccess::Scan`]). The flag is
+    /// true when the access path yields exactly the filter's rows, so
+    /// no residual `eval` is needed: the filter is one non-null
+    /// equality, or at most one lower and one upper non-null bound, on
+    /// the planned column and nothing else.
+    fn plan<'a>(&'a self, filter: &Filter) -> (PlannedAccess<'a>, bool) {
         // Flatten top-level conjunctions and look for a usable
         // conjunct. Preference: index equality, then ordered range.
         let mut conjuncts = Vec::new();
@@ -257,11 +324,12 @@ impl IndexedTable {
                 };
                 match op {
                     CmpOp::Eq => {
-                        return PlannedAccess::Eq {
+                        let access = PlannedAccess::Eq {
                             ix,
                             col: *col,
                             value: value.clone(),
-                        }
+                        };
+                        return (access, conjuncts.len() == 1 && !value.is_null());
                     }
                     CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge
                         if ix.kind() == IndexKind::Ordered && range.is_none() =>
@@ -272,19 +340,49 @@ impl IndexedTable {
                 }
             }
         }
-        match range {
-            Some((ix, col)) => {
-                let (low, high) = find_range_bounds(filter, col);
-                PlannedAccess::Range { ix, col, low, high }
+        let Some((ix, col)) = range else {
+            return (PlannedAccess::Scan, false);
+        };
+        // A comparison is false on a null cell and nulls sort first, so
+        // an open lower end starts just past them. Each bound below is
+        // one conjunct's, hence a superset of the filter's rows on its
+        // own; with several on one side the last one stands.
+        let mut low = Bound::Excluded(Value::Null);
+        let mut high = Bound::Unbounded;
+        let (mut lows, mut highs) = (0, 0);
+        let mut exact = true;
+        for c in &conjuncts {
+            match c {
+                Filter::Cmp { col: c, op, value } if *c == col && !value.is_null() => match op {
+                    CmpOp::Gt | CmpOp::Ge => {
+                        lows += 1;
+                        low = if *op == CmpOp::Gt {
+                            Bound::Excluded(value.clone())
+                        } else {
+                            Bound::Included(value.clone())
+                        };
+                    }
+                    CmpOp::Lt | CmpOp::Le => {
+                        highs += 1;
+                        high = if *op == CmpOp::Lt {
+                            Bound::Excluded(value.clone())
+                        } else {
+                            Bound::Included(value.clone())
+                        };
+                    }
+                    _ => exact = false,
+                },
+                _ => exact = false,
             }
-            None => PlannedAccess::Scan,
         }
+        let access = PlannedAccess::Range { ix, col, low, high };
+        (access, exact && lows <= 1 && highs <= 1)
     }
 
     /// The access path the planner would choose for a filter (exposed
     /// for tests and EXPLAIN output).
     pub fn explain(&self, filter: &Filter) -> AccessPath {
-        self.plan(filter).path()
+        self.plan(filter).0.path()
     }
 
     /// Run a structured query.
@@ -297,21 +395,28 @@ impl IndexedTable {
     /// fused pass, so the reported path can never diverge from what
     /// ran).
     pub fn query_explained(&self, q: &TableQuery) -> (Vec<(RecordId, &Record)>, AccessPath) {
-        let plan = self.plan(&q.filter);
+        let (plan, _) = self.plan(&q.filter);
         let path = plan.path();
+        let matching = |id: RecordId| {
+            self.table
+                .get(id)
+                .filter(|r| q.filter.eval(r))
+                .map(|r| (id, r))
+        };
         let mut rows: Vec<(RecordId, &Record)> = match plan {
             PlannedAccess::Eq { ix, value, .. } => ix
-                .lookup_eq(&value)
-                .into_iter()
-                .filter_map(|id| self.table.get(id).map(|r| (id, r)))
-                .filter(|(_, r)| q.filter.eval(r))
+                .ids_eq(&value)
+                .iter()
+                .copied()
+                .filter_map(matching)
                 .collect(),
             PlannedAccess::Range { ix, low, high, .. } => ix
-                .lookup_range(low.as_ref(), high.as_ref())
-                .unwrap_or_default()
+                .range_runs(low.as_ref(), high.as_ref())
                 .into_iter()
-                .filter_map(|id| self.table.get(id).map(|r| (id, r)))
-                .filter(|(_, r)| q.filter.eval(r))
+                .flatten()
+                .flatten()
+                .copied()
+                .filter_map(matching)
                 .collect(),
             PlannedAccess::Scan => self
                 .table
@@ -344,6 +449,56 @@ impl IndexedTable {
         (rows[start..end].to_vec(), path)
     }
 
+    /// What the memo holds of `filter`: its doc set when resolved, and
+    /// the over-fetch charged to it while it was not.
+    pub(crate) fn memo_lookup(&self, filter: &Filter) -> (Option<Arc<DocSet>>, f64) {
+        let memo = self.filter_memo.lock().expect("filter memo lock poisoned");
+        memo.iter()
+            .find(|m| m.filter == *filter)
+            .map_or((None, 0.0), |m| (m.set.clone(), m.overfetch_ns))
+    }
+
+    /// Record that a search-first query under the still unresolved
+    /// `filter` spent an estimated `ns` over-fetching. The planner
+    /// resolves the set once these charges would have paid for it: on a
+    /// table that is read between writes that happens after a few
+    /// queries, on one written before every read never.
+    pub(crate) fn charge_overfetch(&self, filter: &Filter, ns: f64) {
+        let mut memo = self.filter_memo.lock().expect("filter memo lock poisoned");
+        memo_entry(&mut memo, filter).overfetch_ns += ns;
+    }
+
+    /// Resolve the full-text doc ids of the live records matching
+    /// `filter` through the access plan — ids only, no row is copied —
+    /// and memoise them for the queries that follow.
+    pub(crate) fn resolve_doc_set(&self, ft: &FullTextView, filter: &Filter) -> Arc<DocSet> {
+        // Resolved outside the lock: readers that race on a cold filter
+        // each build the same set, and the first one back in keeps its.
+        let (plan, exact) = self.plan(filter);
+        let residual = |id: &RecordId| exact || self.table.get(*id).is_some_and(|r| filter.eval(r));
+        let built = Arc::new(match plan {
+            PlannedAccess::Eq { ix, value, .. } => {
+                ft.doc_set_for(ix.ids_eq(&value).iter().copied().filter(residual))
+            }
+            PlannedAccess::Range { ix, low, high, .. } => ft.doc_set_for(
+                ix.range_runs(low.as_ref(), high.as_ref())
+                    .into_iter()
+                    .flatten()
+                    .flatten()
+                    .copied()
+                    .filter(residual),
+            ),
+            PlannedAccess::Scan => ft.doc_set_for(
+                self.table
+                    .iter()
+                    .filter(|(_, r)| filter.eval(r))
+                    .map(|(id, _)| id),
+            ),
+        });
+        let mut memo = self.filter_memo.lock().expect("filter memo lock poisoned");
+        Arc::clone(memo_entry(&mut memo, filter).set.get_or_insert(built))
+    }
+
     /// Exact number of records matching the most selective indexed
     /// conjunct of `filter` — an upper bound on the true match count,
     /// read off maintained index counters (no record is touched).
@@ -357,12 +512,16 @@ impl IndexedTable {
                 let Some(ix) = self.secondary.iter().find(|ix| ix.col() == *col) else {
                     continue;
                 };
+                // `count_range` is inclusive; a strict bound sheds the
+                // rows equal to it.
+                let strict = |n: usize| match op {
+                    CmpOp::Lt | CmpOp::Gt => n - ix.count_eq(value),
+                    _ => n,
+                };
                 let est = match op {
                     CmpOp::Eq => Some(ix.count_eq(value)),
-                    // Inclusive counts over-estimate strict bounds —
-                    // fine for an upper bound.
-                    CmpOp::Lt | CmpOp::Le => ix.count_range(None, Some(value)),
-                    CmpOp::Gt | CmpOp::Ge => ix.count_range(Some(value), None),
+                    CmpOp::Lt | CmpOp::Le => ix.count_range(None, Some(value)).map(strict),
+                    CmpOp::Gt | CmpOp::Ge => ix.count_range(Some(value), None).map(strict),
                     _ => None,
                 };
                 if let Some(e) = est {
@@ -418,28 +577,6 @@ fn flatten_and<'a>(f: &'a Filter, out: &mut Vec<&'a Filter>) {
         }
         other => out.push(other),
     }
-}
-
-fn find_range_bounds(filter: &Filter, col: usize) -> (Option<Value>, Option<Value>) {
-    let mut conjuncts = Vec::new();
-    flatten_and(filter, &mut conjuncts);
-    let mut low = None;
-    let mut high = None;
-    for c in conjuncts {
-        if let Filter::Cmp { col: c, op, value } = c {
-            if *c != col {
-                continue;
-            }
-            match op {
-                // Inclusive bounds: the residual filter re-checks the
-                // strict variants, so widening is safe.
-                CmpOp::Gt | CmpOp::Ge => low = Some(value.clone()),
-                CmpOp::Lt | CmpOp::Le => high = Some(value.clone()),
-                _ => {}
-            }
-        }
-    }
-    (low, high)
 }
 
 #[cfg(test)]
@@ -650,6 +787,107 @@ mod tests {
             .search(&symphony_text::Query::parse("star"), 10)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn every_mutator_clears_the_filter_memo() {
+        let row = || {
+            Record::new(vec![
+                Value::Text("Star Farm".into()),
+                Value::Text("sim".into()),
+                Value::Float(5.0),
+            ])
+        };
+        type Mutator = fn(&mut IndexedTable, Record);
+        let mutators: [(&str, Mutator); 6] = [
+            ("insert", |it, r| {
+                it.insert(r);
+            }),
+            ("insert_raw", |it, _| {
+                it.insert_raw(&["Star Farm".into(), "sim".into(), "5.0".into()]);
+            }),
+            ("delete", |it, _| {
+                it.delete(RecordId(0));
+            }),
+            ("update", |it, r| {
+                it.update(RecordId(1), r);
+            }),
+            ("create_index", |it, _| {
+                it.create_index("genre", IndexKind::Hash).unwrap();
+            }),
+            ("enable_fulltext", |it, _| {
+                it.enable_fulltext(&[("genre", 1.0)]).unwrap();
+            }),
+        ];
+        for (name, mutate) in mutators {
+            let mut it = inventory();
+            it.create_index("price", IndexKind::Ordered).unwrap();
+            it.enable_fulltext(&[("title", 1.0)]).unwrap();
+            let cheap = Filter::cmp(2, CmpOp::Lt, Value::Float(20.0));
+            let dear = Filter::cmp(2, CmpOp::Ge, Value::Float(20.0));
+            let set = it.resolve_doc_set(it.fulltext().unwrap(), &cheap);
+            assert_eq!(set.len(), 3);
+            it.charge_overfetch(&dear, 1.0);
+            assert!(it.memo_lookup(&cheap).0.is_some());
+            assert_eq!(it.memo_lookup(&dear).1, 1.0);
+            mutate(&mut it, row());
+            assert!(
+                it.filter_memo.lock().unwrap().is_empty(),
+                "{name} left the memo standing"
+            );
+        }
+    }
+
+    #[test]
+    fn filter_memo_evicts_the_oldest_at_capacity() {
+        let mut it = inventory();
+        it.enable_fulltext(&[("title", 1.0)]).unwrap();
+        let f = |i: usize| Filter::cmp(2, CmpOp::Lt, Value::Float(i as f64));
+        for i in 0..=FILTER_MEMO_CAP {
+            it.resolve_doc_set(it.fulltext().unwrap(), &f(i));
+        }
+        assert_eq!(it.filter_memo.lock().unwrap().len(), FILTER_MEMO_CAP);
+        assert!(it.memo_lookup(&f(0)).0.is_none());
+        assert!(it.memo_lookup(&f(FILTER_MEMO_CAP)).0.is_some());
+    }
+
+    #[test]
+    fn exact_index_bounds_match_the_residual_filter() {
+        // One lower and one upper bound on the planned column need no
+        // residual eval; nulls, strict bounds and inverted intervals
+        // must still come out as `eval` would have them.
+        let schema = Schema::of(&[("title", FieldType::Text), ("n", FieldType::Int)]);
+        let mut it = IndexedTable::new(Table::new("t", schema));
+        for n in [
+            Value::Null,
+            Value::Int(1),
+            Value::Int(2),
+            Value::Int(2),
+            Value::Int(3),
+        ] {
+            it.insert(Record::new(vec![Value::Text("x".into()), n]));
+        }
+        it.create_index("n", IndexKind::Ordered).unwrap();
+        it.enable_fulltext(&[("title", 1.0)]).unwrap();
+        let cmp = |op, v| Filter::cmp(1, op, Value::Int(v));
+        for f in [
+            cmp(CmpOp::Lt, 2),
+            cmp(CmpOp::Le, 2),
+            cmp(CmpOp::Gt, 2),
+            cmp(CmpOp::Ge, 2),
+            cmp(CmpOp::Eq, 2),
+            cmp(CmpOp::Gt, 1).and(cmp(CmpOp::Lt, 3)),
+            cmp(CmpOp::Gt, 3).and(cmp(CmpOp::Lt, 1)),
+            cmp(CmpOp::Gt, 2).and(cmp(CmpOp::Lt, 2)),
+            cmp(CmpOp::Gt, 0).and(cmp(CmpOp::Gt, 2)),
+            Filter::cmp(1, CmpOp::Lt, Value::Null),
+        ] {
+            let scanned = it.table().iter().filter(|(_, r)| f.eval(r)).count();
+            assert_eq!(it.query(&TableQuery::filtered(f.clone())).len(), scanned);
+            let set = it.resolve_doc_set(it.fulltext().unwrap(), &f);
+            assert_eq!(set.len(), scanned, "{f:?}");
+            assert!(it.estimate_filter_matches(&f).unwrap() >= scanned);
+        }
     }
 
     #[test]

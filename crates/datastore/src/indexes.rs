@@ -1,7 +1,9 @@
 //! Secondary indexes: hash (point lookups) and ordered (ranges).
 
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 
 use crate::table::RecordId;
 use crate::value::{Value, ValueKey};
@@ -26,6 +28,11 @@ impl Ord for OrdValue {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.cmp_total(&other.0)
     }
+}
+
+/// An optional inclusive bound as a [`Bound`].
+fn inclusive(v: Option<&Value>) -> Bound<&Value> {
+    v.map_or(Bound::Unbounded, Bound::Included)
 }
 
 /// Which index structure backs a column.
@@ -159,58 +166,70 @@ impl SecondaryIndex {
     /// answer ranges. Costs one B-tree walk over the touched keys but
     /// copies no record ids.
     pub fn count_range(&self, low: Option<&Value>, high: Option<&Value>) -> Option<usize> {
+        Some(
+            self.range_runs(inclusive(low), inclusive(high))?
+                .map(<[RecordId]>::len)
+                .sum(),
+        )
+    }
+
+    /// Record ids equal to `value`, borrowed from the index.
+    pub(crate) fn ids_eq(&self, value: &Value) -> &[RecordId] {
         match self {
-            SecondaryIndex::Hash { .. } => None,
-            SecondaryIndex::Ordered { map, .. } => {
-                use std::ops::Bound;
-                let lo = match low {
-                    Some(v) => Bound::Included(OrdValue(v.clone())),
-                    None => Bound::Unbounded,
-                };
-                let hi = match high {
-                    Some(v) => Bound::Included(OrdValue(v.clone())),
-                    None => Bound::Unbounded,
-                };
-                Some(map.range((lo, hi)).map(|(_, ids)| ids.len()).sum())
-            }
+            SecondaryIndex::Hash { map, .. } => map.get(&value.hash_key()),
+            SecondaryIndex::Ordered { map, .. } => map.get(&OrdValue(value.clone())),
         }
+        .map_or(&[], Vec::as_slice)
     }
 
     /// Record ids equal to `value`.
     pub fn lookup_eq(&self, value: &Value) -> Vec<RecordId> {
-        match self {
-            SecondaryIndex::Hash { map, .. } => {
-                map.get(&value.hash_key()).cloned().unwrap_or_default()
+        self.ids_eq(value).to_vec()
+    }
+
+    /// The per-key id lists between two bounds, in key order, borrowed
+    /// from the index. `None` for hash indexes. An inverted interval
+    /// (`x > 9 AND x < 3`) is empty, not a panic.
+    pub(crate) fn range_runs(
+        &self,
+        low: Bound<&Value>,
+        high: Bound<&Value>,
+    ) -> Option<impl Iterator<Item = &[RecordId]>> {
+        let SecondaryIndex::Ordered { map, .. } = self else {
+            return None;
+        };
+        // `BTreeMap::range` panics on exactly these intervals.
+        let inverted = match (low, high) {
+            (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) => {
+                match l.cmp_total(h) {
+                    Ordering::Less => false,
+                    Ordering::Equal => {
+                        matches!((low, high), (Bound::Excluded(_), Bound::Excluded(_)))
+                    }
+                    Ordering::Greater => true,
+                }
             }
-            SecondaryIndex::Ordered { map, .. } => map
-                .get(&OrdValue(value.clone()))
-                .cloned()
-                .unwrap_or_default(),
-        }
+            _ => false,
+        };
+        let key = |b: Bound<&Value>| b.map(|v| OrdValue(v.clone()));
+        Some(
+            (!inverted)
+                .then(|| map.range((key(low), key(high))))
+                .into_iter()
+                .flatten()
+                .map(|(_, ids)| ids.as_slice()),
+        )
     }
 
     /// Record ids in `[low, high]` (inclusive bounds; `None` =
     /// unbounded). Only ordered indexes support ranges.
     pub fn lookup_range(&self, low: Option<&Value>, high: Option<&Value>) -> Option<Vec<RecordId>> {
-        match self {
-            SecondaryIndex::Hash { .. } => None,
-            SecondaryIndex::Ordered { map, .. } => {
-                use std::ops::Bound;
-                let lo = match low {
-                    Some(v) => Bound::Included(OrdValue(v.clone())),
-                    None => Bound::Unbounded,
-                };
-                let hi = match high {
-                    Some(v) => Bound::Included(OrdValue(v.clone())),
-                    None => Bound::Unbounded,
-                };
-                let mut out = Vec::new();
-                for (_, ids) in map.range((lo, hi)) {
-                    out.extend_from_slice(ids);
-                }
-                Some(out)
-            }
-        }
+        Some(
+            self.range_runs(inclusive(low), inclusive(high))?
+                .flatten()
+                .copied()
+                .collect(),
+        )
     }
 
     /// Per-key `(value, count)` pairs in key order — the facet fast

@@ -129,7 +129,10 @@ proptest! {
     /// the planner's own unforced choice matches too. Also pins the
     /// fused plan+execute path: filters whose shape defeats the planner
     /// (Or/Not around the indexed column) must degrade to a scan, never
-    /// panic.
+    /// panic. Then writes are interleaved with repeats of the same
+    /// query: the table memoises the filter's doc set between writes,
+    /// and a set that outlived an insert / update / delete (or a
+    /// maintenance tick) would show as a divergence from the scan.
     #[test]
     fn hybrid_plan_invariance(
         rows in proptest::collection::vec(
@@ -141,8 +144,13 @@ proptest! {
         span in 0i64..40,
         wrap in 0u8..3,
         k in 1usize..8,
+        writes in proptest::collection::vec(
+            (0u8..4, 0usize..60, "[ab]{2,3}( [ab]{2,3}){0,5}", 0i64..40),
+            0..6,
+        ),
     ) {
         use symphony_store::hybrid::{HybridPlan, HybridQuery};
+        use symphony_store::table::RecordId;
 
         let schema = Schema::of(&[
             ("body", FieldType::Text),
@@ -187,6 +195,50 @@ proptest! {
         prop_assert_eq!(key(&ff), key(&sc));
         prop_assert_eq!(key(&sf), key(&sc));
         prop_assert_eq!(key(&planned), key(&sc));
+        // The forced filter-first run resolved the set; nothing was
+        // written since, so the planner's run reused it.
+        // (Tables too small to plan about are scanned, set or no set.)
+        prop_assert!(!ff.explain.set_reused);
+        if planned.explain.plan != HybridPlan::Scan {
+            prop_assert_eq!(planned.explain.plan, HybridPlan::FilterFirst);
+            prop_assert!(planned.explain.set_reused);
+            prop_assert_eq!(planned.explain.set_len, ff.explain.set_len);
+        }
+
+        let mut now_ms = 0;
+        for (kind, at, body, price) in writes {
+            let id = RecordId((at % rows.len()) as u32);
+            let record = Record::new(vec![
+                Value::Text(body),
+                Value::Int(price),
+                Value::Bool(price % 2 == 0),
+            ]);
+            match kind {
+                0 => {
+                    it.insert(record);
+                }
+                // (Either may name a row an earlier write deleted.)
+                1 => {
+                    it.update(id, record);
+                }
+                2 => {
+                    it.delete(id);
+                }
+                _ => {
+                    now_ms += 1_000;
+                    it.maintain_fulltext(now_ms);
+                }
+            }
+            let sc = it.hybrid_query_planned(&q, Some(HybridPlan::Scan)).unwrap();
+            let ff = it.hybrid_query_planned(&q, Some(HybridPlan::FilterFirst)).unwrap();
+            let planned = it.hybrid_query(&q).unwrap();
+            prop_assert_eq!(key(&ff), key(&sc));
+            prop_assert_eq!(key(&planned), key(&sc));
+            // A write drops the set; maintenance renumbers nothing and
+            // keeps it.
+            prop_assert_eq!(ff.explain.set_reused, kind == 3);
+            prop_assert!(planned.explain.set_reused || planned.explain.plan == HybridPlan::Scan);
+        }
     }
 }
 

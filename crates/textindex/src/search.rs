@@ -280,18 +280,25 @@ impl<'a> Searcher<'a> {
 
     /// Like [`Searcher::search_filtered`], but the restriction is a
     /// materialized [`DocSet`] instead of an opaque closure. The pruned
-    /// executor mounts the set as a [`FilterCursor`] — a non-scoring
-    /// conjunctive gate in the `+must` galloping intersection — so the
-    /// only candidates ever considered are the set's members: term
-    /// cursors `seek` straight to them, skipping whole posting blocks
-    /// decode-free, instead of decoding every block and asking the
-    /// closure per candidate. Rank-safe for the same reason the
-    /// `+must` machinery is: the gate is conjunctive and exact, and
+    /// executor walks the set with a [`FilterCursor`] and mounts it one
+    /// of two ways, by cardinality:
+    ///
+    /// * **gate** — a set sparser than the query's rarest positive
+    ///   posting list drives the `+must` galloping intersection as a
+    ///   non-scoring conjunctive cursor: the only candidates ever
+    ///   considered are its members, and term cursors `seek` straight
+    ///   to them, skipping whole posting blocks decode-free;
+    /// * **probe** — any denser set would make the executor visit more
+    ///   docs than the term lists themselves hold (and forgo block-max
+    ///   skipping), so the term cursors keep driving and each candidate
+    ///   they produce is checked against the cursor in O(1) amortized.
+    ///
+    /// Rank-safe either way: the set is conjunctive and exact, and
     /// surviving candidates are scored in canonical clause order.
     ///
     /// Returns bit-identical `(doc, score)` lists to
     /// `search_filtered(query, k, |d| allowed.contains(d))` (a
-    /// property test asserts this).
+    /// property test asserts this for both mountings).
     pub fn search_docset(&self, query: &Query, k: usize, allowed: &DocSet) -> Vec<SearchHit> {
         if query.is_empty() || k == 0 || allowed.is_empty() {
             return Vec::new();
@@ -505,6 +512,9 @@ impl<'a> Searcher<'a> {
         // `-must-not` phrases exclude only positionally verified docs.
         let mut phrase_exclusions: Vec<PhraseScorer<'a>> = Vec::new();
         let mut any_positive = false;
+        // Shortest positive posting list; decides how a pushed-down
+        // set is mounted, so only tracked under one.
+        let mut rarest = usize::MAX;
 
         for clause in &query.clauses {
             let fields: Vec<FieldId> = match &clause.field {
@@ -551,6 +561,9 @@ impl<'a> Searcher<'a> {
                                 };
                                 for &field in &fields {
                                     if let Some(s) = self.scorer(t, field) {
+                                        if allowed.is_some() {
+                                            rarest = rarest.min(self.index.doc_freq(t, field));
+                                        }
                                         scorers.push(AnyScorer::Term(s));
                                     }
                                 }
@@ -590,6 +603,14 @@ impl<'a> Searcher<'a> {
                             any_positive = true;
                             match local.and_then(|t| self.phrase_scorer(t, &fields)) {
                                 Some(p) => {
+                                    if allowed.is_some() {
+                                        for f in &p.fields {
+                                            for &t in &p.tokens {
+                                                rarest =
+                                                    rarest.min(self.index.doc_freq(t, f.field));
+                                            }
+                                        }
+                                    }
                                     if occur == Occur::Must {
                                         must_phrases.push(scorers.len());
                                     }
@@ -612,9 +633,11 @@ impl<'a> Searcher<'a> {
         if !any_positive || scorers.is_empty() {
             return Vec::new();
         }
-        // The pushed-down doc-id set joins the conjunction as one more
-        // non-scoring gate (`None` members when no set was supplied).
-        let mut filter_gate = allowed.map(FilterCursor::new);
+        // The pushed-down doc-id set: a gate in the conjunction when it
+        // is sparser than every positive list, otherwise a probe on the
+        // candidates the term cursors produce (see `search_docset`).
+        let mut filter_cursor = allowed.map(FilterCursor::new);
+        let gate_drives = allowed.is_some_and(|set| set.len() < rarest);
         // The intersection drives from the rarest `+must` list: with
         // groups in ascending doc-frequency order, the first seek of
         // every galloping round comes from the most selective cursor,
@@ -649,8 +672,7 @@ impl<'a> Searcher<'a> {
         let mut threshold = f32::NEG_INFINITY;
         let mut ness = 0usize;
         let mut contribs = vec![0.0f32; scorers.len()];
-        let must_driven =
-            !must_groups.is_empty() || !must_phrases.is_empty() || filter_gate.is_some();
+        let must_driven = !must_groups.is_empty() || !must_phrases.is_empty() || gate_drives;
         let mut next_target = 0u32;
         // Candidate just processed; essential cursors still sitting on
         // it advance during the next selection scan (one fused pass
@@ -671,7 +693,7 @@ impl<'a> Searcher<'a> {
                     &mut must_groups,
                     &mut scorers,
                     &must_phrases,
-                    filter_gate.as_mut(),
+                    filter_cursor.as_mut().filter(|_| gate_drives),
                     next_target,
                 ) {
                     Some(d) => d,
@@ -734,7 +756,11 @@ impl<'a> Searcher<'a> {
             // Positional checks (must / must-not phrase verification)
             // run last: they decode positions, everything else is a
             // cursor or bitmap probe.
-            let rejected = exclusions.iter_mut().any(|u| u.seek(d) == d)
+            // The set probe leads: it is the cheapest check and, when
+            // the set did not drive, the one that rejects most (a
+            // driving gate already sits on `d`, so it passes for free).
+            let rejected = filter_cursor.as_mut().is_some_and(|f| f.seek(d) != d)
+                || exclusions.iter_mut().any(|u| u.seek(d) == d)
                 || (has_deleted && self.index.is_deleted(DocId(d)))
                 || !self.index.is_visible(DocId(d))
                 || !filter(DocId(d))
@@ -1497,9 +1523,9 @@ fn must_candidate(
     let mut d = target;
     loop {
         let mut changed = false;
-        // The pushed-down filter seeks first: when it is the most
-        // selective gate (the planner only pushes selective sets), the
-        // posting cursors below only ever gallop to its members.
+        // The pushed-down filter seeks first: it is only mounted here
+        // when it is the most selective gate, so the posting cursors
+        // below only ever gallop to its members.
         if let Some(f) = filter_gate.as_deref_mut() {
             let got = f.seek(d);
             if got == NO_DOC {

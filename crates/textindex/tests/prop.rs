@@ -367,7 +367,10 @@ proptest! {
     /// returns the exact `(doc, score)` list of the closure-filtered
     /// path, in both executors — four-way bit-identical. The set's
     /// density is drawn wide enough to cover both the sorted-vec and
-    /// bitset representations.
+    /// bitset representations, and both of its mountings: thinned to
+    /// one member it is sparser than every posting list and drives the
+    /// intersection as a gate; left whole it is denser than the rarest
+    /// list of most queries and is probed per candidate.
     #[test]
     fn filter_cursor_equals_closure(
         docs in proptest::collection::vec(
@@ -377,6 +380,7 @@ proptest! {
         clauses in proptest::collection::vec(clause(), 1..5),
         k in 1usize..8,
         allowed_mask in proptest::collection::vec(any::<bool>(), 25..26),
+        thin in 0u8..3,
         optimize in 0u8..2,
         delete_first in 0u8..2,
     ) {
@@ -392,9 +396,12 @@ proptest! {
         if optimize == 1 {
             idx.optimize();
         }
-        let allowed: Vec<u32> = (0..docs.len() as u32)
-            .filter(|&d| allowed_mask[d as usize])
+        let mut allowed: Vec<u32> = (0..docs.len() as u32)
+            .filter(|&d| thin == 2 || allowed_mask[d as usize])
             .collect();
+        if thin == 1 {
+            allowed.truncate(1);
+        }
         let set = symphony_text::DocSet::from_sorted(allowed.clone());
         let q = Query::parse(&clauses.join(" "));
 
