@@ -258,8 +258,11 @@ impl<'a> Searcher<'a> {
     }
 
     /// Like [`Searcher::search`] but only documents accepted by
-    /// `filter` are returned. This is the hook `symphony-web` uses for
-    /// site restriction and `symphony-store` for visibility scopes.
+    /// `filter` are returned. This is the hook `symphony-store` uses
+    /// for an opaque predicate on record ids (visibility scopes, the
+    /// search-first hybrid plan); a restriction that resolves to a set
+    /// of doc ids — `symphony-web`'s site restriction, a resolved table
+    /// filter — goes through [`Searcher::search_docset`] instead.
     /// The filter must be pure: the pruned executor calls it for fewer
     /// documents (and in a different order) than the exhaustive one.
     pub fn search_filtered(

@@ -17,8 +17,8 @@ use symphony_text::query::{Clause, ClauseKind, Occur};
 use symphony_text::snippet::SnippetGenerator;
 use symphony_text::spell::SpellSuggester;
 use symphony_text::{
-    Doc, DocId, FieldId, GlobalScoreStats, Index, IndexConfig, MaintenanceReport, Query, Searcher,
-    SegmentPolicy,
+    Doc, DocId, DocSet, FieldId, GlobalScoreStats, Index, IndexConfig, MaintenanceReport, Query,
+    Searcher, SegmentPolicy,
 };
 
 /// Search verticals.
@@ -172,19 +172,51 @@ impl Default for ShardPool {
     }
 }
 
+/// A blended candidate before hydration: global page index, raw BM25
+/// score, final blended score.
+struct Candidate {
+    page: usize,
+    raw: f32,
+    score: f32,
+}
+
+/// What [`SearchEngine::candidates`] hands to `search` / `search_pool`.
+struct CandidateStage {
+    /// The parsed, augmented query (hydration highlights its words).
+    query: Query,
+    /// Candidates in (raw desc, page asc) order.
+    pool: Vec<Candidate>,
+    /// The relevance searcher's merge bound (see [`ShardPool::bound`]).
+    bound: f32,
+}
+
+impl CandidateStage {
+    /// One snippet generator for the whole result page: construction
+    /// analyzes the query terms, which is identical for every hit.
+    fn snippeter<'a>(&self, vi: &'a VerticalIndex) -> SnippetGenerator<'a> {
+        SnippetGenerator::new(vi.index.analyzer(), &self.query.positive_words())
+    }
+}
+
 struct VerticalIndex {
     index: Index,
     /// Doc id -> page index.
     pages: Vec<usize>,
     /// Page index -> live doc id (reverse of `pages`, minus tombstones).
     doc_by_page: HashMap<usize, DocId>,
+    /// Site index -> ascending ids of every document indexed for a page
+    /// of that site: what a site restriction resolves through. Doc ids
+    /// are append-only, so the lists only ever grow at the tail; ids of
+    /// removed or superseded documents stay listed — they are
+    /// tombstoned, and the executor skips tombstones.
+    docs_by_site: Vec<Vec<u32>>,
 }
 
 impl VerticalIndex {
-    /// Index a page incrementally; a page already present (re-crawl)
-    /// is refreshed via [`Index::update`] — tombstone plus re-add — so
-    /// the vertical never rebuilds.
-    fn add_page(&mut self, page_idx: usize, doc: Doc) {
+    /// Index a page of site `site` incrementally; a page already
+    /// present (re-crawl) is refreshed via [`Index::update`] —
+    /// tombstone plus re-add — so the vertical never rebuilds.
+    fn add_page(&mut self, page_idx: usize, site: usize, doc: Doc) {
         let id = match self.doc_by_page.get(&page_idx) {
             Some(&old) => self
                 .index
@@ -195,6 +227,7 @@ impl VerticalIndex {
         debug_assert_eq!(id.as_usize(), self.pages.len());
         self.pages.push(page_idx);
         self.doc_by_page.insert(page_idx, id);
+        self.docs_by_site[site].push(id.0);
     }
 
     /// Tombstone a page's document (no-op when absent).
@@ -254,11 +287,15 @@ struct VerticalDocs {
     pages: Vec<usize>,
 }
 
-/// Single pass over the corpus routing each page to its vertical
-/// (replacing four full-corpus filter passes).
-fn route_pages(corpus: &Corpus) -> [VerticalDocs; 4] {
+/// Single pass over the corpus routing each page `keep` accepts to its
+/// vertical (replacing four full-corpus filter passes). A shard passes
+/// its stride so only its own pages are ever projected into documents.
+fn route_pages(corpus: &Corpus, keep: impl Fn(usize) -> bool) -> [VerticalDocs; 4] {
     let mut routed: [VerticalDocs; 4] = Default::default();
     for (i, page) in corpus.pages.iter().enumerate() {
+        if !keep(i) {
+            continue;
+        }
         let v = Vertical::of_kind(&page.kind) as usize;
         routed[v].docs.push(page_doc(page));
         routed[v].pages.push(i);
@@ -274,23 +311,24 @@ fn page_doc(page: &Page) -> Doc {
         .field(BODY_FIELD, &*page.body)
 }
 
-fn build_vertical(docs: VerticalDocs, threads: usize) -> VerticalIndex {
+fn build_vertical(corpus: &Corpus, docs: VerticalDocs, threads: usize) -> VerticalIndex {
     let mut index = Index::new(IndexConfig::default());
     let title = index.register_field("title", 2.0);
     let body = index.register_field("body", 1.0);
     debug_assert_eq!((title, body), (TITLE_FIELD, BODY_FIELD));
     let ids = index.build_parallel(docs.docs, threads);
     index.optimize();
-    let doc_by_page = docs
-        .pages
-        .iter()
-        .zip(ids)
-        .map(|(&page, id)| (page, id))
-        .collect();
+    let mut docs_by_site = vec![Vec::new(); corpus.sites.len()];
+    let mut doc_by_page = HashMap::with_capacity(docs.pages.len());
+    for (&page, id) in docs.pages.iter().zip(ids) {
+        doc_by_page.insert(page, id);
+        docs_by_site[corpus.pages[page].site].push(id.0);
+    }
     VerticalIndex {
         index,
         pages: docs.pages,
         doc_by_page,
+        docs_by_site,
     }
 }
 
@@ -312,26 +350,27 @@ impl SearchEngine {
     /// are bit-identical to a sequential build (see
     /// `Index::build_parallel`).
     pub fn with_build_threads(corpus: Corpus, threads: usize) -> SearchEngine {
-        let [web_d, image_d, video_d, news_d] = route_pages(&corpus);
+        let [web_d, image_d, video_d, news_d] = route_pages(&corpus, |_| true);
         let (rank, web, image, video, news, speller) = if threads <= 1 {
             let rank = static_rank(&corpus, 30);
-            let web = build_vertical(web_d, 1);
-            let image = build_vertical(image_d, 1);
-            let video = build_vertical(video_d, 1);
-            let news = build_vertical(news_d, 1);
+            let web = build_vertical(&corpus, web_d, 1);
+            let image = build_vertical(&corpus, image_d, 1);
+            let video = build_vertical(&corpus, video_d, 1);
+            let news = build_vertical(&corpus, news_d, 1);
             let speller = SpellSuggester::from_index(&web.index);
             (rank, web, image, video, news, speller)
         } else {
             // Two layers of parallelism: one scoped thread per vertical,
             // each splitting its docs across `inner` segment builders.
             let inner = (threads / 2).max(1);
+            let corpus = &corpus;
             std::thread::scope(|s| {
-                let web_h = s.spawn(move || build_vertical(web_d, inner));
-                let image_h = s.spawn(move || build_vertical(image_d, inner));
-                let video_h = s.spawn(move || build_vertical(video_d, inner));
-                let news_h = s.spawn(move || build_vertical(news_d, inner));
+                let web_h = s.spawn(move || build_vertical(corpus, web_d, inner));
+                let image_h = s.spawn(move || build_vertical(corpus, image_d, inner));
+                let video_h = s.spawn(move || build_vertical(corpus, video_d, inner));
+                let news_h = s.spawn(move || build_vertical(corpus, news_d, inner));
                 // Static rank overlaps with the vertical builds.
-                let rank = static_rank(&corpus, 30);
+                let rank = static_rank(corpus, 30);
                 let web = web_h.join().expect("web vertical build panicked");
                 // The speller only needs the web lexicon; build it while
                 // the remaining verticals finish.
@@ -369,21 +408,12 @@ impl SearchEngine {
         let rank = static_rank(corpus, 30);
         let mut shards: Vec<SearchEngine> = (0..num_shards)
             .map(|s| {
-                let mut routed = route_pages(corpus);
-                for vd in routed.iter_mut() {
-                    let docs = std::mem::take(&mut vd.docs);
-                    let pages = std::mem::take(&mut vd.pages);
-                    (vd.docs, vd.pages) = docs
-                        .into_iter()
-                        .zip(pages)
-                        .filter(|&(_, p)| p % num_shards == s)
-                        .unzip();
-                }
-                let [web_d, image_d, video_d, news_d] = routed;
-                let web = build_vertical(web_d, threads);
-                let image = build_vertical(image_d, threads);
-                let video = build_vertical(video_d, threads);
-                let news = build_vertical(news_d, threads);
+                let [web_d, image_d, video_d, news_d] =
+                    route_pages(corpus, |p| p % num_shards == s);
+                let web = build_vertical(corpus, web_d, threads);
+                let image = build_vertical(corpus, image_d, threads);
+                let video = build_vertical(corpus, video_d, threads);
+                let news = build_vertical(corpus, news_d, threads);
                 let speller = SpellSuggester::from_index(&web.index);
                 SearchEngine {
                     corpus: corpus.clone(),
@@ -494,9 +524,9 @@ impl SearchEngine {
                 if old != vertical {
                     self.vertical_mut(old).remove_page(idx);
                 }
-                let doc = page_doc(&page);
+                let (site, doc) = (page.site, page_doc(&page));
                 self.corpus.pages[idx] = page;
-                self.vertical_mut(vertical).add_page(idx, doc);
+                self.vertical_mut(vertical).add_page(idx, site, doc);
             }
             None => {
                 let idx = self.corpus.push_page(page);
@@ -505,8 +535,9 @@ impl SearchEngine {
                     n => self.rank.iter().sum::<f64>() / n as f64,
                 };
                 self.rank.push(mean);
-                let doc = page_doc(&self.corpus.pages[idx]);
-                self.vertical_mut(vertical).add_page(idx, doc);
+                let page = &self.corpus.pages[idx];
+                let (site, doc) = (page.site, page_doc(page));
+                self.vertical_mut(vertical).add_page(idx, site, doc);
             }
         }
         vertical
@@ -562,9 +593,11 @@ impl SearchEngine {
     /// [`symphony_text::Query`] syntax; `config` applies the
     /// customization hooks; at most `k` results return, best first.
     ///
-    /// Implemented as the one-shard special case of the scatter-gather
-    /// pipeline: one candidate pool, merged and ranked by
-    /// [`SearchEngine::merge_pools`].
+    /// Ranks the lean candidate pool by (score desc, url asc) and
+    /// hydrates — url, title, snippet, media fields — only the `k`
+    /// winners the page shows. The result equals the one-shard
+    /// scatter-gather `merge_pools(vec![search_pool(..)], k)` bit for
+    /// bit; a property test holds the two together.
     pub fn search(
         &self,
         vertical: Vertical,
@@ -572,7 +605,20 @@ impl SearchEngine {
         config: &SearchConfig,
         k: usize,
     ) -> Vec<WebResult> {
-        Self::merge_pools(vec![self.search_pool(vertical, raw_query, config, k)], k)
+        let Some(mut stage) = self.candidates(vertical, raw_query, config, k) else {
+            return Vec::new();
+        };
+        let url = |c: &Candidate| self.corpus.pages[c.page].url.as_str();
+        stage
+            .pool
+            .sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| url(a).cmp(url(b))));
+        stage.pool.truncate(k);
+        let snippeter = stage.snippeter(self.vertical(vertical));
+        stage
+            .pool
+            .iter()
+            .map(|c| self.hydrate(&snippeter, c))
+            .collect()
     }
 
     /// Depth of the relevance candidate pool for a final page of `k`
@@ -591,6 +637,9 @@ impl SearchEngine {
     /// raw scores are computed under folded corpus-wide statistics, so
     /// pools from different shards are directly comparable — merging
     /// them reproduces the single-index pool exactly.
+    ///
+    /// Every entry is hydrated: the gather side picks the winners, and
+    /// the wire carries finished results.
     pub fn search_pool(
         &self,
         vertical: Vertical,
@@ -598,6 +647,38 @@ impl SearchEngine {
         config: &SearchConfig,
         k: usize,
     ) -> ShardPool {
+        let Some(stage) = self.candidates(vertical, raw_query, config, k) else {
+            return ShardPool::default();
+        };
+        let snippeter = stage.snippeter(self.vertical(vertical));
+        let entries = stage
+            .pool
+            .iter()
+            .map(|c| PoolEntry {
+                page: c.page,
+                raw: c.raw,
+                result: self.hydrate(&snippeter, c),
+            })
+            .collect();
+        ShardPool {
+            entries,
+            bound: stage.bound,
+        }
+    }
+
+    /// The candidate stage shared by [`search`](Self::search) and
+    /// [`search_pool`](Self::search_pool): parse + augment, resolve the
+    /// site restriction into a [`DocSet`], run the relevance executor,
+    /// and blend static rank / click / preference / recency into lean
+    /// `(page, raw, score)` triples in canonical (raw desc, page asc)
+    /// order. `None` when the query is empty or `k` is 0.
+    fn candidates(
+        &self,
+        vertical: Vertical,
+        raw_query: &str,
+        config: &SearchConfig,
+        k: usize,
+    ) -> Option<CandidateStage> {
         let mut query = Query::parse(raw_query);
         for t in &config.augment_terms {
             query.clauses.push(Clause {
@@ -607,24 +688,25 @@ impl SearchEngine {
             });
         }
         if query.is_empty() || k == 0 {
-            return ShardPool::default();
+            return None;
         }
         let vi = self.vertical(vertical);
-        let pool = Self::pool_depth(k);
-        let restrict = &config.site_restrict;
+        let depth = Self::pool_depth(k);
         let mut searcher = Searcher::new(&vi.index);
         if let Some(global) = &self.global {
             searcher = searcher.with_global_stats(&global[vertical as usize]);
         }
-        let (hits, bound) = searcher.search_filtered_with_threshold(&query, pool, |doc| {
-            if restrict.is_empty() {
-                return true;
-            }
-            let domain = self.corpus.domain(vi.pages[doc.as_usize()]);
-            restrict.iter().any(|allow| domain_matches(domain, allow))
-        });
+        let (hits, bound) = if config.site_restrict.is_empty() {
+            searcher.search_filtered_with_threshold(&query, depth, |_| true)
+        } else {
+            let allowed = self.restricted_docs(vi, &config.site_restrict);
+            let hits = searcher.search_docset(&query, depth, &allowed);
+            // The merge bound as `search_filtered_with_threshold`
+            // computes it: the worst score kept when the pool is full.
+            let bound = hits.get(depth - 1).map_or(f32::NEG_INFINITY, |h| h.score);
+            (hits, bound)
+        };
 
-        let newest = NEWS_SPAN_HINT;
         // Resolve this query's boost table once; per-hit lookups then
         // borrow the URL instead of building an owned key.
         let per_query_boosts = if self.click_boosts.is_empty() {
@@ -632,63 +714,85 @@ impl SearchEngine {
         } else {
             self.click_boosts.get(&normalize_query(raw_query))
         };
-        // One snippet generator for the whole result page: construction
-        // analyzes the query terms, which is identical for every hit.
-        let snippeter = SnippetGenerator::new(vi.index.analyzer(), &query.positive_words());
-        let entries: Vec<PoolEntry> = hits
+        let pool: Vec<Candidate> = hits
             .into_iter()
             .map(|h| {
                 let page_idx = vi.pages[h.doc.as_usize()];
                 let page = &self.corpus.pages[page_idx];
-                let domain = self.corpus.domain(page_idx).to_string();
                 let mut score = h.score * (0.4 + 1.6 * self.rank[page_idx] as f32);
-                if let Some(boosts) = per_query_boosts {
-                    if let Some(boost) = boosts.get(page.url.as_str()) {
-                        score *= boost;
-                    }
+                if let Some(boost) = per_query_boosts.and_then(|b| b.get(page.url.as_str())) {
+                    score *= boost;
                 }
+                let domain = self.corpus.domain(page_idx);
                 if config
                     .prefer_sites
                     .iter()
-                    .any(|p| domain_matches(&domain, p))
+                    .any(|p| domain_matches(domain, p))
                 {
                     score *= PREFER_BOOST;
                 }
-                let (image_src, duration_s, date) = match &page.kind {
-                    PageKind::Image { src, .. } => (Some(src.clone()), None, None),
-                    PageKind::Video { duration_s } => (None, Some(*duration_s), None),
-                    PageKind::News { date } => {
-                        // Recency boost for news.
-                        let rec = (*date as f32 / newest).clamp(0.0, 1.0);
-                        score *= 0.8 + 0.4 * rec;
-                        (None, None, Some(*date))
-                    }
-                    _ => (None, None, None),
-                };
-                PoolEntry {
+                if let PageKind::News { date } = &page.kind {
+                    // Recency boost for news.
+                    let rec = (*date as f32 / NEWS_SPAN_HINT).clamp(0.0, 1.0);
+                    score *= 0.8 + 0.4 * rec;
+                }
+                Candidate {
                     page: page_idx,
                     raw: h.score,
-                    result: WebResult {
-                        url: page.url.clone(),
-                        title: page.title.clone(),
-                        snippet: snippeter.snippet(&page.body),
-                        domain,
-                        score,
-                        image_src,
-                        duration_s,
-                        date,
-                    },
+                    score,
                 }
             })
             .collect();
         // The searcher returns (score desc, doc asc); strided
         // partitioning keeps local doc order aligned with global page
-        // order, so entries are already in (raw desc, page asc) — the
+        // order, so the pool is already in (raw desc, page asc) — the
         // canonical merge order.
-        debug_assert!(entries
+        debug_assert!(pool
             .windows(2)
             .all(|w| w[1].raw < w[0].raw || (w[1].raw == w[0].raw && w[0].page < w[1].page)));
-        ShardPool { entries, bound }
+        Some(CandidateStage { query, pool, bound })
+    }
+
+    /// Resolve a site restriction into the set of documents it admits:
+    /// match the allow-list against the site table once, then gather
+    /// the matching sites' doc-id lists. Each list is ascending and a
+    /// site is taken once however many entries match it, so sorting
+    /// the concatenation yields a strictly increasing id list.
+    fn restricted_docs(&self, vi: &VerticalIndex, allow: &[String]) -> DocSet {
+        let lists: Vec<&[u32]> = self
+            .corpus
+            .sites
+            .iter()
+            .zip(&vi.docs_by_site)
+            .filter(|(site, _)| allow.iter().any(|a| domain_matches(&site.domain, a)))
+            .map(|(_, docs)| docs.as_slice())
+            .collect();
+        let mut ids = lists.concat();
+        ids.sort_unstable();
+        DocSet::from_sorted(ids)
+    }
+
+    /// Turn a blended candidate into the result a page shows: url,
+    /// title, domain, highlighted snippet and the vertical's media
+    /// fields.
+    fn hydrate(&self, snippeter: &SnippetGenerator<'_>, c: &Candidate) -> WebResult {
+        let page = &self.corpus.pages[c.page];
+        let (image_src, duration_s, date) = match &page.kind {
+            PageKind::Image { src, .. } => (Some(src.clone()), None, None),
+            PageKind::Video { duration_s } => (None, Some(*duration_s), None),
+            PageKind::News { date } => (None, None, Some(*date)),
+            PageKind::Article | PageKind::Review { .. } => (None, None, None),
+        };
+        WebResult {
+            url: page.url.clone(),
+            title: page.title.clone(),
+            snippet: snippeter.snippet(&page.body),
+            domain: self.corpus.domain(c.page).to_string(),
+            score: c.score,
+            image_src,
+            duration_s,
+            date,
+        }
     }
 
     /// Rank-safe gather: merge per-shard candidate pools into the
@@ -767,7 +871,9 @@ fn normalize_query(q: &str) -> String {
 
 /// `domain` equals `allow` or is a subdomain of it.
 pub fn domain_matches(domain: &str, allow: &str) -> bool {
-    domain == allow || domain.ends_with(&format!(".{allow}"))
+    domain
+        .strip_suffix(allow)
+        .is_some_and(|rest| rest.is_empty() || rest.ends_with('.'))
 }
 
 #[cfg(test)]
@@ -775,6 +881,7 @@ mod tests {
     use super::*;
     use crate::corpus::CorpusConfig;
     use crate::topic::Topic;
+    use proptest::prelude::*;
 
     fn engine() -> SearchEngine {
         let cfg = CorpusConfig {
@@ -1078,7 +1185,327 @@ mod tests {
     fn domain_matching_rules() {
         assert!(domain_matches("gamespot.com", "gamespot.com"));
         assert!(domain_matches("www.gamespot.com", "gamespot.com"));
+        assert!(domain_matches("a.b.gamespot.com", "gamespot.com"));
         assert!(!domain_matches("notgamespot.com", "gamespot.com"));
+        assert!(!domain_matches("evil-example.com", "example.com"));
+        assert!(!domain_matches("example.com.evil.org", "example.com"));
+        // An allow-list entry longer than the domain never matches,
+        // even when the domain is its suffix.
+        assert!(!domain_matches("spot.com", "gamespot.com"));
+        assert!(!domain_matches("com", "gamespot.com"));
+        // The empty entry matches only the empty domain (and a domain
+        // written with a trailing dot), as `ends_with(".")` did.
+        assert!(!domain_matches("gamespot.com", ""));
+        assert!(domain_matches("", ""));
+        assert!(domain_matches("gamespot.com.", ""));
+        assert!(!domain_matches("", "gamespot.com"));
+    }
+
+    /// The pool as the engine built it before restriction pushdown and
+    /// winners-only hydration — the site restriction an opaque closure
+    /// the executor calls per candidate, every hit blended and hydrated
+    /// in one pass — kept as the oracle for the properties below.
+    fn closure_pool(
+        e: &SearchEngine,
+        vertical: Vertical,
+        raw_query: &str,
+        config: &SearchConfig,
+        k: usize,
+    ) -> ShardPool {
+        let mut query = Query::parse(raw_query);
+        for t in &config.augment_terms {
+            query.clauses.push(Clause {
+                occur: Occur::Should,
+                kind: ClauseKind::Term(t.clone()),
+                field: None,
+            });
+        }
+        if query.is_empty() || k == 0 {
+            return ShardPool::default();
+        }
+        let vi = e.vertical(vertical);
+        let restrict = &config.site_restrict;
+        let matches = |domain: &str, allow: &String| {
+            domain == allow || domain.ends_with(&format!(".{allow}"))
+        };
+        let mut searcher = Searcher::new(&vi.index);
+        if let Some(global) = &e.global {
+            searcher = searcher.with_global_stats(&global[vertical as usize]);
+        }
+        let (hits, bound) =
+            searcher.search_filtered_with_threshold(&query, (k * 4).max(32), |doc| {
+                if restrict.is_empty() {
+                    return true;
+                }
+                let domain = e.corpus.domain(vi.pages[doc.as_usize()]);
+                restrict.iter().any(|allow| matches(domain, allow))
+            });
+        let boosts = e.click_boosts.get(&normalize_query(raw_query));
+        let snippeter = SnippetGenerator::new(vi.index.analyzer(), &query.positive_words());
+        let entries = hits
+            .into_iter()
+            .map(|h| {
+                let page_idx = vi.pages[h.doc.as_usize()];
+                let page = &e.corpus.pages[page_idx];
+                let domain = e.corpus.domain(page_idx).to_string();
+                let mut score = h.score * (0.4 + 1.6 * e.rank[page_idx] as f32);
+                if let Some(boost) = boosts.and_then(|b| b.get(page.url.as_str())) {
+                    score *= boost;
+                }
+                if config.prefer_sites.iter().any(|p| matches(&domain, p)) {
+                    score *= PREFER_BOOST;
+                }
+                let (image_src, duration_s, date) = match &page.kind {
+                    PageKind::Image { src, .. } => (Some(src.clone()), None, None),
+                    PageKind::Video { duration_s } => (None, Some(*duration_s), None),
+                    PageKind::News { date } => {
+                        let rec = (*date as f32 / NEWS_SPAN_HINT).clamp(0.0, 1.0);
+                        score *= 0.8 + 0.4 * rec;
+                        (None, None, Some(*date))
+                    }
+                    _ => (None, None, None),
+                };
+                PoolEntry {
+                    page: page_idx,
+                    raw: h.score,
+                    result: WebResult {
+                        url: page.url.clone(),
+                        title: page.title.clone(),
+                        snippet: snippeter.snippet(&page.body),
+                        domain,
+                        score,
+                        image_src,
+                        duration_s,
+                        date,
+                    },
+                }
+            })
+            .collect();
+        ShardPool { entries, bound }
+    }
+
+    /// Equal results, scores compared by bit pattern.
+    fn assert_same_page(got: &[WebResult], want: &[WebResult], what: &str) {
+        assert_eq!(got, want, "{what}");
+        assert_eq!(result_bits(got), result_bits(want), "{what}");
+    }
+
+    fn entity_corpus(seed: u64) -> Corpus {
+        let cfg = CorpusConfig {
+            seed,
+            sites_per_topic: 2,
+            pages_per_site: 3,
+            ..CorpusConfig::default()
+        }
+        .with_entities(Topic::Games, ["Galactic Raiders", "Farm Story"]);
+        Corpus::generate(&cfg)
+    }
+
+    const CRAWL_WORDS: [&str; 6] = ["zyxwvut", "game", "review", "space", "farm", "raiders"];
+
+    /// One step of a crawl schedule: `(kind, a, b)` with `a`/`b`
+    /// resolved against whatever the engine holds when the step runs.
+    type CrawlOp = (u8, prop::sample::Index, prop::sample::Index);
+
+    fn apply_crawl_op(e: &mut SearchEngine, step: usize, now_ms: &mut u64, op: &CrawlOp) {
+        let (kind, a, b) = op;
+        let n_sites = e.corpus.sites.len();
+        let n_pages = e.corpus.pages.len();
+        let body = |salt: usize| {
+            (0..4 + salt % 5)
+                .map(|i| CRAWL_WORDS[(salt / (i + 1) + i) % CRAWL_WORDS.len()])
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let kind_of = |salt: usize| match salt % 4 {
+            0 => PageKind::Article,
+            1 => PageKind::Image {
+                src: format!("http://img/{salt}.jpg"),
+                alt: "shot".into(),
+            },
+            2 => PageKind::Video {
+                duration_s: 30 + salt as u32 % 90,
+            },
+            _ => PageKind::News {
+                date: 1_230_768_000 + (salt as i64 % 300) * 86_400,
+            },
+        };
+        let salt = b.index(9973);
+        match kind % 6 {
+            // A URL the engine has never seen.
+            0 => {
+                let site = a.index(n_sites);
+                e.ingest_page(Page {
+                    site,
+                    url: format!("http://{}/crawl/{step}", e.corpus.sites[site].domain),
+                    title: format!("Crawl {}", CRAWL_WORDS[salt % CRAWL_WORDS.len()]),
+                    body: body(salt),
+                    links: Vec::new(),
+                    kind: kind_of(salt),
+                });
+            }
+            // Re-crawl: same URL and vertical, new text.
+            1 => {
+                let mut page = e.corpus.pages[a.index(n_pages)].clone();
+                page.body = format!("{} {}", page.body, body(salt));
+                e.ingest_page(page);
+            }
+            // Re-crawl that changes the page's vertical.
+            2 => {
+                let mut page = e.corpus.pages[a.index(n_pages)].clone();
+                let old = Vertical::of_kind(&page.kind);
+                page.kind = (salt..salt + 4)
+                    .map(kind_of)
+                    .find(|k| Vertical::of_kind(k) != old)
+                    .expect("four kinds cover four verticals");
+                e.ingest_page(page);
+            }
+            // Re-crawl that finds the page on another site.
+            3 => {
+                let mut page = e.corpus.pages[a.index(n_pages)].clone();
+                page.site = b.index(n_sites);
+                e.ingest_page(page);
+            }
+            4 => {
+                let url = e.corpus.pages[a.index(n_pages)].url.clone();
+                e.remove_page(&url);
+            }
+            _ => {
+                *now_ms += 40;
+                e.maintain(*now_ms);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Site restriction resolved through the per-vertical site
+        /// tables into a `DocSet` returns what the per-candidate
+        /// closure returned — pool, bound and page, bit for bit — on
+        /// every vertical, at every point of a crawl schedule that
+        /// adds, re-crawls, moves, removes, seals and merges.
+        #[test]
+        fn restricted_search_equals_closure(
+            seed in 0u64..40,
+            ops in proptest::collection::vec(
+                (0u8..6, any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+                0..48,
+            ),
+            picks in proptest::collection::vec(any::<prop::sample::Index>(), 1..4),
+            near_real_time in any::<bool>(),
+        ) {
+            let mut e = SearchEngine::new(entity_corpus(seed));
+            e.set_segment_policy(SegmentPolicy {
+                memtable_max_docs: 3,
+                staleness_window_ms: 60,
+                merge_fanin: 2,
+                near_real_time,
+            });
+            let domains: Vec<String> = e.corpus.sites.iter().map(|s| s.domain.clone()).collect();
+            let drawn: Vec<String> = picks
+                .iter()
+                .map(|i| domains[i.index(domains.len())].clone())
+                .collect();
+            let generic = domains
+                .iter()
+                .find(|d| d.ends_with(".example.com"))
+                .expect("every topic has generic sites")
+                .clone();
+            let configs = [
+                SearchConfig::default().restrict_to(["nosuchsite.example"]),
+                // A parent domain and one of its own subdomains: the
+                // subdomain's site matches twice and is listed once.
+                SearchConfig::default().restrict_to(["example.com".to_string(), generic]),
+                SearchConfig::default().restrict_to(drawn.clone()),
+                SearchConfig::default()
+                    .restrict_to(drawn.iter().cloned().chain(["gamespot.com".to_string()]))
+                    .augment(["review"])
+                    .prefer(["ign.com"]),
+            ];
+            let check = |e: &SearchEngine, at: usize| {
+                for v in Vertical::ALL {
+                    for q in ["Galactic Raiders", "game review", "+space farm", "zyxwvut -farm"] {
+                        for (ci, config) in configs.iter().enumerate() {
+                            let k = if ci % 2 == 0 { 10 } else { 3 };
+                            let what = format!("after {at} ops: {v:?} {q:?} config {ci} k {k}");
+                            let want = closure_pool(e, v, q, config, k);
+                            prop_assert_eq!(&e.search_pool(v, q, config, k), &want, "{}", what);
+                            assert_same_page(
+                                &e.search(v, q, config, k),
+                                &SearchEngine::merge_pools(vec![want], k),
+                                &what,
+                            );
+                        }
+                    }
+                }
+            };
+            let mut now_ms = 0u64;
+            for (step, op) in ops.iter().enumerate() {
+                apply_crawl_op(&mut e, step, &mut now_ms, op);
+                if step % 12 == 11 {
+                    check(&e, step + 1);
+                }
+            }
+            check(&e, ops.len());
+        }
+
+        /// Hydrating only the winners never changes a page: `search`
+        /// equals the one-shard gather over its own fully hydrated
+        /// pool, for page sizes below, at and beyond the pool depth's
+        /// floor, with click boosts and preferred sites reordering the
+        /// pool.
+        #[test]
+        fn search_equals_merge_of_own_pool(
+            seed in 0u64..40,
+            query in "(game|review|space|Galactic Raiders|farm story|\\+game level|player -boss)",
+            picks in proptest::collection::vec(any::<prop::sample::Index>(), 0..3),
+            clicks in proptest::collection::vec((any::<prop::sample::Index>(), 1usize..6), 0..5),
+        ) {
+            let mut e = SearchEngine::new(entity_corpus(seed));
+            let domains: Vec<String> = e.corpus.sites.iter().map(|s| s.domain.clone()).collect();
+            let pick = |i: &prop::sample::Index| domains[i.index(domains.len())].clone();
+            let plain = SearchConfig::default();
+            // Clicks land on results the query really returns, so the
+            // boosts apply to pool members.
+            let shown = e.search(Vertical::Web, &query, &plain, 50);
+            let logs: Vec<LogEntry> = clicks
+                .iter()
+                .filter(|_| !shown.is_empty())
+                .flat_map(|(i, times)| {
+                    let r = &shown[i.index(shown.len())];
+                    (0..*times).map(|t| LogEntry {
+                        session: t as u32,
+                        query: query.to_uppercase(),
+                        url: r.url.clone(),
+                        domain: r.domain.clone(),
+                        position: 0,
+                        timestamp: 0,
+                    })
+                })
+                .collect();
+            e.apply_click_feedback(&logs, 1.0);
+            let configs = [
+                plain,
+                SearchConfig::default().prefer(picks.iter().map(pick)),
+                SearchConfig::default()
+                    .prefer(["example.com"])
+                    .restrict_to(picks.iter().map(pick).chain(["gamespot.com".to_string()]))
+                    .augment(["review"]),
+            ];
+            for v in Vertical::ALL {
+                for (ci, config) in configs.iter().enumerate() {
+                    for k in [0usize, 1, 3, 10, 50] {
+                        let pool = e.search_pool(v, &query, config, k);
+                        assert_same_page(
+                            &e.search(v, &query, config, k),
+                            &SearchEngine::merge_pools(vec![pool], k),
+                            &format!("{v:?} {query:?} config {ci} k {k} clicks {}", logs.len()),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn result_bits(rs: &[WebResult]) -> Vec<(String, u32)> {
