@@ -7,14 +7,17 @@
 //!   is computed lazily from elapsed virtual time, so arbitrary clock
 //!   jumps (tests, replayed traces) behave exactly like many small
 //!   ones, and the level can never exceed the configured burst.
-//! * [`FanoutScheduler`] — a platform-wide worker-permit pool laid
-//!   over the [`MAX_FANOUT_WORKERS`](crate::runtime::MAX_FANOUT_WORKERS)
-//!   fan-out cap. Concurrent queries ask it how many OS threads their
-//!   fan-out may use; grants are weighted fair shares with a
-//!   deficit-style carry, so a burst tenant running many queries at
-//!   once cannot monopolize the pool. Two [`Lane`]s keep background
-//!   work (warmup, builds, maintenance) from ever queuing ahead of
-//!   interactive queries.
+//! * [`FanoutScheduler`] — a platform-wide worker-permit pool, sized
+//!   by the platform to the host's fan-out cap
+//!   ([`MAX_FANOUT_WORKERS`](crate::runtime::MAX_FANOUT_WORKERS)
+//!   bounded by its cores). A query with fetches its L2 could not
+//!   answer asks it how many threads the fan-out may occupy — the
+//!   querying thread counts as the first, so a grant of one spawns
+//!   nothing; grants are weighted fair shares with a deficit-style
+//!   carry, so a burst tenant running many queries at once cannot
+//!   monopolize the pool. Two [`Lane`]s keep background work (warmup,
+//!   builds, maintenance) from ever queuing ahead of interactive
+//!   queries.
 //! * [`DeficitScheduler`] — the classic deficit-round-robin pick over
 //!   backlogged tenant queues, used by the traffic harness and the
 //!   fairness property tests to state the share bound precisely.
@@ -170,7 +173,7 @@ pub struct WorkerGrant<'a> {
 }
 
 impl WorkerGrant<'_> {
-    /// How many OS threads the fan-out may use.
+    /// How many threads the fan-out may occupy, the caller's included.
     pub fn workers(&self) -> usize {
         self.workers
     }

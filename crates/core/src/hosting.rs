@@ -22,7 +22,8 @@
 //! Mutable serving state is sharded behind fine-grained locks so
 //! unrelated requests do not contend: each hosted app has its own
 //! result-cache and request-metering [`Mutex`]es, the interaction log
-//! is one coarse [`Mutex`] (append-only), ad billing synchronizes
+//! is one coarse [`Mutex`] (a view adds to a counter, a click appends
+//! a row), ad billing synchronizes
 //! inside [`AdServer`], and the virtual clock is an [`AtomicU64`].
 
 use crate::admission::{FanoutScheduler, Lane, TokenBucket};
@@ -30,8 +31,10 @@ use crate::app::{AppId, ApplicationConfig};
 use crate::cache::{CacheStats, LruTtlCache};
 use crate::embed::{embed_snippet, SocialManifest};
 use crate::error::PlatformError;
-use crate::monetize::{ClickLog, Impression, InteractionEvent, InteractionKind, TrafficSummary};
-use crate::runtime::{execute_resilient, shed_response, ExecCtx, ExecMode, QueryResponse};
+use crate::monetize::{ClickLog, Impression, InteractionEvent, TrafficSummary};
+use crate::runtime::{
+    execute_resilient, fanout_cap, shed_response, ExecCtx, ExecMode, QueryResponse,
+};
 use crate::source::Substrates;
 use crate::source_cache::{normalize_query, SourceCache, SourceCacheConfig, SourceCacheStats};
 
@@ -154,8 +157,9 @@ pub struct Platform {
     /// app (lock-sharded internally; singleflight + TinyLFU).
     source_cache: SourceCache,
     /// Platform-wide fan-out worker-permit pool: concurrent queries
-    /// share [`crate::runtime::MAX_FANOUT_WORKERS`] OS threads in
-    /// weighted fair shares.
+    /// share the host's fan-out threads
+    /// ([`crate::runtime::MAX_FANOUT_WORKERS`] bounded by its cores) in
+    /// weighted fair shares; a grant counts the querying thread itself.
     scheduler: FanoutScheduler,
     clock_ms: AtomicU64,
     quotas: QuotaConfig,
@@ -197,7 +201,7 @@ impl Platform {
                 symphony_services::BreakerConfig::default(),
             ),
             source_cache: SourceCache::new(SourceCacheConfig::default()),
-            scheduler: FanoutScheduler::new(crate::runtime::MAX_FANOUT_WORKERS),
+            scheduler: FanoutScheduler::new(fanout_cap()),
             clock_ms: AtomicU64::new(0),
             quotas: QuotaConfig::default(),
             mode: ExecMode::Parallel,
@@ -379,12 +383,9 @@ impl Platform {
         // Warmup is background work: take its worker budget from the
         // background lane so it can never displace interactive queries
         // mid-flight.
-        let grant = self.scheduler.acquire(
-            u64::MAX,
-            1,
-            crate::runtime::MAX_FANOUT_WORKERS.min(n),
-            Lane::Background,
-        );
+        let grant = self
+            .scheduler
+            .acquire(u64::MAX, 1, fanout_cap().min(n), Lane::Background);
         let workers = grant.workers();
         let chunk = n.div_ceil(workers);
         std::thread::scope(|s| {
@@ -673,7 +674,7 @@ impl Platform {
             }
             let at = self.advance_clock_by(CACHE_HIT_MS as u64);
             if log_interactions {
-                log_impressions(&self.click_log, app_name, query, &resp.impressions, at);
+                self.log_impressions(app_name, &resp, at);
             }
             return Ok(resp);
         }
@@ -731,7 +732,7 @@ impl Platform {
         }
         let at = self.advance_clock_by(resp.virtual_ms as u64);
         if log_interactions {
-            log_impressions(&self.click_log, app_name, query, &resp.impressions, at);
+            self.log_impressions(app_name, &resp, at);
         }
         // A degraded response (deadline cut, breaker open, source
         // errors) must not shadow a healthy re-execution for the full
@@ -782,6 +783,14 @@ impl Platform {
         Arc::new(resp)
     }
 
+    /// Count a served page's impressions: one lock acquisition and one
+    /// addition per response, whatever its size.
+    fn log_impressions(&self, app: &str, resp: &QueryResponse, at_ms: u64) {
+        self.click_log
+            .lock()
+            .record_impressions(app, at_ms, resp.impressions.len() as u64);
+    }
+
     /// Advance the virtual clock by `ms`, returning the new time.
     fn advance_clock_by(&self, ms: u64) -> u64 {
         self.clock_ms.fetch_add(ms, Ordering::SeqCst) + ms
@@ -810,7 +819,6 @@ impl Platform {
                 app: app_name,
                 at_ms: self.clock_ms.load(Ordering::SeqCst),
                 query: query.to_string(),
-                kind: InteractionKind::Click,
                 source: impression.source.clone(),
                 url: impression.url.clone(),
                 is_ad: impression.is_ad,
@@ -979,28 +987,6 @@ fn overrides_fingerprint(
         h = crate::source_cache::fnv1a_str(h, &format!("{:?}", overrides[name]));
     }
     h
-}
-
-fn log_impressions(
-    log: &Mutex<ClickLog>,
-    app: &str,
-    query: &str,
-    impressions: &[Impression],
-    at_ms: u64,
-) {
-    // One lock acquisition per response, not per impression.
-    let mut log = log.lock();
-    for imp in impressions {
-        log.record(InteractionEvent {
-            app: app.to_string(),
-            at_ms,
-            query: query.to_string(),
-            kind: InteractionKind::Impression,
-            source: imp.source.clone(),
-            url: imp.url.clone(),
-            is_ad: imp.is_ad,
-        });
-    }
 }
 
 #[cfg(test)]

@@ -86,7 +86,7 @@ pub use cache::{CacheStats, LruTtlCache};
 pub use embed::{embed_snippet, SocialCanvasHost, SocialManifest};
 pub use error::PlatformError;
 pub use hosting::{MaintenanceSummary, Platform, QueryHost, QuotaConfig};
-pub use monetize::{ClickLog, Impression, InteractionEvent, InteractionKind, TrafficSummary};
+pub use monetize::{ClickLog, Impression, InteractionEvent, TrafficSummary};
 pub use recommend::{recommend_sites, recommend_sites_with_crowd, SiteRecommendation};
 pub use runtime::{
     execute, execute_resilient, execute_with_overrides, shed_response, ExecCtx, ExecMode,

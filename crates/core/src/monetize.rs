@@ -5,7 +5,7 @@
 //! designer download click-traffic summaries "to serve as the basis
 //! for charging or auditing referral compensation".
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// An impression: one result shown to a customer.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +26,8 @@ pub struct Impression {
     pub ad_price_cents: Option<u32>,
 }
 
-/// One logged interaction event.
+/// One logged interaction event: a click. (Rendered results are
+/// counted, not logged — see [`ClickLog::record_impressions`].)
 #[derive(Debug, Clone, PartialEq)]
 pub struct InteractionEvent {
     /// Application name.
@@ -35,8 +36,6 @@ pub struct InteractionEvent {
     pub at_ms: u64,
     /// The customer query that produced the result.
     pub query: String,
-    /// Impression or click.
-    pub kind: InteractionKind,
     /// Source name.
     pub source: String,
     /// Link target, when known.
@@ -45,19 +44,17 @@ pub struct InteractionEvent {
     pub is_ad: bool,
 }
 
-/// Event kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InteractionKind {
-    /// Result rendered.
-    Impression,
-    /// Link clicked.
-    Click,
-}
+/// Virtual milliseconds per day (the granularity of the daily series).
+const DAY_MS: u64 = 86_400_000;
 
-/// Append-only interaction log with aggregation views.
+/// The interaction log. Clicks are stored (the referral audit exports
+/// them row by row); impressions are only ever counted, so they are
+/// kept as counts — per application, per virtual day — and a view
+/// costs the log one addition however many results it rendered.
 #[derive(Debug, Default)]
 pub struct ClickLog {
     events: Vec<InteractionEvent>,
+    impressions: HashMap<String, BTreeMap<u64, u64>>,
 }
 
 /// A per-application traffic summary.
@@ -154,42 +151,56 @@ impl ClickLog {
         ClickLog::default()
     }
 
-    /// Append an event.
+    /// Append a click event.
     pub fn record(&mut self, event: InteractionEvent) {
         self.events.push(event);
     }
 
-    /// All events.
+    /// Count `n` results rendered for `app` at virtual time `at_ms`.
+    pub fn record_impressions(&mut self, app: &str, at_ms: u64, n: u64) {
+        if n == 0 {
+            return; // a day nothing was shown on stays out of the series
+        }
+        let day = at_ms / DAY_MS;
+        match self.impressions.get_mut(app) {
+            Some(days) => *days.entry(day).or_insert(0) += n,
+            // First view of this app (`entry` alone would clone the
+            // name on every view).
+            None => {
+                self.impressions
+                    .insert(app.to_string(), BTreeMap::from([(day, n)]));
+            }
+        }
+    }
+
+    /// All stored events (clicks), in arrival order.
     pub fn events(&self) -> &[InteractionEvent] {
         &self.events
     }
 
     /// Summarize one application's traffic.
     pub fn summarize(&self, app: &str) -> TrafficSummary {
-        let mut impressions = 0u64;
         let mut clicks = 0u64;
         let mut ad_clicks = 0u64;
         let mut clicks_by_source: BTreeMap<String, u64> = BTreeMap::new();
         let mut query_clicks: BTreeMap<String, u64> = BTreeMap::new();
         for e in self.events.iter().filter(|e| e.app == app) {
-            match e.kind {
-                InteractionKind::Impression => impressions += 1,
-                InteractionKind::Click => {
-                    clicks += 1;
-                    if e.is_ad {
-                        ad_clicks += 1;
-                    }
-                    *clicks_by_source.entry(e.source.clone()).or_insert(0) += 1;
-                    *query_clicks.entry(e.query.clone()).or_insert(0) += 1;
-                }
+            clicks += 1;
+            if e.is_ad {
+                ad_clicks += 1;
             }
+            *clicks_by_source.entry(e.source.clone()).or_insert(0) += 1;
+            *query_clicks.entry(e.query.clone()).or_insert(0) += 1;
         }
         let mut top_queries: Vec<(String, u64)> = query_clicks.into_iter().collect();
         top_queries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         top_queries.truncate(10);
         TrafficSummary {
             app: app.to_string(),
-            impressions,
+            impressions: self
+                .impressions
+                .get(app)
+                .map_or(0, |days| days.values().sum()),
             clicks,
             clicks_by_source,
             top_queries,
@@ -206,13 +217,11 @@ impl ClickLog {
     /// start.
     pub fn daily_series(&self, app: &str) -> Vec<(u64, u64, u64)> {
         let mut days: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for (&day, &n) in self.impressions.get(app).into_iter().flatten() {
+            days.entry(day).or_insert((0, 0)).0 = n;
+        }
         for e in self.events.iter().filter(|e| e.app == app) {
-            let day = e.at_ms / 86_400_000;
-            let entry = days.entry(day).or_insert((0, 0));
-            match e.kind {
-                InteractionKind::Impression => entry.0 += 1,
-                InteractionKind::Click => entry.1 += 1,
-            }
+            days.entry(e.at_ms / DAY_MS).or_insert((0, 0)).1 += 1;
         }
         days.into_iter().map(|(d, (i, c))| (d, i, c)).collect()
     }
@@ -227,7 +236,7 @@ impl ClickLog {
         let rows: Vec<Vec<String>> = self
             .events
             .iter()
-            .filter(|e| e.app == app && e.kind == InteractionKind::Click)
+            .filter(|e| e.app == app)
             .map(|e| {
                 vec![
                     e.at_ms.to_string(),
@@ -245,19 +254,13 @@ impl ClickLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn event(
-        app: &str,
-        kind: InteractionKind,
-        source: &str,
-        query: &str,
-        is_ad: bool,
-    ) -> InteractionEvent {
+    fn click(app: &str, source: &str, query: &str, is_ad: bool) -> InteractionEvent {
         InteractionEvent {
             app: app.into(),
             at_ms: 1000,
             query: query.into(),
-            kind,
             source: source.into(),
             url: Some(format!("http://x/{query}")),
             is_ad,
@@ -266,51 +269,122 @@ mod tests {
 
     fn log() -> ClickLog {
         let mut l = ClickLog::new();
-        for _ in 0..10 {
-            l.record(event(
-                "GamerQueen",
-                InteractionKind::Impression,
-                "inventory",
-                "space",
-                false,
-            ));
+        for _ in 0..2 {
+            l.record_impressions("GamerQueen", 1000, 5);
         }
-        l.record(event(
-            "GamerQueen",
-            InteractionKind::Click,
-            "inventory",
-            "space",
-            false,
-        ));
-        l.record(event(
-            "GamerQueen",
-            InteractionKind::Click,
-            "reviews",
-            "space",
-            false,
-        ));
-        l.record(event(
-            "GamerQueen",
-            InteractionKind::Click,
-            "ads",
-            "space",
-            true,
-        ));
-        l.record(event(
-            "GamerQueen",
-            InteractionKind::Click,
-            "inventory",
-            "farm",
-            false,
-        ));
-        l.record(event(
-            "Other",
-            InteractionKind::Click,
-            "inventory",
-            "space",
-            false,
-        ));
+        l.record(click("GamerQueen", "inventory", "space", false));
+        l.record(click("GamerQueen", "reviews", "space", false));
+        l.record(click("GamerQueen", "ads", "space", true));
+        l.record(click("GamerQueen", "inventory", "farm", false));
+        l.record(click("Other", "inventory", "space", false));
         l
+    }
+
+    /// The log as it used to be — one stored record per impression and
+    /// per click, aggregated by walking them — kept as the reference
+    /// the counted log must agree with.
+    #[derive(Default)]
+    struct WalkedLog {
+        /// `(app, at_ms, what happened)`.
+        events: Vec<(String, u64, Walked)>,
+    }
+
+    enum Walked {
+        Impression,
+        /// `(source, query, is_ad)`.
+        Click(String, String, bool),
+    }
+
+    impl WalkedLog {
+        fn summarize(&self, app: &str) -> TrafficSummary {
+            let mut s = TrafficSummary {
+                app: app.to_string(),
+                ..TrafficSummary::default()
+            };
+            let mut query_clicks: BTreeMap<String, u64> = BTreeMap::new();
+            for (_, _, event) in self.events.iter().filter(|e| e.0 == app) {
+                match event {
+                    Walked::Impression => s.impressions += 1,
+                    Walked::Click(source, query, is_ad) => {
+                        s.clicks += 1;
+                        s.ad_clicks += u64::from(*is_ad);
+                        *s.clicks_by_source.entry(source.clone()).or_insert(0) += 1;
+                        *query_clicks.entry(query.clone()).or_insert(0) += 1;
+                    }
+                }
+            }
+            s.top_queries = query_clicks.into_iter().collect();
+            s.top_queries
+                .sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            s.top_queries.truncate(10);
+            s
+        }
+
+        fn daily_series(&self, app: &str) -> Vec<(u64, u64, u64)> {
+            let mut days: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+            for (_, at_ms, event) in self.events.iter().filter(|e| e.0 == app) {
+                let entry = days.entry(at_ms / 86_400_000).or_insert((0, 0));
+                match event {
+                    Walked::Impression => entry.0 += 1,
+                    Walked::Click(..) => entry.1 += 1,
+                }
+            }
+            days.into_iter().map(|(d, (i, c))| (d, i, c)).collect()
+        }
+    }
+
+    const APPS: [&str; 3] = ["GamerQueen", "WineCellar", "VideoHut"];
+
+    proptest! {
+        /// Random views (0–60 results) and clicks across three apps,
+        /// with clock steps that straddle day boundaries — one in three
+        /// lands on a day's last or first millisecond: the counted log
+        /// reads exactly as the walked one.
+        #[test]
+        fn counted_equals_walked(
+            ops in proptest::collection::vec(
+                ((0usize..3, 0u64..50_000_000, 0u8..6), (0u64..60, 0usize..4, 0usize..5, any::<bool>())),
+                0..120,
+            ),
+        ) {
+            let (mut counted, mut walked) = (ClickLog::new(), WalkedLog::default());
+            let mut now = 0u64;
+            for ((app, step, edge), (shown, source, query, is_click)) in ops {
+                now = match edge {
+                    0 => now / DAY_MS * DAY_MS + DAY_MS - 1,
+                    1 => (now / DAY_MS + 1) * DAY_MS,
+                    _ => now + step,
+                };
+                let app = APPS[app];
+                if is_click {
+                    let (source, query) = (format!("s{source}"), format!("q{query}"));
+                    let is_ad = source == "s0";
+                    let mut e = click(app, &source, &query, is_ad);
+                    e.at_ms = now;
+                    counted.record(e);
+                    walked.events.push((app.to_string(), now, Walked::Click(source, query, is_ad)));
+                } else {
+                    counted.record_impressions(app, now, shown);
+                    for _ in 0..shown {
+                        walked.events.push((app.to_string(), now, Walked::Impression));
+                    }
+                }
+            }
+            for app in APPS.iter().chain(&["Nobody"]) {
+                prop_assert_eq!(counted.summarize(app), walked.summarize(app));
+                prop_assert_eq!(counted.daily_series(app), walked.daily_series(app));
+            }
+        }
+    }
+
+    #[test]
+    fn views_without_clicks_store_nothing() {
+        let mut l = ClickLog::new();
+        for view in 0..1000u64 {
+            l.record_impressions("GamerQueen", view * 7, 50);
+        }
+        assert!(l.events().is_empty());
+        assert_eq!(l.summarize("GamerQueen").impressions, 50_000);
     }
 
     #[test]
@@ -361,10 +435,9 @@ mod tests {
     #[test]
     fn daily_series_buckets_by_virtual_day() {
         let mut l = ClickLog::new();
-        let mut e = event("A", InteractionKind::Impression, "s", "q", false);
-        e.at_ms = 10; // day 0
-        l.record(e.clone());
-        e.kind = InteractionKind::Click;
+        l.record_impressions("A", 10, 1); // day 0
+        let mut e = click("A", "s", "q", false);
+        e.at_ms = 10;
         l.record(e.clone());
         e.at_ms = 86_400_000 + 5; // day 1
         l.record(e);

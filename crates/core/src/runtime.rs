@@ -6,8 +6,10 @@
 //! 2. primary content sources are queried with it;
 //! 3. supplemental sources are queried with templates over fields of
 //!    each primary result — those fetches **fan out in parallel**
-//!    (std scoped threads), one of the platform's core "heavy
-//!    lifting" claims (ablated in experiment E1);
+//!    (what the L2 source cache cannot answer on the spot is fetched
+//!    by the querying thread and scoped helpers, bounded by the
+//!    host's cores), one of the platform's core "heavy lifting" claims
+//!    (ablated in experiment E1);
 //! 4. everything merges into the designed layout and renders to HTML;
 //! 5. the HTML goes back to the page.
 //!
@@ -25,6 +27,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use symphony_designer::{render_element, Element, ElementKind};
 use symphony_services::BreakerRegistry;
@@ -42,10 +45,24 @@ pub enum ExecMode {
 pub const RECEIVE_MS: u32 = 1;
 /// Fixed virtual cost of merging and formatting the response.
 pub const MERGE_MS: u32 = 2;
-/// Cap on OS threads a parallel fan-out may use. Virtual-time
-/// semantics (`max` combining) are unchanged; the cap only bounds
-/// real resource use per query.
+/// Upper bound on the threads a parallel fan-out may use on any host.
+/// Virtual-time semantics (`max` combining) are unchanged; the cap only
+/// bounds real resource use per query.
 pub const MAX_FANOUT_WORKERS: usize = 16;
+
+/// The threads one parallel fan-out may occupy on *this* host, the
+/// calling thread included: [`MAX_FANOUT_WORKERS`] bounded by the
+/// cores present. Every source is in-process compute (the I/O a real
+/// deployment overlaps is carried by the virtual clock), so a thread
+/// beyond the cores buys only its spawn. Read once per process.
+pub(crate) fn fanout_cap() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        MAX_FANOUT_WORKERS.min(cores)
+    })
+}
+
 /// Flat virtual cost of a shed (admission-refused) response: cheaper
 /// than a cache hit, and no source, breaker, or cache is touched.
 pub const SHED_MS: u32 = 1;
@@ -63,9 +80,10 @@ pub struct ExecCtx<'a> {
     /// every fetch directly (standalone execution, ablations).
     pub source_cache: Option<&'a SourceCache>,
     /// The platform's shared fan-out worker pool. `None` gives every
-    /// query the full [`MAX_FANOUT_WORKERS`] cap (standalone
-    /// execution); with a scheduler, concurrent queries receive
-    /// weighted fair shares of the pool instead.
+    /// query the host's whole fan-out cap ([`MAX_FANOUT_WORKERS`]
+    /// bounded by its cores; standalone execution); with a scheduler,
+    /// concurrent queries receive weighted fair shares of the pool
+    /// instead.
     pub scheduler: Option<&'a FanoutScheduler>,
     /// Scheduling lane (interactive serving vs background work).
     pub lane: Lane,
@@ -84,11 +102,12 @@ pub struct QueryResponse {
     pub impressions: Vec<Impression>,
 }
 
-/// A supplemental fetch task.
-struct FanoutTask {
-    primary_source: String,
+/// A supplemental fetch task. The source names borrow from the layout
+/// (`primary_lists`), which outlives the query.
+struct FanoutTask<'a> {
+    primary_source: &'a str,
     item_idx: usize,
-    source: String,
+    source: &'a str,
     query: String,
     k: usize,
 }
@@ -279,9 +298,9 @@ pub fn execute_resilient(
                     continue;
                 }
                 tasks.push(FanoutTask {
-                    primary_source: psource.clone(),
+                    primary_source: psource,
                     item_idx: idx,
-                    source: ssource.clone(),
+                    source: ssource,
                     query: q,
                     k: *smax,
                 });
@@ -289,8 +308,9 @@ pub fn execute_resilient(
         }
     }
 
-    // Actual OS threads the parallel fan-out used (scheduler grant or
-    // the static cap); surfaces in the trace for the Fig.-2 report.
+    // Threads the parallel fan-out occupied, the caller included (0
+    // when the L2 answered every slot); surfaces in the trace for the
+    // Fig.-2 report.
     let mut pool_workers = 0usize;
     let outcomes: Vec<Fetched> = match mode {
         ExecMode::Sequential => {
@@ -303,10 +323,7 @@ pub fn execute_resilient(
                     retries_allowed: retry_pool,
                     breakers: ctx.breakers,
                 };
-                let o = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    dispatch(app, t, subs, &sctx, ctx.source_cache)
-                }))
-                .unwrap_or_else(|p| Fetched::uncached(panic_outcome(&t.source, p.as_ref())));
+                let o = dispatch_isolated(app, t, subs, &sctx, ctx.source_cache);
                 if let Some(pool) = retry_pool.as_mut() {
                     *pool = pool.saturating_sub(o.attempts_charged.saturating_sub(1));
                 }
@@ -315,9 +332,6 @@ pub fn execute_resilient(
             }
             out
         }
-        // Nothing to fan out: no scheduler grant is billed and no
-        // thread scope opened.
-        ExecMode::Parallel if tasks.is_empty() => Vec::new(),
         ExecMode::Parallel => {
             // All fan-out fetches start together, once the primaries
             // are in: same virtual start time and deadline budget.
@@ -327,70 +341,58 @@ pub fn execute_resilient(
             // Pre-split the retry pool across tasks: sharing one
             // mutable pool between racing workers would make grants
             // depend on thread scheduling.
-            let grants: Vec<Option<u32>> = match retry_pool {
-                None => vec![None; n],
-                Some(pool) => (0..n as u32)
-                    .map(|i| Some(pool / n as u32 + u32::from(i < pool % n as u32)))
-                    .collect(),
+            let sctx_of = |i: usize| SourceCtx {
+                now_ms: start_ms,
+                budget_ms: budget,
+                retries_allowed: retry_pool
+                    .map(|pool| pool / n as u32 + u32::from((i as u32) < pool % n as u32)),
+                breakers: ctx.breakers,
             };
-            // Bounded chunk pool: at most MAX_FANOUT_WORKERS OS
-            // threads pull tasks off a shared index. One panicking
-            // source degrades its own slot only. When the platform's
-            // shared scheduler is attached, the worker count is this
-            // tenant's weighted fair share of the pool instead of the
-            // full cap, so concurrent queries from a burst tenant
-            // cannot monopolize fan-out threads. Worker count never
-            // affects virtual time (max-combining), only real
-            // parallelism.
-            let grant = ctx.scheduler.map(|s| {
-                s.acquire(
-                    app.owner.0 as u64,
-                    app.admission.weight,
-                    n.min(MAX_FANOUT_WORKERS),
-                    ctx.lane,
-                )
-            });
-            let workers = grant
-                .as_ref()
-                .map_or(n.min(MAX_FANOUT_WORKERS), |g| g.workers());
-            pool_workers = workers;
-            let next = AtomicUsize::new(0);
-            let worker = || {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= tasks.len() {
-                        break;
+            // What the L2 can answer it answers here, on the calling
+            // thread; only the residual costs a worker.
+            let mut slots: Vec<Option<Fetched>> = tasks
+                .iter()
+                .enumerate()
+                .map(|(i, t)| probe(app, t, &sctx_of(i), ctx.source_cache))
+                .collect();
+            let residual: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
+            // Nothing left to fetch: no scheduler grant is billed and
+            // no thread scope opened.
+            if !residual.is_empty() {
+                // Bounded chunk pool: at most `fanout_cap()` threads —
+                // the calling thread is the first of them — pull tasks
+                // off a shared index. One panicking source degrades its
+                // own slot only. When the platform's shared scheduler
+                // is attached, the worker count is this tenant's
+                // weighted fair share of the pool instead of the full
+                // cap, so concurrent queries from a burst tenant cannot
+                // monopolize fan-out threads. Worker count never
+                // affects virtual time (max-combining), only real
+                // parallelism.
+                let want = residual.len().min(fanout_cap());
+                let grant = ctx
+                    .scheduler
+                    .map(|s| s.acquire(app.owner.0 as u64, app.admission.weight, want, ctx.lane));
+                let workers = grant.as_ref().map_or(want, |g| g.workers());
+                pool_workers = workers;
+                let next = AtomicUsize::new(0);
+                let worker = || {
+                    let mut local = Vec::new();
+                    while let Some(&i) = residual.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let o =
+                            dispatch_isolated(app, &tasks[i], subs, &sctx_of(i), ctx.source_cache);
+                        local.push((i, o));
                     }
-                    let t = &tasks[i];
-                    let sctx = SourceCtx {
-                        now_ms: start_ms,
-                        budget_ms: budget,
-                        retries_allowed: grants[i],
-                        breakers: ctx.breakers,
-                    };
-                    let o = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        dispatch(app, t, subs, &sctx, ctx.source_cache)
-                    }))
-                    .unwrap_or_else(|p| Fetched::uncached(panic_outcome(&t.source, p.as_ref())));
-                    local.push((i, o));
-                }
-                local
-            };
-            let mut slots: Vec<Option<Fetched>> = (0..n).map(|_| None).collect();
-            if workers == 1 {
-                // One worker (a lone task, or a one-thread share): the
-                // calling thread is that worker.
-                for (i, o) in worker() {
-                    slots[i] = Some(o);
-                }
-            } else {
+                    local
+                };
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-                    for h in handles {
-                        for (i, o) in h.join().expect("fan-out pool worker died") {
-                            slots[i] = Some(o);
-                        }
+                    let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+                    let mut done = worker();
+                    for h in helpers {
+                        done.extend(h.join().expect("fan-out pool worker died"));
+                    }
+                    for (i, o) in done {
+                        slots[i] = Some(o);
                     }
                 });
             }
@@ -406,7 +408,7 @@ pub fn execute_resilient(
             outcomes
         }
     };
-    let mut suppl: HashMap<(String, usize, String), Fetched> = HashMap::new();
+    let mut suppl: HashMap<(&str, usize, &str), Fetched> = HashMap::new();
     let mut fanout_trace: Vec<TraceNode> = Vec::new();
     for (t, o) in tasks.iter().zip(outcomes) {
         fanout_trace.push(TraceNode::leaf(
@@ -426,7 +428,7 @@ pub fn execute_resilient(
                 ),
             },
         ));
-        suppl.insert((t.primary_source.clone(), t.item_idx, t.source.clone()), o);
+        suppl.insert((t.primary_source, t.item_idx, t.source), o);
     }
 
     // ---- Virtual-time accounting ---------------------------------
@@ -464,10 +466,7 @@ pub fn execute_resilient(
             let lookup = |name: &str| item.field(name).map(str::to_string);
             let psource = source;
             let mut inner_nested = |ssource: &str, smax: usize, sitem_el: &Element| -> String {
-                let Some(soutcome) = suppl
-                    .get(&(psource.to_string(), idx, ssource.to_string()))
-                    .map(|f| &f.outcome)
-                else {
+                let Some(soutcome) = suppl.get(&(psource, idx, ssource)).map(|f| &f.outcome) else {
                     return String::new();
                 };
                 let mut shtml = String::new();
@@ -617,21 +616,50 @@ pub fn shed_response(app: &ApplicationConfig, query: &str, reason: &str) -> Quer
     }
 }
 
-fn dispatch(
+/// The L2's answer for a fan-out task, when it has one right now.
+fn probe(
     app: &ApplicationConfig,
-    task: &FanoutTask,
+    task: &FanoutTask<'_>,
+    sctx: &SourceCtx<'_>,
+    cache: Option<&SourceCache>,
+) -> Option<Fetched> {
+    cache?.probe(
+        &app.source(task.source)?.def,
+        Some(app.owner),
+        &task.query,
+        task.k,
+        app.constraint(task.source),
+        sctx,
+    )
+}
+
+/// Run one fan-out task; a panicking source degrades its own slot.
+fn dispatch_isolated(
+    app: &ApplicationConfig,
+    task: &FanoutTask<'_>,
     subs: Substrates<'_>,
     sctx: &SourceCtx<'_>,
     cache: Option<&SourceCache>,
 ) -> Fetched {
-    match app.source(&task.source) {
+    std::panic::catch_unwind(AssertUnwindSafe(|| dispatch(app, task, subs, sctx, cache)))
+        .unwrap_or_else(|p| Fetched::uncached(panic_outcome(task.source, p.as_ref())))
+}
+
+fn dispatch(
+    app: &ApplicationConfig,
+    task: &FanoutTask<'_>,
+    subs: Substrates<'_>,
+    sctx: &SourceCtx<'_>,
+    cache: Option<&SourceCache>,
+) -> Fetched {
+    match app.source(task.source) {
         Some(cfg) => cached_fetch(
             &cfg.def,
             app.owner,
             &task.query,
             task.k,
             subs,
-            app.constraint(&task.source),
+            app.constraint(task.source),
             sctx,
             cache,
         ),
@@ -668,7 +696,7 @@ fn record_impression(
 }
 
 /// Nested result lists in an item layout: `(source, max_results)`.
-fn nested_lists(item_el: &Element) -> Vec<(String, usize)> {
+fn nested_lists(item_el: &Element) -> Vec<(&str, usize)> {
     let mut out = Vec::new();
     item_el.visit(&mut |e| {
         if let ElementKind::ResultList {
@@ -677,7 +705,7 @@ fn nested_lists(item_el: &Element) -> Vec<(String, usize)> {
             ..
         } = &e.kind
         {
-            out.push((source.clone(), *max_results));
+            out.push((source.as_str(), *max_results));
         }
     });
     out
@@ -917,6 +945,47 @@ mod tests {
                 ("item", request.param("item").unwrap_or("?")),
                 ("price", "1.00"),
             ]))
+        }
+    }
+
+    /// A service that reports which thread served it.
+    struct WhoService(std::sync::Arc<parking_lot::Mutex<Vec<std::thread::ThreadId>>>);
+
+    impl symphony_services::Service for WhoService {
+        fn describe(&self) -> symphony_services::ServiceDescription {
+            symphony_services::ServiceDescription {
+                name: "who".into(),
+                protocol: symphony_services::Protocol::Rest,
+                operations: vec![],
+            }
+        }
+
+        fn handle(
+            &self,
+            _: &symphony_services::ServiceRequest,
+        ) -> Result<symphony_services::ServiceResponse, symphony_services::ServiceFault> {
+            self.0.lock().push(std::thread::current().id());
+            Ok(symphony_services::ServiceResponse::single(&[(
+                "price", "1.00",
+            )]))
+        }
+    }
+
+    /// [`WhoService`] behind a barrier: a call returns only once as
+    /// many threads as the barrier counts are inside `handle` together.
+    struct Gated(WhoService, std::sync::Barrier);
+
+    impl symphony_services::Service for Gated {
+        fn describe(&self) -> symphony_services::ServiceDescription {
+            self.0.describe()
+        }
+
+        fn handle(
+            &self,
+            request: &symphony_services::ServiceRequest,
+        ) -> Result<symphony_services::ServiceResponse, symphony_services::ServiceFault> {
+            self.1.wait();
+            self.0.handle(request)
         }
     }
 
@@ -1166,27 +1235,6 @@ mod tests {
     #[test]
     fn empty_fanout_bills_no_grant_and_a_lone_task_runs_inline() {
         use crate::admission::FanoutScheduler;
-        // A service that reports which thread served it.
-        struct WhoService(std::sync::Arc<parking_lot::Mutex<Vec<std::thread::ThreadId>>>);
-        impl symphony_services::Service for WhoService {
-            fn describe(&self) -> symphony_services::ServiceDescription {
-                symphony_services::ServiceDescription {
-                    name: "who".into(),
-                    protocol: symphony_services::Protocol::Rest,
-                    operations: vec![],
-                }
-            }
-            fn handle(
-                &self,
-                _: &symphony_services::ServiceRequest,
-            ) -> Result<symphony_services::ServiceResponse, symphony_services::ServiceFault>
-            {
-                self.0.lock().push(std::thread::current().id());
-                Ok(symphony_services::ServiceResponse::single(&[(
-                    "price", "1.00",
-                )]))
-            }
-        }
         let served = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
         let mut transport = SimulatedTransport::new(7);
         transport.register(
@@ -1222,6 +1270,138 @@ mod tests {
         assert_eq!(pool.granted(tenant.0 as u64), 1);
         assert_eq!(pool.outstanding(), (0, 0));
         assert_eq!(*served.lock(), vec![std::thread::current().id()]);
+    }
+
+    #[test]
+    fn l2_warm_fanout_takes_no_grant_and_no_thread() {
+        use crate::admission::FanoutScheduler;
+        let served = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mut transport = SimulatedTransport::new(7);
+        transport.register(
+            "who",
+            Box::new(WhoService(served.clone())),
+            LatencyModel::fast(),
+        );
+        let (store, tenant, key, app) = wide_app(6, "who");
+        let subs = Substrates {
+            space: Some(store.space(tenant, &key).unwrap()),
+            engine: None,
+            transport: Some(&transport),
+            ads: None,
+            scatter: None,
+        };
+        let pool = FanoutScheduler::new(MAX_FANOUT_WORKERS);
+        let l2 = SourceCache::new(crate::source_cache::SourceCacheConfig::default());
+        let run = |now_ms: u64| {
+            let ctx = ExecCtx {
+                now_ms,
+                source_cache: Some(&l2),
+                scheduler: Some(&pool),
+                ..ExecCtx::default()
+            };
+            execute_resilient(
+                &app,
+                "gadget",
+                subs,
+                ExecMode::Parallel,
+                &HashMap::new(),
+                &ctx,
+            )
+        };
+        let cold = run(0);
+        assert_eq!(cold.trace.l2_misses, 1 + 6, "{}", cold.trace.render());
+        assert_eq!(served.lock().len(), 6);
+        let granted = pool.granted(tenant.0 as u64);
+        assert!(granted >= 1);
+        // Later, inside every TTL: the L2 answers all six slots on
+        // this thread. The scheduler never hears of the query, the
+        // service is not called, and the page is the same.
+        let warm = run(1_000);
+        assert_eq!(warm.trace.l2_hits, 1 + 6, "{}", warm.trace.render());
+        assert_eq!(pool.granted(tenant.0 as u64), granted);
+        assert_eq!(pool.outstanding(), (0, 0));
+        assert_eq!(served.lock().len(), 6);
+        let fanout = warm.trace.find("supplemental fan-out").unwrap();
+        assert_eq!(fanout.detail, "parallel: max of 6 fetches (0 workers)");
+        assert_eq!(warm.html, cold.html);
+    }
+
+    #[test]
+    fn only_residual_slots_reach_workers_and_the_caller_is_one() {
+        use crate::admission::FanoutScheduler;
+        // Two rounds of cold slots per thread the host allows, behind
+        // a barrier that many wide: the fan-out completes only if
+        // exactly `cap` threads serve the residual together.
+        let cap = fanout_cap();
+        let (warm, cold) = (5, 2 * cap);
+        let served = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mut transport = SimulatedTransport::new(7);
+        transport.register(
+            "who",
+            Box::new(Gated(
+                WhoService(served.clone()),
+                std::sync::Barrier::new(cap),
+            )),
+            LatencyModel::fast(),
+        );
+        let (store, tenant, key, app) = wide_app(warm + cold, "who");
+        let subs = Substrates {
+            space: Some(store.space(tenant, &key).unwrap()),
+            engine: None,
+            transport: Some(&transport),
+            ads: None,
+            scatter: None,
+        };
+        let l2 = SourceCache::new(crate::source_cache::SourceCacheConfig::default());
+        let def = &app.source("who").unwrap().def;
+        for i in 0..warm {
+            let seeded = SourceOutcome {
+                items: Vec::new(),
+                virtual_ms: 3,
+                error: None,
+                attempts: 1,
+            };
+            l2.fetch(
+                def,
+                Some(app.owner),
+                &format!("Gadget {i}"),
+                1,
+                None,
+                &SourceCtx::at(0),
+                || seeded,
+            );
+        }
+        let pool = FanoutScheduler::new(MAX_FANOUT_WORKERS);
+        let ctx = ExecCtx {
+            now_ms: 100,
+            source_cache: Some(&l2),
+            scheduler: Some(&pool),
+            ..ExecCtx::default()
+        };
+        let resp = execute_resilient(
+            &app,
+            "gadget",
+            subs,
+            ExecMode::Parallel,
+            &HashMap::new(),
+            &ctx,
+        );
+        assert!(!resp.trace.degraded, "{}", resp.trace.render());
+        assert_eq!(resp.trace.l2_hits as usize, warm);
+        // Only the cold slots reached the service ...
+        let served = served.lock();
+        assert_eq!(served.len(), cold);
+        // ... on exactly the granted threads, this one among them.
+        let threads: std::collections::HashSet<_> = served.iter().collect();
+        assert_eq!(threads.len(), cap);
+        assert!(threads.contains(&std::thread::current().id()));
+        assert_eq!(pool.granted(tenant.0 as u64), cap as u64);
+        assert_eq!(pool.outstanding(), (0, 0));
+        let fanout = resp.trace.find("supplemental fan-out").unwrap();
+        assert_eq!(
+            fanout.detail,
+            format!("parallel: max of {} fetches ({cap} workers)", warm + cold)
+        );
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!    an outcome completed *after* its own start (`completed_at >
 //!    now`) is charged the remaining wait, exactly as if it had run
 //!    the fetch itself, so traces replay identically no matter which
-//!    thread happened to lead.
+//!    thread happened to lead. [`SourceCache::probe`] is the
+//!    non-waiting half of a fetch: the parallel fan-out uses it to
+//!    serve what is already there before it spends a worker.
 //! 3. **TinyLFU admission** — a doorkeeper bitset plus a 4-bit
 //!    count-min sketch estimates each key's popularity; at capacity a
 //!    candidate is admitted only if it is more popular than the LRU
@@ -341,6 +343,80 @@ impl SourceCache {
         }
     }
 
+    /// The shard and key a fetch of this source lands on; `None` when
+    /// the cache is disabled or the source kind is uncacheable.
+    fn locate(
+        &self,
+        def: &DataSourceDef,
+        owner: Option<TenantId>,
+        query: &str,
+        k: usize,
+        constraint: Option<&symphony_store::Filter>,
+    ) -> Option<(&Shard, FetchKey, u64)> {
+        if !self.config.enabled {
+            return None;
+        }
+        let key = FetchKey {
+            fingerprint: fingerprint(def, owner, k, constraint)?,
+            query: normalize_query(query),
+        };
+        let hash = key.hash64();
+        Some((&self.shards[(hash % SHARDS as u64) as usize], key, hash))
+    }
+
+    /// Serve `key` from what is already there — a live servable entry
+    /// or a finished flight — classified and counted. `None` when the
+    /// key needs an execution (or a wait on one).
+    fn serve(
+        &self,
+        st: &mut ShardState,
+        key: &FetchKey,
+        def: &DataSourceDef,
+        sctx: &SourceCtx<'_>,
+    ) -> Option<Fetched> {
+        let now = sctx.now_ms;
+        // 1. A live cached entry? A negative one suppressed by breaker
+        // state falls through (the breaker fast-fails or probes).
+        let cached = st
+            .cache
+            .get(key, now)
+            .filter(|e| !e.negative || self.negative_servable(def, sctx))
+            .map(|e| (e.outcome.clone(), e.completed_at));
+        // 2. A just-finished execution?
+        let (outcome, completed_at) = cached.or_else(|| match st.inflight.get(key) {
+            Some(Flight::Done {
+                outcome,
+                completed_at,
+                ..
+            }) => Some((outcome.clone(), *completed_at)),
+            _ => None,
+        })?;
+        Some(classify(outcome, completed_at, now, sctx, &mut st.counters))
+    }
+
+    /// The cache's answer for a fetch *if it has one right now*: what
+    /// [`SourceCache::fetch`] would return without executing or
+    /// waiting, accounted exactly as `fetch` accounts it. `None` —
+    /// nothing servable, an execution still running, an uncacheable
+    /// source — leaves no trace (no miss counted, no waiter
+    /// registered, no popularity recorded): the `fetch` that follows
+    /// does all of that, once.
+    pub fn probe(
+        &self,
+        def: &DataSourceDef,
+        owner: Option<TenantId>,
+        query: &str,
+        k: usize,
+        constraint: Option<&symphony_store::Filter>,
+        sctx: &SourceCtx<'_>,
+    ) -> Option<Fetched> {
+        let (shard, key, hash) = self.locate(def, owner, query, k, constraint)?;
+        let mut st = shard.lock();
+        let fetched = self.serve(&mut st, &key, def, sctx)?;
+        st.sketch.record(hash);
+        Some(fetched)
+    }
+
     /// Fetch through the cache: serve a live entry, coalesce onto an
     /// in-flight execution of the same key, or run `exec` and publish
     /// the outcome. `exec` runs *without* any shard lock held.
@@ -363,73 +439,38 @@ impl SourceCache {
         sctx: &SourceCtx<'_>,
         exec: impl FnOnce() -> SourceOutcome,
     ) -> Fetched {
-        if !self.config.enabled {
-            return Fetched::uncached(exec());
-        }
-        let Some(fingerprint) = fingerprint(def, owner, k, constraint) else {
+        let Some((shard, key, hash)) = self.locate(def, owner, query, k, constraint) else {
             return Fetched::uncached(exec());
         };
-        let key = FetchKey {
-            fingerprint,
-            query: normalize_query(query),
-        };
-        let hash = key.hash64();
-        let shard = &self.shards[(hash % SHARDS as u64) as usize];
         let now = sctx.now_ms;
 
         let mut st = shard.lock();
         st.sketch.record(hash);
         let mut registered = false;
         loop {
-            // 1. A live cached entry?
-            if let Some(entry) = st.cache.get(&key, now) {
-                let serve = !entry.negative || self.negative_servable(def, sctx);
-                if serve {
-                    let entry = entry.clone();
-                    let counters = &mut st.counters;
-                    let fetched = classify(entry.outcome, entry.completed_at, now, sctx, counters);
-                    if registered {
-                        consume_waiter_slot(&mut st, &key);
-                    }
-                    return fetched;
+            if let Some(fetched) = self.serve(&mut st, &key, def, sctx) {
+                if registered {
+                    consume_waiter_slot(&mut st, &key);
                 }
-                // Negative entry suppressed by breaker state: fall
-                // through to execute (the breaker fast-fails or probes).
+                return fetched;
             }
-            // 2. An in-flight or just-finished execution?
-            match st.inflight.get_mut(&key) {
-                Some(Flight::Done {
-                    outcome,
-                    completed_at,
-                    ..
-                }) => {
-                    let (outcome, completed_at) = (outcome.clone(), *completed_at);
-                    let counters = &mut st.counters;
-                    let fetched = classify(outcome, completed_at, now, sctx, counters);
-                    if registered {
-                        consume_waiter_slot(&mut st, &key);
-                    }
-                    return fetched;
-                }
-                Some(Flight::Running { waiters }) => {
-                    if !registered {
-                        *waiters += 1;
-                        registered = true;
-                    }
-                    st = shard.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-                    // A leader that panicked removed the slot; loop and
-                    // retry from the top (possibly becoming the leader).
-                    if !st.inflight.contains_key(&key) {
-                        registered = false;
-                    }
-                    continue;
-                }
-                None => {}
+            // 3. An execution in flight: park until its leader is done.
+            let Some(Flight::Running { waiters }) = st.inflight.get_mut(&key) else {
+                break;
+            };
+            if !registered {
+                *waiters += 1;
+                registered = true;
             }
-            break;
+            st = shard.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            // A leader that panicked removed the slot; loop and retry
+            // from the top (possibly becoming the leader).
+            if !st.inflight.contains_key(&key) {
+                registered = false;
+            }
         }
 
-        // 3. Leader: execute without the lock, then publish.
+        // 4. Leader: execute without the lock, then publish.
         st.inflight
             .insert(key.clone(), Flight::Running { waiters: 0 });
         st.counters.misses += 1;
@@ -1173,6 +1214,53 @@ mod tests {
             assert_eq!(statuses(FetchStatus::Miss), 1);
             assert_eq!(statuses(FetchStatus::Coalesced), 7);
         });
+    }
+
+    #[test]
+    fn probe_never_waits_on_a_running_flight() {
+        let cache = SourceCache::new(SourceCacheConfig {
+            web_ttl_ms: 100,
+            ..SourceCacheConfig::default()
+        });
+        let probe = |now| cache.probe(&web_def(), None, "slow", 5, None, &SourceCtx::at(now));
+        assert!(probe(0).is_none(), "cold key");
+        let (entered, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                cache.fetch(&web_def(), None, "slow", 5, None, &SourceCtx::at(0), || {
+                    entered.wait();
+                    release.wait();
+                    ok_outcome(35)
+                })
+            });
+            // The leader is parked inside `exec`: a fetch would block
+            // on it here; the probe comes straight back, and leaves
+            // nothing behind.
+            entered.wait();
+            assert!(probe(0).is_none());
+            let stats = cache.stats();
+            assert_eq!((stats.misses, stats.coalesced, stats.hits), (1, 0, 0));
+            release.wait();
+            assert_eq!(leader.join().unwrap().status, FetchStatus::Miss);
+        });
+        // Published: the same probe now reads as the coalesced wait a
+        // fetch at that virtual time would have been charged.
+        let served = probe(0).expect("outcome is cached");
+        assert_eq!(served.status, FetchStatus::Coalesced);
+        assert_eq!(served.charged_ms, 35);
+        // Had the probe registered as a waiter, the finished flight
+        // would have been kept for it and be served past the TTL.
+        assert!(probe(200).is_none());
+        let again = cache.fetch(
+            &web_def(),
+            None,
+            "slow",
+            5,
+            None,
+            &SourceCtx::at(200),
+            || ok_outcome(35),
+        );
+        assert_eq!(again.status, FetchStatus::Miss);
     }
 
     #[test]

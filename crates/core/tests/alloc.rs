@@ -1,0 +1,93 @@
+//! Allocation-count guard for the L1 hit path: what a cached page
+//! costs in heap traffic must not depend on how many results it shows.
+//! Impressions are counted, not stored — one addition per view — so a
+//! hit that logs 50 of them allocates exactly what a hit that logs 5
+//! does.
+//!
+//! The counts repeat exactly from run to run, so the comparison is an
+//! equality, not a threshold. This file is its own test binary (the
+//! counting `#[global_allocator]` is shared with `symphony-text`'s
+//! `tests/alloc.rs`) and keeps every counted region in one `#[test]`,
+//! on one thread.
+
+use symphony_core::{AppBuilder, AppId, DataSourceDef, Platform};
+use symphony_designer::{Canvas, Element};
+use symphony_store::ingest::{ingest, DataFormat};
+use symphony_store::{IndexedTable, TenantId};
+use symphony_web::{Corpus, CorpusConfig, SearchEngine};
+
+#[path = "../../textindex/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
+
+/// An app (interaction logging on, the default) whose page lists up
+/// to `shown` catalog rows.
+fn register(platform: &mut Platform, tenant: TenantId, name: &str, shown: usize) -> AppId {
+    let mut canvas = Canvas::new();
+    let root = canvas.root_id();
+    canvas
+        .insert(
+            root,
+            Element::result_list("catalog", Element::text("{title}"), shown),
+        )
+        .unwrap();
+    let config = AppBuilder::new(name, tenant)
+        .layout(canvas)
+        .source(
+            "catalog",
+            DataSourceDef::Proprietary {
+                table: "catalog".into(),
+            },
+        )
+        .build()
+        .unwrap();
+    assert!(config.monetization.log_interactions);
+    let id = platform.register_app(config).unwrap();
+    platform.publish(id).unwrap();
+    id
+}
+
+#[test]
+fn l1_hit_allocations_do_not_scale_with_impressions() {
+    let corpus = Corpus::generate(&CorpusConfig {
+        sites_per_topic: 1,
+        pages_per_site: 2,
+        ..CorpusConfig::default()
+    });
+    let mut platform = Platform::new(SearchEngine::new(corpus));
+    let (tenant, key) = platform.create_tenant("Wide");
+    let mut csv = String::from("title\n");
+    for i in 0..60 {
+        csv.push_str(&format!("Gadget {i}\n"));
+    }
+    let (table, _) = ingest("catalog", &csv, DataFormat::Csv).unwrap();
+    let mut indexed = IndexedTable::new(table);
+    indexed.enable_fulltext(&[("title", 1.0)]).unwrap();
+    platform.upload_table(tenant, &key, indexed).unwrap();
+    let small = register(&mut platform, tenant, "Small", 5);
+    let large = register(&mut platform, tenant, "Large", 50);
+
+    // Same history for both apps — one miss, one hit — so the counted
+    // hit finds their per-app state (metering window, cache, day
+    // counter) at the same size.
+    let hit_allocs = |id: AppId, shown: usize| {
+        assert!(!platform.query(id, "gadget").unwrap().trace.cache_hit);
+        assert!(platform.query(id, "gadget").unwrap().trace.cache_hit);
+        let (allocs, page) = allocations(|| platform.query(id, "gadget").unwrap());
+        assert!(page.trace.cache_hit);
+        assert_eq!(page.impressions.len(), shown);
+        allocs
+    };
+    let (few, many) = (hit_allocs(small, 5), hit_allocs(large, 50));
+    assert_eq!(
+        few, many,
+        "an L1 hit's allocations grew with its impressions: 5 -> {few}, 50 -> {many}"
+    );
+    assert!(
+        many <= 2,
+        "an L1 hit made {many} allocations; expected the normalized cache key and little else"
+    );
+    // Every one of them was counted.
+    assert_eq!(platform.traffic_summary(small).unwrap().impressions, 3 * 5);
+    assert_eq!(platform.traffic_summary(large).unwrap().impressions, 3 * 50);
+}

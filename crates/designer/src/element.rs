@@ -218,7 +218,7 @@ impl Element {
     }
 
     /// Visit every node depth-first.
-    pub fn visit(&self, f: &mut dyn FnMut(&Element)) {
+    pub fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a Element)) {
         f(self);
         match &self.kind {
             ElementKind::Container { children, .. } => {
