@@ -10,7 +10,9 @@
 //!   of the synthetic web ([`SearchEngine::build_cluster`]
 //!   (symphony_web::SearchEngine::build_cluster)); queries scatter to
 //!   all shards and gather under a rank-safe top-k merge that reuses
-//!   each shard's MaxScore threshold as a merge bound. Merged results
+//!   each shard's MaxScore threshold as a merge bound; the pools
+//!   travel lean and only the winners are hydrated, by a second
+//!   `/fetch` leg to the shards that supplied them. Merged results
 //!   are **bit-identical** to a single-index search.
 //! * **Tenant-partitioned hosting.** A tenant's tables, apps, and
 //!   logs live whole on a rendezvous-hashed home shard, with explicit
@@ -29,4 +31,4 @@ pub mod wire;
 
 pub use router::{rendezvous_shard, Router};
 pub use scatter::{shard_rpc_ms, ClusterWeb, GATHER_MS};
-pub use wire::{decode_pool, encode_pool, ShardSearchService};
+pub use wire::{decode_fields, decode_pool, encode_fields, encode_pool, ShardSearchService};

@@ -1,47 +1,62 @@
-//! Scatter-gather over the shard fleet.
+//! Scatter-gather over the shard fleet, in two phases.
 //!
 //! [`ClusterWeb`] owns the inter-node plumbing: a simulated transport
 //! with one primary and one replica endpoint per shard, a breaker
 //! registry watching each endpoint, and the resilient call policy the
-//! legs run under. A web-vertical query scatters to every shard,
-//! gathers the per-shard candidate pools, and merges them rank-safely
-//! with [`SearchEngine::merge_pools`] — bit-identical to a
-//! single-index search whenever every shard answers.
+//! legs run under. A web-vertical query is served query-then-fetch:
+//!
+//! 1. **Query phase.** `/search` goes to every shard; each answers
+//!    with its *lean* candidate pool — `(page, raw, score, url)` per
+//!    entry, nothing a sort order does not read — and
+//!    [`SearchEngine::merge_pools`] picks the `k` winners rank-safely.
+//! 2. **Fetch phase.** The winners are grouped by the shard whose pool
+//!    supplied them, and `/fetch` asks each such shard for the title,
+//!    snippet, domain and media fields of its own winners only. A page
+//!    of ten hydrates ten entries, not the 4 × 35 the shards
+//!    considered.
+//!
+//! The assembled page is bit-identical to a single-index search
+//! whenever every shard answers both phases.
 //!
 //! Failure semantics ride the existing service machinery rather than
-//! new code paths: a dead primary burns its retries, the breaker trips
+//! new code paths, and are the same in both phases (one call helper
+//! serves both): a dead primary burns its retries, the breaker trips
 //! and starts fast-failing it for free, and the leg falls over to the
-//! replica endpoint. A shard whose primary *and* replica both fail is
-//! simply absent from the merge — the query degrades to a partial
-//! result whose error names the silent shards, it does not fail.
+//! replica endpoint. A shard whose primary *and* replica both fail —
+//! the query leg, or the fetch leg after it had answered the query —
+//! counts as unanswered: its candidates, or its winners, are absent
+//! from the page, and the query degrades to a partial result whose
+//! error names the silent shards. It does not fail.
 //!
 //! Virtual time follows the platform's parallel fan-out convention:
-//! the scatter costs the *max* over per-shard call chains plus a
-//! constant gather step, because the legs run concurrently on the
-//! virtual clock.
+//! the legs of a phase run concurrently on the virtual clock and the
+//! phases run one after the other, so the scatter costs the *max* over
+//! the query chains, plus the max over the fetch chains (which start
+//! when the slowest query chain ends), plus a constant gather step.
 
 use std::sync::Arc;
 
 use symphony_core::{ScatterOutcome, ScatterSearch};
+use symphony_services::rpc::{replica_endpoint, shard_endpoint};
 use symphony_services::{
     BreakerConfig, BreakerRegistry, BreakerState, CallPolicy, FaultPlan, LatencyModel,
-    ResilienceContext, ServiceClient, SimulatedTransport,
+    ResilienceContext, Service, ServiceClient, ServiceRequest, ServiceResponse, SimulatedTransport,
 };
-use symphony_web::{SearchConfig, SearchEngine, ShardPool, Vertical};
+use symphony_web::{PageFields, SearchConfig, SearchEngine, Vertical};
 
-use crate::wire::{decode_pool, search_request, ShardSearchService};
-use symphony_services::rpc::{replica_endpoint, shard_endpoint};
+use crate::wire::{decode_fields, decode_pool, fetch_request, search_request, ShardSearchService};
 
 /// Virtual cost of the gather step (pool merge at the router), on top
-/// of the slowest shard leg.
+/// of the slowest leg of each phase.
 pub const GATHER_MS: u32 = 2;
 
 /// Virtual latency of one shard-node search RPC, scaled to the number
 /// of web documents the node's index holds. Calibrated so a node
 /// holding the full default bench corpus (~200 pages) costs
-/// [`symphony_core::WEB_MS`] — a 1-shard cluster prices like the
-/// single-node engine, and an `n`-shard split divides the
-/// document-dependent part by `n`.
+/// [`symphony_core::WEB_MS`] — a 1-shard cluster's query phase prices
+/// like the single-node engine, and an `n`-shard split divides the
+/// document-dependent part by `n`. A fetch touches no index and is
+/// priced as the hop alone, `shard_rpc_ms(0)`.
 pub fn shard_rpc_ms(web_docs: usize) -> u32 {
     5 + (web_docs * 3 / 20) as u32
 }
@@ -51,6 +66,8 @@ pub fn shard_rpc_ms(web_docs: usize) -> u32 {
 /// transport.
 pub struct ClusterWeb {
     shards: Vec<Arc<SearchEngine>>,
+    /// Each shard's endpoint names in call order: primary, replica.
+    endpoints: Vec<[String; 2]>,
     transport: SimulatedTransport,
     breakers: BreakerRegistry,
     policy: CallPolicy,
@@ -69,29 +86,41 @@ impl ClusterWeb {
     /// [`SearchEngine::build_cluster`]): registers a primary and a
     /// replica node per shard, both serving the same slice.
     pub fn new(shards: Vec<Arc<SearchEngine>>, seed: u64) -> ClusterWeb {
+        Self::with_nodes(shards, seed, |_, engine| {
+            Box::new(ShardSearchService::new(engine.clone()))
+        })
+    }
+
+    /// [`ClusterWeb::new`] with the node behind each endpoint built by
+    /// `node(shard, engine)` — the seam the work guard below counts
+    /// calls through.
+    fn with_nodes(
+        shards: Vec<Arc<SearchEngine>>,
+        seed: u64,
+        node: impl Fn(usize, &Arc<SearchEngine>) -> Box<dyn Service>,
+    ) -> ClusterWeb {
         assert!(!shards.is_empty(), "a cluster needs at least one shard");
         let mut transport = SimulatedTransport::new(seed);
         let mut slowest_base = 0u32;
+        let mut endpoints = Vec::with_capacity(shards.len());
         for (i, engine) in shards.iter().enumerate() {
-            let latency = LatencyModel {
-                base_ms: shard_rpc_ms(engine.doc_count(Vertical::Web)),
+            let model = |base_ms| LatencyModel {
+                base_ms,
                 jitter_ms: 0,
                 failure_rate: 0.0,
             };
-            slowest_base = slowest_base.max(latency.base_ms);
-            transport.register(
-                &shard_endpoint(i),
-                Box::new(ShardSearchService::new(engine.clone())),
-                latency.clone(),
-            );
-            transport.register(
-                &replica_endpoint(i),
-                Box::new(ShardSearchService::new(engine.clone())),
-                latency,
-            );
+            let search_ms = shard_rpc_ms(engine.doc_count(Vertical::Web));
+            slowest_base = slowest_base.max(search_ms);
+            let names = [shard_endpoint(i), replica_endpoint(i)];
+            for name in &names {
+                transport.register(name, node(i, engine), model(search_ms));
+                transport.register_operation(name, "/fetch", model(shard_rpc_ms(0)));
+            }
+            endpoints.push(names);
         }
         ClusterWeb {
             shards,
+            endpoints,
             transport,
             breakers: BreakerRegistry::new(BreakerConfig::default()),
             // Timeout scales with the fleet's slowest node: an outage
@@ -131,42 +160,34 @@ impl ClusterWeb {
         self.breakers.state(endpoint, now_ms)
     }
 
-    /// Run one leg against shard `i`: primary first, replica on
-    /// failure (a tripped breaker fast-fails the primary for free, so
-    /// steady-state failover costs only the replica call). Returns the
-    /// decoded pool (if any answer arrived) and the virtual cost of
-    /// the whole chain.
-    fn call_shard(
+    /// Run one leg — of either phase — against `shard`, starting at
+    /// `now_ms`: primary first, replica on failure (a tripped breaker
+    /// fast-fails the primary for free, so steady-state failover costs
+    /// only the replica call). Returns the decoded answer (if one
+    /// arrived) and the virtual cost of the whole chain.
+    fn call<T>(
         &self,
-        i: usize,
-        vertical: Vertical,
-        query: &str,
-        config: &SearchConfig,
-        k: usize,
+        shard: usize,
+        request: &ServiceRequest,
         now_ms: u64,
-    ) -> (Option<ShardPool>, u32) {
-        let request = search_request(vertical, query, config, k);
+        decode: impl Fn(&ServiceResponse) -> Option<T>,
+    ) -> (Option<T>, u32) {
         let client = ServiceClient::with_policy(&self.transport, self.policy);
-        let ctx = ResilienceContext {
-            now_ms,
-            budget_ms: None,
-            max_retries: None,
-            breakers: Some(&self.breakers),
-        };
         let mut spent = 0u32;
-        for endpoint in [shard_endpoint(i), replica_endpoint(i)] {
+        for endpoint in &self.endpoints[shard] {
             let ctx = ResilienceContext {
                 now_ms: now_ms + spent as u64,
-                ..ctx
+                budget_ms: None,
+                max_retries: None,
+                breakers: Some(&self.breakers),
             };
-            match client.call_resilient(&endpoint, &request, &ctx) {
+            match client.call_resilient(endpoint, request, &ctx) {
                 Ok(out) => {
                     spent = spent.saturating_add(out.total_latency_ms);
                     // A garbled frame reads as a failed node, not as a
-                    // truncated pool: fall through to the replica.
-                    match decode_pool(&out.response) {
-                        Some(pool) => return (Some(pool), spent),
-                        None => continue,
+                    // truncated answer: fall through to the replica.
+                    if let Some(answer) = decode(&out.response) {
+                        return (Some(answer), spent);
                     }
                 }
                 Err((_, burned)) => spent = spent.saturating_add(burned),
@@ -185,18 +206,64 @@ impl ScatterSearch for ClusterWeb {
         k: usize,
         now_ms: u64,
     ) -> ScatterOutcome {
-        let mut pools = Vec::with_capacity(self.shards.len());
+        let n = self.shards.len();
         let mut silent: Vec<usize> = Vec::new();
-        let mut slowest = 0u32;
-        for i in 0..self.shards.len() {
-            let (pool, spent) = self.call_shard(i, vertical, query, config, k, now_ms);
-            slowest = slowest.max(spent);
+
+        // Query phase: every shard's lean pool, and which shard each
+        // candidate page came from.
+        let request = search_request(vertical, query, config, k);
+        let mut pools = Vec::with_capacity(n);
+        let mut owners: Vec<(usize, usize)> = Vec::new();
+        let mut query_ms = 0u32;
+        for shard in 0..n {
+            let (pool, spent) = self.call(shard, &request, now_ms, decode_pool);
+            query_ms = query_ms.max(spent);
             match pool {
-                Some(p) => pools.push(p),
-                None => silent.push(i),
+                Some(pool) => {
+                    owners.extend(pool.entries.iter().map(|e| (e.page, shard)));
+                    pools.push(pool);
+                }
+                None => silent.push(shard),
             }
         }
-        let shards_total = self.shards.len() as u32;
+        let winners = SearchEngine::merge_pools(pools, k);
+
+        // Fetch phase: each supplying shard hydrates its own winners.
+        // `picks[shard]` holds positions on the final page.
+        let mut picks: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (pos, winner) in winners.iter().enumerate() {
+            let (_, shard) = owners
+                .iter()
+                .find(|(page, _)| *page == winner.page)
+                .expect("every winner came out of a shard's pool");
+            picks[*shard].push(pos);
+        }
+        let fetch_at = now_ms + query_ms as u64;
+        let mut fields: Vec<Option<PageFields>> = vec![None; winners.len()];
+        let mut fetch_ms = 0u32;
+        for (shard, positions) in picks.iter().enumerate() {
+            if positions.is_empty() {
+                continue;
+            }
+            let pages: Vec<usize> = positions.iter().map(|&pos| winners[pos].page).collect();
+            let request = fetch_request(vertical, query, config, &pages);
+            let (answer, spent) = self.call(shard, &request, fetch_at, |response| {
+                decode_fields(response).filter(|got| got.len() == pages.len())
+            });
+            fetch_ms = fetch_ms.max(spent);
+            match answer {
+                Some(got) => {
+                    for (&pos, f) in positions.iter().zip(got) {
+                        fields[pos] = Some(f);
+                    }
+                }
+                // Answered the query, failed the fetch: unanswered.
+                None => silent.push(shard),
+            }
+        }
+
+        silent.sort_unstable();
+        let shards_total = n as u32;
         let shards_answered = shards_total - silent.len() as u32;
         let error = if silent.is_empty() {
             None
@@ -208,11 +275,123 @@ impl ScatterSearch for ClusterWeb {
             ))
         };
         ScatterOutcome {
-            results: SearchEngine::merge_pools(pools, k),
-            virtual_ms: slowest.saturating_add(GATHER_MS),
+            // Winner order is page order; a winner whose shard failed
+            // the fetch has no fields and is absent.
+            results: winners
+                .into_iter()
+                .zip(fields)
+                .filter_map(|(w, f)| Some(f?.into_result(w.url, w.score)))
+                .collect(),
+            virtual_ms: query_ms.saturating_add(fetch_ms).saturating_add(GATHER_MS),
             shards_answered,
             shards_total,
             error,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Mutex;
+    use symphony_services::{ServiceDescription, ServiceFault};
+    use symphony_web::{Corpus, CorpusConfig, Topic};
+
+    /// `(shard, operation, pages asked)` of every request a node saw.
+    type CallLog = Arc<Mutex<Vec<(usize, String, usize)>>>;
+
+    /// A shard node that logs what it is asked before answering.
+    struct Counting {
+        shard: usize,
+        inner: ShardSearchService,
+        log: CallLog,
+    }
+
+    impl Service for Counting {
+        fn describe(&self) -> ServiceDescription {
+            self.inner.describe()
+        }
+
+        fn handle(&self, request: &ServiceRequest) -> Result<ServiceResponse, ServiceFault> {
+            let pages = request
+                .param("pages")
+                .map_or(0, |p| p.split(crate::wire::LIST_SEP).count());
+            self.log.lock().expect("no node panicked").push((
+                self.shard,
+                request.operation().to_string(),
+                pages,
+            ));
+            self.inner.handle(request)
+        }
+    }
+
+    /// Work guard, counts only: the real scatter loop sends one
+    /// `/search` to every shard, then asks for exactly the pages the
+    /// result shows — `min(k, hits)` in total, in at most one `/fetch`
+    /// per shard, none at all when nothing was found.
+    #[test]
+    fn fetch_asks_each_supplying_shard_once_for_its_winners_only() {
+        let corpus = Corpus::generate(
+            &CorpusConfig {
+                sites_per_topic: 3,
+                pages_per_site: 6,
+                ..CorpusConfig::default()
+            }
+            .with_entities(Topic::Games, ["Galactic Raiders", "Farm Story"]),
+        );
+        let single = SearchEngine::new(corpus.clone());
+        let fleet: Vec<Arc<SearchEngine>> = SearchEngine::build_cluster(&corpus, 4, 1)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let log = CallLog::default();
+        let cluster = ClusterWeb::with_nodes(fleet, 7, |shard, engine| {
+            Box::new(Counting {
+                shard,
+                inner: ShardSearchService::new(engine.clone()),
+                log: log.clone(),
+            })
+        });
+        let config = SearchConfig::default();
+        let mut sizes = Vec::new();
+        for (query, k) in [
+            ("game review", 10),
+            ("game review", 3),
+            ("\"Farm Story\"", 10),
+            ("+space farm", 10),
+            ("zyxwvut", 10),
+        ] {
+            let shown = single.search(Vertical::Web, query, &config, k).len();
+            let out = cluster.scatter(Vertical::Web, query, &config, k, 0);
+            assert_eq!(out.results.len(), shown);
+            let calls = std::mem::take(&mut *log.lock().expect("no node panicked"));
+            let searched: Vec<usize> = calls
+                .iter()
+                .filter(|(_, op, _)| op == "/search")
+                .map(|(shard, ..)| *shard)
+                .collect();
+            assert_eq!(searched, [0, 1, 2, 3], "{query:?}: one query leg per shard");
+            let fetches: Vec<&(usize, String, usize)> =
+                calls.iter().filter(|(_, op, _)| op == "/fetch").collect();
+            assert_eq!(
+                calls.len(),
+                4 + fetches.len(),
+                "{query:?}: nothing else is sent"
+            );
+            let asked: usize = fetches.iter().map(|(.., pages)| pages).sum();
+            assert_eq!(asked, shown, "{query:?} k {k}: pages asked");
+            let mut fetched: Vec<usize> = fetches.iter().map(|(shard, ..)| *shard).collect();
+            fetched.sort_unstable();
+            fetched.dedup();
+            assert_eq!(
+                fetched.len(),
+                fetches.len(),
+                "{query:?}: one fetch leg per shard"
+            );
+            sizes.push(shown);
+        }
+        // The list covers a full page, a short one and an empty one.
+        assert!(sizes.contains(&10) && sizes.contains(&0));
+        assert!(sizes.iter().any(|&n| n > 0 && n < 10), "{sizes:?}");
     }
 }

@@ -165,6 +165,110 @@ fn dead_shard_degrades_to_partial_results() {
     }
 }
 
+/// An outage window that opens one virtual millisecond after a scatter
+/// issued at [`GAP_NOW`]: the query legs (sent at `GAP_NOW`) get
+/// through, the fetch legs (sent when the slowest query chain ends)
+/// run into it.
+const GAP_NOW: u64 = 100;
+
+/// The shard that indexes `url` in a fleet of `shards`: strided
+/// partitioning deals page `i` to shard `i % shards`.
+fn shard_of(corpus: &Corpus, url: &str, shards: usize) -> usize {
+    corpus.page_index_by_url(url).expect("a corpus url") % shards
+}
+
+fn outage_in_the_gap(plan: FaultPlan, endpoint: &str) -> FaultPlan {
+    plan.outage(endpoint, GAP_NOW + 1, 1_000_000)
+}
+
+#[test]
+fn primary_outage_between_phases_fetches_from_the_replica() {
+    let corpus = corpus();
+    let single = SearchEngine::new(corpus.clone());
+    let config = SearchConfig::default();
+    let healthy = ClusterWeb::new(shard_fleet(&corpus, 3), 0x5CA7).scatter(
+        Vertical::Web,
+        "game review",
+        &config,
+        10,
+        GAP_NOW,
+    );
+    let plan = outage_in_the_gap(FaultPlan::new(), &shard_endpoint(0));
+    let cluster = ClusterWeb::new(shard_fleet(&corpus, 3), 0x5CA7).with_fault_plan(plan);
+    let out = cluster.scatter(Vertical::Web, "game review", &config, 10, GAP_NOW);
+    // Shard 0's primary answered the query and hung on the fetch; its
+    // replica served the fields: nothing degraded, nothing missing.
+    assert_eq!(out.shards_answered, 3);
+    assert_eq!(out.error, None);
+    assert_eq!(
+        out.results,
+        single.search(Vertical::Web, "game review", &config, 10)
+    );
+    // The burned primary attempts are on the fetch phase's bill.
+    assert!(
+        out.virtual_ms > healthy.virtual_ms,
+        "failover bill {} should exceed the healthy {}",
+        out.virtual_ms,
+        healthy.virtual_ms
+    );
+}
+
+#[test]
+fn shard_lost_between_phases_loses_its_winners_only() {
+    let corpus = corpus();
+    let single = SearchEngine::new(corpus.clone());
+    let config = SearchConfig::default();
+    let plan = outage_in_the_gap(FaultPlan::new(), &shard_endpoint(0));
+    let plan = outage_in_the_gap(plan, &replica_endpoint(0));
+    let cluster = ClusterWeb::new(shard_fleet(&corpus, 3), 0x5CA7).with_fault_plan(plan);
+    let out = cluster.scatter(Vertical::Web, "game review", &config, 10, GAP_NOW);
+    assert_eq!(out.shards_total, 3);
+    assert_eq!(
+        out.shards_answered, 2,
+        "a failed fetch leg is an unanswered shard"
+    );
+    let err = out.error.expect("partial result carries an error");
+    assert!(err.contains("shard(s) 0"), "error names the shard: {err}");
+    // The page is the single-index page minus the winners shard 0
+    // could not hydrate — in the same order, and not backfilled from
+    // the survivors.
+    let full = single.search(Vertical::Web, "game review", &config, 10);
+    let kept: Vec<WebResult> = full
+        .iter()
+        .filter(|r| shard_of(&corpus, &r.url, 3) != 0)
+        .cloned()
+        .collect();
+    assert!(kept.len() < full.len(), "shard 0 had winners to lose");
+    assert_eq!(out.results, kept);
+}
+
+#[test]
+fn breaker_opened_by_query_legs_fast_fails_the_fetch_leg_for_free() {
+    let corpus = corpus();
+    let config = SearchConfig::default();
+    let plan = FaultPlan::new().outage(&shard_endpoint(0), 0, 10_000_000);
+    let cluster = ClusterWeb::new(shard_fleet(&corpus, 2), 0x5CA7).with_fault_plan(plan);
+    let mut now = 0u64;
+    while cluster.breaker_state(&shard_endpoint(0), now) != BreakerState::Open {
+        assert!(now < 20_000, "breaker opens under a sustained outage");
+        cluster.scatter(Vertical::Web, "game review", &config, 10, now);
+        now += 1_000;
+    }
+    // Both phases now skip the dead primary without a network
+    // attempt: the bill is what a healthy fleet pays.
+    let tripped = cluster.scatter(Vertical::Web, "game review", &config, 10, now);
+    let healthy = ClusterWeb::new(shard_fleet(&corpus, 2), 0x5CA7).scatter(
+        Vertical::Web,
+        "game review",
+        &config,
+        10,
+        now,
+    );
+    assert_eq!(tripped.shards_answered, 2);
+    assert_eq!(tripped.results, healthy.results);
+    assert_eq!(tripped.virtual_ms, healthy.virtual_ms);
+}
+
 #[test]
 fn rendezvous_placement_is_deterministic_and_spreads() {
     let shards = 4;
@@ -389,6 +493,71 @@ mod sharded_equals_single {
     }
 }
 
+mod scatter_equals_search_in_full {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The two-phase scatter returns the whole single-index result
+        /// — title, snippet, domain and media fields, not just url and
+        /// score — under every designer customisation: the fetch
+        /// phase must highlight the *augmented* query's words, and the
+        /// fields must land on the winners in page order whichever
+        /// shard supplied them.
+        #[test]
+        fn scatter_equals_search_in_full(
+            seed in 0u64..1_000,
+            sites in 1usize..4,
+            pages in 2usize..7,
+            shards in 1usize..=8,
+            k in 1usize..16,
+            query_idx in 0usize..6,
+            vertical_idx in 0usize..4,
+            restrict in proptest::collection::vec(any::<prop::sample::Index>(), 0..4),
+            augment in proptest::collection::vec(0usize..5, 0..3),
+            prefer in proptest::collection::vec(any::<prop::sample::Index>(), 0..3),
+        ) {
+            let corpus = Corpus::generate(
+                &CorpusConfig {
+                    seed,
+                    sites_per_topic: sites,
+                    pages_per_site: pages,
+                    ..CorpusConfig::default()
+                }
+                .with_entities(Topic::Games, ["Galactic Raiders"]),
+            );
+            let queries = [
+                "Galactic Raiders",
+                "game review",
+                "+space farm",
+                "\"Galactic Raiders\"",
+                "lasers -golf",
+                "news trailer",
+            ];
+            let words = ["review", "game", "space", "trailer", "raiders"];
+            let domain = |i: &prop::sample::Index| {
+                corpus.sites[i.index(corpus.sites.len())].domain.clone()
+            };
+            let config = SearchConfig::default()
+                .restrict_to(restrict.iter().map(domain))
+                .augment(augment.iter().map(|&w| words[w]))
+                .prefer(prefer.iter().map(domain));
+            let query = queries[query_idx];
+            let vertical = Vertical::ALL[vertical_idx];
+            let single = SearchEngine::new(corpus.clone());
+            let cluster = ClusterWeb::new(shard_fleet(&corpus, shards), seed);
+            let out = cluster.scatter(vertical, query, &config, k, 0);
+            let want = single.search(vertical, query, &config, k);
+            prop_assert_eq!(out.shards_answered as usize, shards);
+            prop_assert_eq!(out.error, None);
+            prop_assert_eq!(result_bits(&out.results), result_bits(&want));
+            prop_assert_eq!(out.results, want);
+        }
+    }
+}
+
 #[test]
 fn full_shard_outage_serves_degraded_queries_through_the_router() {
     let corpus = corpus();
@@ -414,4 +583,48 @@ fn full_shard_outage_serves_degraded_queries_through_the_router() {
     );
     let summary = router.app_traffic_summary(app).unwrap();
     assert_eq!(summary.degraded_queries, 1);
+}
+
+#[test]
+fn shard_lost_between_phases_degrades_the_router_response() {
+    let corpus = corpus();
+    let single = SearchEngine::new(corpus.clone());
+    // A fresh router's first web fetch leaves at virtual time 1 (the
+    // receive step): the query legs go out before the window opens at
+    // 2, the fetch legs run into it.
+    let plan = FaultPlan::new()
+        .outage(&shard_endpoint(1), 2, 10_000_000)
+        .outage(&replica_endpoint(1), 2, 10_000_000);
+    let mut router = Router::with_faults(&corpus, 3, 1, 0xC0FFEE, plan);
+    let name = "tenant-0";
+    router.create_tenant(name);
+    let app = router
+        .register_app(name, web_app("Chaos", TenantId(0)))
+        .unwrap();
+    router.publish(app).unwrap();
+    let resp = router
+        .query(app, "game review")
+        .expect("degraded, not an error");
+    assert!(resp.trace.degraded && !resp.trace.shed);
+    let rendered = format!("{:?}", resp.trace);
+    assert!(
+        rendered.contains("shard(s) 1"),
+        "trace names the shard whose fetch failed: {rendered}"
+    );
+    // What renders is the single-index page without shard 1's winners
+    // — not the survivors' own top ten, which is what a shard lost
+    // before the query phase would have produced.
+    let full = single.search(Vertical::Web, "game review", &SearchConfig::default(), 10);
+    let kept: Vec<&str> = full
+        .iter()
+        .map(|r| r.url.as_str())
+        .filter(|url| shard_of(&corpus, url, 3) != 1)
+        .collect();
+    assert!(!kept.is_empty() && kept.len() < full.len());
+    let shown: Vec<&str> = resp
+        .impressions
+        .iter()
+        .filter_map(|i| i.url.as_deref())
+        .collect();
+    assert_eq!(shown, kept);
 }

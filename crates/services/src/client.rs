@@ -328,12 +328,14 @@ impl<'a> ServiceClient<'a> {
         }
         // Earliest success inside the timeout wins (parallel
         // semantics: the caller hangs up on the loser).
-        if let Some((t, response)) = candidates
+        let winner = candidates
             .iter()
-            .filter(|(t, r)| r.is_some() && *t <= timeout_ms)
-            .min_by_key(|(t, _)| *t)
-            .cloned()
-        {
+            .enumerate()
+            .filter(|(_, (t, r))| r.is_some() && *t <= timeout_ms)
+            .min_by_key(|(_, (t, _))| *t)
+            .map(|(i, _)| i);
+        if let Some(i) = winner {
+            let (t, response) = candidates.swap_remove(i);
             return AttemptResult::Success {
                 response: response.expect("filtered on is_some"),
                 cost_ms: t,

@@ -120,6 +120,21 @@ pub struct CallOutcome {
 struct Endpoint {
     service: Box<dyn Service>,
     latency: LatencyModel,
+    /// Operations priced differently from the endpoint as a whole
+    /// (see [`SimulatedTransport::register_operation`]).
+    operations: Vec<(String, LatencyModel)>,
+}
+
+impl Endpoint {
+    /// The latency model `request` is priced under: its operation's
+    /// own, when one was registered, else the endpoint's.
+    fn latency_for(&self, request: &ServiceRequest) -> &LatencyModel {
+        let operation = request.operation();
+        self.operations
+            .iter()
+            .find(|(name, _)| name == operation)
+            .map_or(&self.latency, |(_, model)| model)
+    }
 }
 
 /// The endpoint registry + simulated network.
@@ -165,8 +180,34 @@ impl SimulatedTransport {
 
     /// Register a service at `endpoint` with a latency model.
     pub fn register(&mut self, endpoint: &str, service: Box<dyn Service>, latency: LatencyModel) {
-        self.endpoints
-            .insert(endpoint.to_string(), Endpoint { service, latency });
+        self.endpoints.insert(
+            endpoint.to_string(),
+            Endpoint {
+                service,
+                latency,
+                operations: Vec::new(),
+            },
+        );
+    }
+
+    /// Price one operation of a registered endpoint under its own
+    /// latency model: calls whose [`ServiceRequest::operation`] is
+    /// `operation` draw base latency, jitter and failure rate from
+    /// `model` instead of the endpoint's. Everything else stays per
+    /// endpoint — the jitter hash, fault windows (outages, spikes and
+    /// bursts compose on top of `model` exactly as they do on the
+    /// endpoint's) and breaker keys. Registering the same operation
+    /// again replaces its model.
+    ///
+    /// # Panics
+    /// When nothing is registered at `endpoint`.
+    pub fn register_operation(&mut self, endpoint: &str, operation: &str, model: LatencyModel) {
+        let ep = self
+            .endpoints
+            .get_mut(endpoint)
+            .expect("an operation is priced on a registered endpoint");
+        ep.operations.retain(|(name, _)| name != operation);
+        ep.operations.push((operation.to_string(), model));
     }
 
     /// Registered endpoints in sorted order.
@@ -191,16 +232,16 @@ impl SimulatedTransport {
             .endpoints
             .get(endpoint)
             .ok_or_else(|| ServiceError::UnknownEndpoint(endpoint.to_string()))?;
+        let model = ep.latency_for(request);
         let (latency_ms, failed) = {
             let mut rng = self.rng.lock();
-            let jitter = if ep.latency.jitter_ms > 0 {
-                rng.gen_range(0..=ep.latency.jitter_ms)
+            let jitter = if model.jitter_ms > 0 {
+                rng.gen_range(0..=model.jitter_ms)
             } else {
                 0
             };
-            let failed =
-                ep.latency.failure_rate > 0.0 && rng.gen_bool(ep.latency.failure_rate.min(1.0));
-            (ep.latency.base_ms + jitter, failed)
+            let failed = model.failure_rate > 0.0 && rng.gen_bool(model.failure_rate.min(1.0));
+            (model.base_ms + jitter, failed)
         };
         if failed {
             return Err(ServiceError::TransportFailure {
@@ -254,17 +295,17 @@ impl SimulatedTransport {
         h = splitmix64(h ^ request_fingerprint(request));
         h = splitmix64(h ^ now_ms);
         h = splitmix64(h ^ attempt as u64);
-        let jitter = if ep.latency.jitter_ms > 0 {
-            (h % (ep.latency.jitter_ms as u64 + 1)) as u32
+        let model = ep.latency_for(request);
+        let jitter = if model.jitter_ms > 0 {
+            (h % (model.jitter_ms as u64 + 1)) as u32
         } else {
             0
         };
-        let latency_ms = ep
-            .latency
+        let latency_ms = model
             .base_ms
             .saturating_add(jitter)
             .saturating_add(active.add_ms);
-        let failure_rate = ep.latency.failure_rate.max(active.failure_rate).min(1.0);
+        let failure_rate = model.failure_rate.max(active.failure_rate).min(1.0);
         let failed = failure_rate > 0.0 && {
             let draw = splitmix64(h) as f64 / u64::MAX as f64;
             draw < failure_rate
@@ -485,6 +526,55 @@ mod tests {
         let spiked = t.call_at("svc", &req, 550, 0).unwrap().latency_ms;
         assert!((10..=30).contains(&calm));
         assert!((310..=330).contains(&spiked), "spiked = {spiked}");
+    }
+
+    #[test]
+    fn operation_model_overrides_base_latency_only() {
+        let mut t = transport(0.0);
+        let cheap = LatencyModel {
+            base_ms: 2,
+            jitter_ms: 0,
+            failure_rate: 0.0,
+        };
+        t.register_operation("svc", "/cheap", cheap.clone());
+        t.set_fault_plan(
+            FaultPlan::new()
+                .outage("svc", 1_000, 2_000)
+                .latency_spike("svc", 3_000, 4_000, 300)
+                .fault_burst("svc", 5_000, 6_000, 1.0),
+        );
+        let cheap_req = ServiceRequest::get("/cheap", &[]);
+        let other_req = ServiceRequest::get("/v", &[]);
+        // The operation is priced by its own model on both call paths;
+        // every other operation keeps the endpoint's.
+        assert_eq!(t.call_at("svc", &cheap_req, 0, 0).unwrap().latency_ms, 2);
+        assert_eq!(t.call("svc", &cheap_req).unwrap().latency_ms, 2);
+        assert!((10..=30).contains(&t.call_at("svc", &other_req, 0, 0).unwrap().latency_ms));
+        // Fault windows are per endpoint and still apply to it.
+        assert_eq!(
+            t.call_at("svc", &cheap_req, 1_500, 0).unwrap_err(),
+            ServiceError::TransportFailure {
+                elapsed_ms: u32::MAX
+            }
+        );
+        assert_eq!(
+            t.call_at("svc", &cheap_req, 3_500, 0).unwrap().latency_ms,
+            302
+        );
+        assert_eq!(
+            t.call_at("svc", &cheap_req, 5_500, 0).unwrap_err(),
+            ServiceError::TransportFailure { elapsed_ms: 2 }
+        );
+        // Registering the operation again replaces its model.
+        t.register_operation(
+            "svc",
+            "/cheap",
+            LatencyModel {
+                base_ms: 7,
+                ..cheap
+            },
+        );
+        assert_eq!(t.call_at("svc", &cheap_req, 0, 0).unwrap().latency_ms, 7);
     }
 
     #[test]

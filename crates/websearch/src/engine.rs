@@ -132,20 +132,60 @@ pub struct WebResult {
     pub date: Option<i64>,
 }
 
-/// One candidate in a shard's scatter-gather pool: the fully blended
-/// result plus the two keys that drive the rank-safe merge — the raw
-/// BM25 relevance score (comparable across shards once corpus-wide
-/// statistics are folded) and the global page index (the canonical
-/// tie-break, equal to single-index doc order under strided
-/// partitioning).
+/// One candidate in a shard's scatter-gather pool, lean: exactly what
+/// the gather side's two sort orders read. The raw BM25 relevance
+/// score (comparable across shards once corpus-wide statistics are
+/// folded) and the global page index (the canonical tie-break, equal
+/// to single-index doc order under strided partitioning) drive the
+/// rank-safe merge; the blended score and the url drive the final page
+/// order. Title, snippet, domain and media fields are fetched
+/// afterwards, for the winners only
+/// ([`SearchEngine::hydrate_pages`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolEntry {
     /// Global corpus page index.
     pub page: usize,
     /// Raw BM25 score from the vertical index, before blending.
     pub raw: f32,
-    /// The blended, snippet-carrying result.
-    pub result: WebResult,
+    /// Final blended score.
+    pub score: f32,
+    /// Result URL (the final order's tie-break).
+    pub url: String,
+}
+
+/// What hydration adds to a ranked `(url, score)` pair: the fields a
+/// page shows but no sort order reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PageFields {
+    /// Title.
+    pub title: String,
+    /// Highlighted snippet.
+    pub snippet: String,
+    /// Site domain.
+    pub domain: String,
+    /// Image source URL (image vertical only).
+    pub image_src: Option<String>,
+    /// Video duration (video vertical only).
+    pub duration_s: Option<u32>,
+    /// Publication date, epoch seconds (news vertical only).
+    pub date: Option<i64>,
+}
+
+impl PageFields {
+    /// The finished result for the page these fields were hydrated
+    /// from, given the two keys it was ranked by.
+    pub fn into_result(self, url: String, score: f32) -> WebResult {
+        WebResult {
+            url,
+            title: self.title,
+            snippet: self.snippet,
+            domain: self.domain,
+            score,
+            image_src: self.image_src,
+            duration_s: self.duration_s,
+            date: self.date,
+        }
+    }
 }
 
 /// One shard's candidate pool for a query, ordered (raw desc, page
@@ -190,12 +230,26 @@ struct CandidateStage {
     bound: f32,
 }
 
-impl CandidateStage {
-    /// One snippet generator for the whole result page: construction
-    /// analyzes the query terms, which is identical for every hit.
-    fn snippeter<'a>(&self, vi: &'a VerticalIndex) -> SnippetGenerator<'a> {
-        SnippetGenerator::new(vi.index.analyzer(), &self.query.positive_words())
+/// The query a request really runs: `raw_query` parsed, with the
+/// config's augmentation terms appended as optional clauses. The
+/// candidate stage ranks by it and hydration highlights its words, so
+/// both phases of a scatter derive it the same way.
+fn augmented_query(raw_query: &str, config: &SearchConfig) -> Query {
+    let mut query = Query::parse(raw_query);
+    for t in &config.augment_terms {
+        query.clauses.push(Clause {
+            occur: Occur::Should,
+            kind: ClauseKind::Term(t.clone()),
+            field: None,
+        });
     }
+    query
+}
+
+/// One snippet generator for the whole result page: construction
+/// analyzes the query terms, which is identical for every hit.
+fn snippeter<'a>(vi: &'a VerticalIndex, query: &Query) -> SnippetGenerator<'a> {
+    SnippetGenerator::new(vi.index.analyzer(), &query.positive_words())
 }
 
 struct VerticalIndex {
@@ -596,8 +650,9 @@ impl SearchEngine {
     /// Ranks the lean candidate pool by (score desc, url asc) and
     /// hydrates — url, title, snippet, media fields — only the `k`
     /// winners the page shows. The result equals the one-shard
-    /// scatter-gather `merge_pools(vec![search_pool(..)], k)` bit for
-    /// bit; a property test holds the two together.
+    /// two-phase scatter — `merge_pools(vec![search_pool(..)], k)`,
+    /// then [`hydrate_pages`](Self::hydrate_pages) over the winners —
+    /// bit for bit; a property test holds the two together.
     pub fn search(
         &self,
         vertical: Vertical,
@@ -613,7 +668,7 @@ impl SearchEngine {
             .pool
             .sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| url(a).cmp(url(b))));
         stage.pool.truncate(k);
-        let snippeter = stage.snippeter(self.vertical(vertical));
+        let snippeter = snippeter(self.vertical(vertical), &stage.query);
         stage
             .pool
             .iter()
@@ -638,8 +693,9 @@ impl SearchEngine {
     /// pools from different shards are directly comparable — merging
     /// them reproduces the single-index pool exactly.
     ///
-    /// Every entry is hydrated: the gather side picks the winners, and
-    /// the wire carries finished results.
+    /// This is the candidate stage as it stands — no snippeter, no
+    /// hydration: the gather side picks the winners from the lean
+    /// entries and asks for the fields of those alone.
     pub fn search_pool(
         &self,
         vertical: Vertical,
@@ -650,14 +706,14 @@ impl SearchEngine {
         let Some(stage) = self.candidates(vertical, raw_query, config, k) else {
             return ShardPool::default();
         };
-        let snippeter = stage.snippeter(self.vertical(vertical));
         let entries = stage
             .pool
             .iter()
             .map(|c| PoolEntry {
                 page: c.page,
                 raw: c.raw,
-                result: self.hydrate(&snippeter, c),
+                score: c.score,
+                url: self.corpus.pages[c.page].url.clone(),
             })
             .collect();
         ShardPool {
@@ -679,14 +735,7 @@ impl SearchEngine {
         config: &SearchConfig,
         k: usize,
     ) -> Option<CandidateStage> {
-        let mut query = Query::parse(raw_query);
-        for t in &config.augment_terms {
-            query.clauses.push(Clause {
-                occur: Occur::Should,
-                kind: ClauseKind::Term(t.clone()),
-                field: None,
-            });
-        }
+        let query = augmented_query(raw_query, config);
         if query.is_empty() || k == 0 {
             return None;
         }
@@ -776,27 +825,63 @@ impl SearchEngine {
     /// title, domain, highlighted snippet and the vertical's media
     /// fields.
     fn hydrate(&self, snippeter: &SnippetGenerator<'_>, c: &Candidate) -> WebResult {
-        let page = &self.corpus.pages[c.page];
+        let url = self.corpus.pages[c.page].url.clone();
+        self.page_fields(snippeter, c.page)
+            .into_result(url, c.score)
+    }
+
+    /// The displayed fields of page `page_idx` (which must be in the
+    /// page table): title, domain, highlighted snippet and the page
+    /// kind's media fields. Hydration exists only here.
+    fn page_fields(&self, snippeter: &SnippetGenerator<'_>, page_idx: usize) -> PageFields {
+        let page = &self.corpus.pages[page_idx];
         let (image_src, duration_s, date) = match &page.kind {
             PageKind::Image { src, .. } => (Some(src.clone()), None, None),
             PageKind::Video { duration_s } => (None, Some(*duration_s), None),
             PageKind::News { date } => (None, None, Some(*date)),
             PageKind::Article | PageKind::Review { .. } => (None, None, None),
         };
-        WebResult {
-            url: page.url.clone(),
+        PageFields {
             title: page.title.clone(),
             snippet: snippeter.snippet(&page.body),
-            domain: self.corpus.domain(c.page).to_string(),
-            score: c.score,
+            domain: self.corpus.domain(page_idx).to_string(),
             image_src,
             duration_s,
             date,
         }
     }
 
+    /// The fetch phase of a scatter: the displayed fields of `pages`
+    /// (global page indexes, as [`PoolEntry::page`] carries them), in
+    /// the order asked, for the query that ranked them. The snippeter
+    /// is rebuilt once from the same augmented query the candidate
+    /// stage parsed, so the highlights are the ones
+    /// [`search`](Self::search) would have produced. `None` when a
+    /// page index is outside the page table — the caller asked a node
+    /// about a page it cannot know.
+    pub fn hydrate_pages(
+        &self,
+        vertical: Vertical,
+        raw_query: &str,
+        config: &SearchConfig,
+        pages: &[usize],
+    ) -> Option<Vec<PageFields>> {
+        if pages.iter().any(|&p| p >= self.corpus.pages.len()) {
+            return None;
+        }
+        let query = augmented_query(raw_query, config);
+        let snippeter = snippeter(self.vertical(vertical), &query);
+        Some(
+            pages
+                .iter()
+                .map(|&p| self.page_fields(&snippeter, p))
+                .collect(),
+        )
+    }
+
     /// Rank-safe gather: merge per-shard candidate pools into the
-    /// final top-`k` result page.
+    /// `k` winners of the final result page, lean, in final (score
+    /// desc, url asc) order — what remains is to fetch their fields.
     ///
     /// Exactness argument (DESIGN.md "Distributed serving" has the
     /// full sketch): the shards partition the documents, and every
@@ -807,11 +892,13 @@ impl SearchEngine {
     /// — page order *is* doc order under strided partitioning)
     /// therefore selects exactly the single-index pool, and rescoring
     /// is a pure per-(page, query) function, so the final (score desc,
-    /// url asc) page is bit-identical. Each shard's exported MaxScore
+    /// url asc) page is bit-identical. Nothing in the argument reads a
+    /// title or a snippet, which is why the pools can travel without
+    /// them. Each shard's exported MaxScore
     /// bound certifies the truncation: any document a shard withheld
     /// scores at or below its bound, and a debug assertion checks no
     /// withheld document could have displaced the merged cutoff.
-    pub fn merge_pools(pools: Vec<ShardPool>, k: usize) -> Vec<WebResult> {
+    pub fn merge_pools(pools: Vec<ShardPool>, k: usize) -> Vec<PoolEntry> {
         let depth = Self::pool_depth(k);
         let mut merged: Vec<PoolEntry> =
             Vec::with_capacity(pools.iter().map(|p| p.entries.len()).sum());
@@ -836,10 +923,9 @@ impl SearchEngine {
                 "shard bound exceeds merged cutoff: rank safety violated"
             );
         }
-        let mut results: Vec<WebResult> = merged.into_iter().map(|e| e.result).collect();
-        results.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.url.cmp(&b.url)));
-        results.truncate(k);
-        results
+        merged.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.url.cmp(&b.url)));
+        merged.truncate(k);
+        merged
     }
 
     /// Number of live (searchable) documents in a vertical.
@@ -1204,14 +1290,15 @@ mod tests {
     /// The pool as the engine built it before restriction pushdown and
     /// winners-only hydration — the site restriction an opaque closure
     /// the executor calls per candidate, every hit blended and hydrated
-    /// in one pass — kept as the oracle for the properties below.
+    /// in one pass — kept as the oracle for the properties below: the
+    /// lean pool, and every member's finished result in pool order.
     fn closure_pool(
         e: &SearchEngine,
         vertical: Vertical,
         raw_query: &str,
         config: &SearchConfig,
         k: usize,
-    ) -> ShardPool {
+    ) -> (ShardPool, Vec<WebResult>) {
         let mut query = Query::parse(raw_query);
         for t in &config.augment_terms {
             query.clauses.push(Clause {
@@ -1221,7 +1308,7 @@ mod tests {
             });
         }
         if query.is_empty() || k == 0 {
-            return ShardPool::default();
+            return (ShardPool::default(), Vec::new());
         }
         let vi = e.vertical(vertical);
         let restrict = &config.site_restrict;
@@ -1242,7 +1329,7 @@ mod tests {
             });
         let boosts = e.click_boosts.get(&normalize_query(raw_query));
         let snippeter = SnippetGenerator::new(vi.index.analyzer(), &query.positive_words());
-        let entries = hits
+        let (entries, hydrated) = hits
             .into_iter()
             .map(|h| {
                 let page_idx = vi.pages[h.doc.as_usize()];
@@ -1265,23 +1352,46 @@ mod tests {
                     }
                     _ => (None, None, None),
                 };
-                PoolEntry {
+                let entry = PoolEntry {
                     page: page_idx,
                     raw: h.score,
-                    result: WebResult {
-                        url: page.url.clone(),
-                        title: page.title.clone(),
-                        snippet: snippeter.snippet(&page.body),
-                        domain,
-                        score,
-                        image_src,
-                        duration_s,
-                        date,
-                    },
-                }
+                    score,
+                    url: page.url.clone(),
+                };
+                let result = WebResult {
+                    url: page.url.clone(),
+                    title: page.title.clone(),
+                    snippet: snippeter.snippet(&page.body),
+                    domain,
+                    score,
+                    image_src,
+                    duration_s,
+                    date,
+                };
+                (entry, result)
             })
-            .collect();
-        ShardPool { entries, bound }
+            .unzip();
+        (ShardPool { entries, bound }, hydrated)
+    }
+
+    /// The fetch phase over one engine: the winners' fields, assembled
+    /// into the results a page shows.
+    fn fetch(
+        e: &SearchEngine,
+        vertical: Vertical,
+        raw_query: &str,
+        config: &SearchConfig,
+        winners: Vec<PoolEntry>,
+    ) -> Vec<WebResult> {
+        let pages: Vec<usize> = winners.iter().map(|w| w.page).collect();
+        let fields = e
+            .hydrate_pages(vertical, raw_query, config, &pages)
+            .expect("winners are corpus pages");
+        winners
+            .into_iter()
+            .zip(fields)
+            .map(|(w, f)| f.into_result(w.url, w.score))
+            .collect()
     }
 
     /// Equal results, scores compared by bit pattern.
@@ -1429,13 +1539,13 @@ mod tests {
                         for (ci, config) in configs.iter().enumerate() {
                             let k = if ci % 2 == 0 { 10 } else { 3 };
                             let what = format!("after {at} ops: {v:?} {q:?} config {ci} k {k}");
-                            let want = closure_pool(e, v, q, config, k);
+                            let (want, mut page) = closure_pool(e, v, q, config, k);
                             prop_assert_eq!(&e.search_pool(v, q, config, k), &want, "{}", what);
-                            assert_same_page(
-                                &e.search(v, q, config, k),
-                                &SearchEngine::merge_pools(vec![want], k),
-                                &what,
-                            );
+                            page.sort_by(|a, b| {
+                                b.score.total_cmp(&a.score).then_with(|| a.url.cmp(&b.url))
+                            });
+                            page.truncate(k);
+                            assert_same_page(&e.search(v, q, config, k), &page, &what);
                         }
                     }
                 }
@@ -1450,11 +1560,12 @@ mod tests {
             check(&e, ops.len());
         }
 
-        /// Hydrating only the winners never changes a page: `search`
-        /// equals the one-shard gather over its own fully hydrated
-        /// pool, for page sizes below, at and beyond the pool depth's
-        /// floor, with click boosts and preferred sites reordering the
-        /// pool.
+        /// The two phases of a scatter add up to a search: `search`
+        /// equals the one-shard gather over its own lean pool followed
+        /// by the fetch of the winners' fields, for page sizes below,
+        /// at and beyond the pool depth's floor, with click boosts and
+        /// preferred sites reordering the pool and augmentation terms
+        /// changing the highlights.
         #[test]
         fn search_equals_merge_of_own_pool(
             seed in 0u64..40,
@@ -1497,9 +1608,10 @@ mod tests {
                 for (ci, config) in configs.iter().enumerate() {
                     for k in [0usize, 1, 3, 10, 50] {
                         let pool = e.search_pool(v, &query, config, k);
+                        let winners = SearchEngine::merge_pools(vec![pool], k);
                         assert_same_page(
                             &e.search(v, &query, config, k),
-                            &SearchEngine::merge_pools(vec![pool], k),
+                            &fetch(&e, v, &query, config, winners),
                             &format!("{v:?} {query:?} config {ci} k {k} clicks {}", logs.len()),
                         );
                     }
@@ -1547,10 +1659,13 @@ mod tests {
                                 .iter()
                                 .map(|e| e.search_pool(v, q, config, k))
                                 .collect();
-                            let got = SearchEngine::merge_pools(pools, k);
+                            let got: Vec<(String, u32)> = SearchEngine::merge_pools(pools, k)
+                                .into_iter()
+                                .map(|w| (w.url, w.score.to_bits()))
+                                .collect();
                             assert_eq!(
                                 result_bits(&want),
-                                result_bits(&got),
+                                got,
                                 "vertical {v:?} query {q:?} config {ci} k {k} shards {n}"
                             );
                         }

@@ -45,7 +45,9 @@ pub mod topic;
 pub mod zipf;
 
 pub use corpus::{Corpus, CorpusConfig, Page, PageKind, Site};
-pub use engine::{PoolEntry, SearchConfig, SearchEngine, ShardPool, Vertical, WebResult};
+pub use engine::{
+    PageFields, PoolEntry, SearchConfig, SearchEngine, ShardPool, Vertical, WebResult,
+};
 pub use fetcher::CorpusFetcher;
 pub use logs::{generate_logs, LogConfig, LogEntry};
 pub use sitesuggest::{SiteSuggest, Suggestion};
