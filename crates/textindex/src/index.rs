@@ -6,18 +6,20 @@
 //! [`Index::maintain`] drives tiered background merges that fold
 //! adjacent sealed segments together, purging tombstoned documents and
 //! rebuilding document frequencies and score stats as they go. Reads
-//! union per-segment cursors back into one doc-ordered stream, so the
-//! segment structure is invisible to query semantics.
+//! visit the segments in doc order (the pruned executor runs one
+//! segment at a time with that segment's score bounds), so the segment
+//! structure is invisible to query semantics.
 //!
 //! The lifecycle, in order:
 //!
-//! 1. **memtable** — [`Index::add`] appends to raw posting lists;
+//! 1. **memtable** — [`Index::add`] appends to raw posting lists,
+//!    which carry dominating [`TermScoreStats`] as they are written;
 //!    documents are searchable immediately (or, under a
 //!    near-real-time [`SegmentPolicy`], within the configured
 //!    staleness window).
 //! 2. **sealed** — [`Index::seal`] compresses the memtable's lists and
-//!    computes per-list [`TermScoreStats`]; the segment never mutates
-//!    again.
+//!    computes exact per-list [`TermScoreStats`]; the segment never
+//!    mutates again.
 //! 3. **merged** — [`Index::maintain`] merges runs of same-tier
 //!    adjacent segments (and rewrites tombstone-heavy ones), keeping
 //!    the segment count — hence read amplification — flat while
@@ -29,8 +31,10 @@
 use crate::analysis::{Analyzer, StandardAnalyzer, TokenScratch};
 use crate::fx::FxHashMap;
 use crate::lexicon::{Lexicon, TermId};
-use crate::postings::{ChainedCursor, CompressedPostings, PostingsCursor, NO_DOC};
-use crate::segment::{ActiveSegment, SealedSegment, Segment, SegmentBuilder};
+use crate::postings::{CompressedPostings, PostingList};
+use crate::segment::{
+    ActiveSegment, SealedSegment, Segment, SegmentBuilder, SegmentList, SegmentView,
+};
 use crate::DocId;
 use std::collections::hash_map::Entry;
 
@@ -193,8 +197,10 @@ pub struct IndexStats {
     pub memtable_docs: usize,
 }
 
-/// Per-`(term, field)` scoring ingredients precomputed when a segment
-/// is sealed or merged, stored next to that segment's postings.
+/// Per-`(term, field)` scoring ingredients every segment keeps next
+/// to its posting list: exact for a sealed segment (computed when it
+/// is sealed or merged), dominating for the memtable (kept as its
+/// lists are written).
 ///
 /// These are the two document-dependent quantities a BM25 score upper
 /// bound needs: the score is monotonically increasing in term
@@ -205,15 +211,20 @@ pub struct IndexStats {
 /// (`k1`/`b`) and on index-wide statistics (`N`, average length) that
 /// keep moving as documents are added; both are folded in at query
 /// time so stored stats can never go stale in the unsafe direction.
-/// At query time the per-segment ingredients are folded rank-safely
-/// (max of `max_tf`, min of `min_len`) across segments — see
-/// [`Index::term_score_stats`].
+/// The pruned executor bounds each segment's documents with that
+/// segment's own ingredients; [`Index::term_score_stats`] folds them
+/// rank-safely (max of `max_tf`, min of `min_len`) for callers that
+/// want one index-wide answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TermScoreStats {
-    /// Largest term frequency over documents in the posting list
-    /// (tombstoned documents included — an overestimate is rank-safe).
+    /// At least the largest term frequency over live documents in the
+    /// posting list (tombstoned documents included — an overestimate
+    /// is rank-safe).
     pub max_tf: u32,
-    /// Smallest field length among documents in the posting list.
+    /// At most the smallest non-zero field length among documents in
+    /// the posting list. A memtable list reports the smallest length
+    /// of the field over *all* memtable documents — a lower bound over
+    /// a superset, safe for the same reason.
     pub min_len: u32,
 }
 
@@ -376,6 +387,11 @@ impl Index {
             field_len[field.0 as usize][id.as_usize()] += added;
             fields[field.0 as usize].total_len += added as u64;
         }
+        // Repeated fields are concatenated by now: fold the document's
+        // final lengths into the memtable's score-bound ingredients.
+        for (f, lens) in field_len.iter().enumerate() {
+            active.note_len(f, lens[id.as_usize()]);
+        }
         if self.config.store_text {
             self.stored.push(doc.fields);
         } else {
@@ -485,6 +501,8 @@ impl Index {
             }
         }
         for (f, lens) in field_len.into_iter().enumerate() {
+            let chunk_min = lens.iter().copied().filter(|&l| l > 0).min();
+            self.active.note_len(f, chunk_min.unwrap_or(0));
             self.field_len[f].extend(lens);
             self.fields[f].total_len += total_len[f];
         }
@@ -575,15 +593,13 @@ impl Index {
         let mut postings = FxHashMap::default();
         postings.reserve(memtable.postings.len());
         for (key, list) in memtable.postings {
-            postings.insert(key, CompressedPostings::encode(&list));
+            postings.insert(key, Self::sealed_list(&self.field_len, key.1, &list));
         }
-        let stats = Self::compute_stats(&self.field_len, &postings);
         self.sealed.push(SealedSegment {
             base: memtable.base,
             docs: memtable.docs,
             purged: 0,
             postings,
-            stats,
         });
         true
     }
@@ -653,18 +669,15 @@ impl Index {
         let base = run.first().map_or(0, |s| s.base);
         let docs = run.last().map_or(base, |s| s.base + s.docs) - base;
         let deleted = &self.deleted;
-        let mut merged: FxHashMap<(TermId, FieldId), crate::postings::PostingList> =
-            FxHashMap::default();
+        let mut merged: FxHashMap<(TermId, FieldId), PostingList> = FxHashMap::default();
         // Segments are processed in doc-range order, so per-key appends
         // stay doc-ordered without a merge heap.
         for seg in &run {
-            for (&key, comp) in &seg.postings {
+            for (&key, (comp, _)) in &seg.postings {
                 let out = merged.entry(key).or_default();
                 comp.for_each(|doc, positions| {
                     if !deleted[doc.as_usize()] {
-                        for &p in positions {
-                            out.push_occurrence(doc, p);
-                        }
+                        out.push_posting(doc, positions);
                     }
                 });
             }
@@ -673,10 +686,9 @@ impl Index {
         postings.reserve(merged.len());
         for (key, list) in merged {
             if list.doc_count() > 0 {
-                postings.insert(key, CompressedPostings::encode(&list));
+                postings.insert(key, Self::sealed_list(&self.field_len, key.1, &list));
             }
         }
-        let stats = Self::compute_stats(&self.field_len, &postings);
         let dead = self.dead_in_range(base, docs);
         let already: u32 = run.iter().map(|s| s.purged).sum();
         self.sealed.insert(
@@ -686,7 +698,6 @@ impl Index {
                 docs,
                 purged: dead,
                 postings,
-                stats,
             },
         );
         dead.saturating_sub(already) as usize
@@ -706,126 +717,80 @@ impl Index {
         }
     }
 
-    /// Score-bound ingredients per posting list: walk each compressed
-    /// list once, tracking the largest tf and the smallest *non-zero*
-    /// field length (zero lengths are either pre-registration backfill
-    /// or reclaimed tombstones; excluding them is rank-safe because
-    /// every live document containing the term has length >= 1).
-    fn compute_stats(
+    /// Freeze one raw list of `field` for a sealed segment: its packed
+    /// form and exact score-bound ingredients, both read off the raw
+    /// list (nothing is decoded back). `min_len` is the smallest *non-zero*
+    /// field length on the list (zero lengths are either
+    /// pre-registration backfill or reclaimed tombstones; excluding
+    /// them is rank-safe because every live document containing the
+    /// term has length >= 1).
+    fn sealed_list(
         field_len: &[Vec<u32>],
-        postings: &FxHashMap<(TermId, FieldId), CompressedPostings>,
-    ) -> FxHashMap<(TermId, FieldId), TermScoreStats> {
-        let mut stats = FxHashMap::default();
-        stats.reserve(postings.len());
-        for (&(term, field), list) in postings {
-            let lens = &field_len[field.0 as usize];
-            let mut max_tf = 0u32;
-            let mut min_len = u32::MAX;
-            let mut cur = list.cursor();
-            while cur.doc() != NO_DOC {
-                max_tf = max_tf.max(cur.tf());
-                let len = lens[cur.doc() as usize];
-                if len > 0 {
-                    min_len = min_len.min(len);
-                }
-                cur.next();
-            }
-            if max_tf > 0 {
-                // All lengths zero can only happen on inconsistent
-                // input; clamp to the smallest real length.
-                let min_len = if min_len == u32::MAX { 1 } else { min_len };
-                stats.insert((term, field), TermScoreStats { max_tf, min_len });
-            }
-        }
-        stats
+        field: FieldId,
+        list: &PostingList,
+    ) -> (CompressedPostings, TermScoreStats) {
+        let lens = &field_len[field.0 as usize];
+        let min_len = list
+            .postings()
+            .iter()
+            .map(|p| lens[p.doc.as_usize()])
+            .filter(|&len| len > 0)
+            .min()
+            // All lengths zero can only happen on inconsistent input;
+            // clamp to the smallest real length.
+            .unwrap_or(1);
+        let stats = TermScoreStats {
+            max_tf: list.max_tf(),
+            min_len,
+        };
+        (CompressedPostings::encode(list), stats)
+    }
+
+    /// The segments reads visit, in doc order: every sealed segment,
+    /// then the memtable when it holds documents.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = SegmentView<'_>> {
+        let active = (self.active.docs > 0).then_some(SegmentView::Active(&self.active));
+        self.sealed.iter().map(SegmentView::Sealed).chain(active)
+    }
+
+    /// Every segment's list for `(term, field)`, in doc order.
+    fn lists(&self, term: TermId, field: FieldId) -> impl Iterator<Item = SegmentList<'_>> {
+        self.segments().filter_map(move |seg| seg.list(term, field))
     }
 
     /// Score-bound ingredients for `(term, field)`, folded rank-safely
-    /// across sealed segments (max of `max_tf`, min of `min_len`).
-    /// Returns `None` when the memtable also holds postings for the
-    /// key — fresh documents may raise `max_tf` or lower `min_len`, so
-    /// the pruned executor must treat the term as unbounded
-    /// (always-evaluated); this never affects correctness, only how
-    /// much work pruning can skip.
+    /// across every segment that holds the key, memtable included (max
+    /// of `max_tf`, min of `min_len`): `Some` exactly when the key has
+    /// postings. Exact on a fully compacted index; while the memtable
+    /// holds the key the answer dominates (its `min_len` is a
+    /// segment-wide lower bound). The pruned executor does not use the
+    /// fold — it bounds each segment with that segment's own stats.
     pub fn term_score_stats(&self, term: TermId, field: FieldId) -> Option<TermScoreStats> {
-        let key = (term, field);
-        if self.active.postings.contains_key(&key) {
-            return None;
-        }
-        let mut folded: Option<TermScoreStats> = None;
-        for seg in &self.sealed {
-            let Some(s) = seg.stats.get(&key) else {
-                continue;
-            };
-            folded = Some(match folded {
-                None => *s,
-                Some(f) => TermScoreStats {
-                    max_tf: f.max_tf.max(s.max_tf),
-                    min_len: f.min_len.min(s.min_len),
-                },
-            });
-        }
-        folded
+        self.lists(term, field)
+            .map(|list| list.stats)
+            .reduce(|a, b| TermScoreStats {
+                max_tf: a.max_tf.max(b.max_tf),
+                min_len: a.min_len.min(b.min_len),
+            })
     }
 
     /// Whether any segment holds postings for `(term, field)`.
     pub fn has_postings(&self, term: TermId, field: FieldId) -> bool {
-        let key = (term, field);
-        self.active.postings.contains_key(&key)
-            || self.sealed.iter().any(|s| s.postings.contains_key(&key))
-    }
-
-    /// Open a doc-ordered cursor over the union of every segment's
-    /// postings for `(term, field)`, or `None` when no document
-    /// contains it. Single-segment lists return their cursor directly;
-    /// multi-segment lists are chained (segments cover disjoint
-    /// increasing doc ranges, so concatenation preserves doc order and
-    /// `seek` can skip whole segments without decoding them).
-    pub fn cursor(&self, term: TermId, field: FieldId) -> Option<PostingsCursor<'_>> {
-        let key = (term, field);
-        let mut parts: Vec<PostingsCursor<'_>> = Vec::new();
-        for seg in &self.sealed {
-            if let Some(c) = seg.postings.get(&key) {
-                parts.push(PostingsCursor::Compressed(c.cursor()));
-            }
-        }
-        if let Some(l) = self.active.postings.get(&key) {
-            parts.push(PostingsCursor::Raw(l.cursor()));
-        }
-        match parts.len() {
-            0 => None,
-            1 => parts.pop(),
-            _ => Some(PostingsCursor::Chained(ChainedCursor::new(parts))),
-        }
+        self.lists(term, field).next().is_some()
     }
 
     /// Visit every `(doc, positions)` pair for `(term, field)` in
     /// global doc order, across all segments.
     pub fn for_each_posting(&self, term: TermId, field: FieldId, mut f: impl FnMut(DocId, &[u32])) {
-        let key = (term, field);
-        for seg in &self.sealed {
-            if let Some(c) = seg.postings.get(&key) {
-                c.for_each(&mut f);
-            }
-        }
-        if let Some(l) = self.active.postings.get(&key) {
-            for p in l.postings() {
-                f(p.doc, &p.positions);
-            }
+        for list in self.lists(term, field) {
+            list.for_each(&mut f);
         }
     }
 
     /// Document frequency of `(term, field)`, summed over segments
     /// (tombstoned docs count until a merge purges them).
     pub fn doc_freq(&self, term: TermId, field: FieldId) -> usize {
-        let key = (term, field);
-        let sealed: usize = self
-            .sealed
-            .iter()
-            .filter_map(|s| s.postings.get(&key))
-            .map(|c| c.doc_count())
-            .sum();
-        sealed + self.active.postings.get(&key).map_or(0, |l| l.doc_count())
+        self.lists(term, field).map(|list| list.doc_count()).sum()
     }
 
     /// The single compressed posting list for `(term, field)` when the
@@ -836,7 +801,8 @@ impl Index {
         if !self.active.postings.is_empty() || self.sealed.len() > 1 {
             return None;
         }
-        self.sealed.first()?.postings.get(&(term, field))
+        let (packed, _) = self.sealed.first()?.postings.get(&(term, field))?;
+        Some(packed)
     }
 
     /// Analyzed length of `field` in `doc` (0 once `doc` is deleted).
@@ -937,7 +903,7 @@ impl Index {
                 .sealed
                 .iter()
                 .flat_map(|s| s.postings.values())
-                .map(|c| c.heap_bytes())
+                .map(|(c, _)| c.heap_bytes())
                 .sum::<usize>();
         let stored = self
             .stored
@@ -1101,12 +1067,19 @@ mod tests {
         idx.add(Doc::new().field(body, "space space space shooter"));
         idx.add(Doc::new().field(body, "space"));
         let space = idx.lexicon().get("space").unwrap();
-        assert_eq!(idx.term_score_stats(space, body), None);
+        let shooter = idx.lexicon().get("shooter").unwrap();
+        // In the memtable: exact max tf, and the field's smallest
+        // length over the whole memtable — for "shooter" a lower bound
+        // (doc 1 is shorter than the one doc "shooter" is in).
+        let s = idx.term_score_stats(space, body).unwrap();
+        assert_eq!((s.max_tf, s.min_len), (3, 1));
+        let s = idx.term_score_stats(shooter, body).unwrap();
+        assert_eq!((s.max_tf, s.min_len), (1, 1));
+        // Sealed: exact per list.
         idx.optimize();
         let s = idx.term_score_stats(space, body).unwrap();
         assert_eq!(s.max_tf, 3);
         assert_eq!(s.min_len, 1); // doc 1's body is one token long
-        let shooter = idx.lexicon().get("shooter").unwrap();
         let s = idx.term_score_stats(shooter, body).unwrap();
         assert_eq!(s.max_tf, 1);
         assert_eq!(s.min_len, 4);
@@ -1116,17 +1089,115 @@ mod tests {
     fn add_after_optimize_invalidates_touched_stats_only() {
         let mut idx = Index::new(IndexConfig::default());
         let body = idx.register_field("body", 1.0);
-        idx.add(Doc::new().field(body, "space shooter"));
+        idx.add(Doc::new().field(body, "space shooter game"));
         idx.optimize();
         let space = idx.lexicon().get("space").unwrap();
         let shooter = idx.lexicon().get("shooter").unwrap();
-        assert!(idx.term_score_stats(space, body).is_some());
-        idx.add(Doc::new().field(body, "space trader"));
-        assert_eq!(idx.term_score_stats(space, body), None);
-        assert!(idx.term_score_stats(shooter, body).is_some());
-        // Re-optimizing restores stats over the merged list.
+        let sealed = TermScoreStats {
+            max_tf: 1,
+            min_len: 3,
+        };
+        assert_eq!(idx.term_score_stats(space, body), Some(sealed));
+        idx.add(Doc::new().field(body, "space space trader"));
+        idx.add(Doc::new().field(body, "trader"));
+        // The memtable list folds in: its exact max tf, and the
+        // memtable-wide field minimum (doc 2, which "space" is not in)
+        // — dominating, not exact.
+        let live = idx.term_score_stats(space, body).unwrap();
+        assert_eq!((live.max_tf, live.min_len), (2, 1));
+        assert_eq!(idx.term_score_stats(shooter, body), Some(sealed));
+        // Re-optimizing tightens back to exact stats over the merged
+        // list.
         idx.optimize();
-        assert!(idx.term_score_stats(space, body).is_some());
+        let exact = idx.term_score_stats(space, body).unwrap();
+        assert_eq!((exact.max_tf, exact.min_len), (2, 3));
+    }
+
+    /// The invariant the per-segment executor prunes on: in every
+    /// segment, every list's stats dominate each live posting on it.
+    fn assert_segment_stats_dominate(idx: &Index) {
+        for seg in idx.segments() {
+            for (term, text) in idx.lexicon().iter() {
+                for field in idx.field_ids() {
+                    let Some(list) = seg.list(term, field) else {
+                        continue;
+                    };
+                    let stats = list.stats;
+                    list.for_each(|doc, positions| {
+                        assert!(seg.range().contains(&doc.0));
+                        if idx.is_deleted(doc) {
+                            return;
+                        }
+                        let (tf, len) = (positions.len() as u32, idx.field_len(doc, field));
+                        assert!(
+                            tf <= stats.max_tf && len >= stats.min_len,
+                            "{text:?} in {field:?} at {doc:?}: tf {tf} len {len} vs {stats:?}"
+                        );
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_segment_list_carries_dominating_stats() {
+        let mut idx = Index::with_policy(
+            IndexConfig::default(),
+            SegmentPolicy {
+                memtable_max_docs: 5,
+                staleness_window_ms: u64::MAX,
+                merge_fanin: 3,
+                near_real_time: false,
+            },
+        );
+        let body = idx.register_field("body", 1.0);
+        let words = [
+            "space",
+            "space space",
+            "trader",
+            "space farm trader",
+            "farm",
+        ];
+        let text = |i: u32| format!("{} doc{}", words[i as usize % words.len()], i % 7);
+        for i in 0..60u32 {
+            match i % 9 {
+                // A batch appended to whatever the memtable holds.
+                0 => {
+                    let batch = (0..4)
+                        .map(|j| Doc::new().field(body, text(i + j)))
+                        .collect();
+                    idx.build_parallel(batch, 2);
+                }
+                // A repeated field: the length that counts is the sum.
+                2 => {
+                    idx.add(Doc::new().field(body, "space").field(body, text(i)));
+                }
+                // A field registered after documents exist.
+                4 => {
+                    let tags = idx.register_field("tags", 1.5);
+                    idx.add(Doc::new().field(tags, "space").field(body, text(i)));
+                }
+                // An update of the newest (memtable) doc, and a delete
+                // that usually lands in a sealed segment.
+                6 => {
+                    let newest = DocId(idx.total_docs() as u32 - 1);
+                    idx.update(newest, Doc::new().field(body, "space space space"));
+                    idx.delete(DocId(i / 3));
+                }
+                _ => {
+                    idx.add(Doc::new().field(body, text(i)));
+                }
+            }
+            if i % 2 == 0 {
+                idx.maintain(u64::from(i));
+            }
+            assert_segment_stats_dominate(&idx);
+        }
+        assert!(
+            idx.stats().sealed_segments > 1,
+            "schedule must leave several segments"
+        );
+        assert!(idx.stats().memtable_docs > 0, "and a live memtable");
     }
 
     #[test]
@@ -1177,7 +1248,7 @@ mod tests {
         if let Some(t) = uniq {
             assert_eq!(idx.doc_freq(t, body), 0);
             assert!(!idx.has_postings(t, body));
-            assert!(idx.cursor(t, body).is_none());
+            assert_eq!(idx.term_score_stats(t, body), None);
         }
     }
 
@@ -1288,20 +1359,26 @@ mod tests {
         let body = idx.register_field("body", 1.0);
         idx.add(Doc::new().field(body, "space shooter"));
         idx.optimize();
+        idx.add(Doc::new().field(body, "space farm"));
         let ids = idx.build_parallel(
             vec![
-                Doc::new().field(body, "space farm"),
-                Doc::new().field(body, "space trader"),
+                Doc::new().field(body, "trader"),
+                Doc::new().field(body, "space space space trader"),
             ],
             2,
         );
-        assert_eq!(ids, vec![DocId(1), DocId(2)]);
+        assert_eq!(ids, vec![DocId(2), DocId(3)]);
         let hits = Searcher::new(&idx).search(&Query::parse("space"), 10);
         assert_eq!(hits.len(), 3);
-        // Stats touched by the batch are masked by the memtable, not
-        // left stale.
+        // The batch's lists carry their own ingredients — max tf folded
+        // through the per-chunk `append`, min length per chunk — so
+        // stats touched by it dominate every document, old and new.
         let space = idx.lexicon().get("space").unwrap();
-        assert_eq!(idx.term_score_stats(space, body), None);
+        let s = idx.term_score_stats(space, body).unwrap();
+        assert_eq!((s.max_tf, s.min_len), (3, 1));
+        idx.optimize();
+        let s = idx.term_score_stats(space, body).unwrap();
+        assert_eq!((s.max_tf, s.min_len), (3, 2));
     }
 
     #[test]

@@ -53,6 +53,10 @@ pub struct Posting {
 #[derive(Debug, Default, Clone)]
 pub struct PostingList {
     postings: Vec<Posting>,
+    /// Largest term frequency among `postings`, kept as the list is
+    /// written so a memtable list has its score-bound ingredient
+    /// without a walk.
+    max_tf: u32,
 }
 
 impl PostingList {
@@ -67,24 +71,38 @@ impl PostingList {
     /// guarantees this: doc ids are assigned at insertion).
     pub fn push_occurrence(&mut self, doc: DocId, position: u32) {
         match self.postings.last_mut() {
-            Some(last) if last.doc == doc => last.positions.push(position),
-            Some(last) => {
-                debug_assert!(last.doc < doc, "postings must be appended in doc order");
-                self.postings.push(Posting {
-                    doc,
-                    positions: vec![position],
-                });
+            Some(last) if last.doc == doc => {
+                last.positions.push(position);
+                self.max_tf = self.max_tf.max(last.positions.len() as u32);
             }
-            None => self.postings.push(Posting {
-                doc,
-                positions: vec![position],
-            }),
+            _ => self.push_posting(doc, &[position]),
         }
+    }
+
+    /// Append one document's whole posting. `doc` must be greater than
+    /// every doc id already in the list and `positions` non-empty and
+    /// strictly increasing.
+    pub fn push_posting(&mut self, doc: DocId, positions: &[u32]) {
+        debug_assert!(!positions.is_empty(), "a posting has at least one position");
+        debug_assert!(
+            self.postings.last().is_none_or(|last| last.doc < doc),
+            "postings must be appended in doc order"
+        );
+        self.max_tf = self.max_tf.max(positions.len() as u32);
+        self.postings.push(Posting {
+            doc,
+            positions: positions.to_vec(),
+        });
     }
 
     /// Number of documents containing the term.
     pub fn doc_count(&self) -> usize {
         self.postings.len()
+    }
+
+    /// Largest term frequency in the list (`0` when empty).
+    pub fn max_tf(&self) -> u32 {
+        self.max_tf
     }
 
     /// Concatenate `other` onto the end of this list. The caller must
@@ -98,6 +116,7 @@ impl PostingList {
                 "segment posting lists must concatenate in doc order"
             );
         }
+        self.max_tf = self.max_tf.max(other.max_tf);
         self.postings.append(&mut other.postings);
     }
 
@@ -345,11 +364,7 @@ impl CompressedPostings {
     /// Decode back into a raw list (used by tests and by re-indexing).
     pub fn decode(&self) -> PostingList {
         let mut list = PostingList::new();
-        self.for_each(|doc, positions| {
-            for &p in positions {
-                list.push_occurrence(doc, p);
-            }
-        });
+        self.for_each(|doc, positions| list.push_posting(doc, positions));
         list
     }
 
@@ -669,103 +684,6 @@ impl RawCursor<'_> {
     }
 }
 
-/// A cursor chaining several per-segment cursors into one logical
-/// doc-ordered stream.
-///
-/// The segment-lifecycle index stores one posting list per segment for
-/// a given `(term, field)`; segments cover disjoint, strictly
-/// increasing doc-id ranges, so simple concatenation — no merge heap —
-/// preserves global doc order. [`ChainedCursor::seek`] skips whole
-/// parts by comparing against each part's [`last_doc`] (a block-
-/// directory read for compressed parts, so skipped segments are never
-/// decoded).
-///
-/// [`last_doc`]: PostingsCursor::last_doc
-#[derive(Debug, Clone)]
-pub struct ChainedCursor<'a> {
-    /// Per-segment cursors in segment (hence doc) order. Every part is
-    /// non-empty and positioned on its first posting at construction.
-    parts: Vec<PostingsCursor<'a>>,
-    idx: usize,
-}
-
-impl<'a> ChainedCursor<'a> {
-    /// Chain per-segment cursors. Callers must pass at least one
-    /// cursor, each freshly positioned on a non-empty list, with
-    /// strictly increasing doc ranges (part `i`'s last doc is below
-    /// part `i + 1`'s first doc).
-    pub fn new(parts: Vec<PostingsCursor<'a>>) -> Self {
-        debug_assert!(!parts.is_empty(), "chained cursor needs at least one part");
-        debug_assert!(parts.iter().all(|p| p.doc() != NO_DOC));
-        debug_assert!(parts.windows(2).all(|w| w[0].last_doc() < w[1].doc()));
-        ChainedCursor { parts, idx: 0 }
-    }
-
-    /// Current doc id, or [`NO_DOC`] when every part is exhausted.
-    #[inline]
-    pub fn doc(&self) -> u32 {
-        self.parts[self.idx].doc()
-    }
-
-    /// Term frequency of the current posting.
-    #[inline]
-    pub fn tf(&self) -> u32 {
-        self.parts[self.idx].tf()
-    }
-
-    /// Append the current posting's positions to `out` (cleared
-    /// first).
-    pub fn positions(&mut self, out: &mut Vec<u32>) {
-        self.parts[self.idx].positions(out);
-    }
-
-    /// Largest term frequency in the current part's current block, or
-    /// the unknown sentinel `u32::MAX` for raw parts.
-    pub fn block_max_tf(&self) -> u32 {
-        self.parts[self.idx].block_max_tf()
-    }
-
-    /// Last doc id through which [`block_max_tf`] stays valid — the
-    /// current part's block boundary (parts cover disjoint increasing
-    /// ranges, so the next part starts past it).
-    ///
-    /// [`block_max_tf`]: ChainedCursor::block_max_tf
-    pub fn block_last_doc(&self) -> u32 {
-        self.parts[self.idx].block_last_doc()
-    }
-
-    /// Doc id of the final posting across all parts.
-    pub fn last_doc(&self) -> u32 {
-        self.parts.last().map_or(NO_DOC, |p| p.last_doc())
-    }
-
-    /// Advance to the next posting, falling through to the next part
-    /// when the current one is exhausted (fresh parts are already
-    /// positioned on their first posting).
-    pub fn next(&mut self) {
-        self.parts[self.idx].next();
-        if self.parts[self.idx].doc() == NO_DOC && self.idx + 1 < self.parts.len() {
-            self.idx += 1;
-        }
-    }
-
-    /// Advance to the first posting with `doc >= target`. Parts whose
-    /// `last_doc` is below the target are skipped whole — for
-    /// compressed parts that is a metadata comparison, no decoding.
-    pub fn seek(&mut self, target: u32) {
-        if self.parts[self.idx].doc() >= target {
-            // Covers exhaustion too: NO_DOC >= any target.
-            return;
-        }
-        while self.idx + 1 < self.parts.len() && self.parts[self.idx].last_doc() < target {
-            self.idx += 1;
-        }
-        // Either this part contains a doc >= target (last_doc bound),
-        // or it is the final part and seeking exhausts the chain.
-        self.parts[self.idx].seek(target);
-    }
-}
-
 /// A document-at-a-time cursor over either posting representation.
 ///
 /// The cursor walks doc ids and term frequencies in increasing doc
@@ -786,9 +704,6 @@ pub enum PostingsCursor<'a> {
     Raw(RawCursor<'a>),
     /// Cursor over the optimized block-packed representation.
     Compressed(CompressedCursor<'a>),
-    /// Concatenation of per-segment cursors over disjoint increasing
-    /// doc ranges.
-    Chained(ChainedCursor<'a>),
 }
 
 impl PostingsCursor<'_> {
@@ -798,7 +713,6 @@ impl PostingsCursor<'_> {
         match self {
             PostingsCursor::Raw(c) => c.doc(),
             PostingsCursor::Compressed(c) => c.doc(),
-            PostingsCursor::Chained(c) => c.doc(),
         }
     }
 
@@ -808,7 +722,6 @@ impl PostingsCursor<'_> {
         match self {
             PostingsCursor::Raw(c) => c.tf(),
             PostingsCursor::Compressed(c) => c.tf(),
-            PostingsCursor::Chained(c) => c.tf(),
         }
     }
 
@@ -818,7 +731,6 @@ impl PostingsCursor<'_> {
         match self {
             PostingsCursor::Raw(c) => c.positions(out),
             PostingsCursor::Compressed(c) => c.positions(out),
-            PostingsCursor::Chained(c) => c.positions(out),
         }
     }
 
@@ -832,7 +744,6 @@ impl PostingsCursor<'_> {
         match self {
             PostingsCursor::Raw(c) => c.block_max_tf(),
             PostingsCursor::Compressed(c) => c.block_max_tf(),
-            PostingsCursor::Chained(c) => c.block_max_tf(),
         }
     }
 
@@ -847,18 +758,6 @@ impl PostingsCursor<'_> {
         match self {
             PostingsCursor::Raw(c) => c.block_last_doc(),
             PostingsCursor::Compressed(c) => c.block_last_doc(),
-            PostingsCursor::Chained(c) => c.block_last_doc(),
-        }
-    }
-
-    /// Doc id of the final posting (independent of cursor position);
-    /// [`NO_DOC`] for an empty list.
-    #[inline]
-    pub fn last_doc(&self) -> u32 {
-        match self {
-            PostingsCursor::Raw(c) => c.last_doc(),
-            PostingsCursor::Compressed(c) => c.last_doc(),
-            PostingsCursor::Chained(c) => c.last_doc(),
         }
     }
 
@@ -868,7 +767,6 @@ impl PostingsCursor<'_> {
         match self {
             PostingsCursor::Raw(c) => c.next(),
             PostingsCursor::Compressed(c) => c.next(),
-            PostingsCursor::Chained(c) => c.next(),
         }
     }
 
@@ -878,7 +776,6 @@ impl PostingsCursor<'_> {
         match self {
             PostingsCursor::Raw(c) => c.seek(target),
             PostingsCursor::Compressed(c) => c.seek(target),
-            PostingsCursor::Chained(c) => c.seek(target),
         }
     }
 }
@@ -1217,100 +1114,6 @@ mod tests {
         let mut cur = c.cursor();
         assert_eq!(cur.doc(), NO_DOC);
         cur.seek(7);
-        assert_eq!(cur.doc(), NO_DOC);
-    }
-
-    /// Three disjoint doc ranges split across raw and compressed
-    /// parts, mirroring a memtable behind two sealed segments.
-    fn chained_fixture(lists: &[PostingList]) -> (Vec<CompressedPostings>, Vec<PostingList>) {
-        // First parts compressed (sealed), final part raw (memtable).
-        let (last, sealed) = lists.split_last().unwrap();
-        (
-            sealed.iter().map(CompressedPostings::encode).collect(),
-            vec![last.clone()],
-        )
-    }
-
-    fn split_list(l: &PostingList, cuts: &[usize]) -> Vec<PostingList> {
-        let mut out = Vec::new();
-        let mut start = 0;
-        for &c in cuts.iter().chain(std::iter::once(&l.postings.len())) {
-            let mut part = PostingList::new();
-            for p in &l.postings[start..c] {
-                for &pos in &p.positions {
-                    part.push_occurrence(p.doc, pos);
-                }
-            }
-            start = c;
-            out.push(part);
-        }
-        out
-    }
-
-    #[test]
-    fn chained_cursor_walks_like_single_list() {
-        let l = long_list(500, 3);
-        let parts = split_list(&l, &[137, 256, 400]);
-        let (sealed, raw) = chained_fixture(&parts);
-        let mut cursors: Vec<PostingsCursor<'_>> = sealed
-            .iter()
-            .map(|c| PostingsCursor::Compressed(c.cursor()))
-            .collect();
-        cursors.extend(raw.iter().map(|r| {
-            PostingsCursor::Raw(RawCursor {
-                postings: r.postings(),
-                idx: 0,
-            })
-        }));
-        let mut chained = ChainedCursor::new(cursors);
-        assert_eq!(chained.last_doc(), l.postings.last().unwrap().doc.0);
-        let mut buf = Vec::new();
-        for p in l.postings() {
-            assert_eq!(chained.doc(), p.doc.0);
-            assert_eq!(chained.tf(), p.positions.len() as u32);
-            chained.positions(&mut buf);
-            assert_eq!(buf, p.positions);
-            chained.next();
-        }
-        assert_eq!(chained.doc(), NO_DOC);
-        chained.next();
-        assert_eq!(chained.doc(), NO_DOC);
-    }
-
-    #[test]
-    fn chained_cursor_seek_matches_linear_scan() {
-        let l = long_list(900, 5);
-        let parts = split_list(&l, &[100, 101, 512, 800]);
-        let docs: Vec<u32> = l.postings().iter().map(|p| p.doc.0).collect();
-        let (sealed, raw) = chained_fixture(&parts);
-        let make = || {
-            let mut cursors: Vec<PostingsCursor<'_>> = sealed
-                .iter()
-                .map(|c| PostingsCursor::Compressed(c.cursor()))
-                .collect();
-            cursors.extend(raw.iter().map(|r| {
-                PostingsCursor::Raw(RawCursor {
-                    postings: r.postings(),
-                    idx: 0,
-                })
-            }));
-            ChainedCursor::new(cursors)
-        };
-        let mut cur = make();
-        for target in (0..5000).step_by(43) {
-            if cur.doc() != NO_DOC && target < cur.doc() {
-                continue; // seek never goes backwards
-            }
-            cur.seek(target);
-            let expect = docs.iter().copied().find(|&d| d >= target);
-            assert_eq!(cur.doc(), expect.unwrap_or(NO_DOC), "target {target}");
-        }
-        // Seeking far past the end exhausts; a long-range seek from the
-        // first part skips middle parts entirely.
-        let mut cur = make();
-        cur.seek(docs[docs.len() - 2]);
-        assert_eq!(cur.doc(), docs[docs.len() - 2]);
-        cur.seek(u32::MAX);
         assert_eq!(cur.doc(), NO_DOC);
     }
 

@@ -9,7 +9,15 @@
 //!   threshold is only probed via `seek`, `+must` clauses drive a
 //!   non-scoring galloping intersection, and `-must-not` clauses are
 //!   seek-along exclusion cursors. Documents that provably cannot
-//!   enter the top k are never fully scored.
+//!   enter the top k are never fully scored. The segment is the unit
+//!   of execution: the query is planned once (tokens, fields, idf per
+//!   `(term, field)`), then run over each segment in doc order —
+//!   sealed segments, memtable last — with cursors and score bounds
+//!   from that segment's own lists, while the heap, the threshold and
+//!   a pushed-down set's cursor carry over. Every list has bound
+//!   ingredients, a memtable list included, so a live index prunes
+//!   like a sealed one and a few short fresh documents loosen no
+//!   bound but their own segment's.
 //! * [`ScoreMode::Exhaustive`] is the original term-at-a-time path:
 //!   every positive clause walks its posting lists once, accumulating
 //!   scores into a hash map, after which `must` intersections,
@@ -22,9 +30,10 @@
 //! co-occurs in some field), with contiguity verified lazily — and
 //! only for candidate documents that survive the cheap rejections —
 //! by materializing positions through the cursors' block-addressed
-//! position stream. Its score upper bound folds the per-token sealed
-//! stats (sum over fields of the minimum per-token max tf), so
-//! MaxScore can make a phrase non-essential like any term.
+//! position stream. Its score upper bound folds the per-token stats
+//! of the segment it runs on (sum over fields of the minimum
+//! per-token max tf), so MaxScore can make a phrase non-essential
+//! like any term.
 //!
 //! The pruned executor is *rank-safe*: it returns bit-identical
 //! `(doc, score)` lists to the exhaustive one (a property-based
@@ -35,7 +44,10 @@
 //! identically. Second, score upper bounds are inflated by a small
 //! slack before any pruning comparison, so bound arithmetic performed
 //! in a different float-summation order can never under-bound a real
-//! score. The exhaustive path runs only when the caller pins
+//! score — and a bound is only ever applied to documents of the
+//! segment whose stats it was built from, against a threshold that is
+//! the true k-th best score of the documents already seen. The
+//! exhaustive path runs only when the caller pins
 //! [`ScoreMode::Exhaustive`].
 
 use std::cmp::Ordering;
@@ -47,6 +59,7 @@ use crate::index::{FieldId, Index};
 use crate::lexicon::TermId;
 use crate::postings::{PostingsCursor, NO_DOC};
 use crate::query::{ClauseKind, Occur, Query};
+use crate::segment::{SegmentList, SegmentView};
 use crate::DocId;
 
 /// BM25 free parameters.
@@ -482,14 +495,11 @@ impl<'a> Searcher<'a> {
         hits
     }
 
-    /// Document-at-a-time MaxScore executor (see module docs).
-    ///
-    /// Rank safety relies on three invariants: candidate docs skipped
-    /// by the essential partition or the partial-sum abandon check
-    /// have true scores strictly below the threshold (inflated
-    /// bounds), surviving candidates are scored by summing per-scorer
-    /// contributions in canonical clause order (bit-identical f32
-    /// rounding), and every cursor only ever moves forward.
+    /// Document-at-a-time MaxScore executor (see module docs): plan
+    /// the query once, then run it over each segment in doc order with
+    /// that segment's lists and bounds, carrying the heap, the
+    /// threshold and the pushed-down set's cursor from one segment to
+    /// the next.
     fn search_pruned(
         &self,
         query: &Query,
@@ -497,91 +507,102 @@ impl<'a> Searcher<'a> {
         filter: impl Fn(DocId) -> bool,
         allowed: Option<&DocSet>,
     ) -> Vec<SearchHit> {
-        // ---- Plan: cursors, bounds, constraints --------------------
-        // `scorers` is in canonical (clause, token, field) order — the
-        // exact order the exhaustive accumulator adds contributions
-        // (a phrase clause is a single contribution at its clause
-        // position).
-        let mut scorers: Vec<AnyScorer<'a>> = Vec::new();
-        // One non-scoring union-of-fields cursor per `+must` token;
-        // result docs must appear in every group.
-        let mut must_groups: Vec<UnionCursor<'a>> = Vec::new();
-        // Indices into `scorers` of `+must` phrase clauses: result
-        // docs must pass their positional verification.
-        let mut must_phrases: Vec<usize> = Vec::new();
-        // One union cursor per `-must-not` token; result docs must
-        // appear in none.
-        let mut exclusions: Vec<UnionCursor<'a>> = Vec::new();
-        // `-must-not` phrases exclude only positionally verified docs.
-        let mut phrase_exclusions: Vec<PhraseScorer<'a>> = Vec::new();
-        let mut any_positive = false;
-        // Shortest positive posting list; decides how a pushed-down
-        // set is mounted, so only tracked under one.
-        let mut rarest = usize::MAX;
+        let Some((plan, rarest)) = self.plan(query) else {
+            return Vec::new();
+        };
+        let mut carried = Carried {
+            k,
+            heap: BinaryHeap::with_capacity(k + 1),
+            threshold: f32::NEG_INFINITY,
+            filter_cursor: allowed.map(FilterCursor::new),
+            // The pushed-down doc-id set: a gate in the conjunction
+            // when it is sparser than every positive list, otherwise a
+            // probe on the candidates the term cursors produce (see
+            // `search_docset`). Decided once, on index-wide counts.
+            gate_drives: allowed.is_some_and(|set| set.len() < rarest),
+            // Deletions are rare; one flag check replaces a
+            // per-candidate bitmap probe on the common all-live index.
+            has_deleted: self.index.live_docs() < self.index.total_docs(),
+        };
+        let mut run = SegmentRun::default();
+        for seg in self.index.segments() {
+            if self.instantiate(&plan, seg, &mut run) {
+                self.run_segment(&mut run, seg.range().end, &filter, &mut carried);
+            }
+        }
+        let mut hits: Vec<SearchHit> = carried
+            .heap
+            .into_iter()
+            .map(|e| SearchHit {
+                doc: DocId(e.doc),
+                score: e.score,
+            })
+            .collect();
+        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
+        hits
+    }
 
+    /// Resolve `query` against the index once: analysed tokens, the
+    /// fields each clause covers, and the index-wide half of every
+    /// score (idf, average length, boost) per `(term, field)`. Clauses
+    /// stay in query order — the canonical (clause, token, field) order
+    /// the exhaustive accumulator adds contributions in. Returns `None`
+    /// when the query provably matches nothing, else the plan and the
+    /// doc frequency of the shortest positive posting list (which
+    /// decides how a pushed-down set is mounted).
+    fn plan(&self, query: &Query) -> Option<(Vec<Planned>, usize)> {
+        let mut plan: Vec<Planned> = Vec::new();
+        let mut any_scorer = false;
+        let mut rarest = usize::MAX;
         for clause in &query.clauses {
             let fields: Vec<FieldId> = match &clause.field {
                 Some(name) => match self.index.field_id(name) {
                     Some(f) => vec![f],
-                    None => {
-                        // Unknown field: a Must clause can never match.
-                        if clause.occur == Occur::Must {
-                            return Vec::new();
-                        }
-                        continue;
-                    }
+                    // Unknown field: a Must clause can never match.
+                    None if clause.occur == Occur::Must => return None,
+                    None => continue,
                 },
                 None => self.index.field_ids().collect(),
             };
             match &clause.kind {
                 ClauseKind::Term(raw) => {
-                    let tokens = self.analyze_query_tokens(raw);
-                    if tokens.is_empty() {
-                        // Must clauses that analyze to nothing are
-                        // vacuously true, matching the exhaustive path.
-                        continue;
-                    }
-                    match clause.occur {
-                        Occur::MustNot => {
-                            for &t in tokens.iter().flatten() {
-                                let u = self.union_cursor(t, &fields);
-                                if !u.is_empty() {
-                                    exclusions.push(u);
-                                }
+                    // Must clauses that analyze to nothing are
+                    // vacuously true, matching the exhaustive path.
+                    for t in self.analyze_query_tokens(raw) {
+                        let must = clause.occur == Occur::Must;
+                        let Some(term) = t else {
+                            // Remote token: matches nothing locally; a
+                            // required one empties the conjunction.
+                            if must {
+                                return None;
                             }
+                            continue;
+                        };
+                        if clause.occur == Occur::MustNot {
+                            plan.push(Planned::Exclude {
+                                term,
+                                fields: fields.clone(),
+                            });
+                            continue;
                         }
-                        occur => {
-                            any_positive = true;
-                            for &t in &tokens {
-                                let Some(t) = t else {
-                                    // Remote token: matches nothing
-                                    // locally; required ones empty the
-                                    // conjunction.
-                                    if occur == Occur::Must {
-                                        return Vec::new();
-                                    }
-                                    continue;
-                                };
-                                for &field in &fields {
-                                    if let Some(s) = self.scorer(t, field) {
-                                        if allowed.is_some() {
-                                            rarest = rarest.min(self.index.doc_freq(t, field));
-                                        }
-                                        scorers.push(AnyScorer::Term(s));
-                                    }
-                                }
-                                if occur == Occur::Must {
-                                    let u = self.union_cursor(t, &fields);
-                                    if u.is_empty() {
-                                        // Required token with no
-                                        // postings: the conjunction is
-                                        // empty.
-                                        return Vec::new();
-                                    }
-                                    must_groups.push(u);
-                                }
+                        let scored: Vec<FieldScore> = fields
+                            .iter()
+                            .filter_map(|&f| self.field_score(term, f, &mut rarest))
+                            .collect();
+                        if scored.is_empty() {
+                            // No postings in these fields: a required
+                            // token empties the conjunction.
+                            if must {
+                                return None;
                             }
+                            continue;
                         }
+                        any_scorer = true;
+                        plan.push(Planned::Token {
+                            term,
+                            must,
+                            fields: scored,
+                        });
                     }
                 }
                 ClauseKind::Phrase(words) => {
@@ -592,61 +613,189 @@ impl<'a> Searcher<'a> {
                     if tokens.is_empty() {
                         continue;
                     }
+                    let local: Option<Vec<TermId>> = tokens.into_iter().collect();
                     // A remote token means the phrase cannot occur in
                     // any local document (same rule as the exhaustive
-                    // arm above).
-                    let local: Option<Vec<TermId>> = tokens.iter().copied().collect();
-                    match clause.occur {
-                        Occur::MustNot => {
-                            if let Some(p) = local.and_then(|t| self.phrase_scorer(t, &fields)) {
-                                phrase_exclusions.push(p);
-                            }
+                    // arm); otherwise it qualifies in every field where
+                    // all its tokens have postings. Only a positive
+                    // phrase's lists count towards `rarest`.
+                    let mut unused = usize::MAX;
+                    let shortest = match clause.occur {
+                        Occur::MustNot => &mut unused,
+                        _ => &mut rarest,
+                    };
+                    let scored: Vec<FieldScore> = match &local {
+                        Some(toks) => fields
+                            .iter()
+                            .filter_map(|&f| self.phrase_field_score(toks, f, shortest))
+                            .collect(),
+                        None => Vec::new(),
+                    };
+                    let Some(tokens) = local.filter(|_| !scored.is_empty()) else {
+                        // A required phrase that can never match.
+                        if clause.occur == Occur::Must {
+                            return None;
                         }
-                        occur => {
-                            any_positive = true;
-                            match local.and_then(|t| self.phrase_scorer(t, &fields)) {
-                                Some(p) => {
-                                    if allowed.is_some() {
-                                        for f in &p.fields {
-                                            for &t in &p.tokens {
-                                                rarest =
-                                                    rarest.min(self.index.doc_freq(t, f.field));
-                                            }
-                                        }
-                                    }
-                                    if occur == Occur::Must {
-                                        must_phrases.push(scorers.len());
-                                    }
-                                    scorers.push(AnyScorer::Phrase(p));
-                                }
-                                None => {
-                                    // No field where every token has
-                                    // postings: a required phrase can
-                                    // never match.
-                                    if occur == Occur::Must {
-                                        return Vec::new();
-                                    }
-                                }
-                            }
-                        }
-                    }
+                        continue;
+                    };
+                    any_scorer |= clause.occur != Occur::MustNot;
+                    plan.push(Planned::Phrase {
+                        occur: clause.occur,
+                        tokens,
+                        fields: scored,
+                    });
                 }
             }
         }
-        if !any_positive || scorers.is_empty() {
-            return Vec::new();
+        any_scorer.then_some((plan, rarest))
+    }
+
+    /// The query-constant scoring inputs of `(term, field)`, or `None`
+    /// when no local document has the term in the field. Folds the
+    /// list's local doc frequency into `rarest`.
+    fn field_score(&self, term: TermId, field: FieldId, rarest: &mut usize) -> Option<FieldScore> {
+        let df = self.index.doc_freq(term, field);
+        if df == 0 {
+            return None;
         }
-        // The pushed-down doc-id set: a gate in the conjunction when it
-        // is sparser than every positive list, otherwise a probe on the
-        // candidates the term cursors produce (see `search_docset`).
-        let mut filter_cursor = allowed.map(FilterCursor::new);
-        let gate_drives = allowed.is_some_and(|set| set.len() < rarest);
+        *rarest = (*rarest).min(df);
+        let stat_df = match self.global {
+            Some(g) => g.doc_freq(self.index.lexicon().term(term), field),
+            None => df,
+        };
+        Some(FieldScore {
+            field,
+            idf: self.idf_of(stat_df),
+            avg_len: self.stat_avg_field_len(field),
+            boost: self.index.field_boost(field),
+        })
+    }
+
+    /// [`Searcher::field_score`] for a phrase: `Some` when every token
+    /// has postings in `field`, with the token idfs summed in token
+    /// order — the same sum, hence the same f32, as the exhaustive
+    /// `phrase_score`.
+    fn phrase_field_score(
+        &self,
+        tokens: &[TermId],
+        field: FieldId,
+        rarest: &mut usize,
+    ) -> Option<FieldScore> {
+        let mut shortest = *rarest;
+        let per_token: Vec<FieldScore> = tokens
+            .iter()
+            .map(|&t| self.field_score(t, field, &mut shortest))
+            .collect::<Option<_>>()?;
+        *rarest = shortest;
+        let idf = per_token.iter().map(|c| c.idf).sum();
+        per_token.first().map(|&c| FieldScore { idf, ..c })
+    }
+
+    /// Instantiate the plan over one segment: scorers, `+must` groups,
+    /// exclusions and phrase conjunctions from *that segment's* lists,
+    /// bounds from *that segment's* stats. A scorer whose term is
+    /// absent from the segment is simply not built — its contribution
+    /// to any document here is the exact `0.0` the canonical-order sum
+    /// already relies on. Returns `false` when no document of the
+    /// segment can match: a required token or phrase has no list here,
+    /// or no positive clause has one.
+    fn instantiate(
+        &self,
+        plan: &[Planned],
+        seg: SegmentView<'a>,
+        run: &mut SegmentRun<'a>,
+    ) -> bool {
+        run.clear();
+        for clause in plan {
+            match clause {
+                Planned::Token { term, must, fields } => {
+                    let mut group = UnionCursor::default();
+                    for fs in fields {
+                        let Some(list) = seg.list(*term, fs.field) else {
+                            continue;
+                        };
+                        if *must {
+                            group.push(list);
+                        }
+                        run.scorers.push(AnyScorer::Term(self.scorer(fs, list)));
+                    }
+                    if *must {
+                        if group.is_empty() {
+                            return false;
+                        }
+                        run.must_groups.push(group);
+                    }
+                }
+                Planned::Exclude { term, fields } => {
+                    let mut union = UnionCursor::default();
+                    for list in fields.iter().filter_map(|&f| seg.list(*term, f)) {
+                        union.push(list);
+                    }
+                    if !union.is_empty() {
+                        run.exclusions.push(union);
+                    }
+                }
+                Planned::Phrase {
+                    occur,
+                    tokens,
+                    fields,
+                } => match (self.phrase_scorer(tokens, fields, seg), occur) {
+                    (Some(p), Occur::MustNot) => run.phrase_exclusions.push(p),
+                    (Some(p), occur) => {
+                        if *occur == Occur::Must {
+                            run.must_phrases.push(run.scorers.len());
+                        }
+                        run.scorers.push(AnyScorer::Phrase(p));
+                    }
+                    (None, Occur::Must) => return false,
+                    (None, _) => {}
+                },
+            }
+        }
         // The intersection drives from the rarest `+must` list: with
         // groups in ascending doc-frequency order, the first seek of
         // every galloping round comes from the most selective cursor,
         // so the denser groups only ever seek to its (sparse)
         // candidates.
-        must_groups.sort_by_key(|g| g.est);
+        run.must_groups.sort_by_key(|g| g.est);
+        !run.scorers.is_empty()
+    }
+
+    /// The DAAT MaxScore loop over one instantiated segment (docs below
+    /// `end`), reading and raising the carried heap and threshold.
+    ///
+    /// Rank safety relies on four invariants: candidate docs skipped
+    /// by the essential partition or the partial-sum abandon check
+    /// have true scores strictly below the threshold (inflated bounds,
+    /// valid for the documents of the segment they are applied to),
+    /// surviving candidates are scored by summing per-scorer
+    /// contributions in canonical clause order (bit-identical f32
+    /// rounding), every cursor only ever moves forward, and the carried
+    /// threshold is the true k-th best score of the documents already
+    /// seen — in this segment or an earlier one.
+    fn run_segment(
+        &self,
+        run: &mut SegmentRun<'_>,
+        end: u32,
+        filter: &impl Fn(DocId) -> bool,
+        carried: &mut Carried<'_>,
+    ) {
+        let SegmentRun {
+            scorers,
+            must_groups,
+            must_phrases,
+            exclusions,
+            phrase_exclusions,
+        } = run;
+        let Carried {
+            k,
+            heap,
+            threshold,
+            filter_cursor,
+            gate_drives,
+            has_deleted,
+        } = carried;
+        let (k, gate_drives, has_deleted) = (*k, *gate_drives, *has_deleted);
 
         // Evaluation order: scorer indices sorted by ascending bound.
         // The prefix `order[..ness]` is the non-essential set; probes
@@ -668,12 +817,10 @@ impl<'a> Searcher<'a> {
                 Some(*acc)
             })
             .collect();
-
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-        // Current k-th best score; only meaningful once the heap is
-        // full. Grows monotonically, and `ness` with it.
-        let mut threshold = f32::NEG_INFINITY;
-        let mut ness = 0usize;
+        // Non-essential prefix under the carried threshold (which only
+        // leaves `NEG_INFINITY` once the heap is full); both grow
+        // monotonically from here.
+        let mut ness = prefix.partition_point(|&p| p <= *threshold);
         let mut contribs = vec![0.0f32; scorers.len()];
         let must_driven = !must_groups.is_empty() || !must_phrases.is_empty() || gate_drives;
         let mut next_target = 0u32;
@@ -681,9 +828,6 @@ impl<'a> Searcher<'a> {
         // it advance during the next selection scan (one fused pass
         // instead of advance-then-rescan).
         let mut last = NO_DOC;
-        // Deletions are rare; one flag check replaces a per-candidate
-        // bitmap probe on the common all-live index.
-        let has_deleted = self.index.live_docs() < self.index.total_docs();
 
         loop {
             // ---- Candidate selection -------------------------------
@@ -693,9 +837,9 @@ impl<'a> Searcher<'a> {
                 // phrase membership conjunctions yields the only docs
                 // that can appear in the result at all.
                 match must_candidate(
-                    &mut must_groups,
-                    &mut scorers,
-                    &must_phrases,
+                    must_groups,
+                    scorers,
+                    must_phrases,
                     filter_cursor.as_mut().filter(|_| gate_drives),
                     next_target,
                 ) {
@@ -714,11 +858,14 @@ impl<'a> Searcher<'a> {
                     d = d.min(scorers[i].doc());
                 }
                 last = d;
-                if d == NO_DOC {
-                    break;
-                }
                 d
             };
+            // The segment's own cursors end with its range; a driving
+            // set gate runs on into later segments, which pick it up
+            // where it stands.
+            if d >= end {
+                break;
+            }
             next_target = d + 1;
 
             // ---- Block-max range skip ------------------------------
@@ -744,7 +891,7 @@ impl<'a> Searcher<'a> {
                         until = until.min(sd - 1);
                     }
                 }
-                if ceil <= threshold {
+                if ceil <= *threshold {
                     let past = until.max(d).saturating_add(1);
                     for &i in &order[ness..] {
                         scorers[i].seek(past);
@@ -796,7 +943,7 @@ impl<'a> Searcher<'a> {
                 }
                 let probe_from = if must_driven { order.len() } else { ness };
                 for j in (0..probe_from).rev() {
-                    if heap.len() == k && running + prefix[j] <= threshold {
+                    if heap.len() == k && running + prefix[j] <= *threshold {
                         // Even granting every unprobed scorer its full
                         // bound, `d` stays (strictly) under the
                         // threshold.
@@ -812,7 +959,9 @@ impl<'a> Searcher<'a> {
                 if !abandoned && matched {
                     // Canonical-order sum: bit-identical to the
                     // exhaustive accumulator (adding 0.0 for scorers
-                    // that missed `d` is exact for non-negative f32).
+                    // that missed `d` — or were not built because the
+                    // segment lacks their term — is exact for
+                    // non-negative f32).
                     let score = contribs.iter().fold(0.0f32, |a, &b| a + b);
                     heap.push(HeapEntry { score, doc: d });
                     if heap.len() > k {
@@ -820,9 +969,9 @@ impl<'a> Searcher<'a> {
                     }
                     if heap.len() == k {
                         let worst = heap.peek().expect("heap is full").score;
-                        if worst > threshold {
-                            threshold = worst;
-                            while ness < order.len() && prefix[ness] <= threshold {
+                        if worst > *threshold {
+                            *threshold = worst;
+                            while ness < order.len() && prefix[ness] <= *threshold {
                                 ness += 1;
                             }
                         }
@@ -832,27 +981,18 @@ impl<'a> Searcher<'a> {
             // The essential cursors still sitting on `d` advance at the
             // top of the next selection scan (fused with the min scan).
         }
-
-        let mut hits: Vec<SearchHit> = heap
-            .into_iter()
-            .map(|e| SearchHit {
-                doc: DocId(e.doc),
-                score: e.score,
-            })
-            .collect();
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
-        hits
     }
 
     /// Inflated upper bound on `sc`'s contribution to any doc in the
     /// block its cursor currently sits on. Tighter than the static
     /// `bound()` whenever the block directory says this block's max tf
     /// is below the list-wide maximum; identical (and equally safe)
-    /// otherwise. Phrases and stats-less terms fall back to their
-    /// static bound. Rank safety: the block bound uses the same
-    /// (max tf, min len) maximization and the same slack inflation as
-    /// the static bound, just with the block-local max tf — every true
-    /// contribution in the block is strictly below it.
+    /// otherwise. Phrases, raw (memtable) lists — which carry no block
+    /// directory — and infinite bounds fall back to the static bound.
+    /// Rank safety: the block bound uses the same (max tf, min len)
+    /// maximization and the same slack inflation as the static bound,
+    /// just with the block-local max tf — every true contribution in
+    /// the block is strictly below it.
     #[inline]
     fn block_bound(&self, sc: &mut AnyScorer<'_>) -> f32 {
         let AnyScorer::Term(t) = sc else {
@@ -892,16 +1032,22 @@ impl<'a> Searcher<'a> {
                 if t.cursor.doc() == d {
                     *matched = true;
                     let tf = t.cursor.tf();
-                    self.clause_score(t, d, tf)
+                    let v = self.clause_score(t, d, tf);
+                    debug_assert!(v <= t.bound, "doc {d}: {v} over its segment's bound");
+                    v
                 } else {
                     0.0
                 }
             }
             AnyScorer::Phrase(p) => {
                 if p.member == d {
-                    if let Some((count, field)) = p.verify(d) {
+                    if let Some((count, first)) = p.verify(d) {
                         *matched = true;
-                        return self.phrase_score(&p.tokens, field, DocId(d), count);
+                        // The exhaustive `phrase_score` expression on
+                        // the plan's precomputed idf sum.
+                        let f = &p.fields[first];
+                        let len = f.lens[d as usize] as f32;
+                        return f.boost * self.bm25(count as f32, len, f.avg_len, f.idf);
                     }
                 }
                 0.0
@@ -909,10 +1055,11 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Build a phrase scorer: per-field conjunction cursors over every
-    /// field where *all* tokens have postings (the same qualifying
-    /// rule as the exhaustive `phrase_matches`), or `None` when no
-    /// field qualifies.
+    /// Build a phrase scorer over one segment: per-field conjunction
+    /// cursors over every planned field where *all* tokens have a list
+    /// in this segment (a field that qualifies index-wide but lacks a
+    /// token here holds no match among this segment's documents), or
+    /// `None` when no field qualifies.
     ///
     /// The score upper bound mirrors the exhaustive scoring shape: a
     /// verified phrase scores once, in the first qualifying field with
@@ -921,141 +1068,76 @@ impl<'a> Searcher<'a> {
     /// (every contiguous run consumes one distinct position of each
     /// token), so the total is capped by the sum of those per-field
     /// minima; the per-field bound then takes that total count at the
-    /// field's smallest possible length. Any token without sealed
-    /// stats (memtable postings) makes the bound infinite — the
-    /// phrase is then permanently essential, evaluated at every
-    /// candidate, never pruned against, hence still exact.
-    fn phrase_scorer(&self, tokens: Vec<TermId>, fields: &[FieldId]) -> Option<PhraseScorer<'a>> {
+    /// field's smallest possible length — at least the largest
+    /// per-token `min_len`, a matching doc being on every token's
+    /// list. All ingredients are this segment's.
+    fn phrase_scorer(
+        &self,
+        tokens: &[TermId],
+        fields: &[FieldScore],
+        seg: SegmentView<'a>,
+    ) -> Option<PhraseScorer<'a>> {
         let mut pfields: Vec<PhraseField<'a>> = Vec::new();
-        for &field in fields {
-            if tokens.iter().any(|&t| !self.index.has_postings(t, field)) {
+        let mut min_lens: Vec<u32> = Vec::new();
+        let mut cmax_total = 0u32;
+        for fs in fields {
+            let lists: Option<Vec<SegmentList<'a>>> =
+                tokens.iter().map(|&t| seg.list(t, fs.field)).collect();
+            let Some(lists) = lists else {
                 continue;
-            }
-            let cursors: Vec<PostingsCursor<'a>> = tokens
-                .iter()
-                .map(|&t| {
-                    self.index
-                        .cursor(t, field)
-                        .expect("has_postings implies a cursor")
-                })
-                .collect();
+            };
+            cmax_total += lists.iter().map(|l| l.stats.max_tf).min().unwrap_or(0);
+            min_lens.push(lists.iter().map(|l| l.stats.min_len).max().unwrap_or(1));
             let mut pf = PhraseField {
-                field,
-                cursors,
+                cursors: lists.into_iter().map(SegmentList::cursor).collect(),
                 at: 0,
+                lens: self.index.field_lens(fs.field),
+                idf: fs.idf,
+                avg_len: fs.avg_len,
+                boost: fs.boost,
             };
             pf.align(0);
             pfields.push(pf);
         }
-        if pfields.is_empty() {
-            return None;
-        }
-        // Bound: sum over qualifying fields of min-per-token max tf
-        // caps the total verified count ...
-        let mut all_stats = true;
-        let mut cmax_total = 0u32;
-        for pf in &pfields {
-            let mut field_cap = u32::MAX;
-            for &t in &tokens {
-                match self.index.term_score_stats(t, pf.field) {
-                    Some(st) => field_cap = field_cap.min(st.max_tf),
-                    None => {
-                        all_stats = false;
-                        break;
-                    }
-                }
-            }
-            if !all_stats {
-                break;
-            }
-            cmax_total += field_cap;
-        }
-        // ... and the scoring field's length is at least the largest
-        // per-token min_len (a matching doc is on every token's list).
-        let mut bound = f32::NEG_INFINITY;
-        if all_stats {
-            for pf in &pfields {
-                let mut min_len = 1u32;
-                for &t in &tokens {
-                    let st = self
-                        .index
-                        .term_score_stats(t, pf.field)
-                        .expect("checked above");
-                    min_len = min_len.max(st.min_len);
-                }
-                let idf: f32 = tokens.iter().map(|&t| self.idf(t, pf.field)).sum();
-                let avg = self.stat_avg_field_len(pf.field);
-                let raw = self.index.field_boost(pf.field)
-                    * self.bm25(cmax_total as f32, min_len as f32, avg, idf);
-                bound = bound.max(raw);
-            }
-        }
-        let bound = if all_stats && bound.is_finite() && bound >= 0.0 {
-            bound * (1.0 + BOUND_SLACK_REL) + BOUND_SLACK_ABS
-        } else {
-            f32::INFINITY
-        };
-        let member = pfields.iter().map(|f| f.at).min().expect("non-empty");
-        let pos_bufs = vec![Vec::new(); tokens.len()];
+        let member = pfields.iter().map(|f| f.at).min()?;
+        let bound = pfields
+            .iter()
+            .zip(&min_lens)
+            .map(|(f, &min_len)| {
+                f.boost * self.bm25(cmax_total as f32, min_len as f32, f.avg_len, f.idf)
+            })
+            .fold(f32::NEG_INFINITY, f32::max);
         Some(PhraseScorer {
-            tokens,
             fields: pfields,
             member,
             verified_doc: NO_DOC,
             verified: None,
-            pos_bufs,
-            bound,
+            pos_bufs: vec![Vec::new(); tokens.len()],
+            bound: inflated(bound),
         })
     }
 
-    /// Build one scoring cursor for `(term, field)`, or `None` when no
-    /// document contains it. The cursor unions every segment's posting
-    /// list; the pruning bound folds the per-segment stats sealed
-    /// segments carry ([`Index::term_score_stats`]). Terms with
-    /// postings in the memtable have no stats and get an infinite
-    /// bound, which keeps them permanently essential — always
-    /// evaluated, never pruned against, hence still exact.
-    fn scorer(&self, term: TermId, field: FieldId) -> Option<Scorer<'a>> {
-        let cursor = self.index.cursor(term, field)?;
-        let idf = self.idf(term, field);
-        let avg_len = self.stat_avg_field_len(field);
-        let boost = self.index.field_boost(field);
-        let mut min_len = 0.0f32;
-        let bound = match self.index.term_score_stats(term, field) {
-            Some(st) => {
-                let raw = boost * self.bm25(st.max_tf as f32, st.min_len as f32, avg_len, idf);
-                if raw.is_finite() && raw >= 0.0 {
-                    min_len = st.min_len as f32;
-                    raw * (1.0 + BOUND_SLACK_REL) + BOUND_SLACK_ABS
-                } else {
-                    f32::INFINITY
-                }
-            }
-            None => f32::INFINITY,
-        };
-        Some(Scorer {
-            cursor,
-            lens: self.index.field_lens(field),
-            idf,
-            avg_len,
-            boost,
+    /// Build the scoring cursor for one segment's `(term, field)` list.
+    /// The pruning bound comes from the stats stored with *that* list,
+    /// so it holds for this segment's documents and for no others; a
+    /// raw bound that is negative or not finite (negative idf, when
+    /// tombstones outnumber live docs) becomes infinite, which keeps
+    /// the scorer permanently essential — always evaluated, never
+    /// pruned against, hence still exact.
+    fn scorer(&self, fs: &FieldScore, list: SegmentList<'a>) -> Scorer<'a> {
+        let st = list.stats;
+        let raw = fs.boost * self.bm25(st.max_tf as f32, st.min_len as f32, fs.avg_len, fs.idf);
+        let bound = inflated(raw);
+        Scorer {
+            cursor: list.cursor(),
+            lens: self.index.field_lens(fs.field),
+            idf: fs.idf,
+            avg_len: fs.avg_len,
+            boost: fs.boost,
             bound,
-            min_len,
+            min_len: st.min_len as f32,
             block_memo_tf: u32::MAX,
             block_memo_bound: bound,
-        })
-    }
-
-    /// A membership (non-scoring) cursor for `term` across `fields`,
-    /// carrying a document-frequency estimate so `+must` conjunctions
-    /// can drive from the rarest list.
-    fn union_cursor(&self, term: TermId, fields: &[FieldId]) -> UnionCursor<'a> {
-        UnionCursor {
-            members: fields
-                .iter()
-                .filter_map(|&f| self.index.cursor(term, f))
-                .collect(),
-            est: fields.iter().map(|&f| self.index.doc_freq(term, f)).sum(),
         }
     }
 
@@ -1144,7 +1226,12 @@ impl<'a> Searcher<'a> {
     /// Using the live count is what makes a fully-compacted index score
     /// bit-identically to a from-scratch rebuild of the live corpus.
     fn idf(&self, term: TermId, field: FieldId) -> f32 {
-        let df = self.stat_doc_freq(term, field);
+        self.idf_of(self.stat_doc_freq(term, field))
+    }
+
+    /// [`Searcher::idf`] for a corpus-wide document frequency already
+    /// in hand.
+    fn idf_of(&self, df: usize) -> f32 {
         if df == 0 {
             return 0.0;
         }
@@ -1254,6 +1341,95 @@ impl<'a> Searcher<'a> {
     }
 }
 
+/// The index-wide half of a score, constant for one query: what BM25
+/// needs beyond a document's own tf and length. For a phrase `idf` is
+/// the sum over its tokens.
+#[derive(Clone, Copy)]
+struct FieldScore {
+    field: FieldId,
+    idf: f32,
+    avg_len: f32,
+    boost: f32,
+}
+
+/// One query clause resolved against the index, ready to be
+/// instantiated over any segment.
+enum Planned {
+    /// A positive token and the fields (in field order) where it has
+    /// postings: one scorer per field, plus — under `+must` — one
+    /// union-of-fields group result docs must appear in.
+    Token {
+        term: TermId,
+        must: bool,
+        fields: Vec<FieldScore>,
+    },
+    /// A `-must-not` token: result docs must appear in none of its
+    /// fields' lists.
+    Exclude { term: TermId, fields: Vec<FieldId> },
+    /// A phrase and the fields where all its tokens have postings: a
+    /// single contribution at its clause position; `+must` docs must
+    /// pass its positional verification, `-must-not` ones fail it.
+    Phrase {
+        occur: Occur,
+        tokens: Vec<TermId>,
+        fields: Vec<FieldScore>,
+    },
+}
+
+/// A plan instantiated over one segment (see
+/// [`Searcher::instantiate`]); the vectors are reused from segment to
+/// segment.
+#[derive(Default)]
+struct SegmentRun<'a> {
+    /// In canonical (clause, token, field) order — the exact order the
+    /// exhaustive accumulator adds contributions.
+    scorers: Vec<AnyScorer<'a>>,
+    /// One non-scoring union-of-fields cursor per `+must` token.
+    must_groups: Vec<UnionCursor<'a>>,
+    /// Indices into `scorers` of `+must` phrase clauses.
+    must_phrases: Vec<usize>,
+    /// One union cursor per `-must-not` token.
+    exclusions: Vec<UnionCursor<'a>>,
+    /// `-must-not` phrases exclude only positionally verified docs.
+    phrase_exclusions: Vec<PhraseScorer<'a>>,
+}
+
+impl SegmentRun<'_> {
+    fn clear(&mut self) {
+        self.scorers.clear();
+        self.must_groups.clear();
+        self.must_phrases.clear();
+        self.exclusions.clear();
+        self.phrase_exclusions.clear();
+    }
+}
+
+/// What one query carries from segment to segment.
+struct Carried<'s> {
+    k: usize,
+    heap: BinaryHeap<HeapEntry>,
+    /// Current k-th best score over every segment run so far; only
+    /// leaves `NEG_INFINITY` once the heap is full, and only grows.
+    threshold: f32,
+    /// The pushed-down doc-id set, if any; forward-only, so segments
+    /// must run in doc order.
+    filter_cursor: Option<FilterCursor<'s>>,
+    /// Whether the set drives the conjunction (gate) or is probed.
+    gate_drives: bool,
+    has_deleted: bool,
+}
+
+/// A raw score upper bound with the pruning slack applied; infinite
+/// when the raw bound cannot be trusted as one (negative or not
+/// finite).
+fn inflated(raw: f32) -> f32 {
+    if raw.is_finite() && raw >= 0.0 {
+        raw * (1.0 + BOUND_SLACK_REL) + BOUND_SLACK_ABS
+    } else {
+        f32::INFINITY
+    }
+}
+
 /// One scoring cursor of the pruned executor: a posting cursor plus
 /// everything needed to turn a `(doc, tf)` pair into a BM25
 /// contribution, and the (inflated) upper bound on that contribution.
@@ -1265,11 +1441,12 @@ struct Scorer<'a> {
     idf: f32,
     avg_len: f32,
     boost: f32,
-    /// Inflated upper bound on any single contribution; `INFINITY`
-    /// when no [`crate::index::TermScoreStats`] are available.
+    /// Inflated upper bound on any single contribution from this
+    /// segment's list, from the [`crate::index::TermScoreStats`]
+    /// stored with it.
     bound: f32,
-    /// Smallest field length on this scorer's posting list (from the
-    /// same stats as `bound`; 0 when stats are missing, unused then).
+    /// Lower bound on the field length of any document on the list
+    /// (from the same stats as `bound`).
     min_len: f32,
     /// Memoized block-max refinement: the block max tf the cached
     /// bound below was computed for (`u32::MAX` = nothing cached).
@@ -1280,14 +1457,19 @@ struct Scorer<'a> {
 
 /// The phrase's token cursors in one qualifying field, intersected by
 /// a galloping conjunction (`at` is the current co-occurrence
-/// candidate).
+/// candidate), with what scoring a match in this field needs.
 struct PhraseField<'a> {
-    field: FieldId,
-    /// One cursor per phrase token, all over `field`.
+    /// One cursor per phrase token, all over the one field.
     cursors: Vec<PostingsCursor<'a>>,
     /// Current conjunction doc (all cursors aligned on it), or
     /// [`NO_DOC`] when the conjunction is exhausted.
     at: u32,
+    /// Per-doc analyzed lengths of the field.
+    lens: &'a [u32],
+    /// Sum of the tokens' idfs in the field.
+    idf: f32,
+    avg_len: f32,
+    boost: f32,
 }
 
 impl PhraseField<'_> {
@@ -1334,8 +1516,6 @@ impl PhraseField<'_> {
 /// exactly: occurrence count summed across qualifying fields, scored
 /// once in the first field (in field order) containing a match.
 struct PhraseScorer<'a> {
-    /// Analyzed phrase tokens; index in this Vec = position offset.
-    tokens: Vec<TermId>,
     /// Per-field conjunctions, in field order.
     fields: Vec<PhraseField<'a>>,
     /// Smallest per-field conjunction doc: the current (unverified)
@@ -1344,10 +1524,11 @@ struct PhraseScorer<'a> {
     /// Doc the cached verification below refers to ([`NO_DOC`] =
     /// none).
     verified_doc: u32,
-    /// Cached verification: `Some((total count, first matching
-    /// field))`, or `None` when no field matched positionally.
-    verified: Option<(u32, FieldId)>,
-    /// Reusable per-token position buffers.
+    /// Cached verification: `Some((total count, index in `fields` of
+    /// the first matching one))`, or `None` when no field matched
+    /// positionally.
+    verified: Option<(u32, usize)>,
+    /// Reusable per-token position buffers (index = position offset).
     pos_bufs: Vec<Vec<u32>>,
     /// Inflated upper bound on the phrase contribution.
     bound: f32,
@@ -1369,18 +1550,19 @@ impl PhraseScorer<'_> {
     }
 
     /// Positionally verify the phrase at doc `d`, returning the total
-    /// occurrence count and the first matching field (identical to
-    /// the exhaustive `phrase_matches` bookkeeping), or `None` when no
-    /// field contains the contiguous sequence. Cached per doc, so the
-    /// rejection pass and the scoring pass decode positions once.
-    fn verify(&mut self, d: u32) -> Option<(u32, FieldId)> {
+    /// occurrence count and the first matching field's index in
+    /// `fields` (identical to the exhaustive `phrase_matches`
+    /// bookkeeping), or `None` when no field contains the contiguous
+    /// sequence. Cached per doc, so the rejection pass and the scoring
+    /// pass decode positions once.
+    fn verify(&mut self, d: u32) -> Option<(u32, usize)> {
         if self.verified_doc == d {
             return self.verified;
         }
         self.verified_doc = d;
         let mut total = 0u32;
-        let mut first: Option<FieldId> = None;
-        for f in &mut self.fields {
+        let mut first: Option<usize> = None;
+        for (at, f) in self.fields.iter_mut().enumerate() {
             if f.seek(d) != d {
                 continue;
             }
@@ -1398,9 +1580,7 @@ impl PhraseScorer<'_> {
             }
             if count > 0 {
                 total += count;
-                if first.is_none() {
-                    first = Some(f.field);
-                }
+                first = first.or(Some(at));
             }
         }
         self.verified = (total > 0).then(|| (total, first.expect("count > 0 implies a field")));
@@ -1478,16 +1658,23 @@ impl AnyScorer<'_> {
 /// Union-of-fields membership cursor: reports whether *any* field's
 /// posting list contains a document. Used non-scoring, for `+must`
 /// conjunctions and `-must-not` exclusions.
+#[derive(Default)]
 struct UnionCursor<'a> {
     members: Vec<PostingsCursor<'a>>,
-    /// Summed document frequency across member fields — the sort key
-    /// that puts the rarest `+must` group first in the conjunction.
+    /// Summed document count across member lists — the sort key that
+    /// puts the rarest `+must` group first in the conjunction.
     est: usize,
 }
 
-impl UnionCursor<'_> {
+impl<'a> UnionCursor<'a> {
     fn is_empty(&self) -> bool {
         self.members.is_empty()
+    }
+
+    /// Add one field's list of the cursor's term.
+    fn push(&mut self, list: SegmentList<'a>) {
+        self.est += list.doc_count();
+        self.members.push(list.cursor());
     }
 
     /// Smallest member doc `>= target` (advancing lagging members),
@@ -1708,7 +1895,7 @@ mod tests {
             }
             if round == 2 {
                 // Mixed: sealed segments plus a memtable doc that also
-                // matches the phrase (infinite-bound scorer).
+                // matches the phrase (a second, memtable-bounded run).
                 idx.add(
                     Doc::new()
                         .field(FieldId(0), "Space Shooter Deluxe")

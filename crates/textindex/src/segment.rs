@@ -7,8 +7,13 @@
 //! sealed segments together, purging tombstoned documents and
 //! rebuilding stats as they go. All segments share the index's global
 //! lexicon and doc-id space, so a segment is purely a slice of the
-//! posting data — queries chain per-segment cursors back into one
-//! doc-ordered stream.
+//! posting data, and it is the unit reads run on: a [`SegmentView`]
+//! answers, for either kind of segment, which doc range it covers and
+//! — in one lookup per `(term, field)` — the list's cursor, doc count
+//! and score-bound ingredients. The pruned executor runs segment by
+//! segment in doc order with each segment's own bounds; the index-wide
+//! accessors (`doc_freq`, `has_postings`, `for_each_posting`,
+//! `term_score_stats`) fold over the same views.
 //!
 //! Separately, [`SegmentBuilder`] is the per-thread builder for the
 //! parallel batch build:
@@ -34,8 +39,9 @@ use crate::analysis::{Analyzer, TokenScratch};
 use crate::fx::FxHashMap;
 use crate::index::{Doc, FieldId, TermScoreStats};
 use crate::lexicon::{Lexicon, TermId};
-use crate::postings::{CompressedPostings, PostingList};
+use crate::postings::{CompressedPostings, PostingList, PostingsCursor};
 use crate::DocId;
+use std::ops::Range;
 
 /// The mutable in-memory segment (memtable): raw posting lists keyed
 /// by **global** term id, covering docs `[base, base + docs)`.
@@ -47,6 +53,12 @@ pub(crate) struct ActiveSegment {
     pub(crate) docs: u32,
     /// Raw doc-ordered posting lists, global term ids.
     pub(crate) postings: FxHashMap<(TermId, FieldId), PostingList>,
+    /// Per field (grown on demand), the smallest non-zero analysed
+    /// length among this segment's documents; `u32::MAX` until one is
+    /// noted. Shared by every list of the field: a lower bound over a
+    /// superset of any one list's documents, which only loosens a score
+    /// bound (rank-safe, as for tombstones).
+    min_len: Vec<u32>,
 }
 
 impl ActiveSegment {
@@ -54,14 +66,26 @@ impl ActiveSegment {
     pub(crate) fn starting_at(base: u32) -> Self {
         ActiveSegment {
             base,
-            docs: 0,
-            postings: FxHashMap::default(),
+            ..ActiveSegment::default()
         }
+    }
+
+    /// Fold one document's analysed length of `field` into the
+    /// segment's per-field minimum (zero lengths — the doc lacks the
+    /// field — are skipped).
+    pub(crate) fn note_len(&mut self, field: usize, len: u32) {
+        if len == 0 {
+            return;
+        }
+        if self.min_len.len() <= field {
+            self.min_len.resize(field + 1, u32::MAX);
+        }
+        self.min_len[field] = self.min_len[field].min(len);
     }
 }
 
 /// An immutable sealed segment: block-compressed postings keyed by
-/// **global** term id, plus the per-list score-bound ingredients
+/// **global** term id, each stored with the score-bound ingredients
 /// computed when the segment was sealed or last merged.
 #[derive(Debug)]
 pub(crate) struct SealedSegment {
@@ -75,17 +99,105 @@ pub(crate) struct SealedSegment {
     /// current tombstone count over the range and this number is the
     /// segment's pending-garbage count, which drives compaction.
     pub(crate) purged: u32,
-    /// Compressed posting lists; doc ids global, term ids global.
-    pub(crate) postings: FxHashMap<(TermId, FieldId), CompressedPostings>,
-    /// Score-bound ingredients per list, computed at seal/merge time.
-    /// Every key in `postings` has an entry.
-    pub(crate) stats: FxHashMap<(TermId, FieldId), TermScoreStats>,
+    /// Compressed posting lists with their (exact, as of the build)
+    /// score-bound ingredients; doc ids global, term ids global.
+    pub(crate) postings: FxHashMap<(TermId, FieldId), (CompressedPostings, TermScoreStats)>,
 }
 
 impl SealedSegment {
     /// Approximate heap bytes held by the segment's posting data.
     pub(crate) fn postings_bytes(&self) -> usize {
-        self.postings.values().map(|c| c.byte_len()).sum()
+        self.postings.values().map(|(c, _)| c.byte_len()).sum()
+    }
+}
+
+/// One segment as reads see it, sealed or memtable alike.
+#[derive(Clone, Copy)]
+pub(crate) enum SegmentView<'a> {
+    Sealed(&'a SealedSegment),
+    Active(&'a ActiveSegment),
+}
+
+impl<'a> SegmentView<'a> {
+    /// The doc-id range the segment covers.
+    pub(crate) fn range(self) -> Range<u32> {
+        let (base, docs) = match self {
+            SegmentView::Sealed(s) => (s.base, s.docs),
+            SegmentView::Active(a) => (a.base, a.docs),
+        };
+        base..base + docs
+    }
+
+    /// The segment's posting list for `(term, field)`, or `None` when
+    /// no document of the segment contains it. A memtable list's stats
+    /// are its exact `max_tf` and the segment-wide per-field `min_len`.
+    pub(crate) fn list(self, term: TermId, field: FieldId) -> Option<SegmentList<'a>> {
+        let key = (term, field);
+        match self {
+            SegmentView::Sealed(s) => s.postings.get(&key).map(|(packed, stats)| SegmentList {
+                postings: ListRef::Packed(packed),
+                stats: *stats,
+            }),
+            SegmentView::Active(a) => a.postings.get(&key).map(|raw| {
+                // A list in `field` means some document of the segment
+                // has tokens there, and `Index::add` noted its length.
+                let min_len = a.min_len[field.0 as usize];
+                debug_assert_ne!(min_len, u32::MAX, "memtable list without a noted length");
+                SegmentList {
+                    postings: ListRef::Raw(raw),
+                    stats: TermScoreStats {
+                        max_tf: raw.max_tf(),
+                        min_len,
+                    },
+                }
+            }),
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+enum ListRef<'a> {
+    Raw(&'a PostingList),
+    Packed(&'a CompressedPostings),
+}
+
+/// One segment's posting list for a `(term, field)`, found with a
+/// single map lookup: everything a reader sets up from it.
+#[derive(Clone, Copy)]
+pub(crate) struct SegmentList<'a> {
+    postings: ListRef<'a>,
+    /// Score-bound ingredients valid for every live document on this
+    /// list (and only claimed for this segment's documents).
+    pub(crate) stats: TermScoreStats,
+}
+
+impl<'a> SegmentList<'a> {
+    /// Open a cursor positioned on the list's first posting.
+    pub(crate) fn cursor(self) -> PostingsCursor<'a> {
+        match self.postings {
+            ListRef::Raw(l) => PostingsCursor::Raw(l.cursor()),
+            ListRef::Packed(c) => PostingsCursor::Compressed(c.cursor()),
+        }
+    }
+
+    /// Documents on the list (tombstoned ones included until a merge).
+    pub(crate) fn doc_count(self) -> usize {
+        match self.postings {
+            ListRef::Raw(l) => l.doc_count(),
+            ListRef::Packed(c) => c.doc_count(),
+        }
+    }
+
+    /// Visit every `(doc, positions)` pair in doc order.
+    pub(crate) fn for_each(self, mut f: impl FnMut(DocId, &[u32])) {
+        match self.postings {
+            ListRef::Raw(l) => {
+                for p in l.postings() {
+                    f(p.doc, &p.positions);
+                }
+            }
+            ListRef::Packed(c) => c.for_each(f),
+        }
     }
 }
 

@@ -42,6 +42,42 @@ fn lifecycle_op() -> impl Strategy<Value = LifecycleOp> {
         })
 }
 
+/// One step of a *live* index's schedule for
+/// `live_stats_dominate_and_prune_exactly`: the base lifecycle plus the
+/// write shapes that reach the memtable's score-bound bookkeeping by a
+/// different road.
+#[derive(Debug, Clone)]
+enum LiveOp {
+    /// A step of the base schedule.
+    Base(LifecycleOp),
+    /// `build_parallel` of a small batch on this many threads, into
+    /// whatever the memtable already holds (chunk lists are `append`ed
+    /// to live ones).
+    Batch(Vec<(String, String)>, usize),
+    /// A doc whose body arrives in two parts (a repeated field).
+    AddRepeated(String, String, String),
+    /// A doc with a `tags` field, registered on first use — after the
+    /// first documents exist.
+    AddTagged(String, String),
+    /// Replace the newest doc, which sits in the memtable unless a seal
+    /// just ran.
+    UpdateNewest(String, String),
+}
+
+fn live_op() -> impl Strategy<Value = LiveOp> {
+    let text = "[ab]{2,3}( [ab]{2,3}){0,6}";
+    prop_oneof![
+        lifecycle_op().prop_map(LiveOp::Base),
+        lifecycle_op().prop_map(LiveOp::Base),
+        lifecycle_op().prop_map(LiveOp::Base),
+        (proptest::collection::vec((text, text), 2..6), 2usize..5)
+            .prop_map(|(docs, threads)| LiveOp::Batch(docs, threads)),
+        (text, text, text).prop_map(|(t, b, b2)| LiveOp::AddRepeated(t, b, b2)),
+        (text, text).prop_map(|(b, tags)| LiveOp::AddTagged(b, tags)),
+        (text, text).prop_map(|(t, b)| LiveOp::UpdateNewest(t, b)),
+    ]
+}
+
 /// Strategy: one textual query clause — optional occur prefix, optional
 /// field restriction (including an unregistered field), and either a
 /// tiny-alphabet token or a quoted phrase so queries actually collide
@@ -421,6 +457,125 @@ proptest! {
         prop_assert_eq!(key(&via_set), key(&via_closure));
         prop_assert_eq!(key(&via_set), key(&via_set_ex));
         prop_assert_eq!(key(&via_set), key(&via_closure_ex));
+    }
+
+    /// The contract a live index prunes under: after **every** step of
+    /// a write schedule — adds, deletes, updates (of memtable docs
+    /// too), seals, maintenance, `build_parallel` into a non-empty
+    /// memtable, repeated fields, a field registered late — every
+    /// `(term, field)` with postings has score-bound ingredients that
+    /// dominate each of its live postings (`tf <= max_tf`,
+    /// `field_len >= min_len`; checked through the folded public
+    /// accessor — the per-segment form of the same check lives next to
+    /// the segment types, in `index.rs`), and the pruned executor,
+    /// which trusts them segment by segment, returns the exhaustive
+    /// one's exact `(doc, score)` list: plain, `+must`, `-not` and
+    /// phrase queries, under a `DocSet` in both its gate and its probe
+    /// mounting, with near-real-time visibility on and off.
+    #[test]
+    fn live_stats_dominate_and_prune_exactly(
+        ops in proptest::collection::vec(live_op(), 1..25),
+        nrt in any::<bool>(),
+        k in 1usize..5,
+    ) {
+        let policy = SegmentPolicy {
+            memtable_max_docs: 4,
+            staleness_window_ms: 80,
+            merge_fanin: 2,
+            near_real_time: nrt,
+        };
+        let mut idx = Index::with_policy(IndexConfig::default(), policy);
+        let title = idx.register_field("title", 2.0);
+        let body = idx.register_field("body", 1.0);
+        let mut clock = 0u64;
+        let doc = |t: &str, b: &str| Doc::new().field(title, t).field(body, b);
+        for op in &ops {
+            match op {
+                LiveOp::Base(LifecycleOp::Add(t, b)) => {
+                    idx.add(doc(t, b));
+                }
+                LiveOp::Base(LifecycleOp::Delete(i)) => {
+                    idx.delete(DocId(*i));
+                }
+                LiveOp::Base(LifecycleOp::Update(i, t, b)) => {
+                    idx.update(DocId(*i), doc(t, b));
+                }
+                LiveOp::Base(LifecycleOp::Seal) => {
+                    idx.seal();
+                }
+                LiveOp::Base(LifecycleOp::Maintain) => {
+                    clock += 37;
+                    idx.maintain(clock);
+                }
+                LiveOp::Batch(docs, threads) => {
+                    idx.build_parallel(docs.iter().map(|(t, b)| doc(t, b)).collect(), *threads);
+                }
+                LiveOp::AddRepeated(t, b, b2) => {
+                    idx.add(doc(t, b).field(body, b2.as_str()));
+                }
+                LiveOp::AddTagged(b, tags) => {
+                    let tag_field = idx.register_field("tags", 1.5);
+                    idx.add(Doc::new().field(body, b.as_str()).field(tag_field, tags.as_str()));
+                }
+                LiveOp::UpdateNewest(t, b) => {
+                    if let Some(newest) = idx.total_docs().checked_sub(1) {
+                        idx.update(DocId(newest as u32), doc(t, b));
+                    }
+                }
+            }
+
+            for (term, text) in idx.lexicon().iter() {
+                for field in idx.field_ids() {
+                    let stats = idx.term_score_stats(term, field);
+                    prop_assert_eq!(stats.is_some(), idx.has_postings(term, field));
+                    let Some(stats) = stats else { continue };
+                    idx.for_each_posting(term, field, |d, positions| {
+                        if idx.is_deleted(d) {
+                            return;
+                        }
+                        let (tf, len) = (positions.len() as u32, idx.field_len(d, field));
+                        assert!(
+                            tf <= stats.max_tf && len >= stats.min_len,
+                            "{text:?} in {field:?} at {d:?}: tf {tf} len {len} vs {stats:?}"
+                        );
+                    });
+                }
+            }
+
+            let total = idx.total_docs() as u32;
+            // Two members: sparser than most positive lists (a gate).
+            // Two docs in three: denser than the rarest (a probe).
+            let sparse = symphony_text::DocSet::from_unsorted(vec![0, total.saturating_sub(1)]);
+            let dense = symphony_text::DocSet::from_sorted(
+                (0..total).filter(|d| d % 3 != 0).collect(),
+            );
+            for q in [
+                "aa",
+                "ab ba aa",
+                "+ab aa",
+                "ab -ba",
+                "\"ab ba\"",
+                "+\"ab aa\" ba",
+                "aa -\"ab ab\"",
+                "title:ab tags:aa",
+            ] {
+                let query = Query::parse(q);
+                let pruned = Searcher::new(&idx);
+                let exhaustive = Searcher::new(&idx).with_mode(ScoreMode::Exhaustive);
+                prop_assert_eq!(
+                    pruned.search(&query, k),
+                    exhaustive.search(&query, k),
+                    "{} after {:?}", q, op
+                );
+                for set in [&sparse, &dense] {
+                    prop_assert_eq!(
+                        pruned.search_docset(&query, k, set),
+                        exhaustive.search_docset(&query, k, set),
+                        "{} under a set of {} after {:?}", q, set.len(), op
+                    );
+                }
+            }
+        }
     }
 
     /// Query parser never panics and Display output reparses to the

@@ -1,0 +1,162 @@
+//! Work guard for pruning on a live index: candidates, not clocks.
+//!
+//! `search_filtered`'s closure is called once per candidate that
+//! survives the executor's block-max skip (and, in the exhaustive
+//! executor, once per matching document), so a counting closure *is*
+//! the candidate counter — no hook in the product code. Every figure
+//! is a count over a fixed corpus and query list and repeats exactly
+//! on any host.
+//!
+//! The same 4 064 documents are laid out three ways: `compact` (one
+//! sealed segment), `live` (4 000 sealed, then 64 short, dense ones in
+//! the memtable that share every query's terms) and `five` (five
+//! sealed segments). A live or multi-segment index must prune about as
+//! well as the compact one — within a quarter, plus one visit per
+//! memtable document — and never fall back to visiting what the
+//! exhaustive executor visits. Those two inequalities are the
+//! contract; [`CANDIDATES`] additionally pins today's exact counts, as
+//! ROADMAP item 3a's zero-variance cells do: a change that moves one
+//! re-baselines the row in the same commit and says why (a threshold
+//! dropped at a segment boundary heals after one candidate, so only
+//! the exact row can see it).
+//!
+//! At the parent commit (daf6307) every term that also sat in the
+//! memtable had an infinite bound, so the live count *was* the
+//! exhaustive one, query for query: 3 643 / 3 235 / 3 802 / 2 934 /
+//! 2 392 against the compact index's 1 436 / 946 / 1 284 / 971 /
+//! 1 061 (its five-segment counts were the ones pinned below).
+
+use std::cell::Cell;
+
+use symphony_text::{Doc, DocId, FieldId, Index, IndexConfig, Query, ScoreMode, Searcher};
+
+const SEALED_DOCS: u32 = 4_000;
+const MEMTABLE_DOCS: u32 = 64;
+const K: usize = 10;
+
+const QUERIES: [&str; 5] = [
+    "w0 w9",
+    "w1 w5 w30",
+    "w0 w3 w17 w44",
+    "w12 w2 w50",
+    "w4 w4 w21",
+];
+
+/// Candidates per query of [`QUERIES`]: exhaustive (any layout), then
+/// the pruned executor on `compact`, `live` and `five`.
+const CANDIDATES: [[usize; 4]; 5] = [
+    [3_643, 1_436, 1_436, 1_436],
+    [3_235, 946, 946, 946],
+    [3_802, 1_284, 1_284, 1_284],
+    [2_934, 971, 971, 926],
+    [2_392, 1_061, 1_061, 1_061],
+];
+
+/// A splitmix64 stream: the corpus must not depend on any crate's RNG.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Document `i` of the fixed corpus. The first [`SEALED_DOCS`] are
+/// 4–40 tokens over a 60-word vocabulary with a skewed
+/// (squared-uniform) rank distribution, so lists range from a few
+/// dozen to a few thousand documents and tf and length both vary. The
+/// last [`MEMTABLE_DOCS`] are what a crawl adds: short and dense, one
+/// of the queries' words three times over — they rank, and they carry
+/// the loosest bound ingredients in the corpus.
+fn body(i: u32) -> String {
+    if i >= SEALED_DOCS {
+        let words: Vec<&str> = QUERIES.iter().flat_map(|q| q.split_whitespace()).collect();
+        let word = words[i as usize % words.len()];
+        return format!("{word} {word} {word} fresh");
+    }
+    let mut state = u64::from(i).wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0x5eed;
+    let len = 4 + next(&mut state) % 37;
+    let words: Vec<String> = (0..len)
+        .map(|_| {
+            let u = (next(&mut state) % 10_000) as f64 / 10_000.0;
+            format!("w{}", (u * u * 60.0) as u32)
+        })
+        .collect();
+    words.join(" ")
+}
+
+/// The corpus with a seal after each of `seal_after`'s doc counts.
+fn index(seal_after: &[u32]) -> (Index, FieldId) {
+    let mut idx = Index::new(IndexConfig {
+        store_text: false,
+        ..IndexConfig::default()
+    });
+    let field = idx.register_field("body", 1.0);
+    for i in 0..SEALED_DOCS + MEMTABLE_DOCS {
+        idx.add(Doc::new().field(field, body(i)));
+        if seal_after.contains(&(i + 1)) {
+            idx.seal();
+        }
+    }
+    (idx, field)
+}
+
+/// Candidates the executor put to the filter for `query`, and its hits.
+fn candidates(idx: &Index, mode: ScoreMode, query: &str) -> (usize, Vec<(DocId, u32)>) {
+    let seen = Cell::new(0usize);
+    let hits = Searcher::new(idx)
+        .with_mode(mode)
+        .search_filtered(&Query::parse(query), K, |_| {
+            seen.set(seen.get() + 1);
+            true
+        });
+    let hits = hits.iter().map(|h| (h.doc, h.score.to_bits())).collect();
+    (seen.get(), hits)
+}
+
+#[test]
+fn a_live_index_prunes_like_a_sealed_one() {
+    let total = SEALED_DOCS + MEMTABLE_DOCS;
+    let (mut compact, _) = index(&[]);
+    compact.optimize();
+    let (live, field) = index(&[SEALED_DOCS]);
+    let fifth = total / 5;
+    let (five, _) = index(&[fifth, 2 * fifth, 3 * fifth, 4 * fifth, total]);
+    assert_eq!(live.stats().memtable_docs, MEMTABLE_DOCS as usize);
+    assert_eq!(
+        (live.stats().sealed_segments, five.stats().sealed_segments),
+        (1, 5)
+    );
+    assert_eq!(five.stats().memtable_docs, 0);
+
+    for (query, pinned) in QUERIES.into_iter().zip(CANDIDATES) {
+        // The guard is about queries whose terms the memtable shares.
+        for word in query.split_whitespace() {
+            let term = live.lexicon().get(word).unwrap();
+            let mut in_memtable = 0;
+            live.for_each_posting(term, field, |doc, _| {
+                in_memtable += u32::from(doc.0 >= SEALED_DOCS)
+            });
+            assert!(in_memtable > 0, "{word} must occur in the memtable");
+        }
+        let (exhaustive, want) = candidates(&compact, ScoreMode::Exhaustive, query);
+        let (base, hits) = candidates(&compact, ScoreMode::TopKPruned, query);
+        assert_eq!(hits, want, "{query}: compact");
+        let allowed = base + base / 4 + MEMTABLE_DOCS as usize;
+        let mut counts = vec![exhaustive, base];
+        for (name, idx) in [("live", &live), ("five", &five)] {
+            let (seen, hits) = candidates(idx, ScoreMode::TopKPruned, query);
+            assert_eq!(hits, want, "{query}: {name}");
+            counts.push(seen);
+            assert!(
+                seen <= allowed,
+                "{query}: {name} index considered {seen} candidates, compact {base} (allowed {allowed})"
+            );
+            assert!(
+                2 * seen < exhaustive,
+                "{query}: {name} index considered {seen} of the exhaustive {exhaustive}"
+            );
+        }
+        assert_eq!(counts, pinned, "{query}: exhaustive, compact, live, five");
+    }
+}
