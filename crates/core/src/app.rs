@@ -183,10 +183,20 @@ impl ApplicationConfig {
     /// The primary result lists: every `ResultList` reachable from the
     /// root through containers only (a list inside another list's item
     /// layout is supplemental). Returns `(source, max_results, item
-    /// layout)` in render order.
+    /// layout)` in render order: an owned copy of the borrowing walk
+    /// the runtime uses (`primary_list_refs`).
     pub fn primary_lists(&self) -> Vec<(String, usize, symphony_designer::Element)> {
+        self.primary_list_refs()
+            .into_iter()
+            .map(|(source, max, item)| (source.to_string(), max, item.clone()))
+            .collect()
+    }
+
+    /// [`primary_lists`](Self::primary_lists) by reference into the
+    /// layout: what the runtime walks on every miss.
+    pub(crate) fn primary_list_refs(&self) -> Vec<(&str, usize, &symphony_designer::Element)> {
         use symphony_designer::{Element, ElementKind};
-        fn walk(e: &Element, out: &mut Vec<(String, usize, Element)>) {
+        fn walk<'a>(e: &'a Element, out: &mut Vec<(&'a str, usize, &'a Element)>) {
             match &e.kind {
                 ElementKind::Container { children, .. } => {
                     for c in children {
@@ -200,7 +210,7 @@ impl ApplicationConfig {
                 } => {
                     // Do not recurse into `item`: lists inside it are
                     // supplemental, resolved per primary result.
-                    out.push((source.clone(), *max_results, (**item).clone()));
+                    out.push((source, *max_results, item));
                 }
                 _ => {}
             }
@@ -212,10 +222,10 @@ impl ApplicationConfig {
 
     /// Source names used by primary result lists.
     pub fn primary_sources(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (source, _, _) in self.primary_lists() {
-            if !out.contains(&source) {
-                out.push(source);
+        let mut out: Vec<String> = Vec::new();
+        for (source, _, _) in self.primary_list_refs() {
+            if !out.iter().any(|s| s == source) {
+                out.push(source.to_string());
             }
         }
         out

@@ -23,13 +23,13 @@ use crate::monetize::Impression;
 use crate::source::{run_source_ctx, DataSourceDef, SourceCtx, SourceOutcome, Substrates};
 use crate::source_cache::{FetchStatus, Fetched, SourceCache};
 use crate::trace::{ExecutionTrace, TraceNode};
-use std::cell::RefCell;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use symphony_designer::{render_element, Element, ElementKind};
+use symphony_designer::{render_into, Element, ElementKind};
 use symphony_services::BreakerRegistry;
 
 /// Fan-out execution mode (E1 ablation).
@@ -102,8 +102,8 @@ pub struct QueryResponse {
     pub impressions: Vec<Impression>,
 }
 
-/// A supplemental fetch task. The source names borrow from the layout
-/// (`primary_lists`), which outlives the query.
+/// A supplemental fetch task. The source names borrow from the layout,
+/// which outlives the query.
 struct FanoutTask<'a> {
     primary_source: &'a str,
     item_idx: usize,
@@ -221,10 +221,10 @@ pub fn execute_resilient(
         (policy.max_total_retries != u32::MAX).then_some(policy.max_total_retries);
 
     // ---- Stage 1: primary content -------------------------------
-    let primary_specs = app.primary_lists();
-    let mut primary: HashMap<String, Fetched> = HashMap::new();
+    let primary_specs = app.primary_list_refs();
+    let mut primary: HashMap<&str, Fetched> = HashMap::new();
     let mut consumed_primary: u32 = 0; // sequential-mode accumulation
-    for (source, max, _) in &primary_specs {
+    for &(source, max, _) in &primary_specs {
         if primary.contains_key(source) {
             continue;
         }
@@ -247,7 +247,7 @@ pub fn execute_resilient(
                         &cfg.def,
                         app.owner,
                         query,
-                        *max,
+                        max,
                         subs,
                         app.constraint(source),
                         &sctx,
@@ -269,7 +269,7 @@ pub fn execute_resilient(
             *pool = pool.saturating_sub(fetched.attempts_charged.saturating_sub(1));
         }
         consumed_primary += fetched.charged_ms;
-        primary.insert(source.clone(), fetched);
+        primary.insert(source, fetched);
     }
     let primary_ms = {
         let iter = primary.values().map(|f| f.charged_ms);
@@ -281,19 +281,20 @@ pub fn execute_resilient(
 
     // ---- Stage 2: supplemental fan-out ---------------------------
     let mut tasks: Vec<FanoutTask> = Vec::new();
-    for (psource, max, item_el) in &primary_specs {
+    for &(psource, max, item_el) in &primary_specs {
         let outcome = &primary[psource].outcome;
         let nested = nested_lists(item_el);
         if nested.is_empty() {
             continue;
         }
-        for (idx, item) in outcome.items.iter().take(*max).enumerate() {
-            let lookup = |name: &str| item.field(name).map(str::to_string);
+        for (idx, item) in outcome.items.iter().take(max).enumerate() {
+            let lookup = |name: &str| item.field(name).map(Cow::Borrowed);
             for (ssource, smax) in &nested {
                 let Some(binding) = app.binding(ssource) else {
                     continue; // validated configs always have one
                 };
-                let q = binding.query_template.render(&lookup);
+                let mut q = String::new();
+                binding.query_template.render_into(&mut q, &lookup, false);
                 if q.trim().is_empty() {
                     continue;
                 }
@@ -454,50 +455,48 @@ pub fn execute_resilient(
     }
 
     // ---- Stage 3: merge + format (render to HTML) ----------------
-    let impressions: RefCell<Vec<Impression>> = RefCell::new(Vec::new());
-    let no_fields = |_: &str| None;
-    let mut top_nested = |source: &str, max: usize, item_el: &Element| -> String {
-        let Some(outcome) = primary.get(source).map(|f| &f.outcome) else {
-            return String::new();
-        };
-        let mut html = String::new();
-        for (idx, item) in outcome.items.iter().take(max).enumerate() {
-            record_impression(&impressions, source, idx, item);
-            let lookup = |name: &str| item.field(name).map(str::to_string);
-            let psource = source;
-            let mut inner_nested = |ssource: &str, smax: usize, sitem_el: &Element| -> String {
-                let Some(soutcome) = suppl.get(&(psource, idx, ssource)).map(|f| &f.outcome) else {
-                    return String::new();
-                };
-                let mut shtml = String::new();
-                for (sidx, sitem) in soutcome.items.iter().take(smax).enumerate() {
-                    record_impression(&impressions, ssource, sidx, sitem);
-                    let slookup = |name: &str| sitem.field(name).map(str::to_string);
-                    // Depth > 2 nesting renders empty (the paper
-                    // describes exactly one supplemental level).
-                    shtml.push_str(&render_element(
-                        sitem_el,
-                        &app.stylesheet,
-                        &slookup,
-                        &mut |_, _, _| String::new(),
-                    ));
-                }
-                shtml
-            };
-            html.push_str(&render_element(
-                item_el,
-                &app.stylesheet,
-                &lookup,
-                &mut inner_nested,
-            ));
-        }
-        html
-    };
-    let html = render_element(
+    // One pass into one buffer: every item layout writes into `html`
+    // with its record's fields borrowed, not copied.
+    let mut impressions: Vec<Impression> = Vec::new();
+    let mut html = String::new();
+    render_into(
+        &mut html,
         app.layout.root(),
         &app.stylesheet,
-        &no_fields,
-        &mut top_nested,
+        &|_| None,
+        &mut |out, source, max, item_el| {
+            let Some(outcome) = primary.get(source).map(|f| &f.outcome) else {
+                return;
+            };
+            for (idx, item) in outcome.items.iter().take(max).enumerate() {
+                record_impression(&mut impressions, source, idx, item);
+                let lookup = |name: &str| item.field(name).map(Cow::Borrowed);
+                render_into(
+                    out,
+                    item_el,
+                    &app.stylesheet,
+                    &lookup,
+                    &mut |out, ssource, smax, sitem_el| {
+                        let Some(soutcome) = suppl.get(&(source, idx, ssource)).map(|f| &f.outcome)
+                        else {
+                            return;
+                        };
+                        for (sidx, sitem) in soutcome.items.iter().take(smax).enumerate() {
+                            record_impression(&mut impressions, ssource, sidx, sitem);
+                            // Depth > 2 nesting renders empty (the paper
+                            // describes exactly one supplemental level).
+                            render_into(
+                                out,
+                                sitem_el,
+                                &app.stylesheet,
+                                &|name| sitem.field(name).map(Cow::Borrowed),
+                                &mut |_, _, _, _| {},
+                            );
+                        }
+                    },
+                );
+            }
+        },
     );
 
     // ---- Trace ----------------------------------------------------
@@ -506,7 +505,7 @@ pub fn execute_resilient(
         RECEIVE_MS,
         format!("app {:?}", app.name),
     )];
-    for (source, max, _) in &primary_specs {
+    for &(source, max, _) in &primary_specs {
         let f = &primary[source];
         stages.push(TraceNode::leaf(
             format!("primary: {source}"),
@@ -560,7 +559,7 @@ pub fn execute_resilient(
             stages,
         },
         virtual_ms: total_ms,
-        impressions: impressions.into_inner(),
+        impressions,
     }
 }
 
@@ -571,20 +570,20 @@ pub fn execute_resilient(
 /// primary slot carries a `(shed)` marker in its trace detail, like
 /// the `(L2 hit)` suffixes on served fetches.
 pub fn shed_response(app: &ApplicationConfig, query: &str, reason: &str) -> QueryResponse {
-    let no_fields = |_: &str| None;
-    let mut empty_nested = |_: &str, _: usize, _: &Element| String::new();
-    let html = render_element(
+    let mut html = String::new();
+    render_into(
+        &mut html,
         app.layout.root(),
         &app.stylesheet,
-        &no_fields,
-        &mut empty_nested,
+        &|_| None,
+        &mut |_, _, _, _| {},
     );
     let mut stages = vec![TraceNode::leaf(
         "admission control",
         SHED_MS,
         format!("shed: {reason}"),
     )];
-    for (source, _, _) in app.primary_lists() {
+    for (source, _, _) in app.primary_list_refs() {
         stages.push(TraceNode::leaf(
             format!("primary: {source}"),
             0,
@@ -673,7 +672,7 @@ fn dispatch(
 }
 
 fn record_impression(
-    impressions: &RefCell<Vec<Impression>>,
+    impressions: &mut Vec<Impression>,
     source: &str,
     position: usize,
     item: &crate::source::ResultItem,
@@ -684,7 +683,7 @@ fn record_impression(
         .find_map(|f| item.field(f))
         .map(str::to_string);
     let title = item.field("title").unwrap_or_default().to_string();
-    impressions.borrow_mut().push(Impression {
+    impressions.push(Impression {
         source: source.to_string(),
         url,
         title,

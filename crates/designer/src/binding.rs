@@ -4,6 +4,15 @@
 //! a hyperlink whose text is `{title}`, an image whose source is
 //! `{image_url}`, a text block showing `{description}`. Templates are
 //! parsed once and rendered against a field-lookup function.
+//!
+//! The lookups the renderer uses *lend* their values
+//! (`Option<Cow<str>>`): a record's field is borrowed, not cloned. The
+//! owned-lookup methods ([`Binding::resolve`], [`Template::render`])
+//! are adapters over the lending ones.
+
+use std::borrow::Cow;
+
+use crate::render::push_text;
 
 /// A value that is either a literal or a field reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,8 +26,18 @@ pub enum Binding {
 impl Binding {
     /// Resolve against a field lookup; missing fields resolve empty.
     pub fn resolve(&self, fields: &dyn Fn(&str) -> Option<String>) -> String {
+        self.lend(&|name| fields(name).map(Cow::Owned)).into_owned()
+    }
+
+    /// Resolve against a lending lookup: a literal borrows from the
+    /// binding, a field whatever the lookup lends; missing fields
+    /// resolve empty.
+    pub(crate) fn lend<'a, 'v: 'a>(
+        &'a self,
+        fields: &dyn Fn(&str) -> Option<Cow<'v, str>>,
+    ) -> Cow<'a, str> {
         match self {
-            Binding::Literal(s) => s.clone(),
+            Binding::Literal(s) => Cow::Borrowed(s),
             Binding::Field(f) => fields(f).unwrap_or_default(),
         }
     }
@@ -112,17 +131,30 @@ impl Template {
     /// Render against a field lookup; missing fields render empty.
     pub fn render(&self, fields: &dyn Fn(&str) -> Option<String>) -> String {
         let mut out = String::new();
+        self.render_into(&mut out, &|name| fields(name).map(Cow::Owned), false);
+        out
+    }
+
+    /// Append the rendering to `out`, HTML-escaped when `escape` is
+    /// set; missing fields render empty. Escaping segment by segment is
+    /// byte-equal to escaping the concatenation (the escape maps each
+    /// character on its own).
+    pub fn render_into<'v>(
+        &self,
+        out: &mut String,
+        fields: &dyn Fn(&str) -> Option<Cow<'v, str>>,
+        escape: bool,
+    ) {
         for s in &self.segments {
             match s {
-                Segment::Literal(l) => out.push_str(l),
+                Segment::Literal(l) => push_text(out, l, escape),
                 Segment::Field(f) => {
                     if let Some(v) = fields(f) {
-                        out.push_str(&v);
+                        push_text(out, &v, escape);
                     }
                 }
             }
         }
-        out
     }
 
     /// True when the template is a single bare field (`"{title}"`).
@@ -216,6 +248,24 @@ mod tests {
             "Galactic Raiders"
         );
         assert_eq!(Binding::Field("none".into()).resolve(&fields), "");
+    }
+
+    #[test]
+    fn lending_lookups_are_not_copied() {
+        let value = String::from("Galactic <Raiders>");
+        let lend = |name: &str| (name == "title").then_some(Cow::Borrowed(value.as_str()));
+        let field = Binding::Field("title".into());
+        assert!(matches!(
+            field.lend(&lend),
+            Cow::Borrowed("Galactic <Raiders>")
+        ));
+        let literal = Binding::Literal("x".into());
+        assert!(matches!(literal.lend(&lend), Cow::Borrowed("x")));
+        assert_eq!(Binding::Field("none".into()).lend(&lend), "");
+
+        let mut out = String::from("> ");
+        Template::parse("{title} & co").render_into(&mut out, &lend, true);
+        assert_eq!(out, "> Galactic &lt;Raiders&gt; &amp; co");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`ops`] — drag-and-drop operations with undo/redo.
 //! * [`template`] — prebuilt layouts and the wizard.
 //! * [`render`] — HTML rendering (runtime items and the design
-//!   surface).
+//!   surface): one streaming pass into the caller's buffer.
 //!
 //! ## Quick example
 //!
@@ -48,5 +48,5 @@ pub use binding::{Binding, Template};
 pub use canvas::{Canvas, DataSourceCard, DesignError};
 pub use element::{Direction, Element, ElementId, ElementKind};
 pub use ops::{DesignOp, Designer};
-pub use render::{render_design_surface, render_element, render_outline};
+pub use render::{render_design_surface, render_element, render_into, render_outline};
 pub use style::{Selector, StyleProps, Stylesheet};

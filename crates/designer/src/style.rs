@@ -7,6 +7,8 @@
 //! exist here: per-element [`StyleProps`] and [`Stylesheet`] rules with
 //! a simple cascade (kind < class < id < inline).
 
+use crate::render::push_text;
+
 /// An ordered property list (`color: red; font-size: 12px`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StyleProps {
@@ -55,13 +57,17 @@ impl StyleProps {
         self.props.is_empty()
     }
 
-    /// Render as an inline `style` attribute value.
-    pub fn to_inline_css(&self) -> String {
-        self.props
-            .iter()
-            .map(|(k, v)| format!("{k}:{v}"))
-            .collect::<Vec<_>>()
-            .join(";")
+    /// Append the inline `style` attribute value (`k:v;k:v`) to `out`,
+    /// HTML-escaped when `escape` is set.
+    pub(crate) fn write_inline_css(&self, out: &mut String, escape: bool) {
+        for (i, (k, v)) in self.props.iter().enumerate() {
+            if i > 0 {
+                out.push(';');
+            }
+            push_text(out, k, escape);
+            out.push(':');
+            push_text(out, v, escape);
+        }
     }
 }
 
@@ -158,8 +164,15 @@ mod tests {
         let p = StyleProps::new()
             .with("color", "red")
             .with("font-size", "12px");
-        assert_eq!(p.to_inline_css(), "color:red;font-size:12px");
-        assert_eq!(StyleProps::new().to_inline_css(), "");
+        let css = |p: &StyleProps, escape| {
+            let mut out = String::new();
+            p.write_inline_css(&mut out, escape);
+            out
+        };
+        assert_eq!(css(&p, false), "color:red;font-size:12px");
+        assert_eq!(css(&StyleProps::new(), false), "");
+        let q = StyleProps::new().with("font-family", "\"A&B\"");
+        assert_eq!(css(&q, true), "font-family:&quot;A&amp;B&quot;");
     }
 
     #[test]
