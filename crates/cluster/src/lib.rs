@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+mod legs;
 pub mod router;
 pub mod scatter;
 pub mod wire;

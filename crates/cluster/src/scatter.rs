@@ -33,6 +33,20 @@
 //! phases run one after the other, so the scatter costs the *max* over
 //! the query chains, plus the max over the fetch chains (which start
 //! when the slowest query chain ends), plus a constant gather step.
+//!
+//! On the wall clock the legs of a phase overlap too: each phase hands
+//! its legs to the leg pool (`legs.rs`), which runs them on the
+//! calling thread and whichever helpers are idle, and returns their
+//! answers in shard order. A leg is a `'static` job — it holds the
+//! shared fleet state and its own request — so no borrow crosses a
+//! thread. Everything after the legs (owners, the merge, the winner
+//! grouping, the silent list, the bill) is assembled in shard order
+//! from those answers, exactly as when the legs ran in sequence. The
+//! outcome cannot depend on which thread ran which leg, or when: each
+//! leg's start instant (`now_ms`, or the fetch instant) is fixed
+//! before dispatch, `call_resilient` draws latency from a pure hash of
+//! `(seed, endpoint, request, instant, attempt)`, and breakers are
+//! keyed per endpoint, while no two legs of a phase share one.
 
 use std::sync::Arc;
 
@@ -44,6 +58,7 @@ use symphony_services::{
 };
 use symphony_web::{PageFields, SearchConfig, SearchEngine, Vertical};
 
+use crate::legs;
 use crate::wire::{decode_fields, decode_pool, fetch_request, search_request, ShardSearchService};
 
 /// Virtual cost of the gather step (pool merge at the router), on top
@@ -65,6 +80,12 @@ pub fn shard_rpc_ms(web_docs: usize) -> u32 {
 /// nodes (each with a replica), reachable only through the simulated
 /// transport.
 pub struct ClusterWeb {
+    fleet: Arc<Fleet>,
+}
+
+/// Everything a leg touches, shared so a leg is a `'static` job on the
+/// leg pool.
+struct Fleet {
     shards: Vec<Arc<SearchEngine>>,
     /// Each shard's endpoint names in call order: primary, replica.
     endpoints: Vec<[String; 2]>,
@@ -76,7 +97,7 @@ pub struct ClusterWeb {
 impl std::fmt::Debug for ClusterWeb {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterWeb")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.fleet.shards.len())
             .finish_non_exhaustive()
     }
 }
@@ -92,9 +113,9 @@ impl ClusterWeb {
     }
 
     /// [`ClusterWeb::new`] with the node behind each endpoint built by
-    /// `node(shard, engine)` — the seam the work guard below counts
-    /// calls through.
-    fn with_nodes(
+    /// `node(shard, engine)` — the seam the work guard below and
+    /// `tests/legs.rs` count calls through.
+    pub(crate) fn with_nodes(
         shards: Vec<Arc<SearchEngine>>,
         seed: u64,
         node: impl Fn(usize, &Arc<SearchEngine>) -> Box<dyn Service>,
@@ -118,7 +139,7 @@ impl ClusterWeb {
             }
             endpoints.push(names);
         }
-        ClusterWeb {
+        let fleet = Fleet {
             shards,
             endpoints,
             transport,
@@ -134,32 +155,43 @@ impl ClusterWeb {
                 backoff_cap_ms: 0,
                 hedge_after_ms: None,
             },
+        };
+        ClusterWeb {
+            fleet: Arc::new(fleet),
         }
     }
 
     /// Schedule chaos windows (node outages, latency spikes) on the
     /// fleet's transport. Endpoint names come from
     /// [`shard_endpoint`] / [`replica_endpoint`].
+    ///
+    /// # Panics
+    /// After the fleet has served a scatter (a leg may still hold it).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> ClusterWeb {
-        self.transport.set_fault_plan(plan);
+        Arc::get_mut(&mut self.fleet)
+            .expect("a fault plan is set before the fleet serves")
+            .transport
+            .set_fault_plan(plan);
         self
     }
 
     /// Number of shards in the fleet.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.fleet.shards.len()
     }
 
     /// The shard engines, in shard order.
     pub fn shard_engines(&self) -> &[Arc<SearchEngine>] {
-        &self.shards
+        &self.fleet.shards
     }
 
     /// Breaker state of one endpoint at `now_ms` (tests, dashboards).
     pub fn breaker_state(&self, endpoint: &str, now_ms: u64) -> BreakerState {
-        self.breakers.state(endpoint, now_ms)
+        self.fleet.breakers.state(endpoint, now_ms)
     }
+}
 
+impl Fleet {
     /// Run one leg — of either phase — against `shard`, starting at
     /// `now_ms`: primary first, replica on failure (a tripped breaker
     /// fast-fails the primary for free, so steady-state failover costs
@@ -206,17 +238,20 @@ impl ScatterSearch for ClusterWeb {
         k: usize,
         now_ms: u64,
     ) -> ScatterOutcome {
-        let n = self.shards.len();
+        let n = self.fleet.shards.len();
         let mut silent: Vec<usize> = Vec::new();
 
         // Query phase: every shard's lean pool, and which shard each
         // candidate page came from.
+        let fleet = Arc::clone(&self.fleet);
         let request = search_request(vertical, query, config, k);
+        let answers = legs::run(n, move |shard| {
+            fleet.call(shard, &request, now_ms, decode_pool)
+        });
         let mut pools = Vec::with_capacity(n);
         let mut owners: Vec<(usize, usize)> = Vec::new();
         let mut query_ms = 0u32;
-        for shard in 0..n {
-            let (pool, spent) = self.call(shard, &request, now_ms, decode_pool);
+        for (shard, (pool, spent)) in answers.into_iter().enumerate() {
             query_ms = query_ms.max(spent);
             match pool {
                 Some(pool) => {
@@ -239,21 +274,31 @@ impl ScatterSearch for ClusterWeb {
             picks[*shard].push(pos);
         }
         let fetch_at = now_ms + query_ms as u64;
+        let asks: Vec<(usize, usize, ServiceRequest)> = picks
+            .iter()
+            .enumerate()
+            .filter(|(_, positions)| !positions.is_empty())
+            .map(|(shard, positions)| {
+                let pages: Vec<usize> = positions.iter().map(|&pos| winners[pos].page).collect();
+                let request = fetch_request(vertical, query, config, &pages);
+                (shard, pages.len(), request)
+            })
+            .collect();
+        let fleet = Arc::clone(&self.fleet);
+        let answers = legs::run(asks.len(), move |leg| {
+            let (shard, want, request) = &asks[leg];
+            let answer = fleet.call(*shard, request, fetch_at, |response| {
+                decode_fields(response).filter(|got| got.len() == *want)
+            });
+            (*shard, answer)
+        });
         let mut fields: Vec<Option<PageFields>> = vec![None; winners.len()];
         let mut fetch_ms = 0u32;
-        for (shard, positions) in picks.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let pages: Vec<usize> = positions.iter().map(|&pos| winners[pos].page).collect();
-            let request = fetch_request(vertical, query, config, &pages);
-            let (answer, spent) = self.call(shard, &request, fetch_at, |response| {
-                decode_fields(response).filter(|got| got.len() == pages.len())
-            });
+        for (shard, (answer, spent)) in answers {
             fetch_ms = fetch_ms.max(spent);
             match answer {
                 Some(got) => {
-                    for (&pos, f) in positions.iter().zip(got) {
+                    for (&pos, f) in picks[shard].iter().zip(got) {
                         fields[pos] = Some(f);
                     }
                 }
@@ -365,11 +410,13 @@ mod tests {
             let out = cluster.scatter(Vertical::Web, query, &config, k, 0);
             assert_eq!(out.results.len(), shown);
             let calls = std::mem::take(&mut *log.lock().expect("no node panicked"));
-            let searched: Vec<usize> = calls
+            // Legs run concurrently: arrival order is not shard order.
+            let mut searched: Vec<usize> = calls
                 .iter()
                 .filter(|(_, op, _)| op == "/search")
                 .map(|(shard, ..)| *shard)
                 .collect();
+            searched.sort_unstable();
             assert_eq!(searched, [0, 1, 2, 3], "{query:?}: one query leg per shard");
             let fetches: Vec<&(usize, String, usize)> =
                 calls.iter().filter(|(_, op, _)| op == "/fetch").collect();

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use symphony_cluster::{rendezvous_shard, ClusterWeb, Router};
-use symphony_core::{AppBuilder, ApplicationConfig, DataSourceDef, ScatterSearch};
+use symphony_core::{AppBuilder, ApplicationConfig, DataSourceDef, ScatterOutcome, ScatterSearch};
 use symphony_designer::{Canvas, Element};
 use symphony_services::rpc::{replica_endpoint, shard_endpoint};
 use symphony_services::{BreakerState, FaultPlan};
@@ -267,6 +267,65 @@ fn breaker_opened_by_query_legs_fast_fails_the_fetch_leg_for_free() {
     assert_eq!(tripped.shards_answered, 2);
     assert_eq!(tripped.results, healthy.results);
     assert_eq!(tripped.virtual_ms, healthy.virtual_ms);
+}
+
+/// What a scatter decided, for comparing one against another.
+type Decided = (Vec<WebResult>, u32, u32, Option<String>);
+
+fn decided(out: ScatterOutcome) -> Decided {
+    (out.results, out.virtual_ms, out.shards_answered, out.error)
+}
+
+/// Four threads scattering at once through one fleet — so legs run on
+/// the caller alone whenever the pool's helpers are taken — decide
+/// exactly what one thread decides, on a healthy fleet and with
+/// failover and a dead shard in play.
+#[test]
+fn concurrent_scatters_decide_what_one_thread_decides() {
+    let corpus = corpus();
+    let config = SearchConfig::default();
+    let faulty = FaultPlan::new()
+        .outage(&shard_endpoint(0), 0, 10_000_000)
+        .outage(&shard_endpoint(2), 0, 10_000_000)
+        .outage(&replica_endpoint(2), 0, 10_000_000);
+    for plan in [None, Some(faulty)] {
+        let mut cluster = ClusterWeb::new(shard_fleet(&corpus, 4), 0x5CA7);
+        let mut now = 0u64;
+        let answering = if plan.is_some() { 3 } else { 4 };
+        if let Some(plan) = plan {
+            cluster = cluster.with_fault_plan(plan);
+            // Trip the dead endpoints' breakers first: at a fixed
+            // instant an open breaker stays open, so every scatter at
+            // `now` meets the same fleet.
+            let open = |now| {
+                [shard_endpoint(0), shard_endpoint(2), replica_endpoint(2)]
+                    .iter()
+                    .all(|e| cluster.breaker_state(e, now) == BreakerState::Open)
+            };
+            while !open(now) {
+                assert!(now < 20_000, "breakers open under a sustained outage");
+                cluster.scatter(Vertical::Web, "game review", &config, 10, now);
+                now += 1_000;
+            }
+        }
+        let reference: Vec<Decided> = QUERIES
+            .iter()
+            .map(|q| decided(cluster.scatter(Vertical::Web, q, &config, 10, now)))
+            .collect();
+        assert!(reference.iter().all(|d| d.2 == answering));
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (cluster, config, reference) = (&cluster, &config, &reference);
+                s.spawn(move || {
+                    for i in 0..50 {
+                        let q = (t + i) % QUERIES.len();
+                        let out = cluster.scatter(Vertical::Web, QUERIES[q], config, 10, now);
+                        assert_eq!(decided(out), reference[q], "thread {t} call {i}");
+                    }
+                });
+            }
+        });
+    }
 }
 
 #[test]

@@ -112,9 +112,10 @@ pub struct Page {
     pub kind: PageKind,
 }
 
-/// The generated web. `Clone` so document-partitioned shard engines
-/// can each hold the full page table (snippets, domains, static rank
-/// all key off global page indexes) while indexing only their slice.
+/// The generated web. Document-partitioned shard engines share one
+/// copy of it (snippets, domains, static rank all key off global page
+/// indexes) while indexing only their slice; `Clone` is what a live
+/// ingest into a shard pays to copy it on write.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     /// All sites.

@@ -295,7 +295,9 @@ impl VerticalIndex {
 
 /// The search engine over one corpus.
 pub struct SearchEngine {
-    corpus: Corpus,
+    /// Shared by every shard of a cluster; a live ingest copies it on
+    /// write when shared (a single node's is unique, so it never does).
+    corpus: Arc<Corpus>,
     rank: Vec<f64>,
     web: VerticalIndex,
     image: VerticalIndex,
@@ -436,7 +438,7 @@ impl SearchEngine {
             })
         };
         SearchEngine {
-            corpus,
+            corpus: Arc::new(corpus),
             rank,
             web,
             image,
@@ -451,8 +453,9 @@ impl SearchEngine {
     /// Build `num_shards` document-partitioned engines over one
     /// corpus: shard `s` indexes the pages with `page_idx % num_shards
     /// == s` (strided, so every shard's vertical doc order follows the
-    /// global page order), while every shard keeps the full page table
-    /// and the full static rank. After the per-shard builds, scoring
+    /// global page order), while every shard sees the full page table
+    /// (one copy, shared by all shards until a shard ingests) and the
+    /// full static rank. After the per-shard builds, scoring
     /// statistics are folded across shards per vertical and attached
     /// to each engine, so shard-local searches score exactly as one
     /// index over the whole corpus would — the foundation of the
@@ -460,6 +463,7 @@ impl SearchEngine {
     pub fn build_cluster(corpus: &Corpus, num_shards: usize, threads: usize) -> Vec<SearchEngine> {
         assert!(num_shards > 0, "cluster needs at least one shard");
         let rank = static_rank(corpus, 30);
+        let shared = Arc::new(corpus.clone());
         let mut shards: Vec<SearchEngine> = (0..num_shards)
             .map(|s| {
                 let [web_d, image_d, video_d, news_d] =
@@ -470,7 +474,7 @@ impl SearchEngine {
                 let news = build_vertical(corpus, news_d, threads);
                 let speller = SpellSuggester::from_index(&web.index);
                 SearchEngine {
-                    corpus: corpus.clone(),
+                    corpus: Arc::clone(&shared),
                     rank: rank.clone(),
                     web,
                     image,
@@ -579,11 +583,11 @@ impl SearchEngine {
                     self.vertical_mut(old).remove_page(idx);
                 }
                 let (site, doc) = (page.site, page_doc(&page));
-                self.corpus.pages[idx] = page;
+                Arc::make_mut(&mut self.corpus).pages[idx] = page;
                 self.vertical_mut(vertical).add_page(idx, site, doc);
             }
             None => {
-                let idx = self.corpus.push_page(page);
+                let idx = Arc::make_mut(&mut self.corpus).push_page(page);
                 let mean = match self.rank.len() {
                     0 => 0.0,
                     n => self.rank.iter().sum::<f64>() / n as f64,
@@ -1672,6 +1676,26 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn shards_share_one_page_table_until_one_ingests() {
+        let corpus = Corpus::generate(&CorpusConfig {
+            sites_per_topic: 2,
+            pages_per_site: 4,
+            ..CorpusConfig::default()
+        });
+        let mut shards = SearchEngine::build_cluster(&corpus, 3, 1);
+        let pages = corpus.pages.len();
+        for e in &shards[1..] {
+            assert!(std::ptr::eq(e.corpus(), shards[0].corpus()), "one copy");
+        }
+        let p = crawled_page(&shards[0], "new", "Fresh page", "fresh text");
+        shards[0].ingest_page(p);
+        assert_eq!(shards[0].corpus().pages.len(), pages + 1);
+        for e in &shards[1..] {
+            assert_eq!(e.corpus().pages.len(), pages, "copied on write");
         }
     }
 
