@@ -76,7 +76,9 @@ fn read_varint(data: &[u8], at: &mut usize) -> u32 {
 fn bench_packed_decode(c: &mut Criterion) {
     let mut group = c.benchmark_group("packed_decode");
     let list = synthetic_list(100_000);
-    let packed = CompressedPostings::encode(&list);
+    // The walk reads no lengths; every document is one token long.
+    let lens = vec![1; list.postings().last().map_or(0, |p| p.doc.as_usize() + 1)];
+    let packed = CompressedPostings::encode(&list, &lens);
     let varint = varint_stream(&list);
 
     group.bench_function(BenchmarkId::new("walk", "varint"), |b| {

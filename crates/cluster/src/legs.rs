@@ -13,7 +13,10 @@
 //!   itself, in order. A batch therefore never queues behind another
 //!   query's batch, and the threads running legs never outnumber the
 //!   cores. An enlisted helper whose job starts after the counter ran
-//!   out returns at once; the caller does not wait for it.
+//!   out returns at once; the caller does not wait for it. Nor does the
+//!   count: once its own legs are done, the caller puts every enlisted
+//!   helper whose job has not started yet back on it, so a helper busy
+//!   elsewhere is never lost to the next batch.
 //! * **Panics.** Every leg runs under `catch_unwind`. Once the batch is
 //!   complete, the first panic in leg order is re-raised on the caller
 //!   with its original payload — what a leg run on the caller would
@@ -25,23 +28,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
-type Job = Box<dyn FnOnce() + Send>;
+pub(crate) type Job = Box<dyn FnOnce() + Send>;
 
-struct Pool {
+pub(crate) struct Pool {
     /// Helpers not enlisted by any batch. A count only (jobs travel
     /// under the `jobs` lock), hence `Relaxed` throughout.
-    idle: AtomicUsize,
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
+    pub(crate) idle: AtomicUsize,
+    pub(crate) jobs: Mutex<VecDeque<Job>>,
+    pub(crate) ready: Condvar,
 }
 
 /// Locks never guard a user callback (legs run outside them), so a
 /// poisoned lock still holds consistent data.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn pool() -> &'static Pool {
+pub(crate) fn pool() -> &'static Pool {
     static POOL: OnceLock<Arc<Pool>> = OnceLock::new();
     POOL.get_or_init(|| {
         let pool = Arc::new(Pool {
@@ -98,6 +101,11 @@ struct Batch<T, F> {
     leg: F,
     n: usize,
     next: AtomicUsize,
+    /// Enlisted helpers whose job has not started: each either takes
+    /// itself off (and goes back on the idle count when it is done) or
+    /// is put back on the idle count by the caller, never both. A
+    /// count only, like `idle`, hence `Relaxed`.
+    unstarted: AtomicUsize,
     /// Each leg's outcome, and how many have landed.
     done: Mutex<(Vec<Option<thread::Result<T>>>, usize)>,
     complete: Condvar,
@@ -141,6 +149,7 @@ where
         leg,
         n,
         next: AtomicUsize::new(0),
+        unstarted: AtomicUsize::new(enlisted),
         done: Mutex::new(((0..n).map(|_| None).collect(), 0)),
         complete: Condvar::new(),
     });
@@ -149,6 +158,14 @@ where
         for _ in 0..enlisted {
             let batch = Arc::clone(&batch);
             jobs.push_back(Box::new(move || {
+                let started =
+                    batch
+                        .unstarted
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+                if started.is_err() {
+                    // The caller already counted this helper idle.
+                    return;
+                }
                 let mut last = None;
                 while let Some(i) = batch.claim() {
                     if let Some((j, out)) = last.take() {
@@ -173,6 +190,8 @@ where
         let out = batch.run(i);
         batch.finish(i, out);
     }
+    let unstarted = batch.unstarted.swap(0, Ordering::Relaxed);
+    pool.idle.fetch_add(unstarted, Ordering::Relaxed);
     let outs = {
         let mut done = lock(&batch.done);
         while done.1 < n {

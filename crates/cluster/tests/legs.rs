@@ -1,7 +1,9 @@
 //! The leg pool, driven through the real scatter: the legs of a phase
 //! overlap on the wall clock, they run on a fixed set of threads rather
 //! than a thread per scatter, and a leg's panic reaches the caller
-//! without costing the pool its helper.
+//! without costing the pool its helper. Driven directly: a helper
+//! enlisted but not yet started when its batch ends is not lost to the
+//! next batch.
 //!
 //! A process of its own (`harness = false`: the checks run one after
 //! another in `main`) so that no other test holds the pool's helpers
@@ -21,6 +23,7 @@ mod wire;
 
 use std::collections::HashSet;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, ThreadId};
 use std::time::Duration;
@@ -202,6 +205,56 @@ fn a_leg_panic_reaches_the_caller(w: &World, concurrent: bool) {
     assert!(!concurrent || threads >= 2, "the helper did not survive");
 }
 
+/// A two-leg batch whose legs each wait until both have started.
+fn two_legs_meet() -> Vec<ThreadId> {
+    let met = Arc::new((Mutex::new(0usize), Condvar::new()));
+    legs::run(2, move |_| {
+        let (started, cv) = &*met;
+        let mut started = started.lock().unwrap_or_else(|e| e.into_inner());
+        *started += 1;
+        cv.notify_all();
+        let (started, wait) = cv
+            .wait_timeout_while(started, Duration::from_secs(10), |n| *n < 2)
+            .unwrap_or_else(|e| e.into_inner());
+        drop(started);
+        assert!(!wait.timed_out(), "no second leg started within 10 s");
+        thread::current().id()
+    })
+}
+
+/// (d) With every helper parked behind a gate, a two-leg batch enlists
+/// one whose job cannot start: the caller runs both legs and returns
+/// with every helper back on the idle count. Once the gate opens, the
+/// next two-leg batch runs on two threads.
+fn an_unstarted_helper_is_not_lost(helpers: usize) {
+    let pool = legs::pool();
+    assert_eq!(pool.idle.load(Ordering::Relaxed), helpers);
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    {
+        let mut jobs = legs::lock(&pool.jobs);
+        for _ in 0..helpers {
+            let gate = Arc::clone(&gate);
+            jobs.push_back(Box::new(move || {
+                let (open, opened) = &*gate;
+                let open = open.lock().unwrap_or_else(|e| e.into_inner());
+                drop(opened.wait_while(open, |open| !*open));
+            }));
+        }
+    }
+    pool.ready.notify_all();
+    let caller = thread::current().id();
+    assert_eq!(legs::run(2, |_| thread::current().id()), [caller; 2]);
+    assert_eq!(
+        pool.idle.load(Ordering::Relaxed),
+        helpers,
+        "the unstarted helper was not put back"
+    );
+    *gate.0.lock().unwrap_or_else(|e| e.into_inner()) = true;
+    gate.1.notify_all();
+    let ran = two_legs_meet();
+    assert_ne!(ran[0], ran[1], "the next batch ran on one thread");
+}
+
 fn main() {
     let cores = thread::available_parallelism().map_or(1, |n| n.get());
     let concurrent = cores >= 2;
@@ -216,6 +269,10 @@ fn main() {
             passed += 1;
         }
     };
+    // First: it reads the idle count of a pool no batch has touched.
+    check("an_unstarted_helper_is_not_lost", !concurrent, &|| {
+        an_unstarted_helper_is_not_lost(cores - 1)
+    });
     check("legs_overlap", !concurrent, &|| legs_overlap(&w));
     check("threads_are_reused", false, &|| {
         threads_are_reused(&w, cores)

@@ -31,7 +31,7 @@
 use crate::analysis::{Analyzer, StandardAnalyzer, TokenScratch};
 use crate::fx::FxHashMap;
 use crate::lexicon::{Lexicon, TermId};
-use crate::postings::{CompressedPostings, PostingList};
+use crate::postings::{CompressedPostings, PostingList, PostingsCursor};
 use crate::segment::{
     ActiveSegment, SealedSegment, Segment, SegmentBuilder, SegmentList, SegmentView,
 };
@@ -718,12 +718,12 @@ impl Index {
     }
 
     /// Freeze one raw list of `field` for a sealed segment: its packed
-    /// form and exact score-bound ingredients, both read off the raw
-    /// list (nothing is decoded back). `min_len` is the smallest *non-zero*
-    /// field length on the list (zero lengths are either
-    /// pre-registration backfill or reclaimed tombstones; excluding
-    /// them is rank-safe because every live document containing the
-    /// term has length >= 1).
+    /// form (block peaks included) and exact score-bound ingredients,
+    /// both read off the raw list (nothing is decoded back). `min_len`
+    /// is the smallest *non-zero* field length on the list (zero
+    /// lengths are either pre-registration backfill or reclaimed
+    /// tombstones; excluding them is rank-safe because every live
+    /// document containing the term has length >= 1).
     fn sealed_list(
         field_len: &[Vec<u32>],
         field: FieldId,
@@ -743,7 +743,7 @@ impl Index {
             max_tf: list.max_tf(),
             min_len,
         };
-        (CompressedPostings::encode(list), stats)
+        (CompressedPostings::encode(list, lens), stats)
     }
 
     /// The segments reads visit, in doc order: every sealed segment,
@@ -785,6 +785,16 @@ impl Index {
         for list in self.lists(term, field) {
             list.for_each(&mut f);
         }
+    }
+
+    /// A cursor on each segment's list for `(term, field)`, in doc
+    /// order: the lists the pruned executor bounds one by one.
+    pub fn segment_cursors(
+        &self,
+        term: TermId,
+        field: FieldId,
+    ) -> impl Iterator<Item = PostingsCursor<'_>> {
+        self.lists(term, field).map(SegmentList::cursor)
     }
 
     /// Document frequency of `(term, field)`, summed over segments

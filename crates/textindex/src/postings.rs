@@ -14,9 +14,9 @@
 //!   a separate varint stream addressed per block, so doc/tf decoding
 //!   never touches position bytes and positional access skips straight
 //!   to the enclosing block. Per-block metadata (last doc id, entry
-//!   base, byte offsets, bit widths, max tf) lets a [`PostingsCursor`]
-//!   skip whole blocks during [`PostingsCursor::seek`] without
-//!   decoding them.
+//!   base, byte offsets, bit widths, score peaks) lets a
+//!   [`PostingsCursor`] skip whole blocks during [`PostingsCursor::seek`]
+//!   without decoding them.
 //!
 //! Exhaustive consumers use the callback-style [`Postings::for_each`],
 //! which sidesteps lending-iterator gymnastics and keeps decoding
@@ -160,8 +160,9 @@ struct BlockMeta {
     offset: u32,
     /// Byte offset of the block's first position varint in `pos_data`.
     pos_offset: u32,
-    /// Largest term frequency among the block's postings.
-    max_tf: u32,
+    /// Two `(tf, len)` points dominating every posting of the block
+    /// (see [`CompressedPostings::encode`]).
+    peaks: [(u32, u32); 2],
     /// Fixed bit width of the block's packed doc deltas.
     doc_bits: u8,
     /// Fixed bit width of the block's packed `tf - 1` values.
@@ -262,26 +263,35 @@ pub struct CompressedPostings {
     pos_data: Vec<u8>,
     doc_count: u32,
     blocks: Vec<BlockMeta>,
-    max_tf: u32,
 }
 
 impl CompressedPostings {
-    /// Compress a raw list. Pure function of the list contents: equal
-    /// lists encode to bit-identical streams (the parallel-build
-    /// determinism tests rely on this).
-    pub fn encode(list: &PostingList) -> Self {
+    /// Compress a raw list whose documents' field lengths are
+    /// `lens[doc]`. Pure function of the list contents and those
+    /// lengths: equal inputs encode to bit-identical streams (the
+    /// parallel-build determinism tests rely on this).
+    ///
+    /// Each block records two score peaks, `(tf, len)` points that
+    /// between them dominate every posting of non-zero length (its tf
+    /// at most, its length at least, one peak's): B = `(s, m)`, with
+    /// `m` the block's smallest non-zero length (`1` when it has none,
+    /// as for the list-wide `min_len`) and `s` the largest tf at length
+    /// `m`; A = `(block max tf, smallest non-zero length among docs
+    /// with tf > s)`, or `m` when there are none. BM25 rises with tf
+    /// and falls with length, so the larger of the two peaks' scores
+    /// bounds the block — under any `k1`/`b`, idf and average length.
+    pub fn encode(list: &PostingList, lens: &[u32]) -> Self {
         let mut data = Vec::with_capacity(list.postings.len() * 2);
         let mut pos_data = Vec::with_capacity(list.postings.len());
         let mut blocks: Vec<BlockMeta> =
             Vec::with_capacity(list.postings.len().div_ceil(BLOCK_SIZE));
-        let mut max_tf = 0u32;
         let mut deltas = [0u32; BLOCK_SIZE];
         let mut tfs = [0u32; BLOCK_SIZE];
         let mut base = 0u32;
         for chunk in list.postings.chunks(BLOCK_SIZE) {
             let pos_offset = pos_data.len() as u32;
             let mut prev = base;
-            let mut block_max_tf = 0u32;
+            let (mut block_max_tf, mut s, mut m) = (0u32, 0u32, u32::MAX);
             let mut max_delta = 0u32;
             let mut max_tfm1 = 0u32;
             for (i, p) in chunk.iter().enumerate() {
@@ -292,6 +302,12 @@ impl CompressedPostings {
                 max_delta = max_delta.max(deltas[i]);
                 max_tfm1 = max_tfm1.max(tfs[i]);
                 block_max_tf = block_max_tf.max(tf);
+                let len = lens[p.doc.as_usize()];
+                if len != 0 && len < m {
+                    (m, s) = (len, tf);
+                } else if len == m {
+                    s = s.max(tf);
+                }
                 let mut prev_pos = 0u32;
                 for (j, &pos) in p.positions.iter().enumerate() {
                     let d = if j == 0 { pos } else { pos - prev_pos };
@@ -299,6 +315,17 @@ impl CompressedPostings {
                     write_varint(&mut pos_data, d);
                 }
             }
+            // No non-zero length (inconsistent input): clamp to the
+            // smallest real length.
+            let m = if m == u32::MAX { 1 } else { m };
+            let rest = chunk
+                .iter()
+                .zip(&tfs)
+                .filter(|&(_, &tfm1)| tfm1 + 1 > s)
+                .map(|(p, _)| lens[p.doc.as_usize()])
+                .filter(|&len| len > 0)
+                .min()
+                .unwrap_or(m);
             let doc_bits = bits_for(max_delta);
             let tf_bits = bits_for(max_tfm1);
             blocks.push(BlockMeta {
@@ -306,13 +333,12 @@ impl CompressedPostings {
                 base_doc: base,
                 offset: data.len() as u32,
                 pos_offset,
-                max_tf: block_max_tf,
+                peaks: [(block_max_tf, rest), (s, m)],
                 doc_bits: doc_bits as u8,
                 tf_bits: tf_bits as u8,
             });
             pack_bits(&mut data, &deltas[..chunk.len()], doc_bits);
             pack_bits(&mut data, &tfs[..chunk.len()], tf_bits);
-            max_tf = max_tf.max(block_max_tf);
             base = prev;
         }
         CompressedPostings {
@@ -320,7 +346,6 @@ impl CompressedPostings {
             pos_data,
             doc_count: list.postings.len() as u32,
             blocks,
-            max_tf,
         }
     }
 
@@ -395,11 +420,6 @@ impl CompressedPostings {
     /// The varint position byte stream.
     pub fn position_bytes(&self) -> &[u8] {
         &self.pos_data
-    }
-
-    /// Largest term frequency across the whole list.
-    pub fn max_tf(&self) -> u32 {
-        self.max_tf
     }
 
     /// Open a document-at-a-time cursor positioned on the first
@@ -497,21 +517,18 @@ impl CompressedCursor<'_> {
         self.post.blocks.last().map_or(NO_DOC, |b| b.last_doc)
     }
 
-    /// Largest term frequency in the block holding the current posting
-    /// (the whole-list maximum once exhausted). Block-local bounds let
-    /// the executor tighten the global score bound per block.
-    pub fn block_max_tf(&self) -> u32 {
-        if self.doc == NO_DOC {
-            return self.post.max_tf;
-        }
-        self.post.blocks[self.block].max_tf
+    /// Score peaks of the block holding the current posting (`None`
+    /// once exhausted): two `(tf, len)` points, one of which dominates
+    /// every posting of the block — see [`CompressedPostings::encode`].
+    pub fn block_peaks(&self) -> Option<[(u32, u32); 2]> {
+        (self.doc != NO_DOC).then(|| self.post.blocks[self.block].peaks)
     }
 
     /// Last doc id of the block holding the current posting — the
-    /// range through which [`block_max_tf`] upper-bounds every tf.
-    /// Read from the block directory, no decoding.
+    /// range through which [`block_peaks`] hold. Read from the block
+    /// directory, no decoding.
     ///
-    /// [`block_max_tf`]: CompressedCursor::block_max_tf
+    /// [`block_peaks`]: CompressedCursor::block_peaks
     pub fn block_last_doc(&self) -> u32 {
         if self.doc == NO_DOC {
             return NO_DOC;
@@ -653,19 +670,8 @@ impl RawCursor<'_> {
         out.extend_from_slice(&self.postings[self.idx].positions);
     }
 
-    /// Largest term frequency in the "block" around the current
-    /// posting. Raw lists carry no block directory, so this is the
-    /// unknown sentinel `u32::MAX` — callers fall back to the global
-    /// bound.
-    pub fn block_max_tf(&self) -> u32 {
-        u32::MAX
-    }
-
-    /// Last doc id through which [`block_max_tf`] stays valid. Raw
-    /// lists have no blocks, so the guarantee covers only the current
-    /// posting.
-    ///
-    /// [`block_max_tf`]: RawCursor::block_max_tf
+    /// Last doc id of the current "block": raw lists have no blocks,
+    /// so only the current posting.
     pub fn block_last_doc(&self) -> u32 {
         self.doc()
     }
@@ -734,25 +740,23 @@ impl PostingsCursor<'_> {
         }
     }
 
-    /// Largest term frequency in the block holding the current posting,
-    /// or the unknown sentinel `u32::MAX` when the underlying
-    /// representation carries no block directory. Never underestimates:
-    /// a real value upper-bounds every tf in the current block, so it
-    /// can tighten (never loosen) a score bound.
+    /// Score peaks of the block holding the current posting: `None`
+    /// for a raw list, which carries no block directory (callers fall
+    /// back to the list-wide bound), and once exhausted.
     #[inline]
-    pub fn block_max_tf(&self) -> u32 {
+    pub fn block_peaks(&self) -> Option<[(u32, u32); 2]> {
         match self {
-            PostingsCursor::Raw(c) => c.block_max_tf(),
-            PostingsCursor::Compressed(c) => c.block_max_tf(),
+            PostingsCursor::Raw(_) => None,
+            PostingsCursor::Compressed(c) => c.block_peaks(),
         }
     }
 
-    /// Last doc id through which [`block_max_tf`] stays valid: the
+    /// Last doc id through which [`block_peaks`] stay valid: the
     /// current block's final doc for block-packed lists, the current
     /// doc otherwise. Lets a scorer rule out every candidate up to the
     /// boundary in one step (block-max WAND range skip).
     ///
-    /// [`block_max_tf`]: PostingsCursor::block_max_tf
+    /// [`block_peaks`]: PostingsCursor::block_peaks
     #[inline]
     pub fn block_last_doc(&self) -> u32 {
         match self {
@@ -872,6 +876,12 @@ mod tests {
         l
     }
 
+    /// Encode with every document one token long.
+    fn packed(l: &PostingList) -> CompressedPostings {
+        let docs = l.postings().last().map_or(0, |p| p.doc.as_usize() + 1);
+        CompressedPostings::encode(l, &vec![1; docs])
+    }
+
     #[test]
     fn push_merges_same_doc_occurrences() {
         let l = sample();
@@ -882,7 +892,7 @@ mod tests {
     #[test]
     fn compression_roundtrip() {
         let l = sample();
-        let c = CompressedPostings::encode(&l);
+        let c = packed(&l);
         assert_eq!(c.doc_count(), 3);
         let back = c.decode();
         assert_eq!(back.postings(), l.postings());
@@ -892,14 +902,14 @@ mod tests {
     fn roundtrip_with_doc_zero_only() {
         let mut l = PostingList::new();
         l.push_occurrence(DocId(0), 7);
-        let back = CompressedPostings::encode(&l).decode();
+        let back = packed(&l).decode();
         assert_eq!(back.postings(), l.postings());
     }
 
     #[test]
     fn empty_list_roundtrip() {
         let l = PostingList::new();
-        let c = CompressedPostings::encode(&l);
+        let c = packed(&l);
         assert_eq!(c.doc_count(), 0);
         assert_eq!(c.byte_len(), 0);
         assert_eq!(c.decode().doc_count(), 0);
@@ -911,7 +921,7 @@ mod tests {
         for d in 0..1000u32 {
             l.push_occurrence(DocId(d), 3);
         }
-        let c = CompressedPostings::encode(&l);
+        let c = packed(&l);
         assert!(c.byte_len() < l.heap_bytes());
     }
 
@@ -949,7 +959,7 @@ mod tests {
         for d in 0..BLOCK_SIZE as u32 {
             l.push_occurrence(DocId(d), 0);
         }
-        let c = CompressedPostings::encode(&l);
+        let c = packed(&l);
         assert_eq!(c.bytes().len(), BLOCK_SIZE / 8);
         assert_eq!(c.blocks[0].tf_bits, 0);
         assert_eq!(c.blocks[0].doc_bits, 1);
@@ -962,14 +972,14 @@ mod tests {
         Postings::Raw(l.clone()).for_each(|d, _| docs.push(d.0));
         assert_eq!(docs, vec![0, 3, 300]);
         docs.clear();
-        Postings::Compressed(CompressedPostings::encode(&l)).for_each(|d, _| docs.push(d.0));
+        Postings::Compressed(packed(&l)).for_each(|d, _| docs.push(d.0));
         assert_eq!(docs, vec![0, 3, 300]);
     }
 
     fn long_list(n: u32, stride: u32) -> PostingList {
         let mut l = PostingList::new();
         for d in 0..n {
-            // tf varies so block max_tf differs between blocks.
+            // tf varies so block peaks differ between blocks.
             for p in 0..=(d % 4) {
                 l.push_occurrence(DocId(d * stride), p);
             }
@@ -980,10 +990,7 @@ mod tests {
     #[test]
     fn cursor_walks_both_representations_identically() {
         let l = long_list(300, 3);
-        for postings in [
-            Postings::Raw(l.clone()),
-            Postings::Compressed(CompressedPostings::encode(&l)),
-        ] {
+        for postings in [Postings::Raw(l.clone()), Postings::Compressed(packed(&l))] {
             let mut cur = postings.cursor();
             for p in l.postings() {
                 assert_eq!(cur.doc(), p.doc.0);
@@ -1000,10 +1007,7 @@ mod tests {
     fn cursor_positions_match_raw_postings() {
         let l = long_list(500, 7);
         let mut buf = Vec::new();
-        for postings in [
-            Postings::Raw(l.clone()),
-            Postings::Compressed(CompressedPostings::encode(&l)),
-        ] {
+        for postings in [Postings::Raw(l.clone()), Postings::Compressed(packed(&l))] {
             // Walk via next().
             let mut cur = postings.cursor();
             for p in l.postings() {
@@ -1025,10 +1029,7 @@ mod tests {
     fn cursor_seek_matches_linear_scan() {
         let l = long_list(1000, 7);
         let docs: Vec<u32> = l.postings().iter().map(|p| p.doc.0).collect();
-        for postings in [
-            Postings::Raw(l.clone()),
-            Postings::Compressed(CompressedPostings::encode(&l)),
-        ] {
+        for postings in [Postings::Raw(l.clone()), Postings::Compressed(packed(&l))] {
             // Seek to every third position plus off-list targets.
             let mut cur = postings.cursor();
             for target in (0..7200).step_by(31) {
@@ -1053,7 +1054,7 @@ mod tests {
     #[test]
     fn seek_to_current_doc_is_a_noop() {
         let l = long_list(400, 2);
-        let postings = Postings::Compressed(CompressedPostings::encode(&l));
+        let postings = Postings::Compressed(packed(&l));
         let mut cur = postings.cursor();
         cur.seek(500);
         let at = cur.doc();
@@ -1067,7 +1068,7 @@ mod tests {
     #[test]
     fn exhausted_cursor_stays_exhausted() {
         let l = long_list(300, 3);
-        let c = CompressedPostings::encode(&l);
+        let c = packed(&l);
         // Exhaust from the first block with a long-range seek; the
         // cursor must not resurrect on a subsequent next().
         let mut cur = c.cursor();
@@ -1080,24 +1081,32 @@ mod tests {
     }
 
     #[test]
-    fn block_metadata_tracks_max_tf() {
-        let l = long_list(1000, 1);
-        let c = CompressedPostings::encode(&l);
-        assert_eq!(c.max_tf(), 4);
-        assert_eq!(c.blocks.len(), 1000usize.div_ceil(BLOCK_SIZE));
-        let mut cur = c.cursor();
-        assert_eq!(cur.block_max_tf(), c.blocks[0].max_tf);
-        cur.seek(999);
-        assert_eq!(cur.block_max_tf(), c.blocks.last().unwrap().max_tf);
-        for b in &c.blocks {
-            assert!(b.max_tf >= 1 && b.max_tf <= 4);
+    fn block_peaks_dominate_from_two_points() {
+        // (tf, len) per doc: the shortest doc (len 3) peaks at tf 2,
+        // the docs above tf 2 are at least 5 long, and a zero length
+        // (a tombstone) counts for neither.
+        let docs = [(1, 4), (2, 3), (1, 3), (4, 6), (3, 5), (9, 0)];
+        let mut l = PostingList::new();
+        let mut lens = Vec::new();
+        for (d, &(tf, len)) in docs.iter().enumerate() {
+            l.push_posting(DocId(d as u32), &(0..tf).collect::<Vec<_>>());
+            lens.push(len);
         }
+        let c = CompressedPostings::encode(&l, &lens);
+        let mut cur = c.cursor();
+        assert_eq!(cur.block_peaks(), Some([(9, 5), (2, 3)]));
+        cur.seek(NO_DOC);
+        assert_eq!(cur.block_peaks(), None);
+        assert_eq!(PostingsCursor::Raw(l.cursor()).block_peaks(), None);
+        // No non-zero length at all: clamped to 1, as `min_len` is.
+        let c = CompressedPostings::encode(&l, &[0; 6]);
+        assert_eq!(c.cursor().block_peaks(), Some([(9, 1), (0, 1)]));
     }
 
     #[test]
     fn block_directory_records_widths_and_offsets() {
         let l = long_list(1000, 9);
-        let c = CompressedPostings::encode(&l);
+        let c = packed(&l);
         let mut expected_offset = 0u32;
         for (b, meta) in c.blocks.iter().enumerate() {
             assert_eq!(meta.offset, expected_offset, "block {b}");
@@ -1110,7 +1119,7 @@ mod tests {
 
     #[test]
     fn empty_list_cursor_is_exhausted() {
-        let c = CompressedPostings::encode(&PostingList::new());
+        let c = packed(&PostingList::new());
         let mut cur = c.cursor();
         assert_eq!(cur.doc(), NO_DOC);
         cur.seek(7);
@@ -1120,7 +1129,7 @@ mod tests {
     #[test]
     fn cursor_last_doc_reads_metadata() {
         let l = long_list(300, 2);
-        let c = CompressedPostings::encode(&l);
+        let c = packed(&l);
         let cur = c.cursor();
         assert_eq!(cur.last_doc(), l.postings().last().unwrap().doc.0);
         let raw = RawCursor {

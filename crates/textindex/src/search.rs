@@ -963,9 +963,15 @@ impl<'a> Searcher<'a> {
                     // segment lacks their term — is exact for
                     // non-negative f32).
                     let score = contribs.iter().fold(0.0f32, |a, &b| a + b);
-                    heap.push(HeapEntry { score, doc: d });
-                    if heap.len() > k {
-                        heap.pop();
+                    let entry = HeapEntry { score, doc: d };
+                    // Admission: a full heap takes only an entry that
+                    // beats its worst under the heap order — push-then-
+                    // pop without the push, which would evict `entry`
+                    // itself.
+                    if heap.len() < k {
+                        heap.push(entry);
+                    } else if let Some(mut worst) = heap.peek_mut().filter(|w| entry < **w) {
+                        *worst = entry;
                     }
                     if heap.len() == k {
                         let worst = heap.peek().expect("heap is full").score;
@@ -984,15 +990,15 @@ impl<'a> Searcher<'a> {
     }
 
     /// Inflated upper bound on `sc`'s contribution to any doc in the
-    /// block its cursor currently sits on. Tighter than the static
-    /// `bound()` whenever the block directory says this block's max tf
-    /// is below the list-wide maximum; identical (and equally safe)
-    /// otherwise. Phrases, raw (memtable) lists — which carry no block
-    /// directory — and infinite bounds fall back to the static bound.
-    /// Rank safety: the block bound uses the same (max tf, min len)
-    /// maximization and the same slack inflation as the static bound,
-    /// just with the block-local max tf — every true contribution in
-    /// the block is strictly below it.
+    /// block its cursor currently sits on: the larger BM25 of the
+    /// block's two `(tf, len)` peaks, never above the static `bound()`.
+    /// Phrases, raw (memtable) lists — which carry no block directory —
+    /// and infinite bounds fall back to the static bound. Rank safety:
+    /// every live posting of the block has a tf at most, and a length
+    /// at least, one peak's; BM25 rises with tf and falls with length,
+    /// and the same slack inflation as the static bound applies, so
+    /// every true contribution in the block is strictly below it. The
+    /// peaks hold no idf or average length, so they never go stale.
     #[inline]
     fn block_bound(&self, sc: &mut AnyScorer<'_>) -> f32 {
         let AnyScorer::Term(t) = sc else {
@@ -1001,13 +1007,16 @@ impl<'a> Searcher<'a> {
         if !t.bound.is_finite() {
             return t.bound;
         }
-        let bmt = t.cursor.block_max_tf();
-        if bmt == u32::MAX {
-            return t.bound;
-        }
-        if bmt != t.block_memo_tf {
-            let raw = t.boost * self.bm25(bmt as f32, t.min_len, t.avg_len, t.idf);
-            t.block_memo_tf = bmt;
+        let last = t.cursor.block_last_doc();
+        if last != t.block_memo_last {
+            let Some(peaks) = t.cursor.block_peaks() else {
+                return t.bound;
+            };
+            let raw = peaks
+                .map(|(tf, len)| t.boost * self.bm25(tf as f32, len as f32, t.avg_len, t.idf))
+                .into_iter()
+                .fold(0.0f32, f32::max);
+            t.block_memo_last = last;
             t.block_memo_bound = (raw * (1.0 + BOUND_SLACK_REL) + BOUND_SLACK_ABS).min(t.bound);
         }
         t.block_memo_bound
@@ -1135,8 +1144,7 @@ impl<'a> Searcher<'a> {
             avg_len: fs.avg_len,
             boost: fs.boost,
             bound,
-            min_len: st.min_len as f32,
-            block_memo_tf: u32::MAX,
+            block_memo_last: NO_DOC,
             block_memo_bound: bound,
         }
     }
@@ -1445,13 +1453,11 @@ struct Scorer<'a> {
     /// segment's list, from the [`crate::index::TermScoreStats`]
     /// stored with it.
     bound: f32,
-    /// Lower bound on the field length of any document on the list
-    /// (from the same stats as `bound`).
-    min_len: f32,
-    /// Memoized block-max refinement: the block max tf the cached
-    /// bound below was computed for (`u32::MAX` = nothing cached).
-    block_memo_tf: u32,
-    /// Inflated bound at `block_memo_tf` occurrences.
+    /// Memoized block-max refinement: the last doc of the block the
+    /// cached bound below was computed for ([`NO_DOC`] = nothing
+    /// cached).
+    block_memo_last: u32,
+    /// Inflated bound over the peaks of block `block_memo_last`.
     block_memo_bound: f32,
 }
 

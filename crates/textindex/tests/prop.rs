@@ -1,7 +1,9 @@
 //! Property-based tests for the full-text substrate invariants.
 
 use proptest::prelude::*;
-use symphony_text::postings::{CompressedPostings, PostingList};
+use std::collections::HashMap;
+
+use symphony_text::postings::{CompressedPostings, PostingList, PostingsCursor, NO_DOC};
 use symphony_text::{
     Analyzer, Doc, DocId, Index, IndexConfig, Query, ScoreMode, Searcher, SegmentPolicy,
     StandardAnalyzer,
@@ -96,6 +98,57 @@ fn clause() -> impl Strategy<Value = String> {
         .prop_map(|(occur, field, tok)| format!("{occur}{field}{tok}"))
 }
 
+/// The score peaks `CompressedPostings::encode` must record for a
+/// block of `(tf, len)` postings, straight from their definition: B is
+/// the smallest non-zero length `m` (`1` when there is none) at the
+/// largest tf `s` found at that length; A is the block's largest tf at
+/// the smallest non-zero length among the postings with tf above `s`
+/// (`m` when there are none).
+fn ref_peaks(block: &[(u32, u32)]) -> [(u32, u32); 2] {
+    let m = block
+        .iter()
+        .map(|&(_, len)| len)
+        .filter(|&len| len > 0)
+        .min();
+    let s = block
+        .iter()
+        .filter(|&&(_, len)| Some(len) == m)
+        .map(|&(tf, _)| tf)
+        .max()
+        .unwrap_or(0);
+    let m = m.unwrap_or(1);
+    let rest = block
+        .iter()
+        .filter(|&&(tf, len)| tf > s && len > 0)
+        .map(|&(_, len)| len)
+        .min()
+        .unwrap_or(m);
+    let max_tf = block.iter().map(|&(tf, _)| tf).max().unwrap_or(0);
+    [(max_tf, rest), (s, m)]
+}
+
+/// One block as a cursor reports it: its peaks and its `(doc, tf)`s.
+type Block = ([(u32, u32); 2], Vec<(DocId, u32)>);
+
+/// Walk `cursor` block by block, or yield nothing for a list without a
+/// block directory.
+fn blocks_of(mut cursor: PostingsCursor<'_>) -> Vec<Block> {
+    let mut out: Vec<Block> = Vec::new();
+    let mut last = NO_DOC;
+    while let Some(peaks) = cursor.block_peaks() {
+        if cursor.block_last_doc() != last {
+            last = cursor.block_last_doc();
+            out.push((peaks, Vec::new()));
+        }
+        out.last_mut()
+            .unwrap()
+            .1
+            .push((DocId(cursor.doc()), cursor.tf()));
+        cursor.next();
+    }
+    out
+}
+
 /// Strategy: a doc-ordered set of (doc, positions) postings.
 fn posting_data() -> impl Strategy<Value = Vec<(u32, Vec<u32>)>> {
     proptest::collection::btree_map(
@@ -108,6 +161,12 @@ fn posting_data() -> impl Strategy<Value = Vec<(u32, Vec<u32>)>> {
             .map(|(doc, pos)| (doc, pos.into_iter().collect::<Vec<u32>>()))
             .collect()
     })
+}
+
+/// Field lengths for encoding `list`: every document one token long
+/// (the codec checks read no lengths).
+fn ones(list: &PostingList) -> Vec<u32> {
+    vec![1; list.postings().last().map_or(0, |p| p.doc.as_usize() + 1)]
 }
 
 /// Append `v` to `out` as a LEB128 varint (reference implementation).
@@ -189,8 +248,34 @@ proptest! {
                 list.push_occurrence(DocId(*doc), p);
             }
         }
-        let decoded = CompressedPostings::encode(&list).decode();
+        let decoded = CompressedPostings::encode(&list, &ones(&list)).decode();
         prop_assert_eq!(decoded.postings(), list.postings());
+    }
+
+    /// Every block of an encoded list records exactly the reference
+    /// peaks of its postings — zero lengths (tombstones) skipped, a
+    /// block without a non-zero length clamped to length 1 — and one of
+    /// them dominates each posting of non-zero length.
+    #[test]
+    fn block_peaks_match_reference(
+        data in proptest::collection::btree_map(0u32..2_000, 1u32..6, 0..400),
+        lens in proptest::collection::vec(prop_oneof![Just(0u32), 1u32..5, 5u32..40], 2_000..2_001),
+    ) {
+        let mut list = PostingList::new();
+        for (&doc, &tf) in &data {
+            list.push_posting(DocId(doc), &(0..tf).collect::<Vec<_>>());
+        }
+        let packed = CompressedPostings::encode(&list, &lens);
+        let blocks = blocks_of(PostingsCursor::Compressed(packed.cursor()));
+        prop_assert_eq!(blocks.len(), data.len().div_ceil(symphony_text::postings::BLOCK_SIZE));
+        for (peaks, postings) in blocks {
+            let block: Vec<(u32, u32)> =
+                postings.iter().map(|&(d, tf)| (tf, lens[d.as_usize()])).collect();
+            prop_assert_eq!(peaks, ref_peaks(&block));
+            for (tf, len) in block.into_iter().filter(|&(_, len)| len > 0) {
+                prop_assert!(peaks.iter().any(|&(ptf, plen)| tf <= ptf && len >= plen));
+            }
+        }
     }
 
     /// The bit-packed block format decodes to exactly what a reference
@@ -205,7 +290,7 @@ proptest! {
             }
         }
         let reference = ref_varint_decode(&ref_varint_encode(&list));
-        let packed = CompressedPostings::encode(&list);
+        let packed = CompressedPostings::encode(&list, &ones(&list));
         let unpacked: Vec<(u32, Vec<u32>)> = packed
             .decode()
             .postings()
@@ -230,7 +315,7 @@ proptest! {
                 list.push_occurrence(DocId(*doc), p);
             }
         }
-        let packed = CompressedPostings::encode(&list);
+        let packed = CompressedPostings::encode(&list, &ones(&list));
         let mut a = packed.cursor();
         let mut b = list.cursor();
         prop_assert_eq!(a.last_doc(), b.last_doc());
@@ -472,6 +557,13 @@ proptest! {
     /// one's exact `(doc, score)` list: plain, `+must`, `-not` and
     /// phrase queries, under a `DocSet` in both its gate and its probe
     /// mounting, with near-real-time visibility on and off.
+    ///
+    /// Every block of every sealed list carries score peaks that
+    /// dominate its live postings, match the reference peaks of its
+    /// postings whenever none of them was tombstoned since the block
+    /// was encoded, and never sit below length 1 or outside the
+    /// lengths its documents had (the clamp for a block whose lengths
+    /// all read zero).
     #[test]
     fn live_stats_dominate_and_prune_exactly(
         ops in proptest::collection::vec(live_op(), 1..25),
@@ -488,6 +580,9 @@ proptest! {
         let title = idx.register_field("title", 2.0);
         let body = idx.register_field("body", 1.0);
         let mut clock = 0u64;
+        // Each doc's lengths as first seen live: a tombstone zeroes
+        // them, but a block sealed before the delete encoded these.
+        let mut first_len: HashMap<(DocId, symphony_text::FieldId), u32> = HashMap::new();
         let doc = |t: &str, b: &str| Doc::new().field(title, t).field(body, b);
         for op in &ops {
             match op {
@@ -539,6 +634,38 @@ proptest! {
                             "{text:?} in {field:?} at {d:?}: tf {tf} len {len} vs {stats:?}"
                         );
                     });
+                }
+            }
+
+            for d in (0..idx.total_docs() as u32).map(DocId).filter(|&d| !idx.is_deleted(d)) {
+                for field in idx.field_ids() {
+                    first_len.entry((d, field)).or_insert_with(|| idx.field_len(d, field));
+                }
+            }
+            for (term, text) in idx.lexicon().iter() {
+                for field in idx.field_ids() {
+                    for (peaks, postings) in idx.segment_cursors(term, field).flat_map(blocks_of) {
+                        let block: Vec<(u32, u32)> =
+                            postings.iter().map(|&(d, tf)| (tf, idx.field_len(d, field))).collect();
+                        let at = format!("{text:?} in {field:?}, block {postings:?}: {peaks:?}");
+                        for (&(d, _), &(tf, len)) in postings.iter().zip(&block) {
+                            if !idx.is_deleted(d) {
+                                prop_assert!(
+                                    peaks.iter().any(|&(ptf, plen)| tf <= ptf && len >= plen),
+                                    "{} misses tf {} len {}", at, tf, len
+                                );
+                            }
+                        }
+                        if postings.iter().all(|&(d, _)| !idx.is_deleted(d)) {
+                            prop_assert_eq!(peaks, ref_peaks(&block), "{}", at);
+                        }
+                        for (_, plen) in peaks {
+                            prop_assert!(
+                                plen == 1 || postings.iter().any(|&(d, _)| first_len[&(d, field)] == plen),
+                                "{} length {} is no document's", at, plen
+                            );
+                        }
+                    }
                 }
             }
 

@@ -25,6 +25,13 @@
 //! exhaustive one, query for query: 3 643 / 3 235 / 3 802 / 2 934 /
 //! 2 392 against the compact index's 1 436 / 946 / 1 284 / 971 /
 //! 1 061 (its five-segment counts were the ones pinned below).
+//!
+//! Block bounds from each block's own `(tf, length)` peaks then moved
+//! every pruned row down; at parent commit 6fc6ed0, whose block bound
+//! paired the block's largest tf with the list's smallest length, the
+//! rows read (compact, live, five) 1 436 / 1 436 / 1 436, 946 ×3,
+//! 1 284 ×3, 971 / 971 / 926 and 1 061 ×3. [`CATALOG`] pins the same
+//! effect on a catalog-shaped list.
 
 use std::cell::Cell;
 
@@ -45,11 +52,11 @@ const QUERIES: [&str; 5] = [
 /// Candidates per query of [`QUERIES`]: exhaustive (any layout), then
 /// the pruned executor on `compact`, `live` and `five`.
 const CANDIDATES: [[usize; 4]; 5] = [
-    [3_643, 1_436, 1_436, 1_436],
-    [3_235, 946, 946, 946],
-    [3_802, 1_284, 1_284, 1_284],
-    [2_934, 971, 971, 926],
-    [2_392, 1_061, 1_061, 1_061],
+    [3_643, 1_436, 1_431, 1_419],
+    [3_235, 930, 930, 930],
+    [3_802, 1_038, 1_038, 980],
+    [2_934, 874, 874, 874],
+    [2_392, 1_051, 1_051, 1_051],
 ];
 
 /// A splitmix64 stream: the corpus must not depend on any crate's RNG.
@@ -159,4 +166,69 @@ fn a_live_index_prunes_like_a_sealed_one() {
         }
         assert_eq!(counts, pinned, "{query}: exhaustive, compact, live, five");
     }
+}
+
+/// Catalog rows: a compact index of [`CATALOG_ROWS`] short bodies, 9–16
+/// words drawn from a Zipf(1) law over [`CATALOG_VOCAB`] words — the
+/// shape of a product catalog's descriptions. The query's word is on
+/// most rows, one list spanning dozens of blocks, and every 128-doc
+/// block holds a shortest body: a block bound from the block's largest
+/// tf and the list's smallest length equals the list bound and never
+/// skips, one from the block's own `(tf, length)` peaks does.
+const CATALOG_ROWS: u32 = 8_000;
+const CATALOG_VOCAB: usize = 400;
+const CATALOG_QUERY: &str = "c0";
+
+/// `(exhaustive, pruned)` candidates of [`CATALOG_QUERY`]. With the
+/// block bound at `(block max tf, list min length)` and every scored
+/// candidate pushed onto the heap (parent commit 6fc6ed0) the pruned
+/// executor considered 6 272.
+const CATALOG: (usize, usize) = (6_862, 4_224);
+
+fn catalog() -> Index {
+    let mut idx = Index::new(IndexConfig {
+        store_text: false,
+        ..IndexConfig::default()
+    });
+    let field = idx.register_field("body", 1.0);
+    // Cumulative Zipf(1) weights, drawn by inverse CDF.
+    let cdf: Vec<f64> = (1..=CATALOG_VOCAB)
+        .scan(0.0, |acc, r| {
+            *acc += 1.0 / r as f64;
+            Some(*acc)
+        })
+        .collect();
+    let total = cdf[CATALOG_VOCAB - 1];
+    for i in 0..CATALOG_ROWS {
+        let mut state = u64::from(i).wrapping_mul(0x9e6c_63d0_676a_9a99) ^ 0xca7a;
+        let len = 9 + next(&mut state) % 8;
+        let words: Vec<String> = (0..len)
+            .map(|_| {
+                let u = (next(&mut state) >> 11) as f64 / (1u64 << 53) as f64 * total;
+                format!("c{}", cdf.partition_point(|&c| c <= u))
+            })
+            .collect();
+        idx.add(Doc::new().field(field, words.join(" ")));
+    }
+    idx.optimize();
+    idx
+}
+
+#[test]
+fn a_catalog_query_skips_blocks() {
+    let idx = catalog();
+    let field = idx.field_id("body").unwrap();
+    let term = idx.lexicon().get(CATALOG_QUERY).unwrap();
+    assert!(
+        idx.doc_freq(term, field) > 40 * 128,
+        "one list, dozens of blocks"
+    );
+    let (exhaustive, want) = candidates(&idx, ScoreMode::Exhaustive, CATALOG_QUERY);
+    let (pruned, hits) = candidates(&idx, ScoreMode::TopKPruned, CATALOG_QUERY);
+    assert_eq!(hits, want);
+    assert!(
+        5 * pruned <= 4 * 6_272,
+        "{pruned} candidates: not 20 % under 6 272"
+    );
+    assert_eq!((exhaustive, pruned), CATALOG);
 }
