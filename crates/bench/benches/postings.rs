@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use symphony_bench::{corpus, Scale};
 use symphony_text::postings::{CompressedPostings, PostingList, NO_DOC};
-use symphony_text::{Doc, DocId, Index, IndexConfig, Query, ScoreMode, Searcher};
+use symphony_text::{Doc, DocId, Index, IndexConfig, Query, Searcher};
 
 /// A synthetic posting list: `n` docs with a gap pattern wide enough to
 /// spread across many blocks, a few positions per doc.
@@ -189,17 +189,18 @@ fn bench_gallop_intersect(c: &mut Criterion) {
     .collect();
 
     for (shape, queries) in [("conjunction", &conjunctions), ("phrase", &phrases)] {
-        for (variant, mode) in [
-            ("pruned", ScoreMode::TopKPruned),
-            ("exhaustive", ScoreMode::Exhaustive),
-        ] {
+        for (variant, reference) in [("pruned", false), ("exhaustive", true)] {
             group.bench_with_input(BenchmarkId::new(shape, variant), &index, |b, index| {
-                let searcher = Searcher::new(index).with_mode(mode);
+                let searcher = Searcher::new(index);
                 let mut i = 0usize;
                 b.iter(|| {
                     let q = &queries[i % queries.len()];
                     i += 1;
-                    searcher.search(q, 10)
+                    if reference {
+                        searcher.search_exhaustive(q, 10, |_| true)
+                    } else {
+                        searcher.search(q, 10)
+                    }
                 });
             });
         }

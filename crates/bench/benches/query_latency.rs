@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use symphony_bench::{corpus, zipf_queries, Scale};
-use symphony_text::{Doc, Index, IndexConfig, Query, ScoreMode, Searcher};
+use symphony_text::{Doc, Index, IndexConfig, Query, Searcher};
 
 fn build_index(scale: Scale, optimize: bool) -> Index {
     let corpus = corpus(scale);
@@ -69,20 +69,21 @@ fn bench_topk_pruning(c: &mut Criterion) {
         .collect();
     let index = build_index(Scale::Large, true);
     for k in [10usize, 100] {
-        for (variant, mode) in [
-            ("pruned", ScoreMode::TopKPruned),
-            ("exhaustive", ScoreMode::Exhaustive),
-        ] {
+        for (variant, reference) in [("pruned", false), ("exhaustive", true)] {
             group.bench_with_input(
                 BenchmarkId::new(variant, format!("k{k}")),
                 &index,
                 |b, index| {
-                    let searcher = Searcher::new(index).with_mode(mode);
+                    let searcher = Searcher::new(index);
                     let mut i = 0usize;
                     b.iter(|| {
                         let q = &queries[i % queries.len()];
                         i += 1;
-                        searcher.search(q, k)
+                        if reference {
+                            searcher.search_exhaustive(q, k, |_| true)
+                        } else {
+                            searcher.search(q, k)
+                        }
                     });
                 },
             );

@@ -1112,7 +1112,7 @@ fn e_ingest() {
 /// `BENCH_postings.json` for CI.
 fn e_postings() {
     use symphony_text::postings::PostingList;
-    use symphony_text::{Query, ScoreMode, Searcher};
+    use symphony_text::{Query, Searcher};
 
     fn varint_push(out: &mut Vec<u8>, mut v: u32) {
         loop {
@@ -1182,9 +1182,7 @@ fn e_postings() {
     // bit-for-bit on every query.
     for q in multi.iter().chain(&phrases) {
         let pruned = Searcher::new(&index).search(q, 10);
-        let exhaustive = Searcher::new(&index)
-            .with_mode(ScoreMode::Exhaustive)
-            .search(q, 10);
+        let exhaustive = Searcher::new(&index).search_exhaustive(q, 10, |_| true);
         let key = |hits: &[symphony_text::SearchHit]| {
             hits.iter()
                 .map(|h| (h.doc, h.score.to_bits()))
@@ -1199,23 +1197,22 @@ fn e_postings() {
     // scheduler noise), and the per-mode q/s come from each mode's
     // fastest round.
     let measure = |queries: &[Query]| -> (f64, f64, f64) {
-        let pruned = Searcher::new(&index).with_mode(ScoreMode::TopKPruned);
-        let exhaustive = Searcher::new(&index).with_mode(ScoreMode::Exhaustive);
+        let searcher = Searcher::new(&index);
         for q in queries {
-            std::hint::black_box(pruned.search(q, 10));
-            std::hint::black_box(exhaustive.search(q, 10));
+            std::hint::black_box(searcher.search(q, 10));
+            std::hint::black_box(searcher.search_exhaustive(q, 10, |_| true));
         }
         let mut ratios = Vec::new();
         let (mut best_p, mut best_e) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..12 {
             let start = Instant::now();
             for q in queries {
-                std::hint::black_box(pruned.search(q, 10));
+                std::hint::black_box(searcher.search(q, 10));
             }
             let tp = start.elapsed().as_secs_f64().max(1e-9);
             let start = Instant::now();
             for q in queries {
-                std::hint::black_box(exhaustive.search(q, 10));
+                std::hint::black_box(searcher.search_exhaustive(q, 10, |_| true));
             }
             let te = start.elapsed().as_secs_f64().max(1e-9);
             ratios.push(te / tp);

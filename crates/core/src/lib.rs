@@ -89,8 +89,8 @@ pub use hosting::{MaintenanceSummary, Platform, QueryHost, QuotaConfig};
 pub use monetize::{ClickLog, Impression, InteractionEvent, TrafficSummary};
 pub use recommend::{recommend_sites, recommend_sites_with_crowd, SiteRecommendation};
 pub use runtime::{
-    execute, execute_resilient, execute_with_overrides, shed_response, ExecCtx, ExecMode,
-    QueryResponse, MAX_FANOUT_WORKERS, SHED_MS,
+    execute, execute_resilient, shed_response, ExecCtx, ExecMode, QueryResponse,
+    MAX_FANOUT_WORKERS, SHED_MS,
 };
 pub use source::{
     run_source, run_source_ctx, DataSourceDef, ResultItem, ScatterOutcome, ScatterSearch,

@@ -119,22 +119,7 @@ pub fn execute(
     subs: Substrates<'_>,
     mode: ExecMode,
 ) -> QueryResponse {
-    execute_with_overrides(app, query, subs, mode, &HashMap::new())
-}
-
-/// Like [`execute`], with pre-resolved outcomes for some primary
-/// sources. The hosting layer uses this for
-/// [`DataSourceDef::ComposedApp`](crate::source::DataSourceDef::ComposedApp)
-/// sources, whose results come from recursively querying another
-/// hosted application.
-pub fn execute_with_overrides(
-    app: &ApplicationConfig,
-    query: &str,
-    subs: Substrates<'_>,
-    mode: ExecMode,
-    overrides: &HashMap<String, SourceOutcome>,
-) -> QueryResponse {
-    execute_resilient(app, query, subs, mode, overrides, &ExecCtx::default())
+    execute_resilient(app, query, subs, mode, &HashMap::new(), &ExecCtx::default())
 }
 
 /// The remaining fetch budget when `consumed` virtual ms of source
@@ -202,7 +187,10 @@ fn panic_outcome(source: &str, payload: &(dyn std::any::Any + Send)) -> SourceOu
     }
 }
 
-/// Like [`execute_with_overrides`], under an execution context: the
+/// Like [`execute`], with pre-resolved outcomes for some primary
+/// sources, under an execution context. The hosting layer passes
+/// overrides for [`DataSourceDef::ComposedApp`] sources, whose results
+/// come from recursively querying another hosted application. The
 /// virtual clock position anchors deterministic latency draws and
 /// fault windows, the app's [`ResiliencePolicy`] bounds deadlines /
 /// budgets / retries, and the shared circuit breakers are consulted

@@ -189,19 +189,6 @@ impl FullTextView {
         self.map_hits(Searcher::new(&self.index).search(query, k))
     }
 
-    /// Top `k` under a caller predicate on record ids — the opaque
-    /// post-check fallback path (every candidate is still scored).
-    pub fn search_filtered<F: Fn(RecordId) -> bool>(
-        &self,
-        query: &Query,
-        k: usize,
-        accept: F,
-    ) -> Vec<TextHit> {
-        let hits = Searcher::new(&self.index)
-            .search_filtered(query, k, |d| accept(self.doc_to_record[d.as_usize()]));
-        self.map_hits(hits)
-    }
-
     /// Top `k` restricted to a pre-resolved [`DocSet`] — the pushdown
     /// path, where the set rides the executor as a non-scoring
     /// conjunctive cursor and selective sets skip posting blocks
@@ -210,8 +197,10 @@ impl FullTextView {
         self.map_hits(Searcher::new(&self.index).search_docset(query, k, allowed))
     }
 
-    /// Top `k` scored exhaustively (no pruning) — the reference
-    /// executor the scan plan and the differential tests use.
+    /// Top `k` under a caller predicate on record ids, scored by the
+    /// term-at-a-time reference (no pruning) — what the forced scan
+    /// plan runs, so the differential tests compare the served plans
+    /// against an independent executor.
     pub fn search_exhaustive_filtered<F: Fn(RecordId) -> bool>(
         &self,
         query: &Query,
@@ -219,8 +208,7 @@ impl FullTextView {
         accept: F,
     ) -> Vec<TextHit> {
         let hits = Searcher::new(&self.index)
-            .with_mode(symphony_text::ScoreMode::Exhaustive)
-            .search_filtered(query, k, |d| accept(self.doc_to_record[d.as_usize()]));
+            .search_exhaustive(query, k, |d| accept(self.doc_to_record[d.as_usize()]));
         self.map_hits(hits)
     }
 

@@ -4,7 +4,7 @@
 //! designer can ask "reviews mentioning 'oak' where price < 20 and
 //! in_stock" as one query. A small cost-based planner reads exact
 //! cardinalities off the maintained secondary-index counters and picks
-//! one of three rank-equivalent strategies:
+//! one of two rank-equivalent strategies:
 //!
 //! * **filter-first** — resolve the structured predicate through the
 //!   secondary indexes into an exact [`DocSet`](symphony_text::DocSet)
@@ -13,9 +13,12 @@
 //! * **search-first** — pruned top-k with geometric over-fetch and a
 //!   post-filter refill, for predicates too dense to enumerate for one
 //!   query; a refill that keeps coming up short gives up and takes the
-//!   set path;
-//! * **scan** — exhaustive scoring under a closure, for tables too
-//!   small to plan about.
+//!   set path.
+//!
+//! A third plan, **scan**, runs the term-at-a-time reference under a
+//! closure. The planner never picks it, whatever the table's size; it
+//! exists to be forced, as the oracle the other two are checked
+//! against.
 //!
 //! A designer bakes the predicate into the source, so every query an
 //! app serves carries the same one: the table memoises resolved sets
@@ -47,7 +50,8 @@ pub enum HybridPlan {
     FilterFirst,
     /// Pruned text search with over-fetch + post-filter refill.
     SearchFirst,
-    /// Exhaustive scoring under a closure filter.
+    /// The term-at-a-time reference under a closure filter; only ever
+    /// forced, never planned.
     Scan,
 }
 
@@ -132,10 +136,6 @@ pub struct HybridResult {
     pub explain: HybridExplain,
 }
 
-/// Below this row count the planner does not bother with indexes: an
-/// exhaustive scan of a tiny table beats any plan overhead.
-const SCAN_FLOOR_ROWS: usize = 32;
-
 /// Cost of resolving one index row into a filter's doc set, and of one
 /// ranked hit search-first over-fetches, in ns. Fitted from the
 /// forced-plan probe over the ledger's `hybrid_sweep` world — the
@@ -188,9 +188,7 @@ impl IndexedTable {
         let overfetch_ns = selectivity
             .filter(|&s| s > 0.0)
             .map_or(0.0, |s| q.k as f64 / s * OVERFETCH_NS_PER_HIT);
-        let plan = if table_rows <= SCAN_FLOOR_ROWS {
-            HybridPlan::Scan
-        } else if memoised.is_some() {
+        let plan = if memoised.is_some() {
             HybridPlan::FilterFirst
         } else {
             match estimated_matches {
@@ -511,10 +509,22 @@ mod tests {
     }
 
     #[test]
-    fn planner_scans_tiny_tables() {
-        let it = reviews(20);
-        let q = HybridQuery::new(Query::parse("oak"), price_under(3), 10);
-        assert_eq!(it.hybrid_explain(&q).plan, HybridPlan::Scan);
+    fn planner_never_picks_the_reference_scan() {
+        for rows in [1, 20, 32] {
+            let it = reviews(rows);
+            let q = HybridQuery::new(Query::parse("oak"), price_under(3), 10);
+            let planned = it.hybrid_query(&q).unwrap();
+            assert_ne!(planned.explain.plan, HybridPlan::Scan, "{rows} rows");
+            let sc = it.hybrid_query_planned(&q, Some(HybridPlan::Scan)).unwrap();
+            let key = |r: &HybridResult| {
+                r.hits
+                    .iter()
+                    .map(|h| (h.record, h.score.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(key(&planned), key(&sc), "{rows} rows");
+            assert!(!sc.hits.is_empty(), "{rows} rows");
+        }
     }
 
     #[test]

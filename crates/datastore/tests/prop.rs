@@ -197,13 +197,10 @@ proptest! {
         prop_assert_eq!(key(&planned), key(&sc));
         // The forced filter-first run resolved the set; nothing was
         // written since, so the planner's run reused it.
-        // (Tables too small to plan about are scanned, set or no set.)
         prop_assert!(!ff.explain.set_reused);
-        if planned.explain.plan != HybridPlan::Scan {
-            prop_assert_eq!(planned.explain.plan, HybridPlan::FilterFirst);
-            prop_assert!(planned.explain.set_reused);
-            prop_assert_eq!(planned.explain.set_len, ff.explain.set_len);
-        }
+        prop_assert_eq!(planned.explain.plan, HybridPlan::FilterFirst);
+        prop_assert!(planned.explain.set_reused);
+        prop_assert_eq!(planned.explain.set_len, ff.explain.set_len);
 
         let mut now_ms = 0;
         for (kind, at, body, price) in writes {
@@ -237,7 +234,7 @@ proptest! {
             // A write drops the set; maintenance renumbers nothing and
             // keeps it.
             prop_assert_eq!(ff.explain.set_reused, kind == 3);
-            prop_assert!(planned.explain.set_reused || planned.explain.plan == HybridPlan::Scan);
+            prop_assert!(planned.explain.set_reused);
         }
     }
 }

@@ -16,7 +16,8 @@
 //!
 //! * [`analysis`] — tokenization, stopwords, light stemming.
 //! * [`lexicon`] — term interning.
-//! * [`postings`] — positional posting lists, raw and varint-compressed.
+//! * [`postings`] — positional posting lists, raw in the memtable and
+//!   block bit-packed once sealed.
 //! * [`index`] — the inverted index, organized as a segment-lifecycle
 //!   runtime: incremental add/update into a mutable memtable, tombstone
 //!   delete, sealed immutable segments, tiered merges.
@@ -63,7 +64,7 @@ pub use index::{
 };
 pub use lexicon::{Lexicon, TermId};
 pub use query::Query;
-pub use search::{GlobalScoreStats, ScoreMode, SearchHit, Searcher};
+pub use search::{GlobalScoreStats, SearchHit, Searcher};
 pub use spell::SpellSuggester;
 
 /// Identifier of a document inside one [`Index`].

@@ -18,16 +18,13 @@
 //!   [`PostingsCursor`] skip whole blocks during [`PostingsCursor::seek`]
 //!   without decoding them.
 //!
-//! Exhaustive consumers use the callback-style [`Postings::for_each`],
-//! which sidesteps lending-iterator gymnastics and keeps decoding
-//! allocation-free on the hot path. The document-at-a-time query
-//! executor instead opens a [`PostingsCursor`] per list (`doc` /
-//! `next` / `seek`) and materializes positions only on demand
-//! ([`PostingsCursor::positions`]) for phrase verification.
-//!
-//! The compressed form exists for the E3 ablation in DESIGN.md: it
-//! trades decode CPU for memory footprint, which matters once the
-//! simulated web corpus reaches hundreds of thousands of pages.
+//! The memtable holds raw lists; sealing a segment packs every one of
+//! them. The query executor opens a [`PostingsCursor`] per list (`doc`
+//! / `next` / `seek`) over either form and materializes positions only
+//! on demand ([`PostingsCursor::positions`]) for phrase verification.
+//! The term-at-a-time reference walks whole lists through callbacks
+//! ([`CompressedPostings::for_each`] on a packed list), which sidestep
+//! lending-iterator gymnastics and decode without allocating.
 
 use crate::DocId;
 
@@ -784,57 +781,6 @@ impl PostingsCursor<'_> {
     }
 }
 
-/// A posting list in either representation.
-#[derive(Debug, Clone)]
-pub enum Postings {
-    /// Indexing-time representation.
-    Raw(PostingList),
-    /// Optimized representation.
-    Compressed(CompressedPostings),
-}
-
-impl Postings {
-    /// Number of documents containing the term.
-    pub fn doc_count(&self) -> usize {
-        match self {
-            Postings::Raw(l) => l.doc_count(),
-            Postings::Compressed(c) => c.doc_count(),
-        }
-    }
-
-    /// Visit every `(doc, positions)` pair in doc order.
-    pub fn for_each(&self, mut f: impl FnMut(DocId, &[u32])) {
-        match self {
-            Postings::Raw(l) => {
-                for p in l.postings() {
-                    f(p.doc, &p.positions);
-                }
-            }
-            Postings::Compressed(c) => c.for_each(f),
-        }
-    }
-
-    /// Open a document-at-a-time cursor positioned on the first
-    /// posting.
-    pub fn cursor(&self) -> PostingsCursor<'_> {
-        match self {
-            Postings::Raw(l) => PostingsCursor::Raw(RawCursor {
-                postings: l.postings(),
-                idx: 0,
-            }),
-            Postings::Compressed(c) => PostingsCursor::Compressed(c.cursor()),
-        }
-    }
-
-    /// Approximate heap bytes of this representation (E3 ablation).
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            Postings::Raw(l) => l.heap_bytes(),
-            Postings::Compressed(c) => c.heap_bytes(),
-        }
-    }
-}
-
 pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u32) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -968,12 +914,22 @@ mod tests {
     #[test]
     fn for_each_visits_in_doc_order() {
         let l = sample();
-        let mut docs = Vec::new();
-        Postings::Raw(l.clone()).for_each(|d, _| docs.push(d.0));
-        assert_eq!(docs, vec![0, 3, 300]);
-        docs.clear();
-        Postings::Compressed(packed(&l)).for_each(|d, _| docs.push(d.0));
-        assert_eq!(docs, vec![0, 3, 300]);
+        let mut seen = Vec::new();
+        packed(&l).for_each(|d, positions| seen.push((d.0, positions.to_vec())));
+        let want: Vec<(u32, Vec<u32>)> = l
+            .postings()
+            .iter()
+            .map(|p| (p.doc.0, p.positions.clone()))
+            .collect();
+        assert_eq!(seen, want);
+    }
+
+    /// A cursor over `l` itself and one over its packed form `c`.
+    fn both<'a>(l: &'a PostingList, c: &'a CompressedPostings) -> [PostingsCursor<'a>; 2] {
+        [
+            PostingsCursor::Raw(l.cursor()),
+            PostingsCursor::Compressed(c.cursor()),
+        ]
     }
 
     fn long_list(n: u32, stride: u32) -> PostingList {
@@ -990,8 +946,8 @@ mod tests {
     #[test]
     fn cursor_walks_both_representations_identically() {
         let l = long_list(300, 3);
-        for postings in [Postings::Raw(l.clone()), Postings::Compressed(packed(&l))] {
-            let mut cur = postings.cursor();
+        let c = packed(&l);
+        for mut cur in both(&l, &c) {
             for p in l.postings() {
                 assert_eq!(cur.doc(), p.doc.0);
                 assert_eq!(cur.tf(), p.positions.len() as u32);
@@ -1006,20 +962,19 @@ mod tests {
     #[test]
     fn cursor_positions_match_raw_postings() {
         let l = long_list(500, 7);
+        let c = packed(&l);
         let mut buf = Vec::new();
-        for postings in [Postings::Raw(l.clone()), Postings::Compressed(packed(&l))] {
+        for (mut cur, mut seeker) in both(&l, &c).into_iter().zip(both(&l, &c)) {
             // Walk via next().
-            let mut cur = postings.cursor();
             for p in l.postings() {
                 cur.positions(&mut buf);
                 assert_eq!(buf, p.positions, "doc {}", p.doc.0);
                 cur.next();
             }
             // And via seek() to scattered docs.
-            let mut cur = postings.cursor();
             for p in l.postings().iter().step_by(37) {
-                cur.seek(p.doc.0);
-                cur.positions(&mut buf);
+                seeker.seek(p.doc.0);
+                seeker.positions(&mut buf);
                 assert_eq!(buf, p.positions, "seek doc {}", p.doc.0);
             }
         }
@@ -1029,9 +984,9 @@ mod tests {
     fn cursor_seek_matches_linear_scan() {
         let l = long_list(1000, 7);
         let docs: Vec<u32> = l.postings().iter().map(|p| p.doc.0).collect();
-        for postings in [Postings::Raw(l.clone()), Postings::Compressed(packed(&l))] {
+        let c = packed(&l);
+        for (mut cur, mut past) in both(&l, &c).into_iter().zip(both(&l, &c)) {
             // Seek to every third position plus off-list targets.
-            let mut cur = postings.cursor();
             for target in (0..7200).step_by(31) {
                 if target < cur.doc() && cur.doc() != NO_DOC {
                     continue; // seek never goes backwards
@@ -1045,17 +1000,16 @@ mod tests {
                 }
             }
             // Seeking past the end exhausts.
-            let mut cur = postings.cursor();
-            cur.seek(u32::MAX);
-            assert_eq!(cur.doc(), NO_DOC);
+            past.seek(u32::MAX);
+            assert_eq!(past.doc(), NO_DOC);
         }
     }
 
     #[test]
     fn seek_to_current_doc_is_a_noop() {
         let l = long_list(400, 2);
-        let postings = Postings::Compressed(packed(&l));
-        let mut cur = postings.cursor();
+        let c = packed(&l);
+        let mut cur = c.cursor();
         cur.seek(500);
         let at = cur.doc();
         let tf = cur.tf();

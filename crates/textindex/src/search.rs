@@ -1,28 +1,20 @@
 //! BM25 top-k query execution.
 //!
-//! Two rank-equivalent executors share this module:
-//!
-//! * [`ScoreMode::TopKPruned`] (the default) runs document-at-a-time
-//!   over [`PostingsCursor`]s with MaxScore pruning: term cursors are
-//!   ordered by their BM25 score upper bound, the cheap ("non
-//!   essential") prefix whose bounds cannot reach the current top-k
-//!   threshold is only probed via `seek`, `+must` clauses drive a
-//!   non-scoring galloping intersection, and `-must-not` clauses are
-//!   seek-along exclusion cursors. Documents that provably cannot
-//!   enter the top k are never fully scored. The segment is the unit
-//!   of execution: the query is planned once (tokens, fields, idf per
-//!   `(term, field)`), then run over each segment in doc order —
-//!   sealed segments, memtable last — with cursors and score bounds
-//!   from that segment's own lists, while the heap, the threshold and
-//!   a pushed-down set's cursor carry over. Every list has bound
-//!   ingredients, a memtable list included, so a live index prunes
-//!   like a sealed one and a few short fresh documents loosen no
-//!   bound but their own segment's.
-//! * [`ScoreMode::Exhaustive`] is the original term-at-a-time path:
-//!   every positive clause walks its posting lists once, accumulating
-//!   scores into a hash map, after which `must` intersections,
-//!   `must-not` exclusions, tombstones, and the caller's filter are
-//!   applied and the top-k extracted.
+//! One executor serves every query: document-at-a-time over
+//! [`PostingsCursor`]s with MaxScore pruning. Term cursors are ordered
+//! by their BM25 score upper bound, the cheap ("non essential") prefix
+//! whose bounds cannot reach the current top-k threshold is only
+//! probed via `seek`, `+must` clauses drive a non-scoring galloping
+//! intersection, and `-must-not` clauses are seek-along exclusion
+//! cursors. Documents that provably cannot enter the top k are never
+//! fully scored. The segment is the unit of execution: the query is
+//! planned once (tokens, fields, idf per `(term, field)`), then run
+//! over each segment in doc order — sealed segments, memtable last —
+//! with cursors and score bounds from that segment's own lists, while
+//! the heap, the threshold and a pushed-down set's cursor carry over.
+//! Every list has bound ingredients, a memtable list included, so a
+//! live index prunes like a sealed one and a few short fresh documents
+//! loosen no bound but their own segment's.
 //!
 //! Phrase clauses run under pruning too: each positive phrase becomes
 //! a [`PhraseScorer`] whose *membership* is a per-field galloping
@@ -35,26 +27,29 @@
 //! per-token max tf), so MaxScore can make a phrase non-essential
 //! like any term.
 //!
-//! The pruned executor is *rank-safe*: it returns bit-identical
-//! `(doc, score)` lists to the exhaustive one (a property-based
-//! differential test in `tests/prop.rs` asserts this). Two details
-//! make that exact rather than approximate. First, per-document scores
-//! are accumulated in the same canonical (clause, token, field) order
-//! as the exhaustive hash-map accumulator, so f32 addition rounds
-//! identically. Second, score upper bounds are inflated by a small
-//! slack before any pruning comparison, so bound arithmetic performed
-//! in a different float-summation order can never under-bound a real
-//! score — and a bound is only ever applied to documents of the
-//! segment whose stats it was built from, against a threshold that is
-//! the true k-th best score of the documents already seen. The
-//! exhaustive path runs only when the caller pins
-//! [`ScoreMode::Exhaustive`].
+//! The executor is *rank-safe*: it returns bit-identical `(doc,
+//! score)` lists to the term-at-a-time reference in
+//! `search/exhaustive.rs`, which scores every matching document into a
+//! hash map and extracts the top k; property-based differential tests
+//! in `tests/prop.rs` assert the equality. Two details make it exact
+//! rather than approximate. First, per-document scores are accumulated
+//! in the same canonical (clause, token, field) order as the
+//! reference's accumulator, so f32 addition rounds identically. Second,
+//! score upper bounds are inflated by a small slack before any pruning
+//! comparison, so bound arithmetic performed in a different
+//! float-summation order can never under-bound a real score — and a
+//! bound is only ever applied to documents of the segment whose stats
+//! it was built from, against a threshold that is the true k-th best
+//! score of the documents already seen. No served query runs the
+//! reference.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+mod exhaustive;
+
 use crate::docset::{DocSet, FilterCursor};
-use crate::fx::{FxHashMap, FxHashSet};
+use crate::fx::FxHashMap;
 use crate::index::{FieldId, Index};
 use crate::lexicon::TermId;
 use crate::postings::{PostingsCursor, NO_DOC};
@@ -84,21 +79,6 @@ pub struct SearchHit {
     pub doc: DocId,
     /// BM25 score (field-boost weighted, summed over clauses).
     pub score: f32,
-}
-
-/// Which top-k executor [`Searcher`] runs.
-///
-/// Both modes return bit-identical hit lists; `TopKPruned` just skips
-/// work that provably cannot change them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoreMode {
-    /// Document-at-a-time MaxScore execution with block-skip cursors
-    /// (the default serving path).
-    #[default]
-    TopKPruned,
-    /// Term-at-a-time scoring of every matching document (the
-    /// reference path kept as the differential oracle).
-    Exhaustive,
 }
 
 /// Relative slack applied to every score upper bound before it is used
@@ -222,7 +202,6 @@ impl GlobalScoreStats {
 pub struct Searcher<'a> {
     index: &'a Index,
     params: Bm25Params,
-    mode: ScoreMode,
     /// When set, corpus-wide statistics (df / live docs / average
     /// lengths) come from here instead of the local index, so a shard
     /// scores its slice exactly as the single-index build would.
@@ -232,12 +211,7 @@ pub struct Searcher<'a> {
 impl<'a> Searcher<'a> {
     /// Searcher with default BM25 parameters.
     pub fn new(index: &'a Index) -> Self {
-        Searcher {
-            index,
-            params: Bm25Params::default(),
-            mode: ScoreMode::default(),
-            global: None,
-        }
+        Self::with_params(index, Bm25Params::default())
     }
 
     /// Override BM25 parameters.
@@ -245,15 +219,8 @@ impl<'a> Searcher<'a> {
         Searcher {
             index,
             params,
-            mode: ScoreMode::default(),
             global: None,
         }
-    }
-
-    /// Select the execution mode (builder-style).
-    pub fn with_mode(mut self, mode: ScoreMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Score with corpus-wide statistics folded across shards
@@ -276,8 +243,8 @@ impl<'a> Searcher<'a> {
     /// search-first hybrid plan); a restriction that resolves to a set
     /// of doc ids — `symphony-web`'s site restriction, a resolved table
     /// filter — goes through [`Searcher::search_docset`] instead.
-    /// The filter must be pure: the pruned executor calls it for fewer
-    /// documents (and in a different order) than the exhaustive one.
+    /// The filter must be pure: the executor calls it only for
+    /// candidates that survive pruning, in no promised order.
     pub fn search_filtered(
         &self,
         query: &Query,
@@ -287,11 +254,7 @@ impl<'a> Searcher<'a> {
         if query.is_empty() || k == 0 {
             return Vec::new();
         }
-        if self.mode == ScoreMode::Exhaustive {
-            self.search_exhaustive(query, k, filter)
-        } else {
-            self.search_pruned(query, k, filter, None)
-        }
+        self.search_pruned(query, k, filter, None)
     }
 
     /// Like [`Searcher::search_filtered`], but the restriction is a
@@ -319,11 +282,7 @@ impl<'a> Searcher<'a> {
         if query.is_empty() || k == 0 || allowed.is_empty() {
             return Vec::new();
         }
-        if self.mode == ScoreMode::Exhaustive {
-            self.search_exhaustive(query, k, |d| allowed.contains(d))
-        } else {
-            self.search_pruned(query, k, |_| true, Some(allowed))
-        }
+        self.search_pruned(query, k, |_| true, Some(allowed))
     }
 
     /// Like [`Searcher::search_filtered`], additionally returning the
@@ -351,148 +310,6 @@ impl<'a> Searcher<'a> {
             f32::NEG_INFINITY
         };
         (hits, bound)
-    }
-
-    /// Term-at-a-time reference executor (see module docs).
-    fn search_exhaustive(
-        &self,
-        query: &Query,
-        k: usize,
-        filter: impl Fn(DocId) -> bool,
-    ) -> Vec<SearchHit> {
-        let mut scores: FxHashMap<u32, f32> = FxHashMap::default();
-        let mut must_sets: Vec<FxHashSet<u32>> = Vec::new();
-        let mut excluded: FxHashSet<u32> = FxHashSet::default();
-        let mut any_positive = false;
-
-        for clause in &query.clauses {
-            let fields: Vec<FieldId> = match &clause.field {
-                Some(name) => match self.index.field_id(name) {
-                    Some(f) => vec![f],
-                    None => {
-                        // Unknown field: a Must clause can never match.
-                        if clause.occur == Occur::Must {
-                            return Vec::new();
-                        }
-                        continue;
-                    }
-                },
-                None => self.index.field_ids().collect(),
-            };
-            match (&clause.kind, clause.occur) {
-                (ClauseKind::Term(raw), occur) => {
-                    let tokens = self.analyze_query_tokens(raw);
-                    if tokens.is_empty() {
-                        if occur == Occur::Must {
-                            // A must clause that analyzes to nothing
-                            // (e.g. a stopword) is vacuously true.
-                        }
-                        continue;
-                    }
-                    match occur {
-                        Occur::MustNot => {
-                            for t in tokens.iter().flatten() {
-                                self.collect_docs(*t, &fields, &mut excluded);
-                            }
-                        }
-                        Occur::Should | Occur::Must => {
-                            any_positive = true;
-                            let mut clause_docs = FxHashSet::default();
-                            for (i, t) in tokens.iter().enumerate() {
-                                // A remote token (`None`) scores and
-                                // matches nothing here; under `+must`
-                                // its empty doc set empties the whole
-                                // conjunction.
-                                let mut term_docs = FxHashSet::default();
-                                if let Some(t) = *t {
-                                    self.score_term(t, &fields, &mut scores);
-                                    if occur == Occur::Must {
-                                        self.collect_docs(t, &fields, &mut term_docs);
-                                    }
-                                }
-                                if occur == Occur::Must {
-                                    if i == 0 {
-                                        clause_docs = term_docs;
-                                    } else {
-                                        clause_docs.retain(|d| term_docs.contains(d));
-                                    }
-                                }
-                            }
-                            if occur == Occur::Must {
-                                must_sets.push(clause_docs);
-                            }
-                        }
-                    }
-                }
-                (ClauseKind::Phrase(words), occur) => {
-                    let tokens: Vec<Option<TermId>> = words
-                        .iter()
-                        .flat_map(|w| self.analyze_query_tokens(w))
-                        .collect();
-                    if tokens.is_empty() {
-                        continue;
-                    }
-                    // A phrase containing a remote token cannot occur
-                    // contiguously in any local document.
-                    let local: Option<Vec<TermId>> = tokens.iter().copied().collect();
-                    let matches = match &local {
-                        Some(toks) => self.phrase_matches(toks, &fields),
-                        None => FxHashMap::default(),
-                    };
-                    match occur {
-                        Occur::MustNot => {
-                            excluded.extend(matches.keys().copied());
-                        }
-                        Occur::Should | Occur::Must => {
-                            any_positive = true;
-                            for (&doc, &(tf, field)) in &matches {
-                                let toks = local.as_deref().expect("matches imply local tokens");
-                                let s = self.phrase_score(toks, field, DocId(doc), tf);
-                                *scores.entry(doc).or_insert(0.0) += s;
-                            }
-                            if occur == Occur::Must {
-                                must_sets.push(matches.keys().copied().collect());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if !any_positive {
-            return Vec::new();
-        }
-
-        // Apply must / must-not / tombstones / caller filter, extract
-        // top-k with a min-heap of size k.
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-        'docs: for (&doc, &score) in &scores {
-            if excluded.contains(&doc) {
-                continue;
-            }
-            for m in &must_sets {
-                if !m.contains(&doc) {
-                    continue 'docs;
-                }
-            }
-            let id = DocId(doc);
-            if self.index.is_deleted(id) || !self.index.is_visible(id) || !filter(id) {
-                continue;
-            }
-            heap.push(HeapEntry { score, doc });
-            if heap.len() > k {
-                heap.pop();
-            }
-        }
-        let mut hits: Vec<SearchHit> = heap
-            .into_iter()
-            .map(|e| SearchHit {
-                doc: DocId(e.doc),
-                score: e.score,
-            })
-            .collect();
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc)));
-        hits
     }
 
     /// Document-at-a-time MaxScore executor (see module docs): plan
@@ -1201,15 +1018,6 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Corpus-wide document frequency: folded when global stats are
-    /// attached, local otherwise.
-    fn stat_doc_freq(&self, term: TermId, field: FieldId) -> usize {
-        match self.global {
-            Some(g) => g.doc_freq(self.index.lexicon().term(term), field),
-            None => self.index.doc_freq(term, field),
-        }
-    }
-
     /// Corpus-wide live-document count.
     fn stat_live_docs(&self) -> usize {
         match self.global {
@@ -1226,19 +1034,14 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// BM25 idf over the *live* corpus. `df` still counts tombstoned
-    /// documents until a merge purges them, which can push idf negative
-    /// when deletes outnumber live docs; negative idf makes the raw
-    /// score bound negative, which [`Searcher::scorer`] routes to an
-    /// infinite (always-essential) bound, so pruning stays rank-safe.
-    /// Using the live count is what makes a fully-compacted index score
+    /// BM25 idf over the *live* corpus, for a corpus-wide document
+    /// frequency `df`. `df` still counts tombstoned documents until a
+    /// merge purges them, which can push idf negative when deletes
+    /// outnumber live docs; negative idf makes the raw score bound
+    /// negative, which [`Searcher::scorer`] routes to an infinite
+    /// (always-essential) bound, so pruning stays rank-safe. Using the
+    /// live count is what makes a fully-compacted index score
     /// bit-identically to a from-scratch rebuild of the live corpus.
-    fn idf(&self, term: TermId, field: FieldId) -> f32 {
-        self.idf_of(self.stat_doc_freq(term, field))
-    }
-
-    /// [`Searcher::idf`] for a corpus-wide document frequency already
-    /// in hand.
     fn idf_of(&self, df: usize) -> f32 {
         if df == 0 {
             return 0.0;
@@ -1255,97 +1058,6 @@ impl<'a> Searcher<'a> {
             1.0
         };
         idf * tf * (k1 + 1.0) / (tf + k1 * norm)
-    }
-
-    fn score_term(&self, term: TermId, fields: &[FieldId], scores: &mut FxHashMap<u32, f32>) {
-        for &field in fields {
-            if !self.index.has_postings(term, field) {
-                continue;
-            }
-            let idf = self.idf(term, field);
-            let avg = self.stat_avg_field_len(field);
-            let boost = self.index.field_boost(field);
-            self.index.for_each_posting(term, field, |doc, positions| {
-                let len = self.index.field_len(doc, field) as f32;
-                let s = boost * self.bm25(positions.len() as f32, len, avg, idf);
-                *scores.entry(doc.0).or_insert(0.0) += s;
-            });
-        }
-    }
-
-    fn collect_docs(&self, term: TermId, fields: &[FieldId], out: &mut FxHashSet<u32>) {
-        for &field in fields {
-            self.index.for_each_posting(term, field, |doc, _| {
-                out.insert(doc.0);
-            });
-        }
-    }
-
-    /// Find documents containing the token sequence contiguously in any
-    /// of `fields`. Returns doc -> (occurrence count, matching field).
-    fn phrase_matches(
-        &self,
-        tokens: &[TermId],
-        fields: &[FieldId],
-    ) -> FxHashMap<u32, (u32, FieldId)> {
-        let mut result: FxHashMap<u32, (u32, FieldId)> = FxHashMap::default();
-        for &field in fields {
-            // Load positions for each token in this field.
-            let mut per_token: Vec<FxHashMap<u32, Vec<u32>>> = Vec::with_capacity(tokens.len());
-            let mut missing = false;
-            for &t in tokens {
-                if !self.index.has_postings(t, field) {
-                    missing = true;
-                    break;
-                }
-                let mut map: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-                self.index.for_each_posting(t, field, |doc, positions| {
-                    map.insert(doc.0, positions.to_vec());
-                });
-                per_token.push(map);
-            }
-            if missing {
-                continue;
-            }
-            // Candidate docs = docs of the rarest token.
-            let (seed_idx, seed) = per_token
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, m)| m.len())
-                .expect("phrase has at least one token");
-            'cand: for (&doc, seed_positions) in seed {
-                for (i, map) in per_token.iter().enumerate() {
-                    if i != seed_idx && !map.contains_key(&doc) {
-                        continue 'cand;
-                    }
-                }
-                // Count contiguous runs starting from token 0 positions.
-                let first = &per_token[0][&doc];
-                let mut count = 0u32;
-                'start: for &p in first {
-                    for (offset, map) in per_token.iter().enumerate().skip(1) {
-                        let want = p + offset as u32;
-                        if map[&doc].binary_search(&want).is_err() {
-                            continue 'start;
-                        }
-                    }
-                    count += 1;
-                }
-                let _ = seed_positions;
-                if count > 0 {
-                    let entry = result.entry(doc).or_insert((0, field));
-                    entry.0 += count;
-                }
-            }
-        }
-        result
-    }
-
-    fn phrase_score(&self, tokens: &[TermId], field: FieldId, doc: DocId, tf: u32) -> f32 {
-        let idf: f32 = tokens.iter().map(|&t| self.idf(t, field)).sum();
-        let len = self.index.field_len(doc, field) as f32;
-        let avg = self.stat_avg_field_len(field);
-        self.index.field_boost(field) * self.bm25(tf as f32, len, avg, idf)
     }
 }
 
@@ -1912,9 +1624,7 @@ mod tests {
                 let query = Query::parse(q);
                 for k in [1, 2, 10] {
                     let pruned = Searcher::new(&idx).search(&query, k);
-                    let exhaustive = Searcher::new(&idx)
-                        .with_mode(ScoreMode::Exhaustive)
-                        .search(&query, k);
+                    let exhaustive = Searcher::new(&idx).search_exhaustive(&query, k, |_| true);
                     assert_eq!(pruned, exhaustive, "query {q:?} k={k} round={round}");
                 }
             }
@@ -1938,9 +1648,7 @@ mod tests {
         idx.optimize();
         let q = Query::parse("\"space probe\"");
         let pruned = Searcher::new(&idx).search(&q, 10);
-        let exhaustive = Searcher::new(&idx)
-            .with_mode(ScoreMode::Exhaustive)
-            .search(&q, 10);
+        let exhaustive = Searcher::new(&idx).search_exhaustive(&q, 10, |_| true);
         assert_eq!(pruned, exhaustive);
         assert_eq!(pruned.len(), 1);
         assert_eq!(pruned[0].doc, DocId(0));
@@ -1971,9 +1679,7 @@ mod tests {
             let query = Query::parse(q);
             for k in [1, 5, 20] {
                 let pruned = Searcher::new(&idx).search(&query, k);
-                let exhaustive = Searcher::new(&idx)
-                    .with_mode(ScoreMode::Exhaustive)
-                    .search(&query, k);
+                let exhaustive = Searcher::new(&idx).search_exhaustive(&query, k, |_| true);
                 assert_eq!(pruned, exhaustive, "query {q:?} k={k}");
             }
         }
@@ -2084,9 +1790,7 @@ mod tests {
         for q in QUERIES {
             let query = Query::parse(q);
             let pruned = Searcher::new(idx).search(&query, k);
-            let exhaustive = Searcher::new(idx)
-                .with_mode(ScoreMode::Exhaustive)
-                .search(&query, k);
+            let exhaustive = Searcher::new(idx).search_exhaustive(&query, k, |_| true);
             assert_eq!(pruned, exhaustive, "query {q:?} k={k}");
         }
     }
@@ -2132,9 +1836,7 @@ mod tests {
             let query = Query::parse(q);
             let filter = |d: DocId| d.0.is_multiple_of(2);
             let pruned = Searcher::new(&idx).search_filtered(&query, 3, filter);
-            let exhaustive = Searcher::new(&idx)
-                .with_mode(ScoreMode::Exhaustive)
-                .search_filtered(&query, 3, filter);
+            let exhaustive = Searcher::new(&idx).search_exhaustive(&query, 3, filter);
             assert_eq!(pruned, exhaustive, "query {q:?}");
         }
     }
@@ -2152,9 +1854,8 @@ mod tests {
             for q in QUERIES {
                 let query = Query::parse(q);
                 let pruned = Searcher::with_params(&idx, params).search(&query, 3);
-                let exhaustive = Searcher::with_params(&idx, params)
-                    .with_mode(ScoreMode::Exhaustive)
-                    .search(&query, 3);
+                let exhaustive =
+                    Searcher::with_params(&idx, params).search_exhaustive(&query, 3, |_| true);
                 assert_eq!(pruned, exhaustive, "query {q:?} params {params:?}");
             }
         }
@@ -2181,9 +1882,7 @@ mod tests {
             let query = Query::parse(q);
             for k in [1, 5, 20] {
                 let pruned = Searcher::new(&idx).search(&query, k);
-                let exhaustive = Searcher::new(&idx)
-                    .with_mode(ScoreMode::Exhaustive)
-                    .search(&query, k);
+                let exhaustive = Searcher::new(&idx).search_exhaustive(&query, k, |_| true);
                 assert_eq!(pruned, exhaustive, "query {q:?} k={k}");
             }
         }

@@ -5,8 +5,7 @@ use std::collections::HashMap;
 
 use symphony_text::postings::{CompressedPostings, PostingList, PostingsCursor, NO_DOC};
 use symphony_text::{
-    Analyzer, Doc, DocId, Index, IndexConfig, Query, ScoreMode, Searcher, SegmentPolicy,
-    StandardAnalyzer,
+    Analyzer, Doc, DocId, Index, IndexConfig, Query, Searcher, SegmentPolicy, StandardAnalyzer,
 };
 
 /// One step of a random segment-lifecycle schedule for
@@ -468,25 +467,21 @@ proptest! {
             }
         }
         let q = Query::parse(&clauses.join(" "));
-        let pruned = Searcher::new(&idx).search(&q, k);
-        let exhaustive = Searcher::new(&idx)
-            .with_mode(ScoreMode::Exhaustive)
-            .search(&q, k);
-        prop_assert_eq!(pruned, exhaustive);
+        let searcher = Searcher::new(&idx);
+        let pruned = searcher.search(&q, k);
+        prop_assert_eq!(pruned, searcher.search_exhaustive(&q, k, |_| true));
 
         let filter = |d: DocId| d.0.is_multiple_of(2);
-        let pruned = Searcher::new(&idx).search_filtered(&q, k, filter);
-        let exhaustive = Searcher::new(&idx)
-            .with_mode(ScoreMode::Exhaustive)
-            .search_filtered(&q, k, filter);
-        prop_assert_eq!(pruned, exhaustive);
+        let pruned = searcher.search_filtered(&q, k, filter);
+        prop_assert_eq!(pruned, searcher.search_exhaustive(&q, k, filter));
     }
 
     /// Rank safety of the filter-cursor pushdown: for a random corpus,
     /// query, and allowed doc-id set, `search_docset` (the non-scoring
     /// conjunctive [`DocSet`] cursor riding the MaxScore executor)
     /// returns the exact `(doc, score)` list of the closure-filtered
-    /// path, in both executors — four-way bit-identical. The set's
+    /// path and of the reference under the closure — three-way
+    /// bit-identical. The set's
     /// density is drawn wide enough to cover both the sorted-vec and
     /// bitset representations, and both of its mountings: thinned to
     /// one member it is sparser than every posting list and drives the
@@ -526,21 +521,16 @@ proptest! {
         let set = symphony_text::DocSet::from_sorted(allowed.clone());
         let q = Query::parse(&clauses.join(" "));
 
-        let via_set = Searcher::new(&idx).search_docset(&q, k, &set);
-        let via_set_ex = Searcher::new(&idx)
-            .with_mode(ScoreMode::Exhaustive)
-            .search_docset(&q, k, &set);
+        let searcher = Searcher::new(&idx);
+        let via_set = searcher.search_docset(&q, k, &set);
         let closure = |d: DocId| allowed.binary_search(&d.0).is_ok();
-        let via_closure = Searcher::new(&idx).search_filtered(&q, k, closure);
-        let via_closure_ex = Searcher::new(&idx)
-            .with_mode(ScoreMode::Exhaustive)
-            .search_filtered(&q, k, closure);
+        let via_closure = searcher.search_filtered(&q, k, closure);
+        let via_closure_ex = searcher.search_exhaustive(&q, k, closure);
 
         let key = |hits: &[symphony_text::SearchHit]| {
             hits.iter().map(|h| (h.doc, h.score.to_bits())).collect::<Vec<_>>()
         };
         prop_assert_eq!(key(&via_set), key(&via_closure));
-        prop_assert_eq!(key(&via_set), key(&via_set_ex));
         prop_assert_eq!(key(&via_set), key(&via_closure_ex));
     }
 
@@ -687,17 +677,16 @@ proptest! {
                 "title:ab tags:aa",
             ] {
                 let query = Query::parse(q);
-                let pruned = Searcher::new(&idx);
-                let exhaustive = Searcher::new(&idx).with_mode(ScoreMode::Exhaustive);
+                let searcher = Searcher::new(&idx);
                 prop_assert_eq!(
-                    pruned.search(&query, k),
-                    exhaustive.search(&query, k),
+                    searcher.search(&query, k),
+                    searcher.search_exhaustive(&query, k, |_| true),
                     "{} after {:?}", q, op
                 );
                 for set in [&sparse, &dense] {
                     prop_assert_eq!(
-                        pruned.search_docset(&query, k, set),
-                        exhaustive.search_docset(&query, k, set),
+                        searcher.search_docset(&query, k, set),
+                        searcher.search_exhaustive(&query, k, |d| set.contains(d)),
                         "{} under a set of {} after {:?}", q, set.len(), op
                     );
                 }
@@ -864,10 +853,9 @@ proptest! {
         // tombstones): the two executors must already agree.
         for q in queries {
             let query = Query::parse(q);
-            let pruned = Searcher::new(&idx).search(&query, 7);
-            let exhaustive = Searcher::new(&idx)
-                .with_mode(ScoreMode::Exhaustive)
-                .search(&query, 7);
+            let searcher = Searcher::new(&idx);
+            let pruned = searcher.search(&query, 7);
+            let exhaustive = searcher.search_exhaustive(&query, 7, |_| true);
             prop_assert_eq!(pruned, exhaustive, "mixed-segment executors disagree on {}", q);
         }
 

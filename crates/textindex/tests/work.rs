@@ -1,9 +1,9 @@
 //! Work guard for pruning on a live index: candidates, not clocks.
 //!
 //! `search_filtered`'s closure is called once per candidate that
-//! survives the executor's block-max skip (and, in the exhaustive
-//! executor, once per matching document), so a counting closure *is*
-//! the candidate counter — no hook in the product code. Every figure
+//! survives the executor's block-max skip (and `search_exhaustive`'s
+//! once per matching document), so a counting closure *is* the
+//! candidate counter — no hook in the product code. Every figure
 //! is a count over a fixed corpus and query list and repeats exactly
 //! on any host.
 //!
@@ -35,7 +35,7 @@
 
 use std::cell::Cell;
 
-use symphony_text::{Doc, DocId, FieldId, Index, IndexConfig, Query, ScoreMode, Searcher};
+use symphony_text::{Doc, DocId, FieldId, Index, IndexConfig, Query, Searcher};
 
 const SEALED_DOCS: u32 = 4_000;
 const MEMTABLE_DOCS: u32 = 64;
@@ -108,15 +108,28 @@ fn index(seal_after: &[u32]) -> (Index, FieldId) {
     (idx, field)
 }
 
+/// Which executor [`candidates`] runs.
+#[derive(Clone, Copy)]
+enum Executor {
+    /// The term-at-a-time reference, `Searcher::search_exhaustive`.
+    Reference,
+    /// The pruned executor every query is served by.
+    Serving,
+}
+use Executor::{Reference, Serving};
+
 /// Candidates the executor put to the filter for `query`, and its hits.
-fn candidates(idx: &Index, mode: ScoreMode, query: &str) -> (usize, Vec<(DocId, u32)>) {
+fn candidates(idx: &Index, executor: Executor, query: &str) -> (usize, Vec<(DocId, u32)>) {
     let seen = Cell::new(0usize);
-    let hits = Searcher::new(idx)
-        .with_mode(mode)
-        .search_filtered(&Query::parse(query), K, |_| {
-            seen.set(seen.get() + 1);
-            true
-        });
+    let count = |_: DocId| {
+        seen.set(seen.get() + 1);
+        true
+    };
+    let (searcher, query) = (Searcher::new(idx), Query::parse(query));
+    let hits = match executor {
+        Reference => searcher.search_exhaustive(&query, K, count),
+        Serving => searcher.search_filtered(&query, K, count),
+    };
     let hits = hits.iter().map(|h| (h.doc, h.score.to_bits())).collect();
     (seen.get(), hits)
 }
@@ -146,13 +159,13 @@ fn a_live_index_prunes_like_a_sealed_one() {
             });
             assert!(in_memtable > 0, "{word} must occur in the memtable");
         }
-        let (exhaustive, want) = candidates(&compact, ScoreMode::Exhaustive, query);
-        let (base, hits) = candidates(&compact, ScoreMode::TopKPruned, query);
+        let (exhaustive, want) = candidates(&compact, Reference, query);
+        let (base, hits) = candidates(&compact, Serving, query);
         assert_eq!(hits, want, "{query}: compact");
         let allowed = base + base / 4 + MEMTABLE_DOCS as usize;
         let mut counts = vec![exhaustive, base];
         for (name, idx) in [("live", &live), ("five", &five)] {
-            let (seen, hits) = candidates(idx, ScoreMode::TopKPruned, query);
+            let (seen, hits) = candidates(idx, Serving, query);
             assert_eq!(hits, want, "{query}: {name}");
             counts.push(seen);
             assert!(
@@ -223,8 +236,8 @@ fn a_catalog_query_skips_blocks() {
         idx.doc_freq(term, field) > 40 * 128,
         "one list, dozens of blocks"
     );
-    let (exhaustive, want) = candidates(&idx, ScoreMode::Exhaustive, CATALOG_QUERY);
-    let (pruned, hits) = candidates(&idx, ScoreMode::TopKPruned, CATALOG_QUERY);
+    let (exhaustive, want) = candidates(&idx, Reference, CATALOG_QUERY);
+    let (pruned, hits) = candidates(&idx, Serving, CATALOG_QUERY);
     assert_eq!(hits, want);
     assert!(
         5 * pruned <= 4 * 6_272,
