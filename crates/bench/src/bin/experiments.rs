@@ -1,17 +1,16 @@
-//! Run the quantitative experiments E1–E10 from DESIGN.md and print
-//! their tables (EXPERIMENTS.md records a reference run).
+//! Run the virtual-clock and quality experiments from DESIGN.md and
+//! print their tables (EXPERIMENTS.md records a reference run).
 //!
 //! The paper itself reports no measurements; these experiments measure
-//! the design properties the paper asserts. Virtual-clock numbers are
-//! deterministic; wall-clock numbers vary with the host.
+//! the design properties the paper asserts, on the virtual clock or by
+//! counting. Wall-clock numbers live in the ledger (`benchmark/`).
 //!
 //! ```text
-//! cargo run --release -p symphony-bench --bin experiments
+//! cargo run --release -p symphony-bench --bin experiments [name...]
 //! ```
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+//!
+//! With no name every experiment runs; an unknown name runs nothing
+//! and exits non-zero.
 
 use symphony_baselines::{
     ndcg_at_k, BossModel, EureksterModel, GoogleBaseModel, GoogleCustomModel, RollyoModel,
@@ -31,104 +30,49 @@ use symphony_store::{
     CmpOp, FieldType, Filter, HybridPlan, HybridQuery, HybridResult, IndexKind, IndexedTable,
     Record, Schema, Table, Value,
 };
-use symphony_text::{Analyzer, Doc, Index, IndexConfig, Query, StandardAnalyzer, TokenScratch};
+use symphony_text::{Doc, Index, IndexConfig, Query};
 use symphony_web::{
     generate_logs, LogConfig, SearchConfig, SearchEngine, SiteSuggest, Topic, Vertical,
 };
 
-/// Allocation-counting wrapper around the system allocator, so E-build
-/// can report allocations per document without external tooling.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// is a relaxed atomic side effect.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+/// Every experiment by name, in the order a bare run takes them.
+const EXPERIMENTS: [(&str, fn()); 12] = [
+    ("e1", e1_fanout),
+    ("e2", e2_cache),
+    ("e-cache", e_cache_l2),
+    ("e5", e5_quality),
+    ("e7", e7_site_suggest),
+    ("e9", e9_click_feedback),
+    ("e10", e10_recommendation),
+    ("e-resilience", e_resilience),
+    ("e-ingest", e_ingest),
+    ("e-overload", e_overload),
+    ("e-shard", e_shard),
+    ("e-hybrid", e_hybrid),
+];
 
 fn main() {
-    // An optional argument selects one experiment by name (the CI
-    // smoke step runs `experiments e-ingest` alone); with no argument
-    // everything runs.
-    let only = std::env::args().nth(1);
-    let run = |name: &str| only.as_deref().is_none_or(|o| o == name);
-    if only.is_none() {
-        println!("SYMPHONY REPRODUCTION — EXPERIMENTS E1..E10");
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if names.is_empty() {
+        println!("SYMPHONY REPRODUCTION — EXPERIMENTS");
         println!("(shapes are the claims; absolute numbers are simulator-specific)");
+        EXPERIMENTS.iter().for_each(|(_, run)| run());
+        return;
     }
-    if run("e1") {
-        e1_fanout();
-    }
-    if run("e2") {
-        e2_cache();
-    }
-    if run("e-cache") {
-        e_cache_l2();
-    }
-    if run("e3") {
-        e3_index_build();
-    }
-    if run("e-build") {
-        e_build();
-    }
-    if run("e4") {
-        e4_query_latency();
-    }
-    if run("e5") {
-        e5_quality();
-    }
-    if run("e6") {
-        e6_auction();
-    }
-    if run("e7") {
-        e7_site_suggest();
-    }
-    if run("e8") {
-        e8_tenancy();
-    }
-    if run("e9") {
-        e9_click_feedback();
-    }
-    if run("e10") {
-        e10_recommendation();
-    }
-    if run("e-resilience") {
-        e_resilience();
-    }
-    if run("e-ingest") {
-        e_ingest();
-    }
-    if run("e-postings") {
-        e_postings();
-    }
-    if run("e-overload") {
-        e_overload();
-    }
-    if run("e-shard") {
-        e_shard();
-    }
-    if run("e-hybrid") {
-        e_hybrid();
-    }
+    // Resolve every name before running any, so a misspelt name fails
+    // at once instead of after the experiments ahead of it.
+    let runs: Vec<fn()> = names
+        .iter()
+        .map(|name| match EXPERIMENTS.iter().find(|(n, _)| n == name) {
+            Some(&(_, run)) => run,
+            None => {
+                let valid: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+                eprintln!("unknown experiment {name:?}; valid: {}", valid.join(" "));
+                std::process::exit(2);
+            }
+        })
+        .collect();
+    runs.iter().for_each(|run| run());
 }
 
 /// E1: parallel vs sequential supplemental fan-out.
@@ -348,191 +292,6 @@ fn gamer_queen_world_no_cache() -> (symphony_core::Platform, symphony_core::AppI
     (p, id)
 }
 
-/// E3: index build throughput + compressed vs raw posting space.
-fn e3_index_build() {
-    let mut rows = Vec::new();
-    for scale in [Scale::Small, Scale::Medium, Scale::Large] {
-        let corpus = corpus(scale);
-        let pages = corpus.pages.len();
-        let start = Instant::now();
-        let mut index = Index::new(IndexConfig::default());
-        let title = index.register_field("title", 2.0);
-        let body = index.register_field("body", 1.0);
-        for p in &corpus.pages {
-            index.add(Doc::new().field(title, &*p.title).field(body, &*p.body));
-        }
-        let build = start.elapsed();
-        let raw_bytes = index.stats().postings_bytes;
-        let start = Instant::now();
-        index.optimize();
-        let optimize = start.elapsed();
-        let compressed_bytes = index.stats().postings_bytes;
-        rows.push(vec![
-            format!("{} ({pages} pages)", scale.label()),
-            format!("{:.1}", build.as_secs_f64() * 1e3),
-            format!("{:.1}", optimize.as_secs_f64() * 1e3),
-            format!("{}", raw_bytes / 1024),
-            format!("{}", compressed_bytes / 1024),
-            format!("{:.1}x", raw_bytes as f64 / compressed_bytes.max(1) as f64),
-        ]);
-    }
-    print_table(
-        "E3 — index build and posting compression",
-        &[
-            "corpus",
-            "build ms",
-            "optimize ms",
-            "raw KiB",
-            "compressed KiB",
-            "ratio",
-        ],
-        &rows,
-    );
-}
-
-/// E-build: segmented parallel index build, allocation-lean analysis
-/// chain, and engine cold start. Wall-clock scaling depends on the
-/// host's core count (reported in the table titles); the differential
-/// tests guarantee every thread count builds a bit-identical index, so
-/// rows are directly comparable.
-fn e_build() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    // Allocations per document in the analysis chain: owned tokens
-    // (the pre-streaming path) vs borrowed terms through a reused
-    // scratch (what the build runs on).
-    let c = corpus(Scale::Medium);
-    let analyzer = StandardAnalyzer::new();
-    let docs = c.pages.len() as u64;
-    let before = allocations();
-    let mut out = Vec::new();
-    for p in &c.pages {
-        out.clear();
-        analyzer.analyze_into(&p.body, &mut out);
-        std::hint::black_box(out.len());
-    }
-    let owned = allocations() - before;
-    let before = allocations();
-    let mut scratch = TokenScratch::default();
-    let mut tokens = 0u64;
-    for p in &c.pages {
-        analyzer.analyze_with(&p.body, &mut scratch, &mut |_, _, _, _| tokens += 1);
-    }
-    std::hint::black_box(tokens);
-    let streaming = allocations() - before;
-    print_table(
-        &format!("E-build — analysis allocations per document ({docs} docs)"),
-        &["path", "allocs/doc", "total allocs"],
-        &[
-            vec![
-                "owned tokens".into(),
-                format!("{:.1}", owned as f64 / docs as f64),
-                owned.to_string(),
-            ],
-            vec![
-                "streaming scratch".into(),
-                format!("{:.1}", streaming as f64 / docs as f64),
-                streaming.to_string(),
-            ],
-        ],
-    );
-
-    // Parallel build wall-clock at 1/2/4/8 threads (best of 5).
-    let c = corpus(Scale::Large);
-    let pages: Vec<(String, String)> = c
-        .pages
-        .iter()
-        .map(|p| (p.title.clone(), p.body.clone()))
-        .collect();
-    let mut rows = Vec::new();
-    let mut baseline = 0.0f64;
-    for threads in [1usize, 2, 4, 8] {
-        let mut best = f64::MAX;
-        for _ in 0..5 {
-            let start = Instant::now();
-            let mut index = Index::new(IndexConfig::default());
-            let title = index.register_field("title", 2.0);
-            let body = index.register_field("body", 1.0);
-            let batch: Vec<Doc> = pages
-                .iter()
-                .map(|(t, b)| Doc::new().field(title, t.clone()).field(body, b.clone()))
-                .collect();
-            index.build_parallel(batch, threads);
-            std::hint::black_box(index.total_docs());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        if threads == 1 {
-            baseline = best;
-        }
-        rows.push(vec![
-            threads.to_string(),
-            format!("{:.2}", best * 1e3),
-            format!("{:.2}x", baseline / best),
-        ]);
-    }
-    print_table(
-        &format!(
-            "E-build — parallel segmented build, {} pages ({cores} core(s) available)",
-            pages.len()
-        ),
-        &["threads", "build ms", "speedup"],
-        &rows,
-    );
-
-    // Engine cold start: sequential boot vs concurrent verticals.
-    let mut rows = Vec::new();
-    for (label, threads) in [("sequential", 1usize), ("parallel (8)", 8)] {
-        let mut best = f64::MAX;
-        for _ in 0..3 {
-            let corpus = corpus(Scale::Large);
-            let start = Instant::now();
-            std::hint::black_box(SearchEngine::with_build_threads(corpus, threads));
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        rows.push(vec![label.to_string(), format!("{:.1}", best * 1e3)]);
-    }
-    print_table(
-        &format!("E-build — SearchEngine cold start, large corpus ({cores} core(s) available)"),
-        &["boot path", "ms"],
-        &rows,
-    );
-}
-
-/// E4: BM25 top-10 query latency vs corpus size.
-fn e4_query_latency() {
-    let mut rows = Vec::new();
-    for scale in [Scale::Small, Scale::Medium, Scale::Large] {
-        let engine = SearchEngine::new(corpus(scale));
-        let queries = zipf_queries(200, 1.0, 3);
-        let start = Instant::now();
-        let mut hits = 0usize;
-        for q in &queries {
-            hits += engine
-                .search(
-                    symphony_web::Vertical::Web,
-                    q,
-                    &symphony_web::SearchConfig::default(),
-                    10,
-                )
-                .len();
-        }
-        let elapsed = start.elapsed();
-        rows.push(vec![
-            scale.label().to_string(),
-            format!("{}", engine.doc_count(symphony_web::Vertical::Web)),
-            format!("{:.0}", elapsed.as_secs_f64() * 1e6 / queries.len() as f64),
-            format!("{:.1}", hits as f64 / queries.len() as f64),
-        ]);
-    }
-    print_table(
-        "E4 — web-vertical query latency (200 Zipf queries, top-10)",
-        &["corpus", "web docs", "mean µs/query", "mean hits"],
-        &rows,
-    );
-}
-
 /// E5: integration quality vs every baseline (NDCG@10).
 fn e5_quality() {
     let scenario = Scenario::new(3, 6);
@@ -565,74 +324,6 @@ fn e5_quality() {
     print_table(
         "E5 — GamerQueen scenario quality, NDCG@10 vs constructed ideal",
         &["system", "mean", "per-query"],
-        &rows,
-    );
-}
-
-/// E6: ad auction + billing throughput.
-fn e6_auction() {
-    use symphony_ads::{Ad, AdServer, Keyword, MatchType};
-    let mut rows = Vec::new();
-    for n in [10usize, 100, 1000] {
-        let mut ads = AdServer::new();
-        let adv = ads.add_advertiser("A");
-        for i in 0..n {
-            let word = Topic::Games.words()[i % Topic::Games.words().len()];
-            ads.add_campaign(
-                adv,
-                &format!("c{i}"),
-                1_000_000,
-                vec![Keyword::new(word, MatchType::Broad, 10 + (i as u32 % 90))],
-                Ad {
-                    title: format!("ad {i}"),
-                    display_url: "d".into(),
-                    target_url: format!("http://a{i}.example.com"),
-                    text: "x".into(),
-                },
-                0.3 + (i as f64 % 7.0) / 10.0,
-            );
-        }
-        let start = Instant::now();
-        let rounds = 2_000;
-        let mut placements = 0usize;
-        for i in 0..rounds {
-            let q = format!(
-                "{} game",
-                Topic::Games.words()[i % Topic::Games.words().len()]
-            );
-            placements += ads.select(&q, 3).len();
-        }
-        let select_elapsed = start.elapsed();
-        // Billing throughput.
-        let ps = ads.select("game review", 3);
-        let start = Instant::now();
-        let mut billed = 0usize;
-        if let Some(p) = ps.first() {
-            for _ in 0..10_000 {
-                if ads.record_click(p, "pub").is_ok() {
-                    billed += 1;
-                }
-            }
-        }
-        let bill_elapsed = start.elapsed();
-        rows.push(vec![
-            n.to_string(),
-            format!("{:.0}", rounds as f64 / select_elapsed.as_secs_f64()),
-            format!("{:.1}", placements as f64 / rounds as f64),
-            format!(
-                "{:.0}",
-                billed as f64 / bill_elapsed.as_secs_f64().max(1e-9)
-            ),
-        ]);
-    }
-    print_table(
-        "E6 — ad auction and billing throughput",
-        &[
-            "campaigns",
-            "auctions/s",
-            "mean placements",
-            "billed clicks/s",
-        ],
         &rows,
     );
 }
@@ -813,7 +504,6 @@ fn e10_recommendation() {
     );
 }
 
-/// E8: hosted QPS vs number of tenants.
 /// E-resilience: virtual query-latency distribution under a planned
 /// fault schedule, for three client configurations over the *same*
 /// workload. The claim is a shape: circuit breakers turn an outage's
@@ -867,7 +557,6 @@ fn e_resilience() {
                 max_total_retries: u32::MAX,
             },
             faults: faults(),
-            ..ResilienceOptions::default()
         });
         let mut latencies = Vec::with_capacity(queries.len());
         let mut degraded = 0u64;
@@ -896,18 +585,16 @@ fn e_resilience() {
 }
 
 /// E-ingest: live incremental ingest under the segment-lifecycle
-/// policy. Half the corpus is bulk-loaded and compacted; the other
-/// half streams in one document per virtual millisecond under a
+/// policy. A quarter of the corpus is bulk-loaded and compacted; the
+/// rest streams in one document per virtual millisecond under a
 /// near-real-time policy, mixed with re-crawls (updates) and removals
 /// (deletes), with a maintenance tick every virtual ms driving seals
-/// and tiered merges. Interleaved queries measure read latency under
-/// merge pressure; per-document visibility timestamps measure
+/// and tiered merges. Per-document visibility timestamps measure
 /// staleness against the policy's bound. A machine-readable snapshot
-/// lands in `BENCH_ingest.json` (ROADMAP item 3: persistent perf
-/// trajectory); the CI smoke step asserts the bounded-staleness and
-/// flat-p99 claims.
+/// lands in `BENCH_ingest.json`; ingest and read latency under merge
+/// pressure are the ledger's `live_ingest` workload.
 fn e_ingest() {
-    use symphony_text::{DocId, Query, Searcher, SegmentPolicy};
+    use symphony_text::{DocId, SegmentPolicy};
 
     let c = corpus(Scale::Medium);
     let pages: Vec<(String, String)> = c
@@ -934,25 +621,16 @@ fn e_ingest() {
     index.optimize();
     index.set_policy(policy);
 
-    let queries: Vec<Query> = zipf_queries(64, 1.0, 29)
-        .iter()
-        .map(|q| Query::parse(q))
-        .collect();
-
-    // Stream the second half: each virtual ms one arrival — mostly
-    // fresh documents, every 5th a re-crawl of an earlier doc, every
-    // 7th a removal — then a maintenance tick. Every 3rd ms runs one
-    // query and records its wall latency.
+    // Stream the rest: each virtual ms one arrival — mostly fresh
+    // documents, every 5th a re-crawl of an earlier doc, every 7th a
+    // removal — then a maintenance tick.
     let mut now_ms = 0u64;
-    let mut ingest_wall = std::time::Duration::ZERO;
-    let mut query_us: Vec<u32> = Vec::new();
     let mut pending: Vec<u64> = Vec::new(); // add times awaiting a seal
     let mut max_staleness = 0u64;
     let (mut seals, mut merges, mut purged) = (0usize, 0usize, 0usize);
     let (mut added, mut updated, mut deleted) = (0usize, 0usize, 0usize);
     for (i, (t, b)) in pages[seed_n..].iter().enumerate() {
         now_ms += 1;
-        let start = Instant::now();
         if i % 7 == 6 {
             // Removal of a bulk-loaded document.
             if index.delete(DocId((i % seed_n) as u32)) {
@@ -978,7 +656,6 @@ fn e_ingest() {
             pending.push(now_ms);
         }
         let report = index.maintain(now_ms);
-        ingest_wall += start.elapsed();
         seals += usize::from(report.sealed);
         merges += report.merged_segments;
         purged += report.purged_docs;
@@ -990,60 +667,31 @@ fn e_ingest() {
             }
             pending.clear();
         }
-        if i % 3 == 0 {
-            let q = &queries[(i / 3) % queries.len()];
-            let start = Instant::now();
-            std::hint::black_box(Searcher::new(&index).search(q, 10));
-            query_us.push(start.elapsed().as_micros() as u32);
-        }
     }
     let streamed = pages.len() - seed_n;
-    let ingest_docs_per_sec = streamed as f64 / ingest_wall.as_secs_f64().max(1e-9);
-    let p50 = percentile(&query_us, 0.50);
-    let p99 = percentile(&query_us, 0.99);
-
-    // Post-stream baseline: fully compact, then re-run the same
-    // queries. "Flat p99" = the under-merge-pressure tail stays within
-    // a small factor of this single-segment floor.
-    index.optimize();
-    let mut opt_us: Vec<u32> = Vec::new();
-    for _ in 0..3 {
-        for q in &queries {
-            let start = Instant::now();
-            std::hint::black_box(Searcher::new(&index).search(q, 10));
-            opt_us.push(start.elapsed().as_micros() as u32);
-        }
-    }
-    let opt_p99 = percentile(&opt_us, 0.99);
     let stats = index.stats();
 
     print_table(
-        &format!("E-ingest — live ingest vs queries, {streamed} arrivals (NRT, window 50ms)"),
+        &format!("E-ingest — live ingest, {streamed} arrivals (NRT, window 50ms)"),
         &[
             "adds",
             "recrawls",
             "deletes",
-            "docs/s (wall)",
             "max staleness ms",
             "seals",
             "merges",
             "purged",
-            "q p50 µs",
-            "q p99 µs",
-            "p99 µs (compacted)",
+            "sealed segments",
         ],
         &[vec![
             added.to_string(),
             updated.to_string(),
             deleted.to_string(),
-            format!("{ingest_docs_per_sec:.0}"),
             max_staleness.to_string(),
             seals.to_string(),
             merges.to_string(),
             purged.to_string(),
-            p50.to_string(),
-            p99.to_string(),
-            opt_p99.to_string(),
+            stats.sealed_segments.to_string(),
         ]],
     );
 
@@ -1057,16 +705,12 @@ fn e_ingest() {
             "  \"adds\": {},\n",
             "  \"recrawls\": {},\n",
             "  \"deletes\": {},\n",
-            "  \"ingest_docs_per_sec\": {:.0},\n",
             "  \"staleness_window_ms\": {},\n",
             "  \"max_staleness_ms\": {},\n",
             "  \"seals\": {},\n",
             "  \"merges\": {},\n",
             "  \"purged_docs\": {},\n",
-            "  \"final_sealed_segments\": {},\n",
-            "  \"query_p50_us\": {},\n",
-            "  \"query_p99_us\": {},\n",
-            "  \"query_p99_us_compacted\": {}\n",
+            "  \"final_sealed_segments\": {}\n",
             "}}\n"
         ),
         seed_n,
@@ -1074,16 +718,12 @@ fn e_ingest() {
         added,
         updated,
         deleted,
-        ingest_docs_per_sec,
         policy.staleness_window_ms,
         max_staleness,
         seals,
         merges,
         purged,
         stats.sealed_segments,
-        p50,
-        p99,
-        opt_p99,
     );
     std::fs::write("BENCH_ingest.json", &json).expect("write BENCH_ingest.json");
     println!("wrote BENCH_ingest.json");
@@ -1098,308 +738,6 @@ fn e_ingest() {
     assert!(
         merges > 0 && seals > 0,
         "stream too small to exercise merge pressure"
-    );
-}
-
-/// E-postings: the bit-packed posting format and pruned execution.
-///
-/// Measures (a) top-k throughput at k=10 for multi-term and phrase
-/// queries, pruned vs exhaustive — phrases used to pin the exhaustive
-/// path, so their pruned column is new — and (b) index bytes, packed
-/// blocks vs a reference varint re-encode of every compacted posting
-/// list. Every query's pruned result is asserted bit-identical to the
-/// exhaustive one before timings count, and the snapshot lands in
-/// `BENCH_postings.json` for CI.
-fn e_postings() {
-    use symphony_text::postings::PostingList;
-    use symphony_text::{Query, Searcher};
-
-    fn varint_push(out: &mut Vec<u8>, mut v: u32) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                out.push(byte);
-                break;
-            }
-            out.push(byte | 0x80);
-        }
-    }
-    /// Byte size of the pre-packed layout: delta-varint doc, varint tf,
-    /// delta-varint positions, one posting at a time.
-    fn varint_baseline_len(list: &PostingList) -> usize {
-        let mut out = Vec::new();
-        let mut prev_doc = 0u32;
-        for p in list.postings() {
-            varint_push(&mut out, p.doc.0 - prev_doc);
-            prev_doc = p.doc.0;
-            varint_push(&mut out, p.positions.len() as u32);
-            let mut prev_pos = 0u32;
-            for &pos in &p.positions {
-                varint_push(&mut out, pos - prev_pos);
-                prev_pos = pos;
-            }
-        }
-        out.len()
-    }
-
-    // A posting-format experiment needs posting lists long enough for
-    // block skipping to matter: ~4x the Large preset, so common terms
-    // span dozens of 128-doc blocks.
-    let c = symphony_web::Corpus::generate(
-        &symphony_web::CorpusConfig {
-            sites_per_topic: 40,
-            pages_per_site: 25,
-            ..symphony_web::CorpusConfig::default()
-        }
-        .with_entities(Topic::Games, symphony_baselines::ENTITIES),
-    );
-    let mut index = Index::new(IndexConfig::default());
-    let title = index.register_field("title", 2.0);
-    let body = index.register_field("body", 1.0);
-    for p in &c.pages {
-        index.add(Doc::new().field(title, &*p.title).field(body, &*p.body));
-    }
-    index.optimize();
-
-    let multi: Vec<Query> = zipf_queries(64, 1.0, 23)
-        .iter()
-        .filter(|q| q.split_whitespace().count() >= 2)
-        .map(|q| Query::parse(q))
-        .collect();
-    let phrases: Vec<Query> = [
-        "\"game review\"",
-        "\"best game\" player",
-        "+\"game review\" +player",
-        "\"guide best\" -arcade",
-    ]
-    .iter()
-    .map(|q| Query::parse(q))
-    .collect();
-    assert!(multi.len() >= 8, "need multi-term queries to measure");
-
-    // Rank safety first: timings only count if both executors agree
-    // bit-for-bit on every query.
-    for q in multi.iter().chain(&phrases) {
-        let pruned = Searcher::new(&index).search(q, 10);
-        let exhaustive = Searcher::new(&index).search_exhaustive(q, 10, |_| true);
-        let key = |hits: &[symphony_text::SearchHit]| {
-            hits.iter()
-                .map(|h| (h.doc, h.score.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&pruned), key(&exhaustive), "executors disagree on {q}");
-    }
-
-    // Throughput: both modes are timed back-to-back inside each round,
-    // so ambient machine load hits them equally; the reported speedup
-    // is the median of the per-round ratios (robust against one-sided
-    // scheduler noise), and the per-mode q/s come from each mode's
-    // fastest round.
-    let measure = |queries: &[Query]| -> (f64, f64, f64) {
-        let searcher = Searcher::new(&index);
-        for q in queries {
-            std::hint::black_box(searcher.search(q, 10));
-            std::hint::black_box(searcher.search_exhaustive(q, 10, |_| true));
-        }
-        let mut ratios = Vec::new();
-        let (mut best_p, mut best_e) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..12 {
-            let start = Instant::now();
-            for q in queries {
-                std::hint::black_box(searcher.search(q, 10));
-            }
-            let tp = start.elapsed().as_secs_f64().max(1e-9);
-            let start = Instant::now();
-            for q in queries {
-                std::hint::black_box(searcher.search_exhaustive(q, 10, |_| true));
-            }
-            let te = start.elapsed().as_secs_f64().max(1e-9);
-            ratios.push(te / tp);
-            best_p = best_p.min(tp);
-            best_e = best_e.min(te);
-        }
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-        let speedup = (ratios[5] + ratios[6]) / 2.0;
-        let n = queries.len() as f64;
-        (n / best_p, n / best_e, speedup)
-    };
-    let (multi_pruned_qps, multi_exhaustive_qps, multi_speedup) = measure(&multi);
-    let (phrase_pruned_qps, phrase_exhaustive_qps, phrase_speedup) = measure(&phrases);
-
-    // Space: packed blocks (incl. block directory) vs the varint
-    // re-encode of the same compacted lists.
-    let mut packed_bytes = 0usize;
-    let mut varint_bytes = 0usize;
-    for (term, _) in index.lexicon().iter() {
-        for field in [title, body] {
-            if let Some(cp) = index.compacted_postings(term, field) {
-                packed_bytes += cp.heap_bytes();
-                varint_bytes += varint_baseline_len(&cp.decode());
-            }
-        }
-    }
-    let bytes_ratio = packed_bytes as f64 / varint_bytes as f64;
-    let estimate = index.bytes_estimate();
-
-    print_table(
-        &format!(
-            "E-postings — packed blocks + pruned execution, {} docs, k=10",
-            c.pages.len()
-        ),
-        &[
-            "query shape",
-            "pruned q/s",
-            "exhaustive q/s",
-            "speedup",
-            "packed B",
-            "varint B",
-            "ratio",
-        ],
-        &[
-            vec![
-                "multi-term".into(),
-                format!("{multi_pruned_qps:.0}"),
-                format!("{multi_exhaustive_qps:.0}"),
-                format!("{multi_speedup:.2}x"),
-                packed_bytes.to_string(),
-                varint_bytes.to_string(),
-                format!("{bytes_ratio:.3}"),
-            ],
-            vec![
-                "phrase".into(),
-                format!("{phrase_pruned_qps:.0}"),
-                format!("{phrase_exhaustive_qps:.0}"),
-                format!("{phrase_speedup:.2}x"),
-                String::new(),
-                String::new(),
-                String::new(),
-            ],
-        ],
-    );
-
-    // Machine-readable snapshot (hand-rolled JSON; no serde in-tree).
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"e-postings\",\n",
-            "  \"docs\": {},\n",
-            "  \"k\": 10,\n",
-            "  \"multi_term_pruned_qps\": {:.0},\n",
-            "  \"multi_term_exhaustive_qps\": {:.0},\n",
-            "  \"multi_term_speedup\": {:.2},\n",
-            "  \"phrase_pruned_qps\": {:.0},\n",
-            "  \"phrase_exhaustive_qps\": {:.0},\n",
-            "  \"phrase_speedup\": {:.2},\n",
-            "  \"packed_postings_bytes\": {},\n",
-            "  \"varint_postings_bytes\": {},\n",
-            "  \"packed_over_varint\": {:.3},\n",
-            "  \"index_bytes_estimate\": {}\n",
-            "}}\n"
-        ),
-        c.pages.len(),
-        multi_pruned_qps,
-        multi_exhaustive_qps,
-        multi_speedup,
-        phrase_pruned_qps,
-        phrase_exhaustive_qps,
-        phrase_speedup,
-        packed_bytes,
-        varint_bytes,
-        bytes_ratio,
-        estimate,
-    );
-    std::fs::write("BENCH_postings.json", &json).expect("write BENCH_postings.json");
-    println!("wrote BENCH_postings.json");
-
-    // The acceptance claims, enforced wherever the experiment runs
-    // (the CI smoke step relies on these panicking on regression).
-    assert!(
-        multi_speedup >= 2.0,
-        "multi-term k=10 speedup {multi_speedup:.2}x below the 2x floor"
-    );
-    assert!(
-        phrase_speedup >= 1.5,
-        "pruned phrases below the 1.5x floor ({phrase_speedup:.2}x)"
-    );
-    assert!(
-        packed_bytes < varint_bytes,
-        "packed postings ({packed_bytes} B) not smaller than varint ({varint_bytes} B)"
-    );
-}
-
-fn e8_tenancy() {
-    let mut rows = Vec::new();
-    for tenants in [1usize, 8, 32] {
-        // One platform hosting `tenants` copies of the quickstart app
-        // over one shared engine.
-        use std::sync::Arc;
-        use symphony_core::app::AppBuilder;
-        use symphony_core::hosting::Platform;
-        use symphony_core::source::DataSourceDef;
-        use symphony_designer::{Canvas, Element};
-        let engine = Arc::new(SearchEngine::new(corpus(Scale::Small)));
-        let mut platform = Platform::new(engine)
-            .with_quotas(QuotaConfig {
-                requests_per_minute: 1_000_000,
-                cache_ttl_ms: 0, // measure execution, not cache
-                ..QuotaConfig::default()
-            })
-            .with_source_cache(symphony_core::SourceCacheConfig::disabled());
-        let mut apps = Vec::new();
-        for t in 0..tenants {
-            let name = format!("T{t}");
-            let (tenant, key) = platform.create_tenant(&name);
-            let (table, _) = symphony_store::ingest::ingest(
-                "inv",
-                symphony_bench::INVENTORY_CSV,
-                symphony_store::DataFormat::Csv,
-            )
-            .expect("parses");
-            let mut indexed = symphony_store::IndexedTable::new(table);
-            indexed
-                .enable_fulltext(&[("title", 2.0), ("description", 1.0)])
-                .expect("columns");
-            platform.upload_table(tenant, &key, indexed).expect("quota");
-            let mut canvas = Canvas::new();
-            let root = canvas.root_id();
-            canvas
-                .insert(
-                    root,
-                    Element::result_list("inv", Element::text("{title}"), 10),
-                )
-                .expect("root");
-            let config = AppBuilder::new(&name, tenant)
-                .layout(canvas)
-                .source(
-                    "inv",
-                    DataSourceDef::Proprietary {
-                        table: "inv".into(),
-                    },
-                )
-                .build()
-                .expect("valid");
-            let id = platform.register_app(config).expect("registers");
-            platform.publish(id).expect("publishes");
-            apps.push(id);
-        }
-        let queries = zipf_queries(400, 1.0, 5);
-        let start = Instant::now();
-        for (i, q) in queries.iter().enumerate() {
-            let app = apps[i % apps.len()];
-            platform.query(app, q).expect("ok");
-        }
-        let elapsed = start.elapsed();
-        rows.push(vec![
-            tenants.to_string(),
-            format!("{:.0}", queries.len() as f64 / elapsed.as_secs_f64()),
-            format!("{:.0}", elapsed.as_secs_f64() * 1e6 / queries.len() as f64),
-        ]);
-    }
-    print_table(
-        "E8 — hosted execution: QPS vs tenant count (no cache, 400 queries)",
-        &["tenants", "QPS (wall)", "mean µs/query"],
-        &rows,
     );
 }
 
@@ -1689,7 +1027,7 @@ fn e_overload() {
         seed: 0x5CA1E,
     };
     let scale_arrivals = generate(&scale_config);
-    let wall = Instant::now();
+    let wall = std::time::Instant::now();
     let scale_report = replay(
         &scale_platform,
         &scale_ids,
@@ -2058,18 +1396,16 @@ fn e_shard() {
 /// A synthetic review table (`HYBRID_ROWS` rows, default 20k) carries
 /// an ordered index on `price = i % 1000`, so `price < c` has exact
 /// selectivity `c / 1000`. Every cell of a selectivity grid starts the
-/// planner cold (a write drops the table's filter memo), lets it serve
-/// the query pool once, and then times the pool under the planner's
-/// own choice and under all three strategies — filter-first,
-/// search-first over-fetch + post-filter, and exhaustive scan — forced
-/// via `hybrid_query_planned`. The lists must be bit-identical per
-/// query (plan choice is purely a performance decision), the planner's
-/// steady-state choice must cost at most 1.25x the best forced plan in
-/// every cell (planner regret), and at <= 1% selectivity the set path
-/// must beat search-then-post-filter by at least 3x. A last cell
-/// repeats one filter with and without a write before every query:
-/// what resolving the filter once saves, and what a table under steady
-/// writes pays instead. Everything lands in BENCH_hybrid.json.
+/// planner cold (a write drops the table's filter memo), records what
+/// it picks and how many queries it takes to resolve the filter's set,
+/// then runs the query pool under the planner's own choice and under
+/// all three strategies — filter-first, search-first over-fetch +
+/// post-filter, and exhaustive scan — forced via
+/// `hybrid_query_planned`. The lists must be bit-identical per query
+/// (plan choice is purely a performance decision). A last cell repeats
+/// one filter: the first query resolves its set, the rest reuse it.
+/// Everything lands in BENCH_hybrid.json; what each plan costs is the
+/// ledger's `hybrid_sweep` workload.
 fn e_hybrid() {
     let rows: usize = std::env::var("HYBRID_ROWS")
         .ok()
@@ -2127,7 +1463,6 @@ fn e_hybrid() {
         HybridPlan::Scan,
     ];
     let grid = [0.001f64, 0.01, 0.05, 0.2, 0.5];
-    let reps: usize = 5;
 
     struct Cell {
         selectivity: f64,
@@ -2138,8 +1473,6 @@ fn e_hybrid() {
         access: String,
         estimated: Option<usize>,
         est_selectivity: Option<f64>,
-        chosen_ms: f64,
-        plan_ms: [f64; 3],
         identical_queries: usize,
     }
     let mut cells: Vec<Cell> = Vec::new();
@@ -2152,24 +1485,6 @@ fn e_hybrid() {
             Value::Int(1_000_000),
         ]));
         table.delete(id);
-    };
-    // One pass of the query pool, ms — the second of two, so that a
-    // 0.1 ms pass is not timed on the caches a 15 ms scan pass left.
-    let pool_ms = |table: &IndexedTable, filter: &Filter, plan: Option<HybridPlan>| -> f64 {
-        let mut pass_ms = 0.0;
-        for _ in 0..2 {
-            let start = Instant::now();
-            for q in &queries {
-                let hq = HybridQuery::new(q.clone(), filter.clone(), k);
-                std::hint::black_box(
-                    table
-                        .hybrid_query_planned(&hq, plan)
-                        .expect("fulltext enabled"),
-                );
-            }
-            pass_ms = start.elapsed().as_secs_f64() * 1e3;
-        }
-        pass_ms
     };
 
     for &s in &grid {
@@ -2214,19 +1529,6 @@ fn e_hybrid() {
             identical += 1;
         }
 
-        // Timing pass, steady state: the planner's choice and each
-        // forced strategy take turns, and each keeps its best pass (the
-        // host only ever adds time, and taking turns spreads a slow
-        // stretch over all four).
-        let mut chosen_ms = f64::INFINITY;
-        let mut plan_ms = [f64::INFINITY; 3];
-        for _ in 0..reps {
-            chosen_ms = chosen_ms.min(pool_ms(&table, &filter, None));
-            for (best, p) in plan_ms.iter_mut().zip(plans) {
-                *best = best.min(pool_ms(&table, &filter, Some(p)));
-            }
-        }
-
         // EXPLAIN depends only on the filter; any query stands in.
         let ex = explain(&table);
         cells.push(Cell {
@@ -2238,14 +1540,11 @@ fn e_hybrid() {
             access: format!("{:?}", ex.access),
             estimated: ex.estimated_matches,
             est_selectivity: ex.selectivity,
-            chosen_ms,
-            plan_ms,
             identical_queries: identical,
         });
     }
 
-    // Repeated filter: the 5% filter served over and over, untouched
-    // and with a write before every query.
+    // Repeated filter: the 5% filter served over and over, untouched.
     let repeated = Filter::cmp(2, CmpOp::Lt, Value::Int(50));
     forget(&mut table);
     let mut reuse_flags = Vec::new();
@@ -2254,27 +1553,7 @@ fn e_hybrid() {
         let ex = table.hybrid_query(&hq).expect("fulltext enabled").explain;
         reuse_flags.push((ex.set_reused, ex.set_len));
     }
-    let reuse_ms = (0..reps)
-        .map(|_| pool_ms(&table, &repeated, None))
-        .fold(f64::INFINITY, f64::min);
-    let rewrite_ms = (0..reps)
-        .map(|_| {
-            let mut spent = 0.0;
-            for q in &queries {
-                forget(&mut table);
-                let hq = HybridQuery::new(q.clone(), repeated.clone(), k);
-                let start = Instant::now();
-                std::hint::black_box(table.hybrid_query(&hq).expect("fulltext enabled"));
-                spent += start.elapsed().as_secs_f64() * 1e3;
-            }
-            spent
-        })
-        .fold(f64::INFINITY, f64::min);
 
-    // Planner regret: its own choice against the best pass on record
-    // (its own included, as the ledger's `datastore.plan_regret_*`).
-    let best_ms = |c: &Cell| c.plan_ms.iter().copied().fold(c.chosen_ms, f64::min);
-    let regret = |c: &Cell| c.chosen_ms / best_ms(c);
     let table_rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
@@ -2283,18 +1562,15 @@ fn e_hybrid() {
                 c.cold_plan.to_string(),
                 c.resolved_after
                     .map_or("-".into(), |n| format!("query {}", n + 1)),
+                c.chosen.to_string(),
                 c.estimated.map_or("-".into(), |e| e.to_string()),
-                format!("{:.2}", c.chosen_ms),
-                format!("{:.2}", c.plan_ms[0]),
-                format!("{:.2}", c.plan_ms[1]),
-                format!("{:.2}", c.plan_ms[2]),
-                format!("{:.2}", regret(c)),
+                format!("{}/{}", c.identical_queries, queries.len()),
             ]
         })
         .collect();
     print_table(
         &format!(
-            "E-hybrid — {} rows, {} queries, best of {reps} passes, k={k} (ms per query-pool pass)",
+            "E-hybrid — {} rows, {} queries, k={k}, three plans forced per query",
             rows,
             queries.len(),
         ),
@@ -2302,18 +1578,16 @@ fn e_hybrid() {
             "sel",
             "cold plan",
             "set resolved",
+            "steady plan",
             "est",
-            "planner ms",
-            "ff ms",
-            "sf ms",
-            "scan ms",
-            "regret",
+            "identical",
         ],
         &table_rows,
     );
+    let sets_reused = reuse_flags.iter().filter(|(reused, _)| *reused).count();
     println!(
-        "repeated 5% filter: {reuse_ms:.2} ms per pool pass reusing the set, \
-         {rewrite_ms:.2} ms with a write before every query"
+        "repeated 5% filter: {sets_reused} of {} queries reused the resolved set",
+        queries.len()
     );
 
     let mut cells_json = String::new();
@@ -2322,8 +1596,7 @@ fn e_hybrid() {
             "    {{ \"selectivity\": {}, \"price_cutoff\": {}, \"cold_plan\": \"{}\", \
              \"set_resolved_after_queries\": {}, \"chosen_plan\": \"{}\", \
              \"access\": \"{}\", \"estimated_matches\": {}, \"est_selectivity\": {}, \
-             \"planner_ms\": {:.3}, \"filter_first_ms\": {:.3}, \"search_first_ms\": {:.3}, \
-             \"scan_ms\": {:.3}, \"regret\": {:.3}, \"identical_queries\": {} }}{}\n",
+             \"identical_queries\": {} }}{}\n",
             c.selectivity,
             c.cutoff,
             c.cold_plan,
@@ -2334,11 +1607,6 @@ fn e_hybrid() {
             c.estimated.map_or("null".into(), |e| e.to_string()),
             c.est_selectivity
                 .map_or("null".into(), |v| format!("{v:.4}")),
-            c.chosen_ms,
-            c.plan_ms[0],
-            c.plan_ms[1],
-            c.plan_ms[2],
-            regret(c),
             c.identical_queries,
             if i + 1 == cells.len() { "" } else { "," },
         ));
@@ -2349,21 +1617,16 @@ fn e_hybrid() {
             "  \"experiment\": \"e-hybrid\",\n",
             "  \"rows\": {},\n",
             "  \"queries\": {},\n",
-            "  \"reps\": {},\n",
             "  \"k\": {},\n",
             "  \"cells\": [\n{}  ],\n",
-            "  \"repeated_filter\": {{ \"selectivity\": 0.05, \"sets_reused\": {}, \
-             \"reuse_ms\": {:.3}, \"write_before_every_query_ms\": {:.3} }}\n",
+            "  \"repeated_filter\": {{ \"selectivity\": 0.05, \"sets_reused\": {} }}\n",
             "}}\n"
         ),
         rows,
         queries.len(),
-        reps,
         k,
         cells_json,
-        reuse_flags.iter().filter(|(reused, _)| *reused).count(),
-        reuse_ms,
-        rewrite_ms,
+        sets_reused,
     );
     std::fs::write("BENCH_hybrid.json", &json).expect("write BENCH_hybrid.json");
     println!("wrote BENCH_hybrid.json");
@@ -2376,32 +1639,9 @@ fn e_hybrid() {
             "every query must be bit-identical across plans at selectivity {}",
             c.selectivity,
         );
-        assert!(
-            regret(c) <= 1.25,
-            "planner regret at selectivity {}: {} took {:.2} ms, the best forced plan {:.2} ms",
-            c.selectivity,
-            c.chosen,
-            c.chosen_ms,
-            best_ms(c),
-        );
-    }
-    for c in cells.iter().filter(|c| c.selectivity <= 0.01) {
-        assert!(
-            c.plan_ms[1] >= 3.0 * c.plan_ms[0],
-            "filter-first must be >= 3x faster than search-then-post-filter \
-             at selectivity {}: {:.2} ms vs {:.2} ms",
-            c.selectivity,
-            c.plan_ms[0],
-            c.plan_ms[1],
-        );
     }
     // One set per filter: the first query resolves it, the rest reuse it.
     let (first, rest) = reuse_flags.split_first().expect("pool is non-empty");
     assert!(!first.0 && first.1.is_some(), "{first:?}");
     assert!(rest.iter().all(|r| r.0 && r.1 == first.1), "{rest:?}");
-    assert!(
-        reuse_ms < rewrite_ms,
-        "reusing the resolved set must beat re-resolving it per query: \
-         {reuse_ms:.2} ms vs {rewrite_ms:.2} ms",
-    );
 }

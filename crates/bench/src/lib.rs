@@ -1,9 +1,9 @@
-//! Shared world builders for the Symphony benchmark harness.
+//! Shared world builders for the Symphony report binaries.
 //!
-//! Every bench target and report binary builds its fixtures through
-//! these helpers so that Table I, the figures, and experiments E1–E8
-//! all run on the same substrate configurations (documented in
-//! DESIGN.md's per-experiment index).
+//! Every report binary builds its fixtures through these helpers so
+//! that Table I, the figures and the experiments all run on the same
+//! substrate configurations (documented in DESIGN.md's per-experiment
+//! index).
 
 #![warn(missing_docs)]
 
@@ -32,8 +32,6 @@ pub enum Scale {
     Small,
     /// ~900 pages (default experiments).
     Medium,
-    /// ~3500 pages (index/query scaling points).
-    Large,
 }
 
 impl Scale {
@@ -42,16 +40,6 @@ impl Scale {
         match self {
             Scale::Small => (2, 4),
             Scale::Medium => (5, 10),
-            Scale::Large => (12, 20),
-        }
-    }
-
-    /// Label for report tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scale::Small => "small",
-            Scale::Medium => "medium",
-            Scale::Large => "large",
         }
     }
 }
@@ -224,14 +212,9 @@ pub fn gamer_queen_world(options: WorldOptions) -> (Platform, AppId) {
     (platform, id)
 }
 
-/// Options for [`resilience_world`] (experiment E-resilience and the
-/// `resilience` bench group).
+/// Options for [`resilience_world`] (experiment E-resilience).
 #[derive(Debug, Clone)]
 pub struct ResilienceOptions {
-    /// Transport seed (the chaos grid varies it).
-    pub seed: u64,
-    /// Latency model of the pricing endpoint.
-    pub latency: LatencyModel,
     /// Call policy on the pricing source.
     pub policy: CallPolicy,
     /// Breaker tuning ([`BreakerConfig::disabled`] = naive baseline).
@@ -240,23 +223,6 @@ pub struct ResilienceOptions {
     pub resilience: symphony_core::ResiliencePolicy,
     /// Scheduled faults on the virtual clock.
     pub faults: FaultPlan,
-}
-
-impl Default for ResilienceOptions {
-    fn default() -> Self {
-        ResilienceOptions {
-            seed: 0xD1CE,
-            latency: LatencyModel {
-                base_ms: 20,
-                jitter_ms: 30,
-                failure_rate: 0.01,
-            },
-            policy: CallPolicy::default(),
-            breakers: BreakerConfig::default(),
-            resilience: symphony_core::ResiliencePolicy::default(),
-            faults: FaultPlan::new(),
-        }
-    }
 }
 
 /// A small platform tuned for resilience measurements: one proprietary
@@ -272,7 +238,7 @@ pub fn resilience_world(options: ResilienceOptions) -> (Platform, AppId) {
         ..CorpusConfig::default()
     });
     let mut platform = Platform::new(SearchEngine::new(corpus))
-        .with_transport_seed(options.seed)
+        .with_transport_seed(0xD1CE)
         .with_breaker_config(options.breakers)
         .with_source_cache(symphony_core::SourceCacheConfig::disabled())
         .with_quotas(symphony_core::QuotaConfig {
@@ -280,9 +246,15 @@ pub fn resilience_world(options: ResilienceOptions) -> (Platform, AppId) {
             cache_ttl_ms: 0,
             ..symphony_core::QuotaConfig::default()
         });
-    platform
-        .transport_mut()
-        .register("pricing", Box::new(PricingService), options.latency);
+    platform.transport_mut().register(
+        "pricing",
+        Box::new(PricingService),
+        LatencyModel {
+            base_ms: 20,
+            jitter_ms: 30,
+            failure_rate: 0.01,
+        },
+    );
     platform.transport_mut().set_fault_plan(options.faults);
     let (tenant, key) = platform.create_tenant("GamerQueen");
     let (table, _) = ingest("inventory", INVENTORY_CSV, DataFormat::Csv).expect("csv parses");

@@ -1,7 +1,7 @@
 //! Overload protection primitives (ROADMAP item: per-tenant overload
 //! protection).
 //!
-//! Three pieces, all driven by the platform's atomic virtual clock:
+//! Two pieces, both driven by the platform's atomic virtual clock:
 //!
 //! * [`TokenBucket`] — the per-tenant admission rate limiter. Refill
 //!   is computed lazily from elapsed virtual time, so arbitrary clock
@@ -18,9 +18,6 @@
 //!   monopolize the pool. Two [`Lane`]s keep background work (warmup,
 //!   builds, maintenance) from ever queuing ahead of interactive
 //!   queries.
-//! * [`DeficitScheduler`] — the classic deficit-round-robin pick over
-//!   backlogged tenant queues, used by the traffic harness and the
-//!   fairness property tests to state the share bound precisely.
 //!
 //! Worker grants only bound *real* resource use; virtual-time
 //! accounting (`max` under parallel fan-out) is untouched, so results
@@ -103,17 +100,6 @@ impl TokenBucket {
     pub fn burst(&self) -> u32 {
         self.burst
     }
-
-    /// Virtual ms until one full token is available at the current
-    /// level (0 when one is already banked). The chaos suite uses this
-    /// to state "recovery within one refill window" exactly.
-    pub fn ms_until_token(&self) -> u64 {
-        if self.is_unlimited() || self.level_milli >= MILLI {
-            return 0;
-        }
-        let missing = MILLI - self.level_milli;
-        missing.div_ceil((self.rate_per_sec as u64).max(1))
-    }
 }
 
 /// Scheduling lanes for the shared worker pool. Interactive grants are
@@ -137,8 +123,7 @@ struct TenantShare {
     /// Deficit carry in permits: entitlement this tenant wanted but
     /// did not receive, repaid by larger grants later.
     deficit: u64,
-    /// Lifetime permits granted (fairness accounting for tests and
-    /// the traffic harness).
+    /// Lifetime permits granted (fairness accounting for tests).
     granted: u64,
 }
 
@@ -278,110 +263,6 @@ impl FanoutScheduler {
     }
 }
 
-/// Deficit round robin over per-tenant backlogs: each round a
-/// backlogged tenant banks `quantum × weight` credit and serves work
-/// items (cost 1) while credit lasts. Over any window in which a
-/// tenant stays backlogged, its completed share tracks its weight
-/// share to within one quantum per tenant per round — the bound the
-/// property tests assert.
-#[derive(Debug, Clone)]
-pub struct DeficitScheduler {
-    quantum: u64,
-    tenants: Vec<DrrTenant>,
-    cursor: usize,
-}
-
-#[derive(Debug, Clone)]
-struct DrrTenant {
-    weight: u32,
-    deficit: u64,
-    backlog: u64,
-    completed: u64,
-}
-
-impl DeficitScheduler {
-    /// An empty scheduler with a per-weight-unit quantum of `quantum`
-    /// work items per round.
-    pub fn new(quantum: u64) -> DeficitScheduler {
-        DeficitScheduler {
-            quantum: quantum.max(1),
-            tenants: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    /// Register a tenant with a scheduling weight; returns its slot.
-    pub fn register(&mut self, weight: u32) -> usize {
-        self.tenants.push(DrrTenant {
-            weight: weight.max(1),
-            deficit: 0,
-            backlog: 0,
-            completed: 0,
-        });
-        self.tenants.len() - 1
-    }
-
-    /// Add `n` work items to a tenant's backlog.
-    pub fn enqueue(&mut self, tenant: usize, n: u64) {
-        self.tenants[tenant].backlog += n;
-    }
-
-    /// Pending work for a tenant.
-    pub fn backlog(&self, tenant: usize) -> u64 {
-        self.tenants[tenant].backlog
-    }
-
-    /// Work items completed for a tenant so far.
-    pub fn completed(&self, tenant: usize) -> u64 {
-        self.tenants[tenant].completed
-    }
-
-    /// Pick the tenant whose work item runs next, or `None` when every
-    /// backlog is empty. A tenant whose backlog drains forfeits its
-    /// remaining deficit (standard DRR: credit never accrues while
-    /// idle).
-    pub fn next_tenant(&mut self) -> Option<usize> {
-        let n = self.tenants.len();
-        if n == 0 {
-            return None;
-        }
-        // At most one full refill round past every tenant: if nothing
-        // is backlogged after that, the queues are empty.
-        for _ in 0..=n {
-            for _ in 0..n {
-                let i = self.cursor;
-                let t = &mut self.tenants[i];
-                if t.backlog == 0 {
-                    t.deficit = 0;
-                    self.cursor = (self.cursor + 1) % n;
-                    continue;
-                }
-                if t.deficit >= 1 {
-                    t.deficit -= 1;
-                    t.backlog -= 1;
-                    t.completed += 1;
-                    // Stay on this tenant while its credit lasts.
-                    if t.deficit == 0 || t.backlog == 0 {
-                        if t.backlog == 0 {
-                            t.deficit = 0;
-                        }
-                        self.cursor = (self.cursor + 1) % n;
-                    }
-                    return Some(i);
-                }
-                // Credit exhausted: bank a fresh quantum and move on;
-                // the next visit serves it.
-                t.deficit += self.quantum * t.weight as u64;
-                self.cursor = (self.cursor + 1) % n;
-            }
-            if self.tenants.iter().all(|t| t.backlog == 0) {
-                return None;
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,7 +274,6 @@ mod tests {
         assert!(b.try_acquire(0));
         assert!(b.try_acquire(0));
         assert!(!b.try_acquire(0), "burst of 3 exhausted");
-        assert_eq!(b.ms_until_token(), 100, "10/s refills one per 100ms");
         assert!(b.try_acquire(100));
         assert!(!b.try_acquire(100));
     }
@@ -471,39 +351,5 @@ mod tests {
         drop(fg2);
         drop(bg2);
         drop(fg);
-    }
-
-    #[test]
-    fn drr_shares_track_weights() {
-        let mut s = DeficitScheduler::new(1);
-        let a = s.register(3);
-        let b = s.register(1);
-        s.enqueue(a, 10_000);
-        s.enqueue(b, 10_000);
-        let mut counts = [0u64; 2];
-        for _ in 0..4000 {
-            let who = s.next_tenant().expect("both backlogged");
-            counts[who] += 1;
-        }
-        let share_a = counts[a] as f64 / 4000.0;
-        assert!(
-            (share_a - 0.75).abs() < 0.01,
-            "weight-3 tenant should get ~75%, got {share_a}"
-        );
-        assert_eq!(counts[a], s.completed(a));
-    }
-
-    #[test]
-    fn drr_drains_and_reports_empty() {
-        let mut s = DeficitScheduler::new(2);
-        let a = s.register(1);
-        s.enqueue(a, 3);
-        let mut served = 0;
-        while s.next_tenant().is_some() {
-            served += 1;
-        }
-        assert_eq!(served, 3);
-        assert_eq!(s.backlog(a), 0);
-        assert!(s.next_tenant().is_none());
     }
 }

@@ -887,16 +887,6 @@ impl Platform {
         self.apps.get(id.0 as usize).map(|a| a.cache.lock().stats())
     }
 
-    /// Sweep expired entries from an app's result cache, returning how
-    /// many were removed (they are also counted in
-    /// [`CacheStats::expired`]).
-    pub fn purge_expired_cache(&self, id: AppId) -> Option<usize> {
-        let now = self.clock_ms.load(Ordering::SeqCst);
-        self.apps
-            .get(id.0 as usize)
-            .map(|a| a.cache.lock().purge_expired(now))
-    }
-
     /// The platform's virtual clock.
     pub fn clock_ms(&self) -> u64 {
         self.clock_ms.load(Ordering::SeqCst)

@@ -77,7 +77,7 @@ pub mod source;
 pub mod source_cache;
 pub mod trace;
 
-pub use admission::{DeficitScheduler, FanoutScheduler, Lane, TokenBucket, WorkerGrant};
+pub use admission::{FanoutScheduler, Lane, TokenBucket, WorkerGrant};
 pub use app::{
     AdmissionPolicy, AppBuilder, AppId, ApplicationConfig, MonetizationConfig, ResiliencePolicy,
     SupplementalBinding,

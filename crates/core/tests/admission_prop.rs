@@ -1,6 +1,6 @@
 //! Property tests for the overload-protection primitives.
 //!
-//! Three laws the hosting layer leans on:
+//! Two laws the hosting layer leans on:
 //!
 //! 1. A token bucket's level can never exceed its burst capacity, no
 //!    matter how acquires and arbitrary virtual-clock jumps interleave.
@@ -8,12 +8,9 @@
 //!    `t` then `t + d` banks exactly as many tokens as observing
 //!    `t + d` directly, and stale (backwards) observations change
 //!    nothing.
-//! 3. Deficit-round-robin fairness: over any window in which two
-//!    tenants stay backlogged, each tenant's completed share tracks
-//!    its weight share to within one quantum-round per tenant.
 
 use proptest::prelude::*;
-use symphony_core::admission::{DeficitScheduler, TokenBucket};
+use symphony_core::admission::TokenBucket;
 
 const MILLI: u64 = 1000;
 
@@ -107,42 +104,5 @@ proptest! {
         }
         whole_bucket.refill(now);
         prop_assert_eq!(split_bucket.level_milli(), whole_bucket.level_milli());
-    }
-
-    /// Law 3: with both tenants backlogged throughout, completed work
-    /// splits by weight to within one quantum-round of slack per
-    /// tenant.
-    #[test]
-    fn backlogged_drr_share_tracks_weight(
-        weight_a in 1u32..16,
-        weight_b in 1u32..16,
-        quantum in 1u64..8,
-        picks in 64usize..2_000,
-    ) {
-        let mut drr = DeficitScheduler::new(quantum);
-        let a = drr.register(weight_a);
-        let b = drr.register(weight_b);
-        // Backlogs deep enough that neither drains inside the window.
-        drr.enqueue(a, picks as u64 + 1);
-        drr.enqueue(b, picks as u64 + 1);
-        for _ in 0..picks {
-            prop_assert!(drr.next_tenant().is_some(), "both tenants stay backlogged");
-        }
-        let total_weight = (weight_a + weight_b) as f64;
-        let expected_a = picks as f64 * weight_a as f64 / total_weight;
-        // One quantum-round of slack: each round banks quantum × weight
-        // credit, and a window can cut a round at any point.
-        let slack = quantum as f64 * (weight_a + weight_b) as f64 + 1.0;
-        let got_a = drr.completed(a) as f64;
-        prop_assert!(
-            (got_a - expected_a).abs() <= slack,
-            "weight-{} tenant completed {} of {} picks, expected {} ± {}",
-            weight_a,
-            got_a,
-            picks,
-            expected_a,
-            slack,
-        );
-        prop_assert_eq!(drr.completed(a) + drr.completed(b), picks as u64);
     }
 }

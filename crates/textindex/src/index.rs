@@ -900,7 +900,7 @@ impl Index {
     /// lists), the lexicon arena (term bytes, span table, hash table),
     /// and the stored text columns. A capacity-based estimate, not an
     /// allocator measurement — its job is tracking the relative cost
-    /// of representations (the E-postings experiment asserts the
+    /// of representations (`tests/footprint.rs` asserts the
     /// bit-packed format lands under the varint baseline).
     pub fn bytes_estimate(&self) -> usize {
         let postings = self

@@ -131,7 +131,7 @@ impl PostingList {
         }
     }
 
-    /// Approximate heap size in bytes (for the E3 space ablation).
+    /// Approximate heap size in bytes (for footprint estimates).
     pub fn heap_bytes(&self) -> usize {
         self.postings.capacity() * std::mem::size_of::<Posting>()
             + self
@@ -412,11 +412,6 @@ impl CompressedPostings {
     /// parallel and sequential builds produce bit-identical streams).
     pub fn bytes(&self) -> &[u8] {
         &self.data
-    }
-
-    /// The varint position byte stream.
-    pub fn position_bytes(&self) -> &[u8] {
-        &self.pos_data
     }
 
     /// Open a document-at-a-time cursor positioned on the first

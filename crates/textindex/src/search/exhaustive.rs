@@ -23,7 +23,7 @@ impl Searcher<'_> {
     /// Top `k` hits of `query` among the documents `filter` accepts,
     /// scored term-at-a-time with no pruning: the reference the served
     /// executor is bit-identical to. Only the differential tests, the
-    /// forced hybrid scan plan and the pruning experiments call it.
+    /// forced hybrid scan plan and the candidate work guards call it.
     pub fn search_exhaustive(
         &self,
         query: &Query,

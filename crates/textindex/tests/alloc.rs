@@ -1,4 +1,5 @@
-//! Allocation-count regression tests for the arena lexicon.
+//! Allocation-count regression tests for the arena lexicon and the
+//! streaming analysis chain.
 //!
 //! The pre-arena `HashMap<String, TermId>` lexicon allocated two
 //! `String`s per first-sight intern (one map key, one id-to-term entry)
@@ -6,14 +7,17 @@
 //! by accident of the raw-entry API not being used at all. The arena
 //! representation must stay amortized: interning N fresh terms costs
 //! O(log N) container growths, not O(N) allocations, and lookups cost
-//! zero.
+//! zero. `Analyzer::analyze_with`, the indexing hot path, borrows
+//! every term from the text or from its reused scratch buffers, so once
+//! a warm-up pass has grown those buffers a document costs zero
+//! allocations.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
 //! (`support/counting_alloc.rs`) cannot skew other suites; all
 //! assertions live in a single `#[test]` so parallel test threads
 //! cannot pollute the counters.
 
-use symphony_text::Lexicon;
+use symphony_text::{Analyzer, Lexicon, StandardAnalyzer, TokenScratch};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -67,4 +71,39 @@ fn intern_is_amortized_and_lookup_is_allocation_free() {
         }
     });
     assert_eq!(term_allocs, 0, "Lexicon::term must not allocate");
+
+    // A fixed text set that takes every branch of the lean path:
+    // uppercase ASCII (lowercased into scratch), stopwords, suffix
+    // stems including a rewrite (`stories`), digits, punctuation and
+    // non-ASCII words that are already lowercase (borrowed).
+    let words: Vec<&str> =
+        "Galactic RAIDERS the stories of Played games café 2010 naïve Running and shooter's lasers"
+            .split(' ')
+            .collect();
+    let texts: Vec<String> = (0..200)
+        .map(|i| {
+            let doc: Vec<&str> = (0..12)
+                .map(|j| words[(i * 7 + j * 3) % words.len()])
+                .collect();
+            doc.join(if i % 2 == 0 { " " } else { ", " })
+        })
+        .collect();
+    let analyzer = StandardAnalyzer::new();
+    let analyze = |scratch: &mut TokenScratch| {
+        let mut tokens = 0usize;
+        for text in &texts {
+            analyzer.analyze_with(text, scratch, &mut |_, _, _, _| tokens += 1);
+        }
+        tokens
+    };
+    let mut scratch = TokenScratch::default();
+    let warm = analyze(&mut scratch);
+    let (analysis_allocs, tokens) = allocations(|| analyze(&mut scratch));
+    assert!(tokens > 0 && tokens == warm);
+    assert_eq!(
+        analysis_allocs,
+        0,
+        "analyze_with allocated over {} warm documents",
+        texts.len()
+    );
 }

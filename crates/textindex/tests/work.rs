@@ -31,7 +31,8 @@
 //! paired the block's largest tf with the list's smallest length, the
 //! rows read (compact, live, five) 1 436 / 1 436 / 1 436, 946 ×3,
 //! 1 284 ×3, 971 / 971 / 926 and 1 061 ×3. [`CATALOG`] pins the same
-//! effect on a catalog-shaped list.
+//! effect on a catalog-shaped list, and [`PHRASES`] / [`MUST_PHRASE`]
+//! count the executor's work on phrase queries.
 
 use std::cell::Cell;
 
@@ -244,4 +245,50 @@ fn a_catalog_query_skips_blocks() {
         "{pruned} candidates: not 20 % under 6 272"
     );
     assert_eq!((exhaustive, pruned), CATALOG);
+}
+
+/// Phrase queries on the compact layout: `(query, reference, serving)`
+/// candidates. A phrase that shares its query with terms is one more
+/// MaxScore scorer, so the serving executor skips what cannot reach
+/// the top ten and puts fewer candidates to the filter than the
+/// reference has matching documents.
+const PHRASES: [(&str, usize, usize); 2] = [
+    ("\"w1 w0\" w3 w7", 2_826, 1_803),
+    ("\"w0 w9\" w5", 1_904, 1_421),
+];
+
+/// A `+` phrase gates membership instead, and nothing is skipped under
+/// a gate: the serving executor puts every document holding all the
+/// phrase's words to the filter, then verifies positions, while the
+/// reference calls the filter on verified matches only. So the guard
+/// is that the serving count *is* that conjunction — the should term's
+/// list adds nothing — with `(query, words, reference, serving)`.
+const MUST_PHRASE: (&str, [&str; 2], usize, usize) = ("+\"w0 w9\" w2", ["w0", "w9"], 212, 1_322);
+
+#[test]
+fn phrases_prune_and_must_phrases_gate() {
+    let (mut idx, field) = index(&[]);
+    idx.optimize();
+    for (query, reference, serving) in PHRASES {
+        let (r, want) = candidates(&idx, Reference, query);
+        let (s, hits) = candidates(&idx, Serving, query);
+        assert_eq!(hits, want, "{query}");
+        assert!(s < r, "{query}: serving considered {s}, the reference {r}");
+        assert_eq!((r, s), (reference, serving), "{query}: reference, serving");
+    }
+
+    let (query, words, reference, serving) = MUST_PHRASE;
+    let docs = |word: &str| {
+        let mut out = Vec::new();
+        let term = idx.lexicon().get(word).unwrap();
+        idx.for_each_posting(term, field, |doc, _| out.push(doc));
+        out
+    };
+    let second = docs(words[1]);
+    let members = docs(words[0]).iter().filter(|d| second.contains(d)).count();
+    let (r, want) = candidates(&idx, Reference, query);
+    let (s, hits) = candidates(&idx, Serving, query);
+    assert_eq!(hits, want, "{query}");
+    assert_eq!(s, members, "{query}: serving visits the phrase's members");
+    assert_eq!((r, s), (reference, serving), "{query}: reference, serving");
 }
