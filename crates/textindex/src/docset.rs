@@ -6,7 +6,7 @@
 //! full candidate-selection tax: every posting block that contains a
 //! candidate gets decoded and every candidate gets scored far enough
 //! to call the closure. [`DocSet`] instead materializes the set in a
-//! cursor-friendly shape so the DAAT executor can treat it as a
+//! cursor-friendly shape so the pruned executor can treat it as a
 //! *non-scoring conjunctive cursor* (see
 //! [`Searcher::search_docset`](crate::search::Searcher::search_docset)):
 //! the intersection drives from the filter when it is the rarest gate,

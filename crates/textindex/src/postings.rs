@@ -662,10 +662,10 @@ impl RawCursor<'_> {
         out.extend_from_slice(&self.postings[self.idx].positions);
     }
 
-    /// Last doc id of the current "block": raw lists have no blocks,
-    /// so only the current posting.
+    /// Last doc id of the current "block": a raw list has no block
+    /// directory, so the whole list is one block.
     pub fn block_last_doc(&self) -> u32 {
-        self.doc()
+        self.last_doc()
     }
 
     /// Advance to the next posting.
@@ -687,12 +687,12 @@ impl RawCursor<'_> {
 /// The cursor walks doc ids and term frequencies in increasing doc
 /// order; positions are materialized only on demand via
 /// [`PostingsCursor::positions`] (phrase verification), which is what
-/// keeps the DAAT scoring loop allocation-free. After the last
+/// keeps the scoring loop allocation-free. After the last
 /// posting, [`PostingsCursor::doc`] reports [`NO_DOC`] (which compares
 /// greater than every real doc id, so `seek`/min-merge loops need no
 /// special casing).
 // The size skew is the design: the compressed cursor carries its
-// unpacked 128-doc block inline so the DAAT hot loop reads plain
+// unpacked 128-doc block inline so the hot loop reads plain
 // arrays with no heap indirection. Boxing it would trade that locality
 // for a pointer chase on every doc()/tf() call.
 #[allow(clippy::large_enum_variant)]
@@ -743,10 +743,11 @@ impl PostingsCursor<'_> {
         }
     }
 
-    /// Last doc id through which [`block_peaks`] stay valid: the
-    /// current block's final doc for block-packed lists, the current
-    /// doc otherwise. Lets a scorer rule out every candidate up to the
-    /// boundary in one step (block-max WAND range skip).
+    /// Last doc id of the block holding the current posting: the
+    /// range through which [`block_peaks`] hold for a block-packed
+    /// list, the list's last doc for a raw one (a single block with no
+    /// peaks). Lets the executor bound a whole window of candidates at
+    /// once (block-max window skip).
     ///
     /// [`block_peaks`]: PostingsCursor::block_peaks
     #[inline]
@@ -763,6 +764,34 @@ impl PostingsCursor<'_> {
         match self {
             PostingsCursor::Raw(c) => c.next(),
             PostingsCursor::Compressed(c) => c.next(),
+        }
+    }
+
+    /// Hand `f` every posting with `doc <= last` as `(doc, tf)`, in
+    /// doc order, leaving the cursor on the first posting past `last`
+    /// (or exhausted).
+    #[inline]
+    pub(crate) fn drain_through(&mut self, last: u32, mut f: impl FnMut(u32, u32)) {
+        match self {
+            PostingsCursor::Raw(c) => {
+                while c.doc() <= last && c.doc() != NO_DOC {
+                    f(c.doc(), c.tf());
+                    c.next();
+                }
+            }
+            // A block at a time, straight from the unpacked arrays.
+            PostingsCursor::Compressed(c) => {
+                while c.doc <= last && c.doc != NO_DOC {
+                    let (docs, tfs) = (&c.docs[c.idx..c.len], &c.tfs[c.idx..c.len]);
+                    let n = docs.partition_point(|&d| d <= last);
+                    for (&d, &tf) in docs[..n].iter().zip(&tfs[..n]) {
+                        f(d, tf);
+                    }
+                    // `n >= 1`: the current posting is within `last`.
+                    c.idx += n - 1;
+                    c.next();
+                }
+            }
         }
     }
 

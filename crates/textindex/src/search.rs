@@ -1,17 +1,20 @@
 //! BM25 top-k query execution.
 //!
-//! One executor serves every query: document-at-a-time over
-//! [`PostingsCursor`]s with MaxScore pruning. Term cursors are ordered
-//! by their BM25 score upper bound, the cheap ("non essential") prefix
-//! whose bounds cannot reach the current top-k threshold is only
-//! probed via `seek`, `+must` clauses drive a non-scoring galloping
-//! intersection, and `-must-not` clauses are seek-along exclusion
-//! cursors. Documents that provably cannot enter the top k are never
-//! fully scored. The segment is the unit of execution: the query is
-//! planned once (tokens, fields, idf per `(term, field)`), then run
-//! over each segment in doc order — sealed segments, memtable last —
-//! with cursors and score bounds from that segment's own lists, while
-//! the heap, the threshold and a pushed-down set's cursor carry over.
+//! One executor serves every query: MaxScore over [`PostingsCursor`]s,
+//! a window of candidates at a time. Term cursors are ordered by their
+//! BM25 score upper bound; the cheap ("non essential") prefix whose
+//! bounds cannot reach the current top-k threshold is only probed via
+//! `seek`, while the essential cursors copy each window's term
+//! frequencies into rows and mark a candidate mask — a window whose
+//! block-max ceiling cannot reach the threshold is skipped whole, and
+//! only candidates that pass the cheap rejections are scored. `+must`
+//! clauses drive a non-scoring galloping intersection instead, and
+//! `-must-not` clauses are seek-along exclusion cursors. The segment
+//! is the unit of execution: the query is planned once (tokens, fields,
+//! idf per `(term, field)`), then run over each segment in doc order —
+//! sealed segments, memtable last — with cursors and score bounds from
+//! that segment's own lists, while the heap, the threshold and a
+//! pushed-down set's cursor carry over.
 //! Every list has bound ingredients, a memtable list included, so a
 //! live index prunes like a sealed one and a few short fresh documents
 //! loosen no bound but their own segment's.
@@ -19,13 +22,15 @@
 //! Phrase clauses run under pruning too: each positive phrase becomes
 //! a [`PhraseScorer`] whose *membership* is a per-field galloping
 //! conjunction of the phrase's token cursors (docs where every token
-//! co-occurs in some field), with contiguity verified lazily — and
-//! only for candidate documents that survive the cheap rejections —
-//! by materializing positions through the cursors' block-addressed
-//! position stream. Its score upper bound folds the per-token stats
-//! of the segment it runs on (sum over fields of the minimum
-//! per-token max tf), so MaxScore can make a phrase non-essential
-//! like any term.
+//! co-occurs in some field), with contiguity verified lazily by
+//! materializing positions through the cursors' block-addressed
+//! position stream: a probed phrase verifies only candidates that
+//! survive the cheap rejections, and an essential one verifies its
+//! members in the window as it fills it (its cursors cannot come back
+//! for them), so only verified matches become candidates. Its score
+//! upper bound folds the per-token stats of the segment it runs on
+//! (sum over fields of the minimum per-token max tf), so MaxScore can
+//! make a phrase non-essential like any term.
 //!
 //! The executor is *rank-safe*: it returns bit-identical `(doc,
 //! score)` lists to the term-at-a-time reference in
@@ -40,8 +45,11 @@
 //! float-summation order can never under-bound a real score — and a
 //! bound is only ever applied to documents of the segment whose stats
 //! it was built from, against a threshold that is the true k-th best
-//! score of the documents already seen. No served query runs the
-//! reference.
+//! score of the documents already seen. The essential partition is
+//! fixed when a window opens and holds for every doc of the window: the
+//! threshold only rises inside it, so a prefix that could not reach the
+//! threshold at the start cannot reach it later. No served query runs
+//! the reference.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -52,7 +60,7 @@ use crate::docset::{DocSet, FilterCursor};
 use crate::fx::FxHashMap;
 use crate::index::{FieldId, Index};
 use crate::lexicon::TermId;
-use crate::postings::{PostingsCursor, NO_DOC};
+use crate::postings::{PostingsCursor, BLOCK_SIZE, NO_DOC};
 use crate::query::{ClauseKind, Occur, Query};
 use crate::segment::{SegmentList, SegmentView};
 use crate::DocId;
@@ -92,6 +100,11 @@ const BOUND_SLACK_REL: f32 = 1e-3;
 /// Absolute counterpart of [`BOUND_SLACK_REL`], keeping bounds
 /// strictly positive even for zero-boost fields.
 const BOUND_SLACK_ABS: f32 = 1e-5;
+
+/// Widest candidate window, in doc ids: four posting blocks' worth. A
+/// window ends earlier where an essential cursor it reaches leaves its
+/// block.
+const WINDOW: usize = 4 * BLOCK_SIZE;
 
 /// Corpus-wide scoring statistics folded across document-partitioned
 /// index shards.
@@ -556,14 +569,9 @@ impl<'a> Searcher<'a> {
                     occur,
                     tokens,
                     fields,
-                } => match (self.phrase_scorer(tokens, fields, seg), occur) {
+                } => match (self.phrase_scorer(tokens, fields, *occur, seg), occur) {
                     (Some(p), Occur::MustNot) => run.phrase_exclusions.push(p),
-                    (Some(p), occur) => {
-                        if *occur == Occur::Must {
-                            run.must_phrases.push(run.scorers.len());
-                        }
-                        run.scorers.push(AnyScorer::Phrase(p));
-                    }
+                    (Some(p), _) => run.scorers.push(AnyScorer::Phrase(p)),
                     (None, Occur::Must) => return false,
                     (None, _) => {}
                 },
@@ -578,18 +586,29 @@ impl<'a> Searcher<'a> {
         !run.scorers.is_empty()
     }
 
-    /// The DAAT MaxScore loop over one instantiated segment (docs below
-    /// `end`), reading and raising the carried heap and threshold.
+    /// The MaxScore window loop over one instantiated segment (docs
+    /// below `end`), reading and raising the carried heap and threshold.
+    ///
+    /// Each round opens a window `[lo, hi]`: `lo` is the smallest
+    /// essential doc and `hi` the least of `lo + WINDOW − 1`, the
+    /// segment's last doc and the block end of every essential cursor
+    /// at or before `hi`, so their block bounds hold across it. Under a
+    /// `+must` gate the window is the gate's next candidate alone: must
+    /// phrases share their cursors with scoring, so candidates cannot
+    /// be enumerated ahead.
     ///
     /// Rank safety relies on four invariants: candidate docs skipped
-    /// by the essential partition or the partial-sum abandon check
-    /// have true scores strictly below the threshold (inflated bounds,
-    /// valid for the documents of the segment they are applied to),
-    /// surviving candidates are scored by summing per-scorer
-    /// contributions in canonical clause order (bit-identical f32
-    /// rounding), every cursor only ever moves forward, and the carried
-    /// threshold is the true k-th best score of the documents already
-    /// seen — in this segment or an earlier one.
+    /// by the essential partition, the window ceiling or the
+    /// partial-sum abandon check have true scores strictly below the
+    /// threshold (inflated bounds, valid for the documents of the
+    /// segment and the block they are applied to, and a partition
+    /// fixed at the window's start, which the rising threshold only
+    /// makes more conservative), surviving candidates are scored by
+    /// summing per-scorer contributions in canonical clause order
+    /// (bit-identical f32 rounding), every cursor only ever moves
+    /// forward, and the carried threshold is the true k-th best score
+    /// of the documents already seen — in this segment or an earlier
+    /// one.
     fn run_segment(
         &self,
         run: &mut SegmentRun<'_>,
@@ -600,9 +619,11 @@ impl<'a> Searcher<'a> {
         let SegmentRun {
             scorers,
             must_groups,
-            must_phrases,
             exclusions,
             phrase_exclusions,
+            order,
+            contribs,
+            rows,
         } = run;
         let Carried {
             k,
@@ -614,171 +635,211 @@ impl<'a> Searcher<'a> {
         } = carried;
         let (k, gate_drives, has_deleted) = (*k, *gate_drives, *has_deleted);
 
-        // Evaluation order: scorer indices sorted by ascending bound.
-        // The prefix `order[..ness]` is the non-essential set; probes
-        // run over it from the highest bound downwards so the abandon
-        // check sheds the most remaining mass first.
-        let mut order: Vec<usize> = (0..scorers.len()).collect();
-        order.sort_by(|&a, &b| {
-            scorers[a]
-                .bound()
-                .partial_cmp(&scorers[b].bound())
-                .unwrap_or(Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        // prefix[i] = sum of bounds of order[0..=i].
-        let prefix: Vec<f32> = order
-            .iter()
-            .scan(0.0f32, |acc, &i| {
-                *acc += scorers[i].bound();
-                Some(*acc)
-            })
-            .collect();
-        // Non-essential prefix under the carried threshold (which only
-        // leaves `NEG_INFINITY` once the heap is full); both grow
-        // monotonically from here.
-        let mut ness = prefix.partition_point(|&p| p <= *threshold);
-        let mut contribs = vec![0.0f32; scorers.len()];
-        let must_driven = !must_groups.is_empty() || !must_phrases.is_empty() || gate_drives;
-        let mut next_target = 0u32;
-        // Candidate just processed; essential cursors still sitting on
-        // it advance during the next selection scan (one fused pass
-        // instead of advance-then-rescan).
-        let mut last = NO_DOC;
+        // Evaluation order: `(scorer, bound prefix through it)` by
+        // ascending bound. The prefix `order[..ness]` is the
+        // non-essential set; probes run over it from the highest bound
+        // downwards so the abandon check sheds the most remaining mass
+        // first.
+        order.clear();
+        order.extend(scorers.iter().map(AnyScorer::bound).enumerate());
+        order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let mut acc = 0.0f32;
+        for slot in order.iter_mut() {
+            acc += slot.1;
+            slot.1 = acc;
+        }
+        // A candidate writes every slot of `contribs` before it sums
+        // them, so stale values need no reset.
+        contribs.resize(scorers.len(), 0.0);
+        // One row of `WINDOW` slots per scorer, all zero between
+        // windows: a candidate reads its slots and clears them.
+        rows.resize(scorers.len() * WINDOW, 0);
+        let must_phrases = scorers.iter_mut().any(|s| s.must_phrase().is_some());
+        let must_driven = !must_groups.is_empty() || must_phrases || gate_drives;
+        let mut mask = [0u64; WINDOW / 64];
+        // First doc the next window may open at.
+        let mut next = 0u32;
 
         loop {
-            // ---- Candidate selection -------------------------------
-            let d = if must_driven {
-                // Must tokens and must phrases gate membership: a
-                // galloping intersection of the union cursors and the
-                // phrase membership conjunctions yields the only docs
-                // that can appear in the result at all.
+            // ---- Open a window ---------------------------------------
+            // A threshold raised inside the window moves `ness` for the
+            // next one only. Under a gate every scorer is probed.
+            let ness = if must_driven {
+                order.len()
+            } else {
+                order.partition_point(|&(_, p)| p <= *threshold)
+            };
+            let lo = if must_driven {
+                // Must tokens, must phrases and a driving set gate
+                // membership: a galloping intersection of the union
+                // cursors, the phrase membership conjunctions and the
+                // set yields the only docs that can appear at all.
                 match must_candidate(
                     must_groups,
                     scorers,
-                    must_phrases,
                     filter_cursor.as_mut().filter(|_| gate_drives),
-                    next_target,
+                    next,
                 ) {
                     Some(d) => d,
                     None => break,
                 }
             } else {
-                // Union of essential cursors. Docs appearing only in
-                // non-essential lists are bounded by prefix[ness - 1]
-                // <= threshold, hence strictly below it after slack.
-                let mut d = NO_DOC;
-                for &i in &order[ness..] {
-                    if last != NO_DOC {
-                        scorers[i].advance_past(last);
-                    }
-                    d = d.min(scorers[i].doc());
-                }
-                last = d;
-                d
+                // Docs appearing only in non-essential lists are bounded
+                // by the non-essential prefix <= threshold, hence
+                // strictly below it after slack.
+                order[ness..]
+                    .iter()
+                    .map(|&(i, _)| scorers[i].doc())
+                    .min()
+                    .unwrap_or(NO_DOC)
             };
             // The segment's own cursors end with its range; a driving
             // set gate runs on into later segments, which pick it up
             // where it stands.
-            if d >= end {
+            if lo >= end {
                 break;
             }
-            next_target = d + 1;
+            let mut hi = if must_driven {
+                lo
+            } else {
+                lo.saturating_add(WINDOW as u32 - 1).min(end - 1)
+            };
+            for &(i, _) in &order[ness..] {
+                if scorers[i].doc() <= hi {
+                    hi = hi.min(scorers[i].block_last_doc());
+                }
+            }
+            next = hi + 1;
 
-            // ---- Block-max range skip ------------------------------
-            // With a full heap, an inflated ceiling — block-local
-            // bounds of the essential scorers sitting on `d`, plus the
-            // whole non-essential mass — that cannot reach the
-            // threshold rules out not just `d` but every doc up to the
-            // nearest block boundary: each participant's block bound
-            // holds through its block's last doc, and the essential
-            // scorers ahead of `d` contribute nothing before their
-            // current doc. Everything in `(d, until]` is skipped with
-            // one decode-free seek per scorer (block-max WAND).
+            // ---- Window skip -----------------------------------------
+            // With a full heap, a ceiling of the non-essential mass plus
+            // the block bound of each essential cursor inside the window
+            // (one past `hi` adds nothing to it) that cannot reach the
+            // threshold rules out the whole window: one seek per
+            // essential cursor skips it without decoding it.
             if !must_driven && heap.len() == k {
-                let mut ceil = if ness > 0 { prefix[ness - 1] } else { 0.0 };
-                let mut until = NO_DOC;
-                for &i in &order[ness..] {
-                    let sd = scorers[i].doc();
-                    if sd == d {
+                let mut ceil = if ness > 0 { order[ness - 1].1 } else { 0.0 };
+                for &(i, _) in &order[ness..] {
+                    if scorers[i].doc() <= hi {
                         ceil += self.block_bound(&mut scorers[i]);
-                        until = until.min(scorers[i].block_last_doc());
-                    } else {
-                        // `sd > d >= 0`: `d` is the essential minimum.
-                        until = until.min(sd - 1);
                     }
                 }
                 if ceil <= *threshold {
-                    let past = until.max(d).saturating_add(1);
-                    for &i in &order[ness..] {
-                        scorers[i].seek(past);
+                    for &(i, _) in &order[ness..] {
+                        scorers[i].seek(next);
                     }
-                    // The seeks moved every cursor beyond `d` already.
-                    last = NO_DOC;
                     continue;
                 }
             }
 
-            // ---- Cheap rejections ----------------------------------
-            // Positional checks (must / must-not phrase verification)
-            // run last: they decode positions, everything else is a
-            // cursor or bitmap probe.
-            // The set probe leads: it is the cheapest check and, when
-            // the set did not drive, the one that rejects most (a
-            // driving gate already sits on `d`, so it passes for free).
-            let rejected = filter_cursor.as_mut().is_some_and(|f| f.seek(d) != d)
-                || exclusions.iter_mut().any(|u| u.seek(d) == d)
-                || (has_deleted && self.index.is_deleted(DocId(d)))
-                || !self.index.is_visible(DocId(d))
-                || !filter(DocId(d))
-                || phrase_exclusions
-                    .iter_mut()
-                    .any(|p| p.member_seek(d) == d && p.verify(d).is_some())
-                || must_phrases.iter().any(|&i| {
-                    let AnyScorer::Phrase(p) = &mut scorers[i] else {
-                        unreachable!("must_phrases indexes phrase scorers");
-                    };
-                    p.verify(d).is_none()
-                });
+            // ---- Fill ------------------------------------------------
+            // Essential cursors leave the window behind them: a term
+            // copies its tfs into its row, a phrase verifies each member
+            // (its cursors cannot come back) and stores a match's
+            // contribution as f32 bits. Either marks its docs.
+            let words = (hi - lo) as usize / 64 + 1;
+            mask[..words].fill(0);
+            if must_driven {
+                mask[0] = 1;
+            }
+            for &(i, _) in &order[ness..] {
+                let row = &mut rows[i * WINDOW..(i + 1) * WINDOW];
+                let mut put = |d: u32, v: u32| {
+                    let off = (d - lo) as usize;
+                    row[off] = v;
+                    mask[off / 64] |= 1 << (off % 64);
+                };
+                match &mut scorers[i] {
+                    AnyScorer::Term(t) => t.cursor.drain_through(hi, &mut put),
+                    AnyScorer::Phrase(p) => {
+                        while p.member <= hi {
+                            let m = p.member;
+                            if let Some((count, first)) = p.verify(m) {
+                                put(m, self.phrase_contribution(p, m, count, first).to_bits());
+                            }
+                            p.member_seek(m + 1);
+                        }
+                    }
+                }
+            }
 
-            if !rejected {
-                // ---- Score with partial-sum abandon ----------------
-                let mut abandoned = false;
-                // A doc enters the heap only if some positive clause
-                // actually matched it (a phrase candidate can fail
-                // verification everywhere and contribute nothing; the
-                // exhaustive accumulator has no entry for such docs).
-                let mut matched = false;
-                let mut running = 0.0f32;
-                contribs.iter_mut().for_each(|c| *c = 0.0);
-                if !must_driven {
-                    for &i in &order[ness..] {
+            // ---- Candidates, in doc order ----------------------------
+            for (w, &word) in mask[..words].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let off = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let d = lo + off as u32;
+
+                    // Cheap rejections. Positional checks (must /
+                    // must-not phrase verification) run last: they decode
+                    // positions, everything else is a cursor or bitmap
+                    // probe. The set probe leads: it is the cheapest
+                    // check and, when the set did not drive, the one that
+                    // rejects most (a driving gate already sits on `d`,
+                    // so it passes for free).
+                    let rejected = filter_cursor.as_mut().is_some_and(|f| f.seek(d) != d)
+                        || exclusions.iter_mut().any(|u| u.seek(d) == d)
+                        || (has_deleted && self.index.is_deleted(DocId(d)))
+                        || !self.index.is_visible(DocId(d))
+                        || !filter(DocId(d))
+                        || phrase_exclusions
+                            .iter_mut()
+                            .any(|p| p.member_seek(d) == d && p.verify(d).is_some())
+                        || (must_phrases
+                            && scorers
+                                .iter_mut()
+                                .filter_map(AnyScorer::must_phrase)
+                                .any(|p| p.verify(d).is_none()));
+                    if rejected {
+                        for &(i, _) in &order[ness..] {
+                            rows[i * WINDOW + off] = 0;
+                        }
+                        continue;
+                    }
+
+                    // ---- Score with partial-sum abandon --------------
+                    // A doc enters the heap only if some positive clause
+                    // actually matched it (a phrase candidate can fail
+                    // verification everywhere and contribute nothing;
+                    // the exhaustive accumulator has no entry for such
+                    // docs). A mask bit set by the fill is a match; a
+                    // gated candidate needs a probe to match.
+                    let mut matched = !must_driven;
+                    let mut running = 0.0f32;
+                    for &(i, _) in &order[ness..] {
+                        let slot = std::mem::take(&mut rows[i * WINDOW + off]);
+                        let v = match &scorers[i] {
+                            AnyScorer::Term(_) if slot == 0 => 0.0,
+                            AnyScorer::Term(t) => self.clause_score(t, d, slot),
+                            // +0.0 when absent, which adds exactly.
+                            AnyScorer::Phrase(_) => f32::from_bits(slot),
+                        };
+                        contribs[i] = v;
+                        running += v;
+                    }
+                    let mut abandoned = false;
+                    for j in (0..ness).rev() {
+                        if heap.len() == k && running + order[j].1 <= *threshold {
+                            // Even granting every unprobed scorer its
+                            // full bound, `d` stays (strictly) under the
+                            // threshold.
+                            abandoned = true;
+                            break;
+                        }
+                        let i = order[j].0;
+                        scorers[i].seek(d);
                         let v = self.score_at(&mut scorers[i], d, &mut matched);
                         contribs[i] = v;
                         running += v;
                     }
-                }
-                let probe_from = if must_driven { order.len() } else { ness };
-                for j in (0..probe_from).rev() {
-                    if heap.len() == k && running + prefix[j] <= *threshold {
-                        // Even granting every unprobed scorer its full
-                        // bound, `d` stays (strictly) under the
-                        // threshold.
-                        abandoned = true;
-                        break;
+                    if abandoned || !matched {
+                        continue;
                     }
-                    let i = order[j];
-                    scorers[i].seek(d);
-                    let v = self.score_at(&mut scorers[i], d, &mut matched);
-                    contribs[i] = v;
-                    running += v;
-                }
-                if !abandoned && matched {
                     // Canonical-order sum: bit-identical to the
-                    // exhaustive accumulator (adding 0.0 for scorers
-                    // that missed `d` — or were not built because the
-                    // segment lacks their term — is exact for
-                    // non-negative f32).
+                    // exhaustive accumulator (adding 0.0 for scorers that
+                    // missed `d` — or were not built because the segment
+                    // lacks their term — is exact for non-negative f32).
                     let score = contribs.iter().fold(0.0f32, |a, &b| a + b);
                     let entry = HeapEntry { score, doc: d };
                     // Admission: a full heap takes only an entry that
@@ -790,19 +851,11 @@ impl<'a> Searcher<'a> {
                     } else if let Some(mut worst) = heap.peek_mut().filter(|w| entry < **w) {
                         *worst = entry;
                     }
-                    if heap.len() == k {
-                        let worst = heap.peek().expect("heap is full").score;
-                        if worst > *threshold {
-                            *threshold = worst;
-                            while ness < order.len() && prefix[ness] <= *threshold {
-                                ness += 1;
-                            }
-                        }
+                    if let Some(worst) = heap.peek().filter(|_| heap.len() == k) {
+                        *threshold = threshold.max(worst.score);
                     }
                 }
             }
-            // The essential cursors still sitting on `d` advance at the
-            // top of the next selection scan (fused with the min scan).
         }
     }
 
@@ -845,7 +898,9 @@ impl<'a> Searcher<'a> {
     #[inline]
     fn clause_score(&self, sc: &Scorer<'_>, d: u32, tf: u32) -> f32 {
         let len = sc.lens[d as usize] as f32;
-        sc.boost * self.bm25(tf as f32, len, sc.avg_len, sc.idf)
+        let v = sc.boost * self.bm25(tf as f32, len, sc.avg_len, sc.idf);
+        debug_assert!(v <= sc.bound, "doc {d}: {v} over its segment's bound");
+        v
     }
 
     /// One scorer's contribution for candidate `d` (0.0 when the
@@ -857,10 +912,7 @@ impl<'a> Searcher<'a> {
             AnyScorer::Term(t) => {
                 if t.cursor.doc() == d {
                     *matched = true;
-                    let tf = t.cursor.tf();
-                    let v = self.clause_score(t, d, tf);
-                    debug_assert!(v <= t.bound, "doc {d}: {v} over its segment's bound");
-                    v
+                    self.clause_score(t, d, t.cursor.tf())
                 } else {
                     0.0
                 }
@@ -869,16 +921,21 @@ impl<'a> Searcher<'a> {
                 if p.member == d {
                     if let Some((count, first)) = p.verify(d) {
                         *matched = true;
-                        // The exhaustive `phrase_score` expression on
-                        // the plan's precomputed idf sum.
-                        let f = &p.fields[first];
-                        let len = f.lens[d as usize] as f32;
-                        return f.boost * self.bm25(count as f32, len, f.avg_len, f.idf);
+                        return self.phrase_contribution(p, d, count, first);
                     }
                 }
                 0.0
             }
         }
+    }
+
+    /// A verified phrase's contribution at `d`, from its occurrence
+    /// count and first matching field: the exhaustive `phrase_score`
+    /// expression on the plan's precomputed idf sum.
+    fn phrase_contribution(&self, p: &PhraseScorer<'_>, d: u32, count: u32, first: usize) -> f32 {
+        let f = &p.fields[first];
+        let len = f.lens[d as usize] as f32;
+        f.boost * self.bm25(count as f32, len, f.avg_len, f.idf)
     }
 
     /// Build a phrase scorer over one segment: per-field conjunction
@@ -901,6 +958,7 @@ impl<'a> Searcher<'a> {
         &self,
         tokens: &[TermId],
         fields: &[FieldScore],
+        occur: Occur,
         seg: SegmentView<'a>,
     ) -> Option<PhraseScorer<'a>> {
         let mut pfields: Vec<PhraseField<'a>> = Vec::new();
@@ -935,6 +993,7 @@ impl<'a> Searcher<'a> {
             .fold(f32::NEG_INFINITY, f32::max);
         Some(PhraseScorer {
             fields: pfields,
+            must: occur == Occur::Must,
             member,
             verified_doc: NO_DOC,
             verified: None,
@@ -966,25 +1025,22 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Analyze raw query text with the index's analyzer, mapping each
-    /// token to an existing term id. Tokens the index has never seen
-    /// are dropped, and so are terms whose postings were entirely
-    /// purged by merges (the lexicon never forgets a term, but a term
-    /// surviving only in tombstoned-and-compacted documents must query
-    /// exactly like one that was never indexed — otherwise a compacted
-    /// index and a from-scratch rebuild would disagree on `+must`
-    /// vacuousness).
-    /// Analyze raw query text against the *effective* corpus. Each
-    /// surviving token is `Some(local id)` when this index can resolve
-    /// it, or `None` for a token that is alive elsewhere in the union
-    /// (global stats attached) but absent from this shard's lexicon —
-    /// such a token matches no local document, yet must keep shaping
-    /// the clause (`+must` vacuousness, phrase contiguity) exactly as
-    /// the single-index build would, otherwise a shard would return
-    /// docs the union search rejects.
+    /// Analyze raw query text with the index's analyzer against the
+    /// *effective* corpus: a token survives only if some field holds
+    /// postings for it. Never-seen tokens are dropped, and so are terms
+    /// whose postings were entirely purged by merges (the lexicon never
+    /// forgets a term, but a term surviving only in
+    /// tombstoned-and-compacted documents must query exactly like one
+    /// that was never indexed — otherwise a compacted index and a
+    /// from-scratch rebuild would disagree on `+must` vacuousness).
     ///
-    /// Without global stats the presence test is local (`has_postings`
-    /// in any field) and every returned token is `Some`.
+    /// On a single index the presence test is local and every
+    /// surviving token is `Some(local id)`. With global stats attached
+    /// it runs over the union, and a token alive elsewhere but absent
+    /// from this shard's lexicon is `None`: it matches no local
+    /// document, yet keeps shaping the clause (`+must` vacuousness,
+    /// phrase contiguity) exactly as the single-index build would,
+    /// otherwise a shard would return docs the union search rejects.
     fn analyze_query_tokens(&self, raw: &str) -> Vec<Option<TermId>> {
         match self.global {
             None => self
@@ -1097,28 +1153,34 @@ enum Planned {
 }
 
 /// A plan instantiated over one segment (see
-/// [`Searcher::instantiate`]); the vectors are reused from segment to
-/// segment.
+/// [`Searcher::instantiate`]), with the window loop's buffers; the
+/// vectors are reused from segment to segment.
 #[derive(Default)]
 struct SegmentRun<'a> {
     /// In canonical (clause, token, field) order — the exact order the
-    /// exhaustive accumulator adds contributions.
+    /// exhaustive accumulator adds contributions. `+must` phrases are
+    /// among them, marked on the scorer.
     scorers: Vec<AnyScorer<'a>>,
     /// One non-scoring union-of-fields cursor per `+must` token.
     must_groups: Vec<UnionCursor<'a>>,
-    /// Indices into `scorers` of `+must` phrase clauses.
-    must_phrases: Vec<usize>,
     /// One union cursor per `-must-not` token.
     exclusions: Vec<UnionCursor<'a>>,
     /// `-must-not` phrases exclude only positionally verified docs.
     phrase_exclusions: Vec<PhraseScorer<'a>>,
+    /// `(scorer index, bound prefix through it)`, by ascending bound.
+    order: Vec<(usize, f32)>,
+    /// One candidate's per-scorer contributions, by scorer index.
+    contribs: Vec<f32>,
+    /// Window rows: scorer `i`'s entry for doc `lo + off` sits at
+    /// `i * WINDOW + off` — a term's tf, a verified phrase's
+    /// contribution as f32 bits — and is 0 where the scorer has none.
+    rows: Vec<u32>,
 }
 
 impl SegmentRun<'_> {
     fn clear(&mut self) {
         self.scorers.clear();
         self.must_groups.clear();
-        self.must_phrases.clear();
         self.exclusions.clear();
         self.phrase_exclusions.clear();
     }
@@ -1236,6 +1298,9 @@ impl PhraseField<'_> {
 struct PhraseScorer<'a> {
     /// Per-field conjunctions, in field order.
     fields: Vec<PhraseField<'a>>,
+    /// A `+must` phrase: its membership gates candidates and its
+    /// verification rejects them.
+    must: bool,
     /// Smallest per-field conjunction doc: the current (unverified)
     /// membership candidate.
     member: u32,
@@ -1301,13 +1366,14 @@ impl PhraseScorer<'_> {
                 first = first.or(Some(at));
             }
         }
-        self.verified = (total > 0).then(|| (total, first.expect("count > 0 implies a field")));
+        // `first` is set exactly when some field counted a match.
+        self.verified = first.map(|at| (total, at));
         self.verified
     }
 }
 
 /// Either scorer shape of the pruned executor, unified so the MaxScore
-/// order/prefix machinery and the DAAT loop treat them uniformly.
+/// order/prefix machinery and the window loop treat them uniformly.
 // Term scorers embed a posting cursor whose unpacked block buffer
 // lives inline (see `PostingsCursor`); keeping it unboxed preserves
 // that locality in the scoring loop.
@@ -1317,7 +1383,7 @@ enum AnyScorer<'a> {
     Phrase(PhraseScorer<'a>),
 }
 
-impl AnyScorer<'_> {
+impl<'a> AnyScorer<'a> {
     /// Inflated score upper bound.
     fn bound(&self) -> f32 {
         match self {
@@ -1345,30 +1411,20 @@ impl AnyScorer<'_> {
         }
     }
 
-    /// Last doc id through which [`Searcher::block_bound`] stays valid
-    /// for this scorer: the current block boundary for term cursors
-    /// over packed lists, the current doc otherwise (no extension).
+    /// Last doc id through which [`Searcher::block_bound`] holds: the
+    /// end of a term cursor's block; a phrase's bound is static.
     fn block_last_doc(&self) -> u32 {
         match self {
             AnyScorer::Term(t) => t.cursor.block_last_doc(),
-            AnyScorer::Phrase(p) => p.member,
+            AnyScorer::Phrase(_) => NO_DOC,
         }
     }
 
-    /// Move past `d` if currently on it (the essential-union advance
-    /// step).
-    fn advance_past(&mut self, d: u32) {
+    /// The phrase scorer of a `+must` phrase clause.
+    fn must_phrase(&mut self) -> Option<&mut PhraseScorer<'a>> {
         match self {
-            AnyScorer::Term(t) => {
-                if t.cursor.doc() == d {
-                    t.cursor.next();
-                }
-            }
-            AnyScorer::Phrase(p) => {
-                if p.member == d {
-                    p.member_seek(d + 1);
-                }
-            }
+            AnyScorer::Phrase(p) if p.must => Some(p),
+            _ => None,
         }
     }
 }
@@ -1423,11 +1479,9 @@ impl<'a> UnionCursor<'a> {
 fn must_candidate(
     groups: &mut [UnionCursor<'_>],
     scorers: &mut [AnyScorer<'_>],
-    phrase_idxs: &[usize],
     mut filter_gate: Option<&mut FilterCursor<'_>>,
     target: u32,
 ) -> Option<u32> {
-    debug_assert!(!groups.is_empty() || !phrase_idxs.is_empty() || filter_gate.is_some());
     let mut d = target;
     loop {
         let mut changed = false;
@@ -1454,10 +1508,7 @@ fn must_candidate(
                 changed = true;
             }
         }
-        for &i in phrase_idxs {
-            let AnyScorer::Phrase(p) = &mut scorers[i] else {
-                unreachable!("must_phrases indexes phrase scorers");
-            };
+        for p in scorers.iter_mut().filter_map(AnyScorer::must_phrase) {
             let got = p.member_seek(d);
             if got == NO_DOC {
                 return None;

@@ -5,7 +5,8 @@ use std::collections::HashMap;
 
 use symphony_text::postings::{CompressedPostings, PostingList, PostingsCursor, NO_DOC};
 use symphony_text::{
-    Analyzer, Doc, DocId, Index, IndexConfig, Query, Searcher, SegmentPolicy, StandardAnalyzer,
+    Analyzer, Doc, DocId, DocSet, Index, IndexConfig, Query, SearchHit, Searcher, SegmentPolicy,
+    StandardAnalyzer,
 };
 
 /// One step of a random segment-lifecycle schedule for
@@ -95,6 +96,48 @@ fn clause() -> impl Strategy<Value = String> {
         ],
     )
         .prop_map(|(occur, field, tok)| format!("{occur}{field}{tok}"))
+}
+
+/// Words of the multi-window corpora, `v0` (most frequent) to `v11`.
+const WINDOW_VOCAB: u64 = 12;
+
+/// One splitmix64 step: the multi-window corpora are expanded from a
+/// drawn seed rather than drawn word by word.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `len` words of [`WINDOW_VOCAB`] with a skewed (squared-uniform)
+/// rank, so lists range from a few hundred docs to most of a corpus.
+fn skewed_words(state: &mut u64, len: u64) -> String {
+    let words: Vec<String> = (0..len)
+        .map(|_| {
+            let u = (splitmix(state) % 10_000) as f64 / 10_000.0;
+            format!("v{}", (u * u * WINDOW_VOCAB as f64) as u64)
+        })
+        .collect();
+    words.join(" ")
+}
+
+/// Strategy: one clause over [`WINDOW_VOCAB`] — a should term (three
+/// times in seven), `+must`, `-not`, a phrase or a `-"phrase"`.
+fn window_clause() -> impl Strategy<Value = String> {
+    (0u8..7, 0..WINDOW_VOCAB, 0..WINDOW_VOCAB).prop_map(|(shape, a, b)| match shape {
+        0..=2 => format!("v{a}"),
+        3 => format!("+v{a}"),
+        4 => format!("-v{a}"),
+        5 => format!("\"v{a} v{b}\""),
+        _ => format!("-\"v{a} v{b}\""),
+    })
+}
+
+/// Hits as `(doc, score bits)`: equality is bit for bit.
+fn bits(hits: &[SearchHit]) -> Vec<(DocId, u32)> {
+    hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
 }
 
 /// The score peaks `CompressedPostings::encode` must record for a
@@ -908,6 +951,79 @@ proptest! {
                 "filtered rebuild mismatch on {}",
                 q
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Rank safety across posting blocks and candidate windows. The
+    /// corpora above draw at most 25 documents: one block, one window.
+    /// Here 300–3 000 documents over a dozen skewed words give lists of
+    /// several blocks and windows, so the window ceiling, the window
+    /// skip, a threshold raised inside a window and the `+must`
+    /// one-candidate windows all run. The index is one to three sealed
+    /// segments, optionally with a memtable tail (raw lists), with
+    /// tombstones; `k` reaches past a result pool's depth. Every query
+    /// mixes should terms, `+must`, `-not`, phrases and `-"phrase"`,
+    /// and runs plain, under a closure filter and under a `DocSet`
+    /// mounted as a probe (dense) and as a gate (sparse): each equals
+    /// the reference bit for bit.
+    #[test]
+    fn windows_equal_reference(
+        docs in 300u32..3_000,
+        seed in any::<u64>(),
+        k in 1usize..65,
+        segments in 1u32..4,
+        memtable in any::<bool>(),
+        tombstone_every in 5u32..40,
+        queries in proptest::collection::vec(proptest::collection::vec(window_clause(), 1..5), 3..4),
+    ) {
+        let mut idx = Index::new(IndexConfig { store_text: false, ..IndexConfig::default() });
+        let title = idx.register_field("title", 2.0);
+        let body = idx.register_field("body", 1.0);
+        // The last tenth stays in the memtable when asked; the rest
+        // seals into `segments` segments.
+        let sealed = if memtable { docs - docs / 10 } else { docs };
+        let mut state = seed;
+        for i in 1..=docs {
+            let (title_len, body_len) = (1 + splitmix(&mut state) % 4, 3 + splitmix(&mut state) % 22);
+            let (t, b) = (skewed_words(&mut state, title_len), skewed_words(&mut state, body_len));
+            idx.add(Doc::new().field(title, t).field(body, b));
+            if (1..=segments).any(|s| i == sealed * s / segments) {
+                idx.seal();
+            }
+        }
+        for d in (seed as u32 % tombstone_every..docs).step_by(tombstone_every as usize) {
+            idx.delete(DocId(d));
+        }
+        prop_assert_eq!(idx.stats().memtable_docs > 0, memtable);
+
+        let dense = DocSet::from_sorted((0..docs).filter(|d| d % 3 != 0).collect());
+        let sparse = DocSet::from_sorted((0..docs).step_by(97).collect());
+        let filter = |d: DocId| d.0 % 5 != 1;
+        let searcher = Searcher::new(&idx);
+        for clauses in &queries {
+            let q = Query::parse(&clauses.join(" "));
+            let at = format!("{q} k={k} docs={docs} seed={seed}");
+            prop_assert_eq!(
+                bits(&searcher.search(&q, k)),
+                bits(&searcher.search_exhaustive(&q, k, |_| true)),
+                "{}", at
+            );
+            prop_assert_eq!(
+                bits(&searcher.search_filtered(&q, k, filter)),
+                bits(&searcher.search_exhaustive(&q, k, filter)),
+                "{} filtered", at
+            );
+            for set in [&dense, &sparse] {
+                prop_assert_eq!(
+                    bits(&searcher.search_docset(&q, k, set)),
+                    bits(&searcher.search_exhaustive(&q, k, |d| set.contains(d))),
+                    "{} under a set of {}", at, set.len()
+                );
+            }
         }
     }
 }

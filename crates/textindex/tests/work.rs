@@ -1,7 +1,7 @@
 //! Work guard for pruning on a live index: candidates, not clocks.
 //!
 //! `search_filtered`'s closure is called once per candidate that
-//! survives the executor's block-max skip (and `search_exhaustive`'s
+//! survives the executor's block-max window skip (and `search_exhaustive`'s
 //! once per matching document), so a counting closure *is* the
 //! candidate counter — no hook in the product code. Every figure
 //! is a count over a fixed corpus and query list and repeats exactly
@@ -33,6 +33,26 @@
 //! 1 284 ×3, 971 / 971 / 926 and 1 061 ×3. [`CATALOG`] pins the same
 //! effect on a catalog-shaped list, and [`PHRASES`] / [`MUST_PHRASE`]
 //! count the executor's work on phrase queries.
+//!
+//! Scoring a window at a time then moved every pruned row up. At
+//! parent commit 2cff7e1, a per-candidate loop, the rows read
+//! 1 436 / 1 431 / 1 419, 930 ×3, 1 038 / 1 038 / 980, 874 ×3 and
+//! 1 051 ×3. Two reasons, both the price of a cheaper loop per
+//! candidate. First, a window is skipped only when the block bounds of
+//! *every* essential cursor inside it, plus the non-essential mass,
+//! cannot reach the threshold; the old skip at a candidate counted
+//! only the cursors sitting on that doc, so it also ruled out docs
+//! whose own lists fell short while another list's block did not.
+//! Second, the essential partition is fixed when a
+//! window opens, so a threshold raised inside the window prunes from
+//! the next window on. The phrase rows moved for the first reason
+//! (`"w1 w0" w3 w7`: 1 803) and against it (`"w0 w9" w5`: 1 421 → 450):
+//! an essential phrase verifies its members while it fills the window,
+//! so only verified matches reach the filter, where the old loop put
+//! every co-occurrence to it first. The catalog and `+` phrase rows
+//! did not move: a one-term query has nothing else in its windows, and
+//! a gate drives one candidate at a time, as before. [`WEB`] pins a
+//! web-shaped query, several terms at a result pool's depth.
 
 use std::cell::Cell;
 
@@ -53,11 +73,11 @@ const QUERIES: [&str; 5] = [
 /// Candidates per query of [`QUERIES`]: exhaustive (any layout), then
 /// the pruned executor on `compact`, `live` and `five`.
 const CANDIDATES: [[usize; 4]; 5] = [
-    [3_643, 1_436, 1_431, 1_419],
-    [3_235, 930, 930, 930],
-    [3_802, 1_038, 1_038, 980],
-    [2_934, 874, 874, 874],
-    [2_392, 1_051, 1_051, 1_051],
+    [3_643, 1_493, 1_488, 1_476],
+    [3_235, 1_000, 1_000, 1_000],
+    [3_802, 1_420, 1_420, 1_337],
+    [2_934, 1_128, 1_128, 1_073],
+    [2_392, 1_118, 1_118, 1_118],
 ];
 
 /// A splitmix64 stream: the corpus must not depend on any crate's RNG.
@@ -119,8 +139,14 @@ enum Executor {
 }
 use Executor::{Reference, Serving};
 
-/// Candidates the executor put to the filter for `query`, and its hits.
-fn candidates(idx: &Index, executor: Executor, query: &str) -> (usize, Vec<(DocId, u32)>) {
+/// Candidates the executor put to the filter for `query` at depth
+/// `k`, and its hits.
+fn candidates(
+    idx: &Index,
+    executor: Executor,
+    query: &str,
+    k: usize,
+) -> (usize, Vec<(DocId, u32)>) {
     let seen = Cell::new(0usize);
     let count = |_: DocId| {
         seen.set(seen.get() + 1);
@@ -128,8 +154,8 @@ fn candidates(idx: &Index, executor: Executor, query: &str) -> (usize, Vec<(DocI
     };
     let (searcher, query) = (Searcher::new(idx), Query::parse(query));
     let hits = match executor {
-        Reference => searcher.search_exhaustive(&query, K, count),
-        Serving => searcher.search_filtered(&query, K, count),
+        Reference => searcher.search_exhaustive(&query, k, count),
+        Serving => searcher.search_filtered(&query, k, count),
     };
     let hits = hits.iter().map(|h| (h.doc, h.score.to_bits())).collect();
     (seen.get(), hits)
@@ -160,13 +186,13 @@ fn a_live_index_prunes_like_a_sealed_one() {
             });
             assert!(in_memtable > 0, "{word} must occur in the memtable");
         }
-        let (exhaustive, want) = candidates(&compact, Reference, query);
-        let (base, hits) = candidates(&compact, Serving, query);
+        let (exhaustive, want) = candidates(&compact, Reference, query, K);
+        let (base, hits) = candidates(&compact, Serving, query, K);
         assert_eq!(hits, want, "{query}: compact");
         let allowed = base + base / 4 + MEMTABLE_DOCS as usize;
         let mut counts = vec![exhaustive, base];
         for (name, idx) in [("live", &live), ("five", &five)] {
-            let (seen, hits) = candidates(idx, Serving, query);
+            let (seen, hits) = candidates(idx, Serving, query, K);
             assert_eq!(hits, want, "{query}: {name}");
             counts.push(seen);
             assert!(
@@ -237,8 +263,8 @@ fn a_catalog_query_skips_blocks() {
         idx.doc_freq(term, field) > 40 * 128,
         "one list, dozens of blocks"
     );
-    let (exhaustive, want) = candidates(&idx, Reference, CATALOG_QUERY);
-    let (pruned, hits) = candidates(&idx, Serving, CATALOG_QUERY);
+    let (exhaustive, want) = candidates(&idx, Reference, CATALOG_QUERY, K);
+    let (pruned, hits) = candidates(&idx, Serving, CATALOG_QUERY, K);
     assert_eq!(hits, want);
     assert!(
         5 * pruned <= 4 * 6_272,
@@ -247,14 +273,33 @@ fn a_catalog_query_skips_blocks() {
     assert_eq!((exhaustive, pruned), CATALOG);
 }
 
+/// A web-shaped query on the catalog corpus: three words of falling
+/// frequency, OR-ed, at a result pool's depth, with its `(query,
+/// depth, reference, serving)` candidates. Several lists share every
+/// window, so this is the shape that pays the window ceiling's price:
+/// the per-candidate loop of parent commit 2cff7e1 considered 887.
+const WEB: (&str, usize, usize, usize) = ("c1 c6 c25", 40, 5_885, 979);
+
+#[test]
+fn a_web_query_prunes_at_pool_depth() {
+    let idx = catalog();
+    let (query, depth, reference, serving) = WEB;
+    let (r, want) = candidates(&idx, Reference, query, depth);
+    let (s, hits) = candidates(&idx, Serving, query, depth);
+    assert_eq!(hits, want, "{query}");
+    assert_eq!(hits.len(), depth);
+    assert!(s < r, "{query}: serving considered {s}, the reference {r}");
+    assert_eq!((r, s), (reference, serving), "{query}: reference, serving");
+}
+
 /// Phrase queries on the compact layout: `(query, reference, serving)`
 /// candidates. A phrase that shares its query with terms is one more
 /// MaxScore scorer, so the serving executor skips what cannot reach
 /// the top ten and puts fewer candidates to the filter than the
 /// reference has matching documents.
 const PHRASES: [(&str, usize, usize); 2] = [
-    ("\"w1 w0\" w3 w7", 2_826, 1_803),
-    ("\"w0 w9\" w5", 1_904, 1_421),
+    ("\"w1 w0\" w3 w7", 2_826, 2_519),
+    ("\"w0 w9\" w5", 1_904, 450),
 ];
 
 /// A `+` phrase gates membership instead, and nothing is skipped under
@@ -270,8 +315,8 @@ fn phrases_prune_and_must_phrases_gate() {
     let (mut idx, field) = index(&[]);
     idx.optimize();
     for (query, reference, serving) in PHRASES {
-        let (r, want) = candidates(&idx, Reference, query);
-        let (s, hits) = candidates(&idx, Serving, query);
+        let (r, want) = candidates(&idx, Reference, query, K);
+        let (s, hits) = candidates(&idx, Serving, query, K);
         assert_eq!(hits, want, "{query}");
         assert!(s < r, "{query}: serving considered {s}, the reference {r}");
         assert_eq!((r, s), (reference, serving), "{query}: reference, serving");
@@ -286,8 +331,8 @@ fn phrases_prune_and_must_phrases_gate() {
     };
     let second = docs(words[1]);
     let members = docs(words[0]).iter().filter(|d| second.contains(d)).count();
-    let (r, want) = candidates(&idx, Reference, query);
-    let (s, hits) = candidates(&idx, Serving, query);
+    let (r, want) = candidates(&idx, Reference, query, K);
+    let (s, hits) = candidates(&idx, Serving, query, K);
     assert_eq!(hits, want, "{query}");
     assert_eq!(s, members, "{query}: serving visits the phrase's members");
     assert_eq!((r, s), (reference, serving), "{query}: reference, serving");
