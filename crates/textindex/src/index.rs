@@ -669,22 +669,27 @@ impl Index {
         let base = run.first().map_or(0, |s| s.base);
         let docs = run.last().map_or(base, |s| s.base + s.docs) - base;
         let deleted = &self.deleted;
-        let mut merged: FxHashMap<(TermId, FieldId), PostingList> = FxHashMap::default();
-        // Segments are processed in doc-range order, so per-key appends
-        // stay doc-ordered without a merge heap.
-        for seg in &run {
-            for (&key, (comp, _)) in &seg.postings {
-                let out = merged.entry(key).or_default();
+        let mut keys: Vec<(TermId, FieldId)> = run
+            .iter()
+            .flat_map(|s| s.postings.keys().copied())
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        // One key at a time through one reused list: segments are
+        // visited in doc-range order, so the appends stay doc-ordered
+        // without a merge heap, and only one raw list is ever live.
+        let mut list = PostingList::new();
+        let mut postings = FxHashMap::default();
+        postings.reserve(keys.len());
+        for key in keys {
+            list.clear();
+            for (comp, _) in run.iter().filter_map(|s| s.postings.get(&key)) {
                 comp.for_each(|doc, positions| {
                     if !deleted[doc.as_usize()] {
-                        out.push_posting(doc, positions);
+                        list.push_posting(doc, positions);
                     }
                 });
             }
-        }
-        let mut postings = FxHashMap::default();
-        postings.reserve(merged.len());
-        for (key, list) in merged {
             if list.doc_count() > 0 {
                 postings.insert(key, Self::sealed_list(&self.field_len, key.1, &list));
             }
@@ -731,9 +736,8 @@ impl Index {
     ) -> (CompressedPostings, TermScoreStats) {
         let lens = &field_len[field.0 as usize];
         let min_len = list
-            .postings()
             .iter()
-            .map(|p| lens[p.doc.as_usize()])
+            .map(|(doc, _)| lens[doc.as_usize()])
             .filter(|&len| len > 0)
             .min()
             // All lengths zero can only happen on inconsistent input;

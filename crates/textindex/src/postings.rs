@@ -2,8 +2,9 @@
 //!
 //! Two representations are provided:
 //!
-//! * [`PostingList`] — the mutable, indexing-time representation: a
-//!   doc-ordered `Vec` of postings, each carrying its positions.
+//! * [`PostingList`] — the mutable, indexing-time representation: flat
+//!   doc-ordered arenas of doc ids, position end offsets and positions,
+//!   so a posting costs no allocation of its own.
 //! * [`CompressedPostings`] — an immutable bit-packed byte stream
 //!   produced by [`Index::optimize`](crate::Index::optimize), carved
 //!   into blocks of [`BLOCK_SIZE`] documents. Within a block, doc-id
@@ -36,21 +37,18 @@ pub const BLOCK_SIZE: usize = 128;
 /// document in any index this substrate can build.
 pub const NO_DOC: u32 = u32::MAX;
 
-/// One document's entry in a posting list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Posting {
-    /// The document.
-    pub doc: DocId,
-    /// Term positions within the field, strictly increasing. The term
-    /// frequency is `positions.len()`.
-    pub positions: Vec<u32>,
-}
-
-/// Mutable doc-ordered posting list.
+/// Mutable doc-ordered posting list, stored flat in three arenas
+/// appended in doc order.
 #[derive(Debug, Default, Clone)]
 pub struct PostingList {
-    postings: Vec<Posting>,
-    /// Largest term frequency among `postings`, kept as the list is
+    /// Doc id of each posting, strictly increasing.
+    docs: Vec<u32>,
+    /// Per posting, the end of its run in `positions` (a run starts
+    /// where the previous one ends).
+    ends: Vec<u32>,
+    /// Every posting's strictly increasing positions, back to back.
+    positions: Vec<u32>,
+    /// Largest term frequency on the list, kept as the list is
     /// written so a memtable list has its score-bound ingredient
     /// without a walk.
     max_tf: u32,
@@ -67,10 +65,12 @@ impl PostingList {
     /// Documents must be added in increasing doc-id order (the index
     /// guarantees this: doc ids are assigned at insertion).
     pub fn push_occurrence(&mut self, doc: DocId, position: u32) {
-        match self.postings.last_mut() {
-            Some(last) if last.doc == doc => {
-                last.positions.push(position);
-                self.max_tf = self.max_tf.max(last.positions.len() as u32);
+        match self.docs.last() {
+            Some(&last) if last == doc.0 => {
+                self.positions.push(position);
+                let n = self.ends.len();
+                self.ends[n - 1] += 1;
+                self.max_tf = self.max_tf.max(self.span(n - 1).len() as u32);
             }
             _ => self.push_posting(doc, &[position]),
         }
@@ -82,19 +82,18 @@ impl PostingList {
     pub fn push_posting(&mut self, doc: DocId, positions: &[u32]) {
         debug_assert!(!positions.is_empty(), "a posting has at least one position");
         debug_assert!(
-            self.postings.last().is_none_or(|last| last.doc < doc),
+            self.docs.last().is_none_or(|&last| last < doc.0),
             "postings must be appended in doc order"
         );
         self.max_tf = self.max_tf.max(positions.len() as u32);
-        self.postings.push(Posting {
-            doc,
-            positions: positions.to_vec(),
-        });
+        self.docs.push(doc.0);
+        self.positions.extend_from_slice(positions);
+        self.ends.push(self.positions.len() as u32);
     }
 
     /// Number of documents containing the term.
     pub fn doc_count(&self) -> usize {
-        self.postings.len()
+        self.docs.len()
     }
 
     /// Largest term frequency in the list (`0` when empty).
@@ -106,39 +105,52 @@ impl PostingList {
     /// guarantee every doc id in `other` is greater than every doc id
     /// here — segment merges satisfy this by construction because
     /// segments hold contiguous, increasing doc-id ranges.
-    pub fn append(&mut self, mut other: PostingList) {
-        if let (Some(last), Some(first)) = (self.postings.last(), other.postings.first()) {
+    pub fn append(&mut self, other: PostingList) {
+        if let (Some(last), Some(first)) = (self.docs.last(), other.docs.first()) {
             debug_assert!(
-                last.doc < first.doc,
+                last < first,
                 "segment posting lists must concatenate in doc order"
             );
         }
+        let base = self.positions.len() as u32;
         self.max_tf = self.max_tf.max(other.max_tf);
-        self.postings.append(&mut other.postings);
+        self.docs.extend_from_slice(&other.docs);
+        self.ends.extend(other.ends.iter().map(|&end| base + end));
+        self.positions.extend_from_slice(&other.positions);
     }
 
-    /// Borrow the raw postings.
-    pub fn postings(&self) -> &[Posting] {
-        &self.postings
+    /// Empty the list, keeping its capacity for the next fill.
+    pub(crate) fn clear(&mut self) {
+        self.docs.clear();
+        self.ends.clear();
+        self.positions.clear();
+        self.max_tf = 0;
+    }
+
+    /// Range of posting `i`'s positions in `positions`.
+    #[inline]
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        start as usize..self.ends[i] as usize
+    }
+
+    /// Every posting as `(doc, positions)`, in doc order.
+    pub fn iter(&self) -> impl Iterator<Item = (DocId, &[u32])> + '_ {
+        self.docs
+            .iter()
+            .enumerate()
+            .map(|(i, &doc)| (DocId(doc), &self.positions[self.span(i)]))
     }
 
     /// Open a document-at-a-time cursor positioned on the first
     /// posting.
     pub fn cursor(&self) -> RawCursor<'_> {
-        RawCursor {
-            postings: &self.postings,
-            idx: 0,
-        }
+        RawCursor { list: self, idx: 0 }
     }
 
     /// Approximate heap size in bytes (for footprint estimates).
     pub fn heap_bytes(&self) -> usize {
-        self.postings.capacity() * std::mem::size_of::<Posting>()
-            + self
-                .postings
-                .iter()
-                .map(|p| p.positions.capacity() * 4)
-                .sum::<usize>()
+        (self.docs.capacity() + self.ends.capacity() + self.positions.capacity()) * 4
     }
 }
 
@@ -278,35 +290,36 @@ impl CompressedPostings {
     /// and falls with length, so the larger of the two peaks' scores
     /// bounds the block — under any `k1`/`b`, idf and average length.
     pub fn encode(list: &PostingList, lens: &[u32]) -> Self {
-        let mut data = Vec::with_capacity(list.postings.len() * 2);
-        let mut pos_data = Vec::with_capacity(list.postings.len());
-        let mut blocks: Vec<BlockMeta> =
-            Vec::with_capacity(list.postings.len().div_ceil(BLOCK_SIZE));
+        let n = list.docs.len();
+        let mut data = Vec::with_capacity(n * 2);
+        let mut pos_data = Vec::with_capacity(list.positions.len());
+        let mut blocks: Vec<BlockMeta> = Vec::with_capacity(n.div_ceil(BLOCK_SIZE));
         let mut deltas = [0u32; BLOCK_SIZE];
         let mut tfs = [0u32; BLOCK_SIZE];
         let mut base = 0u32;
-        for chunk in list.postings.chunks(BLOCK_SIZE) {
+        for (c, chunk) in list.docs.chunks(BLOCK_SIZE).enumerate() {
             let pos_offset = pos_data.len() as u32;
             let mut prev = base;
             let (mut block_max_tf, mut s, mut m) = (0u32, 0u32, u32::MAX);
             let mut max_delta = 0u32;
             let mut max_tfm1 = 0u32;
-            for (i, p) in chunk.iter().enumerate() {
-                deltas[i] = p.doc.0 - prev;
-                prev = p.doc.0;
-                let tf = p.positions.len() as u32;
+            for (i, &doc) in chunk.iter().enumerate() {
+                deltas[i] = doc - prev;
+                prev = doc;
+                let positions = &list.positions[list.span(c * BLOCK_SIZE + i)];
+                let tf = positions.len() as u32;
                 tfs[i] = tf - 1;
                 max_delta = max_delta.max(deltas[i]);
                 max_tfm1 = max_tfm1.max(tfs[i]);
                 block_max_tf = block_max_tf.max(tf);
-                let len = lens[p.doc.as_usize()];
+                let len = lens[doc as usize];
                 if len != 0 && len < m {
                     (m, s) = (len, tf);
                 } else if len == m {
                     s = s.max(tf);
                 }
                 let mut prev_pos = 0u32;
-                for (j, &pos) in p.positions.iter().enumerate() {
+                for (j, &pos) in positions.iter().enumerate() {
                     let d = if j == 0 { pos } else { pos - prev_pos };
                     prev_pos = pos;
                     write_varint(&mut pos_data, d);
@@ -319,7 +332,7 @@ impl CompressedPostings {
                 .iter()
                 .zip(&tfs)
                 .filter(|&(_, &tfm1)| tfm1 + 1 > s)
-                .map(|(p, _)| lens[p.doc.as_usize()])
+                .map(|(&doc, _)| lens[doc as usize])
                 .filter(|&len| len > 0)
                 .min()
                 .unwrap_or(m);
@@ -341,7 +354,7 @@ impl CompressedPostings {
         CompressedPostings {
             data,
             pos_data,
-            doc_count: list.postings.len() as u32,
+            doc_count: n as u32,
             blocks,
         }
     }
@@ -630,28 +643,25 @@ impl CompressedCursor<'_> {
 /// Document-at-a-time cursor over a raw [`PostingList`].
 #[derive(Debug, Clone)]
 pub struct RawCursor<'a> {
-    postings: &'a [Posting],
+    list: &'a PostingList,
     idx: usize,
 }
 
 impl RawCursor<'_> {
     /// Current doc id, or [`NO_DOC`] when exhausted.
     pub fn doc(&self) -> u32 {
-        match self.postings.get(self.idx) {
-            Some(p) => p.doc.0,
-            None => NO_DOC,
-        }
+        self.list.docs.get(self.idx).copied().unwrap_or(NO_DOC)
     }
 
     /// Doc id of the list's final posting (independent of cursor
     /// position); [`NO_DOC`] for an empty list.
     pub fn last_doc(&self) -> u32 {
-        self.postings.last().map_or(NO_DOC, |p| p.doc.0)
+        self.list.docs.last().copied().unwrap_or(NO_DOC)
     }
 
     /// Term frequency of the current posting.
     pub fn tf(&self) -> u32 {
-        self.postings[self.idx].positions.len() as u32
+        self.list.span(self.idx).len() as u32
     }
 
     /// Append the current posting's positions to `out` (cleared
@@ -659,7 +669,7 @@ impl RawCursor<'_> {
     /// cursor's streaming position memo.
     pub fn positions(&mut self, out: &mut Vec<u32>) {
         out.clear();
-        out.extend_from_slice(&self.postings[self.idx].positions);
+        out.extend_from_slice(&self.list.positions[self.list.span(self.idx)]);
     }
 
     /// Last doc id of the current "block": a raw list has no block
@@ -678,7 +688,7 @@ impl RawCursor<'_> {
         if self.doc() >= target {
             return;
         }
-        self.idx += 1 + self.postings[self.idx + 1..].partition_point(|p| p.doc.0 < target);
+        self.idx += 1 + self.list.docs[self.idx + 1..].partition_point(|&d| d < target);
     }
 }
 
@@ -848,15 +858,31 @@ mod tests {
 
     /// Encode with every document one token long.
     fn packed(l: &PostingList) -> CompressedPostings {
-        let docs = l.postings().last().map_or(0, |p| p.doc.as_usize() + 1);
+        let docs = l.docs.last().map_or(0, |&d| d as usize + 1);
         CompressedPostings::encode(l, &vec![1; docs])
+    }
+
+    /// The list as owned `(doc, positions)` pairs, for comparisons.
+    fn owned(l: &PostingList) -> Vec<(u32, Vec<u32>)> {
+        l.iter().map(|(d, p)| (d.0, p.to_vec())).collect()
     }
 
     #[test]
     fn push_merges_same_doc_occurrences() {
         let l = sample();
         assert_eq!(l.doc_count(), 3);
-        assert_eq!(l.postings()[0].positions, vec![0, 5]);
+        assert_eq!(owned(&l)[0], (0, vec![0, 5]));
+        assert_eq!(l.max_tf(), 3);
+    }
+
+    #[test]
+    fn clear_keeps_capacity_for_the_next_fill() {
+        let mut l = long_list(300, 3);
+        let bytes = l.heap_bytes();
+        l.clear();
+        assert_eq!((l.doc_count(), l.max_tf(), l.heap_bytes()), (0, 0, bytes));
+        sample().iter().for_each(|(doc, p)| l.push_posting(doc, p));
+        assert_eq!((owned(&l), l.max_tf()), (owned(&sample()), 3));
     }
 
     #[test]
@@ -865,7 +891,7 @@ mod tests {
         let c = packed(&l);
         assert_eq!(c.doc_count(), 3);
         let back = c.decode();
-        assert_eq!(back.postings(), l.postings());
+        assert_eq!(owned(&back), owned(&l));
     }
 
     #[test]
@@ -873,7 +899,7 @@ mod tests {
         let mut l = PostingList::new();
         l.push_occurrence(DocId(0), 7);
         let back = packed(&l).decode();
-        assert_eq!(back.postings(), l.postings());
+        assert_eq!(owned(&back), owned(&l));
     }
 
     #[test]
@@ -940,12 +966,7 @@ mod tests {
         let l = sample();
         let mut seen = Vec::new();
         packed(&l).for_each(|d, positions| seen.push((d.0, positions.to_vec())));
-        let want: Vec<(u32, Vec<u32>)> = l
-            .postings()
-            .iter()
-            .map(|p| (p.doc.0, p.positions.clone()))
-            .collect();
-        assert_eq!(seen, want);
+        assert_eq!(seen, owned(&l));
     }
 
     /// A cursor over `l` itself and one over its packed form `c`.
@@ -972,9 +993,9 @@ mod tests {
         let l = long_list(300, 3);
         let c = packed(&l);
         for mut cur in both(&l, &c) {
-            for p in l.postings() {
-                assert_eq!(cur.doc(), p.doc.0);
-                assert_eq!(cur.tf(), p.positions.len() as u32);
+            for (doc, positions) in l.iter() {
+                assert_eq!(cur.doc(), doc.0);
+                assert_eq!(cur.tf(), positions.len() as u32);
                 cur.next();
             }
             assert_eq!(cur.doc(), NO_DOC);
@@ -990,16 +1011,16 @@ mod tests {
         let mut buf = Vec::new();
         for (mut cur, mut seeker) in both(&l, &c).into_iter().zip(both(&l, &c)) {
             // Walk via next().
-            for p in l.postings() {
+            for (doc, positions) in l.iter() {
                 cur.positions(&mut buf);
-                assert_eq!(buf, p.positions, "doc {}", p.doc.0);
+                assert_eq!(buf, positions, "doc {}", doc.0);
                 cur.next();
             }
             // And via seek() to scattered docs.
-            for p in l.postings().iter().step_by(37) {
-                seeker.seek(p.doc.0);
+            for (doc, positions) in l.iter().step_by(37) {
+                seeker.seek(doc.0);
                 seeker.positions(&mut buf);
-                assert_eq!(buf, p.positions, "seek doc {}", p.doc.0);
+                assert_eq!(buf, positions, "seek doc {}", doc.0);
             }
         }
     }
@@ -1007,7 +1028,7 @@ mod tests {
     #[test]
     fn cursor_seek_matches_linear_scan() {
         let l = long_list(1000, 7);
-        let docs: Vec<u32> = l.postings().iter().map(|p| p.doc.0).collect();
+        let docs = l.docs.clone();
         let c = packed(&l);
         for (mut cur, mut past) in both(&l, &c).into_iter().zip(both(&l, &c)) {
             // Seek to every third position plus off-list targets.
@@ -1019,8 +1040,8 @@ mod tests {
                 let expect = docs.iter().copied().find(|&d| d >= target);
                 assert_eq!(cur.doc(), expect.unwrap_or(NO_DOC), "target {target}");
                 if let Some(d) = expect {
-                    let p = &l.postings()[docs.iter().position(|&x| x == d).unwrap()];
-                    assert_eq!(cur.tf(), p.positions.len() as u32);
+                    let i = docs.iter().position(|&x| x == d).unwrap();
+                    assert_eq!(cur.tf(), l.span(i).len() as u32);
                 }
             }
             // Seeking past the end exhausts.
@@ -1109,12 +1130,8 @@ mod tests {
         let l = long_list(300, 2);
         let c = packed(&l);
         let cur = c.cursor();
-        assert_eq!(cur.last_doc(), l.postings().last().unwrap().doc.0);
-        let raw = RawCursor {
-            postings: l.postings(),
-            idx: 0,
-        };
-        assert_eq!(raw.last_doc(), l.postings().last().unwrap().doc.0);
+        assert_eq!(cur.last_doc(), *l.docs.last().unwrap());
+        assert_eq!(l.cursor().last_doc(), *l.docs.last().unwrap());
     }
 
     #[test]

@@ -192,8 +192,8 @@ impl<'a> SegmentList<'a> {
     pub(crate) fn for_each(self, mut f: impl FnMut(DocId, &[u32])) {
         match self.postings {
             ListRef::Raw(l) => {
-                for p in l.postings() {
-                    f(p.doc, &p.positions);
+                for (doc, positions) in l.iter() {
+                    f(doc, positions);
                 }
             }
             ListRef::Packed(c) => c.for_each(f),

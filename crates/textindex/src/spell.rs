@@ -15,9 +15,11 @@ const MAX_DISTANCE: usize = 2;
 /// A spelling suggester snapshot built from an index.
 ///
 /// The suggester copies `(term, df)` pairs at construction; rebuild it
-/// after heavy indexing (it is a few microseconds for typical
-/// lexicons). Document frequencies include tombstoned documents only
-/// until a merge purges them: snapshotting after
+/// after heavy indexing. A build walks the whole lexicon (about 0.7 ms
+/// at 3 755 terms and 10 ms at 24 226 terms on a 2-CPU x86-64 VM), so
+/// build it lazily rather than on every write. Document frequencies
+/// include tombstoned documents only until a merge purges them:
+/// snapshotting after
 /// [`Index::optimize`](crate::Index::optimize) (or once
 /// [`Index::maintain`](crate::Index::maintain) has compacted
 /// tombstone-heavy segments) yields live-corpus popularity, and terms

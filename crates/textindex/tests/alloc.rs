@@ -10,14 +10,17 @@
 //! zero. `Analyzer::analyze_with`, the indexing hot path, borrows
 //! every term from the text or from its reused scratch buffers, so once
 //! a warm-up pass has grown those buffers a document costs zero
-//! allocations.
+//! allocations. The index's write path stores each raw posting list
+//! flat (doc ids, position end offsets and positions in three arenas),
+//! so adding warm documents and merging sealed segments grow a few
+//! arenas per list instead of allocating once per posting.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
 //! (`support/counting_alloc.rs`) cannot skew other suites; all
 //! assertions live in a single `#[test]` so parallel test threads
 //! cannot pollute the counters.
 
-use symphony_text::{Analyzer, Lexicon, StandardAnalyzer, TokenScratch};
+use symphony_text::{Analyzer, Doc, Index, IndexConfig, Lexicon, StandardAnalyzer, TokenScratch};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -105,5 +108,58 @@ fn intern_is_amortized_and_lookup_is_allocation_free() {
         0,
         "analyze_with allocated over {} warm documents",
         texts.len()
+    );
+
+    // The index write path over a small vocabulary: every posting list
+    // exists after the warm-up, so adding documents and merging two
+    // sealed segments only grow list arenas.
+    let mut index = Index::new(IndexConfig::default());
+    let body = index.register_field("body", 1.0);
+    let vocab: Vec<String> = (0..40).map(|i| format!("word{i:02}")).collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut docs = |n: usize| -> Vec<Doc> {
+        (0..n)
+            .map(|_| {
+                let words: Vec<&str> = (0..24)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        vocab[(state % vocab.len() as u64) as usize].as_str()
+                    })
+                    .collect();
+                Doc::new().field(body, words.join(" "))
+            })
+            .collect()
+    };
+    let postings = |index: &Index| -> usize {
+        let lex = index.lexicon();
+        lex.iter().map(|(id, _)| index.doc_freq(id, body)).sum()
+    };
+    for doc in docs(200) {
+        index.add(doc);
+    }
+    let batch = docs(3_000);
+    let before = postings(&index);
+    let (add_allocs, ()) = allocations(|| {
+        for doc in batch {
+            index.add(doc);
+        }
+    });
+    let added = postings(&index) - before;
+    assert!(
+        add_allocs * 10 < added,
+        "Index::add of warm documents performed {add_allocs} allocations for {added} postings"
+    );
+    index.seal();
+    for doc in docs(1_000) {
+        index.add(doc);
+    }
+    index.seal();
+    let (merge_allocs, ()) = allocations(|| index.optimize());
+    let merged = postings(&index);
+    assert!(
+        merge_allocs * 10 < merged,
+        "merging two sealed segments performed {merge_allocs} allocations for {merged} postings"
     );
 }

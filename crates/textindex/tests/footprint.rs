@@ -25,12 +25,12 @@ fn varint_push(out: &mut Vec<u8>, mut v: u32) {
 fn varint_baseline_len(list: &PostingList) -> usize {
     let mut out = Vec::new();
     let mut prev_doc = 0u32;
-    for p in list.postings() {
-        varint_push(&mut out, p.doc.0 - prev_doc);
-        prev_doc = p.doc.0;
-        varint_push(&mut out, p.positions.len() as u32);
+    for (doc, positions) in list.iter() {
+        varint_push(&mut out, doc.0 - prev_doc);
+        prev_doc = doc.0;
+        varint_push(&mut out, positions.len() as u32);
         let mut prev_pos = 0u32;
-        for &pos in &p.positions {
+        for &pos in positions {
             varint_push(&mut out, pos - prev_pos);
             prev_pos = pos;
         }

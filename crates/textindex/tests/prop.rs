@@ -208,7 +208,13 @@ fn posting_data() -> impl Strategy<Value = Vec<(u32, Vec<u32>)>> {
 /// Field lengths for encoding `list`: every document one token long
 /// (the codec checks read no lengths).
 fn ones(list: &PostingList) -> Vec<u32> {
-    vec![1; list.postings().last().map_or(0, |p| p.doc.as_usize() + 1)]
+    vec![1; list.iter().last().map_or(0, |(doc, _)| doc.as_usize() + 1)]
+}
+
+/// The list as owned `(doc, positions)` pairs, the shape of
+/// [`posting_data`].
+fn owned(list: &PostingList) -> Vec<(u32, Vec<u32>)> {
+    list.iter().map(|(doc, p)| (doc.0, p.to_vec())).collect()
 }
 
 /// Append `v` to `out` as a LEB128 varint (reference implementation).
@@ -230,12 +236,12 @@ fn ref_varint_push(out: &mut Vec<u8>, mut v: u32) {
 fn ref_varint_encode(list: &PostingList) -> Vec<u8> {
     let mut out = Vec::new();
     let mut prev_doc = 0u32;
-    for p in list.postings() {
-        ref_varint_push(&mut out, p.doc.0 - prev_doc);
-        prev_doc = p.doc.0;
-        ref_varint_push(&mut out, p.positions.len() as u32);
+    for (doc, positions) in list.iter() {
+        ref_varint_push(&mut out, doc.0 - prev_doc);
+        prev_doc = doc.0;
+        ref_varint_push(&mut out, positions.len() as u32);
         let mut prev_pos = 0u32;
-        for &pos in &p.positions {
+        for &pos in positions {
             ref_varint_push(&mut out, pos - prev_pos);
             prev_pos = pos;
         }
@@ -281,17 +287,31 @@ fn ref_varint_decode(bytes: &[u8]) -> Vec<(u32, Vec<u32>)> {
 }
 
 proptest! {
-    /// Varint/delta compression is lossless.
+    /// A raw list holds exactly the generated postings — written an
+    /// occurrence at a time, or as two halves split at a random point
+    /// and appended — and packing it is lossless.
     #[test]
-    fn compression_roundtrip(data in posting_data()) {
-        let mut list = PostingList::new();
-        for (doc, positions) in &data {
-            for &p in positions {
-                list.push_occurrence(DocId(*doc), p);
+    fn compression_roundtrip(data in posting_data(), split in 0usize..=50) {
+        let split = split.min(data.len());
+        let occurrences = |data: &[(u32, Vec<u32>)]| {
+            let mut list = PostingList::new();
+            for (doc, positions) in data {
+                for &p in positions {
+                    list.push_occurrence(DocId(*doc), p);
+                }
             }
-        }
+            list
+        };
+        let list = occurrences(&data);
+        let max_tf = data.iter().map(|(_, p)| p.len() as u32).max().unwrap_or(0);
+        prop_assert_eq!(owned(&list), data.clone());
+        prop_assert_eq!(list.max_tf(), max_tf);
+        let mut halves = occurrences(&data[..split]);
+        halves.append(occurrences(&data[split..]));
+        prop_assert_eq!(owned(&halves), data.clone());
+        prop_assert_eq!(halves.max_tf(), max_tf);
         let decoded = CompressedPostings::encode(&list, &ones(&list)).decode();
-        prop_assert_eq!(decoded.postings(), list.postings());
+        prop_assert_eq!(owned(&decoded), data);
     }
 
     /// Every block of an encoded list records exactly the reference
@@ -333,19 +353,14 @@ proptest! {
         }
         let reference = ref_varint_decode(&ref_varint_encode(&list));
         let packed = CompressedPostings::encode(&list, &ones(&list));
-        let unpacked: Vec<(u32, Vec<u32>)> = packed
-            .decode()
-            .postings()
-            .iter()
-            .map(|p| (p.doc.0, p.positions.clone()))
-            .collect();
-        prop_assert_eq!(unpacked, reference);
+        prop_assert_eq!(owned(&packed.decode()), reference);
     }
 
-    /// The packed block-skipping cursor agrees with the plain linear
-    /// [`RawCursor`] under arbitrary interleavings of `next` and
-    /// forward `seek` — same doc ids, tfs, and positions at every step,
-    /// and identical exhaustion behavior.
+    /// The packed block-skipping cursor and the raw list's
+    /// [`RawCursor`] both agree with a model walk of the generated
+    /// postings under arbitrary interleavings of `next` and forward
+    /// `seek` — same doc ids, tfs, and positions at every step, and
+    /// identical exhaustion behavior.
     #[test]
     fn packed_cursor_equals_raw_cursor(
         data in posting_data(),
@@ -360,32 +375,37 @@ proptest! {
         let packed = CompressedPostings::encode(&list, &ones(&list));
         let mut a = packed.cursor();
         let mut b = list.cursor();
-        prop_assert_eq!(a.last_doc(), b.last_doc());
+        // The model cursor: an index into `data`.
+        let mut at = 0usize;
+        let model_doc = |at: usize| data.get(at).map_or(NO_DOC, |(doc, _)| *doc);
+        let last = data.last().map_or(NO_DOC, |(doc, _)| *doc);
+        prop_assert_eq!(a.last_doc(), last);
+        prop_assert_eq!(b.last_doc(), last);
         let (mut pa, mut pb) = (Vec::new(), Vec::new());
         for (op, target) in ops {
-            match op {
-                0 => {
-                    a.next();
-                    b.next();
-                }
-                1 => {
-                    a.seek(target);
-                    b.seek(target);
-                }
-                _ => {
-                    // Seek relative to the current doc, so in-block
-                    // short hops get exercised, not just far jumps.
-                    let t = a.doc().saturating_add(target % 7);
-                    a.seek(t);
-                    b.seek(t);
+            if op == 0 {
+                a.next();
+                b.next();
+                at = (at + 1).min(data.len());
+            } else {
+                // `op == 2` seeks relative to the current doc, so
+                // in-block short hops get exercised, not just far jumps.
+                let t = if op == 1 { target } else { a.doc().saturating_add(target % 7) };
+                a.seek(t);
+                b.seek(t);
+                if model_doc(at) < t {
+                    at = data.partition_point(|(doc, _)| *doc < t);
                 }
             }
-            prop_assert_eq!(a.doc(), b.doc());
-            if a.doc() != symphony_text::postings::NO_DOC {
-                prop_assert_eq!(a.tf(), b.tf());
+            prop_assert_eq!(a.doc(), model_doc(at));
+            prop_assert_eq!(b.doc(), model_doc(at));
+            if let Some((_, positions)) = data.get(at) {
+                prop_assert_eq!(a.tf(), positions.len() as u32);
+                prop_assert_eq!(b.tf(), positions.len() as u32);
                 a.positions(&mut pa);
                 b.positions(&mut pb);
-                prop_assert_eq!(&pa, &pb);
+                prop_assert_eq!(&pa, positions);
+                prop_assert_eq!(&pb, positions);
             }
         }
     }

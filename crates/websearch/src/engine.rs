@@ -12,7 +12,7 @@ use crate::corpus::{Corpus, Page, PageKind};
 use crate::logs::LogEntry;
 use crate::pagerank::static_rank;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use symphony_text::query::{Clause, ClauseKind, Occur};
 use symphony_text::snippet::SnippetGenerator;
 use symphony_text::spell::SpellSuggester;
@@ -299,6 +299,11 @@ pub struct SearchEngine {
     /// write when shared (a single node's is unique, so it never does).
     corpus: Arc<Corpus>,
     rank: Vec<f64>,
+    /// `rank.iter().sum()`, kept as pages are pushed so a new page's
+    /// provisional rank (the corpus mean) costs O(1): adding each
+    /// pushed value in turn is the same left fold `Sum` performs, so
+    /// the mean is bit-identical to a from-scratch one.
+    rank_sum: f64,
     web: VerticalIndex,
     image: VerticalIndex,
     video: VerticalIndex,
@@ -311,7 +316,11 @@ pub struct SearchEngine {
     /// query's boosts can be looked up per hit by borrowed URL without
     /// building an owned `(query, url)` key.
     click_boosts: HashMap<String, HashMap<String, f32>>,
-    speller: SpellSuggester,
+    /// The web lexicon's spell suggester, built on the first
+    /// [`SearchEngine::did_you_mean`] and dropped by `maintain`
+    /// whenever the web vertical changes, so neither construction nor
+    /// the write path pays for a snapshot no query asked for.
+    speller: OnceLock<SpellSuggester>,
     /// Corpus-wide scoring statistics, one per vertical, set when this
     /// engine is a document-partitioned shard of a larger corpus (see
     /// [`SearchEngine::build_cluster`]). Shard searches then score
@@ -401,20 +410,18 @@ impl SearchEngine {
     /// thread (the cold-start baseline). Otherwise the four verticals
     /// build concurrently on scoped threads — each splitting its
     /// documents across segment builders — while the static-rank power
-    /// iteration runs on the calling thread and the spell suggester is
-    /// derived as soon as the web vertical lands. The resulting indexes
+    /// iteration runs on the calling thread. The resulting indexes
     /// are bit-identical to a sequential build (see
     /// `Index::build_parallel`).
     pub fn with_build_threads(corpus: Corpus, threads: usize) -> SearchEngine {
         let [web_d, image_d, video_d, news_d] = route_pages(&corpus, |_| true);
-        let (rank, web, image, video, news, speller) = if threads <= 1 {
+        let (rank, web, image, video, news) = if threads <= 1 {
             let rank = static_rank(&corpus, 30);
             let web = build_vertical(&corpus, web_d, 1);
             let image = build_vertical(&corpus, image_d, 1);
             let video = build_vertical(&corpus, video_d, 1);
             let news = build_vertical(&corpus, news_d, 1);
-            let speller = SpellSuggester::from_index(&web.index);
-            (rank, web, image, video, news, speller)
+            (rank, web, image, video, news)
         } else {
             // Two layers of parallelism: one scoped thread per vertical,
             // each splitting its docs across `inner` segment builders.
@@ -428,24 +435,22 @@ impl SearchEngine {
                 // Static rank overlaps with the vertical builds.
                 let rank = static_rank(corpus, 30);
                 let web = web_h.join().expect("web vertical build panicked");
-                // The speller only needs the web lexicon; build it while
-                // the remaining verticals finish.
-                let speller = SpellSuggester::from_index(&web.index);
                 let image = image_h.join().expect("image vertical build panicked");
                 let video = video_h.join().expect("video vertical build panicked");
                 let news = news_h.join().expect("news vertical build panicked");
-                (rank, web, image, video, news, speller)
+                (rank, web, image, video, news)
             })
         };
         SearchEngine {
             corpus: Arc::new(corpus),
+            rank_sum: rank.iter().sum(),
             rank,
             web,
             image,
             video,
             news,
             click_boosts: HashMap::new(),
-            speller,
+            speller: OnceLock::new(),
             global: None,
         }
     }
@@ -463,6 +468,7 @@ impl SearchEngine {
     pub fn build_cluster(corpus: &Corpus, num_shards: usize, threads: usize) -> Vec<SearchEngine> {
         assert!(num_shards > 0, "cluster needs at least one shard");
         let rank = static_rank(corpus, 30);
+        let rank_sum = rank.iter().sum();
         let shared = Arc::new(corpus.clone());
         let mut shards: Vec<SearchEngine> = (0..num_shards)
             .map(|s| {
@@ -472,16 +478,16 @@ impl SearchEngine {
                 let image = build_vertical(corpus, image_d, threads);
                 let video = build_vertical(corpus, video_d, threads);
                 let news = build_vertical(corpus, news_d, threads);
-                let speller = SpellSuggester::from_index(&web.index);
                 SearchEngine {
                     corpus: Arc::clone(&shared),
                     rank: rank.clone(),
+                    rank_sum,
                     web,
                     image,
                     video,
                     news,
                     click_boosts: HashMap::new(),
-                    speller,
+                    speller: OnceLock::new(),
                     global: None,
                 }
             })
@@ -499,9 +505,12 @@ impl SearchEngine {
     }
 
     /// "Did you mean": a corrected query when tokens look misspelled
-    /// relative to the web vertical's lexicon, else `None`.
+    /// relative to the web vertical's lexicon, else `None`. The first
+    /// call after construction or a web seal or merge snapshots the
+    /// lexicon.
     pub fn did_you_mean(&self, raw_query: &str) -> Option<String> {
         self.speller
+            .get_or_init(|| SpellSuggester::from_index(&self.web.index))
             .did_you_mean(raw_query, self.web.index.analyzer())
     }
 
@@ -590,9 +599,10 @@ impl SearchEngine {
                 let idx = Arc::make_mut(&mut self.corpus).push_page(page);
                 let mean = match self.rank.len() {
                     0 => 0.0,
-                    n => self.rank.iter().sum::<f64>() / n as f64,
+                    n => self.rank_sum / n as f64,
                 };
                 self.rank.push(mean);
+                self.rank_sum += mean;
                 let page = &self.corpus.pages[idx];
                 let (site, doc) = (page.site, page_doc(page));
                 self.vertical_mut(vertical).add_page(idx, site, doc);
@@ -616,9 +626,10 @@ impl SearchEngine {
     /// One maintenance tick over all four verticals: each seals its
     /// memtable when over the policy's size cap or staleness window and
     /// runs at most one background merge. When the web vertical did
-    /// anything, the spell suggester is re-snapshotted so corrections
-    /// track the live lexicon (freshly sealed terms become suggestible,
-    /// purged terms stop suggesting). Deterministic for a fixed
+    /// anything, the spell suggester is dropped, so the next
+    /// [`did_you_mean`](Self::did_you_mean) re-snapshots the live
+    /// lexicon (freshly sealed terms become suggestible, purged terms
+    /// stop suggesting). Deterministic for a fixed
     /// schedule of calls; hosting drives it on the virtual clock.
     pub fn maintain(&mut self, now_ms: u64) -> MaintenanceReport {
         let mut total = MaintenanceReport::default();
@@ -628,7 +639,7 @@ impl SearchEngine {
             total.merged_segments += r.merged_segments;
             total.purged_docs += r.purged_docs;
             if v == Vertical::Web && r.did_work() {
-                self.speller = SpellSuggester::from_index(&self.web.index);
+                self.speller = OnceLock::new();
             }
         }
         total
@@ -645,6 +656,7 @@ impl SearchEngine {
     /// replacing the provisional ranks that live-ingested pages carry.
     pub fn recompute_static_rank(&mut self) {
         self.rank = static_rank(&self.corpus, 30);
+        self.rank_sum = self.rank.iter().sum();
     }
 
     /// Search a vertical. `raw_query` uses the
@@ -1192,6 +1204,22 @@ mod tests {
         assert_eq!(rs.len(), 1);
         assert_eq!(rs[0].url, url);
         assert!(e.static_rank_of(&url).unwrap() > 0.0, "provisional rank");
+    }
+
+    #[test]
+    fn provisional_rank_is_the_from_scratch_mean() {
+        let mut e = engine();
+        for round in 0..2 {
+            for i in 0..5 {
+                let mean = e.rank.iter().sum::<f64>() / e.rank.len() as f64;
+                let p = crawled_page(&e, &format!("new{round}-{i}"), "Fresh", "fresh page body");
+                let url = p.url.clone();
+                e.ingest_page(p);
+                assert_eq!(e.static_rank_of(&url).unwrap().to_bits(), mean.to_bits());
+            }
+            // The next round's means start from the recomputed ranks.
+            e.recompute_static_rank();
+        }
     }
 
     #[test]
