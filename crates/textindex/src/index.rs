@@ -684,7 +684,7 @@ impl Index {
         for key in keys {
             list.clear();
             for (comp, _) in run.iter().filter_map(|s| s.postings.get(&key)) {
-                comp.for_each(|doc, positions| {
+                comp.cursor().for_each(|doc, positions| {
                     if !deleted[doc.as_usize()] {
                         list.push_posting(doc, positions);
                     }
@@ -753,7 +753,8 @@ impl Index {
     /// The segments reads visit, in doc order: every sealed segment,
     /// then the memtable when it holds documents.
     pub(crate) fn segments(&self) -> impl Iterator<Item = SegmentView<'_>> {
-        let active = (self.active.docs > 0).then_some(SegmentView::Active(&self.active));
+        let active =
+            (self.active.docs > 0).then_some(SegmentView::Active(&self.active, &self.field_len));
         self.sealed.iter().map(SegmentView::Sealed).chain(active)
     }
 
@@ -787,7 +788,7 @@ impl Index {
     /// global doc order, across all segments.
     pub fn for_each_posting(&self, term: TermId, field: FieldId, mut f: impl FnMut(DocId, &[u32])) {
         for list in self.lists(term, field) {
-            list.for_each(&mut f);
+            list.cursor().for_each(&mut f);
         }
     }
 
@@ -1137,7 +1138,7 @@ mod tests {
                         continue;
                     };
                     let stats = list.stats;
-                    list.for_each(|doc, positions| {
+                    list.cursor().for_each(|doc, positions| {
                         assert!(seg.range().contains(&doc.0));
                         if idx.is_deleted(doc) {
                             return;

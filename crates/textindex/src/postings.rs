@@ -15,17 +15,23 @@
 //!   a separate varint stream addressed per block, so doc/tf decoding
 //!   never touches position bytes and positional access skips straight
 //!   to the enclosing block. Per-block metadata (last doc id, entry
-//!   base, byte offsets, bit widths, score peaks) lets a
-//!   [`PostingsCursor`] skip whole blocks during [`PostingsCursor::seek`]
-//!   without decoding them.
+//!   base, byte offsets, bit widths, score peaks) lets a cursor skip
+//!   whole blocks during [`PostingsCursor::seek`] without decoding
+//!   them.
 //!
 //! The memtable holds raw lists; sealing a segment packs every one of
-//! them. The query executor opens a [`PostingsCursor`] per list (`doc`
-//! / `next` / `seek`) over either form and materializes positions only
-//! on demand ([`PostingsCursor::positions`]) for phrase verification.
-//! The term-at-a-time reference walks whole lists through callbacks
-//! ([`CompressedPostings::for_each`] on a packed list), which sidestep
-//! lending-iterator gymnastics and decode without allocating.
+//! them. One cursor reads both: a [`PostingsCursor`] holds one
+//! [`BLOCK_SIZE`] block of doc ids and tfs, refilled either by
+//! unpacking a packed block or by copying a raw list's block out of its
+//! arenas, so `doc` / `next` / `seek` and the executor's window fill
+//! are one loop over the buffers whatever the source. A raw block's
+//! score peaks come from the function sealing records them with (see
+//! [`CompressedPostings::encode`]), applied to the buffers and the
+//! field's lengths; positions are materialized only on demand
+//! ([`PostingsCursor::positions`]) for phrase verification. The
+//! term-at-a-time reference walks whole lists through callbacks
+//! ([`Index::for_each_posting`](crate::Index::for_each_posting)), which
+//! sidestep lending-iterator gymnastics and decode without allocating.
 
 use crate::DocId;
 
@@ -143,9 +149,30 @@ impl PostingList {
     }
 
     /// Open a document-at-a-time cursor positioned on the first
-    /// posting.
-    pub fn cursor(&self) -> RawCursor<'_> {
-        RawCursor { list: self, idx: 0 }
+    /// posting. `lens` is the field's length column, indexed by doc id:
+    /// the length half of each block's score peaks.
+    pub fn cursor<'a>(&'a self, lens: &'a [u32]) -> PostingsCursor<'a> {
+        PostingsCursor::new(Source::Raw(self, lens))
+    }
+
+    /// Copy block `b`'s doc ids and tfs (the differences of
+    /// consecutive position ends) into the provided buffers, returning
+    /// the block length.
+    fn copy_block(
+        &self,
+        b: usize,
+        docs: &mut [u32; BLOCK_SIZE],
+        tfs: &mut [u32; BLOCK_SIZE],
+    ) -> usize {
+        let start = b * BLOCK_SIZE;
+        let end = (start + BLOCK_SIZE).min(self.docs.len());
+        let count = end - start;
+        docs[..count].copy_from_slice(&self.docs[start..end]);
+        let mut prev = self.span(start).start as u32;
+        for (tf, &end) in tfs[..count].iter_mut().zip(&self.ends[start..end]) {
+            (*tf, prev) = (end - prev, end);
+        }
+        count
     }
 
     /// Approximate heap size in bytes (for footprint estimates).
@@ -188,6 +215,35 @@ fn bits_for(v: u32) -> u32 {
 #[inline]
 fn packed_len(count: usize, bits: u32) -> usize {
     (count * bits as usize).div_ceil(8)
+}
+
+/// The two score peaks [`CompressedPostings::encode`] describes, of
+/// one block of postings: `docs[i]` with term frequency `tfs[i]`, field
+/// lengths `lens[doc]`. Sealing records them in the block directory; a
+/// cursor on a raw list computes them from its buffers.
+fn block_peaks(docs: &[u32], tfs: &[u32], lens: &[u32]) -> [(u32, u32); 2] {
+    let (mut max_tf, mut s, mut m) = (0u32, 0u32, u32::MAX);
+    for (&doc, &tf) in docs.iter().zip(tfs) {
+        max_tf = max_tf.max(tf);
+        let len = lens[doc as usize];
+        if len != 0 && len < m {
+            (m, s) = (len, tf);
+        } else if len == m {
+            s = s.max(tf);
+        }
+    }
+    // No non-zero length (every doc tombstoned, or inconsistent
+    // input): clamp to the smallest real length.
+    let m = if m == u32::MAX { 1 } else { m };
+    let rest = docs
+        .iter()
+        .zip(tfs)
+        .filter(|&(_, &tf)| tf > s)
+        .map(|(&doc, _)| lens[doc as usize])
+        .filter(|&len| len > 0)
+        .min()
+        .unwrap_or(m);
+    [(max_tf, rest), (s, m)]
 }
 
 /// Append `values` to `out`, each packed at `bits` bits, LSB first.
@@ -294,62 +350,43 @@ impl CompressedPostings {
         let mut data = Vec::with_capacity(n * 2);
         let mut pos_data = Vec::with_capacity(list.positions.len());
         let mut blocks: Vec<BlockMeta> = Vec::with_capacity(n.div_ceil(BLOCK_SIZE));
-        let mut deltas = [0u32; BLOCK_SIZE];
+        let mut docs = [0u32; BLOCK_SIZE];
         let mut tfs = [0u32; BLOCK_SIZE];
         let mut base = 0u32;
-        for (c, chunk) in list.docs.chunks(BLOCK_SIZE).enumerate() {
+        for b in 0..n.div_ceil(BLOCK_SIZE) {
+            let count = list.copy_block(b, &mut docs, &mut tfs);
+            let peaks = block_peaks(&docs[..count], &tfs[..count], lens);
             let pos_offset = pos_data.len() as u32;
-            let mut prev = base;
-            let (mut block_max_tf, mut s, mut m) = (0u32, 0u32, u32::MAX);
-            let mut max_delta = 0u32;
-            let mut max_tfm1 = 0u32;
-            for (i, &doc) in chunk.iter().enumerate() {
-                deltas[i] = doc - prev;
-                prev = doc;
-                let positions = &list.positions[list.span(c * BLOCK_SIZE + i)];
-                let tf = positions.len() as u32;
-                tfs[i] = tf - 1;
-                max_delta = max_delta.max(deltas[i]);
-                max_tfm1 = max_tfm1.max(tfs[i]);
-                block_max_tf = block_max_tf.max(tf);
-                let len = lens[doc as usize];
-                if len != 0 && len < m {
-                    (m, s) = (len, tf);
-                } else if len == m {
-                    s = s.max(tf);
-                }
-                let mut prev_pos = 0u32;
-                for (j, &pos) in positions.iter().enumerate() {
-                    let d = if j == 0 { pos } else { pos - prev_pos };
-                    prev_pos = pos;
-                    write_varint(&mut pos_data, d);
+            for i in b * BLOCK_SIZE..b * BLOCK_SIZE + count {
+                let mut prev = 0u32;
+                for &pos in &list.positions[list.span(i)] {
+                    write_varint(&mut pos_data, pos - prev);
+                    prev = pos;
                 }
             }
-            // No non-zero length (inconsistent input): clamp to the
-            // smallest real length.
-            let m = if m == u32::MAX { 1 } else { m };
-            let rest = chunk
-                .iter()
-                .zip(&tfs)
-                .filter(|&(_, &tfm1)| tfm1 + 1 > s)
-                .map(|(&doc, _)| lens[doc as usize])
-                .filter(|&len| len > 0)
-                .min()
-                .unwrap_or(m);
+            // In place: doc ids become deltas, tfs become `tf - 1`.
+            let last_doc = docs[count - 1];
+            let (mut prev, mut max_delta, mut max_tfm1) = (base, 0u32, 0u32);
+            for (doc, tf) in docs[..count].iter_mut().zip(&mut tfs[..count]) {
+                (*doc, prev) = (*doc - prev, *doc);
+                *tf -= 1;
+                max_delta = max_delta.max(*doc);
+                max_tfm1 = max_tfm1.max(*tf);
+            }
             let doc_bits = bits_for(max_delta);
             let tf_bits = bits_for(max_tfm1);
             blocks.push(BlockMeta {
-                last_doc: prev,
+                last_doc,
                 base_doc: base,
                 offset: data.len() as u32,
                 pos_offset,
-                peaks: [(block_max_tf, rest), (s, m)],
+                peaks,
                 doc_bits: doc_bits as u8,
                 tf_bits: tf_bits as u8,
             });
-            pack_bits(&mut data, &deltas[..chunk.len()], doc_bits);
-            pack_bits(&mut data, &tfs[..chunk.len()], tf_bits);
-            base = prev;
+            pack_bits(&mut data, &docs[..count], doc_bits);
+            pack_bits(&mut data, &tfs[..count], tf_bits);
+            base = last_doc;
         }
         CompressedPostings {
             data,
@@ -399,7 +436,8 @@ impl CompressedPostings {
     /// Decode back into a raw list (used by tests and by re-indexing).
     pub fn decode(&self) -> PostingList {
         let mut list = PostingList::new();
-        self.for_each(|doc, positions| list.push_posting(doc, positions));
+        self.cursor()
+            .for_each(|doc, positions| list.push_posting(doc, positions));
         list
     }
 
@@ -429,9 +467,93 @@ impl CompressedPostings {
 
     /// Open a document-at-a-time cursor positioned on the first
     /// posting.
-    pub fn cursor(&self) -> CompressedCursor<'_> {
-        let mut c = CompressedCursor {
-            post: self,
+    pub fn cursor(&self) -> PostingsCursor<'_> {
+        PostingsCursor::new(Source::Packed(self))
+    }
+}
+
+/// Where a [`PostingsCursor`] refills its block from: a memtable list
+/// with its field's length column (the input of a raw block's peaks),
+/// or a sealed list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source<'a> {
+    Raw(&'a PostingList, &'a [u32]),
+    Packed(&'a CompressedPostings),
+}
+
+impl Source<'_> {
+    /// Blocks on the list: a raw list is carved at the same
+    /// [`BLOCK_SIZE`] boundaries its packed form would be.
+    fn blocks(self) -> usize {
+        match self {
+            Source::Raw(l, _) => l.docs.len().div_ceil(BLOCK_SIZE),
+            Source::Packed(p) => p.blocks.len(),
+        }
+    }
+
+    /// Doc id of block `b`'s last posting, without refilling it.
+    #[inline]
+    fn last_doc(self, b: usize) -> u32 {
+        match self {
+            Source::Raw(l, _) => l.docs[((b + 1) * BLOCK_SIZE).min(l.docs.len()) - 1],
+            Source::Packed(p) => p.blocks[b].last_doc,
+        }
+    }
+
+    /// Documents on the list.
+    pub(crate) fn doc_count(self) -> usize {
+        match self {
+            Source::Raw(l, _) => l.doc_count(),
+            Source::Packed(p) => p.doc_count(),
+        }
+    }
+}
+
+/// A document-at-a-time cursor over either posting representation.
+///
+/// Holds one block in inline buffers, so `doc`/`tf`/`next` are plain
+/// array reads. Block entry refills the buffers from the source — a
+/// packed block unpacks all doc ids and tfs at once (branchless
+/// fixed-width loops), a raw block copies its doc ids and takes each
+/// tf as the difference of consecutive position ends. [`seek`] skips
+/// whole blocks by their last doc ids and refills only the
+/// destination block. Positions are materialized only on demand via
+/// [`positions`] (phrase verification), which is what keeps the
+/// scoring loop allocation-free. After the last posting, [`doc`]
+/// reports [`NO_DOC`] (which compares greater than every real doc id,
+/// so `seek`/min-merge loops need no special casing).
+///
+/// [`seek`]: PostingsCursor::seek
+/// [`positions`]: PostingsCursor::positions
+/// [`doc`]: PostingsCursor::doc
+#[derive(Debug, Clone)]
+pub struct PostingsCursor<'a> {
+    source: Source<'a>,
+    /// Index of the block currently held in the buffers.
+    block: usize,
+    /// Index of the current posting within the block.
+    idx: usize,
+    /// Postings in the current block.
+    len: usize,
+    /// Current doc id, or [`NO_DOC`] once exhausted.
+    doc: u32,
+    /// Absolute doc ids of the current block.
+    docs: [u32; BLOCK_SIZE],
+    /// Term frequencies of the current block.
+    tfs: [u32; BLOCK_SIZE],
+    /// Position-stream memo: block whose positions were last read.
+    pos_block: usize,
+    /// Posting index within `pos_block` that `pos_at` points at.
+    pos_idx: usize,
+    /// Byte offset into `pos_data` of posting `pos_idx`'s positions.
+    pos_at: usize,
+}
+
+impl<'a> PostingsCursor<'a> {
+    /// A cursor positioned on the first posting of `source`.
+    pub(crate) fn new(source: Source<'a>) -> Self {
+        let mut c = PostingsCursor {
+            source,
             block: 0,
             idx: 0,
             len: 0,
@@ -442,67 +564,23 @@ impl CompressedPostings {
             pos_idx: 0,
             pos_at: 0,
         };
-        if self.doc_count > 0 {
-            c.len = self.unpack_block(0, &mut c.docs, &mut c.tfs);
-            c.doc = c.docs[0];
+        if source.blocks() > 0 {
+            c.refill(0);
         }
         c
     }
 
-    /// Visit every posting, reusing one scratch buffer for positions.
-    pub fn for_each(&self, mut f: impl FnMut(DocId, &[u32])) {
-        let mut docs = [0u32; BLOCK_SIZE];
-        let mut tfs = [0u32; BLOCK_SIZE];
-        let mut positions: Vec<u32> = Vec::with_capacity(8);
-        let mut pos_cursor = 0usize;
-        for b in 0..self.blocks.len() {
-            let count = self.unpack_block(b, &mut docs, &mut tfs);
-            debug_assert_eq!(pos_cursor, self.blocks[b].pos_offset as usize);
-            for i in 0..count {
-                positions.clear();
-                let mut pos = 0u32;
-                for j in 0..tfs[i] {
-                    let d = read_varint(&self.pos_data, &mut pos_cursor);
-                    pos = if j == 0 { d } else { pos + d };
-                    positions.push(pos);
-                }
-                f(DocId(docs[i]), &positions);
-            }
-        }
+    /// Load block `b` into the buffers and sit on its first posting.
+    fn refill(&mut self, b: usize) {
+        self.len = match self.source {
+            Source::Raw(l, _) => l.copy_block(b, &mut self.docs, &mut self.tfs),
+            Source::Packed(p) => p.unpack_block(b, &mut self.docs, &mut self.tfs),
+        };
+        self.block = b;
+        self.idx = 0;
+        self.doc = self.docs[0];
     }
-}
 
-/// Document-at-a-time cursor over a [`CompressedPostings`] stream.
-///
-/// Holds one unpacked block in inline buffers: block entry unpacks all
-/// doc ids and tfs at once (branchless fixed-width loops), after which
-/// `doc`/`tf`/`next` are plain array reads. [`CompressedCursor::seek`]
-/// binary-searches the block directory and unpacks only the
-/// destination block — skipped blocks are never decoded.
-#[derive(Debug, Clone)]
-pub struct CompressedCursor<'a> {
-    post: &'a CompressedPostings,
-    /// Index of the block currently held in the buffers.
-    block: usize,
-    /// Index of the current posting within the block.
-    idx: usize,
-    /// Postings in the current block.
-    len: usize,
-    /// Current doc id, or [`NO_DOC`] once exhausted.
-    doc: u32,
-    /// Unpacked absolute doc ids of the current block.
-    docs: [u32; BLOCK_SIZE],
-    /// Unpacked term frequencies of the current block.
-    tfs: [u32; BLOCK_SIZE],
-    /// Position-stream memo: block whose positions were last read.
-    pos_block: usize,
-    /// Posting index within `pos_block` that `pos_at` points at.
-    pos_idx: usize,
-    /// Byte offset into `pos_data` of posting `pos_idx`'s positions.
-    pos_at: usize,
-}
-
-impl CompressedCursor<'_> {
     /// Current doc id, or [`NO_DOC`] when exhausted.
     #[inline]
     pub fn doc(&self) -> u32 {
@@ -515,59 +593,82 @@ impl CompressedCursor<'_> {
         self.tfs[self.idx]
     }
 
-    /// Doc id of the list's final posting (independent of cursor
-    /// position); [`NO_DOC`] for an empty list. Read from the block
-    /// directory, so no decoding happens.
-    pub fn last_doc(&self) -> u32 {
-        self.post.blocks.last().map_or(NO_DOC, |b| b.last_doc)
-    }
-
     /// Score peaks of the block holding the current posting (`None`
     /// once exhausted): two `(tf, len)` points, one of which dominates
-    /// every posting of the block — see [`CompressedPostings::encode`].
+    /// every posting of non-zero length in the block — see
+    /// [`CompressedPostings::encode`]. A packed block recorded them
+    /// when it was sealed; a raw block's come from its buffers and the
+    /// lengths as they stand.
     pub fn block_peaks(&self) -> Option<[(u32, u32); 2]> {
-        (self.doc != NO_DOC).then(|| self.post.blocks[self.block].peaks)
+        (self.doc != NO_DOC).then(|| match self.source {
+            Source::Raw(_, lens) => {
+                block_peaks(&self.docs[..self.len], &self.tfs[..self.len], lens)
+            }
+            Source::Packed(p) => p.blocks[self.block].peaks,
+        })
     }
 
     /// Last doc id of the block holding the current posting — the
-    /// range through which [`block_peaks`] hold. Read from the block
-    /// directory, no decoding.
+    /// range through which [`block_peaks`] hold. Lets the executor
+    /// bound a whole window of candidates at once (block-max window
+    /// skip).
     ///
-    /// [`block_peaks`]: CompressedCursor::block_peaks
+    /// [`block_peaks`]: PostingsCursor::block_peaks
+    #[inline]
     pub fn block_last_doc(&self) -> u32 {
         if self.doc == NO_DOC {
             return NO_DOC;
         }
-        self.post.blocks[self.block].last_doc
+        self.docs[self.len - 1]
     }
 
     /// Append the current posting's positions to `out` (which is
-    /// cleared first). Walks only the current block's slice of the
-    /// position stream: earlier blocks are skipped through the block
-    /// directory, and within the block a streaming memo remembers where
-    /// the last read stopped, so monotone per-doc reads (the phrase
-    /// verifier's access pattern) cost amortized O(1) varint skips per
-    /// posting instead of re-skipping from the block start every time.
+    /// cleared first). Only valid while `doc() != NO_DOC`. A raw list
+    /// slices its positions arena. A packed one walks only the current
+    /// block's slice of the position stream: earlier blocks are
+    /// skipped through the block directory, and within the block a
+    /// streaming memo remembers where the last read stopped, so
+    /// monotone per-doc reads (the phrase verifier's access pattern)
+    /// cost amortized O(1) varint skips per posting instead of
+    /// re-skipping from the block start every time.
     pub fn positions(&mut self, out: &mut Vec<u32>) {
         out.clear();
         debug_assert!(self.doc != NO_DOC, "positions() on an exhausted cursor");
+        let p = match self.source {
+            Source::Raw(l, _) => {
+                let span = l.span(self.block * BLOCK_SIZE + self.idx);
+                out.extend_from_slice(&l.positions[span]);
+                return;
+            }
+            Source::Packed(p) => p,
+        };
         if self.pos_block != self.block || self.pos_idx > self.idx {
             self.pos_block = self.block;
             self.pos_idx = 0;
-            self.pos_at = self.post.blocks[self.block].pos_offset as usize;
+            self.pos_at = p.blocks[self.block].pos_offset as usize;
         }
         while self.pos_idx < self.idx {
             for _ in 0..self.tfs[self.pos_idx] {
-                read_varint(&self.post.pos_data, &mut self.pos_at);
+                read_varint(&p.pos_data, &mut self.pos_at);
             }
             self.pos_idx += 1;
         }
-        let mut cursor = self.pos_at;
         let mut pos = 0u32;
-        for j in 0..self.tfs[self.idx] {
-            let d = read_varint(&self.post.pos_data, &mut cursor);
-            pos = if j == 0 { d } else { pos + d };
+        for _ in 0..self.tfs[self.idx] {
+            pos += read_varint(&p.pos_data, &mut self.pos_at);
             out.push(pos);
+        }
+        self.pos_idx += 1;
+    }
+
+    /// Hand `f` every posting from the current one on as `(doc,
+    /// positions)`, reusing one scratch buffer for positions.
+    pub(crate) fn for_each(mut self, mut f: impl FnMut(DocId, &[u32])) {
+        let mut positions = Vec::with_capacity(8);
+        while self.doc != NO_DOC {
+            self.positions(&mut positions);
+            f(DocId(self.doc), &positions);
+            self.next();
         }
     }
 
@@ -580,23 +681,34 @@ impl CompressedCursor<'_> {
         if self.idx + 1 < self.len {
             self.idx += 1;
             self.doc = self.docs[self.idx];
-            return;
-        }
-        if self.block + 1 < self.post.blocks.len() {
-            let b = self.block + 1;
-            self.len = self.post.unpack_block(b, &mut self.docs, &mut self.tfs);
-            self.block = b;
-            self.idx = 0;
-            self.doc = self.docs[0];
+        } else if self.block + 1 < self.source.blocks() {
+            self.refill(self.block + 1);
         } else {
             self.doc = NO_DOC;
         }
     }
 
+    /// Hand `f` every posting with `doc <= last` as `(doc, tf)`, in
+    /// doc order, leaving the cursor on the first posting past `last`
+    /// (or exhausted). A block at a time, straight from the buffers.
+    #[inline]
+    pub(crate) fn drain_through(&mut self, last: u32, mut f: impl FnMut(u32, u32)) {
+        while self.doc <= last && self.doc != NO_DOC {
+            let docs = &self.docs[self.idx..self.len];
+            let n = docs.partition_point(|&d| d <= last);
+            for (&d, &tf) in docs[..n].iter().zip(&self.tfs[self.idx..]) {
+                f(d, tf);
+            }
+            // `n >= 1`: the current posting is within `last`.
+            self.idx += n - 1;
+            self.next();
+        }
+    }
+
     /// Advance to the first posting with `doc >= target` (no-op when
-    /// already there). Skips whole blocks via the block directory —
-    /// only the destination block is ever unpacked — then searches the
-    /// unpacked doc ids: a short linear scan first (seeks in a DAAT
+    /// already there). Skips whole blocks by their last doc ids — only
+    /// the destination block is ever refilled — then searches the
+    /// buffered doc ids: a short linear scan first (seeks in a DAAT
     /// loop usually hop a few postings), binary search for the rest.
     #[inline]
     pub fn seek(&mut self, target: u32) {
@@ -604,25 +716,28 @@ impl CompressedCursor<'_> {
             // Covers exhaustion too: NO_DOC >= any target.
             return;
         }
-        if self.post.blocks[self.block].last_doc < target {
-            let blocks = &self.post.blocks;
-            // Adjacent-block fast path, then a directory binary search
-            // for genuine long jumps.
-            let next = self.block + 1;
-            let dest = if next < blocks.len() && blocks[next].last_doc >= target {
-                next
-            } else {
-                next + 1
-                    + blocks[(next + 1).min(blocks.len())..]
-                        .partition_point(|b| b.last_doc < target)
-            };
-            if dest >= blocks.len() {
+        if self.docs[self.len - 1] < target {
+            // Adjacent-block fast path, then a binary search over the
+            // later blocks' last docs for genuine long jumps.
+            let (source, blocks) = (self.source, self.source.blocks());
+            let mut dest = self.block + 1;
+            if dest < blocks && source.last_doc(dest) < target {
+                let mut hi = blocks;
+                dest += 1;
+                while dest < hi {
+                    let mid = dest + (hi - dest) / 2;
+                    if source.last_doc(mid) < target {
+                        dest = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+            }
+            if dest >= blocks {
                 self.doc = NO_DOC;
                 return;
             }
-            self.len = self.post.unpack_block(dest, &mut self.docs, &mut self.tfs);
-            self.block = dest;
-            self.idx = 0;
+            self.refill(dest);
         }
         // The current block's last doc is >= target, so the scan always
         // lands on a real posting.
@@ -637,181 +752,6 @@ impl CompressedCursor<'_> {
         debug_assert!(i < self.len, "block last_doc guarantee violated");
         self.idx = i;
         self.doc = self.docs[i];
-    }
-}
-
-/// Document-at-a-time cursor over a raw [`PostingList`].
-#[derive(Debug, Clone)]
-pub struct RawCursor<'a> {
-    list: &'a PostingList,
-    idx: usize,
-}
-
-impl RawCursor<'_> {
-    /// Current doc id, or [`NO_DOC`] when exhausted.
-    pub fn doc(&self) -> u32 {
-        self.list.docs.get(self.idx).copied().unwrap_or(NO_DOC)
-    }
-
-    /// Doc id of the list's final posting (independent of cursor
-    /// position); [`NO_DOC`] for an empty list.
-    pub fn last_doc(&self) -> u32 {
-        self.list.docs.last().copied().unwrap_or(NO_DOC)
-    }
-
-    /// Term frequency of the current posting.
-    pub fn tf(&self) -> u32 {
-        self.list.span(self.idx).len() as u32
-    }
-
-    /// Append the current posting's positions to `out` (cleared
-    /// first). Takes `&mut self` for parity with the compressed
-    /// cursor's streaming position memo.
-    pub fn positions(&mut self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(&self.list.positions[self.list.span(self.idx)]);
-    }
-
-    /// Last doc id of the current "block": a raw list has no block
-    /// directory, so the whole list is one block.
-    pub fn block_last_doc(&self) -> u32 {
-        self.last_doc()
-    }
-
-    /// Advance to the next posting.
-    pub fn next(&mut self) {
-        self.idx += 1;
-    }
-
-    /// Advance to the first posting with `doc >= target`.
-    pub fn seek(&mut self, target: u32) {
-        if self.doc() >= target {
-            return;
-        }
-        self.idx += 1 + self.list.docs[self.idx + 1..].partition_point(|&d| d < target);
-    }
-}
-
-/// A document-at-a-time cursor over either posting representation.
-///
-/// The cursor walks doc ids and term frequencies in increasing doc
-/// order; positions are materialized only on demand via
-/// [`PostingsCursor::positions`] (phrase verification), which is what
-/// keeps the scoring loop allocation-free. After the last
-/// posting, [`PostingsCursor::doc`] reports [`NO_DOC`] (which compares
-/// greater than every real doc id, so `seek`/min-merge loops need no
-/// special casing).
-// The size skew is the design: the compressed cursor carries its
-// unpacked 128-doc block inline so the hot loop reads plain
-// arrays with no heap indirection. Boxing it would trade that locality
-// for a pointer chase on every doc()/tf() call.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum PostingsCursor<'a> {
-    /// Cursor over the indexing-time representation.
-    Raw(RawCursor<'a>),
-    /// Cursor over the optimized block-packed representation.
-    Compressed(CompressedCursor<'a>),
-}
-
-impl PostingsCursor<'_> {
-    /// Current doc id, or [`NO_DOC`] when exhausted.
-    #[inline]
-    pub fn doc(&self) -> u32 {
-        match self {
-            PostingsCursor::Raw(c) => c.doc(),
-            PostingsCursor::Compressed(c) => c.doc(),
-        }
-    }
-
-    /// Term frequency of the current posting.
-    #[inline]
-    pub fn tf(&self) -> u32 {
-        match self {
-            PostingsCursor::Raw(c) => c.tf(),
-            PostingsCursor::Compressed(c) => c.tf(),
-        }
-    }
-
-    /// Append the current posting's positions to `out` (cleared
-    /// first). Only valid while `doc() != NO_DOC`.
-    pub fn positions(&mut self, out: &mut Vec<u32>) {
-        match self {
-            PostingsCursor::Raw(c) => c.positions(out),
-            PostingsCursor::Compressed(c) => c.positions(out),
-        }
-    }
-
-    /// Score peaks of the block holding the current posting: `None`
-    /// for a raw list, which carries no block directory (callers fall
-    /// back to the list-wide bound), and once exhausted.
-    #[inline]
-    pub fn block_peaks(&self) -> Option<[(u32, u32); 2]> {
-        match self {
-            PostingsCursor::Raw(_) => None,
-            PostingsCursor::Compressed(c) => c.block_peaks(),
-        }
-    }
-
-    /// Last doc id of the block holding the current posting: the
-    /// range through which [`block_peaks`] hold for a block-packed
-    /// list, the list's last doc for a raw one (a single block with no
-    /// peaks). Lets the executor bound a whole window of candidates at
-    /// once (block-max window skip).
-    ///
-    /// [`block_peaks`]: PostingsCursor::block_peaks
-    #[inline]
-    pub fn block_last_doc(&self) -> u32 {
-        match self {
-            PostingsCursor::Raw(c) => c.block_last_doc(),
-            PostingsCursor::Compressed(c) => c.block_last_doc(),
-        }
-    }
-
-    /// Advance to the next posting.
-    #[inline]
-    pub fn next(&mut self) {
-        match self {
-            PostingsCursor::Raw(c) => c.next(),
-            PostingsCursor::Compressed(c) => c.next(),
-        }
-    }
-
-    /// Hand `f` every posting with `doc <= last` as `(doc, tf)`, in
-    /// doc order, leaving the cursor on the first posting past `last`
-    /// (or exhausted).
-    #[inline]
-    pub(crate) fn drain_through(&mut self, last: u32, mut f: impl FnMut(u32, u32)) {
-        match self {
-            PostingsCursor::Raw(c) => {
-                while c.doc() <= last && c.doc() != NO_DOC {
-                    f(c.doc(), c.tf());
-                    c.next();
-                }
-            }
-            // A block at a time, straight from the unpacked arrays.
-            PostingsCursor::Compressed(c) => {
-                while c.doc <= last && c.doc != NO_DOC {
-                    let (docs, tfs) = (&c.docs[c.idx..c.len], &c.tfs[c.idx..c.len]);
-                    let n = docs.partition_point(|&d| d <= last);
-                    for (&d, &tf) in docs[..n].iter().zip(&tfs[..n]) {
-                        f(d, tf);
-                    }
-                    // `n >= 1`: the current posting is within `last`.
-                    c.idx += n - 1;
-                    c.next();
-                }
-            }
-        }
-    }
-
-    /// Advance to the first posting with `doc >= target`.
-    #[inline]
-    pub fn seek(&mut self, target: u32) {
-        match self {
-            PostingsCursor::Raw(c) => c.seek(target),
-            PostingsCursor::Compressed(c) => c.seek(target),
-        }
     }
 }
 
@@ -856,10 +796,14 @@ mod tests {
         l
     }
 
+    /// Every document of `l` one token long.
+    fn ones(l: &PostingList) -> Vec<u32> {
+        vec![1; l.docs.last().map_or(0, |&d| d as usize + 1)]
+    }
+
     /// Encode with every document one token long.
     fn packed(l: &PostingList) -> CompressedPostings {
-        let docs = l.docs.last().map_or(0, |&d| d as usize + 1);
-        CompressedPostings::encode(l, &vec![1; docs])
+        CompressedPostings::encode(l, &ones(l))
     }
 
     /// The list as owned `(doc, positions)` pairs, for comparisons.
@@ -965,16 +909,20 @@ mod tests {
     fn for_each_visits_in_doc_order() {
         let l = sample();
         let mut seen = Vec::new();
-        packed(&l).for_each(|d, positions| seen.push((d.0, positions.to_vec())));
+        packed(&l)
+            .cursor()
+            .for_each(|d, positions| seen.push((d.0, positions.to_vec())));
         assert_eq!(seen, owned(&l));
     }
 
-    /// A cursor over `l` itself and one over its packed form `c`.
-    fn both<'a>(l: &'a PostingList, c: &'a CompressedPostings) -> [PostingsCursor<'a>; 2] {
-        [
-            PostingsCursor::Raw(l.cursor()),
-            PostingsCursor::Compressed(c.cursor()),
-        ]
+    /// A cursor over `l` itself (with lengths `lens`) and one over its
+    /// packed form `c`.
+    fn both<'a>(
+        l: &'a PostingList,
+        lens: &'a [u32],
+        c: &'a CompressedPostings,
+    ) -> [PostingsCursor<'a>; 2] {
+        [l.cursor(lens), c.cursor()]
     }
 
     fn long_list(n: u32, stride: u32) -> PostingList {
@@ -991,8 +939,8 @@ mod tests {
     #[test]
     fn cursor_walks_both_representations_identically() {
         let l = long_list(300, 3);
-        let c = packed(&l);
-        for mut cur in both(&l, &c) {
+        let (lens, c) = (ones(&l), packed(&l));
+        for mut cur in both(&l, &lens, &c) {
             for (doc, positions) in l.iter() {
                 assert_eq!(cur.doc(), doc.0);
                 assert_eq!(cur.tf(), positions.len() as u32);
@@ -1007,9 +955,9 @@ mod tests {
     #[test]
     fn cursor_positions_match_raw_postings() {
         let l = long_list(500, 7);
-        let c = packed(&l);
+        let (lens, c) = (ones(&l), packed(&l));
         let mut buf = Vec::new();
-        for (mut cur, mut seeker) in both(&l, &c).into_iter().zip(both(&l, &c)) {
+        for (mut cur, mut seeker) in both(&l, &lens, &c).into_iter().zip(both(&l, &lens, &c)) {
             // Walk via next().
             for (doc, positions) in l.iter() {
                 cur.positions(&mut buf);
@@ -1029,8 +977,8 @@ mod tests {
     fn cursor_seek_matches_linear_scan() {
         let l = long_list(1000, 7);
         let docs = l.docs.clone();
-        let c = packed(&l);
-        for (mut cur, mut past) in both(&l, &c).into_iter().zip(both(&l, &c)) {
+        let (lens, c) = (ones(&l), packed(&l));
+        for (mut cur, mut past) in both(&l, &lens, &c).into_iter().zip(both(&l, &lens, &c)) {
             // Seek to every third position plus off-list targets.
             for target in (0..7200).step_by(31) {
                 if target < cur.doc() && cur.doc() != NO_DOC {
@@ -1053,30 +1001,32 @@ mod tests {
     #[test]
     fn seek_to_current_doc_is_a_noop() {
         let l = long_list(400, 2);
-        let c = packed(&l);
-        let mut cur = c.cursor();
-        cur.seek(500);
-        let at = cur.doc();
-        let tf = cur.tf();
-        cur.seek(500);
-        cur.seek(at);
-        assert_eq!(cur.doc(), at);
-        assert_eq!(cur.tf(), tf);
+        let (lens, c) = (ones(&l), packed(&l));
+        for mut cur in both(&l, &lens, &c) {
+            cur.seek(500);
+            let at = cur.doc();
+            let tf = cur.tf();
+            cur.seek(500);
+            cur.seek(at);
+            assert_eq!(cur.doc(), at);
+            assert_eq!(cur.tf(), tf);
+        }
     }
 
     #[test]
     fn exhausted_cursor_stays_exhausted() {
         let l = long_list(300, 3);
-        let c = packed(&l);
+        let (lens, c) = (ones(&l), packed(&l));
         // Exhaust from the first block with a long-range seek; the
         // cursor must not resurrect on a subsequent next().
-        let mut cur = c.cursor();
-        cur.seek(u32::MAX);
-        assert_eq!(cur.doc(), NO_DOC);
-        cur.next();
-        assert_eq!(cur.doc(), NO_DOC);
-        cur.seek(0);
-        assert_eq!(cur.doc(), NO_DOC);
+        for mut cur in both(&l, &lens, &c) {
+            cur.seek(u32::MAX);
+            assert_eq!(cur.doc(), NO_DOC);
+            cur.next();
+            assert_eq!(cur.doc(), NO_DOC);
+            cur.seek(0);
+            assert_eq!(cur.doc(), NO_DOC);
+        }
     }
 
     #[test]
@@ -1092,14 +1042,16 @@ mod tests {
             lens.push(len);
         }
         let c = CompressedPostings::encode(&l, &lens);
-        let mut cur = c.cursor();
-        assert_eq!(cur.block_peaks(), Some([(9, 5), (2, 3)]));
-        cur.seek(NO_DOC);
-        assert_eq!(cur.block_peaks(), None);
-        assert_eq!(PostingsCursor::Raw(l.cursor()).block_peaks(), None);
+        for mut cur in both(&l, &lens, &c) {
+            assert_eq!(cur.block_peaks(), Some([(9, 5), (2, 3)]));
+            cur.seek(NO_DOC);
+            assert_eq!(cur.block_peaks(), None);
+        }
         // No non-zero length at all: clamped to 1, as `min_len` is.
         let c = CompressedPostings::encode(&l, &[0; 6]);
-        assert_eq!(c.cursor().block_peaks(), Some([(9, 1), (0, 1)]));
+        for cur in both(&l, &[0; 6], &c) {
+            assert_eq!(cur.block_peaks(), Some([(9, 1), (0, 1)]));
+        }
     }
 
     #[test]
@@ -1118,20 +1070,31 @@ mod tests {
 
     #[test]
     fn empty_list_cursor_is_exhausted() {
-        let c = packed(&PostingList::new());
-        let mut cur = c.cursor();
-        assert_eq!(cur.doc(), NO_DOC);
-        cur.seek(7);
-        assert_eq!(cur.doc(), NO_DOC);
+        let l = PostingList::new();
+        let c = packed(&l);
+        for mut cur in both(&l, &[], &c) {
+            assert_eq!((cur.doc(), cur.block_last_doc()), (NO_DOC, NO_DOC));
+            assert_eq!(cur.block_peaks(), None);
+            cur.seek(7);
+            assert_eq!(cur.doc(), NO_DOC);
+        }
     }
 
     #[test]
     fn cursor_last_doc_reads_metadata() {
+        // A block's last doc, from either source, on entry by `seek`
+        // and by `next`; none once exhausted.
         let l = long_list(300, 2);
-        let c = packed(&l);
-        let cur = c.cursor();
-        assert_eq!(cur.last_doc(), *l.docs.last().unwrap());
-        assert_eq!(l.cursor().last_doc(), *l.docs.last().unwrap());
+        let (lens, c) = (ones(&l), packed(&l));
+        for mut cur in both(&l, &lens, &c) {
+            assert_eq!(cur.block_last_doc(), l.docs[BLOCK_SIZE - 1]);
+            cur.seek(l.docs[2 * BLOCK_SIZE - 1]);
+            assert_eq!(cur.block_last_doc(), l.docs[2 * BLOCK_SIZE - 1]);
+            cur.next();
+            assert_eq!(cur.block_last_doc(), *l.docs.last().unwrap());
+            cur.seek(NO_DOC);
+            assert_eq!(cur.block_last_doc(), NO_DOC);
+        }
     }
 
     #[test]

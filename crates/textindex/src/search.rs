@@ -15,9 +15,11 @@
 //! sealed segments, memtable last — with cursors and score bounds from
 //! that segment's own lists, while the heap, the threshold and a
 //! pushed-down set's cursor carry over.
-//! Every list has bound ingredients, a memtable list included, so a
-//! live index prunes like a sealed one and a few short fresh documents
-//! loosen no bound but their own segment's.
+//! Every list has bound ingredients and per-block score peaks, a
+//! memtable list included — its cursor reads it a block at a time like
+//! a sealed one — so a live index prunes and skips windows like a
+//! sealed one, and a few short fresh documents loosen no bound but
+//! their own segment's and their own block's.
 //!
 //! Phrase clauses run under pruning too: each positive phrase becomes
 //! a [`PhraseScorer`] whose *membership* is a per-field galloping
@@ -862,13 +864,14 @@ impl<'a> Searcher<'a> {
     /// Inflated upper bound on `sc`'s contribution to any doc in the
     /// block its cursor currently sits on: the larger BM25 of the
     /// block's two `(tf, len)` peaks, never above the static `bound()`.
-    /// Phrases, raw (memtable) lists — which carry no block directory —
-    /// and infinite bounds fall back to the static bound. Rank safety:
-    /// every live posting of the block has a tf at most, and a length
-    /// at least, one peak's; BM25 rises with tf and falls with length,
-    /// and the same slack inflation as the static bound applies, so
-    /// every true contribution in the block is strictly below it. The
-    /// peaks hold no idf or average length, so they never go stale.
+    /// Every term cursor on a block has peaks, on a sealed list or a
+    /// memtable one alike; phrases, infinite bounds and an exhausted
+    /// cursor keep the static bound. Rank safety: every live posting of
+    /// the block has a tf at most, and a length at least, one peak's;
+    /// BM25 rises with tf and falls with length, and the same slack
+    /// inflation as the static bound applies, so every true
+    /// contribution in the block is strictly below it. The peaks hold
+    /// no idf or average length, so they never go stale.
     #[inline]
     fn block_bound(&self, sc: &mut AnyScorer<'_>) -> f32 {
         let AnyScorer::Term(t) = sc else {

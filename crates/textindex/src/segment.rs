@@ -39,7 +39,7 @@ use crate::analysis::{Analyzer, TokenScratch};
 use crate::fx::FxHashMap;
 use crate::index::{Doc, FieldId, TermScoreStats};
 use crate::lexicon::{Lexicon, TermId};
-use crate::postings::{CompressedPostings, PostingList, PostingsCursor};
+use crate::postings::{CompressedPostings, PostingList, PostingsCursor, Source};
 use crate::DocId;
 use std::ops::Range;
 
@@ -111,11 +111,13 @@ impl SealedSegment {
     }
 }
 
-/// One segment as reads see it, sealed or memtable alike.
+/// One segment as reads see it, sealed or memtable alike. The memtable
+/// comes with the index's per-field length columns, which its lists'
+/// cursors bound blocks with.
 #[derive(Clone, Copy)]
 pub(crate) enum SegmentView<'a> {
     Sealed(&'a SealedSegment),
-    Active(&'a ActiveSegment),
+    Active(&'a ActiveSegment, &'a [Vec<u32>]),
 }
 
 impl<'a> SegmentView<'a> {
@@ -123,7 +125,7 @@ impl<'a> SegmentView<'a> {
     pub(crate) fn range(self) -> Range<u32> {
         let (base, docs) = match self {
             SegmentView::Sealed(s) => (s.base, s.docs),
-            SegmentView::Active(a) => (a.base, a.docs),
+            SegmentView::Active(a, _) => (a.base, a.docs),
         };
         base..base + docs
     }
@@ -135,16 +137,16 @@ impl<'a> SegmentView<'a> {
         let key = (term, field);
         match self {
             SegmentView::Sealed(s) => s.postings.get(&key).map(|(packed, stats)| SegmentList {
-                postings: ListRef::Packed(packed),
+                postings: Source::Packed(packed),
                 stats: *stats,
             }),
-            SegmentView::Active(a) => a.postings.get(&key).map(|raw| {
+            SegmentView::Active(a, lens) => a.postings.get(&key).map(|raw| {
                 // A list in `field` means some document of the segment
                 // has tokens there, and `Index::add` noted its length.
                 let min_len = a.min_len[field.0 as usize];
                 debug_assert_ne!(min_len, u32::MAX, "memtable list without a noted length");
                 SegmentList {
-                    postings: ListRef::Raw(raw),
+                    postings: Source::Raw(raw, &lens[field.0 as usize]),
                     stats: TermScoreStats {
                         max_tf: raw.max_tf(),
                         min_len,
@@ -155,17 +157,11 @@ impl<'a> SegmentView<'a> {
     }
 }
 
-#[derive(Clone, Copy)]
-enum ListRef<'a> {
-    Raw(&'a PostingList),
-    Packed(&'a CompressedPostings),
-}
-
 /// One segment's posting list for a `(term, field)`, found with a
 /// single map lookup: everything a reader sets up from it.
 #[derive(Clone, Copy)]
 pub(crate) struct SegmentList<'a> {
-    postings: ListRef<'a>,
+    postings: Source<'a>,
     /// Score-bound ingredients valid for every live document on this
     /// list (and only claimed for this segment's documents).
     pub(crate) stats: TermScoreStats,
@@ -174,30 +170,12 @@ pub(crate) struct SegmentList<'a> {
 impl<'a> SegmentList<'a> {
     /// Open a cursor positioned on the list's first posting.
     pub(crate) fn cursor(self) -> PostingsCursor<'a> {
-        match self.postings {
-            ListRef::Raw(l) => PostingsCursor::Raw(l.cursor()),
-            ListRef::Packed(c) => PostingsCursor::Compressed(c.cursor()),
-        }
+        PostingsCursor::new(self.postings)
     }
 
     /// Documents on the list (tombstoned ones included until a merge).
     pub(crate) fn doc_count(self) -> usize {
-        match self.postings {
-            ListRef::Raw(l) => l.doc_count(),
-            ListRef::Packed(c) => c.doc_count(),
-        }
-    }
-
-    /// Visit every `(doc, positions)` pair in doc order.
-    pub(crate) fn for_each(self, mut f: impl FnMut(DocId, &[u32])) {
-        match self.postings {
-            ListRef::Raw(l) => {
-                for (doc, positions) in l.iter() {
-                    f(doc, positions);
-                }
-            }
-            ListRef::Packed(c) => c.for_each(f),
-        }
+        self.postings.doc_count()
     }
 }
 

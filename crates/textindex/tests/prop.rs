@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use symphony_text::postings::{CompressedPostings, PostingList, PostingsCursor, NO_DOC};
+use symphony_text::postings::{
+    CompressedPostings, PostingList, PostingsCursor, BLOCK_SIZE, NO_DOC,
+};
 use symphony_text::{
     Analyzer, Doc, DocId, DocSet, Index, IndexConfig, Query, SearchHit, Searcher, SegmentPolicy,
     StandardAnalyzer,
@@ -172,8 +174,7 @@ fn ref_peaks(block: &[(u32, u32)]) -> [(u32, u32); 2] {
 /// One block as a cursor reports it: its peaks and its `(doc, tf)`s.
 type Block = ([(u32, u32); 2], Vec<(DocId, u32)>);
 
-/// Walk `cursor` block by block, or yield nothing for a list without a
-/// block directory.
+/// Walk `cursor` block by block.
 fn blocks_of(mut cursor: PostingsCursor<'_>) -> Vec<Block> {
     let mut out: Vec<Block> = Vec::new();
     let mut last = NO_DOC;
@@ -203,6 +204,27 @@ fn posting_data() -> impl Strategy<Value = Vec<(u32, Vec<u32>)>> {
             .map(|(doc, pos)| (doc, pos.into_iter().collect::<Vec<u32>>()))
             .collect()
     })
+}
+
+/// Strategy: postings spanning up to five [`BLOCK_SIZE`] blocks, with a
+/// field length per doc id (zero for a tombstone) that the block peaks
+/// of both cursors read.
+fn multi_block_data() -> impl Strategy<Value = (Vec<(u32, Vec<u32>)>, Vec<u32>)> {
+    (
+        proptest::collection::btree_map(
+            0u32..10_000,
+            proptest::collection::btree_set(0u32..5_000, 1..8),
+            0..5 * BLOCK_SIZE - 40,
+        ),
+        proptest::collection::vec(prop_oneof![Just(0u32), 1u32..5, 5u32..40], 10_000..10_001),
+    )
+        .prop_map(|(m, lens)| {
+            let data = m
+                .into_iter()
+                .map(|(doc, pos)| (doc, pos.into_iter().collect()))
+                .collect();
+            (data, lens)
+        })
 }
 
 /// Field lengths for encoding `list`: every document one token long
@@ -328,8 +350,9 @@ proptest! {
             list.push_posting(DocId(doc), &(0..tf).collect::<Vec<_>>());
         }
         let packed = CompressedPostings::encode(&list, &lens);
-        let blocks = blocks_of(PostingsCursor::Compressed(packed.cursor()));
-        prop_assert_eq!(blocks.len(), data.len().div_ceil(symphony_text::postings::BLOCK_SIZE));
+        let blocks = blocks_of(packed.cursor());
+        prop_assert_eq!(blocks.len(), data.len().div_ceil(BLOCK_SIZE));
+        prop_assert_eq!(&blocks_of(list.cursor(&lens)), &blocks);
         for (peaks, postings) in blocks {
             let block: Vec<(u32, u32)> =
                 postings.iter().map(|&(d, tf)| (tf, lens[d.as_usize()])).collect();
@@ -356,41 +379,46 @@ proptest! {
         prop_assert_eq!(owned(&packed.decode()), reference);
     }
 
-    /// The packed block-skipping cursor and the raw list's
-    /// [`RawCursor`] both agree with a model walk of the generated
-    /// postings under arbitrary interleavings of `next` and forward
-    /// `seek` — same doc ids, tfs, and positions at every step, and
-    /// identical exhaustion behavior.
+    /// A cursor on a packed list and one on the raw list both agree
+    /// with a model walk of the generated postings under arbitrary
+    /// interleavings of `next` and forward `seek` — same doc ids, tfs,
+    /// and positions at every step, and identical exhaustion behavior —
+    /// and report the same block (its last doc) and the same block
+    /// peaks from the same lengths. Lists span up to five blocks and
+    /// three steps in four are `next`, so both cursors cross block
+    /// boundaries by stepping as well as by seeking.
     #[test]
     fn packed_cursor_equals_raw_cursor(
-        data in posting_data(),
-        ops in proptest::collection::vec((0u8..3, 0u32..11_000), 1..80),
+        case in multi_block_data(),
+        ops in proptest::collection::vec((0u8..8, 0u32..11_000), 1..400),
     ) {
+        let (data, lens) = case;
         let mut list = PostingList::new();
         for (doc, positions) in &data {
             for &p in positions {
                 list.push_occurrence(DocId(*doc), p);
             }
         }
-        let packed = CompressedPostings::encode(&list, &ones(&list));
+        let packed = CompressedPostings::encode(&list, &lens);
         let mut a = packed.cursor();
-        let mut b = list.cursor();
+        let mut b = list.cursor(&lens);
         // The model cursor: an index into `data`.
         let mut at = 0usize;
         let model_doc = |at: usize| data.get(at).map_or(NO_DOC, |(doc, _)| *doc);
-        let last = data.last().map_or(NO_DOC, |(doc, _)| *doc);
-        prop_assert_eq!(a.last_doc(), last);
-        prop_assert_eq!(b.last_doc(), last);
+        let model_block_last = |at: usize| {
+            let end = (at / BLOCK_SIZE + 1) * BLOCK_SIZE;
+            if at < data.len() { data[end.min(data.len()) - 1].0 } else { NO_DOC }
+        };
         let (mut pa, mut pb) = (Vec::new(), Vec::new());
         for (op, target) in ops {
-            if op == 0 {
+            if op < 6 {
                 a.next();
                 b.next();
                 at = (at + 1).min(data.len());
             } else {
-                // `op == 2` seeks relative to the current doc, so
+                // `op == 7` seeks relative to the current doc, so
                 // in-block short hops get exercised, not just far jumps.
-                let t = if op == 1 { target } else { a.doc().saturating_add(target % 7) };
+                let t = if op == 6 { target } else { a.doc().saturating_add(target % 7) };
                 a.seek(t);
                 b.seek(t);
                 if model_doc(at) < t {
@@ -399,6 +427,9 @@ proptest! {
             }
             prop_assert_eq!(a.doc(), model_doc(at));
             prop_assert_eq!(b.doc(), model_doc(at));
+            prop_assert_eq!(a.block_last_doc(), model_block_last(at));
+            prop_assert_eq!(b.block_last_doc(), model_block_last(at));
+            prop_assert_eq!(a.block_peaks(), b.block_peaks());
             if let Some((_, positions)) = data.get(at) {
                 prop_assert_eq!(a.tf(), positions.len() as u32);
                 prop_assert_eq!(b.tf(), positions.len() as u32);

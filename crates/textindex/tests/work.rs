@@ -7,13 +7,14 @@
 //! is a count over a fixed corpus and query list and repeats exactly
 //! on any host.
 //!
-//! The same 4 064 documents are laid out three ways: `compact` (one
+//! The same 4 064 documents are laid out four ways: `compact` (one
 //! sealed segment), `live` (4 000 sealed, then 64 short, dense ones in
-//! the memtable that share every query's terms) and `five` (five
-//! sealed segments). A live or multi-segment index must prune about as
-//! well as the compact one — within a quarter, plus one visit per
-//! memtable document — and never fall back to visiting what the
-//! exhaustive executor visits. Those two inequalities are the
+//! the memtable that share every query's terms), `five` (five sealed
+//! segments) and `fresh` (nothing sealed: every query term's list is
+//! a memtable list of six blocks or more). A live or multi-segment
+//! index must prune about as well as the compact one — within a
+//! quarter, plus one visit per document of `live`'s memtable — and
+//! never fall back to visiting what the exhaustive executor visits. Those two inequalities are the
 //! contract; [`CANDIDATES`] additionally pins today's exact counts, as
 //! ROADMAP item 3a's zero-variance cells do: a change that moves one
 //! re-baselines the row in the same commit and says why (a threshold
@@ -53,9 +54,20 @@
 //! did not move: a one-term query has nothing else in its windows, and
 //! a gate drives one candidate at a time, as before. [`WEB`] pins a
 //! web-shaped query, several terms at a result pool's depth.
+//!
+//! A cursor on a memtable list then came to read it a block at a time,
+//! with each block's own peaks, as it reads a sealed list. At parent
+//! commit db182a5 a memtable list was one block bounded by its
+//! list-wide maximum, so no window inside the memtable was ever
+//! skipped, and `fresh` (not pinned then) read 1 692 / 1 189 / 1 595 /
+//! 1 158 / 1 206. Its lists now carve into the same blocks with the
+//! same peaks as the compact index's, and its row reads the compact
+//! one. No other row moved: `live`'s memtable lists hold 64 documents,
+//! one partial block, which was the whole list before as well.
 
 use std::cell::Cell;
 
+use symphony_text::postings::BLOCK_SIZE;
 use symphony_text::{Doc, DocId, FieldId, Index, IndexConfig, Query, Searcher};
 
 const SEALED_DOCS: u32 = 4_000;
@@ -71,13 +83,13 @@ const QUERIES: [&str; 5] = [
 ];
 
 /// Candidates per query of [`QUERIES`]: exhaustive (any layout), then
-/// the pruned executor on `compact`, `live` and `five`.
-const CANDIDATES: [[usize; 4]; 5] = [
-    [3_643, 1_493, 1_488, 1_476],
-    [3_235, 1_000, 1_000, 1_000],
-    [3_802, 1_420, 1_420, 1_337],
-    [2_934, 1_128, 1_128, 1_073],
-    [2_392, 1_118, 1_118, 1_118],
+/// the pruned executor on `compact`, `live`, `five` and `fresh`.
+const CANDIDATES: [[usize; 5]; 5] = [
+    [3_643, 1_493, 1_488, 1_476, 1_493],
+    [3_235, 1_000, 1_000, 1_000, 1_000],
+    [3_802, 1_420, 1_420, 1_337, 1_420],
+    [2_934, 1_128, 1_128, 1_073, 1_128],
+    [2_392, 1_118, 1_118, 1_118, 1_118],
 ];
 
 /// A splitmix64 stream: the corpus must not depend on any crate's RNG.
@@ -169,12 +181,17 @@ fn a_live_index_prunes_like_a_sealed_one() {
     let (live, field) = index(&[SEALED_DOCS]);
     let fifth = total / 5;
     let (five, _) = index(&[fifth, 2 * fifth, 3 * fifth, 4 * fifth, total]);
+    let (fresh, _) = index(&[]);
     assert_eq!(live.stats().memtable_docs, MEMTABLE_DOCS as usize);
     assert_eq!(
         (live.stats().sealed_segments, five.stats().sealed_segments),
         (1, 5)
     );
     assert_eq!(five.stats().memtable_docs, 0);
+    assert_eq!(
+        (fresh.stats().sealed_segments, fresh.stats().memtable_docs),
+        (0, total as usize)
+    );
 
     for (query, pinned) in QUERIES.into_iter().zip(CANDIDATES) {
         // The guard is about queries whose terms the memtable shares.
@@ -185,13 +202,18 @@ fn a_live_index_prunes_like_a_sealed_one() {
                 in_memtable += u32::from(doc.0 >= SEALED_DOCS)
             });
             assert!(in_memtable > 0, "{word} must occur in the memtable");
+            let term = fresh.lexicon().get(word).unwrap();
+            assert!(
+                fresh.doc_freq(term, field) > 5 * BLOCK_SIZE,
+                "{word} must span six memtable blocks"
+            );
         }
         let (exhaustive, want) = candidates(&compact, Reference, query, K);
         let (base, hits) = candidates(&compact, Serving, query, K);
         assert_eq!(hits, want, "{query}: compact");
         let allowed = base + base / 4 + MEMTABLE_DOCS as usize;
         let mut counts = vec![exhaustive, base];
-        for (name, idx) in [("live", &live), ("five", &five)] {
+        for (name, idx) in [("live", &live), ("five", &five), ("fresh", &fresh)] {
             let (seen, hits) = candidates(idx, Serving, query, K);
             assert_eq!(hits, want, "{query}: {name}");
             counts.push(seen);
@@ -204,7 +226,10 @@ fn a_live_index_prunes_like_a_sealed_one() {
                 "{query}: {name} index considered {seen} of the exhaustive {exhaustive}"
             );
         }
-        assert_eq!(counts, pinned, "{query}: exhaustive, compact, live, five");
+        assert_eq!(
+            counts, pinned,
+            "{query}: exhaustive, compact, live, five, fresh"
+        );
     }
 }
 
