@@ -6,7 +6,7 @@
 //! and a number of slots, run a GSP auction over matching campaigns.
 //! Billing happens in [`crate::ledger`] at click time.
 
-use crate::model::{Campaign, CampaignId, MatchType};
+use crate::model::{Campaign, CampaignId, Keyword, MatchType};
 
 /// Minimum price per click, in cents.
 pub const RESERVE_CENTS: u32 = 5;
@@ -50,6 +50,16 @@ pub fn run_auction(
     query: &str,
     slots: usize,
 ) -> Vec<Placement> {
+    auction(campaigns, slots, |_, c| c.best_bid(query))
+}
+
+/// The auction behind [`run_auction`], where `best_bid(i, c)` gives the
+/// best keyword of `campaigns[i]` that matches the query.
+pub(crate) fn auction<'c>(
+    campaigns: &[(CampaignId, &'c Campaign)],
+    slots: usize,
+    best_bid: impl Fn(usize, &'c Campaign) -> Option<&'c Keyword>,
+) -> Vec<Placement> {
     // Collect matching entries with effective bid and rank.
     struct Entry {
         id: CampaignId,
@@ -60,14 +70,15 @@ pub fn run_auction(
     }
     let mut entries: Vec<Entry> = campaigns
         .iter()
-        .filter_map(|(id, c)| {
-            let kw = c.best_bid(query)?;
+        .enumerate()
+        .filter_map(|(i, &(id, c))| {
+            let kw = best_bid(i, c)?;
             if c.remaining_cents() < RESERVE_CENTS {
                 return None;
             }
             let bid = kw.bid_cents.min(c.remaining_cents());
             Some(Entry {
-                id: *id,
+                id,
                 bid,
                 quality: c.quality,
                 rank: bid as f64 * c.quality,

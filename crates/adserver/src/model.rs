@@ -42,16 +42,21 @@ impl Keyword {
 
     /// Does this keyword match the (raw) query?
     pub fn matches(&self, query: &str) -> bool {
-        let q = normalize(query);
-        let k = normalize(&self.text);
-        if k.is_empty() || q.is_empty() {
-            return false;
-        }
-        match self.match_type {
-            MatchType::Exact => q == k,
-            MatchType::Phrase => q.windows(k.len()).any(|w| w == k.as_slice()),
-            MatchType::Broad => k.iter().all(|kw| q.contains(kw)),
-        }
+        words_match(self.match_type, &normalize(query), &normalize(&self.text))
+    }
+}
+
+/// Whether a keyword's [`normalize`]d words match a query's under
+/// `match_type`: the one matcher behind [`Keyword::matches`] and the
+/// ad server's pre-normalized selection.
+pub(crate) fn words_match(match_type: MatchType, query: &[String], keyword: &[String]) -> bool {
+    if keyword.is_empty() || query.is_empty() {
+        return false;
+    }
+    match match_type {
+        MatchType::Exact => query == keyword,
+        MatchType::Phrase => query.windows(keyword.len()).any(|w| w == keyword),
+        MatchType::Broad => keyword.iter().all(|kw| query.contains(kw)),
     }
 }
 
@@ -107,6 +112,21 @@ impl Campaign {
         self.keywords
             .iter()
             .filter(|k| k.matches(query))
+            .max_by_key(|k| k.bid_cents)
+    }
+
+    /// [`Campaign::best_bid`] for a [`normalize`]d query, given each
+    /// keyword's normalized words in keyword order.
+    pub(crate) fn best_bid_words(
+        &self,
+        query: &[String],
+        keywords: &[Vec<String>],
+    ) -> Option<&Keyword> {
+        self.keywords
+            .iter()
+            .zip(keywords)
+            .filter(|(k, words)| words_match(k.match_type, query, words))
+            .map(|(k, _)| k)
             .max_by_key(|k| k.bid_cents)
     }
 }

@@ -1,8 +1,8 @@
 //! The ad server facade: accounts, campaigns, auctions, billing.
 
-use crate::auction::{run_auction, Placement, RESERVE_CENTS};
+use crate::auction::{auction, Placement, RESERVE_CENTS};
 use crate::ledger::{BillingError, Ledger, LedgerEntry};
-use crate::model::{Ad, AdvertiserId, Campaign, CampaignId, Keyword};
+use crate::model::{normalize, Ad, AdvertiserId, Campaign, CampaignId, Keyword};
 use parking_lot::RwLock;
 
 /// Publisher revenue share of each ad click (the paper: monetization
@@ -22,6 +22,10 @@ pub const DEFAULT_REV_SHARE: f64 = 0.7;
 pub struct AdServer {
     advertisers: Vec<String>,
     campaigns: RwLock<Vec<Campaign>>,
+    /// Per campaign, per keyword: the keyword's normalized words,
+    /// computed once at [`AdServer::add_campaign`] (keywords never
+    /// change afterwards), so a selection normalizes only its query.
+    keyword_words: Vec<Vec<Vec<String>>>,
     ledger: Ledger,
     rev_share: f64,
 }
@@ -32,6 +36,7 @@ impl AdServer {
         AdServer {
             advertisers: Vec::new(),
             campaigns: RwLock::new(Vec::new()),
+            keyword_words: Vec::new(),
             ledger: Ledger::new(),
             rev_share: DEFAULT_REV_SHARE,
         }
@@ -59,6 +64,8 @@ impl AdServer {
         ad: Ad,
         quality: f64,
     ) -> CampaignId {
+        self.keyword_words
+            .push(keywords.iter().map(|k| normalize(&k.text)).collect());
         let campaigns = self.campaigns.get_mut();
         campaigns.push(Campaign {
             advertiser,
@@ -72,15 +79,20 @@ impl AdServer {
         CampaignId(campaigns.len() as u32 - 1)
     }
 
-    /// Select up to `slots` ads for a query (GSP auction).
+    /// Select up to `slots` ads for a query (GSP auction). Places
+    /// exactly what [`crate::run_auction`] over every campaign would,
+    /// but normalizes the query once and each keyword never.
     pub fn select(&self, query: &str, slots: usize) -> Vec<Placement> {
+        let query = normalize(query);
         let campaigns = self.campaigns.read();
         let refs: Vec<(CampaignId, &Campaign)> = campaigns
             .iter()
             .enumerate()
             .map(|(i, c)| (CampaignId(i as u32), c))
             .collect();
-        run_auction(&refs, query, slots)
+        auction(&refs, slots, |i, c| {
+            c.best_bid_words(&query, &self.keyword_words[i])
+        })
     }
 
     /// Bill a click on a placement, crediting `publisher`.

@@ -1,8 +1,27 @@
 //! Property tests for the ad substrate: GSP invariants, match-type
-//! hierarchy, and ledger conservation.
+//! hierarchy, ledger conservation, and pre-normalized selection against
+//! per-call keyword matching.
 
 use proptest::prelude::*;
-use symphony_ads::{Ad, AdServer, Keyword, MatchType, RESERVE_CENTS};
+use symphony_ads::{
+    run_auction, Ad, AdServer, Campaign, CampaignId, Keyword, MatchType, RESERVE_CENTS,
+};
+
+const MATCH_TYPES: [MatchType; 3] = [MatchType::Exact, MatchType::Phrase, MatchType::Broad];
+
+/// Mixed-case words over a tiny alphabet (so keywords and queries
+/// overlap often) joined by spaces and punctuation.
+const TEXT: &str = "[a-bA-B]{1,2}(( |, |-|! )[a-bA-B]{1,2}){0,4}";
+
+/// Punctuation only: normalizes to no words, so it never matches.
+const PUNCT: &str = "[ ,!-]{0,2}";
+
+/// A keyword: (text, index into `MATCH_TYPES`, bid). Bids span a
+/// narrow range so a campaign's matching keywords often tie, and which
+/// one wins the tie shows in the placement.
+fn keyword() -> impl Strategy<Value = (String, usize, u32)> {
+    (prop_oneof![TEXT, PUNCT], 0usize..3, RESERVE_CENTS..12u32)
+}
 
 fn campaign_params() -> impl Strategy<Value = Vec<(u32, f64)>> {
     // (bid, quality) pairs.
@@ -143,5 +162,61 @@ proptest! {
             let _ = ads.record_click(p, "pub");
         }
         prop_assert!(ads.ledger().campaign_spend_cents(c) <= budget as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `select` normalizes every keyword once, when its campaign is
+    /// added, and the query once per call; it places exactly what the
+    /// per-call path places (`run_auction`, which runs
+    /// `Keyword::matches` on every keyword of every campaign).
+    #[test]
+    fn select_equals_per_call_matching(
+        campaigns in proptest::collection::vec(
+            (proptest::collection::vec(keyword(), 0..4), 1u32..600, 0.05f64..1.0),
+            1..10,
+        ),
+        queries in proptest::collection::vec(prop_oneof![TEXT, PUNCT], 1..6),
+        slots in 1usize..5,
+    ) {
+        let mut ads = AdServer::new();
+        let adv = ads.add_advertiser("A");
+        let owned: Vec<Campaign> = campaigns
+            .iter()
+            .enumerate()
+            .map(|(i, (kws, budget, quality))| {
+                let keywords: Vec<Keyword> = kws
+                    .iter()
+                    .map(|(text, m, bid)| Keyword::new(text, MATCH_TYPES[*m], *bid))
+                    .collect();
+                let ad = Ad {
+                    title: format!("ad {i}"),
+                    display_url: "d".into(),
+                    target_url: format!("http://a{i}.example.com"),
+                    text: "x".into(),
+                };
+                let name = format!("c{i}");
+                ads.add_campaign(adv, &name, *budget, keywords.clone(), ad.clone(), *quality);
+                Campaign {
+                    advertiser: adv,
+                    name,
+                    daily_budget_cents: *budget,
+                    spent_cents: 0,
+                    keywords,
+                    ad,
+                    quality: *quality,
+                }
+            })
+            .collect();
+        let refs: Vec<(CampaignId, &Campaign)> = owned
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (CampaignId(i as u32), c))
+            .collect();
+        for q in &queries {
+            prop_assert_eq!(ads.select(q, slots), run_auction(&refs, q, slots), "query {:?}", q);
+        }
     }
 }

@@ -70,10 +70,11 @@ impl FullTextView {
         })
     }
 
-    /// Project a record's searchable columns into an index document.
-    fn build_doc(&self, record: &Record) -> Doc {
+    /// Project a record's searchable columns into an index document
+    /// that borrows the record's text (the table holds the only copy).
+    fn build_doc<'r>(cols: &[(usize, FieldId)], record: &'r Record) -> Doc<'r> {
         let mut doc = Doc::new();
-        for &(col, field) in &self.cols {
+        for &(col, field) in cols {
             let text = record.get(col).index_text();
             if !text.is_empty() {
                 doc = doc.field(field, text);
@@ -86,7 +87,7 @@ impl FullTextView {
     /// record goes through [`Index::update`] (tombstone + re-add under
     /// a fresh doc id), so re-crawls and edits never rebuild the view.
     pub fn add(&mut self, id: RecordId, record: &Record) {
-        let doc = self.build_doc(record);
+        let doc = Self::build_doc(&self.cols, record);
         let doc_id = match self.doc_of(id) {
             Some(old) => self
                 .index
@@ -138,7 +139,7 @@ impl FullTextView {
         for (id, record) in rows {
             self.remove(id);
             ids.push(id);
-            docs.push(self.build_doc(record));
+            docs.push(Self::build_doc(&self.cols, record));
         }
         // Size the record map for the batch in one step, before the
         // build: regrown record by record afterwards, its final block

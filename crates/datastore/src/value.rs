@@ -6,6 +6,7 @@
 //! [`FieldType`](crate::schema::FieldType).
 
 use crate::datetime::{format_epoch, parse_datetime};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// A typed cell value.
@@ -52,9 +53,13 @@ impl Value {
     }
 
     /// Text used for full-text indexing (same as display for now; URLs
-    /// additionally index their host tokens via the analyzer).
-    pub fn index_text(&self) -> String {
-        self.display_string()
+    /// additionally index their host tokens via the analyzer). Text and
+    /// URL values lend their own string; only rendered values allocate.
+    pub fn index_text(&self) -> Cow<'_, str> {
+        match self {
+            Value::Text(s) | Value::Url(s) => Cow::Borrowed(s),
+            other => Cow::Owned(other.display_string()),
+        }
     }
 
     /// Total order across values, used by the ordered secondary index

@@ -36,6 +36,7 @@ use crate::segment::{
     ActiveSegment, SealedSegment, Segment, SegmentBuilder, SegmentList, SegmentView,
 };
 use crate::DocId;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 
 /// Upper bound on worker threads for [`Index::build_parallel`],
@@ -56,28 +57,26 @@ pub fn default_build_threads() -> usize {
 pub struct FieldId(pub u16);
 
 /// Static configuration of an [`Index`].
+///
+/// The index keeps no copy of document text: it holds postings, field
+/// lengths and the lexicon only, so a caller that needs the original
+/// text (snippets, rendering) reads it from where it already lives.
 pub struct IndexConfig {
     /// Analyzer applied to every field at index and query time.
     pub analyzer: Box<dyn Analyzer>,
-    /// Whether original field text is retained (needed for snippets
-    /// when the caller does not keep documents elsewhere).
-    pub store_text: bool,
 }
 
 impl Default for IndexConfig {
     fn default() -> Self {
         IndexConfig {
             analyzer: Box::new(StandardAnalyzer::new()),
-            store_text: true,
         }
     }
 }
 
 impl std::fmt::Debug for IndexConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IndexConfig")
-            .field("store_text", &self.store_text)
-            .finish_non_exhaustive()
+        f.debug_struct("IndexConfig").finish_non_exhaustive()
     }
 }
 
@@ -136,32 +135,31 @@ impl MaintenanceReport {
 /// A document handed to [`Index::add`]: an ordered list of
 /// `(field, text)` pairs. A field may appear more than once; the texts
 /// are indexed as one logical field with position gaps.
+///
+/// The texts are borrowed where the caller already holds them (a
+/// `&str` field costs no copy) and owned only when the caller computed
+/// them (a `String` field). The index analyzes them and drops the
+/// document; it never keeps the text.
 #[derive(Debug, Default, Clone)]
-pub struct Doc {
-    fields: Vec<(FieldId, String)>,
+pub struct Doc<'a> {
+    fields: Vec<(FieldId, Cow<'a, str>)>,
 }
 
-impl Doc {
+impl<'a> Doc<'a> {
     /// Empty document.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Builder-style field append.
-    pub fn field(mut self, field: FieldId, text: impl Into<String>) -> Self {
+    pub fn field(mut self, field: FieldId, text: impl Into<Cow<'a, str>>) -> Self {
         self.fields.push((field, text.into()));
         self
     }
 
     /// Borrow the field/text pairs.
-    pub fn fields(&self) -> &[(FieldId, String)] {
+    pub fn fields(&self) -> &[(FieldId, Cow<'a, str>)] {
         &self.fields
-    }
-
-    /// Consume the document, yielding its field/text pairs (the stored
-    /// representation).
-    pub(crate) fn into_fields(self) -> Vec<(FieldId, String)> {
-        self.fields
     }
 }
 
@@ -243,7 +241,6 @@ pub struct Index {
     /// Per field, per doc: analyzed token count (0 when the doc lacks
     /// the field, and zeroed again when the doc is tombstoned).
     field_len: Vec<Vec<u32>>,
-    stored: Vec<Vec<(FieldId, String)>>,
     deleted: Vec<bool>,
     live_docs: usize,
     policy: SegmentPolicy,
@@ -280,7 +277,6 @@ impl Index {
             sealed: Vec::new(),
             active: ActiveSegment::starting_at(0),
             field_len: Vec::new(),
-            stored: Vec::new(),
             deleted: Vec::new(),
             live_docs: 0,
             policy,
@@ -342,7 +338,7 @@ impl Index {
     }
 
     /// Add a document to the memtable segment, returning its id.
-    pub fn add(&mut self, doc: Doc) -> DocId {
+    pub fn add(&mut self, doc: Doc<'_>) -> DocId {
         let id = DocId(self.deleted.len() as u32);
         debug_assert_eq!(id.0, self.active.base + self.active.docs);
         self.deleted.push(false);
@@ -392,11 +388,6 @@ impl Index {
         for (f, lens) in field_len.iter().enumerate() {
             active.note_len(f, lens[id.as_usize()]);
         }
-        if self.config.store_text {
-            self.stored.push(doc.fields);
-        } else {
-            self.stored.push(Vec::new());
-        }
         id
     }
 
@@ -413,7 +404,7 @@ impl Index {
     /// the differential property tests. `threads` is clamped to `1..=`
     /// [`MAX_BUILD_WORKERS`]; with one thread (or one document) the
     /// build degenerates to the sequential path.
-    pub fn build_parallel(&mut self, docs: Vec<Doc>, threads: usize) -> Vec<DocId> {
+    pub fn build_parallel(&mut self, docs: Vec<Doc<'_>>, threads: usize) -> Vec<DocId> {
         let n = docs.len();
         let first = self.deleted.len() as u32;
         let workers = threads.clamp(1, MAX_BUILD_WORKERS).min(n.max(1));
@@ -424,14 +415,13 @@ impl Index {
         // Carve the batch into owned contiguous chunks, back to front so
         // each split_off is cheap.
         let mut docs = docs;
-        let mut parts: Vec<Vec<Doc>> = Vec::with_capacity(workers);
+        let mut parts: Vec<Vec<Doc<'_>>> = Vec::with_capacity(workers);
         for i in (0..workers).rev() {
             let start = (i * chunk_size).min(docs.len());
             parts.push(docs.split_off(start));
         }
         parts.reverse();
         let analyzer = self.config.analyzer.as_ref();
-        let store_text = self.config.store_text;
         let num_fields = self.fields.len();
         let segments: Vec<Segment> = std::thread::scope(|s| {
             let handles: Vec<_> = parts
@@ -440,8 +430,7 @@ impl Index {
                 .map(|(i, part)| {
                     let base = first + (i * chunk_size) as u32;
                     s.spawn(move || {
-                        let mut builder =
-                            SegmentBuilder::new(analyzer, store_text, num_fields, base);
+                        let mut builder = SegmentBuilder::new(analyzer, num_fields, base);
                         for doc in part {
                             builder.add(doc);
                         }
@@ -474,7 +463,6 @@ impl Index {
             mut postings,
             field_len,
             total_len,
-            stored,
             docs,
         } = seg;
         // Append-if-absent interning of the segment lexicon in local-id
@@ -506,7 +494,6 @@ impl Index {
             self.field_len[f].extend(lens);
             self.fields[f].total_len += total_len[f];
         }
-        self.stored.extend(stored);
         self.deleted
             .resize(self.deleted.len() + docs as usize, false);
         self.live_docs += docs as usize;
@@ -519,8 +506,8 @@ impl Index {
     /// The posting entries stay in place until a merge purges them
     /// (deleted documents keep contributing to document frequencies
     /// until then — the usual tombstone-until-merge trade-off), but the
-    /// document's per-field lengths and stored text are reclaimed
-    /// immediately, so BM25 average lengths track the live corpus.
+    /// document's per-field lengths are zeroed immediately, so BM25
+    /// average lengths track the live corpus.
     pub fn delete(&mut self, doc: DocId) -> bool {
         match self.deleted.get_mut(doc.as_usize()) {
             Some(flag) if !*flag => {
@@ -529,9 +516,6 @@ impl Index {
                 for (f, lens) in self.field_len.iter_mut().enumerate() {
                     let len = std::mem::take(&mut lens[doc.as_usize()]);
                     self.fields[f].total_len -= len as u64;
-                }
-                if let Some(slot) = self.stored.get_mut(doc.as_usize()) {
-                    *slot = Vec::new();
                 }
                 true
             }
@@ -543,7 +527,7 @@ impl Index {
     /// `replacement` under a fresh id (the datastore refresh path
     /// uses this). Returns the new id, or `None` when `doc` is unknown
     /// or already deleted — nothing is added in that case.
-    pub fn update(&mut self, doc: DocId, replacement: Doc) -> Option<DocId> {
+    pub fn update(&mut self, doc: DocId, replacement: Doc<'_>) -> Option<DocId> {
         if !self.delete(doc) {
             return None;
         }
@@ -851,18 +835,6 @@ impl Index {
         self.fields[field.0 as usize].total_len
     }
 
-    /// Stored original text of `field` in `doc`, when
-    /// [`IndexConfig::store_text`] is on. Repeated fields return the
-    /// first occurrence; deleted documents return `None` (their text
-    /// is reclaimed at delete time).
-    pub fn stored_text(&self, doc: DocId, field: FieldId) -> Option<&str> {
-        self.stored
-            .get(doc.as_usize())?
-            .iter()
-            .find(|(f, _)| *f == field)
-            .map(|(_, t)| t.as_str())
-    }
-
     /// The term lexicon.
     pub fn lexicon(&self) -> &Lexicon {
         &self.lexicon
@@ -902,8 +874,9 @@ impl Index {
 
     /// Estimated heap footprint of the searchable state: packed
     /// posting streams plus their block directories (and raw memtable
-    /// lists), the lexicon arena (term bytes, span table, hash table),
-    /// and the stored text columns. A capacity-based estimate, not an
+    /// lists) and the lexicon arena (term bytes, span table, hash
+    /// table). Document text is not counted because the index holds
+    /// none. A capacity-based estimate, not an
     /// allocator measurement — its job is tracking the relative cost
     /// of representations (`tests/footprint.rs` asserts the
     /// bit-packed format lands under the varint baseline).
@@ -920,15 +893,7 @@ impl Index {
                 .flat_map(|s| s.postings.values())
                 .map(|(c, _)| c.heap_bytes())
                 .sum::<usize>();
-        let stored = self
-            .stored
-            .iter()
-            .map(|fields| {
-                fields.capacity() * std::mem::size_of::<(FieldId, String)>()
-                    + fields.iter().map(|(_, t)| t.capacity()).sum::<usize>()
-            })
-            .sum::<usize>();
-        postings + self.lexicon.heap_bytes() + stored
+        postings + self.lexicon.heap_bytes()
     }
 }
 
@@ -1004,12 +969,11 @@ mod tests {
     }
 
     #[test]
-    fn delete_reclaims_lengths_and_stored_text() {
-        let (mut idx, title, body) = small_index();
+    fn delete_reclaims_lengths() {
+        let (mut idx, _, body) = small_index();
         let before = idx.avg_field_len(body);
         idx.delete(DocId(0));
         assert_eq!(idx.field_len(DocId(0), body), 0);
-        assert_eq!(idx.stored_text(DocId(0), title), None);
         // The average now reflects only the two live docs.
         assert_ne!(idx.avg_field_len(body), before);
     }
@@ -1051,13 +1015,6 @@ mod tests {
         assert!(!s.fully_compressed);
         let hits = Searcher::new(&idx).search(&Query::parse("space"), 10);
         assert_eq!(hits.len(), 3);
-    }
-
-    #[test]
-    fn stored_text_roundtrip() {
-        let (idx, title, _) = small_index();
-        assert_eq!(idx.stored_text(DocId(0), title), Some("Galactic Raiders"));
-        assert_eq!(idx.stored_text(DocId(99), title), None);
     }
 
     #[test]

@@ -191,9 +191,6 @@ pub(crate) struct Segment {
     pub(crate) field_len: Vec<Vec<u32>>,
     /// Per field: sum of analyzed lengths over the chunk.
     pub(crate) total_len: Vec<u64>,
-    /// Stored field text per chunk-local doc (empty rows when the
-    /// index does not store text, mirroring `Index::add`).
-    pub(crate) stored: Vec<Vec<(FieldId, String)>>,
     /// Documents in this segment.
     pub(crate) docs: u32,
 }
@@ -203,7 +200,6 @@ pub(crate) struct Segment {
 /// takes no locks and shares nothing with sibling builders.
 pub(crate) struct SegmentBuilder<'a> {
     analyzer: &'a dyn Analyzer,
-    store_text: bool,
     num_fields: usize,
     /// Global doc id of the chunk's first document.
     base: u32,
@@ -214,15 +210,9 @@ pub(crate) struct SegmentBuilder<'a> {
 }
 
 impl<'a> SegmentBuilder<'a> {
-    pub(crate) fn new(
-        analyzer: &'a dyn Analyzer,
-        store_text: bool,
-        num_fields: usize,
-        base: u32,
-    ) -> Self {
+    pub(crate) fn new(analyzer: &'a dyn Analyzer, num_fields: usize, base: u32) -> Self {
         SegmentBuilder {
             analyzer,
-            store_text,
             num_fields,
             base,
             seg: Segment {
@@ -230,7 +220,6 @@ impl<'a> SegmentBuilder<'a> {
                 postings: FxHashMap::default(),
                 field_len: vec![Vec::new(); num_fields],
                 total_len: vec![0; num_fields],
-                stored: Vec::new(),
                 docs: 0,
             },
             scratch: TokenScratch::default(),
@@ -240,7 +229,7 @@ impl<'a> SegmentBuilder<'a> {
     /// Add the next document of the chunk. Mirrors `Index::add`
     /// token-for-token so the merged result is bit-identical to a
     /// sequential build.
-    pub(crate) fn add(&mut self, doc: Doc) {
+    pub(crate) fn add(&mut self, doc: Doc<'_>) {
         let local = self.seg.docs as usize;
         let id = DocId(self.base + self.seg.docs);
         self.seg.docs += 1;
@@ -270,11 +259,6 @@ impl<'a> SegmentBuilder<'a> {
             let added = last_pos.map(|p| p + 1).unwrap_or(0);
             self.seg.field_len[field.0 as usize][local] += added;
             self.seg.total_len[field.0 as usize] += added as u64;
-        }
-        if self.store_text {
-            self.seg.stored.push(doc.into_fields());
-        } else {
-            self.seg.stored.push(Vec::new());
         }
     }
 

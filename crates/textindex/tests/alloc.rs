@@ -13,7 +13,10 @@
 //! allocations. The index's write path stores each raw posting list
 //! flat (doc ids, position end offsets and positions in three arenas),
 //! so adding warm documents and merging sealed segments grow a few
-//! arenas per list instead of allocating once per posting.
+//! arenas per list instead of allocating once per posting. A document
+//! borrows its text and the index keeps none of it, so the bytes a
+//! batch of borrowed documents requests, beyond its posting arenas'
+//! growth, stay under the length of the text.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
 //! (`support/counting_alloc.rs`) cannot skew other suites; all
@@ -24,7 +27,7 @@ use symphony_text::{Analyzer, Doc, Index, IndexConfig, Lexicon, StandardAnalyzer
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::allocations;
+use counting_alloc::{allocations, allocations_and_bytes};
 
 #[test]
 fn intern_is_amortized_and_lookup_is_allocation_free() {
@@ -117,7 +120,7 @@ fn intern_is_amortized_and_lookup_is_allocation_free() {
     let body = index.register_field("body", 1.0);
     let vocab: Vec<String> = (0..40).map(|i| format!("word{i:02}")).collect();
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut docs = |n: usize| -> Vec<Doc> {
+    let mut texts = |n: usize| -> Vec<String> {
         (0..n)
             .map(|_| {
                 let words: Vec<&str> = (0..24)
@@ -128,7 +131,7 @@ fn intern_is_amortized_and_lookup_is_allocation_free() {
                         vocab[(state % vocab.len() as u64) as usize].as_str()
                     })
                     .collect();
-                Doc::new().field(body, words.join(" "))
+                words.join(" ")
             })
             .collect()
     };
@@ -136,24 +139,42 @@ fn intern_is_amortized_and_lookup_is_allocation_free() {
         let lex = index.lexicon();
         lex.iter().map(|(id, _)| index.doc_freq(id, body)).sum()
     };
-    for doc in docs(200) {
-        index.add(doc);
+    for text in texts(200) {
+        index.add(Doc::new().field(body, text));
     }
-    let batch = docs(3_000);
+    let batch = texts(3_000);
+    let text_bytes: usize = batch.iter().map(String::len).sum();
     let before = postings(&index);
-    let (add_allocs, ()) = allocations(|| {
-        for doc in batch {
-            index.add(doc);
+    let arenas_before = index.stats().postings_bytes;
+    let (allocs, bytes, ()) = allocations_and_bytes(|| {
+        for text in &batch {
+            index.add(Doc::new().field(body, text.as_str()));
         }
     });
+    // The posting arenas grow by what the postings need (their
+    // capacity, which the growth bytes telescope to); everything else
+    // building and adding the batch requested must stay under the text
+    // it borrowed, so no document copies its text.
+    let arena_growth = index.stats().postings_bytes - arenas_before;
+    let other_bytes = bytes - arena_growth;
+    assert!(
+        other_bytes < text_bytes,
+        "building and adding {} borrowed documents requested {other_bytes} B \
+         beyond the posting arenas' growth, no less than their {text_bytes} B \
+         of text: a document copies its text",
+        batch.len()
+    );
+    // Each document allocates its field list once; adding it must
+    // only grow a few arenas per list.
+    let add_allocs = allocs.saturating_sub(batch.len());
     let added = postings(&index) - before;
     assert!(
         add_allocs * 10 < added,
         "Index::add of warm documents performed {add_allocs} allocations for {added} postings"
     );
     index.seal();
-    for doc in docs(1_000) {
-        index.add(doc);
+    for text in texts(1_000) {
+        index.add(Doc::new().field(body, text));
     }
     index.seal();
     let (merge_allocs, ()) = allocations(|| index.optimize());

@@ -1,6 +1,7 @@
-//! Index memory-footprint accounting: `Index::bytes_estimate()` must
-//! reflect the packed representation, and the packed posting format
-//! plus arena lexicon must be smaller than the varint-per-posting and
+//! Index memory-footprint accounting: `Index::bytes_estimate()` is
+//! exactly the packed postings plus the arena lexicon (the index holds
+//! no document text), and that packed posting format plus arena
+//! lexicon must be smaller than the varint-per-posting and
 //! two-`String`s-per-term baseline they replaced.
 
 use symphony_text::postings::PostingList;
@@ -105,20 +106,12 @@ fn packed_index_is_smaller_than_varint_baseline() {
          the varint + owned-String baseline ({varint_core} B)"
     );
 
-    // The accessor must account for at least the postings and lexicon
-    // it reports on, plus the stored columns on top.
-    let estimate = idx.bytes_estimate();
-    assert!(
-        estimate >= packed_core,
-        "bytes_estimate ({estimate}) must cover postings + lexicon ({packed_core})"
-    );
-    let stored = estimate - packed_postings - idx.lexicon().heap_bytes();
-    assert!(stored > 0, "stored columns must contribute to the estimate");
-    assert!(
-        estimate < varint_core + stored,
-        "bytes_estimate ({estimate}) must beat the varint baseline plus \
-         the same stored columns ({})",
-        varint_core + stored
+    // An optimized index holds nothing but packed postings and the
+    // lexicon, so the accessor reports exactly those.
+    assert_eq!(
+        idx.bytes_estimate(),
+        packed_core,
+        "bytes_estimate must equal packed postings + lexicon"
     );
 }
 

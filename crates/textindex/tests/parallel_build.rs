@@ -7,7 +7,9 @@
 //! 1. a parallel build is bit-identical to a sequential build at every
 //!    thread count 1..=8, and
 //! 2. two parallel builds at the same thread count are bit-identical to
-//!    each other (no dependence on thread scheduling).
+//!    each other (no dependence on thread scheduling), and
+//! 3. a document that borrows its text indexes exactly like one that
+//!    owns it, through `add` and through the parallel build.
 
 use symphony_text::{Doc, DocId, FieldId, Index, IndexConfig, Query, Searcher};
 
@@ -35,14 +37,33 @@ fn corpus(n: usize) -> Vec<(String, String)> {
         .collect()
 }
 
+/// Field ids in registration order.
+const TITLE: FieldId = FieldId(0);
+const BODY: FieldId = FieldId(1);
+
+/// The corpus as documents that own copies of their text, or that
+/// borrow it from `docs`.
+fn batch(docs: &[(String, String)], owned: bool) -> Vec<Doc<'_>> {
+    docs.iter()
+        .map(|(t, b)| {
+            if owned {
+                Doc::new().field(TITLE, t.clone()).field(BODY, b.clone())
+            } else {
+                Doc::new().field(TITLE, t.as_str()).field(BODY, b.as_str())
+            }
+        })
+        .collect()
+}
+
 fn build(docs: &[(String, String)], threads: Option<usize>) -> Index {
+    build_batch(batch(docs, true), threads)
+}
+
+fn build_batch(batch: Vec<Doc<'_>>, threads: Option<usize>) -> Index {
     let mut idx = Index::new(IndexConfig::default());
     let title = idx.register_field("title", 2.0);
     let body = idx.register_field("body", 1.0);
-    let batch: Vec<Doc> = docs
-        .iter()
-        .map(|(t, b)| Doc::new().field(title, t.clone()).field(body, b.clone()))
-        .collect();
+    assert_eq!((title, body), (TITLE, BODY));
     match threads {
         Some(n) => {
             idx.build_parallel(batch, n);
@@ -65,7 +86,7 @@ fn assert_identical(a: &Index, b: &Index) {
         a.lexicon().iter().collect::<Vec<_>>(),
         b.lexicon().iter().collect::<Vec<_>>()
     );
-    let fields = [FieldId(0), FieldId(1)];
+    let fields = [TITLE, BODY];
     for (term, _) in a.lexicon().iter() {
         for field in fields {
             match (
@@ -125,6 +146,16 @@ fn two_eight_thread_builds_are_bit_identical() {
     let a = build(&docs, Some(8));
     let b = build(&docs, Some(8));
     assert_identical(&a, &b);
+}
+
+#[test]
+fn borrowed_text_builds_the_same_index_as_owned_text() {
+    let docs = corpus(300);
+    for threads in [None, Some(1), Some(2), Some(3), Some(4)] {
+        let owned = build_batch(batch(&docs, true), threads);
+        let borrowed = build_batch(batch(&docs, false), threads);
+        assert_identical(&owned, &borrowed);
+    }
 }
 
 #[test]

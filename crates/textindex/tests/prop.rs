@@ -493,7 +493,7 @@ proptest! {
         }
         for h in &hits {
             prop_assert!(h.score > 0.0);
-            let text = idx.stored_text(h.doc, body).unwrap();
+            let text = &docs[h.doc.as_usize()];
             let doc_terms: Vec<String> =
                 analyzer.analyze(text).into_iter().map(|t| t.term).collect();
             prop_assert!(
@@ -667,7 +667,7 @@ proptest! {
         // Each doc's lengths as first seen live: a tombstone zeroes
         // them, but a block sealed before the delete encoded these.
         let mut first_len: HashMap<(DocId, symphony_text::FieldId), u32> = HashMap::new();
-        let doc = |t: &str, b: &str| Doc::new().field(title, t).field(body, b);
+        let doc = |t, b| Doc::new().field(title, t).field(body, b);
         for op in &ops {
             match op {
                 LiveOp::Base(LifecycleOp::Add(t, b)) => {
@@ -1031,7 +1031,7 @@ proptest! {
         tombstone_every in 5u32..40,
         queries in proptest::collection::vec(proptest::collection::vec(window_clause(), 1..5), 3..4),
     ) {
-        let mut idx = Index::new(IndexConfig { store_text: false, ..IndexConfig::default() });
+        let mut idx = Index::new(IndexConfig::default());
         let title = idx.register_field("title", 2.0);
         let body = idx.register_field("body", 1.0);
         // The last tenth stays in the memtable when asked; the rest

@@ -1,5 +1,5 @@
-//! A counting `#[global_allocator]` for allocation-count regression
-//! tests, shared by `#[path]` between the test binaries that need one
+//! A counting `#[global_allocator]` for allocation-count and
+//! allocation-byte regression tests, shared by `#[path]` between the test binaries that need one
 //! (`symphony-text`'s and `symphony-web`'s `tests/alloc.rs`). A binary
 //! that includes it must keep every counted region in a single
 //! `#[test]`: the counter is process-wide, so parallel test threads
@@ -11,20 +11,28 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes requested: a fresh block's size, or what a `realloc` adds to
+/// the block it grows (a shrink adds nothing).
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -38,7 +46,21 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Run `f` and return how many heap allocations it performed.
 pub fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let (allocs, _, out) = allocations_and_bytes(f);
+    (allocs, out)
+}
+
+/// Run `f` and return how many heap allocations it performed and how
+/// many bytes they requested (see `BYTES`).
+pub fn allocations_and_bytes<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
+    let (allocs, bytes) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    (
+        ALLOCS.load(Ordering::Relaxed) - allocs,
+        BYTES.load(Ordering::Relaxed) - bytes,
+        out,
+    )
 }

@@ -127,10 +127,7 @@ fn body(i: u32) -> String {
 
 /// The corpus with a seal after each of `seal_after`'s doc counts.
 fn index(seal_after: &[u32]) -> (Index, FieldId) {
-    let mut idx = Index::new(IndexConfig {
-        store_text: false,
-        ..IndexConfig::default()
-    });
+    let mut idx = Index::new(IndexConfig::default());
     let field = idx.register_field("body", 1.0);
     for i in 0..SEALED_DOCS + MEMTABLE_DOCS {
         idx.add(Doc::new().field(field, body(i)));
@@ -251,10 +248,7 @@ const CATALOG_QUERY: &str = "c0";
 const CATALOG: (usize, usize) = (6_862, 4_224);
 
 fn catalog() -> Index {
-    let mut idx = Index::new(IndexConfig {
-        store_text: false,
-        ..IndexConfig::default()
-    });
+    let mut idx = Index::new(IndexConfig::default());
     let field = idx.register_field("body", 1.0);
     // Cumulative Zipf(1) weights, drawn by inverse CDF.
     let cdf: Vec<f64> = (1..=CATALOG_VOCAB)

@@ -270,7 +270,7 @@ impl VerticalIndex {
     /// Index a page of site `site` incrementally; a page already
     /// present (re-crawl) is refreshed via [`Index::update`] —
     /// tombstone plus re-add — so the vertical never rebuilds.
-    fn add_page(&mut self, page_idx: usize, site: usize, doc: Doc) {
+    fn add_page(&mut self, page_idx: usize, site: usize, doc: Doc<'_>) {
         let id = match self.doc_by_page.get(&page_idx) {
             Some(&old) => self
                 .index
@@ -344,19 +344,20 @@ impl std::fmt::Debug for SearchEngine {
 const TITLE_FIELD: FieldId = FieldId(0);
 const BODY_FIELD: FieldId = FieldId(1);
 
-/// One vertical's slice of the corpus: the documents to index plus the
-/// doc-id -> page-index mapping, produced by [`route_pages`].
+/// One vertical's slice of the corpus: the documents to index (borrowing
+/// their text from the corpus) plus the doc-id -> page-index mapping,
+/// produced by [`route_pages`].
 #[derive(Default)]
-struct VerticalDocs {
-    docs: Vec<Doc>,
+struct VerticalDocs<'a> {
+    docs: Vec<Doc<'a>>,
     pages: Vec<usize>,
 }
 
 /// Single pass over the corpus routing each page `keep` accepts to its
 /// vertical (replacing four full-corpus filter passes). A shard passes
 /// its stride so only its own pages are ever projected into documents.
-fn route_pages(corpus: &Corpus, keep: impl Fn(usize) -> bool) -> [VerticalDocs; 4] {
-    let mut routed: [VerticalDocs; 4] = Default::default();
+fn route_pages(corpus: &Corpus, keep: impl Fn(usize) -> bool) -> [VerticalDocs<'_>; 4] {
+    let mut routed: [VerticalDocs<'_>; 4] = Default::default();
     for (i, page) in corpus.pages.iter().enumerate() {
         if !keep(i) {
             continue;
@@ -368,15 +369,16 @@ fn route_pages(corpus: &Corpus, keep: impl Fn(usize) -> bool) -> [VerticalDocs; 
     routed
 }
 
-/// Project a page into an index document (shared by bulk build and
-/// live ingest, so both paths index identically).
-fn page_doc(page: &Page) -> Doc {
+/// Project a page into an index document that borrows the page's
+/// title and body (shared by bulk build and live ingest, so both paths
+/// index identically; the corpus holds the only copy of the text).
+fn page_doc(page: &Page) -> Doc<'_> {
     Doc::new()
         .field(TITLE_FIELD, &*page.title)
         .field(BODY_FIELD, &*page.body)
 }
 
-fn build_vertical(corpus: &Corpus, docs: VerticalDocs, threads: usize) -> VerticalIndex {
+fn build_vertical(corpus: &Corpus, docs: VerticalDocs<'_>, threads: usize) -> VerticalIndex {
     let mut index = Index::new(IndexConfig::default());
     let title = index.register_field("title", 2.0);
     let body = index.register_field("body", 1.0);
@@ -591,9 +593,8 @@ impl SearchEngine {
                 if old != vertical {
                     self.vertical_mut(old).remove_page(idx);
                 }
-                let (site, doc) = (page.site, page_doc(&page));
                 Arc::make_mut(&mut self.corpus).pages[idx] = page;
-                self.vertical_mut(vertical).add_page(idx, site, doc);
+                self.index_page(vertical, idx);
             }
             None => {
                 let idx = Arc::make_mut(&mut self.corpus).push_page(page);
@@ -603,12 +604,20 @@ impl SearchEngine {
                 };
                 self.rank.push(mean);
                 self.rank_sum += mean;
-                let page = &self.corpus.pages[idx];
-                let (site, doc) = (page.site, page_doc(page));
-                self.vertical_mut(vertical).add_page(idx, site, doc);
+                self.index_page(vertical, idx);
             }
         }
         vertical
+    }
+
+    /// Index corpus page `idx` into vertical `v`, borrowing its text
+    /// from the corpus. The document borrows through a second handle on
+    /// the corpus, so the vertical can be borrowed mutably meanwhile.
+    fn index_page(&mut self, v: Vertical, idx: usize) {
+        let corpus = Arc::clone(&self.corpus);
+        let page = &corpus.pages[idx];
+        self.vertical_mut(v)
+            .add_page(idx, page.site, page_doc(page));
     }
 
     /// Drop a URL from search (tombstone; the posting data is purged by
