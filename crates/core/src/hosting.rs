@@ -1275,12 +1275,16 @@ mod tests {
             merge_fanin: 4,
             near_real_time: false,
         };
-        p.store_mut()
+        let inventory = p
+            .store_mut()
             .space_mut(tenant, &key)
             .unwrap()
             .table_mut("inventory")
-            .unwrap()
-            .set_fulltext_policy(policy);
+            .unwrap();
+        inventory.set_fulltext_policy(policy);
+        // The uploaded rows were bulk-built into sealed segments; a row
+        // inserted since sits in the view's memtable.
+        inventory.insert_raw(&["Pixel Farm".into(), "sim".into(), "a quiet farm".into()]);
         let before = p.query(id, "shooter").unwrap().html.clone();
         // The query advanced the clock past the staleness window, so
         // the tick seals the tenant view's memtable.

@@ -126,30 +126,34 @@ impl FullTextView {
     }
 
     /// Bulk-index a batch of records using up to `threads` worker
-    /// threads (`Index::build_parallel` under the hood — the result is
-    /// bit-identical to calling [`add`](Self::add) per record in
-    /// order). Used by table backfills, where the whole table arrives
-    /// at once.
+    /// threads (`Index::build_parallel` under the hood — after
+    /// [`optimize`](Self::optimize) the result is bit-identical to
+    /// calling [`add`](Self::add) per record in order). Used by table
+    /// backfills, where the whole table arrives at once. The records'
+    /// documents are built lazily as the build pulls them, so only the
+    /// chunks of one build wave are ever held raw; the batch lands as
+    /// sealed segments, searchable when the call returns.
     pub fn add_bulk<'a, I>(&mut self, rows: I, threads: usize)
     where
         I: IntoIterator<Item = (RecordId, &'a Record)>,
     {
-        let mut ids = Vec::new();
-        let mut docs = Vec::new();
-        for (id, record) in rows {
+        let rows: Vec<(RecordId, &Record)> = rows.into_iter().collect();
+        for &(id, _) in &rows {
             self.remove(id);
-            ids.push(id);
-            docs.push(Self::build_doc(&self.cols, record));
         }
         // Size the record map for the batch in one step, before the
         // build: regrown record by record afterwards, its final block
         // lands among the build threads' freed arenas and pins tens of
         // MB of them (`peak_rss_mb` on the ledger's 100k-row catalog).
-        if let Some(&last) = ids.iter().max() {
+        if let Some(&(last, _)) = rows.iter().max_by_key(|(id, _)| *id) {
             self.cover(last);
         }
+        let cols = &self.cols;
+        let docs = rows
+            .iter()
+            .map(|&(_, record)| Self::build_doc(cols, record));
         let doc_ids = self.index.build_parallel(docs, threads);
-        for (id, doc_id) in ids.into_iter().zip(doc_ids) {
+        for (&(id, _), doc_id) in rows.iter().zip(doc_ids) {
             self.map_record(id, doc_id);
         }
     }

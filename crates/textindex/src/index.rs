@@ -19,7 +19,9 @@
 //!    staleness window).
 //! 2. **sealed** — [`Index::seal`] compresses the memtable's lists and
 //!    computes exact per-list [`TermScoreStats`]; the segment never
-//!    mutates again.
+//!    mutates again. A bulk build ([`Index::build_parallel`]) skips
+//!    the memtable: its workers pack each chunk the same way, and the
+//!    chunks arrive as sealed segments.
 //! 3. **merged** — [`Index::maintain`] merges runs of same-tier
 //!    adjacent segments (and rewrites tombstone-heavy ones), keeping
 //!    the segment count — hence read amplification — flat while
@@ -31,13 +33,12 @@
 use crate::analysis::{Analyzer, StandardAnalyzer, TokenScratch};
 use crate::fx::FxHashMap;
 use crate::lexicon::{Lexicon, TermId};
-use crate::postings::{CompressedPostings, PostingList, PostingsCursor};
+use crate::postings::{CompressedPostings, PostingList, PostingsCursor, NO_DOC};
 use crate::segment::{
-    ActiveSegment, SealedSegment, Segment, SegmentBuilder, SegmentList, SegmentView,
+    seal_list, ActiveSegment, PackedChunk, SealedSegment, SegmentBuilder, SegmentList, SegmentView,
 };
 use crate::DocId;
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
 
 /// Upper bound on worker threads for [`Index::build_parallel`],
 /// mirroring the serving path's `MAX_FANOUT_WORKERS` cap.
@@ -84,7 +85,9 @@ impl std::fmt::Debug for IndexConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentPolicy {
     /// [`Index::maintain`] seals the memtable once it holds this many
-    /// documents, regardless of elapsed time.
+    /// documents, regardless of elapsed time. [`Index::build_parallel`]
+    /// seals a bulk build in chunks of at most this many documents too,
+    /// so no set of raw postings outgrows it either way.
     pub memtable_max_docs: u32,
     /// [`Index::maintain`] seals a non-empty memtable once this much
     /// (virtual) time has passed since the last seal. Under a
@@ -391,113 +394,134 @@ impl Index {
         id
     }
 
-    /// Add a batch of documents using up to `threads` worker threads,
+    /// Add a batch of documents using up to `threads` build workers,
     /// returning their ids in batch order.
     ///
-    /// The batch is partitioned into contiguous chunks, each built into
-    /// an independent [`Segment`] on its own scoped thread (private
-    /// lexicon and postings — the hot loop takes no locks), and the
-    /// segments are folded back in chunk order by a deterministic merge
-    /// into the memtable. The result is **bit-identical** to calling
-    /// [`Index::add`] on each document in order: same doc ids, same
-    /// term ids, same postings bytes after [`Index::optimize`] — see
-    /// the differential property tests. `threads` is clamped to `1..=`
-    /// [`MAX_BUILD_WORKERS`]; with one thread (or one document) the
-    /// build degenerates to the sequential path.
-    pub fn build_parallel(&mut self, docs: Vec<Doc<'_>>, threads: usize) -> Vec<DocId> {
-        let n = docs.len();
-        let first = self.deleted.len() as u32;
-        let workers = threads.clamp(1, MAX_BUILD_WORKERS).min(n.max(1));
-        if workers <= 1 {
-            return docs.into_iter().map(|d| self.add(d)).collect();
-        }
-        let chunk_size = n.div_ceil(workers);
-        // Carve the batch into owned contiguous chunks, back to front so
-        // each split_off is cheap.
-        let mut docs = docs;
-        let mut parts: Vec<Vec<Doc<'_>>> = Vec::with_capacity(workers);
-        for i in (0..workers).rev() {
-            let start = (i * chunk_size).min(docs.len());
-            parts.push(docs.split_off(start));
-        }
-        parts.reverse();
-        let analyzer = self.config.analyzer.as_ref();
-        let num_fields = self.fields.len();
-        let segments: Vec<Segment> = std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .enumerate()
-                .map(|(i, part)| {
-                    let base = first + (i * chunk_size) as u32;
-                    s.spawn(move || {
-                        let mut builder = SegmentBuilder::new(analyzer, num_fields, base);
-                        for doc in part {
-                            builder.add(doc);
-                        }
-                        builder.finish()
-                    })
-                })
+    /// A bulk build is a run of seals. The batch is carved into
+    /// contiguous chunks of at most [`SegmentPolicy::memtable_max_docs`]
+    /// documents (a batch that fits in one wave is split evenly across
+    /// the workers instead), and each worker builds one chunk with a
+    /// private lexicon and postings (the hot loop takes no locks), then
+    /// packs it on the spot exactly as [`Index::seal`] packs a
+    /// memtable. The index receives the packed chunks as sealed
+    /// segments in doc order, folding each chunk's lexicon
+    /// append-if-absent and re-keying its lists (never re-encoding
+    /// them). The batch is pulled one wave of `threads` chunks at a
+    /// time, so no raw postings or documents from beyond one wave are
+    /// ever live. `threads` is clamped to `1..=`[`MAX_BUILD_WORKERS`];
+    /// the caller builds each wave's last chunk straight from the
+    /// stream, so on one thread it is the only worker.
+    ///
+    /// A memtable holding documents is sealed first, and under a
+    /// near-real-time policy every document is visible when the build
+    /// returns, as after any seal. After [`Index::optimize`] the index
+    /// is **bit-identical** to calling [`Index::add`] on each document
+    /// in order: same doc ids, same term ids, same postings bytes — see
+    /// the differential property tests.
+    pub fn build_parallel<'a>(
+        &mut self,
+        docs: impl IntoIterator<Item = Doc<'a>>,
+        threads: usize,
+    ) -> Vec<DocId> {
+        let first = self.total_docs() as u32;
+        let workers = threads.clamp(1, MAX_BUILD_WORKERS);
+        let mut docs = docs.into_iter().peekable();
+        // The stream's upper size bound can only make a chunk larger
+        // than an even split, never smaller.
+        let expected = docs.size_hint().1.unwrap_or(usize::MAX);
+        let size = expected
+            .div_ceil(workers)
+            .clamp(1, self.policy.memtable_max_docs.max(1) as usize);
+        while docs.peek().is_some() {
+            if self.active.docs > 0 {
+                self.seal();
+            }
+            let analyzer = self.config.analyzer.as_ref();
+            let num_fields = self.fields.len();
+            let build = move |base: usize, chunk: &mut dyn Iterator<Item = Doc<'a>>| {
+                let mut builder = SegmentBuilder::new(analyzer, num_fields, base as u32);
+                chunk.for_each(|doc| builder.add(doc));
+                builder.finish()
+            };
+            // The helpers' chunks are carved off first; every chunk but
+            // the stream's last is full, so chunk `i` of the wave starts
+            // `i * size` documents in.
+            let base = self.total_docs();
+            let helpers: Vec<Vec<Doc<'a>>> = (1..workers)
+                .map(|_| docs.by_ref().take(size).collect::<Vec<_>>())
+                .take_while(|chunk| !chunk.is_empty())
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(seg) => seg,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        for seg in segments {
-            self.merge_builder_segment(seg);
-        }
-        (0..n as u32).map(|i| DocId(first + i)).collect()
-    }
-
-    /// Fold one finished build segment into the memtable. Called in
-    /// chunk order; determinism of the merged representation relies on
-    /// iterating the segment's terms in local-id (first-encounter)
-    /// order and fields in id order — never on hash-map iteration
-    /// order.
-    fn merge_builder_segment(&mut self, seg: Segment) {
-        let Segment {
-            lexicon,
-            mut postings,
-            field_len,
-            total_len,
-            docs,
-        } = seg;
-        // Append-if-absent interning of the segment lexicon in local-id
-        // order reproduces sequential first-encounter term ids.
-        let mut remap: Vec<TermId> = Vec::with_capacity(lexicon.len());
-        for (_, term) in lexicon.iter() {
-            remap.push(self.lexicon.intern(term));
-        }
-        for (local, &global) in remap.iter().enumerate() {
-            let local_id = TermId(local as u32);
-            for f in 0..self.fields.len() {
-                let field = FieldId(f as u16);
-                let Some(list) = postings.remove(&(local_id, field)) else {
-                    continue;
-                };
-                match self.active.postings.entry((global, field)) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(list);
-                    }
-                    Entry::Occupied(mut slot) => {
-                        slot.get_mut().append(list);
-                    }
-                }
+            let own_base = base + helpers.len() * size;
+            let packed: Vec<PackedChunk> = std::thread::scope(|s| {
+                let handles: Vec<_> = helpers
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, chunk)| {
+                        s.spawn(move || build(base + i * size, &mut chunk.into_iter()))
+                    })
+                    .collect();
+                let own = docs
+                    .peek()
+                    .is_some()
+                    .then(|| build(own_base, &mut docs.by_ref().take(size)));
+                let mut packed: Vec<PackedChunk> = handles
+                    .into_iter()
+                    .map(|h| match h.join() {
+                        Ok(chunk) => chunk,
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    })
+                    .collect();
+                packed.extend(own);
+                packed
+            });
+            for chunk in packed {
+                self.push_chunk(chunk);
             }
         }
+        (first..self.total_docs() as u32).map(DocId).collect()
+    }
+
+    /// Append one packed build chunk as the newest sealed segment.
+    /// Called in chunk order on an empty memtable; the chunk's lexicon
+    /// is folded in local-id (first-encounter) order, which reproduces
+    /// sequential term ids — never in hash-map iteration order.
+    fn push_chunk(&mut self, chunk: PackedChunk) {
+        let PackedChunk {
+            lexicon,
+            postings,
+            field_len,
+            total_len,
+            base,
+            docs,
+        } = chunk;
+        debug_assert_eq!((base, self.active.docs), (self.total_docs() as u32, 0));
+        let global: Vec<TermId> = lexicon
+            .iter()
+            .map(|(_, term)| self.lexicon.intern(term))
+            .collect();
+        let postings: FxHashMap<_, _> = postings
+            .into_iter()
+            .map(|((term, field), list)| ((global[term.0 as usize], field), list))
+            .collect();
         for (f, lens) in field_len.into_iter().enumerate() {
-            let chunk_min = lens.iter().copied().filter(|&l| l > 0).min();
-            self.active.note_len(f, chunk_min.unwrap_or(0));
             self.field_len[f].extend(lens);
             self.fields[f].total_len += total_len[f];
         }
         self.deleted
             .resize(self.deleted.len() + docs as usize, false);
         self.live_docs += docs as usize;
-        self.active.docs += docs;
+        // Documents that analyze to no tokens leave no postings; like
+        // `seal`, make no segment for them.
+        if !postings.is_empty() {
+            self.sealed.push(SealedSegment {
+                base,
+                docs,
+                purged: 0,
+                postings,
+            });
+        }
+        self.active = ActiveSegment::starting_at(self.total_docs() as u32);
+        self.visible_limit = self.total_docs() as u32;
     }
 
     /// Tombstone a document. Returns `false` if it was already deleted
@@ -577,7 +601,7 @@ impl Index {
         let mut postings = FxHashMap::default();
         postings.reserve(memtable.postings.len());
         for (key, list) in memtable.postings {
-            postings.insert(key, Self::sealed_list(&self.field_len, key.1, &list));
+            postings.insert(key, seal_list(&list, &self.field_len[key.1 .0 as usize], 0));
         }
         self.sealed.push(SealedSegment {
             base: memtable.base,
@@ -675,7 +699,7 @@ impl Index {
                 });
             }
             if list.doc_count() > 0 {
-                postings.insert(key, Self::sealed_list(&self.field_len, key.1, &list));
+                postings.insert(key, seal_list(&list, &self.field_len[key.1 .0 as usize], 0));
             }
         }
         let dead = self.dead_in_range(base, docs);
@@ -699,39 +723,120 @@ impl Index {
     /// stop counting them — equivalent to a from-scratch rebuild of
     /// the live corpus (the differential tests prove bit-identical
     /// search results).
+    ///
+    /// One sealed segment with nothing left to purge is already that
+    /// segment, byte for byte, so it is kept as it is: a bulk build that
+    /// landed as one chunk ends this way.
     pub fn optimize(&mut self) {
         self.seal();
-        if !self.sealed.is_empty() {
-            self.merge_run(0, self.sealed.len());
+        match &self.sealed[..] {
+            [] => {}
+            [only] if self.dead_in_range(only.base, only.docs) == only.purged => {}
+            _ => {
+                self.merge_run(0, self.sealed.len());
+            }
         }
     }
 
-    /// Freeze one raw list of `field` for a sealed segment: its packed
-    /// form (block peaks included) and exact score-bound ingredients,
-    /// both read off the raw list (nothing is decoded back). `min_len`
-    /// is the smallest *non-zero* field length on the list (zero
-    /// lengths are either pre-registration backfill or reclaimed
-    /// tombstones; excluding them is rank-safe because every live
-    /// document containing the term has length >= 1).
-    fn sealed_list(
-        field_len: &[Vec<u32>],
-        field: FieldId,
-        list: &PostingList,
-    ) -> (CompressedPostings, TermScoreStats) {
-        let lens = &field_len[field.0 as usize];
-        let min_len = list
-            .iter()
-            .map(|(doc, _)| lens[doc.as_usize()])
-            .filter(|&len| len > 0)
-            .min()
-            // All lengths zero can only happen on inconsistent input;
-            // clamp to the smallest real length.
-            .unwrap_or(1);
-        let stats = TermScoreStats {
-            max_tf: list.max_tf(),
-            min_len,
+    /// Verify the index's structural invariants, naming the first one
+    /// that fails:
+    ///
+    /// - sealed segments are in doc-range order and never overlap, and
+    ///   the memtable covers the ids after the last of them up to
+    ///   [`Index::total_docs`]; a document no segment covers indexed no
+    ///   tokens (a seal makes no segment for such documents);
+    /// - every list's doc ids are strictly increasing and inside its
+    ///   segment's range, and its term and field exist;
+    /// - every field-length column is [`Index::total_docs`] long and
+    ///   sums to its field's total length;
+    /// - [`Index::live_docs`] counts the documents not tombstoned, and
+    ///   the near-real-time visibility limit is at most
+    ///   [`Index::total_docs`].
+    pub fn check(&self) -> Result<(), String> {
+        let total = self.total_docs() as u32;
+        for (f, lens) in self.field_len.iter().enumerate() {
+            if lens.len() != total as usize {
+                return Err(format!(
+                    "field {f} has {} lengths for {total} docs",
+                    lens.len()
+                ));
+            }
+            let sum: u64 = lens.iter().map(|&l| u64::from(l)).sum();
+            if sum != self.fields[f].total_len {
+                return Err(format!(
+                    "field {f}'s lengths sum to {sum}, its total says {}",
+                    self.fields[f].total_len
+                ));
+            }
+        }
+        let live = self.deleted.iter().filter(|&&d| !d).count();
+        if live != self.live_docs {
+            return Err(format!(
+                "live_docs is {}, {live} docs are not tombstoned",
+                self.live_docs
+            ));
+        }
+        if self.visible_limit > total {
+            return Err(format!(
+                "visible limit {} is past {total} docs",
+                self.visible_limit
+            ));
+        }
+        let memtable = self.active.base..self.active.base + self.active.docs;
+        if memtable.end != total {
+            return Err(format!(
+                "memtable covers {memtable:?}, but the index holds {total} docs"
+            ));
+        }
+        let ranges = self.sealed.iter().map(|s| s.base..s.base + s.docs);
+        let mut covered = 0u32;
+        for range in ranges.chain([memtable]) {
+            if range.start < covered {
+                return Err(format!(
+                    "segment {range:?} overlaps the one ending at {covered}"
+                ));
+            }
+            if let Some(doc) = (covered..range.start)
+                .find(|&d| self.field_len.iter().any(|lens| lens[d as usize] > 0))
+            {
+                return Err(format!("doc {doc} has tokens but no segment covers it"));
+            }
+            covered = range.end;
+        }
+        let check_list = |range: std::ops::Range<u32>,
+                          (term, field): (TermId, FieldId),
+                          mut cursor: PostingsCursor<'_>|
+         -> Result<(), String> {
+            if term.0 as usize >= self.lexicon.len() || field.0 as usize >= self.fields.len() {
+                return Err(format!("list key {:?} is unknown", (term, field)));
+            }
+            let mut prev = None;
+            while cursor.doc() != NO_DOC {
+                let doc = cursor.doc();
+                if !range.contains(&doc) || prev.is_some_and(|p| p >= doc) {
+                    return Err(format!(
+                        "list {:?} holds doc {doc} after {prev:?} in segment {range:?}",
+                        (term, field)
+                    ));
+                }
+                prev = Some(doc);
+                cursor.next();
+            }
+            Ok(())
         };
-        (CompressedPostings::encode(list, lens), stats)
+        for seg in &self.sealed {
+            for (&key, (packed, _)) in &seg.postings {
+                check_list(seg.base..seg.base + seg.docs, key, packed.cursor())?;
+            }
+        }
+        for (&key, raw) in &self.active.postings {
+            let lens = self
+                .field_len
+                .get(key.1 .0 as usize)
+                .map_or(&[][..], Vec::as_slice);
+            check_list(self.active.base..total, key, raw.cursor(lens))?;
+        }
+        Ok(())
     }
 
     /// The segments reads visit, in doc order: every sealed segment,
@@ -1135,9 +1240,7 @@ mod tests {
             match i % 9 {
                 // A batch appended to whatever the memtable holds.
                 0 => {
-                    let batch = (0..4)
-                        .map(|j| Doc::new().field(body, text(i + j)))
-                        .collect();
+                    let batch = (0..4).map(|j| Doc::new().field(body, text(i + j)));
                     idx.build_parallel(batch, 2);
                 }
                 // A repeated field: the length that counts is the sum.
@@ -1306,7 +1409,7 @@ mod tests {
         for t in &texts {
             seq.add(Doc::new().field(sb, *t));
         }
-        let ids = par.build_parallel(texts.iter().map(|t| Doc::new().field(pb, *t)).collect(), 3);
+        let ids = par.build_parallel(texts.iter().map(|t| Doc::new().field(pb, *t)), 3);
         assert_eq!(ids, (0..5).map(DocId).collect::<Vec<_>>());
         seq.optimize();
         par.optimize();
@@ -1342,15 +1445,103 @@ mod tests {
         assert_eq!(ids, vec![DocId(2), DocId(3)]);
         let hits = Searcher::new(&idx).search(&Query::parse("space"), 10);
         assert_eq!(hits.len(), 3);
-        // The batch's lists carry their own ingredients — max tf folded
-        // through the per-chunk `append`, min length per chunk — so
-        // stats touched by it dominate every document, old and new.
+        // The memtable was sealed first and the batch landed as two
+        // more sealed segments (one per worker), so every list's stats
+        // are exact, and the fold over the four segments is too.
+        let s = idx.stats();
+        assert_eq!((s.sealed_segments, s.memtable_docs), (4, 0));
         let space = idx.lexicon().get("space").unwrap();
         let s = idx.term_score_stats(space, body).unwrap();
-        assert_eq!((s.max_tf, s.min_len), (3, 1));
+        assert_eq!((s.max_tf, s.min_len), (3, 2));
         idx.optimize();
         let s = idx.term_score_stats(space, body).unwrap();
         assert_eq!((s.max_tf, s.min_len), (3, 2));
+    }
+
+    #[test]
+    fn optimize_keeps_a_lone_clean_segment_as_it_is() {
+        let mut idx = Index::new(IndexConfig::default());
+        let body = idx.register_field("body", 1.0);
+        let texts = ["space shooter", "space farm", "trader space space"];
+        idx.build_parallel(texts.iter().map(|t| Doc::new().field(body, *t)), 1);
+        let space = idx.lexicon().get("space").unwrap();
+        let packed = |idx: &Index| {
+            let bytes = idx.compacted_postings(space, body).unwrap().bytes();
+            (bytes.as_ptr(), bytes.to_vec())
+        };
+        // A batch under the cap on one worker is one sealed segment
+        // already: the identity merge is skipped, so the very same
+        // buffer serves.
+        let before = packed(&idx);
+        idx.optimize();
+        assert_eq!(packed(&idx), before);
+        // A pending tombstone makes the merge real again.
+        idx.delete(DocId(1));
+        idx.optimize();
+        assert_ne!(packed(&idx).1, before.1);
+        assert_eq!(idx.doc_freq(space, body), 2);
+        assert_eq!(idx.check(), Ok(()));
+    }
+
+    #[test]
+    fn near_real_time_bulk_build_is_a_seal() {
+        let mut idx = Index::with_policy(
+            IndexConfig::default(),
+            SegmentPolicy {
+                memtable_max_docs: 2,
+                near_real_time: true,
+                ..SegmentPolicy::default()
+            },
+        );
+        let body = idx.register_field("body", 1.0);
+        idx.add(Doc::new().field(body, "hidden memtable doc"));
+        let count = |idx: &Index| Searcher::new(idx).search(&Query::parse("doc"), 10).len();
+        assert_eq!(count(&idx), 0);
+        // The rule: a bulk build seals the memtable and lands its
+        // batch as sealed chunks, so every document is visible when it
+        // returns, the earlier memtable write included.
+        let batch = ["bulk doc one", "bulk doc two", "bulk doc three"];
+        idx.build_parallel(batch.iter().map(|t| Doc::new().field(body, *t)), 2);
+        assert_eq!(count(&idx), 4);
+        let s = idx.stats();
+        assert_eq!((s.sealed_segments, s.memtable_docs), (3, 0));
+        // The next plain write waits for a seal again.
+        idx.add(Doc::new().field(body, "another hidden doc"));
+        assert_eq!(count(&idx), 4);
+        assert_eq!(idx.check(), Ok(()));
+    }
+
+    #[test]
+    fn check_names_a_broken_invariant() {
+        let (mut idx, _, body) = small_index();
+        idx.seal();
+        idx.add(Doc::new().field(body, "space after the seal"));
+        assert_eq!(idx.check(), Ok(()));
+        let broken = |f: fn(&mut Index)| {
+            let (mut idx, _, body) = small_index();
+            idx.seal();
+            idx.add(Doc::new().field(body, "space after the seal"));
+            f(&mut idx);
+            idx.check()
+        };
+        assert!(broken(|idx| idx.live_docs += 1).is_err());
+        assert!(broken(|idx| idx.visible_limit = 99).is_err());
+        assert!(broken(|idx| idx.field_len[1].push(0)).is_err());
+        assert!(broken(|idx| idx.field_len[1][0] += 1).is_err());
+        assert!(broken(|idx| idx.active.base += 1).is_err());
+        assert!(broken(|idx| idx.sealed[0].docs = 2).is_err());
+        assert!(broken(|idx| idx.sealed[0].base = 1).is_err());
+        assert!(broken(|idx| {
+            let list = idx.active.postings.values_mut().next().unwrap();
+            list.push_occurrence(DocId(9), 0);
+        })
+        .is_err());
+        // Documents that index nothing may sit between segments.
+        idx.add(Doc::new().field(body, ""));
+        idx.seal();
+        idx.add(Doc::new().field(body, "space"));
+        idx.seal();
+        assert_eq!(idx.check(), Ok(()));
     }
 
     #[test]

@@ -219,13 +219,13 @@ fn packed_len(count: usize, bits: u32) -> usize {
 
 /// The two score peaks [`CompressedPostings::encode`] describes, of
 /// one block of postings: `docs[i]` with term frequency `tfs[i]`, field
-/// lengths `lens[doc]`. Sealing records them in the block directory; a
-/// cursor on a raw list computes them from its buffers.
-fn block_peaks(docs: &[u32], tfs: &[u32], lens: &[u32]) -> [(u32, u32); 2] {
+/// lengths `lens[doc - first]`. Sealing records them in the block
+/// directory; a cursor on a raw list computes them from its buffers.
+fn block_peaks(docs: &[u32], tfs: &[u32], lens: &[u32], first: u32) -> [(u32, u32); 2] {
     let (mut max_tf, mut s, mut m) = (0u32, 0u32, u32::MAX);
     for (&doc, &tf) in docs.iter().zip(tfs) {
         max_tf = max_tf.max(tf);
-        let len = lens[doc as usize];
+        let len = lens[(doc - first) as usize];
         if len != 0 && len < m {
             (m, s) = (len, tf);
         } else if len == m {
@@ -239,7 +239,7 @@ fn block_peaks(docs: &[u32], tfs: &[u32], lens: &[u32]) -> [(u32, u32); 2] {
         .iter()
         .zip(tfs)
         .filter(|&(_, &tf)| tf > s)
-        .map(|(&doc, _)| lens[doc as usize])
+        .map(|(&doc, _)| lens[(doc - first) as usize])
         .filter(|&len| len > 0)
         .min()
         .unwrap_or(m);
@@ -346,6 +346,13 @@ impl CompressedPostings {
     /// and falls with length, so the larger of the two peaks' scores
     /// bounds the block — under any `k1`/`b`, idf and average length.
     pub fn encode(list: &PostingList, lens: &[u32]) -> Self {
+        Self::encode_at(list, lens, 0)
+    }
+
+    /// [`encode`](Self::encode) with the lengths column starting at doc
+    /// id `first`: a document's length is `lens[doc - first]`, so a
+    /// build worker packs its chunk against the chunk's own columns.
+    pub(crate) fn encode_at(list: &PostingList, lens: &[u32], first: u32) -> Self {
         let n = list.docs.len();
         let mut data = Vec::with_capacity(n * 2);
         let mut pos_data = Vec::with_capacity(list.positions.len());
@@ -355,7 +362,7 @@ impl CompressedPostings {
         let mut base = 0u32;
         for b in 0..n.div_ceil(BLOCK_SIZE) {
             let count = list.copy_block(b, &mut docs, &mut tfs);
-            let peaks = block_peaks(&docs[..count], &tfs[..count], lens);
+            let peaks = block_peaks(&docs[..count], &tfs[..count], lens, first);
             let pos_offset = pos_data.len() as u32;
             for i in b * BLOCK_SIZE..b * BLOCK_SIZE + count {
                 let mut prev = 0u32;
@@ -602,7 +609,7 @@ impl<'a> PostingsCursor<'a> {
     pub fn block_peaks(&self) -> Option<[(u32, u32); 2]> {
         (self.doc != NO_DOC).then(|| match self.source {
             Source::Raw(_, lens) => {
-                block_peaks(&self.docs[..self.len], &self.tfs[..self.len], lens)
+                block_peaks(&self.docs[..self.len], &self.tfs[..self.len], lens, 0)
             }
             Source::Packed(p) => p.blocks[self.block].peaks,
         })

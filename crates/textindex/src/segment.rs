@@ -15,25 +15,31 @@
 //! accessors (`doc_freq`, `has_postings`, `for_each_posting`,
 //! `term_score_stats`) fold over the same views.
 //!
-//! Separately, [`SegmentBuilder`] is the per-thread builder for the
-//! parallel batch build:
+//! Separately, [`SegmentBuilder`] is the per-worker builder of the
+//! bulk build:
 //!
-//! [`Index::build_parallel`](crate::Index::build_parallel) partitions a
-//! document batch into contiguous chunks, hands each chunk to one
-//! [`SegmentBuilder`] on its own thread (independent lexicon and
-//! postings — no shared locks on the hot loop), and then folds the
-//! finished [`Segment`]s back into the single-`Index` representation
-//! with a deterministic merge. Determinism falls out of two choices:
+//! [`Index::build_parallel`](crate::Index::build_parallel) carves a
+//! document stream into chunks of at most
+//! [`SegmentPolicy::memtable_max_docs`](crate::SegmentPolicy::memtable_max_docs)
+//! documents and hands each chunk to one [`SegmentBuilder`] on a build
+//! worker (independent lexicon and postings — no shared locks on the
+//! hot loop). The worker packs its chunk on the spot with
+//! [`seal_list`], the routine a seal uses, so the index receives a run
+//! of sealed segments in doc order and never holds a batch's raw
+//! postings beyond the chunks in flight. Determinism falls out of two
+//! choices:
 //!
 //! 1. **Contiguous partitioning.** Chunk `i` holds global doc ids
-//!    `[base_i, base_i + len_i)`, so concatenating each term's segment
-//!    posting lists in chunk order yields exactly the doc-ordered list
-//!    a sequential build would have produced.
-//! 2. **First-encounter lexicon merge.** Each segment's local lexicon
-//!    is in first-encounter order within its chunk; appending segments
-//!    in chunk order with append-if-absent interning reproduces the
-//!    global first-encounter order of a sequential pass, so merged
-//!    term ids are bit-identical to sequential ones.
+//!    `[base_i, base_i + len_i)`, so the chunks are adjacent sealed
+//!    segments, and merging them key at a time concatenates each
+//!    term's lists in chunk order: exactly the doc-ordered list a
+//!    sequential build would have produced.
+//! 2. **First-encounter lexicon fold.** Each chunk's local lexicon is
+//!    in first-encounter order within its chunk; folding chunks in
+//!    chunk order with append-if-absent interning reproduces the
+//!    global first-encounter order of a sequential pass, so global term
+//!    ids are bit-identical to sequential ones. A packed list carries
+//!    no term id, so folding re-keys it and never re-encodes it.
 
 use crate::analysis::{Analyzer, TokenScratch};
 use crate::fx::FxHashMap;
@@ -179,31 +185,69 @@ impl<'a> SegmentList<'a> {
     }
 }
 
-/// The output of one [`SegmentBuilder`]: a self-contained slice of the
-/// index covering a contiguous global doc-id range. Term ids are local
-/// to the segment's lexicon; doc ids are already global.
-pub(crate) struct Segment {
+/// Freeze one raw list for a sealed segment: its packed form (block
+/// peaks included) and exact score-bound ingredients, both read off
+/// the raw list (nothing is decoded back). A document's length is
+/// `lens[doc - first]`: the index passes a whole field column
+/// (`first = 0`), a build worker its chunk's column. `min_len` is the
+/// smallest *non-zero* length on the list (zero lengths are either
+/// pre-registration backfill or reclaimed tombstones; excluding them
+/// is rank-safe because every live document containing the term has
+/// length >= 1).
+pub(crate) fn seal_list(
+    list: &PostingList,
+    lens: &[u32],
+    first: u32,
+) -> (CompressedPostings, TermScoreStats) {
+    let min_len = list
+        .iter()
+        .map(|(doc, _)| lens[(doc.0 - first) as usize])
+        .filter(|&len| len > 0)
+        .min()
+        // All lengths zero can only happen on inconsistent input;
+        // clamp to the smallest real length.
+        .unwrap_or(1);
+    let stats = TermScoreStats {
+        max_tf: list.max_tf(),
+        min_len,
+    };
+    (CompressedPostings::encode_at(list, lens, first), stats)
+}
+
+/// The output of one [`SegmentBuilder`]: a sealed chunk covering the
+/// contiguous global doc-id range `[base, base + docs)`. Its lists are
+/// packed exactly as [`Index::seal`](crate::Index::seal) packs a
+/// memtable's; only their term ids are still local to the chunk.
+pub(crate) struct PackedChunk {
     /// Local term interner, in first-encounter order within the chunk.
     pub(crate) lexicon: Lexicon,
-    /// Postings keyed by (local term id, field); doc ids are global.
-    pub(crate) postings: FxHashMap<(TermId, FieldId), PostingList>,
+    /// Packed lists with exact stats, keyed by (local term id, field);
+    /// doc ids are global.
+    pub(crate) postings: FxHashMap<(TermId, FieldId), (CompressedPostings, TermScoreStats)>,
     /// Per field, per chunk-local doc: analyzed token count.
     pub(crate) field_len: Vec<Vec<u32>>,
     /// Per field: sum of analyzed lengths over the chunk.
     pub(crate) total_len: Vec<u64>,
-    /// Documents in this segment.
+    /// Global doc id of the chunk's first document.
+    pub(crate) base: u32,
+    /// Documents in the chunk.
     pub(crate) docs: u32,
 }
 
-/// Builds one [`Segment`] over a contiguous chunk of documents. Owns
-/// every mutable structure it touches, so the per-document hot loop
-/// takes no locks and shares nothing with sibling builders.
+/// Builds one [`PackedChunk`] over a contiguous chunk of documents.
+/// Owns every mutable structure it touches, so the per-document hot
+/// loop takes no locks and shares nothing with sibling builders.
 pub(crate) struct SegmentBuilder<'a> {
     analyzer: &'a dyn Analyzer,
-    num_fields: usize,
     /// Global doc id of the chunk's first document.
     base: u32,
-    seg: Segment,
+    docs: u32,
+    /// Local term interner, in first-encounter order within the chunk.
+    lexicon: Lexicon,
+    /// Raw lists keyed by (local term id, field); doc ids are global.
+    postings: FxHashMap<(TermId, FieldId), PostingList>,
+    field_len: Vec<Vec<u32>>,
+    total_len: Vec<u64>,
     /// Reused analysis staging buffers (one per builder, shared across
     /// every document in the chunk).
     scratch: TokenScratch,
@@ -213,39 +257,36 @@ impl<'a> SegmentBuilder<'a> {
     pub(crate) fn new(analyzer: &'a dyn Analyzer, num_fields: usize, base: u32) -> Self {
         SegmentBuilder {
             analyzer,
-            num_fields,
             base,
-            seg: Segment {
-                lexicon: Lexicon::new(),
-                postings: FxHashMap::default(),
-                field_len: vec![Vec::new(); num_fields],
-                total_len: vec![0; num_fields],
-                docs: 0,
-            },
+            docs: 0,
+            lexicon: Lexicon::new(),
+            postings: FxHashMap::default(),
+            field_len: vec![Vec::new(); num_fields],
+            total_len: vec![0; num_fields],
             scratch: TokenScratch::default(),
         }
     }
 
     /// Add the next document of the chunk. Mirrors `Index::add`
-    /// token-for-token so the merged result is bit-identical to a
-    /// sequential build.
+    /// token-for-token so the built chunk is bit-identical to a
+    /// sequential build of the same documents.
     pub(crate) fn add(&mut self, doc: Doc<'_>) {
-        let local = self.seg.docs as usize;
-        let id = DocId(self.base + self.seg.docs);
-        self.seg.docs += 1;
-        for lens in &mut self.seg.field_len {
+        let local = self.docs as usize;
+        let id = DocId(self.base + self.docs);
+        self.docs += 1;
+        for lens in &mut self.field_len {
             lens.push(0);
         }
         for (field, text) in doc.fields() {
             let field = *field;
             assert!(
-                (field.0 as usize) < self.num_fields,
+                (field.0 as usize) < self.field_len.len(),
                 "field {} not registered with this index",
                 field.0
             );
-            let base_pos = self.seg.field_len[field.0 as usize][local];
-            let lexicon = &mut self.seg.lexicon;
-            let postings = &mut self.seg.postings;
+            let base_pos = self.field_len[field.0 as usize][local];
+            let lexicon = &mut self.lexicon;
+            let postings = &mut self.postings;
             let mut last_pos = None;
             self.analyzer
                 .analyze_with(text, &mut self.scratch, &mut |term, pos, _start, _end| {
@@ -257,12 +298,35 @@ impl<'a> SegmentBuilder<'a> {
                         .push_occurrence(id, base_pos + pos);
                 });
             let added = last_pos.map(|p| p + 1).unwrap_or(0);
-            self.seg.field_len[field.0 as usize][local] += added;
-            self.seg.total_len[field.0 as usize] += added as u64;
+            self.field_len[field.0 as usize][local] += added;
+            self.total_len[field.0 as usize] += added as u64;
         }
     }
 
-    pub(crate) fn finish(self) -> Segment {
-        self.seg
+    /// Pack every list with [`seal_list`] against the chunk's own
+    /// length columns, dropping each raw list as soon as it is packed.
+    pub(crate) fn finish(self) -> PackedChunk {
+        let SegmentBuilder {
+            base,
+            docs,
+            lexicon,
+            postings,
+            field_len,
+            total_len,
+            ..
+        } = self;
+        let mut packed = FxHashMap::default();
+        packed.reserve(postings.len());
+        for (key, list) in postings {
+            packed.insert(key, seal_list(&list, &field_len[key.1 .0 as usize], base));
+        }
+        PackedChunk {
+            lexicon,
+            postings: packed,
+            field_len,
+            total_len,
+            base,
+            docs,
+        }
     }
 }

@@ -16,18 +16,22 @@
 //! arenas per list instead of allocating once per posting. A document
 //! borrows its text and the index keeps none of it, so the bytes a
 //! batch of borrowed documents requests, beyond its posting arenas'
-//! growth, stay under the length of the text.
+//! growth, stay under the length of the text. A bulk build packs each
+//! chunk before it pulls the next wave of documents, so its live heap
+//! peaks within the packed index plus a bound proportional to one wave.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
 //! (`support/counting_alloc.rs`) cannot skew other suites; all
 //! assertions live in a single `#[test]` so parallel test threads
 //! cannot pollute the counters.
 
-use symphony_text::{Analyzer, Doc, Index, IndexConfig, Lexicon, StandardAnalyzer, TokenScratch};
+use symphony_text::{
+    Analyzer, Doc, Index, IndexConfig, Lexicon, SegmentPolicy, StandardAnalyzer, TokenScratch,
+};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{allocations, allocations_and_bytes};
+use counting_alloc::{allocations, allocations_and_bytes, live_bytes, peak_live_bytes};
 
 #[test]
 fn intern_is_amortized_and_lookup_is_allocation_free() {
@@ -182,5 +186,65 @@ fn intern_is_amortized_and_lookup_is_allocation_free() {
     assert!(
         merge_allocs * 10 < merged,
         "merging two sealed segments performed {merge_allocs} allocations for {merged} postings"
+    );
+
+    bulk_build_holds_one_wave_raw();
+}
+
+/// A bulk build seals as it goes: each worker packs its chunk of
+/// `memtable_max_docs` documents before the next wave is pulled, so the
+/// build's heap peak stays within the finished, packed index plus a
+/// bound proportional to one wave. A wave's raw postings and documents
+/// take two to three times its text; the sealed chunks' per-list
+/// directories, which compaction folds into one, add some more per
+/// chunk. Six times one wave's text covers both at this chunk count
+/// (the peak lands about three waves' text above the packed index).
+/// Holding the whole batch raw until `optimize` peaks at about five
+/// times the packed index here, far past the bound.
+fn bulk_build_holds_one_wave_raw() {
+    const CAP: usize = 256;
+    const WORKERS: usize = 2;
+    const CHUNKS: usize = 40;
+    let mut index = Index::with_policy(
+        IndexConfig::default(),
+        SegmentPolicy {
+            memtable_max_docs: CAP as u32,
+            ..SegmentPolicy::default()
+        },
+    );
+    let body = index.register_field("body", 1.0);
+    // Long documents over a small, skewed vocabulary: every chunk holds
+    // every list, so the packed postings, not per-list overhead,
+    // dominate each sealed chunk.
+    let vocab: Vec<String> = (0..64).map(|i| format!("word{i:02}")).collect();
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let texts: Vec<String> = (0..CHUNKS * CAP)
+        .map(|_| {
+            let words: Vec<&str> = (0..80)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let r = (state % 1024) as usize;
+                    vocab[r * r * vocab.len() / (1024 * 1024)].as_str()
+                })
+                .collect();
+            words.join(" ")
+        })
+        .collect();
+    let wave_text: usize = texts[..WORKERS * CAP].iter().map(String::len).sum();
+    let start = live_bytes();
+    let (peak, ids) = peak_live_bytes(|| {
+        let stream = texts.iter().map(|t| Doc::new().field(body, t.as_str()));
+        index.build_parallel(stream, WORKERS)
+    });
+    index.optimize();
+    let kept = live_bytes() - start;
+    assert_eq!(ids.len(), texts.len());
+    assert!(
+        peak < kept + 6 * wave_text,
+        "building {CHUNKS} chunks of {CAP} docs on {WORKERS} workers peaked {peak} B above \
+         the start, past the packed index's {kept} B plus six times one wave's \
+         {wave_text} B of text: raw postings outlived their wave"
     );
 }

@@ -74,7 +74,9 @@ fn build_batch(batch: Vec<Doc<'_>>, threads: Option<usize>) -> Index {
             }
         }
     }
+    assert_eq!(idx.check(), Ok(()));
     idx.optimize();
+    assert_eq!(idx.check(), Ok(()));
     idx
 }
 
@@ -160,8 +162,10 @@ fn borrowed_text_builds_the_same_index_as_owned_text() {
 
 #[test]
 fn parallel_build_handles_ragged_and_empty_chunks() {
-    // 5 docs over 4 workers gives chunk sizes 2/2/1/0; 1 doc over 8
-    // workers collapses to the sequential path.
+    // Under the default memtable cap each batch is one chunk, built
+    // on the caller whatever the thread count (an empty batch builds
+    // nothing); `prop.rs::chunked_build_equals_sequential` draws
+    // ragged multi-chunk batches at small caps.
     for (n, threads) in [(5, 4), (1, 8), (0, 8), (7, 3)] {
         let docs = corpus(n);
         let seq = build(&docs, None);
@@ -182,6 +186,7 @@ fn incremental_add_keeps_working_after_parallel_build() {
             .field(body, "galactic space entry added incrementally"),
     );
     assert_eq!(id, DocId(40));
+    assert_eq!(idx.check(), Ok(()));
     let hits = Searcher::new(&idx).search(&Query::parse("incrementally"), 5);
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].doc, id);

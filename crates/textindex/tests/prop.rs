@@ -54,9 +54,10 @@ fn lifecycle_op() -> impl Strategy<Value = LifecycleOp> {
 enum LiveOp {
     /// A step of the base schedule.
     Base(LifecycleOp),
-    /// `build_parallel` of a small batch on this many threads, into
-    /// whatever the memtable already holds (chunk lists are `append`ed
-    /// to live ones).
+    /// `build_parallel` of a small batch on this many threads, after
+    /// whatever the memtable already holds (the memtable is sealed
+    /// first, and the batch lands as sealed chunks of the policy's
+    /// memtable cap).
     Batch(Vec<(String, String)>, usize),
     /// A doc whose body arrives in two parts (a repeated field).
     AddRepeated(String, String, String),
@@ -687,7 +688,7 @@ proptest! {
                     idx.maintain(clock);
                 }
                 LiveOp::Batch(docs, threads) => {
-                    idx.build_parallel(docs.iter().map(|(t, b)| doc(t, b)).collect(), *threads);
+                    idx.build_parallel(docs.iter().map(|(t, b)| doc(t, b)), *threads);
                 }
                 LiveOp::AddRepeated(t, b, b2) => {
                     idx.add(doc(t, b).field(body, b2.as_str()));
@@ -702,6 +703,7 @@ proptest! {
                     }
                 }
             }
+            prop_assert_eq!(idx.check(), Ok(()), "after {:?}", op);
 
             for (term, text) in idx.lexicon().iter() {
                 for field in idx.field_ids() {
@@ -876,6 +878,114 @@ proptest! {
         }
     }
 
+    /// A bulk build past the memtable cap is a run of sealed chunks.
+    /// With the cap drawn from 1..=8, a batch of up to 60 docs spans
+    /// many chunks and, on few threads, many waves. After a prefix of
+    /// adds and deletes, the chunked build (fed lazily, as a stream)
+    /// must search exactly like a sequential `add` loop before
+    /// `optimize()`: same ids, same `(doc, score)` bits, every doc
+    /// visible. After `optimize()` the two indexes are identical:
+    /// lexicon, stats, compacted bytes, score stats and field lengths.
+    #[test]
+    fn chunked_build_equals_sequential(
+        cap in 1u32..=8,
+        prefix in proptest::collection::vec(
+            (any::<bool>(), "[ab]{2,3}", "[a-d]{1,4}( [a-d]{1,4}){0,4}", 0u32..12),
+            0..8,
+        ),
+        docs in proptest::collection::vec(
+            ("[ab]{2,4}( [abc]{1,4}){0,3}", "[a-d]{1,5}( [a-d]{1,5}){0,8}"),
+            0..60,
+        ),
+        threads in 1usize..=8,
+    ) {
+        let fresh = || {
+            let policy = SegmentPolicy {
+                memtable_max_docs: cap,
+                staleness_window_ms: u64::MAX,
+                merge_fanin: 4,
+                near_real_time: false,
+            };
+            let mut idx = Index::with_policy(IndexConfig::default(), policy);
+            let title = idx.register_field("title", 2.0);
+            let body = idx.register_field("body", 1.0);
+            for (add, t, b, target) in &prefix {
+                if *add {
+                    idx.add(Doc::new().field(title, t.as_str()).field(body, b.as_str()));
+                } else {
+                    idx.delete(DocId(*target));
+                }
+            }
+            (idx, title, body)
+        };
+        let (mut seq, title, body) = fresh();
+        let seq_ids: Vec<DocId> = docs
+            .iter()
+            .map(|(t, b)| seq.add(Doc::new().field(title, t.as_str()).field(body, b.as_str())))
+            .collect();
+        let (mut par, ptitle, pbody) = fresh();
+        let stream = docs
+            .iter()
+            .map(|(t, b)| Doc::new().field(ptitle, t.as_str()).field(pbody, b.as_str()));
+        let ids = par.build_parallel(stream, threads);
+        prop_assert_eq!(&ids, &seq_ids);
+        prop_assert_eq!(par.check(), Ok(()));
+        if !docs.is_empty() {
+            let s = par.stats();
+            prop_assert_eq!(s.memtable_docs, 0, "the memtable was sealed first");
+            prop_assert!(
+                s.sealed_segments >= docs.len().div_ceil(cap as usize),
+                "{} docs at cap {} left {} sealed segments",
+                docs.len(),
+                cap,
+                s.sealed_segments
+            );
+        }
+        let queries = ["ab", "aa bb", "+ab cd", "title:ab", "\"ab ab\"", "ab -cd"];
+        for q in queries {
+            let query = Query::parse(q);
+            prop_assert_eq!(
+                bits(&Searcher::new(&seq).search(&query, 20)),
+                bits(&Searcher::new(&par).search(&query, 20)),
+                "{} before optimize", q
+            );
+        }
+
+        seq.optimize();
+        par.optimize();
+        prop_assert_eq!(par.check(), Ok(()));
+        prop_assert_eq!(seq.stats(), par.stats());
+        prop_assert_eq!(
+            seq.lexicon().iter().collect::<Vec<_>>(),
+            par.lexicon().iter().collect::<Vec<_>>()
+        );
+        for (term, _) in seq.lexicon().iter() {
+            for field in [title, body] {
+                prop_assert_eq!(
+                    seq.compacted_postings(term, field).map(|c| c.bytes()),
+                    par.compacted_postings(term, field).map(|c| c.bytes())
+                );
+                prop_assert_eq!(
+                    seq.term_score_stats(term, field),
+                    par.term_score_stats(term, field)
+                );
+            }
+        }
+        for d in (0..seq.total_docs() as u32).map(DocId) {
+            for field in [title, body] {
+                prop_assert_eq!(seq.field_len(d, field), par.field_len(d, field));
+            }
+        }
+        for q in queries {
+            let query = Query::parse(q);
+            prop_assert_eq!(
+                bits(&Searcher::new(&seq).search(&query, 20)),
+                bits(&Searcher::new(&par).search(&query, 20)),
+                "{} after optimize", q
+            );
+        }
+    }
+
     /// Differential proof of the segment lifecycle: ANY interleaving of
     /// add/delete/update/seal/maintain, once fully compacted, yields
     /// `(doc, score)` lists **bit-identical** to a from-scratch
@@ -939,6 +1049,7 @@ proptest! {
                     idx.maintain(clock);
                 }
             }
+            prop_assert_eq!(idx.check(), Ok(()), "after {:?}", op);
         }
 
         let queries = ["aa", "ab ba", "+ab aa", "ab -ba", "title:ab", "aa bb ab"];
@@ -955,6 +1066,7 @@ proptest! {
 
         // Full compaction, then rebuild the live corpus from scratch.
         idx.optimize();
+        prop_assert_eq!(idx.check(), Ok(()));
         let live_ids: Vec<u32> = model
             .iter()
             .enumerate()
@@ -969,7 +1081,9 @@ proptest! {
             .map(|(t, b)| Doc::new().field(rtitle, t.clone()).field(rbody, b.clone()))
             .collect();
         rebuilt.build_parallel(live_docs, threads);
+        prop_assert_eq!(rebuilt.check(), Ok(()));
         rebuilt.optimize();
+        prop_assert_eq!(rebuilt.check(), Ok(()));
 
         prop_assert_eq!(idx.live_docs(), rebuilt.live_docs());
         // Doc ids differ (the incremental index has holes where purged
