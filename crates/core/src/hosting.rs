@@ -1283,8 +1283,14 @@ mod tests {
             .unwrap();
         inventory.set_fulltext_policy(policy);
         // The uploaded rows were bulk-built into sealed segments; a row
-        // inserted since sits in the view's memtable.
-        inventory.insert_raw(&["Pixel Farm".into(), "sim".into(), "a quiet farm".into()]);
+        // inserted since sits raw in the view's memtable, and it matches
+        // the query, so the tick's seal turns one of its hits from raw
+        // to packed.
+        inventory.insert_raw(&[
+            "Pixel Blaster".into(),
+            "shooter".into(),
+            "a retro shooter".into(),
+        ]);
         let before = p.query(id, "shooter").unwrap().html.clone();
         // The query advanced the clock past the staleness window, so
         // the tick seals the tenant view's memtable.

@@ -788,9 +788,15 @@ impl Index {
                 "memtable covers {memtable:?}, but the index holds {total} docs"
             ));
         }
-        let ranges = self.sealed.iter().map(|s| s.base..s.base + s.docs);
+        let ranges = self
+            .sealed
+            .iter()
+            .map(|s| s.base..s.base.saturating_add(s.docs));
         let mut covered = 0u32;
         for range in ranges.chain([memtable]) {
+            if range.end > total {
+                return Err(format!("segment {range:?} ends past {total} docs"));
+            }
             if range.start < covered {
                 return Err(format!(
                     "segment {range:?} overlaps the one ending at {covered}"
@@ -1536,6 +1542,16 @@ mod tests {
             list.push_occurrence(DocId(9), 0);
         })
         .is_err());
+        // A segment past the last document is named, even when every
+        // document before it is tokenless.
+        let mut lone = Index::new(IndexConfig::default());
+        let text = lone.register_field("text", 1.0);
+        lone.add(Doc::new().field(text, "space"));
+        lone.seal();
+        lone.field_len[0][0] = 0;
+        lone.fields[0].total_len = 0;
+        lone.sealed[0].base = 5;
+        assert!(lone.check().is_err());
         // Documents that index nothing may sit between segments.
         idx.add(Doc::new().field(body, ""));
         idx.seal();

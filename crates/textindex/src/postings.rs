@@ -107,24 +107,6 @@ impl PostingList {
         self.max_tf
     }
 
-    /// Concatenate `other` onto the end of this list. The caller must
-    /// guarantee every doc id in `other` is greater than every doc id
-    /// here — segment merges satisfy this by construction because
-    /// segments hold contiguous, increasing doc-id ranges.
-    pub fn append(&mut self, other: PostingList) {
-        if let (Some(last), Some(first)) = (self.docs.last(), other.docs.first()) {
-            debug_assert!(
-                last < first,
-                "segment posting lists must concatenate in doc order"
-            );
-        }
-        let base = self.positions.len() as u32;
-        self.max_tf = self.max_tf.max(other.max_tf);
-        self.docs.extend_from_slice(&other.docs);
-        self.ends.extend(other.ends.iter().map(|&end| base + end));
-        self.positions.extend_from_slice(&other.positions);
-    }
-
     /// Empty the list, keeping its capacity for the next fill.
     pub(crate) fn clear(&mut self) {
         self.docs.clear();

@@ -10,8 +10,15 @@
 //!    each other (no dependence on thread scheduling), and
 //! 3. a document that borrows its text indexes exactly like one that
 //!    owns it, through `add` and through the parallel build.
+//!
+//! `default_thread_count_build_matches_sequential` builds at
+//! [`default_build_threads`], which follows the CPU mask: run under
+//! `taskset -c 0` it takes the one-worker path, where the caller builds
+//! and packs every chunk itself.
 
-use symphony_text::{Doc, DocId, FieldId, Index, IndexConfig, Query, Searcher};
+use symphony_text::{
+    default_build_threads, Doc, DocId, FieldId, Index, IndexConfig, Query, Searcher, SegmentPolicy,
+};
 
 /// Deterministic synthetic corpus: a small vocabulary recombined by a
 /// fixed LCG, so every build sees the same documents.
@@ -162,16 +169,41 @@ fn borrowed_text_builds_the_same_index_as_owned_text() {
 
 #[test]
 fn parallel_build_handles_ragged_and_empty_chunks() {
-    // Under the default memtable cap each batch is one chunk, built
-    // on the caller whatever the thread count (an empty batch builds
-    // nothing); `prop.rs::chunked_build_equals_sequential` draws
-    // ragged multi-chunk batches at small caps.
+    // Under the default memtable cap each batch fits one wave and is
+    // split evenly across the workers, so a small batch leaves some of
+    // them idle (5 docs on 4 threads: chunks of 2, 2 and 1) and an
+    // empty batch builds nothing; `prop.rs::chunked_build_equals_sequential`
+    // draws ragged multi-chunk batches at small caps.
     for (n, threads) in [(5, 4), (1, 8), (0, 8), (7, 3)] {
         let docs = corpus(n);
         let seq = build(&docs, None);
         let par = build(&docs, Some(threads));
         assert_identical(&seq, &par);
     }
+}
+
+#[test]
+fn default_thread_count_build_matches_sequential() {
+    // A cap of 64 docs makes the batch at least five chunks: one wave
+    // per chunk on one worker, fewer waves on more.
+    let docs = corpus(300);
+    let seq = build(&docs, None);
+    let policy = SegmentPolicy {
+        memtable_max_docs: 64,
+        ..SegmentPolicy::default()
+    };
+    let mut idx = Index::with_policy(IndexConfig::default(), policy);
+    let title = idx.register_field("title", 2.0);
+    let body = idx.register_field("body", 1.0);
+    assert_eq!((title, body), (TITLE, BODY));
+    idx.build_parallel(batch(&docs, true), default_build_threads());
+    assert_eq!(idx.check(), Ok(()));
+    let stats = idx.stats();
+    assert!(stats.sealed_segments >= 5, "{stats:?}");
+    assert_eq!(stats.memtable_docs, 0);
+    idx.optimize();
+    assert_eq!(idx.check(), Ok(()));
+    assert_identical(&seq, &idx);
 }
 
 #[test]
