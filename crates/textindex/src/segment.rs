@@ -15,31 +15,31 @@
 //! accessors (`doc_freq`, `has_postings`, `for_each_posting`,
 //! `term_score_stats`) fold over the same views.
 //!
-//! Separately, [`SegmentBuilder`] is the per-worker builder of the
-//! bulk build:
+//! [`ActiveSegment`] is the one segment writer: [`ActiveSegment::add`]
+//! analyses a document into raw lists and [`ActiveSegment::seal`] packs
+//! them with [`seal_list`]. Both take the lexicon and the length
+//! columns to write against, which is what lets two callers share them:
 //!
-//! [`Index::build_parallel`](crate::Index::build_parallel) carves a
-//! document stream into chunks of at most
-//! [`SegmentPolicy::memtable_max_docs`](crate::SegmentPolicy::memtable_max_docs)
-//! documents and hands each chunk to one [`SegmentBuilder`] on a build
-//! worker (independent lexicon and postings — no shared locks on the
-//! hot loop). The worker packs its chunk on the spot with
-//! [`seal_list`], the routine a seal uses, so the index receives a run
-//! of sealed segments in doc order and never holds a batch's raw
-//! postings beyond the chunks in flight. Determinism falls out of two
-//! choices:
+//! - [`Index::add`](crate::Index::add) writes the memtable against the
+//!   index's own lexicon and columns, and
+//!   [`Index::seal`](crate::Index::seal) seals it;
+//! - a worker of [`Index::build_parallel`](crate::Index::build_parallel)
+//!   writes one contiguous chunk of at most
+//!   [`SegmentPolicy::memtable_max_docs`](crate::SegmentPolicy::memtable_max_docs)
+//!   documents into a private segment, against a private lexicon and the
+//!   chunk's own columns (no shared locks on the hot loop), and seals it
+//!   on the spot.
 //!
-//! 1. **Contiguous partitioning.** Chunk `i` holds global doc ids
-//!    `[base_i, base_i + len_i)`, so the chunks are adjacent sealed
-//!    segments, and merging them key at a time concatenates each
-//!    term's lists in chunk order: exactly the doc-ordered list a
-//!    sequential build would have produced.
-//! 2. **First-encounter lexicon fold.** Each chunk's local lexicon is
-//!    in first-encounter order within its chunk; folding chunks in
-//!    chunk order with append-if-absent interning reproduces the
-//!    global first-encounter order of a sequential pass, so global term
-//!    ids are bit-identical to sequential ones. A packed list carries
-//!    no term id, so folding re-keys it and never re-encodes it.
+//! A chunk is thus the segment a seal of the same documents produces,
+//! except that its term ids are its own lexicon's. Folding the chunks in
+//! doc order restores the sequential ids: a lexicon numbers terms in
+//! first-encounter order, so replaying each chunk's lexicon in local-id
+//! order through the index's append-if-absent `intern` meets every term
+//! in the order a sequential pass over the documents meets it. A packed
+//! list carries no term id, so the fold re-keys it and never re-encodes
+//! it. The chunks cover adjacent doc ranges, so merging them key at a
+//! time concatenates each term's lists into the one a sequential build
+//! would have written.
 
 use crate::analysis::{Analyzer, TokenScratch};
 use crate::fx::FxHashMap;
@@ -49,26 +49,28 @@ use crate::postings::{CompressedPostings, PostingList, PostingsCursor, Source};
 use crate::DocId;
 use std::ops::Range;
 
-/// The mutable in-memory segment (memtable): raw posting lists keyed
-/// by **global** term id, covering docs `[base, base + docs)`.
+/// A mutable in-memory segment: raw posting lists keyed by the term ids
+/// of the lexicon it is written against, covering docs
+/// `[base, base + docs)`. The index's memtable is one (global term ids);
+/// a build worker writes its chunk into another.
 #[derive(Debug, Default)]
 pub(crate) struct ActiveSegment {
     /// Global doc id of the first document in this segment.
     pub(crate) base: u32,
     /// Documents added since the last seal.
     pub(crate) docs: u32,
-    /// Raw doc-ordered posting lists, global term ids.
+    /// Raw doc-ordered posting lists.
     pub(crate) postings: FxHashMap<(TermId, FieldId), PostingList>,
-    /// Per field (grown on demand), the smallest non-zero analysed
-    /// length among this segment's documents; `u32::MAX` until one is
-    /// noted. Shared by every list of the field: a lower bound over a
-    /// superset of any one list's documents, which only loosens a score
-    /// bound (rank-safe, as for tombstones).
+    /// Per field, the smallest non-zero analysed length among this
+    /// segment's documents; `u32::MAX` until one is noted. Shared by
+    /// every list of the field: a lower bound over a superset of any one
+    /// list's documents, which only loosens a score bound (rank-safe, as
+    /// for tombstones).
     min_len: Vec<u32>,
 }
 
 impl ActiveSegment {
-    /// Fresh empty memtable starting at `base`.
+    /// Fresh empty segment starting at `base`.
     pub(crate) fn starting_at(base: u32) -> Self {
         ActiveSegment {
             base,
@@ -76,23 +78,80 @@ impl ActiveSegment {
         }
     }
 
-    /// Fold one document's analysed length of `field` into the
-    /// segment's per-field minimum (zero lengths — the doc lacks the
-    /// field — are skipped).
-    pub(crate) fn note_len(&mut self, field: usize, len: u32) {
-        if len == 0 {
-            return;
+    /// Analyse `doc` as the segment's next document and return its id,
+    /// interning its terms in `lexicon`. `lens` holds one column per
+    /// registered field, with doc `d`'s length at `d - first` (the index
+    /// passes its whole columns and `first = 0`, a build worker its
+    /// chunk's and the chunk's first id). Every column grows by one, and
+    /// a repeated field continues where its previous text ended.
+    pub(crate) fn add(
+        &mut self,
+        analyzer: &dyn Analyzer,
+        scratch: &mut TokenScratch,
+        lexicon: &mut Lexicon,
+        lens: &mut [Vec<u32>],
+        first: u32,
+        doc: Doc<'_>,
+    ) -> DocId {
+        let id = DocId(self.base + self.docs);
+        let slot = (id.0 - first) as usize;
+        self.docs += 1;
+        for column in lens.iter_mut() {
+            column.push(0);
         }
-        if self.min_len.len() <= field {
-            self.min_len.resize(field + 1, u32::MAX);
+        for (field, text) in doc.fields() {
+            let field = *field;
+            assert!(
+                (field.0 as usize) < lens.len(),
+                "field {} not registered with this index",
+                field.0
+            );
+            let len = &mut lens[field.0 as usize][slot];
+            let postings = &mut self.postings;
+            let mut last_pos = None;
+            analyzer.analyze_with(text, scratch, &mut |term, pos, _start, _end| {
+                last_pos = Some(pos);
+                postings
+                    .entry((lexicon.intern(term), field))
+                    .or_default()
+                    .push_occurrence(id, *len + pos);
+            });
+            *len += last_pos.map_or(0, |p| p + 1);
         }
-        self.min_len[field] = self.min_len[field].min(len);
+        // Repeated fields are concatenated by now: fold the document's
+        // final lengths into the per-field minimum (a zero length — the
+        // document lacks the field — bounds nothing).
+        self.min_len.resize(lens.len(), u32::MAX);
+        for (min, column) in self.min_len.iter_mut().zip(lens.iter()) {
+            if column[slot] > 0 {
+                *min = (*min).min(column[slot]);
+            }
+        }
+        id
+    }
+
+    /// Freeze the segment: pack every list with [`seal_list`] against
+    /// `lens` (indexed from `first`, as for [`ActiveSegment::add`]),
+    /// dropping each raw list as soon as it is packed.
+    pub(crate) fn seal(self, lens: &[Vec<u32>], first: u32) -> SealedSegment {
+        let postings = self
+            .postings
+            .into_iter()
+            .map(|(key, list)| (key, seal_list(&list, &lens[key.1 .0 as usize], first)))
+            .collect();
+        SealedSegment {
+            base: self.base,
+            docs: self.docs,
+            purged: 0,
+            postings,
+        }
     }
 }
 
 /// An immutable sealed segment: block-compressed postings keyed by
-/// **global** term id, each stored with the score-bound ingredients
-/// computed when the segment was sealed or last merged.
+/// **global** term id (a build chunk's by its own until the fold
+/// re-keys them), each stored with the score-bound ingredients computed
+/// when the segment was sealed or last merged.
 #[derive(Debug)]
 pub(crate) struct SealedSegment {
     /// Global doc id of the first document in the segment's range.
@@ -106,15 +165,8 @@ pub(crate) struct SealedSegment {
     /// segment's pending-garbage count, which drives compaction.
     pub(crate) purged: u32,
     /// Compressed posting lists with their (exact, as of the build)
-    /// score-bound ingredients; doc ids global, term ids global.
+    /// score-bound ingredients; doc ids global.
     pub(crate) postings: FxHashMap<(TermId, FieldId), (CompressedPostings, TermScoreStats)>,
-}
-
-impl SealedSegment {
-    /// Approximate heap bytes held by the segment's posting data.
-    pub(crate) fn postings_bytes(&self) -> usize {
-        self.postings.values().map(|(c, _)| c.byte_len()).sum()
-    }
 }
 
 /// One segment as reads see it, sealed or memtable alike. The memtable
@@ -214,119 +266,14 @@ pub(crate) fn seal_list(
     (CompressedPostings::encode_at(list, lens, first), stats)
 }
 
-/// The output of one [`SegmentBuilder`]: a sealed chunk covering the
-/// contiguous global doc-id range `[base, base + docs)`. Its lists are
-/// packed exactly as [`Index::seal`](crate::Index::seal) packs a
-/// memtable's; only their term ids are still local to the chunk.
+/// One bulk-build chunk as its worker sealed it: the segment a seal of
+/// the same documents produces, keyed by the chunk's own term ids.
 pub(crate) struct PackedChunk {
     /// Local term interner, in first-encounter order within the chunk.
     pub(crate) lexicon: Lexicon,
     /// Packed lists with exact stats, keyed by (local term id, field);
     /// doc ids are global.
-    pub(crate) postings: FxHashMap<(TermId, FieldId), (CompressedPostings, TermScoreStats)>,
-    /// Per field, per chunk-local doc: analyzed token count.
-    pub(crate) field_len: Vec<Vec<u32>>,
-    /// Per field: sum of analyzed lengths over the chunk.
-    pub(crate) total_len: Vec<u64>,
-    /// Global doc id of the chunk's first document.
-    pub(crate) base: u32,
-    /// Documents in the chunk.
-    pub(crate) docs: u32,
-}
-
-/// Builds one [`PackedChunk`] over a contiguous chunk of documents.
-/// Owns every mutable structure it touches, so the per-document hot
-/// loop takes no locks and shares nothing with sibling builders.
-pub(crate) struct SegmentBuilder<'a> {
-    analyzer: &'a dyn Analyzer,
-    /// Global doc id of the chunk's first document.
-    base: u32,
-    docs: u32,
-    /// Local term interner, in first-encounter order within the chunk.
-    lexicon: Lexicon,
-    /// Raw lists keyed by (local term id, field); doc ids are global.
-    postings: FxHashMap<(TermId, FieldId), PostingList>,
-    field_len: Vec<Vec<u32>>,
-    total_len: Vec<u64>,
-    /// Reused analysis staging buffers (one per builder, shared across
-    /// every document in the chunk).
-    scratch: TokenScratch,
-}
-
-impl<'a> SegmentBuilder<'a> {
-    pub(crate) fn new(analyzer: &'a dyn Analyzer, num_fields: usize, base: u32) -> Self {
-        SegmentBuilder {
-            analyzer,
-            base,
-            docs: 0,
-            lexicon: Lexicon::new(),
-            postings: FxHashMap::default(),
-            field_len: vec![Vec::new(); num_fields],
-            total_len: vec![0; num_fields],
-            scratch: TokenScratch::default(),
-        }
-    }
-
-    /// Add the next document of the chunk. Mirrors `Index::add`
-    /// token-for-token so the built chunk is bit-identical to a
-    /// sequential build of the same documents.
-    pub(crate) fn add(&mut self, doc: Doc<'_>) {
-        let local = self.docs as usize;
-        let id = DocId(self.base + self.docs);
-        self.docs += 1;
-        for lens in &mut self.field_len {
-            lens.push(0);
-        }
-        for (field, text) in doc.fields() {
-            let field = *field;
-            assert!(
-                (field.0 as usize) < self.field_len.len(),
-                "field {} not registered with this index",
-                field.0
-            );
-            let base_pos = self.field_len[field.0 as usize][local];
-            let lexicon = &mut self.lexicon;
-            let postings = &mut self.postings;
-            let mut last_pos = None;
-            self.analyzer
-                .analyze_with(text, &mut self.scratch, &mut |term, pos, _start, _end| {
-                    last_pos = Some(pos);
-                    let term = lexicon.intern(term);
-                    postings
-                        .entry((term, field))
-                        .or_default()
-                        .push_occurrence(id, base_pos + pos);
-                });
-            let added = last_pos.map(|p| p + 1).unwrap_or(0);
-            self.field_len[field.0 as usize][local] += added;
-            self.total_len[field.0 as usize] += added as u64;
-        }
-    }
-
-    /// Pack every list with [`seal_list`] against the chunk's own
-    /// length columns, dropping each raw list as soon as it is packed.
-    pub(crate) fn finish(self) -> PackedChunk {
-        let SegmentBuilder {
-            base,
-            docs,
-            lexicon,
-            postings,
-            field_len,
-            total_len,
-            ..
-        } = self;
-        let mut packed = FxHashMap::default();
-        packed.reserve(postings.len());
-        for (key, list) in postings {
-            packed.insert(key, seal_list(&list, &field_len[key.1 .0 as usize], base));
-        }
-        PackedChunk {
-            lexicon,
-            postings: packed,
-            field_len,
-            total_len,
-            base,
-            docs,
-        }
-    }
+    pub(crate) segment: SealedSegment,
+    /// Per field, per chunk-local doc: analysed token count.
+    pub(crate) lens: Vec<Vec<u32>>,
 }
