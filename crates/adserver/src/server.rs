@@ -1,6 +1,6 @@
 //! The ad server facade: accounts, campaigns, auctions, billing.
 
-use crate::auction::{auction, Placement, RESERVE_CENTS};
+use crate::auction::{auction, Placement};
 use crate::ledger::{BillingError, Ledger, LedgerEntry};
 use crate::model::{normalize, Ad, AdvertiserId, Campaign, CampaignId, Keyword};
 use parking_lot::RwLock;
@@ -134,16 +134,6 @@ impl AdServer {
             .read()
             .get(id.0 as usize)
             .map(|c| c.remaining_cents())
-    }
-
-    /// Number of campaigns.
-    pub fn campaign_count(&self) -> usize {
-        self.campaigns.read().len()
-    }
-
-    /// Reserve price (exposed for experiments).
-    pub fn reserve_cents(&self) -> u32 {
-        RESERVE_CENTS
     }
 }
 

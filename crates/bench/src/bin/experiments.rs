@@ -403,7 +403,12 @@ fn e9_click_feedback() {
         for l in logs.iter().filter(|l| l.query == q) {
             *counts.entry(l.url.clone()).or_insert(0usize) += 1;
         }
-        counts.into_iter().max_by_key(|(_, c)| *c).map(|(u, _)| u)
+        // The most clicks, ties to the smallest URL: a `HashMap`'s
+        // iteration order changes from one process to the next.
+        counts
+            .into_iter()
+            .max_by(|(ua, ca), (ub, cb)| ca.cmp(cb).then_with(|| ub.cmp(ua)))
+            .map(|(u, _)| u)
     };
     let rank_of = |engine: &SearchEngine, q: &str, url: &str| -> Option<usize> {
         engine

@@ -303,7 +303,7 @@ impl Service for ShardSearchService {
                     .ok_or_else(|| bad("bad pages"))?;
                 let fields = self
                     .engine
-                    .hydrate_pages(vertical, query, &config, &pages)
+                    .hydrate_pages(query, &config, &pages)
                     .ok_or_else(|| bad("page outside the page table"))?;
                 Ok(encode_fields(&fields))
             }

@@ -345,51 +345,7 @@ pub fn run_source_ctx(
         }
     }
     match def {
-        DataSourceDef::Proprietary { table } => {
-            let Some(space) = subs.space else {
-                return soft_err("no tenant space attached", 0);
-            };
-            let indexed = match space.table(table) {
-                Ok(t) => t,
-                Err(e) => return soft_err(&e.to_string(), 0),
-            };
-            let parsed = symphony_text::Query::parse(query);
-            // Over-fetch when a structured constraint will drop rows.
-            let fetch = if constraint.is_some() { k * 4 + 8 } else { k };
-            let hits = match indexed.search(&parsed, fetch) {
-                Ok(h) => h,
-                Err(e) => return soft_err(&e.to_string(), PROPRIETARY_MS),
-            };
-            let schema = indexed.table().schema().clone();
-            let items = hits
-                .into_iter()
-                .filter_map(|h| {
-                    let rec = indexed.table().get(h.record)?;
-                    if let Some(f) = constraint {
-                        if !f.eval(rec) {
-                            return None;
-                        }
-                    }
-                    Some(ResultItem {
-                        fields: schema
-                            .fields()
-                            .iter()
-                            .enumerate()
-                            .map(|(i, f)| (f.name.clone(), rec.get(i).display_string()))
-                            .collect(),
-                        score: h.score,
-                    })
-                })
-                .take(k)
-                .collect();
-            SourceOutcome {
-                items,
-                virtual_ms: PROPRIETARY_MS,
-                error: None,
-                attempts: 1,
-            }
-        }
-        DataSourceDef::Hybrid { table, filter } => {
+        DataSourceDef::Proprietary { table } | DataSourceDef::Hybrid { table, .. } => {
             let Some(space) = subs.space else {
                 return soft_err("no tenant space attached", 0);
             };
@@ -399,25 +355,36 @@ pub fn run_source_ctx(
             };
             let parsed = symphony_text::Query::parse(query);
             // The runtime's per-query constraint composes conjunctively
-            // with the source's own predicate; the planner sees both.
-            let combined = match constraint {
-                Some(c) => filter.clone().and(c.clone()),
-                None => filter.clone(),
+            // with a hybrid source's own predicate, and the planner sees
+            // both. A constrained proprietary source is a hybrid query
+            // over the constraint alone, so it fills all `k` slots
+            // whenever `k` matching records exist, however low they rank.
+            let own = match def {
+                DataSourceDef::Hybrid { filter, .. } => Some(filter),
+                _ => None,
             };
-            let hq = symphony_store::HybridQuery::new(parsed, combined, k);
-            let result = match indexed.hybrid_query(&hq) {
-                Ok(r) => r,
+            let filter = match (own, constraint) {
+                (Some(f), Some(c)) => Some(f.clone().and(c.clone())),
+                (f, c) => f.or(c).cloned(),
+            };
+            let hits = match filter {
+                Some(f) => indexed
+                    .hybrid_query(&symphony_store::HybridQuery::new(parsed, f, k))
+                    .map(|r| r.hits),
+                None => indexed.search(&parsed, k),
+            };
+            let hits = match hits {
+                Ok(h) => h,
                 Err(e) => return soft_err(&e.to_string(), PROPRIETARY_MS),
             };
-            let schema = indexed.table().schema().clone();
-            let items = result
-                .hits
+            let rows = indexed.table();
+            let fields = rows.schema().fields();
+            let items = hits
                 .into_iter()
                 .filter_map(|h| {
-                    let rec = indexed.table().get(h.record)?;
+                    let rec = rows.get(h.record)?;
                     Some(ResultItem {
-                        fields: schema
-                            .fields()
+                        fields: fields
                             .iter()
                             .enumerate()
                             .map(|(i, f)| (f.name.clone(), rec.get(i).display_string()))
@@ -705,6 +672,59 @@ mod tests {
         );
         assert!(none.items.is_empty());
         assert!(none.error.is_none());
+    }
+
+    #[test]
+    fn constrained_proprietary_source_fills_k_like_hybrid() {
+        use symphony_store::{CmpOp, Filter, Value};
+        // 60 strong matches outrank 20 weak ones, and only the weak
+        // ones satisfy the constraint: every record that passes it
+        // ranks below position 60.
+        let mut csv = String::from("title,price\n");
+        for i in 0..60 {
+            csv.push_str(&format!("widget widget widget {i},99.5\n"));
+        }
+        for i in 0..20 {
+            csv.push_str(&format!("widget gadget gizmo {i},1.5\n"));
+        }
+        let mut store = Store::new();
+        let (tenant, key) = store.create_tenant("Widgets");
+        let (table, _) = ingest("catalog", &csv, DataFormat::Csv).unwrap();
+        let mut indexed = IndexedTable::new(table);
+        indexed.enable_fulltext(&[("title", 1.0)]).unwrap();
+        store.space_mut(tenant, &key).unwrap().put_table(indexed);
+        let space = store.space(tenant, &key).unwrap();
+        let subs = || Substrates {
+            space: Some(space),
+            ..none_subs()
+        };
+        let cheap = Filter::cmp(1, CmpOp::Lt, Value::Float(10.0));
+        let proprietary = run_source(
+            &DataSourceDef::Proprietary {
+                table: "catalog".into(),
+            },
+            "widget",
+            10,
+            subs(),
+            Some(&cheap),
+        );
+        let hybrid = run_source(
+            &DataSourceDef::Hybrid {
+                table: "catalog".into(),
+                filter: cheap.clone(),
+            },
+            "widget",
+            10,
+            subs(),
+            None,
+        );
+        assert!(proprietary.error.is_none());
+        assert_eq!(proprietary.items.len(), 10);
+        assert!(proprietary
+            .items
+            .iter()
+            .all(|item| item.field("price") == Some("1.5")));
+        assert_eq!(proprietary.items, hybrid.items);
     }
 
     #[test]

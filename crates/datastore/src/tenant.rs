@@ -108,11 +108,6 @@ impl Store {
         (id, key)
     }
 
-    /// Number of tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.spaces.len()
-    }
-
     /// Authenticate and borrow a space.
     pub fn space(&self, tenant: TenantId, key: &AccessKey) -> Result<&TenantSpace, StoreError> {
         match self.spaces.get(tenant.0 as usize) {

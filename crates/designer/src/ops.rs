@@ -82,15 +82,6 @@ impl Designer {
         Designer::default()
     }
 
-    /// Start from an existing canvas.
-    pub fn with_canvas(canvas: Canvas) -> Designer {
-        Designer {
-            canvas,
-            undo: Vec::new(),
-            redo: Vec::new(),
-        }
-    }
-
     /// The current canvas.
     pub fn canvas(&self) -> &Canvas {
         &self.canvas

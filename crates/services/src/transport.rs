@@ -173,11 +173,6 @@ impl SimulatedTransport {
         self.faults = plan;
     }
 
-    /// The installed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Register a service at `endpoint` with a latency model.
     pub fn register(&mut self, endpoint: &str, service: Box<dyn Service>, latency: LatencyModel) {
         self.endpoints.insert(

@@ -1,10 +1,12 @@
 //! Text analysis: tokenization, stopword removal, and light stemming.
 //!
-//! The same analyzer must be applied at index time and at query time or
-//! terms will not line up; [`Index`](crate::Index) owns one analyzer and
-//! the query layer borrows it.
+//! Index time and query time must analyse text identically or terms
+//! will not line up, so there is exactly one pipeline and no analyzer
+//! object to choose: [`analyze_with`] is the lexer, and indexing,
+//! query parsing, snippets and spelling suggestions all call it (or
+//! [`analyze`], which collects from it).
 
-/// A single token produced by an [`Analyzer`].
+/// A single token produced by [`analyze`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     /// Normalized term text (lowercased, stemmed).
@@ -21,7 +23,7 @@ pub struct Token {
 }
 
 /// Reusable per-builder scratch buffers for the allocation-lean
-/// [`Analyzer::analyze_with`] path.
+/// [`analyze_with`] path.
 ///
 /// Holds the lowercase and stem staging buffers so that, across a
 /// whole document stream, normalization performs zero steady-state
@@ -38,211 +40,133 @@ pub struct TokenScratch {
     stemmed: String,
 }
 
-/// Anything that turns raw text into a token stream.
-pub trait Analyzer: Send + Sync {
-    /// Tokenize `text`, appending tokens to `out`.
-    ///
-    /// Taking an out-parameter lets indexing reuse one allocation per
-    /// field (see the heap-allocation guidance in the performance
-    /// notes).
-    fn analyze_into(&self, text: &str, out: &mut Vec<Token>);
-
-    /// Convenience wrapper that allocates a fresh vector.
-    fn analyze(&self, text: &str) -> Vec<Token> {
-        let mut out = Vec::new();
-        self.analyze_into(text, &mut out);
-        out
-    }
-
-    /// Streaming, allocation-lean analysis: invoke
-    /// `sink(term, position, start, end)` for every kept token, with
-    /// `term` borrowed from `text` or from `scratch` — no owned
-    /// `String` is ever materialized. This is the indexing hot path;
-    /// [`Analyzer::analyze_into`] and this method must emit identical
-    /// token streams.
-    ///
-    /// The default implementation delegates to `analyze_into` (one
-    /// allocation per token), so third-party analyzers stay correct
-    /// without opting into the lean path.
-    fn analyze_with(
-        &self,
-        text: &str,
-        scratch: &mut TokenScratch,
-        sink: &mut dyn FnMut(&str, u32, usize, usize),
-    ) {
-        let _ = scratch;
-        let mut out = Vec::new();
-        self.analyze_into(text, &mut out);
-        for t in &out {
-            sink(&t.term, t.position, t.start, t.end);
-        }
-    }
-}
-
-/// English stopwords removed by the default analyzer.
+/// English stopwords: dropped from every token stream, though each
+/// still takes a position.
 ///
 /// Deliberately short: a search-driven application mixes product names
 /// and natural language, and aggressive stopping hurts product queries
 /// like "the last of us".
-pub const STOPWORDS: &[&str] = &[
+const STOPWORDS: &[&str] = &[
     "a", "an", "and", "are", "as", "at", "be", "by", "for", "from", "in", "is", "it", "of", "on",
     "or", "that", "the", "to", "was", "with",
 ];
 
-/// The default analyzer: Unicode-alphanumeric word splitting,
-/// lowercasing, stopword removal, and optional light suffix stemming.
-#[derive(Debug, Clone)]
-pub struct StandardAnalyzer {
-    stem: bool,
-    keep_stopwords: bool,
-}
-
-impl Default for StandardAnalyzer {
-    fn default() -> Self {
-        StandardAnalyzer {
-            stem: true,
-            keep_stopwords: false,
-        }
-    }
-}
-
-impl StandardAnalyzer {
-    /// Analyzer with stemming and stopword removal enabled.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Disable stemming (used by exact-match verticals such as URL
-    /// tokens).
-    pub fn without_stemming(mut self) -> Self {
-        self.stem = false;
-        self
-    }
-
-    /// Keep stopwords (used when indexing very short fields like
-    /// titles, where every word carries signal).
-    pub fn with_stopwords(mut self) -> Self {
-        self.keep_stopwords = true;
-        self
-    }
-
-    fn is_stopword(&self, term: &str) -> bool {
-        !self.keep_stopwords && STOPWORDS.contains(&term)
-    }
-}
-
-impl Analyzer for StandardAnalyzer {
-    fn analyze_into(&self, text: &str, out: &mut Vec<Token>) {
-        let mut scratch = TokenScratch::default();
-        self.analyze_with(text, &mut scratch, &mut |term, position, start, end| {
+/// Analyze `text` into owned tokens (the query-time and test path;
+/// indexing streams through [`analyze_with`] instead).
+pub fn analyze(text: &str) -> Vec<Token> {
+    let mut out = Vec::new();
+    analyze_with(
+        text,
+        &mut TokenScratch::default(),
+        |term, position, start, end| {
             out.push(Token {
                 term: term.to_string(),
                 position,
                 start,
                 end,
             });
-        });
-    }
+        },
+    );
+    out
+}
 
-    fn analyze_with(
-        &self,
-        text: &str,
-        scratch: &mut TokenScratch,
-        sink: &mut dyn FnMut(&str, u32, usize, usize),
-    ) {
-        // Split-borrow the two staging buffers once so a term borrowed
-        // from `lower` can coexist with a stem written into `stemmed`.
-        let TokenScratch { lower, stemmed } = scratch;
-        let mut position = 0u32;
-        let mut start = None;
-        // Iterate char boundaries manually so byte offsets are exact.
-        for (idx, ch) in text.char_indices() {
-            if ch.is_alphanumeric() {
-                if start.is_none() {
-                    start = Some(idx);
-                }
-            } else if let Some(s) = start.take() {
-                self.emit(text, s, idx, &mut position, lower, stemmed, sink);
+/// Streaming, allocation-lean analysis: Unicode-alphanumeric word
+/// splitting, lowercasing, stopword removal and light suffix stemming.
+/// Invokes `sink(term, position, start, end)` for every kept token, with
+/// `term` borrowed from `text` or from `scratch` — no owned `String` is
+/// ever materialized. This is the indexing hot path, and the one
+/// implementation every other caller goes through.
+pub fn analyze_with(
+    text: &str,
+    scratch: &mut TokenScratch,
+    mut sink: impl FnMut(&str, u32, usize, usize),
+) {
+    // Split-borrow the two staging buffers once so a term borrowed
+    // from `lower` can coexist with a stem written into `stemmed`.
+    let TokenScratch { lower, stemmed } = scratch;
+    let mut position = 0u32;
+    let mut start = None;
+    // Iterate char boundaries manually so byte offsets are exact.
+    for (idx, ch) in text.char_indices() {
+        if ch.is_alphanumeric() {
+            if start.is_none() {
+                start = Some(idx);
             }
+        } else if let Some(s) = start.take() {
+            emit(text, s, idx, &mut position, lower, stemmed, &mut sink);
         }
-        if let Some(s) = start {
-            self.emit(text, s, text.len(), &mut position, lower, stemmed, sink);
-        }
+    }
+    if let Some(s) = start {
+        emit(
+            text,
+            s,
+            text.len(),
+            &mut position,
+            lower,
+            stemmed,
+            &mut sink,
+        );
     }
 }
 
-impl StandardAnalyzer {
-    /// Normalize one raw word and hand it to `sink` unless it is
-    /// filtered. Lowercasing borrows the input when no byte changes
-    /// (the common case for generated corpora), byte-lowercases ASCII
-    /// into the scratch buffer otherwise, and only falls back to the
-    /// allocating Unicode `to_lowercase` for non-ASCII words that
-    /// really contain uppercase letters. The stopword set is consulted
-    /// on the borrowed lowercase form, so filtered words never
-    /// materialize an owned term.
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        &self,
-        text: &str,
-        start: usize,
-        end: usize,
-        position: &mut u32,
-        lower: &mut String,
-        stemmed: &mut String,
-        sink: &mut dyn FnMut(&str, u32, usize, usize),
-    ) {
-        let raw = &text[start..end];
-        let pos = *position;
-        *position += 1;
-        let term: &str = if raw.is_ascii() {
-            if raw.bytes().any(|b| b.is_ascii_uppercase()) {
-                lower.clear();
-                lower.push_str(raw);
-                lower.as_mut_str().make_ascii_lowercase();
-                lower
-            } else {
-                raw
-            }
-        } else if raw.chars().all(|c| {
-            // Borrow when every char already maps to itself under
-            // lowercasing (str::to_lowercase's final-sigma special
-            // case only rewrites uppercase sigma, so char-by-char
-            // identity implies string identity).
-            let mut it = c.to_lowercase();
-            it.next() == Some(c) && it.next().is_none()
-        }) {
-            raw
-        } else {
+/// Normalize one raw word and hand it to `sink` unless it is a
+/// stopword. Lowercasing borrows the input when no byte changes (the
+/// common case for generated corpora), byte-lowercases ASCII into the
+/// scratch buffer otherwise, and only falls back to the allocating
+/// Unicode `to_lowercase` for non-ASCII words that really contain
+/// uppercase letters. The stopword set is consulted on the borrowed
+/// lowercase form, so filtered words never materialize an owned term.
+fn emit(
+    text: &str,
+    start: usize,
+    end: usize,
+    position: &mut u32,
+    lower: &mut String,
+    stemmed: &mut String,
+    sink: &mut impl FnMut(&str, u32, usize, usize),
+) {
+    let raw = &text[start..end];
+    let pos = *position;
+    *position += 1;
+    let term: &str = if raw.is_ascii() {
+        if raw.bytes().any(|b| b.is_ascii_uppercase()) {
             lower.clear();
-            lower.push_str(&raw.to_lowercase());
+            lower.push_str(raw);
+            lower.as_mut_str().make_ascii_lowercase();
             lower
-        };
-        if self.is_stopword(term) {
-            return;
-        }
-        let term = if self.stem {
-            stem_into(term, stemmed)
         } else {
-            term
-        };
-        sink(term, pos, start, end);
+            raw
+        }
+    } else if raw.chars().all(|c| {
+        // Borrow when every char already maps to itself under
+        // lowercasing (str::to_lowercase's final-sigma special
+        // case only rewrites uppercase sigma, so char-by-char
+        // identity implies string identity).
+        let mut it = c.to_lowercase();
+        it.next() == Some(c) && it.next().is_none()
+    }) {
+        raw
+    } else {
+        lower.clear();
+        lower.push_str(&raw.to_lowercase());
+        lower
+    };
+    if STOPWORDS.contains(&term) {
+        return;
     }
+    sink(stem_into(term, stemmed), pos, start, end);
 }
 
 /// A light English suffix stripper (a deliberately small subset of
 /// Porter). It only removes plural/participle suffixes when the stem
 /// that remains is long enough to stay recognizable, which keeps it
 /// safe for product catalogs ("rings" -> "ring" but "les" stays "les").
-pub fn stem(term: &str) -> String {
-    let mut buf = String::new();
-    stem_into(term, &mut buf).to_string()
-}
-
-/// Allocation-lean stemming: every rewrite except `ies` -> `y` leaves a
-/// prefix of the input, which is returned as a borrowed slice; the one
-/// suffix substitution stages its result in `buf`. The returned `&str`
-/// borrows from `term` or from `buf`.
-pub fn stem_into<'a>(term: &'a str, buf: &'a mut String) -> &'a str {
+///
+/// Allocation-lean: every rewrite except `ies` -> `y` leaves a prefix
+/// of the input, which is returned as a borrowed slice; the one suffix
+/// substitution stages its result in `buf`. The returned `&str` borrows
+/// from `term` or from `buf`.
+fn stem_into<'a>(term: &'a str, buf: &'a mut String) -> &'a str {
     let t = term;
     let n = t.len();
     // Never stem very short tokens or tokens with digits.
@@ -302,11 +226,11 @@ mod tests {
     use super::*;
 
     fn terms(text: &str) -> Vec<String> {
-        StandardAnalyzer::new()
-            .analyze(text)
-            .into_iter()
-            .map(|t| t.term)
-            .collect()
+        analyze(text).into_iter().map(|t| t.term).collect()
+    }
+
+    fn stem(term: &str) -> String {
+        stem_into(term, &mut String::new()).to_string()
     }
 
     #[test]
@@ -316,7 +240,7 @@ mod tests {
 
     #[test]
     fn removes_stopwords_but_keeps_positions() {
-        let toks = StandardAnalyzer::new().analyze("the space shooter");
+        let toks = analyze("the space shooter");
         assert_eq!(toks.len(), 2);
         assert_eq!(toks[0].term, "space");
         // "the" occupied position 0.
@@ -325,27 +249,16 @@ mod tests {
     }
 
     #[test]
-    fn stopwords_kept_when_configured() {
-        let toks = StandardAnalyzer::new().with_stopwords().analyze("the game");
-        assert_eq!(toks.len(), 2);
-        assert_eq!(toks[0].term, "the");
-    }
-
-    #[test]
     fn byte_offsets_are_exact() {
         let text = "wine: Margaux";
-        let toks = StandardAnalyzer::new().analyze(text);
+        let toks = analyze(text);
         assert_eq!(&text[toks[0].start..toks[0].end], "wine");
         assert_eq!(&text[toks[1].start..toks[1].end], "Margaux");
     }
 
     #[test]
     fn unicode_words_survive() {
-        let toks = StandardAnalyzer::new()
-            .without_stemming()
-            .analyze("Café Münch 2024");
-        let ts: Vec<_> = toks.iter().map(|t| t.term.as_str()).collect();
-        assert_eq!(ts, vec!["café", "münch", "2024"]);
+        assert_eq!(terms("Café Münch 2024"), vec!["café", "münch", "2024"]);
     }
 
     #[test]
@@ -376,45 +289,13 @@ mod tests {
     }
 
     #[test]
-    fn analyze_with_matches_analyze_into() {
-        let texts = [
-            "Hello, World!",
-            "the space shooter",
-            "Café MÜNCH Σοφία stories",
-            "running stopped boxes classes glasses",
-            "top 10 games of 2009",
-            "",
-        ];
-        for an in [
-            StandardAnalyzer::new(),
-            StandardAnalyzer::new().without_stemming(),
-            StandardAnalyzer::new().with_stopwords(),
-        ] {
-            let mut scratch = TokenScratch::default();
-            for text in texts {
-                let owned = an.analyze(text);
-                let mut streamed = Vec::new();
-                an.analyze_with(text, &mut scratch, &mut |term, position, start, end| {
-                    streamed.push(Token {
-                        term: term.to_string(),
-                        position,
-                        start,
-                        end,
-                    });
-                });
-                assert_eq!(owned, streamed, "{text:?}");
-            }
-        }
-    }
-
-    #[test]
     fn final_sigma_lowercasing_matches_std() {
         // str::to_lowercase's word-final sigma rule must survive the
         // allocation-lean path (uppercase Greek goes down the Unicode
         // fallback, already-lowercase Greek is borrowed unchanged).
-        let an = StandardAnalyzer::new().without_stemming();
-        assert_eq!(an.analyze("ΟΔΟΣ")[0].term, "ΟΔΟΣ".to_lowercase());
-        assert_eq!(an.analyze("οδος")[0].term, "οδος");
+        // Four-letter words ending in `ς` are left alone by the stemmer.
+        assert_eq!(terms("ΟΔΟΣ"), vec!["ΟΔΟΣ".to_lowercase()]);
+        assert_eq!(terms("οδος"), vec!["οδος"]);
     }
 
     #[test]
@@ -427,16 +308,5 @@ mod tests {
         assert!(buf.is_empty());
         assert_eq!(stem_into("stories", &mut buf), "story");
         assert_eq!(buf, "story", "ies -> y is the one staged rewrite");
-    }
-
-    #[test]
-    fn analyze_into_reuses_buffer() {
-        let an = StandardAnalyzer::new();
-        let mut buf = Vec::with_capacity(8);
-        an.analyze_into("first pass", &mut buf);
-        let first = buf.len();
-        buf.clear();
-        an.analyze_into("second pass here", &mut buf);
-        assert!(!buf.is_empty() && first > 0);
     }
 }

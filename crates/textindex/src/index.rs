@@ -30,7 +30,7 @@
 //! [`Index::optimize`] is the degenerate case: seal, then merge
 //! everything into a single fully-compacted segment.
 
-use crate::analysis::{Analyzer, StandardAnalyzer, TokenScratch};
+use crate::analysis::TokenScratch;
 use crate::fx::FxHashMap;
 use crate::lexicon::{Lexicon, TermId};
 use crate::postings::{CompressedPostings, PostingList, PostingsCursor, NO_DOC};
@@ -57,28 +57,18 @@ pub fn default_build_threads() -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FieldId(pub u16);
 
-/// Static configuration of an [`Index`].
+/// Configuration of a new [`Index`].
 ///
-/// The index keeps no copy of document text: it holds postings, field
-/// lengths and the lexicon only, so a caller that needs the original
-/// text (snippets, rendering) reads it from where it already lives.
+/// Text analysis is not configurable: every index runs the one
+/// pipeline in [`crate::analysis`], which queries, snippets and
+/// spelling suggestions share. The index keeps no copy of document
+/// text: it holds postings, field lengths and the lexicon only, so a
+/// caller that needs the original text (snippets, rendering) reads it
+/// from where it already lives.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct IndexConfig {
-    /// Analyzer applied to every field at index and query time.
-    pub analyzer: Box<dyn Analyzer>,
-}
-
-impl Default for IndexConfig {
-    fn default() -> Self {
-        IndexConfig {
-            analyzer: Box::new(StandardAnalyzer::new()),
-        }
-    }
-}
-
-impl std::fmt::Debug for IndexConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IndexConfig").finish_non_exhaustive()
-    }
+    /// The initial segment policy (see [`Index::set_policy`]).
+    pub policy: SegmentPolicy,
 }
 
 /// Segment-lifecycle tuning knobs for one [`Index`].
@@ -210,10 +200,10 @@ pub struct IndexStats {
 /// frequency and decreasing in field length, so
 /// `bm25(max_tf, min_len)` bounds every document's contribution. The
 /// bound ingredients rather than a finished score are stored because
-/// the final bound also depends on searcher-supplied parameters
-/// (`k1`/`b`) and on index-wide statistics (`N`, average length) that
-/// keep moving as documents are added; both are folded in at query
-/// time so stored stats can never go stale in the unsafe direction.
+/// the final bound also depends on index-wide statistics (`N`,
+/// average length) that keep moving as documents are added; they are
+/// folded in at query time so stored stats can never go stale in the
+/// unsafe direction.
 /// The pruned executor bounds each segment's documents with that
 /// segment's own ingredients; [`Index::term_score_stats`] folds them
 /// rank-safely (max of `max_tf`, min of `min_len`) for callers that
@@ -234,7 +224,6 @@ pub struct TermScoreStats {
 /// An in-memory positional inverted index with field boosts, organized
 /// as a segment-lifecycle runtime (see the module docs).
 pub struct Index {
-    config: IndexConfig,
     fields: Vec<FieldInfo>,
     field_by_name: FxHashMap<String, FieldId>,
     /// Global term interner shared by every segment.
@@ -267,15 +256,9 @@ impl std::fmt::Debug for Index {
 }
 
 impl Index {
-    /// Create an empty index with the default [`SegmentPolicy`].
+    /// Create an empty index.
     pub fn new(config: IndexConfig) -> Self {
-        Self::with_policy(config, SegmentPolicy::default())
-    }
-
-    /// Create an empty index with an explicit segment policy.
-    pub fn with_policy(config: IndexConfig, policy: SegmentPolicy) -> Self {
         Index {
-            config,
             fields: Vec::new(),
             field_by_name: FxHashMap::default(),
             lexicon: Lexicon::new(),
@@ -284,7 +267,7 @@ impl Index {
             field_len: Vec::new(),
             deleted: Vec::new(),
             live_docs: 0,
-            policy,
+            policy: config.policy,
             last_seal_ms: 0,
             visible_limit: 0,
             scratch: TokenScratch::default(),
@@ -345,7 +328,6 @@ impl Index {
     /// Add a document to the memtable segment, returning its id.
     pub fn add(&mut self, doc: Doc<'_>) -> DocId {
         let id = self.active.add(
-            self.config.analyzer.as_ref(),
             &mut self.scratch,
             &mut self.lexicon,
             &mut self.field_len,
@@ -403,7 +385,6 @@ impl Index {
             if self.active.docs > 0 {
                 self.seal();
             }
-            let analyzer = self.config.analyzer.as_ref();
             let num_fields = self.fields.len();
             let build = move |base: usize, chunk: &mut dyn Iterator<Item = Doc<'a>>| {
                 let base = base as u32;
@@ -411,7 +392,7 @@ impl Index {
                 let mut lens = vec![Vec::new(); num_fields];
                 let mut segment = ActiveSegment::starting_at(base);
                 for doc in chunk {
-                    segment.add(analyzer, &mut scratch, &mut lexicon, &mut lens, base, doc);
+                    segment.add(&mut scratch, &mut lexicon, &mut lens, base, doc);
                 }
                 let segment = segment.seal(&lens, base);
                 PackedChunk {
@@ -913,11 +894,6 @@ impl Index {
         &self.lexicon
     }
 
-    /// The analyzer used by this index (query parsing must reuse it).
-    pub fn analyzer(&self) -> &dyn Analyzer {
-        self.config.analyzer.as_ref()
-    }
-
     /// Snapshot statistics.
     pub fn stats(&self) -> IndexStats {
         let posting_lists = self.active.postings.len()
@@ -1148,15 +1124,14 @@ mod tests {
     /// is one of those `check()` verifies.
     #[test]
     fn every_segment_list_carries_dominating_stats() {
-        let mut idx = Index::with_policy(
-            IndexConfig::default(),
-            SegmentPolicy {
+        let mut idx = Index::new(IndexConfig {
+            policy: SegmentPolicy {
                 memtable_max_docs: 5,
                 staleness_window_ms: u64::MAX,
                 merge_fanin: 3,
                 near_real_time: false,
             },
-        );
+        });
         let body = idx.register_field("body", 1.0);
         let words = [
             "space",
@@ -1420,7 +1395,7 @@ mod tests {
                     ..SegmentPolicy::default()
                 };
                 let index = || {
-                    let mut idx = Index::with_policy(IndexConfig::default(), policy);
+                    let mut idx = Index::new(IndexConfig { policy });
                     let body = idx.register_field("body", 1.0);
                     (idx, body)
                 };
@@ -1479,14 +1454,13 @@ mod tests {
 
     #[test]
     fn near_real_time_bulk_build_is_a_seal() {
-        let mut idx = Index::with_policy(
-            IndexConfig::default(),
-            SegmentPolicy {
+        let mut idx = Index::new(IndexConfig {
+            policy: SegmentPolicy {
                 memtable_max_docs: 2,
                 near_real_time: true,
                 ..SegmentPolicy::default()
             },
-        );
+        });
         let body = idx.register_field("body", 1.0);
         idx.add(Doc::new().field(body, "hidden memtable doc"));
         let count = |idx: &Index| Searcher::new(idx).search(&Query::parse("doc"), 10).len();
@@ -1617,14 +1591,13 @@ mod tests {
 
     #[test]
     fn maintain_seals_on_size_and_staleness() {
-        let mut idx = Index::with_policy(
-            IndexConfig::default(),
-            SegmentPolicy {
+        let mut idx = Index::new(IndexConfig {
+            policy: SegmentPolicy {
                 memtable_max_docs: 2,
                 staleness_window_ms: 100,
                 ..SegmentPolicy::default()
             },
-        );
+        });
         let body = idx.register_field("body", 1.0);
         idx.add(Doc::new().field(body, "one"));
         // Young and small: nothing happens.
@@ -1643,15 +1616,14 @@ mod tests {
 
     #[test]
     fn maintain_merges_same_tier_runs() {
-        let mut idx = Index::with_policy(
-            IndexConfig::default(),
-            SegmentPolicy {
+        let mut idx = Index::new(IndexConfig {
+            policy: SegmentPolicy {
                 memtable_max_docs: 1,
                 staleness_window_ms: u64::MAX,
                 merge_fanin: 3,
                 near_real_time: false,
             },
-        );
+        });
         let body = idx.register_field("body", 1.0);
         let mut now = 0u64;
         for i in 0..3 {
@@ -1669,15 +1641,14 @@ mod tests {
 
     #[test]
     fn maintain_compacts_tombstone_heavy_segments() {
-        let mut idx = Index::with_policy(
-            IndexConfig::default(),
-            SegmentPolicy {
+        let mut idx = Index::new(IndexConfig {
+            policy: SegmentPolicy {
                 memtable_max_docs: 4,
                 staleness_window_ms: u64::MAX,
                 merge_fanin: 4,
                 near_real_time: false,
             },
-        );
+        });
         let body = idx.register_field("body", 1.0);
         let ids: Vec<DocId> = (0..4)
             .map(|i| idx.add(Doc::new().field(body, format!("space doc {i}"))))
@@ -1699,13 +1670,12 @@ mod tests {
 
     #[test]
     fn near_real_time_hides_memtable_until_seal() {
-        let mut idx = Index::with_policy(
-            IndexConfig::default(),
-            SegmentPolicy {
+        let mut idx = Index::new(IndexConfig {
+            policy: SegmentPolicy {
                 near_real_time: true,
                 ..SegmentPolicy::default()
             },
-        );
+        });
         let body = idx.register_field("body", 1.0);
         idx.add(Doc::new().field(body, "hidden until sealed"));
         assert!(Searcher::new(&idx)
@@ -1727,15 +1697,14 @@ mod tests {
     #[test]
     fn maintain_is_deterministic_for_a_fixed_schedule() {
         let run = || {
-            let mut idx = Index::with_policy(
-                IndexConfig::default(),
-                SegmentPolicy {
+            let mut idx = Index::new(IndexConfig {
+                policy: SegmentPolicy {
                     memtable_max_docs: 3,
                     staleness_window_ms: 40,
                     merge_fanin: 2,
                     near_real_time: false,
                 },
-            );
+            });
             let body = idx.register_field("body", 1.0);
             let mut reports = Vec::new();
             for i in 0..20u32 {

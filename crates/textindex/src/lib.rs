@@ -56,7 +56,7 @@ mod segment;
 pub mod snippet;
 pub mod spell;
 
-pub use analysis::{Analyzer, StandardAnalyzer, Token, TokenScratch};
+pub use analysis::{Token, TokenScratch};
 pub use docset::{DocSet, FilterCursor};
 pub use index::{
     default_build_threads, Doc, FieldId, Index, IndexConfig, IndexStats, MaintenanceReport,

@@ -9,8 +9,8 @@
 //! * `title:raiders` — restrict one clause to a named field.
 //!
 //! Parsing happens on the raw string; analysis (lowercasing, stemming)
-//! is applied later against a concrete index's analyzer, because the
-//! analyzer is per-index.
+//! is applied later, when a searcher resolves the words against a
+//! concrete index's lexicon.
 
 /// Whether a clause is optional, required, or prohibited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -58,6 +58,7 @@ use std::collections::BinaryHeap;
 
 mod exhaustive;
 
+use crate::analysis::analyze;
 use crate::docset::{DocSet, FilterCursor};
 use crate::fx::FxHashMap;
 use crate::index::{FieldId, Index};
@@ -67,19 +68,18 @@ use crate::query::{ClauseKind, Occur, Query};
 use crate::segment::{SegmentList, SegmentView};
 use crate::DocId;
 
-/// BM25 free parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bm25Params {
-    /// Term-frequency saturation (typical 1.2).
-    pub k1: f32,
-    /// Length normalization strength (typical 0.75).
-    pub b: f32,
-}
+/// BM25 term-frequency saturation.
+const K1: f32 = 1.2;
+/// BM25 length-normalization strength.
+const B: f32 = 0.75;
 
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Bm25Params { k1: 1.2, b: 0.75 }
-    }
+fn bm25(tf: f32, len: f32, avg_len: f32, idf: f32) -> f32 {
+    let norm = if avg_len > 0.0 {
+        1.0 - B + B * len / avg_len
+    } else {
+        1.0
+    };
+    idf * tf * (K1 + 1.0) / (tf + K1 * norm)
 }
 
 /// One search result.
@@ -216,7 +216,6 @@ impl GlobalScoreStats {
 /// Query executor over one [`Index`].
 pub struct Searcher<'a> {
     index: &'a Index,
-    params: Bm25Params,
     /// When set, corpus-wide statistics (df / live docs / average
     /// lengths) come from here instead of the local index, so a shard
     /// scores its slice exactly as the single-index build would.
@@ -224,16 +223,10 @@ pub struct Searcher<'a> {
 }
 
 impl<'a> Searcher<'a> {
-    /// Searcher with default BM25 parameters.
+    /// Searcher scoring with BM25 at k1 = 1.2, b = 0.75.
     pub fn new(index: &'a Index) -> Self {
-        Self::with_params(index, Bm25Params::default())
-    }
-
-    /// Override BM25 parameters.
-    pub fn with_params(index: &'a Index, params: Bm25Params) -> Self {
         Searcher {
             index,
-            params,
             global: None,
         }
     }
@@ -886,7 +879,7 @@ impl<'a> Searcher<'a> {
                 return t.bound;
             };
             let raw = peaks
-                .map(|(tf, len)| t.boost * self.bm25(tf as f32, len as f32, t.avg_len, t.idf))
+                .map(|(tf, len)| t.boost * bm25(tf as f32, len as f32, t.avg_len, t.idf))
                 .into_iter()
                 .fold(0.0f32, f32::max);
             t.block_memo_last = last;
@@ -901,7 +894,7 @@ impl<'a> Searcher<'a> {
     #[inline]
     fn clause_score(&self, sc: &Scorer<'_>, d: u32, tf: u32) -> f32 {
         let len = sc.lens[d as usize] as f32;
-        let v = sc.boost * self.bm25(tf as f32, len, sc.avg_len, sc.idf);
+        let v = sc.boost * bm25(tf as f32, len, sc.avg_len, sc.idf);
         debug_assert!(v <= sc.bound, "doc {d}: {v} over its segment's bound");
         v
     }
@@ -938,7 +931,7 @@ impl<'a> Searcher<'a> {
     fn phrase_contribution(&self, p: &PhraseScorer<'_>, d: u32, count: u32, first: usize) -> f32 {
         let f = &p.fields[first];
         let len = f.lens[d as usize] as f32;
-        f.boost * self.bm25(count as f32, len, f.avg_len, f.idf)
+        f.boost * bm25(count as f32, len, f.avg_len, f.idf)
     }
 
     /// Build a phrase scorer over one segment: per-field conjunction
@@ -991,7 +984,7 @@ impl<'a> Searcher<'a> {
             .iter()
             .zip(&min_lens)
             .map(|(f, &min_len)| {
-                f.boost * self.bm25(cmax_total as f32, min_len as f32, f.avg_len, f.idf)
+                f.boost * bm25(cmax_total as f32, min_len as f32, f.avg_len, f.idf)
             })
             .fold(f32::NEG_INFINITY, f32::max);
         Some(PhraseScorer {
@@ -1014,7 +1007,7 @@ impl<'a> Searcher<'a> {
     /// pruned against, hence still exact.
     fn scorer(&self, fs: &FieldScore, list: SegmentList<'a>) -> Scorer<'a> {
         let st = list.stats;
-        let raw = fs.boost * self.bm25(st.max_tf as f32, st.min_len as f32, fs.avg_len, fs.idf);
+        let raw = fs.boost * bm25(st.max_tf as f32, st.min_len as f32, fs.avg_len, fs.idf);
         let bound = inflated(raw);
         Scorer {
             cursor: list.cursor(),
@@ -1028,7 +1021,7 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Analyze raw query text with the index's analyzer against the
+    /// Analyze raw query text (the pipeline the index ran) against the
     /// *effective* corpus: a token survives only if some field holds
     /// postings for it. Never-seen tokens are dropped, and so are terms
     /// whose postings were entirely purged by merges (the lexicon never
@@ -1046,10 +1039,7 @@ impl<'a> Searcher<'a> {
     /// otherwise a shard would return docs the union search rejects.
     fn analyze_query_tokens(&self, raw: &str) -> Vec<Option<TermId>> {
         match self.global {
-            None => self
-                .index
-                .analyzer()
-                .analyze(raw)
+            None => analyze(raw)
                 .into_iter()
                 .filter_map(|t| self.index.lexicon().get(&t.term))
                 .filter(|&t| {
@@ -1059,10 +1049,7 @@ impl<'a> Searcher<'a> {
                 })
                 .map(Some)
                 .collect(),
-            Some(g) => self
-                .index
-                .analyzer()
-                .analyze(raw)
+            Some(g) => analyze(raw)
                 .into_iter()
                 .filter_map(|t| {
                     if self.index.field_ids().any(|f| g.has_postings(&t.term, f)) {
@@ -1107,16 +1094,6 @@ impl<'a> Searcher<'a> {
         }
         let n = self.stat_live_docs() as f32;
         (1.0 + (n - df as f32 + 0.5) / (df as f32 + 0.5)).ln()
-    }
-
-    fn bm25(&self, tf: f32, len: f32, avg_len: f32, idf: f32) -> f32 {
-        let Bm25Params { k1, b } = self.params;
-        let norm = if avg_len > 0.0 {
-            1.0 - b + b * len / avg_len
-        } else {
-            1.0
-        };
-        idf * tf * (k1 + 1.0) / (tf + k1 * norm)
     }
 }
 
@@ -1896,26 +1873,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_matches_exhaustive_with_custom_params() {
-        let mut idx = index();
-        idx.optimize();
-        // Bounds are computed from the searcher's own parameters, so
-        // pruning stays rank-safe for non-default k1/b too.
-        for params in [
-            Bm25Params { k1: 0.0, b: 0.0 },
-            Bm25Params { k1: 2.0, b: 1.0 },
-        ] {
-            for q in QUERIES {
-                let query = Query::parse(q);
-                let pruned = Searcher::with_params(&idx, params).search(&query, 3);
-                let exhaustive =
-                    Searcher::with_params(&idx, params).search_exhaustive(&query, 3, |_| true);
-                assert_eq!(pruned, exhaustive, "query {q:?} params {params:?}");
-            }
-        }
-    }
-
-    #[test]
     fn threshold_prunes_on_larger_corpus_without_changing_results() {
         // A corpus big enough that the MaxScore partition actually
         // activates (many docs share the common term, few the rare
@@ -1940,16 +1897,6 @@ mod tests {
                 assert_eq!(pruned, exhaustive, "query {q:?} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn custom_params_change_scores() {
-        let idx = index();
-        let q = Query::parse("space");
-        let default = Searcher::new(&idx).search(&q, 10);
-        let flat = Searcher::with_params(&idx, Bm25Params { k1: 0.0, b: 0.0 }).search(&q, 10);
-        assert_eq!(default.len(), flat.len());
-        assert_ne!(default[0].score, flat[0].score);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::BinaryHeap;
 
-use super::{HeapEntry, SearchHit, Searcher};
+use super::{bm25, HeapEntry, SearchHit, Searcher};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::index::FieldId;
 use crate::lexicon::TermId;
@@ -188,7 +188,7 @@ impl Searcher<'_> {
             let boost = self.index.field_boost(field);
             self.index.for_each_posting(term, field, |doc, positions| {
                 let len = self.index.field_len(doc, field) as f32;
-                let s = boost * self.bm25(positions.len() as f32, len, avg, idf);
+                let s = boost * bm25(positions.len() as f32, len, avg, idf);
                 *scores.entry(doc.0).or_insert(0.0) += s;
             });
         }
@@ -265,6 +265,6 @@ impl Searcher<'_> {
         let idf: f32 = tokens.iter().map(|&t| self.idf(t, field)).sum();
         let len = self.index.field_len(doc, field) as f32;
         let avg = self.stat_avg_field_len(field);
-        self.index.field_boost(field) * self.bm25(tf as f32, len, avg, idf)
+        self.index.field_boost(field) * bm25(tf as f32, len, avg, idf)
     }
 }

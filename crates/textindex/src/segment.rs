@@ -41,7 +41,7 @@
 //! time concatenates each term's lists into the one a sequential build
 //! would have written.
 
-use crate::analysis::{Analyzer, TokenScratch};
+use crate::analysis::{analyze_with, TokenScratch};
 use crate::fx::FxHashMap;
 use crate::index::{Doc, FieldId, TermScoreStats};
 use crate::lexicon::{Lexicon, TermId};
@@ -86,7 +86,6 @@ impl ActiveSegment {
     /// a repeated field continues where its previous text ended.
     pub(crate) fn add(
         &mut self,
-        analyzer: &dyn Analyzer,
         scratch: &mut TokenScratch,
         lexicon: &mut Lexicon,
         lens: &mut [Vec<u32>],
@@ -109,7 +108,7 @@ impl ActiveSegment {
             let len = &mut lens[field.0 as usize][slot];
             let postings = &mut self.postings;
             let mut last_pos = None;
-            analyzer.analyze_with(text, scratch, &mut |term, pos, _start, _end| {
+            analyze_with(text, scratch, |term, pos, _start, _end| {
                 last_pos = Some(pos);
                 postings
                     .entry((lexicon.intern(term), field))

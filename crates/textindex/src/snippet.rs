@@ -2,31 +2,20 @@
 //!
 //! Symphony result layouts show a "descriptive field" per hit (paper
 //! Fig. 1); for web results that field is a contextual snippet. The
-//! generator picks the token window with the highest count of distinct
-//! matched query terms (ties: earliest window) and wraps matches in
-//! `<b>` tags, HTML-escaping everything else.
+//! generator picks the `WINDOW`-token window with the highest count of
+//! distinct matched query terms (ties: earliest window), wraps matches
+//! in `<b>` tags, HTML-escapes everything else and clamps the result to
+//! `MAX_CHARS` characters. Both sizes are constants: every result
+//! page in the platform uses the same ones.
 
-use crate::analysis::{Analyzer, TokenScratch};
+use crate::analysis::{analyze, analyze_with, TokenScratch};
 use crate::fx::FxHashMap;
 
-/// Configuration for [`SnippetGenerator`].
-#[derive(Debug, Clone)]
-pub struct SnippetConfig {
-    /// Window size in tokens.
-    pub window: usize,
-    /// Hard cap on snippet length in characters (applied after window
-    /// selection, on a char boundary, with an ellipsis).
-    pub max_chars: usize,
-}
-
-impl Default for SnippetConfig {
-    fn default() -> Self {
-        SnippetConfig {
-            window: 24,
-            max_chars: 220,
-        }
-    }
-}
+/// Window size in kept tokens.
+const WINDOW: usize = 24;
+/// Hard cap on snippet length in characters (applied after window
+/// selection, on a char boundary, with an ellipsis).
+const MAX_CHARS: usize = 220;
 
 /// Slot of a kept token that matches no query term.
 const NO_SLOT: u32 = u32::MAX;
@@ -40,40 +29,24 @@ struct Kept {
 }
 
 /// Builds highlighted snippets for a fixed set of query words.
-pub struct SnippetGenerator<'a> {
-    analyzer: &'a dyn Analyzer,
+pub struct SnippetGenerator {
     /// Distinct analyzed query terms, each numbered with a dense slot
     /// so a window's distinct-term count is a counter per slot.
     slots: FxHashMap<String, u32>,
-    config: SnippetConfig,
 }
 
-impl<'a> SnippetGenerator<'a> {
+impl SnippetGenerator {
     /// Create a generator for `query_words` (raw query words; they are
-    /// analyzed with the same analyzer as the text so stemmed forms
-    /// match).
-    pub fn new(analyzer: &'a dyn Analyzer, query_words: &[&str]) -> Self {
-        Self::with_config(analyzer, query_words, SnippetConfig::default())
-    }
-
-    /// Create a generator with explicit window/length configuration.
-    pub fn with_config(
-        analyzer: &'a dyn Analyzer,
-        query_words: &[&str],
-        config: SnippetConfig,
-    ) -> Self {
+    /// analyzed like the text so stemmed forms match).
+    pub fn new(query_words: &[&str]) -> Self {
         let mut slots = FxHashMap::default();
         for w in query_words {
-            for tok in analyzer.analyze(w) {
+            for tok in analyze(w) {
                 let next = slots.len() as u32;
                 slots.entry(tok.term).or_insert(next);
             }
         }
-        SnippetGenerator {
-            analyzer,
-            slots,
-            config,
-        }
+        SnippetGenerator { slots }
     }
 
     /// Produce a highlighted, HTML-escaped snippet of `text`.
@@ -91,14 +64,12 @@ impl<'a> SnippetGenerator<'a> {
     /// the length of the text.
     pub fn snippet(&self, text: &str) -> String {
         let mut tokens: Vec<Kept> = Vec::with_capacity(text.len() / 2 + 1);
-        let mut scratch = TokenScratch::default();
-        self.analyzer
-            .analyze_with(text, &mut scratch, &mut |term, _, start, end| {
-                let slot = self.slots.get(term).copied().unwrap_or(NO_SLOT);
-                tokens.push(Kept { slot, start, end });
-            });
+        analyze_with(text, &mut TokenScratch::default(), |term, _, start, end| {
+            let slot = self.slots.get(term).copied().unwrap_or(NO_SLOT);
+            tokens.push(Kept { slot, start, end });
+        });
         if tokens.is_empty() {
-            return truncate_escape(text, self.config.max_chars);
+            return truncate_escape(text);
         }
 
         // Slide the window by its right edge; the earliest window with
@@ -106,7 +77,7 @@ impl<'a> SnippetGenerator<'a> {
         // earliest on ties). While the first window is still filling,
         // `distinct` counts a prefix of it, which can only claim
         // start 0 — the start it ends up with anyway.
-        let w = self.config.window.max(1).min(tokens.len());
+        let w = WINDOW.min(tokens.len());
         let mut counts = vec![0u32; self.slots.len()];
         let mut distinct = 0usize;
         let (mut best_start, mut best_score) = (0usize, 0usize);
@@ -160,7 +131,7 @@ impl<'a> SnippetGenerator<'a> {
         if to < text.len() {
             out.push_str(" …");
         }
-        clamp_chars(&mut out, self.config.max_chars);
+        clamp_chars(&mut out);
         out
     }
 }
@@ -184,17 +155,17 @@ fn push_escaped(out: &mut String, text: &str) {
     }
 }
 
-fn truncate_escape(text: &str, max_chars: usize) -> String {
+fn truncate_escape(text: &str) -> String {
     let mut s = escape_html(text);
-    clamp_chars(&mut s, max_chars);
+    clamp_chars(&mut s);
     s
 }
 
-fn clamp_chars(s: &mut String, max_chars: usize) {
-    if s.chars().count() > max_chars {
+fn clamp_chars(s: &mut String) {
+    if s.chars().count() > MAX_CHARS {
         let cut = s
             .char_indices()
-            .nth(max_chars.saturating_sub(1))
+            .nth(MAX_CHARS - 1)
             .map(|(i, _)| i)
             .unwrap_or(s.len());
         s.truncate(cut);
@@ -205,37 +176,27 @@ fn clamp_chars(s: &mut String, max_chars: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::StandardAnalyzer;
 
     use crate::fx::FxHashSet;
     use proptest::prelude::*;
 
-    fn gen<'a>(an: &'a StandardAnalyzer, words: &[&str]) -> SnippetGenerator<'a> {
-        SnippetGenerator::new(an, words)
-    }
-
     /// The snippeter this module shipped before the linear pass, kept
     /// as the oracle: owned tokens, and a hash set of matched terms
     /// rebuilt for every window start.
-    fn snippet_reference(
-        analyzer: &dyn Analyzer,
-        query_words: &[&str],
-        config: &SnippetConfig,
-        text: &str,
-    ) -> String {
+    fn snippet_reference(query_words: &[&str], text: &str) -> String {
         let mut terms = FxHashSet::default();
         for w in query_words {
-            for tok in analyzer.analyze(w) {
+            for tok in analyze(w) {
                 terms.insert(tok.term);
             }
         }
-        let tokens = analyzer.analyze(text);
+        let tokens = analyze(text);
         if tokens.is_empty() {
-            return truncate_escape(text, config.max_chars);
+            return truncate_escape(text);
         }
         let matched: Vec<bool> = tokens.iter().map(|t| terms.contains(&t.term)).collect();
 
-        let w = config.window.max(1).min(tokens.len());
+        let w = WINDOW.min(tokens.len());
         let mut best_start = 0usize;
         let mut best_score = -1i64;
         for start in 0..=(tokens.len() - w) {
@@ -290,7 +251,7 @@ mod tests {
         if to < text.len() {
             out.push_str(" …");
         }
-        clamp_chars(&mut out, config.max_chars);
+        clamp_chars(&mut out);
         out
     }
 
@@ -308,9 +269,11 @@ mod tests {
         ]
     }
 
+    /// Up to 160 words: from empty through shorter than one window to
+    /// several windows long, and mostly past the character cap.
     fn text() -> impl Strategy<Value = String> {
         (
-            proptest::collection::vec((word(), "( |  |, |\\. |\n|-|)"), 0..70),
+            proptest::collection::vec((word(), "( |  |, |\\. |\n|-|)"), 0..160),
             "( |\\(|)",
         )
             .prop_map(|(words, lead)| {
@@ -327,78 +290,62 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
         /// The linear snippeter is byte-identical to the quadratic one
-        /// it replaced, for every analyzer configuration: texts from
-        /// empty through shorter-than-the-window to several windows
-        /// long, query words present / absent / repeated / stop words.
+        /// it replaced: texts from empty through shorter-than-the-window
+        /// to several windows long, snippets under and over the
+        /// character cap, query words present / absent / repeated /
+        /// stop words.
         #[test]
         fn snippet_linear_equals_reference(
             text in text(),
             query in proptest::collection::vec(word(), 0..5),
-            shape in (0usize..40, 0usize..260, 0u8..3),
         ) {
-            let (window, max_chars, flavour) = shape;
-            let an = match flavour {
-                0 => StandardAnalyzer::new(),
-                1 => StandardAnalyzer::new().without_stemming(),
-                _ => StandardAnalyzer::new().with_stopwords(),
-            };
             let words: Vec<&str> = query.iter().map(String::as_str).collect();
-            let config = SnippetConfig { window, max_chars };
-            let want = snippet_reference(&an, &words, &config, &text);
-            let got = SnippetGenerator::with_config(&an, &words, config).snippet(&text);
+            let want = snippet_reference(&words, &text);
+            let got = SnippetGenerator::new(&words).snippet(&text);
             prop_assert_eq!(got, want, "text {:?} query {:?}", text, words);
         }
     }
 
     #[test]
     fn highlights_matched_terms() {
-        let an = StandardAnalyzer::new();
-        let g = gen(&an, &["space", "shooter"]);
-        let s = g.snippet("A thrilling space shooter for everyone");
+        let s = SnippetGenerator::new(&["space", "shooter"])
+            .snippet("A thrilling space shooter for everyone");
         assert!(s.contains("<b>space</b>"), "got: {s}");
         assert!(s.contains("<b>shooter</b>"), "got: {s}");
     }
 
     #[test]
     fn stemmed_forms_highlight() {
-        let an = StandardAnalyzer::new();
-        let g = gen(&an, &["laser"]);
-        let s = g.snippet("many lasers everywhere");
+        let s = SnippetGenerator::new(&["laser"]).snippet("many lasers everywhere");
         assert!(s.contains("<b>lasers</b>"), "got: {s}");
     }
 
     #[test]
     fn picks_window_with_most_distinct_terms() {
-        let an = StandardAnalyzer::new();
-        let cfg = SnippetConfig {
-            window: 5,
-            max_chars: 500,
-        };
-        let g = SnippetGenerator::with_config(&an, &["wine", "bordeaux"], cfg);
-        let text = "filler filler filler filler filler filler filler filler \
-                    great wine from bordeaux chateau filler filler";
-        let s = g.snippet(text);
-        assert!(
-            s.contains("<b>wine</b>") && s.contains("<b>bordeaux</b>"),
-            "got: {s}"
+        // `bordeaux` lies more than a window past the first `wine`: only
+        // a later window holds both.
+        let g = SnippetGenerator::new(&["wine", "bordeaux"]);
+        let text = format!(
+            "wine {}great wine from bordeaux chateau {}",
+            "filler ".repeat(30),
+            "filler ".repeat(30)
         );
+        let s = g.snippet(&text);
+        assert!(s.contains("<b>wine</b> from <b>bordeaux</b>"), "got: {s}");
         assert!(s.starts_with("… "), "leading ellipsis expected: {s}");
+        assert!(s.ends_with(" …"), "trailing ellipsis expected: {s}");
     }
 
     #[test]
     fn no_match_returns_leading_window() {
-        let an = StandardAnalyzer::new();
-        let g = gen(&an, &["absent"]);
-        let s = g.snippet("Just a plain description of a product");
+        let s = SnippetGenerator::new(&["absent"]).snippet("Just a plain description of a product");
         assert!(!s.contains("<b>"));
         assert!(s.contains("plain"));
     }
 
     #[test]
     fn escapes_html() {
-        let an = StandardAnalyzer::new();
-        let g = gen(&an, &["bold"]);
-        let s = g.snippet("<script> bold & dangerous \"stuff\"");
+        let s = SnippetGenerator::new(&["bold"]).snippet("<script> bold & dangerous \"stuff\"");
         assert!(s.contains("&lt;script&gt;"), "got: {s}");
         assert!(s.contains("&amp;"), "got: {s}");
         assert!(s.contains("&quot;stuff&quot;"), "got: {s}");
@@ -407,22 +354,20 @@ mod tests {
 
     #[test]
     fn empty_text() {
-        let an = StandardAnalyzer::new();
-        let g = gen(&an, &["x"]);
-        assert_eq!(g.snippet(""), "");
+        assert_eq!(SnippetGenerator::new(&["x"]).snippet(""), "");
     }
 
     #[test]
     fn clamps_to_max_chars() {
-        let an = StandardAnalyzer::new();
-        let cfg = SnippetConfig {
-            window: 50,
-            max_chars: 20,
-        };
-        let g = SnippetGenerator::with_config(&an, &["word"], cfg);
-        let s = g.snippet("word ".repeat(50).as_str());
-        assert!(s.chars().count() <= 21, "got len {}", s.chars().count());
+        // A full window of highlighted words runs past the cap: the
+        // snippet keeps `MAX_CHARS - 1` characters and an ellipsis.
+        let s = SnippetGenerator::new(&["word"]).snippet("word ".repeat(50).as_str());
+        assert_eq!(s.chars().count(), MAX_CHARS, "got: {s}");
+        assert!(s.starts_with("<b>word</b> "), "got: {s}");
         assert!(s.ends_with('…'));
+        // Unmatched text shorter than one window is clamped the same way.
+        let s = SnippetGenerator::new(&["word"]).snippet(&"x".repeat(500));
+        assert_eq!(s.chars().count(), MAX_CHARS, "got: {s}");
     }
 
     #[test]
@@ -432,13 +377,10 @@ mod tests {
 
     #[test]
     fn trailing_ellipsis_when_text_continues() {
-        let an = StandardAnalyzer::new();
-        let cfg = SnippetConfig {
-            window: 3,
-            max_chars: 500,
-        };
-        let g = SnippetGenerator::with_config(&an, &["alpha"], cfg);
-        let s = g.snippet("alpha beta gamma delta epsilon");
-        assert!(s.ends_with(" …"), "got: {s}");
+        // One window of short words, well under the cap, then more text.
+        let rest: Vec<String> = (1..40).map(|i| format!("w{i}")).collect();
+        let s = SnippetGenerator::new(&["alpha"]).snippet(&format!("alpha {}", rest.join(" ")));
+        assert!(s.starts_with("<b>alpha</b> w1 "), "got: {s}");
+        assert!(s.ends_with(" w23 …"), "got: {s}");
     }
 }

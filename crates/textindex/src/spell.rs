@@ -6,7 +6,7 @@
 //! distance. Popularity is document frequency, so corrections always
 //! point at terms that actually retrieve something.
 
-use crate::analysis::Analyzer;
+use crate::analysis::analyze;
 use crate::index::Index;
 
 /// Maximum edit distance considered a plausible correction.
@@ -45,11 +45,6 @@ impl SpellSuggester {
         SpellSuggester { terms }
     }
 
-    /// Number of candidate terms.
-    pub fn term_count(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Suggest a correction for a single (already analyzed) term.
     /// Returns `None` when the term is known or nothing is close.
     pub fn suggest_term(&self, term: &str) -> Option<&str> {
@@ -82,10 +77,10 @@ impl SpellSuggester {
     /// Suggest a corrected form of a whole raw query, preserving word
     /// order. Returns `None` when every token is already known (or
     /// uncorrectable).
-    pub fn did_you_mean(&self, raw_query: &str, analyzer: &dyn Analyzer) -> Option<String> {
+    pub fn did_you_mean(&self, raw_query: &str) -> Option<String> {
         let mut corrected = Vec::new();
         let mut changed = false;
-        for token in analyzer.analyze(raw_query) {
+        for token in analyze(raw_query) {
             match self.suggest_term(&token.term) {
                 Some(fix) => {
                     corrected.push(fix.to_string());
@@ -196,9 +191,9 @@ mod tests {
     fn did_you_mean_rewrites_only_unknown_tokens() {
         let idx = index();
         let sp = SpellSuggester::from_index(&idx);
-        let dym = sp.did_you_mean("galactik shooter", idx.analyzer());
+        let dym = sp.did_you_mean("galactik shooter");
         assert_eq!(dym.as_deref(), Some("galactic shooter"));
-        assert_eq!(sp.did_you_mean("galactic shooter", idx.analyzer()), None);
+        assert_eq!(sp.did_you_mean("galactic shooter"), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! by accident of the raw-entry API not being used at all. The arena
 //! representation must stay amortized: interning N fresh terms costs
 //! O(log N) container growths, not O(N) allocations, and lookups cost
-//! zero. `Analyzer::analyze_with`, the indexing hot path, borrows
+//! zero. `analyze_with`, the indexing hot path, borrows
 //! every term from the text or from its reused scratch buffers, so once
 //! a warm-up pass has grown those buffers a document costs zero
 //! allocations. The index's write path stores each raw posting list
@@ -25,9 +25,8 @@
 //! assertions live in a single `#[test]` so parallel test threads
 //! cannot pollute the counters.
 
-use symphony_text::{
-    Analyzer, Doc, Index, IndexConfig, Lexicon, SegmentPolicy, StandardAnalyzer, TokenScratch,
-};
+use symphony_text::analysis::analyze_with;
+use symphony_text::{Doc, Index, IndexConfig, Lexicon, SegmentPolicy, TokenScratch};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -98,11 +97,10 @@ fn intern_is_amortized_and_lookup_is_allocation_free() {
             doc.join(if i % 2 == 0 { " " } else { ", " })
         })
         .collect();
-    let analyzer = StandardAnalyzer::new();
     let analyze = |scratch: &mut TokenScratch| {
         let mut tokens = 0usize;
         for text in &texts {
-            analyzer.analyze_with(text, scratch, &mut |_, _, _, _| tokens += 1);
+            analyze_with(text, scratch, |_, _, _, _| tokens += 1);
         }
         tokens
     };
@@ -205,13 +203,12 @@ fn bulk_build_holds_one_wave_raw() {
     const CAP: usize = 256;
     const WORKERS: usize = 2;
     const CHUNKS: usize = 40;
-    let mut index = Index::with_policy(
-        IndexConfig::default(),
-        SegmentPolicy {
+    let mut index = Index::new(IndexConfig {
+        policy: SegmentPolicy {
             memtable_max_docs: CAP as u32,
             ..SegmentPolicy::default()
         },
-    );
+    });
     let body = index.register_field("body", 1.0);
     // Long documents over a small, skewed vocabulary: every chunk holds
     // every list, so the packed postings, not per-list overhead,

@@ -192,7 +192,7 @@ fn default_thread_count_build_matches_sequential() {
         memtable_max_docs: 64,
         ..SegmentPolicy::default()
     };
-    let mut idx = Index::with_policy(IndexConfig::default(), policy);
+    let mut idx = Index::new(IndexConfig { policy });
     let title = idx.register_field("title", 2.0);
     let body = idx.register_field("body", 1.0);
     assert_eq!((title, body), (TITLE, BODY));

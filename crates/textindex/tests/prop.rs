@@ -3,12 +3,12 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+use symphony_text::analysis::analyze;
 use symphony_text::postings::{
     CompressedPostings, PostingList, PostingsCursor, BLOCK_SIZE, NO_DOC,
 };
 use symphony_text::{
-    Analyzer, Doc, DocId, DocSet, Index, IndexConfig, Query, SearchHit, Searcher, SegmentPolicy,
-    StandardAnalyzer,
+    Doc, DocId, DocSet, Index, IndexConfig, Query, SearchHit, Searcher, SegmentPolicy,
 };
 
 /// One step of a random segment-lifecycle schedule for
@@ -436,10 +436,9 @@ proptest! {
     /// themselves (idempotence of normalization).
     #[test]
     fn analyzer_idempotent(text in "\\PC{0,200}") {
-        let an = StandardAnalyzer::new();
-        let once = an.analyze(&text);
+        let once = analyze(&text);
         for tok in &once {
-            let again = an.analyze(&tok.term);
+            let again = analyze(&tok.term);
             // A normalized term must analyze to at most one token and,
             // when it survives, to itself.
             prop_assert!(again.len() <= 1);
@@ -447,15 +446,14 @@ proptest! {
                 prop_assert_eq!(&t.term, &tok.term);
             }
         }
-        let twice = an.analyze(&text);
+        let twice = analyze(&text);
         prop_assert_eq!(once, twice);
     }
 
     /// Token byte offsets always slice the original text cleanly.
     #[test]
     fn token_offsets_are_valid_slices(text in "\\PC{0,200}") {
-        let an = StandardAnalyzer::new();
-        for tok in an.analyze(&text) {
+        for tok in analyze(&text) {
             prop_assert!(tok.start < tok.end);
             prop_assert!(tok.end <= text.len());
             prop_assert!(text.is_char_boundary(tok.start));
@@ -475,10 +473,9 @@ proptest! {
         for d in &docs {
             idx.add(Doc::new().field(body, d.clone()));
         }
-        let analyzer = StandardAnalyzer::new();
         let hits = Searcher::new(&idx).search(&Query::parse(&needle), docs.len());
         let needle_terms: Vec<String> =
-            analyzer.analyze(&needle).into_iter().map(|t| t.term).collect();
+            analyze(&needle).into_iter().map(|t| t.term).collect();
         for w in hits.windows(2) {
             prop_assert!(w[0].score >= w[1].score);
         }
@@ -486,7 +483,7 @@ proptest! {
             prop_assert!(h.score > 0.0);
             let text = &docs[h.doc.as_usize()];
             let doc_terms: Vec<String> =
-                analyzer.analyze(text).into_iter().map(|t| t.term).collect();
+                analyze(text).into_iter().map(|t| t.term).collect();
             prop_assert!(
                 needle_terms.iter().any(|n| doc_terms.contains(n)),
                 "doc {:?} ({text:?}) does not contain {needle_terms:?}",
@@ -651,7 +648,7 @@ proptest! {
             merge_fanin: 2,
             near_real_time: nrt,
         };
-        let mut idx = Index::with_policy(IndexConfig::default(), policy);
+        let mut idx = Index::new(IndexConfig { policy });
         let title = idx.register_field("title", 2.0);
         let body = idx.register_field("body", 1.0);
         let mut clock = 0u64;
@@ -896,7 +893,7 @@ proptest! {
                 merge_fanin: 4,
                 near_real_time: false,
             };
-            let mut idx = Index::with_policy(IndexConfig::default(), policy);
+            let mut idx = Index::new(IndexConfig { policy });
             let title = idx.register_field("title", 2.0);
             let body = idx.register_field("body", 1.0);
             for (add, t, b, target) in &prefix {
@@ -998,7 +995,7 @@ proptest! {
             merge_fanin: 2,
             near_real_time: false,
         };
-        let mut idx = Index::with_policy(IndexConfig::default(), policy);
+        let mut idx = Index::new(IndexConfig { policy });
         let title = idx.register_field("title", 2.0);
         let body = idx.register_field("body", 1.0);
         // Shadow model: doc id -> its (title, body) while live.

@@ -246,12 +246,6 @@ fn augmented_query(raw_query: &str, config: &SearchConfig) -> Query {
     query
 }
 
-/// One snippet generator for the whole result page: construction
-/// analyzes the query terms, which is identical for every hit.
-fn snippeter<'a>(vi: &'a VerticalIndex, query: &Query) -> SnippetGenerator<'a> {
-    SnippetGenerator::new(vi.index.analyzer(), &query.positive_words())
-}
-
 struct VerticalIndex {
     index: Index,
     /// Doc id -> page index.
@@ -513,7 +507,7 @@ impl SearchEngine {
     pub fn did_you_mean(&self, raw_query: &str) -> Option<String> {
         self.speller
             .get_or_init(|| SpellSuggester::from_index(&self.web.index))
-            .did_you_mean(raw_query, self.web.index.analyzer())
+            .did_you_mean(raw_query)
     }
 
     /// Learn query-conditioned relevance boosts from community click
@@ -693,7 +687,9 @@ impl SearchEngine {
             .pool
             .sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| url(a).cmp(url(b))));
         stage.pool.truncate(k);
-        let snippeter = snippeter(self.vertical(vertical), &stage.query);
+        // One snippet generator for the whole result page: construction
+        // analyzes the query terms, which is identical for every hit.
+        let snippeter = SnippetGenerator::new(&stage.query.positive_words());
         stage
             .pool
             .iter()
@@ -849,7 +845,7 @@ impl SearchEngine {
     /// Turn a blended candidate into the result a page shows: url,
     /// title, domain, highlighted snippet and the vertical's media
     /// fields.
-    fn hydrate(&self, snippeter: &SnippetGenerator<'_>, c: &Candidate) -> WebResult {
+    fn hydrate(&self, snippeter: &SnippetGenerator, c: &Candidate) -> WebResult {
         let url = self.corpus.pages[c.page].url.clone();
         self.page_fields(snippeter, c.page)
             .into_result(url, c.score)
@@ -858,7 +854,7 @@ impl SearchEngine {
     /// The displayed fields of page `page_idx` (which must be in the
     /// page table): title, domain, highlighted snippet and the page
     /// kind's media fields. Hydration exists only here.
-    fn page_fields(&self, snippeter: &SnippetGenerator<'_>, page_idx: usize) -> PageFields {
+    fn page_fields(&self, snippeter: &SnippetGenerator, page_idx: usize) -> PageFields {
         let page = &self.corpus.pages[page_idx];
         let (image_src, duration_s, date) = match &page.kind {
             PageKind::Image { src, .. } => (Some(src.clone()), None, None),
@@ -886,7 +882,6 @@ impl SearchEngine {
     /// about a page it cannot know.
     pub fn hydrate_pages(
         &self,
-        vertical: Vertical,
         raw_query: &str,
         config: &SearchConfig,
         pages: &[usize],
@@ -895,7 +890,7 @@ impl SearchEngine {
             return None;
         }
         let query = augmented_query(raw_query, config);
-        let snippeter = snippeter(self.vertical(vertical), &query);
+        let snippeter = SnippetGenerator::new(&query.positive_words());
         Some(
             pages
                 .iter()
@@ -1369,7 +1364,7 @@ mod tests {
                 restrict.iter().any(|allow| matches(domain, allow))
             });
         let boosts = e.click_boosts.get(&normalize_query(raw_query));
-        let snippeter = SnippetGenerator::new(vi.index.analyzer(), &query.positive_words());
+        let snippeter = SnippetGenerator::new(&query.positive_words());
         let (entries, hydrated) = hits
             .into_iter()
             .map(|h| {
@@ -1419,14 +1414,13 @@ mod tests {
     /// into the results a page shows.
     fn fetch(
         e: &SearchEngine,
-        vertical: Vertical,
         raw_query: &str,
         config: &SearchConfig,
         winners: Vec<PoolEntry>,
     ) -> Vec<WebResult> {
         let pages: Vec<usize> = winners.iter().map(|w| w.page).collect();
         let fields = e
-            .hydrate_pages(vertical, raw_query, config, &pages)
+            .hydrate_pages(raw_query, config, &pages)
             .expect("winners are corpus pages");
         winners
             .into_iter()
@@ -1652,7 +1646,7 @@ mod tests {
                         let winners = SearchEngine::merge_pools(vec![pool], k);
                         assert_same_page(
                             &e.search(v, &query, config, k),
-                            &fetch(&e, v, &query, config, winners),
+                            &fetch(&e, &query, config, winners),
                             &format!("{v:?} {query:?} config {ci} k {k} clicks {}", logs.len()),
                         );
                     }

@@ -10,7 +10,6 @@
 //! on one thread.
 
 use symphony_text::snippet::SnippetGenerator;
-use symphony_text::StandardAnalyzer;
 use symphony_web::{Corpus, CorpusConfig, SearchConfig, SearchEngine, Topic, Vertical};
 
 #[path = "../../textindex/tests/support/counting_alloc.rs"]
@@ -32,8 +31,7 @@ fn engine(pages_per_site: usize) -> SearchEngine {
 #[test]
 fn result_page_allocations_do_not_scale_with_text_or_candidates() {
     // ---- snippet(): constant in the length of the text -------------
-    let analyzer = StandardAnalyzer::new();
-    let snippeter = SnippetGenerator::new(&analyzer, &["space", "Shooters"]);
+    let snippeter = SnippetGenerator::new(&["space", "Shooters"]);
     let sentence = "A thrilling Space shooter for everyone, <b>bold</b> & loud; ";
     let short = sentence.repeat(4);
     let long = sentence.repeat(400);
