@@ -6,7 +6,7 @@
 //! and a number of slots, run a GSP auction over matching campaigns.
 //! Billing happens in [`crate::ledger`] at click time.
 
-use crate::model::{Campaign, CampaignId, Keyword, MatchType};
+use crate::model::{Campaign, CampaignId, Keyword};
 
 /// Minimum price per click, in cents.
 pub const RESERVE_CENTS: u32 = 5;
@@ -30,12 +30,6 @@ pub struct Placement {
     pub target_url: String,
     /// Creative body.
     pub text: String,
-}
-
-/// Expected click-through rate of a slot: position decay times the
-/// campaign's quality score. Used by revenue experiments.
-pub fn position_ctr(position: usize, quality: f64) -> f64 {
-    0.30 * 0.6f64.powi(position as i32) * quality
 }
 
 /// Run a GSP auction for `query` over `campaigns`, filling up to
@@ -122,20 +116,10 @@ pub(crate) fn auction<'c>(
     out
 }
 
-/// Match-type specificity order, used to break bid ties in reporting
-/// (exact beats phrase beats broad).
-pub fn specificity(match_type: MatchType) -> u8 {
-    match match_type {
-        MatchType::Exact => 2,
-        MatchType::Phrase => 1,
-        MatchType::Broad => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Ad, AdvertiserId, Keyword};
+    use crate::model::{Ad, AdvertiserId, Keyword, MatchType};
 
     fn campaign(name: &str, bid: u32, quality: f64, budget: u32) -> Campaign {
         Campaign {
@@ -215,18 +199,5 @@ mod tests {
         let ps = run_auction(&cs, "game", 3);
         assert_eq!(ps.len(), 1);
         assert_eq!(ps[0].price_cents, RESERVE_CENTS);
-    }
-
-    #[test]
-    fn ctr_decays_with_position() {
-        assert!(position_ctr(0, 0.8) > position_ctr(1, 0.8));
-        assert!(position_ctr(1, 0.8) > position_ctr(3, 0.8));
-        assert!(position_ctr(0, 0.9) > position_ctr(0, 0.3));
-    }
-
-    #[test]
-    fn specificity_order() {
-        assert!(specificity(MatchType::Exact) > specificity(MatchType::Phrase));
-        assert!(specificity(MatchType::Phrase) > specificity(MatchType::Broad));
     }
 }

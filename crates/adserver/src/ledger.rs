@@ -58,12 +58,17 @@ pub struct Ledger {
 
 impl Ledger {
     /// Empty ledger.
-    pub fn new() -> Ledger {
+    pub(crate) fn new() -> Ledger {
         Ledger::default()
     }
 
     /// Record a billed click.
-    pub fn record(&self, placement: &Placement, publisher: &str, rev_share: f64) -> LedgerEntry {
+    pub(crate) fn record(
+        &self,
+        placement: &Placement,
+        publisher: &str,
+        rev_share: f64,
+    ) -> LedgerEntry {
         let share = (placement.price_cents as f64 * rev_share).floor() as u32;
         let mut entries = self.entries.write();
         let entry = LedgerEntry {
@@ -75,21 +80,6 @@ impl Ledger {
         };
         entries.push(entry.clone());
         entry
-    }
-
-    /// Snapshot of all entries in order.
-    pub fn entries(&self) -> Vec<LedgerEntry> {
-        self.entries.read().clone()
-    }
-
-    /// Number of entries so far.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// Whether no clicks have been billed yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
     }
 
     /// Total credited to a publisher, in cents.
@@ -166,9 +156,7 @@ mod tests {
         assert_eq!(l.publisher_earnings_cents("b"), 35);
         assert_eq!(l.publisher_earnings_cents("c"), 0);
         assert_eq!(l.campaign_spend_cents(CampaignId(1)), 180);
-        assert_eq!(l.entries().len(), 3);
-        assert_eq!(l.len(), 3);
-        assert!(!l.is_empty());
+        assert_eq!(l.entries.read().len(), 3);
     }
 
     #[test]
@@ -176,8 +164,8 @@ mod tests {
         let l = Ledger::new();
         l.record(&placement(10), "p", 0.7);
         l.record(&placement(10), "p", 0.7);
-        assert_eq!(l.entries()[0].seq, 0);
-        assert_eq!(l.entries()[1].seq, 1);
+        assert_eq!(l.entries.read()[0].seq, 0);
+        assert_eq!(l.entries.read()[1].seq, 1);
     }
 
     #[test]
@@ -192,7 +180,7 @@ mod tests {
                 });
             }
         });
-        let mut seqs: Vec<u64> = l.entries().iter().map(|e| e.seq).collect();
+        let mut seqs: Vec<u64> = l.entries.read().iter().map(|e| e.seq).collect();
         seqs.sort_unstable();
         assert_eq!(seqs, (0..200).collect::<Vec<u64>>());
         assert_eq!(l.publisher_earnings_cents("p"), 200 * 7);

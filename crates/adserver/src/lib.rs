@@ -35,12 +35,11 @@
 
 #![warn(missing_docs)]
 
-pub mod auction;
-pub mod ledger;
-pub mod model;
-pub mod server;
+mod auction;
+mod ledger;
+mod model;
+mod server;
 
-pub use auction::{position_ctr, run_auction, Placement, RESERVE_CENTS};
-pub use ledger::{BillingError, Ledger, LedgerEntry};
-pub use model::{Ad, AdvertiserId, Campaign, CampaignId, Keyword, MatchType};
+pub use auction::{run_auction, Placement, RESERVE_CENTS};
+pub use model::{Ad, Campaign, CampaignId, Keyword, MatchType};
 pub use server::{AdServer, DEFAULT_REV_SHARE};

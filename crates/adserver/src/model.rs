@@ -61,7 +61,7 @@ pub(crate) fn words_match(match_type: MatchType, query: &[String], keyword: &[St
 }
 
 /// Lowercased alphanumeric word list.
-pub fn normalize(text: &str) -> Vec<String> {
+pub(crate) fn normalize(text: &str) -> Vec<String> {
     text.to_lowercase()
         .split(|c: char| !c.is_alphanumeric())
         .filter(|w| !w.is_empty())
@@ -91,7 +91,7 @@ pub struct Campaign {
     pub name: String,
     /// Daily budget in cents.
     pub daily_budget_cents: u32,
-    /// Spend so far (reset by [`crate::AdServer::reset_day`]).
+    /// Spend so far.
     pub spent_cents: u32,
     /// Keywords bid on.
     pub keywords: Vec<Keyword>,
@@ -103,12 +103,12 @@ pub struct Campaign {
 
 impl Campaign {
     /// Budget left today.
-    pub fn remaining_cents(&self) -> u32 {
+    pub(crate) fn remaining_cents(&self) -> u32 {
         self.daily_budget_cents.saturating_sub(self.spent_cents)
     }
 
     /// Best matching bid for a query, if any keyword matches.
-    pub fn best_bid(&self, query: &str) -> Option<&Keyword> {
+    pub(crate) fn best_bid(&self, query: &str) -> Option<&Keyword> {
         self.keywords
             .iter()
             .filter(|k| k.matches(query))

@@ -12,11 +12,10 @@ pub const DEFAULT_REV_SHARE: f64 = 0.7;
 /// The ad service ("adCenter" substitute).
 ///
 /// Account setup ([`AdServer::add_advertiser`],
-/// [`AdServer::add_campaign`], [`AdServer::reset_day`]) is an admin
-/// operation and takes `&mut self`. The serving path —
+/// [`AdServer::add_campaign`]) is an admin operation and takes `&mut self`. The serving path —
 /// [`AdServer::select`] and [`AdServer::record_click`] — takes `&self`
 /// and is safe to call from many threads: campaign state sits behind a
-/// [`RwLock`] (auctions read, billing writes) and the [`Ledger`] is
+/// [`RwLock`] (auctions read, billing writes) and the `Ledger` is
 /// internally synchronized.
 #[derive(Debug, Default)]
 pub struct AdServer {
@@ -117,7 +116,8 @@ impl AdServer {
     }
 
     /// Reset daily budgets (a new simulated day).
-    pub fn reset_day(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset_day(&mut self) {
         for c in self.campaigns.get_mut() {
             c.spent_cents = 0;
         }
@@ -129,7 +129,8 @@ impl AdServer {
     }
 
     /// A campaign's remaining budget.
-    pub fn remaining_budget_cents(&self, id: CampaignId) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn remaining_budget_cents(&self, id: CampaignId) -> Option<u32> {
         self.campaigns
             .read()
             .get(id.0 as usize)

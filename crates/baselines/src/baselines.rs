@@ -108,7 +108,7 @@ impl RollyoModel {
 
     /// Styling is limited to colors and fonts; anything else is
     /// rejected (probed by `probe_custom_ui`).
-    pub fn set_style(&mut self, property: &str, value: &str) -> Result<(), String> {
+    pub(crate) fn set_style(&mut self, property: &str, value: &str) -> Result<(), String> {
         if matches!(
             property,
             "color" | "background-color" | "font-family" | "font-size"

@@ -10,16 +10,16 @@
 
 #![warn(missing_docs)]
 
-pub mod baselines;
-pub mod matrix;
-pub mod model;
-pub mod relevance;
-pub mod scenario;
-pub mod symphony_model;
+mod baselines;
+mod matrix;
+mod model;
+mod relevance;
+mod scenario;
+mod symphony_model;
 
 pub use baselines::{BossModel, EureksterModel, GoogleBaseModel, GoogleCustomModel, RollyoModel};
-pub use matrix::{build_matrix, render_table, ComparisonRow};
-pub use model::{Probe, ScenarioResult, SystemModel};
-pub use relevance::{dcg, gain, ndcg_at_k};
+pub use matrix::{build_matrix, render_table};
+pub use model::SystemModel;
+pub use relevance::ndcg_at_k;
 pub use scenario::{Scenario, ENTITIES, EVAL_QUERIES, INVENTORY_CSV, REVIEW_SITES};
 pub use symphony_model::SymphonyModel;

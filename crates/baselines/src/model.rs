@@ -17,7 +17,7 @@ pub struct Probe {
 
 impl Probe {
     /// Supported with notes.
-    pub fn yes(notes: &str) -> Probe {
+    pub(crate) fn yes(notes: &str) -> Probe {
         Probe {
             supported: true,
             notes: notes.to_string(),
@@ -25,7 +25,7 @@ impl Probe {
     }
 
     /// Unsupported with notes.
-    pub fn no(notes: &str) -> Probe {
+    pub(crate) fn no(notes: &str) -> Probe {
         Probe {
             supported: false,
             notes: notes.to_string(),
@@ -33,7 +33,7 @@ impl Probe {
     }
 
     /// Table-cell rendering.
-    pub fn cell(&self) -> String {
+    pub(crate) fn cell(&self) -> String {
         if self.notes.is_empty() {
             if self.supported { "Supported" } else { "No" }.to_string()
         } else {

@@ -11,7 +11,7 @@ use crate::model::ScenarioResult;
 use crate::scenario::REVIEW_SITES;
 
 /// Gain of one result for a target inventory title.
-pub fn gain(result: &ScenarioResult, target_title: &str, inventory_host: &str) -> f64 {
+pub(crate) fn gain(result: &ScenarioResult, target_title: &str, inventory_host: &str) -> f64 {
     let title_match = result
         .title
         .to_lowercase()
@@ -26,7 +26,7 @@ pub fn gain(result: &ScenarioResult, target_title: &str, inventory_host: &str) -
 }
 
 /// Discounted cumulative gain at `k`.
-pub fn dcg(gains: &[f64], k: usize) -> f64 {
+pub(crate) fn dcg(gains: &[f64], k: usize) -> f64 {
     gains
         .iter()
         .take(k)

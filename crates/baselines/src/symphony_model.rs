@@ -137,11 +137,6 @@ impl SymphonyModel {
         platform.publish(app).expect("publishes");
         SymphonyModel { platform, app }
     }
-
-    /// Borrow the hosted platform (for deeper assertions in tests).
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
 }
 
 impl SystemModel for SymphonyModel {

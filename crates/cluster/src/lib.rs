@@ -26,10 +26,10 @@
 #![warn(missing_docs)]
 
 mod legs;
-pub mod router;
-pub mod scatter;
+mod router;
+mod scatter;
 pub mod wire;
 
 pub use router::{rendezvous_shard, Router};
-pub use scatter::{shard_rpc_ms, ClusterWeb, GATHER_MS};
-pub use wire::{decode_fields, decode_pool, encode_fields, encode_pool, ShardSearchService};
+pub use scatter::ClusterWeb;
+pub use wire::{decode_fields, decode_pool, encode_pool, ShardSearchService};

@@ -23,6 +23,7 @@ use symphony_core::{
     AppId, ApplicationConfig, CacheStats, Impression, Platform, PlatformError, QueryHost,
     QueryResponse, QuotaConfig, TrafficSummary,
 };
+use symphony_services::hash::splitmix64;
 use symphony_services::FaultPlan;
 use symphony_store::{AccessKey, IndexedTable, TenantId};
 use symphony_web::{Corpus, SearchEngine};
@@ -48,15 +49,10 @@ struct AppRoute {
     published: bool,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn hash_str(s: &str) -> u64 {
-    // FNV-1a, then one splitmix round to spread short names.
+    // Not FNV-1a: 0x1000_0000_01b3 is not the FNV prime. Tenant placement
+    // depends on it, so changing it moves the pinned checksums. One
+    // splitmix round spreads short names.
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
         h ^= b as u64;
@@ -271,11 +267,6 @@ impl Router {
     ) -> Result<Option<u32>, PlatformError> {
         let r = self.route(id)?;
         self.shards[r.shard].click(r.local, query, impression)
-    }
-
-    /// Warm every shard for serving. Returns tables visited.
-    pub fn warmup(&mut self) -> usize {
-        self.shards.iter_mut().map(|s| s.warmup()).sum()
     }
 
     /// Move `tenant` — tables, apps, publication state — to

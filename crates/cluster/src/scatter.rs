@@ -63,7 +63,7 @@ use crate::wire::{decode_fields, decode_pool, fetch_request, search_request, Sha
 
 /// Virtual cost of the gather step (pool merge at the router), on top
 /// of the slowest leg of each phase.
-pub const GATHER_MS: u32 = 2;
+pub(crate) const GATHER_MS: u32 = 2;
 
 /// Virtual latency of one shard-node search RPC, scaled to the number
 /// of web documents the node's index holds. Calibrated so a node
@@ -72,7 +72,7 @@ pub const GATHER_MS: u32 = 2;
 /// like the single-node engine, and an `n`-shard split divides the
 /// document-dependent part by `n`. A fetch touches no index and is
 /// priced as the hop alone, `shard_rpc_ms(0)`.
-pub fn shard_rpc_ms(web_docs: usize) -> u32 {
+pub(crate) fn shard_rpc_ms(web_docs: usize) -> u32 {
     5 + (web_docs * 3 / 20) as u32
 }
 
@@ -173,11 +173,6 @@ impl ClusterWeb {
             .transport
             .set_fault_plan(plan);
         self
-    }
-
-    /// Number of shards in the fleet.
-    pub fn num_shards(&self) -> usize {
-        self.fleet.shards.len()
     }
 
     /// The shard engines, in shard order.

@@ -38,7 +38,7 @@ use symphony_web::{PageFields, PoolEntry, SearchConfig, SearchEngine, ShardPool,
 pub(crate) const LIST_SEP: char = '\x1f';
 
 /// Parse a vertical from its lowercase wire name.
-pub fn vertical_from_name(name: &str) -> Option<Vertical> {
+pub(crate) fn vertical_from_name(name: &str) -> Option<Vertical> {
     Vertical::ALL.into_iter().find(|v| v.name() == name)
 }
 
@@ -195,7 +195,7 @@ pub fn decode_pool(response: &ServiceResponse) -> Option<ShardPool> {
 
 /// Encode the answer to a `/fetch`: a header, then one record per
 /// page asked, in the order asked.
-pub fn encode_fields(fields: &[PageFields]) -> ServiceResponse {
+pub(crate) fn encode_fields(fields: &[PageFields]) -> ServiceResponse {
     let mut records = Vec::with_capacity(fields.len() + 1);
     records.push(header("fields", fields.len()));
     for f in fields {
@@ -218,7 +218,7 @@ pub fn encode_fields(fields: &[PageFields]) -> ServiceResponse {
     ServiceResponse::records(records)
 }
 
-/// Decode fields framed by [`encode_fields`]. `None` on any malformed
+/// Decode fields framed by `encode_fields`. `None` on any malformed
 /// record, including a media field that is present but does not parse.
 pub fn decode_fields(response: &ServiceResponse) -> Option<Vec<PageFields>> {
     let (_, body) = framed(response, "fields")?;

@@ -58,7 +58,7 @@ impl TokenBucket {
     }
 
     /// True when the bucket never refuses.
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         self.rate_per_sec == u32::MAX
     }
 
@@ -94,11 +94,6 @@ impl TokenBucket {
     /// observation; call [`TokenBucket::refill`] first for "now").
     pub fn level_milli(&self) -> u64 {
         self.level_milli
-    }
-
-    /// The burst capacity in tokens.
-    pub fn burst(&self) -> u32 {
-        self.burst
     }
 }
 
@@ -150,7 +145,7 @@ pub struct FanoutScheduler {
 /// An outstanding worker allocation; permits return to the pool on
 /// drop.
 #[derive(Debug)]
-pub struct WorkerGrant<'a> {
+pub(crate) struct WorkerGrant<'a> {
     pool: &'a FanoutScheduler,
     tenant: u64,
     lane: Lane,
@@ -159,7 +154,7 @@ pub struct WorkerGrant<'a> {
 
 impl WorkerGrant<'_> {
     /// How many threads the fan-out may occupy, the caller's included.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 }
@@ -179,11 +174,6 @@ impl FanoutScheduler {
         }
     }
 
-    /// The pool size.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Ask for up to `want` workers for `tenant` (any stable key; the
     /// platform uses the owning tenant id) at scheduling `weight`.
     ///
@@ -192,7 +182,13 @@ impl FanoutScheduler {
     /// a tenant shorted while the pool was busy is made whole over the
     /// next grants, so long-run granted shares track weights even
     /// under contention.
-    pub fn acquire(&self, tenant: u64, weight: u32, want: usize, lane: Lane) -> WorkerGrant<'_> {
+    pub(crate) fn acquire(
+        &self,
+        tenant: u64,
+        weight: u32,
+        want: usize,
+        lane: Lane,
+    ) -> WorkerGrant<'_> {
         let want = want.clamp(1, self.cap);
         let weight = weight.max(1) as u64;
         let mut st = self.state.lock();
@@ -248,7 +244,8 @@ impl FanoutScheduler {
     }
 
     /// Lifetime permits granted to `tenant` (fairness readout).
-    pub fn granted(&self, tenant: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn granted(&self, tenant: u64) -> u64 {
         self.state
             .lock()
             .tenants
@@ -257,7 +254,8 @@ impl FanoutScheduler {
     }
 
     /// Permits currently out per lane: `(interactive, background)`.
-    pub fn outstanding(&self) -> (usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn outstanding(&self) -> (usize, usize) {
         let st = self.state.lock();
         (st.interactive_out, st.background_out)
     }

@@ -64,13 +64,6 @@ impl Default for ResiliencePolicy {
     }
 }
 
-impl ResiliencePolicy {
-    /// True when no limit is configured.
-    pub fn is_unlimited(&self) -> bool {
-        *self == ResiliencePolicy::default()
-    }
-}
-
 /// Per-tenant admission limits, enforced by the hosting layer before
 /// any query work begins. Where [`ResiliencePolicy`] protects a query
 /// against *downstream* failure, this protects the platform against
@@ -110,7 +103,7 @@ impl Default for AdmissionPolicy {
 impl AdmissionPolicy {
     /// True when no admission limit is configured (weight is advisory
     /// and does not count: it only shapes worker-pool shares).
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         self.rate_per_sec == u32::MAX && self.max_concurrency == u32::MAX
     }
 }
@@ -242,7 +235,7 @@ impl ApplicationConfig {
     /// every layout source must be defined; every supplemental source
     /// must have a query binding; monetization needs a publisher name
     /// when interactions are logged.
-    pub fn validate(&self) -> Result<(), PlatformError> {
+    pub(crate) fn validate(&self) -> Result<(), PlatformError> {
         for s in self.layout.root().sources() {
             if self.source(&s).is_none() {
                 return Err(PlatformError::UnknownSource(s));
@@ -571,11 +564,11 @@ mod tests {
             })
             .build()
             .unwrap();
-        assert!(!ok.resilience.is_unlimited());
+        assert_ne!(ok.resilience, ResiliencePolicy::default());
         assert!(ApplicationConfig::validate(&ok).is_ok());
         // The default is unlimited and always valid.
         let def = builder(layout_with("inventory", None)).build().unwrap();
-        assert!(def.resilience.is_unlimited());
+        assert_eq!(def.resilience, ResiliencePolicy::default());
     }
 
     #[test]

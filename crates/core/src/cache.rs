@@ -273,7 +273,7 @@ impl<K: Eq + Hash + Clone, V> LruTtlCache<K, V> {
     }
 
     /// Drop everything (used when an app is republished).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.slab.clear();
         self.free.clear();

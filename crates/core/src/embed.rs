@@ -14,7 +14,7 @@ use crate::app::{AppId, ApplicationConfig};
 /// The returned HTML contains the placeholder `<div>` the results are
 /// injected into and the script that forwards queries to the Symphony
 /// host — the mechanism of Fig. 2's first and last arrows.
-pub fn embed_snippet(app: &ApplicationConfig, id: AppId, platform_host: &str) -> String {
+pub(crate) fn embed_snippet(app: &ApplicationConfig, id: AppId, platform_host: &str) -> String {
     let div_id = format!("symphony-app-{}", id.0);
     format!(
         r#"<!-- Symphony embed for "{name}" — paste into your page -->
@@ -52,7 +52,11 @@ pub struct SocialManifest {
 
 impl SocialManifest {
     /// Build the manifest for an application.
-    pub fn for_app(app: &ApplicationConfig, id: AppId, platform_host: &str) -> SocialManifest {
+    pub(crate) fn for_app(
+        app: &ApplicationConfig,
+        id: AppId,
+        platform_host: &str,
+    ) -> SocialManifest {
         SocialManifest {
             entries: vec![
                 ("app_name".into(), app.name.clone()),
@@ -71,7 +75,7 @@ impl SocialManifest {
     }
 
     /// Entry lookup.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.entries
             .iter()
             .find(|(k, _)| k == key)

@@ -43,11 +43,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use symphony_ads::{AdServer, CampaignId, Placement};
+use symphony_services::hash::{fnv1a, FNV_OFFSET};
 use symphony_store::{AccessKey, IndexedTable, Store, TenantId};
 use symphony_web::SearchEngine;
 
 /// Virtual cost of serving a response from the cache.
-pub const CACHE_HIT_MS: u32 = 2;
+pub(crate) const CACHE_HIT_MS: u32 = 2;
 
 /// Platform-wide quota configuration.
 #[derive(Debug, Clone, Copy)]
@@ -308,12 +309,6 @@ impl Platform {
         &self.breakers
     }
 
-    /// The shared fan-out worker pool (fairness readouts: lifetime
-    /// grants per tenant, outstanding permits per lane).
-    pub fn scheduler(&self) -> &FanoutScheduler {
-        &self.scheduler
-    }
-
     /// Breaker state for one endpoint at the current virtual time.
     pub fn breaker_state(&self, endpoint: &str) -> symphony_services::BreakerState {
         self.breakers
@@ -540,7 +535,7 @@ impl Platform {
     /// the parent's cache lookup — the child usually answers from its
     /// own result cache, so repeated composition is cheap, and child
     /// traffic statistics stay accurate.
-    pub const MAX_COMPOSE_DEPTH: u32 = 2;
+    pub(crate) const MAX_COMPOSE_DEPTH: u32 = 2;
 
     fn query_at_depth(
         &self,
@@ -672,9 +667,9 @@ impl Platform {
             if resp.trace.degraded && !resp.trace.shed {
                 hosted.degraded_queries.fetch_add(1, Ordering::Relaxed);
             }
-            let at = self.advance_clock_by(CACHE_HIT_MS as u64);
+            self.advance_clock_by(CACHE_HIT_MS as u64);
             if log_interactions {
-                self.log_impressions(app_name, &resp, at);
+                self.log_impressions(app_name, &resp);
             }
             return Ok(resp);
         }
@@ -732,7 +727,7 @@ impl Platform {
         }
         let at = self.advance_clock_by(resp.virtual_ms as u64);
         if log_interactions {
-            self.log_impressions(app_name, &resp, at);
+            self.log_impressions(app_name, &resp);
         }
         // A degraded response (deadline cut, breaker open, source
         // errors) must not shadow a healthy re-execution for the full
@@ -785,10 +780,10 @@ impl Platform {
 
     /// Count a served page's impressions: one lock acquisition and one
     /// addition per response, whatever its size.
-    fn log_impressions(&self, app: &str, resp: &QueryResponse, at_ms: u64) {
+    fn log_impressions(&self, app: &str, resp: &QueryResponse) {
         self.click_log
             .lock()
-            .record_impressions(app, at_ms, resp.impressions.len() as u64);
+            .record_impressions(app, resp.impressions.len() as u64);
     }
 
     /// Advance the virtual clock by `ms`, returning the new time.
@@ -862,15 +857,6 @@ impl Platform {
         summary.degraded_queries = app.degraded_queries.load(Ordering::Relaxed);
         summary.shed_queries = app.shed_queries.load(Ordering::Relaxed);
         Ok(summary)
-    }
-
-    /// Per-virtual-day `(day, impressions, clicks)` series for an app.
-    pub fn daily_series(&self, id: AppId) -> Result<Vec<(u64, u64, u64)>, PlatformError> {
-        let app = self
-            .apps
-            .get(id.0 as usize)
-            .ok_or(PlatformError::AppNotFound(id.0))?;
-        Ok(self.click_log.lock().daily_series(&app.config.name))
     }
 
     /// Referral-audit CSV for an app.
@@ -971,10 +957,10 @@ fn overrides_fingerprint(
 ) -> u64 {
     let mut names: Vec<&String> = overrides.keys().collect();
     names.sort();
-    let mut h = crate::source_cache::fnv1a_str(0xcbf2_9ce4_8422_2325, "");
+    let mut h = FNV_OFFSET;
     for name in names {
-        h = crate::source_cache::fnv1a_str(h, name);
-        h = crate::source_cache::fnv1a_str(h, &format!("{:?}", overrides[name]));
+        h = fnv1a(h, name.as_bytes());
+        h = fnv1a(h, format!("{:?}", overrides[name]).as_bytes());
     }
     h
 }

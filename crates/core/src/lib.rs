@@ -13,14 +13,14 @@
 //! * [`cache`] — the LRU+TTL result cache.
 //! * [`hosting`] — the multi-tenant [`hosting::Platform`]: publish
 //!   lifecycle, request/storage quotas, caching, analytics.
-//! * [`embed`] — embed snippets and social-canvas deployment.
-//! * [`monetize`] — interaction logging, traffic summaries, referral
+//! * `embed` — embed snippets and social-canvas deployment.
+//! * `monetize` — interaction logging, traffic summaries, referral
 //!   audit export, automatic ad-click crediting.
-//! * [`recommend`] — supplemental-content recommendation (paper §IV
+//! * `recommend` — supplemental-content recommendation (paper §IV
 //!   future work), content- and crowd-driven.
 //! * [`admission`] — per-tenant overload protection: token-bucket
 //!   admission, weighted-fair worker scheduling, load shedding.
-//! * [`trace`] — execution traces (the Fig.-2 stage tree).
+//! * `trace` — execution traces (the Fig.-2 stage tree).
 //!
 //! ## Quick example
 //!
@@ -67,36 +67,31 @@
 pub mod admission;
 pub mod app;
 pub mod cache;
-pub mod embed;
-pub mod error;
+mod embed;
+mod error;
 pub mod hosting;
-pub mod monetize;
-pub mod recommend;
+mod monetize;
+mod recommend;
 pub mod runtime;
 pub mod source;
-pub mod source_cache;
-pub mod trace;
+mod source_cache;
+mod trace;
 
-pub use admission::{FanoutScheduler, Lane, TokenBucket, WorkerGrant};
+pub use admission::{FanoutScheduler, Lane};
 pub use app::{
     AdmissionPolicy, AppBuilder, AppId, ApplicationConfig, MonetizationConfig, ResiliencePolicy,
-    SupplementalBinding,
 };
-pub use cache::{CacheStats, LruTtlCache};
-pub use embed::{embed_snippet, SocialCanvasHost, SocialManifest};
+pub use cache::CacheStats;
+pub use embed::SocialCanvasHost;
 pub use error::PlatformError;
-pub use hosting::{MaintenanceSummary, Platform, QueryHost, QuotaConfig};
-pub use monetize::{ClickLog, Impression, InteractionEvent, TrafficSummary};
-pub use recommend::{recommend_sites, recommend_sites_with_crowd, SiteRecommendation};
-pub use runtime::{
-    execute, execute_resilient, shed_response, ExecCtx, ExecMode, QueryResponse,
-    MAX_FANOUT_WORKERS, SHED_MS,
-};
+pub use hosting::{Platform, QueryHost, QuotaConfig};
+pub use monetize::{Impression, TrafficSummary};
+pub use recommend::recommend_sites;
+pub use runtime::{execute_resilient, ExecCtx, ExecMode, QueryResponse, MAX_FANOUT_WORKERS};
 pub use source::{
-    run_source, run_source_ctx, DataSourceDef, ResultItem, ScatterOutcome, ScatterSearch,
-    SourceCtx, SourceOutcome, Substrates,
+    run_source, DataSourceDef, ResultItem, ScatterOutcome, ScatterSearch, SourceCtx, SourceOutcome,
+    Substrates,
 };
 pub use source_cache::{
     normalize_query, FetchStatus, Fetched, SourceCache, SourceCacheConfig, SourceCacheStats,
 };
-pub use trace::{ExecutionTrace, TraceNode};

@@ -29,7 +29,7 @@ pub struct Impression {
 /// One logged interaction event: a click. (Rendered results are
 /// counted, not logged — see [`ClickLog::record_impressions`].)
 #[derive(Debug, Clone, PartialEq)]
-pub struct InteractionEvent {
+pub(crate) struct InteractionEvent {
     /// Application name.
     pub app: String,
     /// Virtual timestamp (platform clock, ms).
@@ -44,17 +44,14 @@ pub struct InteractionEvent {
     pub is_ad: bool,
 }
 
-/// Virtual milliseconds per day (the granularity of the daily series).
-const DAY_MS: u64 = 86_400_000;
-
 /// The interaction log. Clicks are stored (the referral audit exports
 /// them row by row); impressions are only ever counted, so they are
-/// kept as counts — per application, per virtual day — and a view
-/// costs the log one addition however many results it rendered.
+/// kept as one count per application, and a view costs the log one
+/// addition however many results it rendered.
 #[derive(Debug, Default)]
-pub struct ClickLog {
+pub(crate) struct ClickLog {
     events: Vec<InteractionEvent>,
-    impressions: HashMap<String, BTreeMap<u64, u64>>,
+    impressions: HashMap<String, u64>,
 }
 
 /// A per-application traffic summary.
@@ -147,39 +144,32 @@ impl TrafficSummary {
 
 impl ClickLog {
     /// Empty log.
-    pub fn new() -> ClickLog {
+    pub(crate) fn new() -> ClickLog {
         ClickLog::default()
     }
 
     /// Append a click event.
-    pub fn record(&mut self, event: InteractionEvent) {
+    pub(crate) fn record(&mut self, event: InteractionEvent) {
         self.events.push(event);
     }
 
-    /// Count `n` results rendered for `app` at virtual time `at_ms`.
-    pub fn record_impressions(&mut self, app: &str, at_ms: u64, n: u64) {
+    /// Count `n` results rendered for `app`.
+    pub(crate) fn record_impressions(&mut self, app: &str, n: u64) {
         if n == 0 {
-            return; // a day nothing was shown on stays out of the series
+            return;
         }
-        let day = at_ms / DAY_MS;
         match self.impressions.get_mut(app) {
-            Some(days) => *days.entry(day).or_insert(0) += n,
+            Some(count) => *count += n,
             // First view of this app (`entry` alone would clone the
             // name on every view).
             None => {
-                self.impressions
-                    .insert(app.to_string(), BTreeMap::from([(day, n)]));
+                self.impressions.insert(app.to_string(), n);
             }
         }
     }
 
-    /// All stored events (clicks), in arrival order.
-    pub fn events(&self) -> &[InteractionEvent] {
-        &self.events
-    }
-
     /// Summarize one application's traffic.
-    pub fn summarize(&self, app: &str) -> TrafficSummary {
+    pub(crate) fn summarize(&self, app: &str) -> TrafficSummary {
         let mut clicks = 0u64;
         let mut ad_clicks = 0u64;
         let mut clicks_by_source: BTreeMap<String, u64> = BTreeMap::new();
@@ -197,10 +187,7 @@ impl ClickLog {
         top_queries.truncate(10);
         TrafficSummary {
             app: app.to_string(),
-            impressions: self
-                .impressions
-                .get(app)
-                .map_or(0, |days| days.values().sum()),
+            impressions: self.impressions.get(app).copied().unwrap_or(0),
             clicks,
             clicks_by_source,
             top_queries,
@@ -211,24 +198,9 @@ impl ClickLog {
         }
     }
 
-    /// Per-virtual-day traffic series for an application:
-    /// `(day index, impressions, clicks)` in day order. The platform
-    /// clock starts at 0, so day indexes are relative to platform
-    /// start.
-    pub fn daily_series(&self, app: &str) -> Vec<(u64, u64, u64)> {
-        let mut days: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        for (&day, &n) in self.impressions.get(app).into_iter().flatten() {
-            days.entry(day).or_insert((0, 0)).0 = n;
-        }
-        for e in self.events.iter().filter(|e| e.app == app) {
-            days.entry(e.at_ms / DAY_MS).or_insert((0, 0)).1 += 1;
-        }
-        days.into_iter().map(|(d, (i, c))| (d, i, c)).collect()
-    }
-
     /// Export an application's click events as CSV for referral
     /// auditing (the paper's "summary ... can be downloaded").
-    pub fn referral_audit_csv(&self, app: &str) -> String {
+    pub(crate) fn referral_audit_csv(&self, app: &str) -> String {
         let names: Vec<String> = ["at_ms", "query", "source", "url", "is_ad"]
             .iter()
             .map(|s| s.to_string())
@@ -270,7 +242,7 @@ mod tests {
     fn log() -> ClickLog {
         let mut l = ClickLog::new();
         for _ in 0..2 {
-            l.record_impressions("GamerQueen", 1000, 5);
+            l.record_impressions("GamerQueen", 5);
         }
         l.record(click("GamerQueen", "inventory", "space", false));
         l.record(click("GamerQueen", "reviews", "space", false));
@@ -285,8 +257,8 @@ mod tests {
     /// the counted log must agree with.
     #[derive(Default)]
     struct WalkedLog {
-        /// `(app, at_ms, what happened)`.
-        events: Vec<(String, u64, Walked)>,
+        /// `(app, what happened)`.
+        events: Vec<(String, Walked)>,
     }
 
     enum Walked {
@@ -302,7 +274,7 @@ mod tests {
                 ..TrafficSummary::default()
             };
             let mut query_clicks: BTreeMap<String, u64> = BTreeMap::new();
-            for (_, _, event) in self.events.iter().filter(|e| e.0 == app) {
+            for (_, event) in self.events.iter().filter(|e| e.0 == app) {
                 match event {
                     Walked::Impression => s.impressions += 1,
                     Walked::Click(source, query, is_ad) => {
@@ -319,60 +291,37 @@ mod tests {
             s.top_queries.truncate(10);
             s
         }
-
-        fn daily_series(&self, app: &str) -> Vec<(u64, u64, u64)> {
-            let mut days: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-            for (_, at_ms, event) in self.events.iter().filter(|e| e.0 == app) {
-                let entry = days.entry(at_ms / 86_400_000).or_insert((0, 0));
-                match event {
-                    Walked::Impression => entry.0 += 1,
-                    Walked::Click(..) => entry.1 += 1,
-                }
-            }
-            days.into_iter().map(|(d, (i, c))| (d, i, c)).collect()
-        }
     }
 
     const APPS: [&str; 3] = ["GamerQueen", "WineCellar", "VideoHut"];
 
     proptest! {
-        /// Random views (0–60 results) and clicks across three apps,
-        /// with clock steps that straddle day boundaries — one in three
-        /// lands on a day's last or first millisecond: the counted log
-        /// reads exactly as the walked one.
+        /// Random views (0–60 results) and clicks across three apps:
+        /// the counted log reads exactly as the walked one.
         #[test]
         fn counted_equals_walked(
             ops in proptest::collection::vec(
-                ((0usize..3, 0u64..50_000_000, 0u8..6), (0u64..60, 0usize..4, 0usize..5, any::<bool>())),
+                ((0usize..3, 0u64..60), (0usize..4, 0usize..5, any::<bool>())),
                 0..120,
             ),
         ) {
             let (mut counted, mut walked) = (ClickLog::new(), WalkedLog::default());
-            let mut now = 0u64;
-            for ((app, step, edge), (shown, source, query, is_click)) in ops {
-                now = match edge {
-                    0 => now / DAY_MS * DAY_MS + DAY_MS - 1,
-                    1 => (now / DAY_MS + 1) * DAY_MS,
-                    _ => now + step,
-                };
+            for ((app, shown), (source, query, is_click)) in ops {
                 let app = APPS[app];
                 if is_click {
                     let (source, query) = (format!("s{source}"), format!("q{query}"));
                     let is_ad = source == "s0";
-                    let mut e = click(app, &source, &query, is_ad);
-                    e.at_ms = now;
-                    counted.record(e);
-                    walked.events.push((app.to_string(), now, Walked::Click(source, query, is_ad)));
+                    counted.record(click(app, &source, &query, is_ad));
+                    walked.events.push((app.to_string(), Walked::Click(source, query, is_ad)));
                 } else {
-                    counted.record_impressions(app, now, shown);
+                    counted.record_impressions(app, shown);
                     for _ in 0..shown {
-                        walked.events.push((app.to_string(), now, Walked::Impression));
+                        walked.events.push((app.to_string(), Walked::Impression));
                     }
                 }
             }
             for app in APPS.iter().chain(&["Nobody"]) {
                 prop_assert_eq!(counted.summarize(app), walked.summarize(app));
-                prop_assert_eq!(counted.daily_series(app), walked.daily_series(app));
             }
         }
     }
@@ -380,10 +329,10 @@ mod tests {
     #[test]
     fn views_without_clicks_store_nothing() {
         let mut l = ClickLog::new();
-        for view in 0..1000u64 {
-            l.record_impressions("GamerQueen", view * 7, 50);
+        for _ in 0..1000 {
+            l.record_impressions("GamerQueen", 50);
         }
-        assert!(l.events().is_empty());
+        assert!(l.events.is_empty());
         assert_eq!(l.summarize("GamerQueen").impressions, 50_000);
     }
 
@@ -430,20 +379,6 @@ mod tests {
         s.shed_queries = 3;
         assert!((s.error_rate() - 0.2).abs() < 1e-12);
         assert!((s.shed_rate() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn daily_series_buckets_by_virtual_day() {
-        let mut l = ClickLog::new();
-        l.record_impressions("A", 10, 1); // day 0
-        let mut e = click("A", "s", "q", false);
-        e.at_ms = 10;
-        l.record(e.clone());
-        e.at_ms = 86_400_000 + 5; // day 1
-        l.record(e);
-        let series = l.daily_series("A");
-        assert_eq!(series, vec![(0, 1, 1), (1, 0, 1)]);
-        assert!(l.daily_series("B").is_empty());
     }
 
     #[test]

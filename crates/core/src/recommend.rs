@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 use symphony_store::IndexedTable;
-use symphony_web::{LogEntry, SearchConfig, SearchEngine, SiteSuggest, Vertical};
+use symphony_web::{SearchConfig, SearchEngine, Vertical};
 
 /// One recommended supplemental site.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,41 +90,11 @@ pub fn recommend_sites(
     out
 }
 
-/// Expand content-driven recommendations with crowd evidence: the top
-/// content recommendations seed Site Suggest over `logs`, and any
-/// co-clicked site not already recommended is appended (scores scaled
-/// into the tail of the list).
-pub fn recommend_sites_with_crowd(
-    engine: &SearchEngine,
-    primary: &IndexedTable,
-    title_column: &str,
-    logs: &[LogEntry],
-    k: usize,
-) -> Vec<SiteRecommendation> {
-    let mut base = recommend_sites(engine, primary, title_column, 8, 2);
-    let seeds: Vec<&str> = base.iter().take(3).map(|r| r.domain.as_str()).collect();
-    if !seeds.is_empty() {
-        let suggest = SiteSuggest::from_logs(logs);
-        let tail_scale = base.last().map(|r| r.score).unwrap_or(1.0) * 0.5;
-        for s in suggest.suggest(&seeds, k) {
-            if !base.iter().any(|r| r.domain == s.domain) {
-                base.push(SiteRecommendation {
-                    domain: s.domain,
-                    score: tail_scale * s.score,
-                    supporting_entities: 0,
-                });
-            }
-        }
-    }
-    base.truncate(k);
-    base
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use symphony_store::ingest::{ingest, DataFormat};
-    use symphony_web::{generate_logs, Corpus, CorpusConfig, LogConfig, Topic};
+    use symphony_web::{Corpus, CorpusConfig, Topic};
 
     fn world() -> (SearchEngine, IndexedTable) {
         let corpus = Corpus::generate(
@@ -179,25 +149,5 @@ mod tests {
     fn unknown_column_is_empty() {
         let (engine, inventory) = world();
         assert!(recommend_sites(&engine, &inventory, "nope", 8, 1).is_empty());
-    }
-
-    #[test]
-    fn crowd_expansion_appends_coclicked_sites() {
-        let (engine, inventory) = world();
-        let logs = generate_logs(
-            &engine,
-            &LogConfig {
-                sessions: 300,
-                topics: vec![Topic::Games],
-                ..LogConfig::default()
-            },
-        );
-        let with_crowd = recommend_sites_with_crowd(&engine, &inventory, "title", &logs, 10);
-        let without = recommend_sites(&engine, &inventory, "title", 8, 2);
-        assert!(with_crowd.len() >= without.len().min(10));
-        // Ordering still best-first by score for the content core.
-        for w in with_crowd.windows(2).take(2) {
-            assert!(w[0].score >= w[1].score);
-        }
     }
 }

@@ -42,9 +42,9 @@ pub enum ExecMode {
 }
 
 /// Fixed virtual cost of receiving/dispatching the snippet request.
-pub const RECEIVE_MS: u32 = 1;
+pub(crate) const RECEIVE_MS: u32 = 1;
 /// Fixed virtual cost of merging and formatting the response.
-pub const MERGE_MS: u32 = 2;
+pub(crate) const MERGE_MS: u32 = 2;
 /// Upper bound on the threads a parallel fan-out may use on any host.
 /// Virtual-time semantics (`max` combining) are unchanged; the cap only
 /// bounds real resource use per query.
@@ -65,7 +65,7 @@ pub(crate) fn fanout_cap() -> usize {
 
 /// Flat virtual cost of a shed (admission-refused) response: cheaper
 /// than a cache hit, and no source, breaker, or cache is touched.
-pub const SHED_MS: u32 = 1;
+pub(crate) const SHED_MS: u32 = 1;
 
 /// Execution context the hosting layer threads into the runtime: the
 /// platform's virtual clock and its shared circuit breakers. The
@@ -110,16 +110,6 @@ struct FanoutTask<'a> {
     source: &'a str,
     query: String,
     k: usize,
-}
-
-/// Execute `query` against an application over the given substrates.
-pub fn execute(
-    app: &ApplicationConfig,
-    query: &str,
-    subs: Substrates<'_>,
-    mode: ExecMode,
-) -> QueryResponse {
-    execute_resilient(app, query, subs, mode, &HashMap::new(), &ExecCtx::default())
 }
 
 /// The remaining fetch budget when `consumed` virtual ms of source
@@ -187,8 +177,9 @@ fn panic_outcome(source: &str, payload: &(dyn std::any::Any + Send)) -> SourceOu
     }
 }
 
-/// Like [`execute`], with pre-resolved outcomes for some primary
-/// sources, under an execution context. The hosting layer passes
+/// Execute `query` against an application over the given substrates,
+/// with pre-resolved outcomes for some primary sources, under an
+/// execution context. The hosting layer passes
 /// overrides for [`DataSourceDef::ComposedApp`] sources, whose results
 /// come from recursively querying another hosted application. The
 /// virtual clock position anchors deterministic latency draws and
@@ -557,7 +548,7 @@ pub fn execute_resilient(
 /// cost, without consulting any source, breaker, or cache. Each
 /// primary slot carries a `(shed)` marker in its trace detail, like
 /// the `(L2 hit)` suffixes on served fetches.
-pub fn shed_response(app: &ApplicationConfig, query: &str, reason: &str) -> QueryResponse {
+pub(crate) fn shed_response(app: &ApplicationConfig, query: &str, reason: &str) -> QueryResponse {
     let mut html = String::new();
     render_into(
         &mut html,
@@ -708,6 +699,16 @@ mod tests {
     use symphony_store::ingest::{ingest, DataFormat};
     use symphony_store::{IndexedTable, Store, TenantId};
     use symphony_web::{Corpus, CorpusConfig, SearchConfig, SearchEngine, Topic, Vertical};
+
+    /// Execute `query` with no overrides and an unlimited context.
+    fn execute(
+        app: &ApplicationConfig,
+        query: &str,
+        subs: Substrates<'_>,
+        mode: ExecMode,
+    ) -> QueryResponse {
+        execute_resilient(app, query, subs, mode, &HashMap::new(), &ExecCtx::default())
+    }
 
     struct World {
         store: Store,

@@ -17,11 +17,11 @@ use symphony_store::TenantSpace;
 use symphony_web::{SearchConfig, SearchEngine, Vertical, WebResult};
 
 /// Virtual cost of a proprietary-table query (local index hit).
-pub const PROPRIETARY_MS: u32 = 5;
+pub(crate) const PROPRIETARY_MS: u32 = 5;
 /// Virtual cost of a web-vertical query (remote search API).
-pub const WEB_MS: u32 = 35;
+pub(crate) const WEB_MS: u32 = 35;
 /// Virtual cost of an ad auction.
-pub const ADS_MS: u32 = 12;
+pub(crate) const ADS_MS: u32 = 12;
 
 /// Configuration of one data source inside an application.
 #[derive(Debug, Clone)]
@@ -79,82 +79,6 @@ pub enum DataSourceDef {
         /// The hosted application to query.
         app: crate::app::AppId,
     },
-}
-
-impl DataSourceDef {
-    /// Palette category shown on the designer card.
-    pub fn category(&self) -> &'static str {
-        match self {
-            DataSourceDef::Proprietary { .. } => "proprietary",
-            DataSourceDef::Hybrid { .. } => "hybrid",
-            DataSourceDef::WebVertical { vertical, .. } => vertical.name(),
-            DataSourceDef::Service { .. } => "service",
-            DataSourceDef::Ads { .. } => "ads",
-            DataSourceDef::ComposedApp { .. } => "app",
-        }
-    }
-
-    /// Fields the source exposes for layout binding.
-    pub fn fields(
-        &self,
-        space: Option<&TenantSpace>,
-        transport: Option<&SimulatedTransport>,
-    ) -> Vec<String> {
-        match self {
-            DataSourceDef::Proprietary { table } | DataSourceDef::Hybrid { table, .. } => space
-                .and_then(|s| s.table(table).ok())
-                .map(|t| {
-                    t.table()
-                        .schema()
-                        .fields()
-                        .iter()
-                        .map(|f| f.name.clone())
-                        .collect()
-                })
-                .unwrap_or_default(),
-            DataSourceDef::WebVertical { vertical, .. } => {
-                let mut fs = vec![
-                    "url".to_string(),
-                    "title".to_string(),
-                    "snippet".to_string(),
-                    "domain".to_string(),
-                ];
-                match vertical {
-                    Vertical::Image => fs.push("image_src".into()),
-                    Vertical::Video => fs.push("duration_s".into()),
-                    Vertical::News => fs.push("date".into()),
-                    Vertical::Web => {}
-                }
-                fs
-            }
-            DataSourceDef::Service {
-                endpoint,
-                operation,
-                ..
-            } => transport
-                .and_then(|t| t.describe(endpoint))
-                .and_then(|d| {
-                    d.operations
-                        .iter()
-                        .find(|o| &o.name == operation)
-                        .map(|o| o.returns.clone())
-                })
-                .unwrap_or_default(),
-            DataSourceDef::Ads { .. } => vec![
-                "title".into(),
-                "display_url".into(),
-                "target_url".into(),
-                "text".into(),
-                "keyword".into(),
-                "campaign".into(),
-                "price_cents".into(),
-                "position".into(),
-            ],
-            DataSourceDef::ComposedApp { .. } => {
-                vec!["title".into(), "url".into(), "source".into(), "app".into()]
-            }
-        }
-    }
 }
 
 /// One result from any source: uniform `(field, value)` records.
@@ -640,8 +564,6 @@ mod tests {
             table: "inventory".into(),
             filter: Filter::cmp(2, CmpOp::Lt, Value::Float(30.0)),
         };
-        assert_eq!(def.category(), "hybrid");
-        assert!(def.fields(Some(space), None).contains(&"price".to_string()));
         // "sim" matches Farm Story (19.99); the shooter at 49.99 is
         // excluded by the source's own predicate.
         let out = run_source(
@@ -883,8 +805,6 @@ mod tests {
         let def = DataSourceDef::ComposedApp {
             app: crate::app::AppId(3),
         };
-        assert_eq!(def.category(), "app");
-        assert!(def.fields(None, None).contains(&"app".to_string()));
         let out = run_source(&def, "q", 5, none_subs(), None);
         assert!(out.items.is_empty());
         assert!(out.error.unwrap().contains("hosting layer"));
@@ -1008,24 +928,5 @@ mod tests {
         // One attempt times out at the 60ms budget, the rest are cut.
         assert!(out.error.is_some());
         assert_eq!(out.virtual_ms, 60);
-    }
-
-    #[test]
-    fn categories_and_fields() {
-        assert_eq!(DataSourceDef::Ads { slots: 1 }.category(), "ads");
-        assert_eq!(
-            DataSourceDef::WebVertical {
-                vertical: Vertical::News,
-                config: SearchConfig::default()
-            }
-            .category(),
-            "news"
-        );
-        let fs = DataSourceDef::WebVertical {
-            vertical: Vertical::News,
-            config: SearchConfig::default(),
-        }
-        .fields(None, None);
-        assert!(fs.contains(&"date".to_string()));
     }
 }

@@ -43,6 +43,7 @@ use crate::cache::LruTtlCache;
 use crate::source::{DataSourceDef, SourceCtx, SourceOutcome};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use symphony_services::hash::{fnv1a, FNV_OFFSET};
 use symphony_services::BreakerState;
 use symphony_store::TenantId;
 
@@ -51,7 +52,7 @@ const SHARDS: usize = 8;
 
 /// Virtual cost of serving a source outcome from the cache (pointer
 /// clone + bookkeeping; cheaper than the cheapest real fetch).
-pub const SOURCE_CACHE_HIT_MS: u32 = 1;
+pub(crate) const SOURCE_CACHE_HIT_MS: u32 = 1;
 
 /// Tuning for the platform's shared source cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +156,7 @@ pub struct Fetched {
     /// The fetch outcome; hits share one allocation across requests.
     pub outcome: Arc<SourceOutcome>,
     /// Virtual ms this request pays (full cost for the executor,
-    /// remaining wait for coalesced requests, [`SOURCE_CACHE_HIT_MS`]
+    /// remaining wait for coalesced requests, `SOURCE_CACHE_HIT_MS`
     /// for hits).
     pub charged_ms: u32,
     /// Transport attempts this request is charged against the query's
@@ -168,7 +169,7 @@ pub struct Fetched {
 
 impl Fetched {
     /// Wrap a directly-executed outcome (no cache involved).
-    pub fn uncached(outcome: SourceOutcome) -> Fetched {
+    pub(crate) fn uncached(outcome: SourceOutcome) -> Fetched {
         Fetched {
             charged_ms: outcome.virtual_ms,
             attempts_charged: outcome.attempts,
@@ -287,7 +288,7 @@ impl SourceCache {
     }
 
     /// The active tuning.
-    pub fn config(&self) -> SourceCacheConfig {
+    pub(crate) fn config(&self) -> SourceCacheConfig {
         self.config
     }
 
@@ -314,7 +315,7 @@ impl SourceCache {
     /// entry lingers until its key is touched again;
     /// [`Platform::maintenance_tick`](crate::hosting::Platform::maintenance_tick)
     /// calls it so cold keys are reclaimed on the maintenance cadence.
-    pub fn purge_expired(&self, now_ms: u64) -> usize {
+    pub(crate) fn purge_expired(&self, now_ms: u64) -> usize {
         self.shards
             .iter()
             .map(|shard| shard.lock().cache.purge_expired(now_ms))
@@ -323,7 +324,7 @@ impl SourceCache {
 
     /// Drop every cached outcome (admin mutations — table uploads,
     /// transport changes — invalidate source results wholesale).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for shard in &self.shards {
             let mut st = shard.lock();
             st.cache.clear();
@@ -423,7 +424,7 @@ impl SourceCache {
     ///
     /// The classification is purely virtual-time: an outcome that
     /// completed at or before `sctx.now_ms` is a [`FetchStatus::Hit`]
-    /// charged [`SOURCE_CACHE_HIT_MS`]; one completing after it is
+    /// charged `SOURCE_CACHE_HIT_MS`; one completing after it is
     /// [`FetchStatus::Coalesced`] charged the remaining wait. Either
     /// way the charge is capped by `sctx.budget_ms` — a request whose
     /// budget cannot cover the wait degrades to a deadline cut, like
@@ -649,23 +650,6 @@ impl Drop for InflightGuard<'_> {
 }
 
 // ---- Fingerprints -------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a over a string, continuing from `h` (crate-internal helper
-/// for other stable fingerprints, e.g. the L1 override keying).
-pub(crate) fn fnv1a_str(h: u64, s: &str) -> u64 {
-    fnv1a(h, s.as_bytes())
-}
 
 /// Stable fingerprint of everything besides the query that determines
 /// a source outcome: the source definition (including its full

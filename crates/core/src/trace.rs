@@ -21,7 +21,11 @@ pub struct TraceNode {
 
 impl TraceNode {
     /// Leaf node.
-    pub fn leaf(label: impl Into<String>, virtual_ms: u32, detail: impl Into<String>) -> TraceNode {
+    pub(crate) fn leaf(
+        label: impl Into<String>,
+        virtual_ms: u32,
+        detail: impl Into<String>,
+    ) -> TraceNode {
         TraceNode {
             label: label.into(),
             virtual_ms,
@@ -31,7 +35,7 @@ impl TraceNode {
     }
 
     /// Node with children.
-    pub fn group(
+    pub(crate) fn group(
         label: impl Into<String>,
         virtual_ms: u32,
         detail: impl Into<String>,
@@ -46,7 +50,8 @@ impl TraceNode {
     }
 
     /// Total nodes in the subtree.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         1 + self.children.iter().map(|c| c.node_count()).sum::<usize>()
     }
 }

@@ -1,9 +1,9 @@
 //! Aggregation queries: grouped COUNT / SUM / AVG / MIN / MAX.
 //!
 //! Part of the "richer querying of structured data" the paper lists as
-//! future work (§IV); designers use it for dashboards over their
-//! proprietary tables (inventory by genre, average price per region)
-//! and the platform uses the same machinery for analytics exports.
+//! future work (§IV): dashboards over proprietary tables (inventory by
+//! genre, average price per region). No serving path calls it yet, so
+//! the crate compiles it for its tests only.
 
 use crate::error::StoreError;
 use crate::filter::Filter;
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 /// One aggregate function over a named column (except `Count`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Aggregate {
+pub(crate) enum Aggregate {
     /// Row count.
     Count,
     /// Numeric sum (nulls and non-numerics skipped).
@@ -41,7 +41,7 @@ impl Aggregate {
 
 /// One output row of an aggregation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GroupRow {
+pub(crate) struct GroupRow {
     /// Group key (`None` for the global group).
     pub key: Option<Value>,
     /// One value per requested aggregate, in request order.
@@ -101,7 +101,7 @@ impl Accumulator {
 /// * `aggs` — the aggregates to compute per group.
 ///
 /// Groups are returned in ascending key order (total value order).
-pub fn aggregate(
+pub(crate) fn aggregate(
     table: &IndexedTable,
     filter: &Filter,
     group_by: Option<&str>,

@@ -108,7 +108,7 @@ impl Filter {
     ///
     /// Comparisons against nulls are false (three-valued logic
     /// collapsed to two, like most practical engines' WHERE).
-    pub fn eval(&self, record: &Record) -> bool {
+    pub(crate) fn eval(&self, record: &Record) -> bool {
         match self {
             Filter::True => true,
             Filter::Cmp { col, op, value } => {

@@ -25,7 +25,7 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// Object member lookup.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+    pub(crate) fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
             JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -33,7 +33,7 @@ impl JsonValue {
     }
 
     /// Flatten to the string form used for table cells.
-    pub fn cell_string(&self) -> String {
+    pub(crate) fn cell_string(&self) -> String {
         match self {
             JsonValue::Null => String::new(),
             JsonValue::Bool(b) => b.to_string(),
@@ -117,11 +117,17 @@ fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting a document may have. The parser
+/// recurses once per level, so an upload must not choose the depth of
+/// the stack.
+const MAX_DEPTH: usize = 256;
+
 /// Parse JSON text.
 pub fn parse(input: &str) -> Result<JsonValue, StoreError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -135,6 +141,8 @@ pub fn parse(input: &str) -> Result<JsonValue, StoreError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -168,8 +176,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, StoreError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -327,7 +346,7 @@ fn utf8_len(first: u8) -> usize {
 /// array of objects (or an object with a single array-of-objects
 /// member, the common `{"items": [...]}` envelope). Column order is
 /// first-seen order.
-pub fn records(doc: &JsonValue) -> Result<(Vec<String>, Vec<Vec<String>>), StoreError> {
+pub(crate) fn records(doc: &JsonValue) -> Result<(Vec<String>, Vec<Vec<String>>), StoreError> {
     let arr = match doc {
         JsonValue::Arr(a) => a,
         JsonValue::Obj(members) => members
@@ -464,5 +483,16 @@ mod tests {
         let v = parse(r#"{"a":[1,2],"o":{"x":1}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().cell_string(), "1; 2");
         assert_eq!(v.get("o").unwrap().cell_string(), r#"{"x":1}"#);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 256"), "{err}");
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        assert!(parse(&format!("[{objects}]")).is_err());
     }
 }

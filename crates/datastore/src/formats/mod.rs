@@ -7,6 +7,6 @@
 
 pub mod csv;
 pub mod json;
-pub mod rss;
-pub mod worksheet;
+pub(crate) mod rss;
+pub(crate) mod worksheet;
 pub mod xml;

@@ -8,7 +8,7 @@ use crate::formats::xml::{self, XmlElement};
 
 /// A parsed feed.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Feed {
+pub(crate) struct Feed {
     /// Channel title.
     pub title: String,
     /// Channel link.
@@ -21,7 +21,7 @@ pub struct Feed {
 
 /// One `<item>`.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct FeedItem {
+pub(crate) struct FeedItem {
     /// Item title.
     pub title: String,
     /// Item link.
@@ -37,7 +37,7 @@ pub struct FeedItem {
 }
 
 /// Parse RSS 2.0 text.
-pub fn parse_feed(input: &str) -> Result<Feed, StoreError> {
+pub(crate) fn parse_feed(input: &str) -> Result<Feed, StoreError> {
     let root = xml::parse(input)?;
     if root.tag != "rss" {
         return Err(StoreError::Parse(format!(
@@ -82,7 +82,7 @@ fn text(el: &XmlElement, tag: &str) -> String {
 }
 
 /// The tabular projection of a feed: fixed columns, one row per item.
-pub fn records(feed: &Feed) -> (Vec<String>, Vec<Vec<String>>) {
+pub(crate) fn records(feed: &Feed) -> (Vec<String>, Vec<Vec<String>>) {
     let names = vec![
         "title".to_string(),
         "link".to_string(),

@@ -13,7 +13,7 @@ use crate::formats::csv::{parse_delimited, Delimited};
 
 /// A parsed worksheet file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Worksheet {
+pub(crate) struct Worksheet {
     /// Name of the (first) sheet, or "Sheet1".
     pub sheet: String,
     /// Header + rows of the accepted sheet(s).
@@ -23,7 +23,7 @@ pub struct Worksheet {
 }
 
 /// Parse the worksheet dialect.
-pub fn parse_worksheet(input: &str) -> Result<Worksheet, StoreError> {
+pub(crate) fn parse_worksheet(input: &str) -> Result<Worksheet, StoreError> {
     // Split into sheets on "## sheet:" marker lines.
     let mut sheets: Vec<(String, String)> = Vec::new();
     let mut current_name: Option<String> = None;

@@ -10,7 +10,7 @@ use crate::error::StoreError;
 
 /// A parsed XML element.
 #[derive(Debug, Clone, PartialEq)]
-pub struct XmlElement {
+pub(crate) struct XmlElement {
     /// Tag name (prefix kept verbatim).
     pub tag: String,
     /// Attributes in document order.
@@ -24,22 +24,25 @@ pub struct XmlElement {
 
 impl XmlElement {
     /// First child with the given tag.
-    pub fn child(&self, tag: &str) -> Option<&XmlElement> {
+    pub(crate) fn child(&self, tag: &str) -> Option<&XmlElement> {
         self.children.iter().find(|c| c.tag == tag)
     }
 
     /// All children with the given tag.
-    pub fn children_named<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a XmlElement> {
+    pub(crate) fn children_named<'a>(
+        &'a self,
+        tag: &'a str,
+    ) -> impl Iterator<Item = &'a XmlElement> {
         self.children.iter().filter(move |c| c.tag == tag)
     }
 
     /// Text of the first child with the given tag, if any.
-    pub fn child_text(&self, tag: &str) -> Option<&str> {
+    pub(crate) fn child_text(&self, tag: &str) -> Option<&str> {
         self.child(tag).map(|c| c.text.as_str())
     }
 
     /// Attribute lookup.
-    pub fn attr(&self, name: &str) -> Option<&str> {
+    pub(crate) fn attr(&self, name: &str) -> Option<&str> {
         self.attrs
             .iter()
             .find(|(k, _)| k == name)
@@ -47,12 +50,18 @@ impl XmlElement {
     }
 }
 
+/// The deepest element nesting a document may have. The parser recurses
+/// once per element, so an upload or a feed must not choose the depth
+/// of the stack.
+const MAX_DEPTH: usize = 256;
+
 /// Parse an XML document into its root element.
-pub fn parse(input: &str) -> Result<XmlElement, StoreError> {
+pub(crate) fn parse(input: &str) -> Result<XmlElement, StoreError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         input,
         pos: 0,
+        depth: 0,
     };
     p.skip_misc();
     let root = p.element()?;
@@ -67,6 +76,8 @@ struct Parser<'a> {
     bytes: &'a [u8],
     input: &'a str,
     pos: usize,
+    /// Elements open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -124,6 +135,9 @@ impl<'a> Parser<'a> {
     }
 
     fn element(&mut self) -> Result<XmlElement, StoreError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("elements nested deeper than {MAX_DEPTH} levels")));
+        }
         if self.peek() != Some(b'<') {
             return Err(self.err("expected '<'"));
         }
@@ -221,7 +235,11 @@ impl<'a> Parser<'a> {
                 continue;
             }
             match self.peek() {
-                Some(b'<') => children.push(self.element()?),
+                Some(b'<') => {
+                    self.depth += 1;
+                    children.push(self.element()?);
+                    self.depth -= 1;
+                }
                 Some(_) => {
                     let start = self.pos;
                     while self.peek().is_some() && self.peek() != Some(b'<') {
@@ -305,7 +323,7 @@ pub fn escape(text: &str) -> String {
 /// tag under the root (or under a single wrapper child) is treated as
 /// the row element; each row's child-element texts become columns and
 /// attributes become columns too.
-pub fn records(root: &XmlElement) -> Result<(Vec<String>, Vec<Vec<String>>), StoreError> {
+pub(crate) fn records(root: &XmlElement) -> Result<(Vec<String>, Vec<Vec<String>>), StoreError> {
     let rows_parent = if root.children.len() == 1 && !root.children[0].children.is_empty() {
         &root.children[0]
     } else {
@@ -450,5 +468,14 @@ mod tests {
     fn nested_text_trimmed() {
         let root = parse("<t>\n  hello  \n</t>").unwrap();
         assert_eq!(root.text, "hello");
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        let doc = parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(doc.tag, "a");
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper than 256"), "{err}");
     }
 }

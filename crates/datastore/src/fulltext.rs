@@ -51,7 +51,10 @@ impl FullTextView {
     /// Create a view over `searchable` columns, given as
     /// `(column name, boost)`. Field names in the text index equal the
     /// column names, so `Query::parse("title:x")` works.
-    pub fn new(schema: &Schema, searchable: &[(&str, f32)]) -> Result<FullTextView, StoreError> {
+    pub(crate) fn new(
+        schema: &Schema,
+        searchable: &[(&str, f32)],
+    ) -> Result<FullTextView, StoreError> {
         let mut index = Index::new(IndexConfig::default());
         let mut cols = Vec::with_capacity(searchable.len());
         for (name, boost) in searchable {
@@ -86,7 +89,7 @@ impl FullTextView {
     /// Index a record, or refresh it in place after an update: a known
     /// record goes through [`Index::update`] (tombstone + re-add under
     /// a fresh doc id), so re-crawls and edits never rebuild the view.
-    pub fn add(&mut self, id: RecordId, record: &Record) {
+    pub(crate) fn add(&mut self, id: RecordId, record: &Record) {
         let doc = Self::build_doc(&self.cols, record);
         let doc_id = match self.doc_of(id) {
             Some(old) => self
@@ -133,7 +136,7 @@ impl FullTextView {
     /// documents are built lazily as the build pulls them, so only the
     /// chunks of one build wave are ever held raw; the batch lands as
     /// sealed segments, searchable when the call returns.
-    pub fn add_bulk<'a, I>(&mut self, rows: I, threads: usize)
+    pub(crate) fn add_bulk<'a, I>(&mut self, rows: I, threads: usize)
     where
         I: IntoIterator<Item = (RecordId, &'a Record)>,
     {
@@ -159,7 +162,7 @@ impl FullTextView {
     }
 
     /// Drop a record from the view (no-op when absent).
-    pub fn remove(&mut self, id: RecordId) {
+    pub(crate) fn remove(&mut self, id: RecordId) {
         if let Some(doc) = self.doc_of(id) {
             self.index.delete(DocId(doc));
             self.record_to_doc[id.as_usize()] = NO_DOC;
@@ -171,7 +174,7 @@ impl FullTextView {
     /// records from them, and precompute the per-term score bounds that
     /// let [`search`](Self::search) prune non-competitive records.
     /// Call after bulk loading; results are identical either way.
-    pub fn optimize(&mut self) {
+    pub(crate) fn optimize(&mut self) {
         self.index.optimize();
     }
 
@@ -180,17 +183,17 @@ impl FullTextView {
     /// at most one background merge (which also purges removed
     /// records). Hosting drives this on the platform's virtual clock,
     /// so replay is deterministic.
-    pub fn maintain(&mut self, now_ms: u64) -> MaintenanceReport {
+    pub(crate) fn maintain(&mut self, now_ms: u64) -> MaintenanceReport {
         self.index.maintain(now_ms)
     }
 
     /// Replace the underlying index's segment policy.
-    pub fn set_policy(&mut self, policy: SegmentPolicy) {
+    pub(crate) fn set_policy(&mut self, policy: SegmentPolicy) {
         self.index.set_policy(policy);
     }
 
     /// Execute a full-text query, returning the top `k` records.
-    pub fn search(&self, query: &Query, k: usize) -> Vec<TextHit> {
+    pub(crate) fn search(&self, query: &Query, k: usize) -> Vec<TextHit> {
         self.map_hits(Searcher::new(&self.index).search(query, k))
     }
 
@@ -198,7 +201,7 @@ impl FullTextView {
     /// path, where the set rides the executor as a non-scoring
     /// conjunctive cursor and selective sets skip posting blocks
     /// decode-free.
-    pub fn search_docset(&self, query: &Query, k: usize, allowed: &DocSet) -> Vec<TextHit> {
+    pub(crate) fn search_docset(&self, query: &Query, k: usize, allowed: &DocSet) -> Vec<TextHit> {
         self.map_hits(Searcher::new(&self.index).search_docset(query, k, allowed))
     }
 
@@ -206,7 +209,7 @@ impl FullTextView {
     /// term-at-a-time reference (no pruning) — what the forced scan
     /// plan runs, so the differential tests compare the served plans
     /// against an independent executor.
-    pub fn search_exhaustive_filtered<F: Fn(RecordId) -> bool>(
+    pub(crate) fn search_exhaustive_filtered<F: Fn(RecordId) -> bool>(
         &self,
         query: &Query,
         k: usize,
@@ -220,7 +223,7 @@ impl FullTextView {
     /// Translate a set of record ids into the live [`DocSet`] the
     /// pushdown cursor consumes. Records unknown to the view (never
     /// indexed, or removed) are silently dropped.
-    pub fn doc_set_for<I: IntoIterator<Item = RecordId>>(&self, records: I) -> DocSet {
+    pub(crate) fn doc_set_for<I: IntoIterator<Item = RecordId>>(&self, records: I) -> DocSet {
         DocSet::from_unsorted(
             records
                 .into_iter()
@@ -241,11 +244,6 @@ impl FullTextView {
                 score: h.score,
             })
             .collect()
-    }
-
-    /// The searchable `(column, field)` mapping.
-    pub fn columns(&self) -> &[(usize, FieldId)] {
-        &self.cols
     }
 
     /// Borrow the underlying text index (stats, analyzer access).

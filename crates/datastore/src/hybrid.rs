@@ -293,7 +293,7 @@ impl IndexedTable {
     /// is trivial and the column has an ordered index, counts are read
     /// straight off the maintained per-key lists (no record touched);
     /// otherwise the candidate rows are tallied once for all columns.
-    pub fn facet_counts(&self, filter: &Filter, cols: &[usize]) -> Vec<FacetCounts> {
+    pub(crate) fn facet_counts(&self, filter: &Filter, cols: &[usize]) -> Vec<FacetCounts> {
         if cols.is_empty() {
             return Vec::new();
         }

@@ -260,7 +260,7 @@ impl IndexedTable {
     }
 
     /// Insert from raw strings (see
-    /// [`Table::insert_raw`](crate::table::Table::insert_raw)).
+    /// `Table::insert_raw`).
     pub fn insert_raw(&mut self, raw: &[String]) -> RecordId {
         self.clear_filter_memo();
         let id = self.table.insert_raw(raw);
@@ -381,7 +381,7 @@ impl IndexedTable {
 
     /// The access path the planner would choose for a filter (exposed
     /// for tests and EXPLAIN output).
-    pub fn explain(&self, filter: &Filter) -> AccessPath {
+    pub(crate) fn explain(&self, filter: &Filter) -> AccessPath {
         self.plan(filter).0.path()
     }
 
@@ -394,7 +394,7 @@ impl IndexedTable {
     /// access path that actually executed (plan and execution are one
     /// fused pass, so the reported path can never diverge from what
     /// ran).
-    pub fn query_explained(&self, q: &TableQuery) -> (Vec<(RecordId, &Record)>, AccessPath) {
+    pub(crate) fn query_explained(&self, q: &TableQuery) -> (Vec<(RecordId, &Record)>, AccessPath) {
         let (plan, _) = self.plan(&q.filter);
         let path = plan.path();
         let matching = |id: RecordId| {
@@ -503,7 +503,7 @@ impl IndexedTable {
     /// conjunct of `filter` — an upper bound on the true match count,
     /// read off maintained index counters (no record is touched).
     /// `None` when no conjunct is index-backed.
-    pub fn estimate_filter_matches(&self, filter: &Filter) -> Option<usize> {
+    pub(crate) fn estimate_filter_matches(&self, filter: &Filter) -> Option<usize> {
         let mut conjuncts = Vec::new();
         flatten_and(filter, &mut conjuncts);
         let mut best: Option<usize> = None;
@@ -535,7 +535,7 @@ impl IndexedTable {
     /// Record ids whose `col` equals `key` — the index-backed side of a
     /// join between this table and an external result set keyed on a
     /// typed column. Falls back to a scan when `col` is unindexed.
-    pub fn join_on_column(&self, col: usize, key: &Value) -> Vec<RecordId> {
+    pub(crate) fn join_on_column(&self, col: usize, key: &Value) -> Vec<RecordId> {
         if let Some(ix) = self.secondary.iter().find(|ix| ix.col() == col) {
             return ix.lookup_eq(key);
         }

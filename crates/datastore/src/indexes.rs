@@ -69,7 +69,7 @@ pub enum SecondaryIndex {
 
 impl SecondaryIndex {
     /// Create an empty index of `kind` over `col`.
-    pub fn new(kind: IndexKind, col: usize) -> SecondaryIndex {
+    pub(crate) fn new(kind: IndexKind, col: usize) -> SecondaryIndex {
         match kind {
             IndexKind::Hash => SecondaryIndex::Hash {
                 col,
@@ -85,14 +85,14 @@ impl SecondaryIndex {
     }
 
     /// Indexed column.
-    pub fn col(&self) -> usize {
+    pub(crate) fn col(&self) -> usize {
         match self {
             SecondaryIndex::Hash { col, .. } | SecondaryIndex::Ordered { col, .. } => *col,
         }
     }
 
     /// The structure kind.
-    pub fn kind(&self) -> IndexKind {
+    pub(crate) fn kind(&self) -> IndexKind {
         match self {
             SecondaryIndex::Hash { .. } => IndexKind::Hash,
             SecondaryIndex::Ordered { .. } => IndexKind::Ordered,
@@ -100,7 +100,7 @@ impl SecondaryIndex {
     }
 
     /// Register a record's value.
-    pub fn insert(&mut self, value: &Value, id: RecordId) {
+    pub(crate) fn insert(&mut self, value: &Value, id: RecordId) {
         match self {
             SecondaryIndex::Hash { map, len, .. } => {
                 map.entry(value.hash_key()).or_default().push(id);
@@ -114,7 +114,7 @@ impl SecondaryIndex {
     }
 
     /// Remove a record's value (no-op if absent).
-    pub fn remove(&mut self, value: &Value, id: RecordId) {
+    pub(crate) fn remove(&mut self, value: &Value, id: RecordId) {
         match self {
             SecondaryIndex::Hash { map, len, .. } => {
                 if let Entry::Occupied(mut e) = map.entry(value.hash_key()) {
@@ -142,7 +142,8 @@ impl SecondaryIndex {
 
     /// Total indexed entries (records with a value in this index),
     /// maintained as a counter — O(1), never a scan.
-    pub fn cardinality(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cardinality(&self) -> usize {
         match self {
             SecondaryIndex::Hash { len, .. } | SecondaryIndex::Ordered { len, .. } => *len,
         }
@@ -150,7 +151,7 @@ impl SecondaryIndex {
 
     /// Exact number of records equal to `value` — O(1) hash probe or
     /// one B-tree descent; no list is cloned.
-    pub fn count_eq(&self, value: &Value) -> usize {
+    pub(crate) fn count_eq(&self, value: &Value) -> usize {
         match self {
             SecondaryIndex::Hash { map, .. } => {
                 map.get(&value.hash_key()).map_or(0, |ids| ids.len())
@@ -165,7 +166,7 @@ impl SecondaryIndex {
     /// `None` = unbounded). `None` for hash indexes, which cannot
     /// answer ranges. Costs one B-tree walk over the touched keys but
     /// copies no record ids.
-    pub fn count_range(&self, low: Option<&Value>, high: Option<&Value>) -> Option<usize> {
+    pub(crate) fn count_range(&self, low: Option<&Value>, high: Option<&Value>) -> Option<usize> {
         Some(
             self.range_runs(inclusive(low), inclusive(high))?
                 .map(<[RecordId]>::len)
@@ -183,7 +184,7 @@ impl SecondaryIndex {
     }
 
     /// Record ids equal to `value`.
-    pub fn lookup_eq(&self, value: &Value) -> Vec<RecordId> {
+    pub(crate) fn lookup_eq(&self, value: &Value) -> Vec<RecordId> {
         self.ids_eq(value).to_vec()
     }
 
@@ -223,7 +224,12 @@ impl SecondaryIndex {
 
     /// Record ids in `[low, high]` (inclusive bounds; `None` =
     /// unbounded). Only ordered indexes support ranges.
-    pub fn lookup_range(&self, low: Option<&Value>, high: Option<&Value>) -> Option<Vec<RecordId>> {
+    #[cfg(test)]
+    pub(crate) fn lookup_range(
+        &self,
+        low: Option<&Value>,
+        high: Option<&Value>,
+    ) -> Option<Vec<RecordId>> {
         Some(
             self.range_runs(inclusive(low), inclusive(high))?
                 .flatten()
@@ -235,7 +241,7 @@ impl SecondaryIndex {
     /// Per-key `(value, count)` pairs in key order — the facet fast
     /// path: one tree walk over maintained lists, no record touched.
     /// `None` for hash indexes, whose keys are one-way hashes.
-    pub fn value_counts(&self) -> Option<Vec<(Value, usize)>> {
+    pub(crate) fn value_counts(&self) -> Option<Vec<(Value, usize)>> {
         match self {
             SecondaryIndex::Hash { .. } => None,
             SecondaryIndex::Ordered { map, .. } => Some(
@@ -247,7 +253,8 @@ impl SecondaryIndex {
     }
 
     /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn distinct_keys(&self) -> usize {
         match self {
             SecondaryIndex::Hash { map, .. } => map.len(),
             SecondaryIndex::Ordered { map, .. } => map.len(),

@@ -13,6 +13,7 @@ use crate::error::StoreError;
 use crate::formats::{csv, json, rss, worksheet, xml};
 use crate::schema::Schema;
 use crate::table::Table;
+use std::collections::HashSet;
 
 /// Structured data formats the pipeline understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,13 +29,13 @@ pub enum DataFormat {
     /// RSS 2.0 feed.
     Rss,
     /// Worksheet dialect (the Excel stand-in, see
-    /// [`formats::worksheet`](crate::formats::worksheet)).
+    /// `formats::worksheet`).
     Worksheet,
 }
 
 impl DataFormat {
     /// Guess a format from a file name's extension.
-    pub fn from_filename(name: &str) -> Option<DataFormat> {
+    pub(crate) fn from_filename(name: &str) -> Option<DataFormat> {
         let ext = name.rsplit('.').next()?.to_lowercase();
         match ext.as_str() {
             "csv" | "txt" => Some(DataFormat::Csv),
@@ -103,10 +104,13 @@ pub struct IngestReport {
 }
 
 /// Parsed upload: `(column names, string rows, warnings)`.
-pub type ParsedContent = (Vec<String>, Vec<Vec<String>>, Vec<String>);
+pub(crate) type ParsedContent = (Vec<String>, Vec<Vec<String>>, Vec<String>);
 
 /// Parse `content` in `format` into `(names, rows, warnings)`.
-pub fn parse_content(content: &str, format: DataFormat) -> Result<ParsedContent, StoreError> {
+pub(crate) fn parse_content(
+    content: &str,
+    format: DataFormat,
+) -> Result<ParsedContent, StoreError> {
     let mut warnings = Vec::new();
     let (names, rows) = match format {
         DataFormat::Csv => {
@@ -128,6 +132,11 @@ pub fn parse_content(content: &str, format: DataFormat) -> Result<ParsedContent,
             (ws.data.names, ws.data.rows)
         }
     };
+    // A header that names a column twice has no schema.
+    let mut seen = HashSet::new();
+    if let Some(dup) = names.iter().find(|n| !seen.insert(n.as_str())) {
+        return Err(StoreError::Parse(format!("duplicate column {dup:?}")));
+    }
     Ok((names, rows, warnings))
 }
 
@@ -399,5 +408,32 @@ mod tests {
             table.cell(crate::table::RecordId(0), "title").unwrap(),
             &crate::value::Value::Text("X".into())
         );
+    }
+
+    #[test]
+    fn deeply_nested_uploads_are_rejected_not_fatal() {
+        let json = "[".repeat(100_000);
+        assert!(matches!(
+            parse_content(&json, DataFormat::Json),
+            Err(StoreError::Parse(_))
+        ));
+        let xml = "<a>".repeat(100_000);
+        for format in [DataFormat::Xml, DataFormat::Rss] {
+            assert!(matches!(
+                parse_content(&xml, format),
+                Err(StoreError::Parse(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn duplicate_columns_are_rejected() {
+        for (text, format) in [
+            ("a,b,a\n1,2,3\n", DataFormat::Csv),
+            ("x\tx\n1\t2\n", DataFormat::Tsv),
+        ] {
+            let err = ingest("t", text, format).unwrap_err();
+            assert!(err.to_string().contains("duplicate column"), "{err}");
+        }
     }
 }

@@ -5,15 +5,16 @@
 //! proprietary data (paper §II-A, "Proprietary Data").
 //!
 //! * [`value`] / [`schema`] — typed cells, schema inference.
-//! * [`aggregate`] — grouped COUNT/SUM/AVG/MIN/MAX over tables.
+//! * `aggregate` — grouped COUNT/SUM/AVG/MIN/MAX over tables (compiled
+//!   for its tests only: no serving path calls it yet).
 //! * [`table`] — slotted tables with stable record ids.
-//! * [`indexes`] / [`filter`] / [`indexed`] — secondary indexes, the
+//! * `indexes` / [`filter`] / [`indexed`] — secondary indexes, the
 //!   filter algebra, and the planner-backed [`indexed::IndexedTable`].
-//! * [`fulltext`] — full-text views bridging to `symphony-text`.
+//! * `fulltext` — full-text views bridging to `symphony-text`.
 //! * [`formats`] — from-scratch CSV/TSV, JSON, XML, RSS, and worksheet
 //!   (Excel stand-in) parsers.
 //! * [`ingest`] — upload methods, schema inference, and the crawler.
-//! * [`tenant`] — private, access-key-guarded tenant spaces.
+//! * `tenant` — private, access-key-guarded tenant spaces.
 //!
 //! ## Quick example
 //!
@@ -34,29 +35,31 @@
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
+// Grouped aggregates have no serving-path caller yet; only their tests
+// compile them.
+#[cfg(test)]
+mod aggregate;
 pub mod datetime;
-pub mod error;
+mod error;
 pub mod filter;
 pub mod formats;
-pub mod fulltext;
+mod fulltext;
 pub mod hybrid;
 pub mod indexed;
-pub mod indexes;
+mod indexes;
 pub mod ingest;
 pub mod schema;
 pub mod table;
-pub mod tenant;
+mod tenant;
 pub mod value;
 
-pub use aggregate::{aggregate, Aggregate, GroupRow};
 pub use error::StoreError;
 pub use filter::{CmpOp, Filter};
-pub use hybrid::{FacetCounts, HybridExplain, HybridPlan, HybridQuery, HybridResult};
-pub use indexed::{AccessPath, IndexedTable, SortDir, TableQuery};
+pub use hybrid::{HybridPlan, HybridQuery, HybridResult};
+pub use indexed::IndexedTable;
 pub use indexes::IndexKind;
-pub use ingest::{DataFormat, FetchedPage, IngestReport, PageFetcher, UploadMethod};
-pub use schema::{FieldDef, FieldType, Schema};
+pub use ingest::{DataFormat, FetchedPage, PageFetcher};
+pub use schema::{FieldType, Schema};
 pub use table::{Record, RecordId, Table};
 pub use tenant::{AccessKey, Store, TenantId, TenantSpace};
 pub use value::Value;

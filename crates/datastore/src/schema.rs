@@ -28,7 +28,7 @@ pub enum FieldType {
 
 impl FieldType {
     /// The narrowest type able to represent both inputs.
-    pub fn widen(self, other: FieldType) -> FieldType {
+    pub(crate) fn widen(self, other: FieldType) -> FieldType {
         use FieldType::*;
         match (self, other) {
             (a, b) if a == b => a,
@@ -39,7 +39,7 @@ impl FieldType {
     }
 
     /// Type of a sniffed value.
-    pub fn of(value: &Value) -> FieldType {
+    pub(crate) fn of(value: &Value) -> FieldType {
         match value {
             Value::Null => FieldType::Null,
             Value::Bool(_) => FieldType::Bool,
@@ -73,7 +73,7 @@ impl Schema {
     /// # Panics
     /// Panics on duplicate column names — schemas come from our own
     /// ingest code, so a duplicate is a programming error.
-    pub fn new(fields: Vec<FieldDef>) -> Schema {
+    pub(crate) fn new(fields: Vec<FieldDef>) -> Schema {
         for (i, f) in fields.iter().enumerate() {
             assert!(
                 !fields[..i].iter().any(|g| g.name == f.name),
@@ -99,7 +99,7 @@ impl Schema {
     /// Infer a schema from raw string rows (one `Vec<&str>`-like row
     /// per record, positionally aligned with `names`). Missing cells
     /// count as nulls.
-    pub fn infer(names: &[String], rows: &[Vec<String>]) -> Schema {
+    pub(crate) fn infer(names: &[String], rows: &[Vec<String>]) -> Schema {
         let mut types = vec![FieldType::Null; names.len()];
         for row in rows {
             for (i, ty) in types.iter_mut().enumerate() {
@@ -146,7 +146,7 @@ impl Schema {
     /// Parse a raw string into a [`Value`] of column `i`'s type,
     /// falling back to text when the raw form does not parse (data is
     /// dirty; ingest must not fail row-by-row).
-    pub fn parse_cell(&self, i: usize, raw: &str) -> Value {
+    pub(crate) fn parse_cell(&self, i: usize, raw: &str) -> Value {
         let sniffed = Value::sniff(raw);
         match (self.fields[i].ty, &sniffed) {
             (FieldType::Text, Value::Null) => Value::Null,

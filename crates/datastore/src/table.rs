@@ -10,7 +10,7 @@ pub struct RecordId(pub u32);
 impl RecordId {
     /// As a usize for slot indexing.
     #[inline]
-    pub fn as_usize(self) -> usize {
+    pub(crate) fn as_usize(self) -> usize {
         self.0 as usize
     }
 }
@@ -32,16 +32,6 @@ impl Record {
     pub fn get(&self, col: usize) -> &Value {
         &self.values[col]
     }
-
-    /// All cells.
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    /// Replace one cell.
-    pub fn set(&mut self, col: usize, value: Value) {
-        self.values[col] = value;
-    }
 }
 
 /// An in-memory table: schema + slotted rows. Deletion leaves a
@@ -53,9 +43,6 @@ pub struct Table {
     schema: Schema,
     slots: Vec<Option<Record>>,
     live: usize,
-    /// Bumped on every mutation; searchable wrappers use it to detect
-    /// staleness.
-    version: u64,
 }
 
 impl Table {
@@ -66,23 +53,17 @@ impl Table {
             schema,
             slots: Vec::new(),
             live: 0,
-            version: 0,
         }
     }
 
     /// Table name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// Monotonic mutation counter.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Insert a record, returning its id.
@@ -102,13 +83,12 @@ impl Table {
         let id = RecordId(self.slots.len() as u32);
         self.slots.push(Some(record));
         self.live += 1;
-        self.version += 1;
         id
     }
 
     /// Insert from raw strings, parsing each cell against the schema.
     /// Short rows are padded with nulls; long rows are truncated.
-    pub fn insert_raw(&mut self, raw: &[String]) -> RecordId {
+    pub(crate) fn insert_raw(&mut self, raw: &[String]) -> RecordId {
         let values: Vec<Value> = (0..self.schema.len())
             .map(|i| {
                 raw.get(i)
@@ -125,24 +105,22 @@ impl Table {
     }
 
     /// Delete a record; returns the old record if it was live.
-    pub fn delete(&mut self, id: RecordId) -> Option<Record> {
+    pub(crate) fn delete(&mut self, id: RecordId) -> Option<Record> {
         let slot = self.slots.get_mut(id.as_usize())?;
         let old = slot.take();
         if old.is_some() {
             self.live -= 1;
-            self.version += 1;
         }
         old
     }
 
     /// Replace a live record in place; returns the old record.
-    pub fn update(&mut self, id: RecordId, record: Record) -> Option<Record> {
+    pub(crate) fn update(&mut self, id: RecordId, record: Record) -> Option<Record> {
         assert_eq!(record.values.len(), self.schema.len());
         let slot = self.slots.get_mut(id.as_usize())?;
         if slot.is_none() {
             return None;
         }
-        self.version += 1;
         slot.replace(record)
     }
 
@@ -233,19 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn version_bumps_on_mutation_only() {
-        let mut t = table();
-        let v0 = t.version();
-        let a = t.insert(row("A", 1.0, 1));
-        assert!(t.version() > v0);
-        let v1 = t.version();
-        t.get(a);
-        assert_eq!(t.version(), v1);
-        t.delete(a);
-        assert!(t.version() > v1);
-    }
-
-    #[test]
     fn insert_raw_parses_pads_and_truncates() {
         let mut t = table();
         let id = t.insert_raw(&["X".into(), "9.5".into()]);
@@ -253,7 +218,7 @@ mod tests {
         assert_eq!(r.get(1), &Value::Float(9.5));
         assert_eq!(r.get(2), &Value::Null);
         let id2 = t.insert_raw(&["Y".into(), "1".into(), "2".into(), "extra".into()]);
-        assert_eq!(t.get(id2).unwrap().values().len(), 3);
+        assert_eq!(t.get(id2).unwrap().values.len(), 3);
     }
 
     #[test]

@@ -20,22 +20,10 @@ pub struct AccessKey(pub String);
 /// A tenant's private table namespace.
 #[derive(Debug)]
 pub struct TenantSpace {
-    tenant: TenantId,
-    name: String,
     tables: BTreeMap<String, IndexedTable>,
 }
 
 impl TenantSpace {
-    /// Owning tenant.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
-    /// Human name ("GamerQueen").
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Register (or replace) a table under its own name.
     pub fn put_table(&mut self, table: IndexedTable) {
         self.tables.insert(table.table().name().to_string(), table);
@@ -100,8 +88,6 @@ impl Store {
         self.spaces.push((
             key.clone(),
             TenantSpace {
-                tenant: id,
-                name: name.to_string(),
                 tables: BTreeMap::new(),
             },
         ));
@@ -147,6 +133,8 @@ impl Store {
     }
 }
 
+/// Not FNV-1a: 0x1000_0000_01b3 is not the FNV prime. Access keys
+/// depend on it, so changing it moves the pinned checksums.
 fn mix(id: u32, name: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in name.bytes().chain(id.to_le_bytes()) {

@@ -30,7 +30,7 @@ pub enum Value {
 
 impl Value {
     /// True for [`Value::Null`].
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
@@ -55,7 +55,7 @@ impl Value {
     /// Text used for full-text indexing (same as display for now; URLs
     /// additionally index their host tokens via the analyzer). Text and
     /// URL values lend their own string; only rendered values allocate.
-    pub fn index_text(&self) -> Cow<'_, str> {
+    pub(crate) fn index_text(&self) -> Cow<'_, str> {
         match self {
             Value::Text(s) | Value::Url(s) => Cow::Borrowed(s),
             other => Cow::Owned(other.display_string()),
@@ -100,7 +100,7 @@ impl Value {
     /// A hashable key for hash indexes. Floats use their bit pattern
     /// (hash indexes on floats therefore distinguish `0.0`/`-0.0`,
     /// which is acceptable for equality lookups on ingested data).
-    pub fn hash_key(&self) -> ValueKey {
+    pub(crate) fn hash_key(&self) -> ValueKey {
         match self {
             Value::Null => ValueKey::Null,
             Value::Bool(b) => ValueKey::Bool(*b),
@@ -153,7 +153,7 @@ fn looks_numeric(t: &str) -> bool {
         && body.chars().any(|c| c.is_ascii_digit())
 }
 
-/// Hashable projection of a [`Value`] (see [`Value::hash_key`]).
+/// Hashable projection of a [`Value`] (see `Value::hash_key`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ValueKey {
     /// Null key.

@@ -6,6 +6,7 @@ use symphony_store::formats::csv::{parse_delimited, to_csv};
 use symphony_store::formats::json;
 use symphony_store::formats::xml;
 use symphony_store::indexed::{IndexedTable, TableQuery};
+use symphony_store::ingest::{ingest, DataFormat};
 use symphony_store::schema::{FieldType, Schema};
 use symphony_store::table::{Record, Table};
 use symphony_store::value::Value;
@@ -286,4 +287,103 @@ fn json_value(depth: u32) -> BoxedStrategy<json::JsonValue> {
         ]
     })
     .boxed()
+}
+
+/// Pieces of hostile uploads: every format's metacharacters, markup
+/// and literal fragments, multibyte text, and runs of openers nested
+/// below, at and past the parsers' depth cap (256).
+const HOSTILE_PIECES: &[&str] = &[
+    "\"",
+    "+",
+    "-",
+    ":",
+    ",",
+    "\t",
+    "\n",
+    "\r\n",
+    "[",
+    "]",
+    "{",
+    "}",
+    "<",
+    ">",
+    "/",
+    "&",
+    ";",
+    "\\",
+    "=",
+    "'",
+    "#",
+    "## sheet: s\n",
+    "title",
+    "price",
+    "a",
+    "7",
+    "-1.5e308",
+    "true",
+    "null",
+    "\"k\":",
+    "\\u00e9",
+    "\\ud800",
+    "<row>",
+    "</row>",
+    "<rss>",
+    "<channel>",
+    "<item>",
+    "</item>",
+    "<title>",
+    "</title>",
+    "<a b='c'>",
+    "</a>",
+    "<x/>",
+    "&amp;",
+    "&#x1F3AE;",
+    "&#99999999;",
+    "&bogus;",
+    "<![CDATA[",
+    "]]>",
+    "<!--",
+    "-->",
+    "<?xml version=\"1.0\"?>",
+    "é",
+    "中文",
+    "🎮",
+    "e\u{301}",
+    "ß",
+    "İ",
+    "\u{0}",
+    "\u{feff}",
+];
+
+fn hostile_text() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        (0..HOSTILE_PIECES.len()).prop_map(|i| HOSTILE_PIECES[i].to_string()),
+        "[a-z0-9 ]{1,6}",
+        (0usize..3, 0usize..6).prop_map(|(kind, depth)| {
+            ["[", "{\"a\":", "<a>"][kind].repeat([1, 2, 255, 256, 257, 5_000][depth])
+        }),
+    ];
+    proptest::collection::vec(piece, 0..40).prop_map(|pieces| pieces.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every upload format returns a table or an error for any text:
+    /// no input panics or overflows the stack.
+    #[test]
+    fn hostile_uploads_never_panic(text in hostile_text()) {
+        for format in [
+            DataFormat::Csv,
+            DataFormat::Tsv,
+            DataFormat::Worksheet,
+            DataFormat::Json,
+            DataFormat::Xml,
+            DataFormat::Rss,
+        ] {
+            if let Ok((table, report)) = ingest("hostile", &text, format) {
+                prop_assert_eq!(report.rows, table.len());
+            }
+        }
+    }
 }

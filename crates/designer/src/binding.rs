@@ -25,7 +25,8 @@ pub enum Binding {
 
 impl Binding {
     /// Resolve against a field lookup; missing fields resolve empty.
-    pub fn resolve(&self, fields: &dyn Fn(&str) -> Option<String>) -> String {
+    #[cfg(test)]
+    pub(crate) fn resolve(&self, fields: &dyn Fn(&str) -> Option<String>) -> String {
         self.lend(&|name| fields(name).map(Cow::Owned)).into_owned()
     }
 
@@ -111,12 +112,13 @@ impl Template {
     }
 
     /// The original template text.
-    pub fn source(&self) -> &str {
+    pub(crate) fn source(&self) -> &str {
         &self.source
     }
 
     /// Field names referenced, in order of first appearance.
-    pub fn fields(&self) -> Vec<&str> {
+    #[cfg(test)]
+    pub(crate) fn fields(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
         for s in &self.segments {
             if let Segment::Field(f) = s {
@@ -158,7 +160,8 @@ impl Template {
     }
 
     /// True when the template is a single bare field (`"{title}"`).
-    pub fn is_single_field(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_single_field(&self) -> bool {
         matches!(self.segments.as_slice(), [Segment::Field(_)])
     }
 }
@@ -168,7 +171,8 @@ fn valid_field_char(c: char) -> bool {
 }
 
 /// Render helper over a slice of `(name, value)` pairs.
-pub fn lookup_in<'a>(pairs: &'a [(String, String)]) -> impl Fn(&str) -> Option<String> + 'a {
+#[cfg(test)]
+pub(crate) fn lookup_in<'a>(pairs: &'a [(String, String)]) -> impl Fn(&str) -> Option<String> + 'a {
     move |name: &str| {
         pairs
             .iter()

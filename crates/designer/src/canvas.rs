@@ -85,7 +85,7 @@ impl Canvas {
     }
 
     /// Register a data source in the palette (idempotent by name).
-    pub fn register_source(&mut self, card: DataSourceCard) {
+    pub(crate) fn register_source(&mut self, card: DataSourceCard) {
         if let Some(existing) = self.palette.iter_mut().find(|c| c.name == card.name) {
             *existing = card;
         } else {
@@ -99,7 +99,7 @@ impl Canvas {
     }
 
     /// Palette lookup.
-    pub fn source(&self, name: &str) -> Option<&DataSourceCard> {
+    pub(crate) fn source(&self, name: &str) -> Option<&DataSourceCard> {
         self.palette.iter().find(|c| c.name == name)
     }
 
@@ -170,7 +170,7 @@ impl Canvas {
     }
 
     /// Remove an element (and its subtree).
-    pub fn remove(&mut self, id: ElementId) -> Result<(), DesignError> {
+    pub(crate) fn remove(&mut self, id: ElementId) -> Result<(), DesignError> {
         if id == self.root.id {
             return Err(DesignError::CannotRemoveRoot);
         }
@@ -197,7 +197,7 @@ impl Canvas {
     /// Move an element (with its subtree, ids preserved) to become a
     /// child of `new_parent` at `index` (clamped to the child count).
     /// The target must be a container outside the moved subtree.
-    pub fn move_element(
+    pub(crate) fn move_element(
         &mut self,
         id: ElementId,
         new_parent: ElementId,
@@ -248,7 +248,7 @@ impl Canvas {
     }
 
     /// Find an element mutably.
-    pub fn find_mut(&mut self, id: ElementId) -> Option<&mut Element> {
+    pub(crate) fn find_mut(&mut self, id: ElementId) -> Option<&mut Element> {
         self.root.find_mut(id)
     }
 }

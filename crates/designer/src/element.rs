@@ -107,7 +107,7 @@ pub struct Element {
 
 impl Element {
     /// New element with no id/class/style.
-    pub fn new(kind: ElementKind) -> Element {
+    pub(crate) fn new(kind: ElementKind) -> Element {
         Element {
             id: ElementId(0),
             kind,
@@ -116,18 +116,19 @@ impl Element {
         }
     }
 
-    /// Column container.
-    pub fn column(children: Vec<Element>) -> Element {
+    /// Row container.
+    #[cfg(test)]
+    pub(crate) fn row(children: Vec<Element>) -> Element {
         Element::new(ElementKind::Container {
-            direction: Direction::Column,
+            direction: Direction::Row,
             children,
         })
     }
 
-    /// Row container.
-    pub fn row(children: Vec<Element>) -> Element {
+    /// Column container.
+    pub fn column(children: Vec<Element>) -> Element {
         Element::new(ElementKind::Container {
-            direction: Direction::Row,
+            direction: Direction::Column,
             children,
         })
     }
@@ -186,13 +187,14 @@ impl Element {
     }
 
     /// Builder: set an inline style property.
-    pub fn with_style(mut self, name: &str, value: &str) -> Element {
+    #[cfg(test)]
+    pub(crate) fn with_style(mut self, name: &str, value: &str) -> Element {
         self.style.set(name, value);
         self
     }
 
     /// Depth-first search for an element.
-    pub fn find(&self, id: ElementId) -> Option<&Element> {
+    pub(crate) fn find(&self, id: ElementId) -> Option<&Element> {
         if self.id == id {
             return Some(self);
         }
@@ -204,7 +206,7 @@ impl Element {
     }
 
     /// Depth-first mutable search.
-    pub fn find_mut(&mut self, id: ElementId) -> Option<&mut Element> {
+    pub(crate) fn find_mut(&mut self, id: ElementId) -> Option<&mut Element> {
         if self.id == id {
             return Some(self);
         }
@@ -232,7 +234,8 @@ impl Element {
     }
 
     /// Number of nodes in the subtree.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         let mut n = 0;
         self.visit(&mut |_| n += 1);
         n

@@ -4,14 +4,14 @@
 //! programmatic model behind the WYSIWYG interface of the paper's
 //! Fig. 1.
 //!
-//! * [`binding`] — `{field}` templates and field bindings.
-//! * [`style`] — style properties, stylesheets, cascade.
-//! * [`element`] — the element tree (containers, text, images,
+//! * `binding` — `{field}` templates and field bindings.
+//! * `style` — style properties, stylesheets, cascade.
+//! * `element` — the element tree (containers, text, images,
 //!   hyperlinks, search box, result lists).
 //! * [`canvas`] — data-source palette + the tree, with structural ops.
 //! * [`ops`] — drag-and-drop operations with undo/redo.
 //! * [`template`] — prebuilt layouts and the wizard.
-//! * [`render`] — HTML rendering (runtime items and the design
+//! * `render` — HTML rendering (runtime items and the design
 //!   surface): one streaming pass into the caller's buffer.
 //!
 //! ## Quick example
@@ -36,17 +36,16 @@
 
 #![warn(missing_docs)]
 
-pub mod binding;
+mod binding;
 pub mod canvas;
-pub mod element;
+mod element;
 pub mod ops;
-pub mod render;
-pub mod style;
+mod render;
+mod style;
 pub mod template;
 
-pub use binding::{Binding, Template};
-pub use canvas::{Canvas, DataSourceCard, DesignError};
-pub use element::{Direction, Element, ElementId, ElementKind};
-pub use ops::{DesignOp, Designer};
+pub use binding::Template;
+pub use canvas::{Canvas, DesignError};
+pub use element::{Element, ElementKind};
 pub use render::{render_design_surface, render_element, render_into, render_outline};
 pub use style::{Selector, StyleProps, Stylesheet};

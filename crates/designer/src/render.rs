@@ -6,7 +6,7 @@
 //! from the record), escaping copies the runs between `& < > "` whole,
 //! and nested result lists write into the same buffer through the
 //! caller's closure. The allocating entry points ([`render_element`],
-//! [`escape_html`], [`safe_url`]) are thin adapters over it that keep
+//! [`escape_html`]) are thin adapters over it that keep
 //! their owned signatures for the callers that want a `String`.
 //!
 //! Two modes share the renderer:
@@ -55,7 +55,7 @@ pub(crate) fn push_text(out: &mut String, text: &str, escape: bool) {
 }
 
 /// Escape text for HTML character data.
-pub fn escape_html(text: &str) -> String {
+pub(crate) fn escape_html(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     escape_into(&mut out, text);
     out
@@ -81,7 +81,8 @@ fn url_into(out: &mut String, url: &str) {
 
 /// Escape a URL for an attribute; anything not http(s) or relative is
 /// neutralized to `#`.
-pub fn safe_url(url: &str) -> String {
+#[cfg(test)]
+pub(crate) fn safe_url(url: &str) -> String {
     let mut out = String::new();
     url_into(&mut out, url);
     out

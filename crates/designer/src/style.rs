@@ -28,7 +28,7 @@ impl StyleProps {
     }
 
     /// Set (or replace) a property.
-    pub fn set(&mut self, name: &str, value: &str) {
+    pub(crate) fn set(&mut self, name: &str, value: &str) {
         match self.props.iter_mut().find(|(k, _)| k == name) {
             Some((_, v)) => *v = value.to_string(),
             None => self.props.push((name.to_string(), value.to_string())),
@@ -36,7 +36,8 @@ impl StyleProps {
     }
 
     /// Property lookup.
-    pub fn get(&self, name: &str) -> Option<&str> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.props
             .iter()
             .find(|(k, _)| k == name)
@@ -44,7 +45,7 @@ impl StyleProps {
     }
 
     /// Overlay `other` on top of `self` (other wins).
-    pub fn merge_over(&self, other: &StyleProps) -> StyleProps {
+    pub(crate) fn merge_over(&self, other: &StyleProps) -> StyleProps {
         let mut merged = self.clone();
         for (k, v) in &other.props {
             merged.set(k, v);
@@ -53,7 +54,7 @@ impl StyleProps {
     }
 
     /// True when no property is set.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.props.is_empty()
     }
 
@@ -110,18 +111,19 @@ impl Stylesheet {
     }
 
     /// Number of rules.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rules.len()
     }
 
     /// True when no rules exist.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
 
     /// Compute the effective style for an element: matching rules in
     /// specificity order (kind, class, id), then `inline` on top.
-    pub fn resolve(
+    pub(crate) fn resolve(
         &self,
         kind: &str,
         class: Option<&str>,

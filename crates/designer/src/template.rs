@@ -33,7 +33,7 @@ fn find_field<'a>(fields: &'a [String], candidates: &[&str]) -> Option<&'a str> 
 /// image-ish field becomes an `<img>`; a description-ish field becomes
 /// body text; a price-ish field is appended as a caption. Sources with
 /// none of those get their first three fields as labeled text rows.
-pub fn wizard_item_layout(fields: &[String]) -> Element {
+pub(crate) fn wizard_item_layout(fields: &[String]) -> Element {
     let title = find_field(fields, &["title", "name", "headline"]);
     let url = find_field(fields, &["url", "link", "detail_url", "href"]);
     let image = find_field(fields, &["image", "image_url", "thumbnail", "img", "src"]);
@@ -90,18 +90,6 @@ pub fn web_result_layout() -> Element {
         Element::text("{domain}").with_class("result-domain"),
     ])
     .with_class("result-item")
-}
-
-/// A media-card layout (image + caption), used by default for image
-/// and video sources.
-pub fn media_card_layout() -> Element {
-    Element::row(vec![
-        Element::image_field("image_src", "{title}").with_class("result-image"),
-        Element::column(vec![
-            Element::link_field("url", "{title}").with_class("result-title")
-        ]),
-    ])
-    .with_class("result-item media-card")
 }
 
 /// An ad layout (clearly labeled, per the paper's voluntary-ads
@@ -178,11 +166,6 @@ mod tests {
     #[test]
     fn prebuilt_layouts_have_classes() {
         assert_eq!(web_result_layout().class.as_deref(), Some("result-item"));
-        assert!(media_card_layout()
-            .class
-            .as_deref()
-            .unwrap()
-            .contains("media-card"));
         assert!(ad_layout().class.as_deref().unwrap().contains("ad"));
     }
 

@@ -20,6 +20,7 @@
 //! matching the platform's lock-sharded serving state: fetches for
 //! unrelated endpoints never contend.
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -72,7 +73,7 @@ pub enum BreakerState {
 
 /// Admission decision for one call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// Proceed with the call.
     Allow,
     /// Reject without calling: the circuit is open.
@@ -104,13 +105,7 @@ impl std::fmt::Debug for BreakerRegistry {
 }
 
 fn shard_of(endpoint: &str) -> usize {
-    // FNV-1a; stable across runs (unlike `DefaultHasher` seeds).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in endpoint.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % SHARDS as u64) as usize
+    (fnv1a(FNV_OFFSET, endpoint.as_bytes()) % SHARDS as u64) as usize
 }
 
 impl BreakerRegistry {
@@ -122,15 +117,10 @@ impl BreakerRegistry {
         }
     }
 
-    /// The active tuning.
-    pub fn config(&self) -> BreakerConfig {
-        self.config
-    }
-
     /// Should a call to `endpoint` proceed at virtual time `now_ms`?
     /// An open circuit whose cool-down has elapsed moves to half-open
     /// and admits the call as a probe.
-    pub fn admit(&self, endpoint: &str, now_ms: u64) -> Admission {
+    pub(crate) fn admit(&self, endpoint: &str, now_ms: u64) -> Admission {
         let mut shard = self.shards[shard_of(endpoint)].lock();
         let core = shard.entry(endpoint.to_string()).or_insert(Core::Closed {
             consecutive_failures: 0,

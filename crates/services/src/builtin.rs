@@ -9,6 +9,8 @@
 use crate::message::{ServiceRequest, ServiceResponse};
 use crate::service::{OperationDesc, Protocol, Service, ServiceDescription, ServiceFault};
 
+/// Not FNV-1a: 0x1000_0000_01b3 is not the FNV prime. Simulated prices
+/// and stock depend on it, so changing it moves the pinned checksums.
 fn item_hash(name: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in name.to_lowercase().bytes() {
@@ -100,10 +102,13 @@ impl Service for InventoryService {
     }
 }
 
-/// Editorial blurbs: `/review?item=...` -> `rating`, `blurb`.
+/// Editorial blurbs: `/review?item=...` -> `rating`, `blurb`. No
+/// platform source calls it; the tests use it as a third REST service.
+#[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ReviewBlurbService;
+pub(crate) struct ReviewBlurbService;
 
+#[cfg(test)]
 const BLURBS: [&str; 5] = [
     "an instant classic",
     "surprisingly deep",
@@ -112,6 +117,7 @@ const BLURBS: [&str; 5] = [
     "a bold experiment",
 ];
 
+#[cfg(test)]
 impl Service for ReviewBlurbService {
     fn describe(&self) -> ServiceDescription {
         ServiceDescription {
@@ -140,6 +146,7 @@ impl Service for ReviewBlurbService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::SoapRequest;
 
     #[test]
     fn pricing_is_deterministic_and_well_formed() {
@@ -187,7 +194,10 @@ mod tests {
             "Puzzle Palace",
         ] {
             let r = s
-                .handle(&ServiceRequest::soap("CheckStock", &[("item", item)]))
+                .handle(&ServiceRequest::Soap(SoapRequest {
+                    operation: "CheckStock".into(),
+                    args: vec![("item".into(), item.into())],
+                }))
                 .unwrap();
             let q: u64 = r.first_field("quantity").unwrap().parse().unwrap();
             let flag = r.first_field("in_stock").unwrap();

@@ -16,8 +16,9 @@
 //!   consulted before the wire is touched.
 
 use crate::breaker::{Admission, BreakerRegistry};
+use crate::hash::splitmix64;
 use crate::message::{ServiceRequest, ServiceResponse};
-use crate::transport::{splitmix64, ServiceError, SimulatedTransport};
+use crate::transport::{ServiceError, SimulatedTransport};
 
 /// Retry/timeout/backoff/hedging policy.
 #[derive(Debug, Clone, Copy)]
@@ -53,18 +54,6 @@ impl Default for CallPolicy {
 }
 
 impl CallPolicy {
-    /// The production-leaning profile used by resilient sources:
-    /// jittered exponential backoff and a hedge at the typical p90.
-    pub fn resilient() -> Self {
-        CallPolicy {
-            timeout_ms: 500,
-            retries: 2,
-            backoff_base_ms: 25,
-            backoff_cap_ms: 2_000,
-            hedge_after_ms: Some(150),
-        }
-    }
-
     /// Deterministic jittered backoff before retry attempt `attempt`
     /// (2 = first retry), seeded by the virtual time so different
     /// queries spread out instead of retrying in lockstep.
@@ -141,11 +130,6 @@ impl<'a> ServiceClient<'a> {
     /// Client with an explicit policy.
     pub fn with_policy(transport: &'a SimulatedTransport, policy: CallPolicy) -> Self {
         ServiceClient { transport, policy }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> CallPolicy {
-        self.policy
     }
 
     /// Call `endpoint`, applying timeout and retries. On error the

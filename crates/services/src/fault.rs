@@ -15,7 +15,7 @@
 
 /// What a fault window does to calls inside it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEffect {
+pub(crate) enum FaultEffect {
     /// Hard outage: every call hangs and never completes. The caller's
     /// timeout converts the hang into a charged timeout, so without a
     /// circuit breaker an outage burns `timeout × attempts` per fetch.
@@ -42,7 +42,7 @@ pub enum FaultEffect {
 /// One scheduled fault: an effect applied to an endpoint inside
 /// `[from_ms, until_ms)` of virtual time.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultWindow {
+pub(crate) struct FaultWindow {
     /// Endpoint the fault applies to.
     pub endpoint: String,
     /// Window start (inclusive), virtual ms.
@@ -61,7 +61,7 @@ impl FaultWindow {
 
 /// The composed effect of every window active for one call.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ActiveFaults {
+pub(crate) struct ActiveFaults {
     /// At least one outage window is active.
     pub outage: bool,
     /// Total added latency from spikes and ramps.
@@ -147,17 +147,12 @@ impl FaultPlan {
     }
 
     /// The scheduled windows.
-    pub fn windows(&self) -> &[FaultWindow] {
+    pub(crate) fn windows(&self) -> &[FaultWindow] {
         &self.windows
     }
 
-    /// True when no window ever fires.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
     /// Compose every window active for `endpoint` at `now_ms`.
-    pub fn active(&self, endpoint: &str, now_ms: u64) -> ActiveFaults {
+    pub(crate) fn active(&self, endpoint: &str, now_ms: u64) -> ActiveFaults {
         let mut out = ActiveFaults::default();
         for w in self.windows.iter().filter(|w| w.active(endpoint, now_ms)) {
             match w.effect {
@@ -220,7 +215,7 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let plan = FaultPlan::new();
-        assert!(plan.is_empty());
+        assert!(plan.windows().is_empty());
         assert_eq!(plan.active("x", 5), ActiveFaults::default());
     }
 }

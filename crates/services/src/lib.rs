@@ -7,22 +7,21 @@
 //! deterministically and *accounted in virtual milliseconds*, never
 //! slept.
 //!
-//! * [`message`] — protocol-tagged requests, record-set responses.
-//! * [`service`] — the [`Service`] trait and self-descriptions.
-//! * [`transport`] — endpoint registry + latency/failure model.
-//! * [`client`] — timeout/retry/backoff/hedging policy wrapper.
-//! * [`breaker`] — per-endpoint circuit breakers on the virtual clock.
-//! * [`fault`] — deterministic fault injection scheduled in virtual time.
-//! * [`builtin`] — the pricing / in-stock / blurb services the paper's
+//! * `message` — protocol-tagged requests, record-set responses.
+//! * `service` — the [`Service`] trait and self-descriptions.
+//! * `transport` — endpoint registry + latency/failure model.
+//! * `client` — timeout/retry/backoff/hedging policy wrapper.
+//! * `breaker` — per-endpoint circuit breakers on the virtual clock.
+//! * `fault` — deterministic fault injection scheduled in virtual time.
+//! * `builtin` — the pricing / in-stock / blurb services the paper's
 //!   GamerQueen scenario plugs in.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use symphony_services::builtin::PricingService;
-//! use symphony_services::client::ServiceClient;
-//! use symphony_services::message::ServiceRequest;
-//! use symphony_services::transport::{LatencyModel, SimulatedTransport};
+//! use symphony_services::{
+//!     LatencyModel, PricingService, ServiceClient, ServiceRequest, SimulatedTransport,
+//! };
 //!
 //! let mut transport = SimulatedTransport::new(42);
 //! transport.register("pricing", Box::new(PricingService), LatencyModel::fast());
@@ -35,19 +34,20 @@
 
 #![warn(missing_docs)]
 
-pub mod breaker;
-pub mod builtin;
-pub mod client;
-pub mod fault;
-pub mod message;
+mod breaker;
+mod builtin;
+mod client;
+mod fault;
+pub mod hash;
+mod message;
 pub mod rpc;
-pub mod service;
-pub mod transport;
+mod service;
+mod transport;
 
-pub use breaker::{Admission, BreakerConfig, BreakerRegistry, BreakerState};
-pub use builtin::{InventoryService, PricingService, ReviewBlurbService};
-pub use client::{CallPolicy, ClientOutcome, ResilienceContext, ServiceClient};
-pub use fault::{ActiveFaults, FaultEffect, FaultPlan, FaultWindow};
+pub use breaker::{BreakerConfig, BreakerRegistry, BreakerState};
+pub use builtin::{InventoryService, PricingService};
+pub use client::{CallPolicy, ResilienceContext, ServiceClient};
+pub use fault::FaultPlan;
 pub use message::{ServiceRecord, ServiceRequest, ServiceResponse};
 pub use service::{OperationDesc, Protocol, Service, ServiceDescription, ServiceFault};
-pub use transport::{CallOutcome, LatencyModel, ServiceError, SimulatedTransport};
+pub use transport::{LatencyModel, ServiceError, SimulatedTransport};

@@ -57,17 +57,6 @@ impl ServiceRequest {
         })
     }
 
-    /// Build a SOAP operation call.
-    pub fn soap(operation: &str, args: &[(&str, &str)]) -> ServiceRequest {
-        ServiceRequest::Soap(SoapRequest {
-            operation: operation.to_string(),
-            args: args
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-        })
-    }
-
     /// Parameter lookup, protocol-independent.
     pub fn param(&self, name: &str) -> Option<&str> {
         let pairs = match self {
@@ -146,7 +135,10 @@ mod tests {
 
     #[test]
     fn soap_builder_and_param() {
-        let r = ServiceRequest::soap("GetPrice", &[("sku", "42")]);
+        let r = ServiceRequest::Soap(SoapRequest {
+            operation: "GetPrice".into(),
+            args: vec![("sku".into(), "42".into())],
+        });
         assert_eq!(r.operation(), "GetPrice");
         assert_eq!(r.param("sku"), Some("42"));
     }

@@ -30,22 +30,12 @@ pub fn decode_f32(s: &str) -> Option<f32> {
     u32::from_str_radix(s, 16).ok().map(f32::from_bits)
 }
 
-/// Frame a `u64` (page indexes, counts) in decimal.
-pub fn encode_u64(v: u64) -> String {
-    v.to_string()
-}
-
-/// Decode a `u64` framed by [`encode_u64`].
+/// Decode a `u64` framed in decimal (page indexes, counts).
 pub fn decode_u64(s: &str) -> Option<u64> {
     s.parse().ok()
 }
 
-/// Frame an `i64` (epoch timestamps) in decimal.
-pub fn encode_i64(v: i64) -> String {
-    v.to_string()
-}
-
-/// Decode an `i64` framed by [`encode_i64`].
+/// Decode an `i64` framed in decimal (epoch timestamps).
 pub fn decode_i64(s: &str) -> Option<i64> {
     s.parse().ok()
 }
@@ -115,10 +105,10 @@ mod tests {
     #[test]
     fn integer_framing_roundtrips() {
         for v in [0u64, 1, u64::MAX] {
-            assert_eq!(decode_u64(&encode_u64(v)), Some(v));
+            assert_eq!(decode_u64(&v.to_string()), Some(v));
         }
         for v in [i64::MIN, -1, 0, 7, i64::MAX] {
-            assert_eq!(decode_i64(&encode_i64(v)), Some(v));
+            assert_eq!(decode_i64(&v.to_string()), Some(v));
         }
         assert_eq!(decode_u64("-1"), None);
         assert_eq!(decode_i64("x"), None);

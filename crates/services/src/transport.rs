@@ -8,8 +8,9 @@
 //! from a per-transport seeded RNG.
 
 use crate::fault::FaultPlan;
+use crate::hash::{fnv1a, splitmix64, FNV_OFFSET};
 use crate::message::{ServiceRequest, ServiceResponse};
-use crate::service::{Service, ServiceDescription, ServiceFault};
+use crate::service::{Service, ServiceFault};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,15 +44,6 @@ impl LatencyModel {
             base_ms: 5,
             jitter_ms: 5,
             failure_rate: 0.0,
-        }
-    }
-
-    /// A slow, flaky remote service.
-    pub fn flaky(failure_rate: f64) -> Self {
-        LatencyModel {
-            base_ms: 80,
-            jitter_ms: 160,
-            failure_rate,
         }
     }
 }
@@ -110,7 +102,7 @@ impl std::error::Error for ServiceError {}
 
 /// Successful call outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallOutcome {
+pub(crate) struct CallOutcome {
     /// The response.
     pub response: ServiceResponse,
     /// Virtual latency of this call.
@@ -168,7 +160,7 @@ impl SimulatedTransport {
 
     /// Install a fault-injection plan (replacing any previous one).
     /// Faults apply to the virtual-clock call path
-    /// ([`SimulatedTransport::call_at`]).
+    /// (`SimulatedTransport::call_at`).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
     }
@@ -205,20 +197,10 @@ impl SimulatedTransport {
         ep.operations.push((operation.to_string(), model));
     }
 
-    /// Registered endpoints in sorted order.
-    pub fn endpoints(&self) -> Vec<&str> {
-        self.endpoints.keys().map(String::as_str).collect()
-    }
-
-    /// Describe the service behind `endpoint`.
-    pub fn describe(&self, endpoint: &str) -> Option<ServiceDescription> {
-        self.endpoints.get(endpoint).map(|e| e.service.describe())
-    }
-
     /// Make one call. Returns the outcome with virtual latency, or an
     /// error (which still reports the virtual time burned, so callers
     /// can account for it).
-    pub fn call(
+    pub(crate) fn call(
         &self,
         endpoint: &str,
         request: &ServiceRequest,
@@ -264,7 +246,7 @@ impl SimulatedTransport {
     /// hang the call (the caller's timeout converts that into a
     /// charged timeout), spikes and ramps add latency, bursts raise
     /// the failure probability.
-    pub fn call_at(
+    pub(crate) fn call_at(
         &self,
         endpoint: &str,
         request: &ServiceRequest,
@@ -318,25 +300,11 @@ impl SimulatedTransport {
     }
 }
 
-/// SplitMix64 mixing step: the deterministic "network noise" of the
-/// virtual-clock call path.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn request_fingerprint(request: &ServiceRequest) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |s: &str| {
-        for b in s.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xFF;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = FNV_OFFSET;
+    // Each string ends with a 0xFF byte, so ("ab", "c") and ("a", "bc")
+    // differ.
+    let mut eat = |s: &str| h = fnv1a(fnv1a(h, s.as_bytes()), &[0xFF]);
     match request {
         ServiceRequest::Rest(r) => {
             eat(&r.path);
@@ -359,7 +327,7 @@ fn request_fingerprint(request: &ServiceRequest) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{OperationDesc, Protocol};
+    use crate::service::{OperationDesc, Protocol, ServiceDescription};
 
     struct Fixed;
     impl Service for Fixed {
@@ -443,9 +411,9 @@ mod tests {
     #[test]
     fn describe_endpoint() {
         let t = transport(0.0);
-        assert_eq!(t.describe("svc").unwrap().name, "Fixed");
-        assert!(t.describe("nope").is_none());
-        assert_eq!(t.endpoints(), vec!["svc"]);
+        assert_eq!(t.endpoints["svc"].service.describe().name, "Fixed");
+        assert!(!t.endpoints.contains_key("nope"));
+        assert!(t.endpoints.keys().eq(["svc"]));
     }
 
     #[test]

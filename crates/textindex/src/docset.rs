@@ -122,7 +122,8 @@ impl DocSet {
     }
 
     /// Iterate members in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         let mut cursor = FilterCursor::new(self);
         std::iter::from_fn(move || {
             let d = cursor.doc();
@@ -143,7 +144,7 @@ impl DocSet {
 /// non-decreasing targets. This is what slots into the `+must`
 /// galloping intersection as a non-scoring gate.
 #[derive(Debug)]
-pub struct FilterCursor<'a> {
+pub(crate) struct FilterCursor<'a> {
     set: &'a DocSet,
     /// Sorted-vec representation: index of the current member.
     pos: usize,
@@ -153,7 +154,7 @@ pub struct FilterCursor<'a> {
 
 impl<'a> FilterCursor<'a> {
     /// Cursor positioned on the set's first member.
-    pub fn new(set: &'a DocSet) -> FilterCursor<'a> {
+    pub(crate) fn new(set: &'a DocSet) -> FilterCursor<'a> {
         let mut c = FilterCursor { set, pos: 0, at: 0 };
         c.at = c.first();
         c
@@ -174,14 +175,14 @@ impl<'a> FilterCursor<'a> {
     }
 
     /// Current member, or [`NO_DOC`] when exhausted.
-    #[inline]
-    pub fn doc(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn doc(&self) -> u32 {
         self.at
     }
 
     /// Smallest member `>= target` (no-op when already there).
     /// Targets must be non-decreasing across calls.
-    pub fn seek(&mut self, target: u32) -> u32 {
+    pub(crate) fn seek(&mut self, target: u32) -> u32 {
         if self.at >= target {
             // Covers exhaustion: NO_DOC >= any target.
             return self.at;

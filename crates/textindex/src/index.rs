@@ -42,10 +42,10 @@ use std::borrow::Cow;
 
 /// Upper bound on worker threads for [`Index::build_parallel`],
 /// mirroring the serving path's `MAX_FANOUT_WORKERS` cap.
-pub const MAX_BUILD_WORKERS: usize = 16;
+pub(crate) const MAX_BUILD_WORKERS: usize = 16;
 
 /// Default build parallelism: available cores, capped at
-/// [`MAX_BUILD_WORKERS`].
+/// `MAX_BUILD_WORKERS`.
 pub fn default_build_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -151,14 +151,13 @@ impl<'a> Doc<'a> {
     }
 
     /// Borrow the field/text pairs.
-    pub fn fields(&self) -> &[(FieldId, Cow<'a, str>)] {
+    pub(crate) fn fields(&self) -> &[(FieldId, Cow<'a, str>)] {
         &self.fields
     }
 }
 
 #[derive(Debug, Clone)]
 struct FieldInfo {
-    name: String,
     boost: f32,
     /// Sum of analyzed lengths of this field over live documents
     /// (deleting a document gives its length back immediately); used
@@ -274,11 +273,6 @@ impl Index {
         }
     }
 
-    /// The segment policy in effect.
-    pub fn policy(&self) -> SegmentPolicy {
-        self.policy
-    }
-
     /// Replace the segment policy. Documents already added stay
     /// visible; only documents added afterwards wait for a seal when
     /// switching to a near-real-time policy.
@@ -296,7 +290,6 @@ impl Index {
         }
         let id = FieldId(self.fields.len() as u16);
         self.fields.push(FieldInfo {
-            name: name.to_string(),
             boost,
             total_len: 0,
         });
@@ -310,13 +303,8 @@ impl Index {
         self.field_by_name.get(name).copied()
     }
 
-    /// Name of a registered field.
-    pub fn field_name(&self, field: FieldId) -> &str {
-        &self.fields[field.0 as usize].name
-    }
-
     /// Boost of a registered field.
-    pub fn field_boost(&self, field: FieldId) -> f32 {
+    pub(crate) fn field_boost(&self, field: FieldId) -> f32 {
         self.fields[field.0 as usize].boost
     }
 
@@ -357,7 +345,7 @@ impl Index {
     /// append-if-absent and re-keying its lists (never re-encoding
     /// them). The batch is pulled one wave of `threads` chunks at a
     /// time, so no raw postings or documents from beyond one wave are
-    /// ever live. `threads` is clamped to `1..=`[`MAX_BUILD_WORKERS`];
+    /// ever live. `threads` is clamped to `1..=``MAX_BUILD_WORKERS`;
     /// the caller builds each wave's last chunk straight from the
     /// stream, so on one thread it is the only worker.
     ///
@@ -527,7 +515,7 @@ impl Index {
     /// near-real-time mode; under an NRT policy, memtable documents
     /// stay hidden until the next seal.
     #[inline]
-    pub fn is_visible(&self, doc: DocId) -> bool {
+    pub(crate) fn is_visible(&self, doc: DocId) -> bool {
         !self.policy.near_real_time || doc.0 < self.visible_limit
     }
 
@@ -867,12 +855,12 @@ impl Index {
     /// the column backing [`Index::field_len`], exposed whole so the
     /// scoring loop resolves it once per scorer instead of twice per
     /// document.
-    pub fn field_lens(&self, field: FieldId) -> &[u32] {
+    pub(crate) fn field_lens(&self, field: FieldId) -> &[u32] {
         &self.field_len[field.0 as usize]
     }
 
     /// Mean analyzed length of `field` over live documents.
-    pub fn avg_field_len(&self, field: FieldId) -> f32 {
+    pub(crate) fn avg_field_len(&self, field: FieldId) -> f32 {
         let n = self.live_docs;
         if n == 0 {
             return 0.0;
@@ -885,7 +873,7 @@ impl Index {
     /// Exposed so a scatter-gather deployment can fold corpus-wide
     /// statistics across document-partitioned shards without f32
     /// rounding (see [`crate::search::GlobalScoreStats`]).
-    pub fn total_field_len(&self, field: FieldId) -> u64 {
+    pub(crate) fn total_field_len(&self, field: FieldId) -> u64 {
         self.fields[field.0 as usize].total_len
     }
 

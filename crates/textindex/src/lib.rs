@@ -15,22 +15,22 @@
 //! ## Overview
 //!
 //! * [`analysis`] — tokenization, stopwords, light stemming.
-//! * [`lexicon`] — term interning.
+//! * `lexicon` — term interning.
 //! * [`postings`] — positional posting lists, raw in the memtable and
 //!   block bit-packed once sealed.
-//! * [`index`] — the inverted index, organized as a segment-lifecycle
+//! * `index` — the inverted index, organized as a segment-lifecycle
 //!   runtime: incremental add/update into a mutable memtable, tombstone
 //!   delete, sealed immutable segments, tiered merges.
 //! * [`query`] — the user-facing query language (`term`, `"a phrase"`,
 //!   `+must`, `-not`, `field:term`).
-//! * [`search`] — BM25 top-k execution.
+//! * `search` — BM25 top-k execution.
 //! * [`snippet`] — best-window snippet extraction with highlighting.
 //! * [`spell`] — "did you mean" suggestions from the lexicon.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use symphony_text::{Index, IndexConfig, Doc, search::Searcher, query::Query};
+//! use symphony_text::{Doc, Index, IndexConfig, Query, Searcher};
 //!
 //! let mut index = Index::new(IndexConfig::default());
 //! let title = index.register_field("title", 2.0);
@@ -45,27 +45,25 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod docset;
-pub mod fx;
-pub mod index;
-pub mod lexicon;
+mod docset;
+mod fx;
+mod index;
+mod lexicon;
 pub mod postings;
 pub mod query;
-pub mod search;
+mod search;
 mod segment;
 pub mod snippet;
 pub mod spell;
 
-pub use analysis::{Token, TokenScratch};
-pub use docset::{DocSet, FilterCursor};
+pub use analysis::TokenScratch;
+pub use docset::DocSet;
 pub use index::{
-    default_build_threads, Doc, FieldId, Index, IndexConfig, IndexStats, MaintenanceReport,
-    SegmentPolicy, TermScoreStats, MAX_BUILD_WORKERS,
+    default_build_threads, Doc, FieldId, Index, IndexConfig, MaintenanceReport, SegmentPolicy,
 };
-pub use lexicon::{Lexicon, TermId};
+pub use lexicon::Lexicon;
 pub use query::Query;
 pub use search::{GlobalScoreStats, SearchHit, Searcher};
-pub use spell::SpellSuggester;
 
 /// Identifier of a document inside one [`Index`].
 ///

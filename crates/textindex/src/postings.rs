@@ -98,7 +98,7 @@ impl PostingList {
     }
 
     /// Number of documents containing the term.
-    pub fn doc_count(&self) -> usize {
+    pub(crate) fn doc_count(&self) -> usize {
         self.docs.len()
     }
 
@@ -158,7 +158,7 @@ impl PostingList {
     }
 
     /// Approximate heap size in bytes (for footprint estimates).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         (self.docs.capacity() + self.ends.capacity() + self.positions.capacity()) * 4
     }
 }
@@ -431,7 +431,7 @@ impl CompressedPostings {
     }
 
     /// Number of documents containing the term.
-    pub fn doc_count(&self) -> usize {
+    pub(crate) fn doc_count(&self) -> usize {
         self.doc_count as usize
     }
 
@@ -439,7 +439,8 @@ impl CompressedPostings {
     /// excludes the block directory — see [`heap_bytes`]).
     ///
     /// [`heap_bytes`]: CompressedPostings::heap_bytes
-    pub fn byte_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn byte_len(&self) -> usize {
         self.data.len() + self.pos_data.len()
     }
 

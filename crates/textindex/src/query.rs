@@ -160,7 +160,8 @@ impl Query {
 
     /// Build a query from plain terms, all `Should`, no fields. Used by
     /// programmatic callers (supplemental query templates).
-    pub fn terms<I, S>(terms: I) -> Query
+    #[cfg(test)]
+    pub(crate) fn terms<I, S>(terms: I) -> Query
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,

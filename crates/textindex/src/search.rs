@@ -181,7 +181,7 @@ impl GlobalScoreStats {
     }
 
     /// Corpus-wide document frequency of `term` in `field`.
-    pub fn doc_freq(&self, term: &str, field: FieldId) -> usize {
+    pub(crate) fn doc_freq(&self, term: &str, field: FieldId) -> usize {
         self.terms
             .get(term)
             .and_then(|f| f.get(field.0 as usize))
@@ -189,7 +189,7 @@ impl GlobalScoreStats {
     }
 
     /// Whether any shard holds postings for `term` in `field`.
-    pub fn has_postings(&self, term: &str, field: FieldId) -> bool {
+    pub(crate) fn has_postings(&self, term: &str, field: FieldId) -> bool {
         self.terms
             .get(term)
             .and_then(|f| f.get(field.0 as usize))
@@ -199,7 +199,7 @@ impl GlobalScoreStats {
     /// Corpus-wide mean analyzed length of `field` — the same
     /// expression as [`Index::avg_field_len`], evaluated on the folded
     /// integers.
-    pub fn avg_field_len(&self, field: FieldId) -> f32 {
+    pub(crate) fn avg_field_len(&self, field: FieldId) -> f32 {
         let n = self.live_docs;
         if n == 0 {
             return 0.0;
@@ -267,7 +267,7 @@ impl<'a> Searcher<'a> {
 
     /// Like [`Searcher::search_filtered`], but the restriction is a
     /// materialized [`DocSet`] instead of an opaque closure. The pruned
-    /// executor walks the set with a [`FilterCursor`] and mounts it one
+    /// executor walks the set with a `FilterCursor` and mounts it one
     /// of two ways, by cardinality:
     ///
     /// * **gate** — a set sparser than the query's rarest positive

@@ -137,7 +137,7 @@ impl SnippetGenerator {
 }
 
 /// Escape `&`, `<`, `>`, `"` for safe HTML embedding.
-pub fn escape_html(text: &str) -> String {
+pub(crate) fn escape_html(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     push_escaped(&mut out, text);
     out

@@ -47,7 +47,7 @@ impl SpellSuggester {
 
     /// Suggest a correction for a single (already analyzed) term.
     /// Returns `None` when the term is known or nothing is close.
-    pub fn suggest_term(&self, term: &str) -> Option<&str> {
+    pub(crate) fn suggest_term(&self, term: &str) -> Option<&str> {
         if term.len() < 3 {
             return None; // too short to correct meaningfully
         }
@@ -96,7 +96,7 @@ impl SpellSuggester {
 /// Levenshtein distance with a cutoff: `None` when the distance
 /// exceeds `max`. Operates on characters (not bytes), so multi-byte
 /// text behaves.
-pub fn bounded_edit_distance(a: &str, b: &str, max: usize) -> Option<usize> {
+pub(crate) fn bounded_edit_distance(a: &str, b: &str, max: usize) -> Option<usize> {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.len().abs_diff(b.len()) > max {

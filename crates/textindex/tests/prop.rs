@@ -1179,3 +1179,39 @@ proptest! {
         }
     }
 }
+
+/// Pieces of hostile queries: the query grammar's metacharacters
+/// (`+ - : "` and separators), other punctuation, multibyte text, and
+/// long runs of one metacharacter.
+const HOSTILE_PIECES: &[&str] = &[
+    "\"", "+", "-", ":", ",", "\t", "\n", "[", "]", "{", "}", "<", ">", "/", "&", ";", "\\", "'",
+    "*", "title:", "body:", ":\"", "+-", "-+", "--", "\"\"", "é", "中文", "🎮", "e\u{301}", "ß",
+    "İ", "\u{0}", "\u{feff}", "\u{2028}", "space", "shooter", "the",
+];
+
+fn hostile_query() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        (0..HOSTILE_PIECES.len()).prop_map(|i| HOSTILE_PIECES[i].to_string()),
+        "[a-z0-9 ]{1,6}",
+        (0usize..4, 1usize..600).prop_map(|(kind, n)| ["\"", "+", "-", ":"][kind].repeat(n)),
+    ];
+    proptest::collection::vec(piece, 0..30).prop_map(|pieces| pieces.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any text parses to a query, and the query runs: no input panics
+    /// the parser or the executor behind it.
+    #[test]
+    fn hostile_queries_never_panic(raw in hostile_query()) {
+        let mut idx = Index::new(IndexConfig::default());
+        let title = idx.register_field("title", 2.0);
+        let body = idx.register_field("body", 1.0);
+        idx.add(Doc::new().field(title, "Galactic Raiders").field(body, "a space shooter"));
+        idx.add(Doc::new().field(title, "Farm Story").field(body, "the calm farming game"));
+        let query = Query::parse(&raw);
+        let hits = Searcher::new(&idx).search(&query, 10);
+        prop_assert!(hits.len() <= 2);
+    }
+}

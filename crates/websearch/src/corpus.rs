@@ -127,7 +127,7 @@ pub struct Corpus {
 
 /// Authoritative domains per topic — the sites the paper names
 /// (gamespot/ign/teamxbox) plus analogues for the other scenarios.
-pub fn authoritative_domains(topic: Topic) -> &'static [(&'static str, f64)] {
+pub(crate) fn authoritative_domains(topic: Topic) -> &'static [(&'static str, f64)] {
     match topic {
         Topic::Games => &[
             ("gamespot.com", 0.95),
@@ -329,7 +329,7 @@ impl Corpus {
     /// (re-crawls of a known URL go through
     /// [`SearchEngine::ingest_page`](crate::engine::SearchEngine::ingest_page),
     /// which replaces the page in place instead).
-    pub fn push_page(&mut self, page: Page) -> usize {
+    pub(crate) fn push_page(&mut self, page: Page) -> usize {
         assert!(page.site < self.sites.len(), "page references unknown site");
         let idx = self.pages.len();
         let prev = self.by_url.insert(page.url.clone(), idx);
@@ -349,12 +349,12 @@ impl Corpus {
     }
 
     /// Domain of the page at `idx`.
-    pub fn domain(&self, idx: usize) -> &str {
+    pub(crate) fn domain(&self, idx: usize) -> &str {
         &self.sites[self.pages[idx].site].domain
     }
 
     /// Site quality of the page at `idx`.
-    pub fn quality(&self, idx: usize) -> f64 {
+    pub(crate) fn quality(&self, idx: usize) -> f64 {
         self.sites[self.pages[idx].site].quality
     }
 }

@@ -18,7 +18,7 @@ use symphony_text::snippet::SnippetGenerator;
 use symphony_text::spell::SpellSuggester;
 use symphony_text::{
     Doc, DocId, DocSet, FieldId, GlobalScoreStats, Index, IndexConfig, MaintenanceReport, Query,
-    Searcher, SegmentPolicy,
+    Searcher,
 };
 
 /// Search verticals.
@@ -577,8 +577,9 @@ impl SearchEngine {
     /// vertical that now serves the page.
     ///
     /// New pages receive the corpus-mean static rank as a provisional
-    /// score until [`recompute_static_rank`](Self::recompute_static_rank)
-    /// folds them into the link graph.
+    /// score. No serving path re-runs the link analysis that would fold
+    /// them into the link graph (only the tests' `recompute_static_rank`
+    /// does).
     pub fn ingest_page(&mut self, page: Page) -> Vertical {
         let vertical = Vertical::of_kind(&page.kind);
         match self.corpus.page_index_by_url(&page.url) {
@@ -649,7 +650,8 @@ impl SearchEngine {
     }
 
     /// Apply a segment-lifecycle policy to every vertical index.
-    pub fn set_segment_policy(&mut self, policy: SegmentPolicy) {
+    #[cfg(test)]
+    pub(crate) fn set_segment_policy(&mut self, policy: symphony_text::SegmentPolicy) {
         for v in Vertical::ALL {
             self.vertical_mut(v).index.set_policy(policy);
         }
@@ -657,7 +659,8 @@ impl SearchEngine {
 
     /// Re-run the static-rank power iteration over the current corpus,
     /// replacing the provisional ranks that live-ingested pages carry.
-    pub fn recompute_static_rank(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn recompute_static_rank(&mut self) {
         self.rank = static_rank(&self.corpus, 30);
         self.rank_sum = self.rank.iter().sum();
     }
@@ -954,7 +957,8 @@ impl SearchEngine {
     }
 
     /// Static rank of a URL, when known (exposed for experiments).
-    pub fn static_rank_of(&self, url: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn static_rank_of(&self, url: &str) -> Option<f64> {
         let idx = self.corpus.page_index_by_url(url)?;
         Some(self.rank[idx])
     }
@@ -988,6 +992,7 @@ mod tests {
     use crate::corpus::CorpusConfig;
     use crate::topic::Topic;
     use proptest::prelude::*;
+    use symphony_text::SegmentPolicy;
 
     fn engine() -> SearchEngine {
         let cfg = CorpusConfig {

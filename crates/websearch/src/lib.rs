@@ -5,22 +5,20 @@
 //! (see the substitution table in DESIGN.md).
 //!
 //! * [`topic`] — topical vocabularies for the synthetic web.
-//! * [`corpus`] — deterministic site/page/link-graph generator with
+//! * `corpus` — deterministic site/page/link-graph generator with
 //!   entity weaving (reviews, screenshots, trailers, news mentions).
-//! * [`pagerank`] — static rank from the link graph + site quality.
+//! * `pagerank` — static rank from the link graph + site quality.
 //! * [`engine`] — the four verticals (web/image/video/news) with the
 //!   customization hooks Symphony exposes: site restriction, query
 //!   augmentation, preferred sites.
-//! * [`logs`] — synthetic query/click sessions with position bias.
-//! * [`sitesuggest`] — the paper's Site Suggest feature (ref [2]).
-//! * [`fetcher`] — lets the store's crawler crawl the synthetic web.
+//! * `logs` — synthetic query/click sessions with position bias.
+//! * `sitesuggest` — the paper's Site Suggest feature (ref [2]).
+//! * `fetcher` — lets the store's crawler crawl the synthetic web.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use symphony_web::corpus::{Corpus, CorpusConfig};
-//! use symphony_web::engine::{SearchConfig, SearchEngine, Vertical};
-//! use symphony_web::topic::Topic;
+//! use symphony_web::{Corpus, CorpusConfig, SearchConfig, SearchEngine, Topic, Vertical};
 //!
 //! let config = CorpusConfig::default().with_entities(Topic::Games, ["Galactic Raiders"]);
 //! let engine = SearchEngine::new(Corpus::generate(&config));
@@ -35,20 +33,20 @@
 
 #![warn(missing_docs)]
 
-pub mod corpus;
+mod corpus;
 pub mod engine;
-pub mod fetcher;
-pub mod logs;
-pub mod pagerank;
-pub mod sitesuggest;
+mod fetcher;
+mod logs;
+mod pagerank;
+mod sitesuggest;
 pub mod topic;
 pub mod zipf;
 
-pub use corpus::{Corpus, CorpusConfig, Page, PageKind, Site};
+pub use corpus::{Corpus, CorpusConfig, Page, PageKind};
 pub use engine::{
     PageFields, PoolEntry, SearchConfig, SearchEngine, ShardPool, Vertical, WebResult,
 };
 pub use fetcher::CorpusFetcher;
-pub use logs::{generate_logs, LogConfig, LogEntry};
-pub use sitesuggest::{SiteSuggest, Suggestion};
+pub use logs::{generate_logs, LogConfig};
+pub use sitesuggest::SiteSuggest;
 pub use topic::Topic;

@@ -9,11 +9,11 @@
 use crate::corpus::Corpus;
 
 /// Damping factor (the classic 0.85).
-pub const DAMPING: f64 = 0.85;
+pub(crate) const DAMPING: f64 = 0.85;
 
 /// Compute PageRank with `iterations` of power iteration. Returns one
 /// score per page, summing to ~1.
-pub fn pagerank(corpus: &Corpus, iterations: usize) -> Vec<f64> {
+pub(crate) fn pagerank(corpus: &Corpus, iterations: usize) -> Vec<f64> {
     let n = corpus.pages.len();
     if n == 0 {
         return Vec::new();
@@ -44,7 +44,7 @@ pub fn pagerank(corpus: &Corpus, iterations: usize) -> Vec<f64> {
 
 /// Static rank per page in `[0, 1]`: normalized PageRank blended with
 /// site quality (60% quality, 40% link signal).
-pub fn static_rank(corpus: &Corpus, iterations: usize) -> Vec<f64> {
+pub(crate) fn static_rank(corpus: &Corpus, iterations: usize) -> Vec<f64> {
     let pr = pagerank(corpus, iterations);
     let max = pr.iter().cloned().fold(f64::MIN, f64::max).max(1e-12);
     pr.iter()

@@ -34,7 +34,8 @@ impl Topic {
     ];
 
     /// Lowercase name, usable in domains.
-    pub fn name(self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Topic::Games => "games",
             Topic::Wine => "wine",

@@ -47,12 +47,14 @@ impl Zipf {
     }
 
     /// Number of items.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.cumulative.len()
     }
 
     /// Never empty (constructor panics on 0), but clippy insists.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         false
     }
 }

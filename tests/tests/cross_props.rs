@@ -8,6 +8,7 @@ use symphony_core::source::DataSourceDef;
 use symphony_designer::{Canvas, Element};
 use symphony_store::ingest::{ingest, DataFormat};
 use symphony_store::IndexedTable;
+use symphony_text::analysis::analyze;
 use symphony_web::{Corpus, CorpusConfig, SearchEngine};
 
 /// CSV-safe title strings.
@@ -65,8 +66,14 @@ proptest! {
     fn ingested_titles_are_queryable_end_to_end(
         titles in proptest::collection::vec(title(), 1..6),
     ) {
+        // A stop word ("on", "the") is dropped from queries and
+        // documents alike, so it finds nothing by design: probe with the
+        // title's first word the analyzer keeps.
+        let Some(probe) = titles[0].split(' ').find(|w| !analyze(w).is_empty()) else {
+            return;
+        };
+        let probe = probe.to_string();
         let (platform, id) = build_app(&titles);
-        let probe = titles[0].split(' ').next().unwrap().to_string();
         let resp = platform.query(id, &probe).unwrap();
         prop_assert!(
             resp.impressions
