@@ -20,7 +20,7 @@
 use crate::admission::{FanoutScheduler, Lane};
 use crate::app::{ApplicationConfig, ResiliencePolicy};
 use crate::monetize::Impression;
-use crate::source::{run_source_ctx, DataSourceDef, SourceCtx, SourceOutcome, Substrates};
+use crate::source::{run_source_ctx, SourceCtx, SourceOutcome, Substrates};
 use crate::source_cache::{FetchStatus, Fetched, SourceCache};
 use crate::trace::{ExecutionTrace, TraceNode};
 use std::borrow::Cow;
@@ -131,27 +131,6 @@ fn budget_for(policy: &ResiliencePolicy, consumed: u32) -> Option<u32> {
     }
 }
 
-/// One source fetch, routed through the platform's L2 source cache
-/// when one is attached; executed directly otherwise.
-#[allow(clippy::too_many_arguments)]
-fn cached_fetch(
-    def: &DataSourceDef,
-    owner: symphony_store::TenantId,
-    query: &str,
-    k: usize,
-    subs: Substrates<'_>,
-    constraint: Option<&symphony_store::Filter>,
-    sctx: &SourceCtx<'_>,
-    cache: Option<&SourceCache>,
-) -> Fetched {
-    match cache {
-        Some(c) => c.fetch(def, Some(owner), query, k, constraint, sctx, || {
-            run_source_ctx(def, query, k, subs, constraint, sctx)
-        }),
-        None => Fetched::uncached(run_source_ctx(def, query, k, subs, constraint, sctx)),
-    }
-}
-
 /// Trace-detail marker for fetches the L2 cache satisfied.
 fn status_suffix(status: FetchStatus) -> &'static str {
     match status {
@@ -161,7 +140,7 @@ fn status_suffix(status: FetchStatus) -> &'static str {
     }
 }
 
-/// Soft outcome for a fan-out task whose source panicked: the slot
+/// Soft outcome for a fetch whose source panicked: the slot
 /// degrades, the query survives.
 fn panic_outcome(source: &str, payload: &(dyn std::any::Any + Send)) -> SourceOutcome {
     let msg = payload
@@ -179,9 +158,10 @@ fn panic_outcome(source: &str, payload: &(dyn std::any::Any + Send)) -> SourceOu
 
 /// Execute `query` against an application over the given substrates,
 /// with pre-resolved outcomes for some primary sources, under an
-/// execution context. The hosting layer passes
-/// overrides for [`DataSourceDef::ComposedApp`] sources, whose results
-/// come from recursively querying another hosted application. The
+/// execution context. The hosting layer passes overrides for
+/// [`ComposedApp`](crate::source::DataSourceDef::ComposedApp) sources,
+/// whose results come from recursively querying another hosted
+/// application. The
 /// virtual clock position anchors deterministic latency draws and
 /// fault windows, the app's [`ResiliencePolicy`] bounds deadlines /
 /// budgets / retries, and the shared circuit breakers are consulted
@@ -199,57 +179,40 @@ pub fn execute_resilient(
     let mut retry_pool: Option<u32> =
         (policy.max_total_retries != u32::MAX).then_some(policy.max_total_retries);
 
+    // Where a fetch starts and what it may spend, once `consumed` ms
+    // of source work came before it and `retries` remain to it.
+    let sctx_at = |consumed: u32, retries: Option<u32>| SourceCtx {
+        now_ms: ctx.now_ms + (RECEIVE_MS + consumed) as u64,
+        budget_ms: budget_for(&policy, consumed),
+        retries_allowed: retries,
+        breakers: ctx.breakers,
+    };
+
     // ---- Stage 1: primary content -------------------------------
+    // Each primary source is fetched once, at its first list's size.
     let primary_specs = app.primary_list_refs();
-    let mut primary: HashMap<&str, Fetched> = HashMap::new();
-    let mut consumed_primary: u32 = 0; // sequential-mode accumulation
+    let mut primary_slots: Vec<(&str, usize)> = Vec::new();
     for &(source, max, _) in &primary_specs {
-        if primary.contains_key(source) {
-            continue;
+        if primary_slots.iter().all(|&(s, _)| s != source) {
+            primary_slots.push((source, max));
         }
-        let fetched = if let Some(pre) = overrides.get(source) {
-            Fetched::uncached(pre.clone())
-        } else {
-            match app.source(source) {
-                Some(cfg) => {
-                    let consumed = match mode {
-                        ExecMode::Parallel => 0,
-                        ExecMode::Sequential => consumed_primary,
-                    };
-                    let sctx = SourceCtx {
-                        now_ms: ctx.now_ms + (RECEIVE_MS + consumed) as u64,
-                        budget_ms: budget_for(&policy, consumed),
-                        retries_allowed: retry_pool,
-                        breakers: ctx.breakers,
-                    };
-                    cached_fetch(
-                        &cfg.def,
-                        app.owner,
-                        query,
-                        max,
-                        subs,
-                        app.constraint(source),
-                        &sctx,
-                        ctx.source_cache,
-                    )
-                }
-                None => Fetched::uncached(SourceOutcome {
-                    items: Vec::new(),
-                    virtual_ms: 0,
-                    error: Some(format!("source {source:?} not configured")),
-                    attempts: 0,
-                }),
-            }
-        };
-        // Deduct retries in configuration order (primaries execute in
-        // a plain loop, so this is deterministic in both modes). Cache
-        // hits charge nothing: the executing fetch already paid.
-        if let Some(pool) = retry_pool.as_mut() {
-            *pool = pool.saturating_sub(fetched.attempts_charged.saturating_sub(1));
-        }
-        consumed_primary += fetched.charged_ms;
-        primary.insert(source, fetched);
     }
+    let fetched = run_in_order(
+        &primary_slots,
+        0,
+        mode == ExecMode::Sequential,
+        &mut retry_pool,
+        sctx_at,
+        |&(source, max), sctx| match overrides.get(source) {
+            Some(pre) => Fetched::uncached(pre.clone()),
+            None => fetch_slot(app, source, query, max, subs, sctx, ctx.source_cache),
+        },
+    );
+    let primary: HashMap<&str, Fetched> = primary_slots
+        .iter()
+        .map(|&(source, _)| source)
+        .zip(fetched)
+        .collect();
     let primary_ms = {
         let iter = primary.values().map(|f| f.charged_ms);
         match mode {
@@ -292,41 +255,29 @@ pub fn execute_resilient(
     // when the L2 answered every slot); surfaces in the trace for the
     // Fig.-2 report.
     let mut pool_workers = 0usize;
+    let fetch_task = |t: &FanoutTask<'_>, sctx: &SourceCtx<'_>| {
+        fetch_slot(app, t.source, &t.query, t.k, subs, sctx, ctx.source_cache)
+    };
     let outcomes: Vec<Fetched> = match mode {
-        ExecMode::Sequential => {
-            let mut out = Vec::with_capacity(tasks.len());
-            let mut consumed = primary_ms;
-            for t in &tasks {
-                let sctx = SourceCtx {
-                    now_ms: ctx.now_ms + (RECEIVE_MS + consumed) as u64,
-                    budget_ms: budget_for(&policy, consumed),
-                    retries_allowed: retry_pool,
-                    breakers: ctx.breakers,
-                };
-                let o = dispatch_isolated(app, t, subs, &sctx, ctx.source_cache);
-                if let Some(pool) = retry_pool.as_mut() {
-                    *pool = pool.saturating_sub(o.attempts_charged.saturating_sub(1));
-                }
-                consumed += o.charged_ms;
-                out.push(o);
-            }
-            out
-        }
+        ExecMode::Sequential => run_in_order(
+            &tasks,
+            primary_ms,
+            true,
+            &mut retry_pool,
+            sctx_at,
+            fetch_task,
+        ),
         ExecMode::Parallel => {
             // All fan-out fetches start together, once the primaries
-            // are in: same virtual start time and deadline budget.
+            // are in: same virtual start time and deadline budget. The
+            // retry pool is pre-split across tasks: sharing one mutable
+            // pool between racing workers would make grants depend on
+            // thread scheduling.
             let n = tasks.len();
-            let start_ms = ctx.now_ms + (RECEIVE_MS + primary_ms) as u64;
-            let budget = budget_for(&policy, primary_ms);
-            // Pre-split the retry pool across tasks: sharing one
-            // mutable pool between racing workers would make grants
-            // depend on thread scheduling.
-            let sctx_of = |i: usize| SourceCtx {
-                now_ms: start_ms,
-                budget_ms: budget,
-                retries_allowed: retry_pool
-                    .map(|pool| pool / n as u32 + u32::from((i as u32) < pool % n as u32)),
-                breakers: ctx.breakers,
+            let sctx_of = |i: usize| {
+                let share = retry_pool
+                    .map(|pool| pool / n as u32 + u32::from((i as u32) < pool % n as u32));
+                sctx_at(primary_ms, share)
             };
             // What the L2 can answer it answers here, on the calling
             // thread; only the residual costs a worker.
@@ -359,9 +310,7 @@ pub fn execute_resilient(
                 let worker = || {
                     let mut local = Vec::new();
                     while let Some(&i) = residual.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        let o =
-                            dispatch_isolated(app, &tasks[i], subs, &sctx_of(i), ctx.source_cache);
-                        local.push((i, o));
+                        local.push((i, fetch_task(&tasks[i], &sctx_of(i))));
                     }
                     local
                 };
@@ -380,10 +329,8 @@ pub fn execute_resilient(
                 .into_iter()
                 .map(|o| o.expect("every fan-out task ran"))
                 .collect();
-            if let Some(pool) = retry_pool.as_mut() {
-                for o in &outcomes {
-                    *pool = pool.saturating_sub(o.attempts_charged.saturating_sub(1));
-                }
+            for o in &outcomes {
+                deduct_retries(&mut retry_pool, o);
             }
             outcomes
         }
@@ -611,42 +558,68 @@ fn probe(
     )
 }
 
-/// Run one fan-out task; a panicking source degrades its own slot.
-fn dispatch_isolated(
+/// Fetch one source slot, primary or supplemental, in either mode:
+/// through the platform's L2 source cache when one is attached,
+/// directly otherwise. A source that panics degrades its own slot to a
+/// soft error; the query survives.
+fn fetch_slot(
     app: &ApplicationConfig,
-    task: &FanoutTask<'_>,
+    source: &str,
+    query: &str,
+    k: usize,
     subs: Substrates<'_>,
     sctx: &SourceCtx<'_>,
     cache: Option<&SourceCache>,
 ) -> Fetched {
-    std::panic::catch_unwind(AssertUnwindSafe(|| dispatch(app, task, subs, sctx, cache)))
-        .unwrap_or_else(|p| Fetched::uncached(panic_outcome(task.source, p.as_ref())))
-}
-
-fn dispatch(
-    app: &ApplicationConfig,
-    task: &FanoutTask<'_>,
-    subs: Substrates<'_>,
-    sctx: &SourceCtx<'_>,
-    cache: Option<&SourceCache>,
-) -> Fetched {
-    match app.source(task.source) {
-        Some(cfg) => cached_fetch(
-            &cfg.def,
-            app.owner,
-            &task.query,
-            task.k,
-            subs,
-            app.constraint(task.source),
-            sctx,
-            cache,
-        ),
-        None => Fetched::uncached(SourceOutcome {
+    let Some(cfg) = app.source(source) else {
+        return Fetched::uncached(SourceOutcome {
             items: Vec::new(),
             virtual_ms: 0,
-            error: Some(format!("source {:?} not configured", task.source)),
+            error: Some(format!("source {source:?} not configured")),
             attempts: 0,
-        }),
+        });
+    };
+    let constraint = app.constraint(source);
+    let run = || run_source_ctx(&cfg.def, query, k, subs, constraint, sctx);
+    std::panic::catch_unwind(AssertUnwindSafe(|| match cache {
+        Some(c) => c.fetch(&cfg.def, Some(app.owner), query, k, constraint, sctx, run),
+        None => Fetched::uncached(run()),
+    }))
+    .unwrap_or_else(|p| Fetched::uncached(panic_outcome(source, p.as_ref())))
+}
+
+/// The in-order stage runner: fetch `slots` one after another on this
+/// thread. Each fetch starts `offset_ms` into the query's source time
+/// — plus, when `accumulate`, what the slots before it charged — is
+/// budgeted from there, and may retry as often as the retry pool
+/// allows after the slots before it drew on it.
+fn run_in_order<'c, T>(
+    slots: &[T],
+    offset_ms: u32,
+    accumulate: bool,
+    retry_pool: &mut Option<u32>,
+    sctx_at: impl Fn(u32, Option<u32>) -> SourceCtx<'c>,
+    mut fetch: impl FnMut(&T, &SourceCtx<'c>) -> Fetched,
+) -> Vec<Fetched> {
+    let mut consumed = offset_ms;
+    slots
+        .iter()
+        .map(|slot| {
+            let fetched = fetch(slot, &sctx_at(consumed, *retry_pool));
+            deduct_retries(retry_pool, &fetched);
+            if accumulate {
+                consumed += fetched.charged_ms;
+            }
+            fetched
+        })
+        .collect()
+}
+
+/// Charge a fetch's retries to the query-wide pool. Cache hits charge
+/// nothing: the executing fetch already paid.
+fn deduct_retries(retry_pool: &mut Option<u32>, fetched: &Fetched) {
+    if let Some(pool) = retry_pool.as_mut() {
+        *pool = pool.saturating_sub(fetched.attempts_charged.saturating_sub(1));
     }
 }
 
@@ -1118,6 +1091,89 @@ mod tests {
         let slot = resp.trace.find("supplemental: unstable").unwrap();
         assert!(slot.detail.contains("panicked"), "{}", slot.detail);
         assert!(slot.detail.contains("unstable service blew up"));
+    }
+
+    /// An app whose only (primary) source is a service registered at
+    /// `endpoint`.
+    fn service_primary_app(tenant: TenantId, endpoint: &str) -> ApplicationConfig {
+        let mut canvas = Canvas::new();
+        let root = canvas.root_id();
+        canvas
+            .insert(
+                root,
+                Element::result_list(endpoint, Element::text("{price}"), 3),
+            )
+            .unwrap();
+        AppBuilder::new("Unstable", tenant)
+            .layout(canvas)
+            .source(
+                endpoint,
+                DataSourceDef::Service {
+                    endpoint: endpoint.into(),
+                    operation: "/price".into(),
+                    item_param: "item".into(),
+                    policy: CallPolicy::default(),
+                },
+            )
+            .build()
+            .unwrap()
+    }
+
+    /// The primary slot of a panicked fetch: the page degrades, the
+    /// query returns.
+    fn assert_primary_panicked(resp: &QueryResponse) {
+        assert!(resp.trace.degraded, "{}", resp.trace.render());
+        assert_eq!(resp.trace.error_count, 1);
+        let slot = resp.trace.find("primary: unstable").unwrap();
+        assert!(slot.detail.contains("panicked"), "{}", slot.detail);
+        assert!(resp.html.contains("sym-"), "{}", resp.html);
+    }
+
+    #[test]
+    fn panicking_primary_degrades_its_slot_in_both_modes() {
+        let mut transport = SimulatedTransport::new(7);
+        transport.register("unstable", Box::new(PanicService), LatencyModel::fast());
+        let app = service_primary_app(TenantId(0), "unstable");
+        let subs = Substrates {
+            space: None,
+            engine: None,
+            transport: Some(&transport),
+            ads: None,
+            scatter: None,
+        };
+        for mode in [ExecMode::Parallel, ExecMode::Sequential] {
+            assert_primary_panicked(&execute(&app, "gadget", subs, mode));
+        }
+    }
+
+    #[test]
+    fn panicking_primary_behind_the_l2_leaves_no_stale_flight() {
+        let corpus = Corpus::generate(&CorpusConfig {
+            sites_per_topic: 1,
+            pages_per_site: 2,
+            ..CorpusConfig::default()
+        });
+        let mut platform = crate::hosting::Platform::new(SearchEngine::new(corpus)).with_quotas(
+            crate::hosting::QuotaConfig {
+                cache_ttl_ms: 0, // every query reaches the runtime and the L2
+                ..Default::default()
+            },
+        );
+        platform
+            .transport_mut()
+            .register("unstable", Box::new(PanicService), LatencyModel::fast());
+        let (tenant, _) = platform.create_tenant("Unstable");
+        let id = platform
+            .register_app(service_primary_app(tenant, "unstable"))
+            .unwrap();
+        platform.publish(id).unwrap();
+        for _ in 0..2 {
+            assert_primary_panicked(&platform.query(id, "gadget").unwrap());
+        }
+        // Each query led its own execution: the panicked leader's
+        // flight was cleared, so the second never waited on it.
+        let stats = platform.source_cache_stats();
+        assert_eq!((stats.executions, stats.coalesced), (2, 0));
     }
 
     #[test]

@@ -477,7 +477,7 @@ fn soft_err(msg: &str, virtual_ms: u32) -> SourceOutcome {
 
 /// A fetch cut before it started because the remaining deadline
 /// budget cannot cover it: free (0 virtual ms), no attempt made.
-fn deadline_cut(budget_ms: u32) -> SourceOutcome {
+pub(crate) fn deadline_cut(budget_ms: u32) -> SourceOutcome {
     SourceOutcome {
         items: Vec::new(),
         virtual_ms: 0,

@@ -40,7 +40,7 @@
 //! used because singleflight needs a [`Condvar`].
 
 use crate::cache::LruTtlCache;
-use crate::source::{DataSourceDef, SourceCtx, SourceOutcome};
+use crate::source::{deadline_cut, DataSourceDef, SourceCtx, SourceOutcome};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use symphony_services::hash::{fnv1a, FNV_OFFSET};
@@ -572,15 +572,7 @@ fn classify(
     if let Some(budget) = sctx.budget_ms {
         if charged_ms > budget {
             return Fetched {
-                outcome: Arc::new(SourceOutcome {
-                    items: Vec::new(),
-                    virtual_ms: 0,
-                    error: Some(
-                        symphony_services::ServiceError::DeadlineCut { budget_ms: budget }
-                            .to_string(),
-                    ),
-                    attempts: 0,
-                }),
+                outcome: Arc::new(deadline_cut(budget)),
                 charged_ms: 0,
                 attempts_charged: 0,
                 status,

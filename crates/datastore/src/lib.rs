@@ -5,8 +5,6 @@
 //! proprietary data (paper §II-A, "Proprietary Data").
 //!
 //! * [`value`] / [`schema`] — typed cells, schema inference.
-//! * `aggregate` — grouped COUNT/SUM/AVG/MIN/MAX over tables (compiled
-//!   for its tests only: no serving path calls it yet).
 //! * [`table`] — slotted tables with stable record ids.
 //! * `indexes` / [`filter`] / [`indexed`] — secondary indexes, the
 //!   filter algebra, and the planner-backed [`indexed::IndexedTable`].
@@ -35,10 +33,6 @@
 
 #![warn(missing_docs)]
 
-// Grouped aggregates have no serving-path caller yet; only their tests
-// compile them.
-#[cfg(test)]
-mod aggregate;
 pub mod datetime;
 mod error;
 pub mod filter;

@@ -5,15 +5,11 @@
 //! and the virtual time spent (including failed attempts, backoff
 //! waits, and hedged duplicates) is accounted.
 //!
-//! Two call paths coexist:
-//!
-//! * [`ServiceClient::call`] — the legacy path over the transport's
-//!   shared RNG stream: timeout + flat retries only.
-//! * [`ServiceClient::call_resilient`] — the virtual-clock path the
-//!   platform runtime uses: deterministic draws keyed on `(now,
-//!   attempt)`, exponential backoff with jitter, optional hedged
-//!   requests, a deadline budget, and an optional circuit breaker
-//!   consulted before the wire is touched.
+//! There is one call path, [`ServiceClient::call_resilient`], on the
+//! virtual clock: deterministic draws keyed on `(now, attempt)`,
+//! exponential backoff with jitter, optional hedged requests, a
+//! deadline budget, and an optional circuit breaker consulted before
+//! the wire is touched.
 
 use crate::breaker::{Admission, BreakerRegistry};
 use crate::hash::splitmix64;
@@ -28,9 +24,9 @@ pub struct CallPolicy {
     /// Retries after the first attempt (0 = single attempt).
     pub retries: u32,
     /// Base backoff before the first retry, doubled per further retry
-    /// (0 = retry immediately, the legacy behaviour). The wait is
-    /// charged into `total_latency_ms` — backoff is time the end user
-    /// spends waiting, not a free pause.
+    /// (0 = retry immediately). The wait is charged into
+    /// `total_latency_ms` — backoff is time the end user spends
+    /// waiting, not a free pause.
     pub backoff_base_ms: u32,
     /// Cap on a single backoff wait.
     pub backoff_cap_ms: u32,
@@ -119,68 +115,9 @@ pub struct ServiceClient<'a> {
 }
 
 impl<'a> ServiceClient<'a> {
-    /// Client with the default policy.
-    pub fn new(transport: &'a SimulatedTransport) -> Self {
-        ServiceClient {
-            transport,
-            policy: CallPolicy::default(),
-        }
-    }
-
     /// Client with an explicit policy.
     pub fn with_policy(transport: &'a SimulatedTransport, policy: CallPolicy) -> Self {
         ServiceClient { transport, policy }
-    }
-
-    /// Call `endpoint`, applying timeout and retries. On error the
-    /// virtual time burned is reported through the error variants.
-    pub fn call(
-        &self,
-        endpoint: &str,
-        request: &ServiceRequest,
-    ) -> Result<ClientOutcome, (ServiceError, u32)> {
-        let mut total = 0u32;
-        let attempts_allowed = self.policy.retries + 1;
-        let mut last_err = None;
-        for attempt in 1..=attempts_allowed {
-            match self.transport.call(endpoint, request) {
-                Ok(outcome) => {
-                    if outcome.latency_ms > self.policy.timeout_ms {
-                        // The caller hung up at the timeout; the
-                        // attempt costs exactly the timeout.
-                        total += self.policy.timeout_ms;
-                        last_err = Some(ServiceError::Timeout {
-                            timeout_ms: self.policy.timeout_ms,
-                        });
-                        continue;
-                    }
-                    total += outcome.latency_ms;
-                    return Ok(ClientOutcome {
-                        response: outcome.response,
-                        attempts: attempt,
-                        total_latency_ms: total,
-                    });
-                }
-                Err(ServiceError::TransportFailure { elapsed_ms }) => {
-                    total += elapsed_ms.min(self.policy.timeout_ms);
-                    last_err = Some(ServiceError::TransportFailure { elapsed_ms });
-                }
-                Err(e @ ServiceError::UnknownEndpoint(_)) | Err(e @ ServiceError::Fault(_)) => {
-                    // Not retryable.
-                    return Err((e, total));
-                }
-                Err(e @ ServiceError::Timeout { .. }) => {
-                    total += self.policy.timeout_ms;
-                    last_err = Some(e);
-                }
-                // The transport never raises these; surface as fatal.
-                Err(e @ ServiceError::CircuitOpen { .. })
-                | Err(e @ ServiceError::DeadlineCut { .. }) => {
-                    return Err((e, total));
-                }
-            }
-        }
-        Err((last_err.expect("loop ran at least once"), total))
     }
 
     /// Call `endpoint` on the virtual clock with the full resilience
@@ -395,11 +332,26 @@ mod tests {
         t
     }
 
+    /// `GET /v` with `params` at virtual time `now_ms`, with no budget,
+    /// retry cap or breaker.
+    fn get_at(
+        c: &ServiceClient<'_>,
+        endpoint: &str,
+        params: &[(&str, &str)],
+        now_ms: u64,
+    ) -> Result<ClientOutcome, (ServiceError, u32)> {
+        c.call_resilient(
+            endpoint,
+            &ServiceRequest::get("/v", params),
+            &ResilienceContext::at(now_ms),
+        )
+    }
+
     #[test]
     fn successful_call_single_attempt() {
         let t = transport(LatencyModel::fast());
-        let c = ServiceClient::new(&t);
-        let out = c.call("svc", &ServiceRequest::get("/v", &[])).unwrap();
+        let c = ServiceClient::with_policy(&t, CallPolicy::default());
+        let out = get_at(&c, "svc", &[], 0).unwrap();
         assert_eq!(out.attempts, 1);
         assert_eq!(out.response.first_field("v"), Some("1"));
         assert!(out.total_latency_ms <= 10);
@@ -421,8 +373,8 @@ mod tests {
             },
         );
         let mut recovered_with_retry = false;
-        for _ in 0..50 {
-            if let Ok(out) = c.call("svc", &ServiceRequest::get("/v", &[])) {
+        for i in 0..50 {
+            if let Ok(out) = get_at(&c, "svc", &[], i * 1_000) {
                 if out.attempts > 1 {
                     // Failed attempts must be charged.
                     assert!(out.total_latency_ms >= out.attempts * 10);
@@ -448,7 +400,7 @@ mod tests {
                 ..CallPolicy::default()
             },
         );
-        let (err, burned) = c.call("svc", &ServiceRequest::get("/v", &[])).unwrap_err();
+        let (err, burned) = get_at(&c, "svc", &[], 0).unwrap_err();
         assert_eq!(err, ServiceError::Timeout { timeout_ms: 100 });
         // Two attempts, each hung up at 100ms.
         assert_eq!(burned, 200);
@@ -465,24 +417,43 @@ mod tests {
                 ..CallPolicy::default()
             },
         );
-        let (err, _) = c
-            .call("svc", &ServiceRequest::get("/v", &[("fail", "1")]))
-            .unwrap_err();
+        let (err, burned) = get_at(&c, "svc", &[("fail", "1")], 0).unwrap_err();
         assert!(matches!(err, ServiceError::Fault(f) if f.code == 500));
+        assert_eq!(burned, 0);
     }
 
     #[test]
     fn unknown_endpoint_not_retried() {
         let t = transport(LatencyModel::fast());
-        let c = ServiceClient::new(&t);
-        let (err, burned) = c.call("nope", &ServiceRequest::get("/v", &[])).unwrap_err();
+        let c = ServiceClient::with_policy(
+            &t,
+            CallPolicy {
+                retries: 5,
+                ..CallPolicy::default()
+            },
+        );
+        let breakers = BreakerRegistry::new(BreakerConfig {
+            failure_threshold: 1,
+            open_ms: 1_000,
+            half_open_successes: 1,
+        });
+        let ctx = ResilienceContext {
+            breakers: Some(&breakers),
+            ..ResilienceContext::at(0)
+        };
+        let (err, burned) = c
+            .call_resilient("nope", &ServiceRequest::get("/v", &[]), &ctx)
+            .unwrap_err();
         assert!(matches!(err, ServiceError::UnknownEndpoint(_)));
         assert_eq!(burned, 0);
+        // A misconfigured endpoint is the caller's error, not the
+        // endpoint's failure: the breaker does not count it.
+        assert_eq!(breakers.state("nope", 0), BreakerState::Closed);
     }
 
     // --- resilient path ---
 
-    use crate::breaker::{BreakerConfig, BreakerRegistry};
+    use crate::breaker::{BreakerConfig, BreakerRegistry, BreakerState};
     use crate::fault::FaultPlan;
 
     fn exact(base_ms: u32, failure_rate: f64) -> LatencyModel {
@@ -496,7 +467,7 @@ mod tests {
     #[test]
     fn resilient_success_costs_the_drawn_latency() {
         let t = transport(exact(10, 0.0));
-        let c = ServiceClient::new(&t);
+        let c = ServiceClient::with_policy(&t, CallPolicy::default());
         let out = c
             .call_resilient(
                 "svc",
@@ -660,7 +631,7 @@ mod tests {
     #[test]
     fn zero_budget_is_cut_before_the_wire() {
         let t = transport(exact(10, 0.0));
-        let c = ServiceClient::new(&t);
+        let c = ServiceClient::with_policy(&t, CallPolicy::default());
         let ctx = ResilienceContext {
             now_ms: 0,
             budget_ms: Some(0),
@@ -699,7 +670,7 @@ mod tests {
     #[test]
     fn resilient_unknown_endpoint_is_fatal_and_free() {
         let t = transport(LatencyModel::fast());
-        let c = ServiceClient::new(&t);
+        let c = ServiceClient::with_policy(&t, CallPolicy::default());
         let (err, burned) = c
             .call_resilient(
                 "nope",

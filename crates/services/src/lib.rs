@@ -10,7 +10,8 @@
 //! * `message` — protocol-tagged requests, record-set responses.
 //! * `service` — the [`Service`] trait and self-descriptions.
 //! * `transport` — endpoint registry + latency/failure model.
-//! * `client` — timeout/retry/backoff/hedging policy wrapper.
+//! * `client` — timeout/retry/backoff/hedging policy wrapper, with
+//!   one call path on the virtual clock.
 //! * `breaker` — per-endpoint circuit breakers on the virtual clock.
 //! * `fault` — deterministic fault injection scheduled in virtual time.
 //! * `builtin` — the pricing / in-stock / blurb services the paper's
@@ -20,14 +21,16 @@
 //!
 //! ```
 //! use symphony_services::{
-//!     LatencyModel, PricingService, ServiceClient, ServiceRequest, SimulatedTransport,
+//!     CallPolicy, LatencyModel, PricingService, ResilienceContext, ServiceClient,
+//!     ServiceRequest, SimulatedTransport,
 //! };
 //!
 //! let mut transport = SimulatedTransport::new(42);
 //! transport.register("pricing", Box::new(PricingService), LatencyModel::fast());
-//! let client = ServiceClient::new(&transport);
+//! let client = ServiceClient::with_policy(&transport, CallPolicy::default());
+//! let request = ServiceRequest::get("/price", &[("item", "Galactic Raiders")]);
 //! let out = client
-//!     .call("pricing", &ServiceRequest::get("/price", &[("item", "Galactic Raiders")]))
+//!     .call_resilient("pricing", &request, &ResilienceContext::at(0))
 //!     .unwrap();
 //! assert_eq!(out.response.first_field("currency"), Some("USD"));
 //! ```

@@ -5,15 +5,12 @@
 //! virtual milliseconds it "took"; the platform runtime accounts those
 //! into its execution traces (Fig. 2 timings) and its parallel fan-out
 //! math (`total = max(...)` instead of `sum(...)`). Determinism comes
-//! from a per-transport seeded RNG.
+//! from hashing a per-transport seed with each call's inputs.
 
 use crate::fault::FaultPlan;
 use crate::hash::{fnv1a, splitmix64, FNV_OFFSET};
 use crate::message::{ServiceRequest, ServiceResponse};
 use crate::service::{Service, ServiceFault};
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Latency/failure behaviour of one endpoint.
@@ -133,7 +130,6 @@ impl Endpoint {
 pub struct SimulatedTransport {
     endpoints: BTreeMap<String, Endpoint>,
     seed: u64,
-    rng: Mutex<StdRng>,
     faults: FaultPlan,
 }
 
@@ -148,19 +144,16 @@ impl std::fmt::Debug for SimulatedTransport {
 }
 
 impl SimulatedTransport {
-    /// Empty transport with a deterministic RNG seed.
+    /// Empty transport whose latency and failure draws hash `seed`.
     pub fn new(seed: u64) -> SimulatedTransport {
         SimulatedTransport {
             endpoints: BTreeMap::new(),
             seed,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
             faults: FaultPlan::new(),
         }
     }
 
     /// Install a fault-injection plan (replacing any previous one).
-    /// Faults apply to the virtual-clock call path
-    /// (`SimulatedTransport::call_at`).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
     }
@@ -197,49 +190,13 @@ impl SimulatedTransport {
         ep.operations.push((operation.to_string(), model));
     }
 
-    /// Make one call. Returns the outcome with virtual latency, or an
-    /// error (which still reports the virtual time burned, so callers
-    /// can account for it).
-    pub(crate) fn call(
-        &self,
-        endpoint: &str,
-        request: &ServiceRequest,
-    ) -> Result<CallOutcome, ServiceError> {
-        let ep = self
-            .endpoints
-            .get(endpoint)
-            .ok_or_else(|| ServiceError::UnknownEndpoint(endpoint.to_string()))?;
-        let model = ep.latency_for(request);
-        let (latency_ms, failed) = {
-            let mut rng = self.rng.lock();
-            let jitter = if model.jitter_ms > 0 {
-                rng.gen_range(0..=model.jitter_ms)
-            } else {
-                0
-            };
-            let failed = model.failure_rate > 0.0 && rng.gen_bool(model.failure_rate.min(1.0));
-            (model.base_ms + jitter, failed)
-        };
-        if failed {
-            return Err(ServiceError::TransportFailure {
-                elapsed_ms: latency_ms,
-            });
-        }
-        let response = ep.service.handle(request).map_err(ServiceError::Fault)?;
-        Ok(CallOutcome {
-            response,
-            latency_ms,
-        })
-    }
-
     /// Make one call at virtual time `now_ms`, attempt number
     /// `attempt` (0 = first try; retries and hedges use distinct
     /// tags so they draw independent latencies).
     ///
-    /// Unlike [`SimulatedTransport::call`], whose draws come from a
-    /// shared RNG stream (and therefore depend on the global order of
-    /// calls), this path derives latency and failure from a pure hash
-    /// of `(seed, endpoint, request, now_ms, attempt)`. Concurrent
+    /// Latency and failure derive from a pure hash of `(seed, endpoint,
+    /// request, now_ms, attempt)`, not from a shared RNG stream whose
+    /// draws would depend on the global order of calls. Concurrent
     /// fan-out workers get identical outcomes regardless of thread
     /// scheduling — the property the chaos suite's exact assertions
     /// rest on. The installed [`FaultPlan`] composes on top: outages
@@ -364,8 +321,9 @@ mod tests {
     #[test]
     fn call_returns_latency_in_model_range() {
         let t = transport(0.0);
-        for _ in 0..50 {
-            let out = t.call("svc", &ServiceRequest::get("/v", &[])).unwrap();
+        let req = ServiceRequest::get("/v", &[]);
+        for attempt in 0..50 {
+            let out = t.call_at("svc", &req, 0, attempt).unwrap();
             assert!((10..=30).contains(&out.latency_ms), "{}", out.latency_ms);
         }
     }
@@ -374,7 +332,8 @@ mod tests {
     fn unknown_endpoint() {
         let t = transport(0.0);
         assert_eq!(
-            t.call("nope", &ServiceRequest::get("/v", &[])).unwrap_err(),
+            t.call_at("nope", &ServiceRequest::get("/v", &[]), 0, 0)
+                .unwrap_err(),
             ServiceError::UnknownEndpoint("nope".into())
         );
     }
@@ -382,12 +341,10 @@ mod tests {
     #[test]
     fn failures_happen_at_configured_rate() {
         let t = transport(0.5);
-        let mut failures = 0;
-        for _ in 0..200 {
-            if t.call("svc", &ServiceRequest::get("/v", &[])).is_err() {
-                failures += 1;
-            }
-        }
+        let req = ServiceRequest::get("/v", &[]);
+        let failures = (0..200)
+            .filter(|&attempt| t.call_at("svc", &req, 0, attempt).is_err())
+            .count();
         assert!((60..=140).contains(&failures), "failures = {failures}");
     }
 
@@ -396,11 +353,11 @@ mod tests {
         let seq = |seed| {
             let mut t = SimulatedTransport::new(seed);
             t.register("svc", Box::new(Fixed), LatencyModel::default());
+            let req = ServiceRequest::get("/v", &[]);
             (0..10)
-                .map(|_| {
-                    t.call("svc", &ServiceRequest::get("/v", &[]))
-                        .map(|o| o.latency_ms)
-                        .unwrap_or(0)
+                .map(|i| {
+                    t.call_at("svc", &req, i * 10, 0)
+                        .map_or(0, |o| o.latency_ms)
                 })
                 .collect::<Vec<_>>()
         };
@@ -508,10 +465,9 @@ mod tests {
         );
         let cheap_req = ServiceRequest::get("/cheap", &[]);
         let other_req = ServiceRequest::get("/v", &[]);
-        // The operation is priced by its own model on both call paths;
-        // every other operation keeps the endpoint's.
+        // The operation is priced by its own model; every other
+        // operation keeps the endpoint's.
         assert_eq!(t.call_at("svc", &cheap_req, 0, 0).unwrap().latency_ms, 2);
-        assert_eq!(t.call("svc", &cheap_req).unwrap().latency_ms, 2);
         assert!((10..=30).contains(&t.call_at("svc", &other_req, 0, 0).unwrap().latency_ms));
         // Fault windows are per endpoint and still apply to it.
         assert_eq!(

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use symphony_services::{
-    CallPolicy, LatencyModel, OperationDesc, PricingService, Protocol, Service, ServiceClient,
-    ServiceError, ServiceFault, ServiceRequest, ServiceResponse, SimulatedTransport,
+    CallPolicy, LatencyModel, OperationDesc, PricingService, Protocol, ResilienceContext, Service,
+    ServiceClient, ServiceError, ServiceFault, ServiceRequest, ServiceResponse, SimulatedTransport,
 };
 
 struct Echo;
@@ -39,6 +39,7 @@ proptest! {
         timeout in 50u32..400,
         retries in 0u32..4,
         seed in 0u64..1000,
+        now in 0u64..100_000,
     ) {
         let mut t = SimulatedTransport::new(seed);
         t.register(
@@ -51,7 +52,8 @@ proptest! {
             CallPolicy { timeout_ms: timeout, retries, ..CallPolicy::default() },
         );
         let attempts_allowed = retries + 1;
-        match client.call("svc", &ServiceRequest::get("/echo", &[("q", "hello")])) {
+        let request = ServiceRequest::get("/echo", &[("q", "hello")]);
+        match client.call_resilient("svc", &request, &ResilienceContext::at(now)) {
             Ok(out) => {
                 prop_assert_eq!(out.response.first_field("echo"), Some("hello"));
                 prop_assert!(out.attempts >= 1 && out.attempts <= attempts_allowed);
@@ -77,7 +79,12 @@ proptest! {
     /// With zero failure rate and a generous timeout, the first
     /// attempt always succeeds and latency is within the model range.
     #[test]
-    fn reliable_service_one_attempt(base in 1u32..100, jitter in 0u32..50, seed in 0u64..100) {
+    fn reliable_service_one_attempt(
+        base in 1u32..100,
+        jitter in 0u32..50,
+        seed in 0u64..100,
+        now in 0u64..100_000,
+    ) {
         let mut t = SimulatedTransport::new(seed);
         t.register(
             "svc",
@@ -89,28 +96,40 @@ proptest! {
             CallPolicy { timeout_ms: base + jitter + 1, retries: 3, ..CallPolicy::default() },
         );
         let out = client
-            .call("svc", &ServiceRequest::get("/echo", &[("q", "x")]))
+            .call_resilient(
+                "svc",
+                &ServiceRequest::get("/echo", &[("q", "x")]),
+                &ResilienceContext::at(now),
+            )
             .expect("reliable service");
         prop_assert_eq!(out.attempts, 1);
         prop_assert!((base..=base + jitter).contains(&out.total_latency_ms));
     }
 
-    /// Transport determinism: the same seed yields the same latency
-    /// sequence regardless of when the transport was built.
+    /// Transport determinism: the same seed yields the same latency for
+    /// each call regardless of when the transport was built or in which
+    /// order the calls are made.
     #[test]
-    fn transport_deterministic(seed in 0u64..5000) {
-        let run = || {
+    fn transport_deterministic(seed in 0u64..5000, now in 0u64..100_000) {
+        let run = |order: &[u64]| {
             let mut t = SimulatedTransport::new(seed);
             t.register("p", Box::new(PricingService), LatencyModel::default());
-            let c = ServiceClient::new(&t);
-            (0..6)
-                .map(|i| {
-                    c.call("p", &ServiceRequest::get("/price", &[("item", &format!("g{i}"))]))
+            let c = ServiceClient::with_policy(&t, CallPolicy::default());
+            let mut out = order
+                .iter()
+                .map(|&i| {
+                    let item = format!("g{i}");
+                    let request = ServiceRequest::get("/price", &[("item", item.as_str())]);
+                    let outcome = c
+                        .call_resilient("p", &request, &ResilienceContext::at(now + i))
                         .map(|o| o.total_latency_ms)
-                        .map_err(|(e, _)| e.to_string())
+                        .map_err(|(e, _)| e.to_string());
+                    (i, outcome)
                 })
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>();
+            out.sort();
+            out
         };
-        prop_assert_eq!(run(), run());
+        prop_assert_eq!(run(&[0, 1, 2, 3, 4, 5]), run(&[5, 4, 3, 2, 1, 0]));
     }
 }

@@ -869,7 +869,8 @@ proptest! {
     /// With the cap drawn from 1..=8, a batch of up to 60 docs spans
     /// many chunks and, on few threads, many waves. After a prefix of
     /// adds and deletes, the chunked build (fed lazily, as a stream)
-    /// must search exactly like a sequential `add` loop before
+    /// seal exactly the chunks the cap implies (no chunk over the cap)
+    /// and must search exactly like a sequential `add` loop before
     /// `optimize()`: same ids, same `(doc, score)` bits, every doc
     /// visible. After `optimize()` the two indexes are identical:
     /// lexicon, stats, compacted bytes, score stats and field lengths.
@@ -914,18 +915,27 @@ proptest! {
         let stream = docs
             .iter()
             .map(|(t, b)| Doc::new().field(ptitle, t.as_str()).field(pbody, b.as_str()));
+        let before = par.stats();
         let ids = par.build_parallel(stream, threads);
         prop_assert_eq!(&ids, &seq_ids);
         prop_assert_eq!(par.check(), Ok(()));
         if !docs.is_empty() {
+            // A batch that fits in one wave splits evenly across the
+            // workers; a longer one is carved at the cap. Every chunk
+            // but the last is full, and each is one sealed segment,
+            // after the one the non-empty memtable was sealed into.
+            let chunk = docs.len().div_ceil(threads).clamp(1, cap as usize);
             let s = par.stats();
             prop_assert_eq!(s.memtable_docs, 0, "the memtable was sealed first");
-            prop_assert!(
-                s.sealed_segments >= docs.len().div_ceil(cap as usize),
-                "{} docs at cap {} left {} sealed segments",
+            prop_assert_eq!(
+                s.sealed_segments,
+                before.sealed_segments
+                    + usize::from(before.memtable_docs > 0)
+                    + docs.len().div_ceil(chunk),
+                "{} docs at cap {} on {} threads",
                 docs.len(),
                 cap,
-                s.sealed_segments
+                threads
             );
         }
         let queries = ["ab", "aa bb", "+ab cd", "title:ab", "\"ab ab\"", "ab -cd"];
