@@ -3,10 +3,10 @@
 //!
 //! Two pieces, both driven by the platform's atomic virtual clock:
 //!
-//! * [`TokenBucket`] — the per-tenant admission rate limiter. Refill
-//!   is computed lazily from elapsed virtual time, so arbitrary clock
-//!   jumps (tests, replayed traces) behave exactly like many small
-//!   ones, and the level can never exceed the configured burst.
+//! * [`TokenBucket`] — the per-tenant admission rate and request quota
+//!   limiter. Refill is computed lazily from elapsed virtual time, so
+//!   arbitrary clock jumps (tests, replayed traces) behave exactly like
+//!   many small ones, and the level can never exceed the burst.
 //! * [`FanoutScheduler`] — a platform-wide worker-permit pool, sized
 //!   by the platform to the host's fan-out cap
 //!   ([`MAX_FANOUT_WORKERS`](crate::runtime::MAX_FANOUT_WORKERS)
@@ -26,40 +26,40 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-/// Milli-tokens per token: bucket arithmetic is integral so refill is
-/// exact (no float drift) under any split of the same elapsed time.
-const MILLI: u64 = 1000;
-
 /// A token-bucket rate limiter on the virtual clock.
 ///
-/// Levels are tracked in milli-tokens: at `rate_per_sec` tokens per
-/// virtual second, each elapsed virtual millisecond contributes exactly
-/// `rate_per_sec` milli-tokens. Refill saturates at `burst` tokens and
-/// is monotone: time never removes tokens, and a backwards (or equal)
-/// clock observation is a no-op.
+/// `rate` tokens per `window_ms` virtual ms, in integer units so refill
+/// is exact under any split of the same elapsed time: each virtual ms
+/// credits `rate` units and a token costs `window_ms` (1 000 for a
+/// per-second rate, 60 000 per minute). Refill saturates at `burst`
+/// tokens and is monotone: time never removes tokens, and a backwards
+/// (or equal) clock observation is a no-op.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TokenBucket {
-    rate_per_sec: u32,
+    rate: u32,
     burst: u32,
-    level_milli: u64,
+    window_ms: u64,
+    level: u64,
     last_ms: u64,
 }
 
 impl TokenBucket {
-    /// A bucket that starts full. `rate_per_sec == u32::MAX` means
-    /// unlimited: every acquire succeeds and the level pins at burst.
-    pub fn new(rate_per_sec: u32, burst: u32, now_ms: u64) -> TokenBucket {
+    /// A bucket of `rate` tokens per `window_ms` that starts full.
+    /// `rate == u32::MAX` means unlimited: every acquire succeeds and
+    /// the level pins at burst.
+    pub fn new(rate: u32, burst: u32, window_ms: u64, now_ms: u64) -> TokenBucket {
         TokenBucket {
-            rate_per_sec,
+            rate,
             burst,
-            level_milli: burst as u64 * MILLI,
+            window_ms,
+            level: burst as u64 * window_ms,
             last_ms: now_ms,
         }
     }
 
     /// True when the bucket never refuses.
     pub(crate) fn is_unlimited(&self) -> bool {
-        self.rate_per_sec == u32::MAX
+        self.rate == u32::MAX
     }
 
     /// Credit elapsed virtual time. Saturates at `burst` tokens;
@@ -70,9 +70,9 @@ impl TokenBucket {
         }
         let elapsed = now_ms - self.last_ms;
         self.last_ms = now_ms;
-        let cap = self.burst as u64 * MILLI;
-        let gained = elapsed.saturating_mul(self.rate_per_sec as u64);
-        self.level_milli = self.level_milli.saturating_add(gained).min(cap);
+        let cap = self.burst as u64 * self.window_ms;
+        let gained = elapsed.saturating_mul(self.rate as u64);
+        self.level = self.level.saturating_add(gained).min(cap);
     }
 
     /// Refill to `now_ms`, then take one token. Returns whether the
@@ -82,18 +82,18 @@ impl TokenBucket {
         if self.is_unlimited() {
             return true;
         }
-        if self.level_milli >= MILLI {
-            self.level_milli -= MILLI;
+        if self.level >= self.window_ms {
+            self.level -= self.window_ms;
             true
         } else {
             false
         }
     }
 
-    /// Current level in milli-tokens (refilled as of the last
+    /// Current level in `1 / window_ms` tokens (as of the last
     /// observation; call [`TokenBucket::refill`] first for "now").
-    pub fn level_milli(&self) -> u64 {
-        self.level_milli
+    pub fn level(&self) -> u64 {
+        self.level
     }
 }
 
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn bucket_starts_full_and_drains() {
-        let mut b = TokenBucket::new(10, 3, 0);
+        let mut b = TokenBucket::new(10, 3, 1_000, 0);
         assert!(b.try_acquire(0));
         assert!(b.try_acquire(0));
         assert!(b.try_acquire(0));
@@ -278,23 +278,23 @@ mod tests {
 
     #[test]
     fn bucket_refill_saturates_at_burst() {
-        let mut b = TokenBucket::new(1000, 5, 0);
+        let mut b = TokenBucket::new(1000, 5, 1_000, 0);
         b.refill(1_000_000);
-        assert_eq!(b.level_milli(), 5 * MILLI);
+        assert_eq!(b.level(), 5 * 1_000);
     }
 
     #[test]
     fn bucket_ignores_backwards_clock() {
-        let mut b = TokenBucket::new(10, 10, 500);
+        let mut b = TokenBucket::new(10, 10, 1_000, 500);
         while b.try_acquire(500) {}
         b.refill(100); // stale observation
-        assert_eq!(b.level_milli(), 0);
+        assert_eq!(b.level(), 0);
         assert!(b.try_acquire(600), "forward time refills");
     }
 
     #[test]
     fn unlimited_bucket_never_refuses() {
-        let mut b = TokenBucket::new(u32::MAX, 1, 0);
+        let mut b = TokenBucket::new(u32::MAX, 1, 1_000, 0);
         for _ in 0..10_000 {
             assert!(b.try_acquire(0));
         }

@@ -21,7 +21,8 @@
 //!
 //! Mutable serving state is sharded behind fine-grained locks so
 //! unrelated requests do not contend: each hosted app has its own
-//! result-cache and request-metering [`Mutex`]es, the interaction log
+//! result-cache [`Mutex`] and its own request-quota and admission
+//! [`TokenBucket`]s (an unlimited one is never locked), the interaction log
 //! is one coarse [`Mutex`] (a view adds to a counter, a click appends
 //! a row), ad billing synchronizes
 //! inside [`AdServer`], and the virtual clock is an [`AtomicU64`].
@@ -39,7 +40,6 @@ use crate::source::Substrates;
 use crate::source_cache::{normalize_query, SourceCache, SourceCacheConfig, SourceCacheStats};
 
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use symphony_ads::{AdServer, CampaignId, Placement};
@@ -53,7 +53,10 @@ pub(crate) const CACHE_HIT_MS: u32 = 2;
 /// Platform-wide quota configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct QuotaConfig {
-    /// Requests allowed per application per virtual minute.
+    /// Requests per application per virtual minute, cache hits included:
+    /// a token bucket with a burst of `requests_per_minute` and one token
+    /// back every `60 000 / requests_per_minute` ms. `u32::MAX` is
+    /// unlimited, and then the serving path takes no lock.
     pub requests_per_minute: u32,
     /// Maximum live records per tenant space.
     pub max_records_per_tenant: usize,
@@ -102,8 +105,8 @@ struct HostedApp {
     /// of a response, so a hit is a pointer clone — no deep
     /// `QueryResponse` copy on the hot path.
     cache: Mutex<LruTtlCache<String, Arc<QueryResponse>>>,
-    /// Request timestamps inside the current quota window.
-    metering: Mutex<VecDeque<u64>>,
+    /// Request-quota token bucket ([`QuotaConfig::requests_per_minute`]).
+    quota: Mutex<TokenBucket>,
     /// Queries served (cache hits and shed queries included).
     queries: AtomicU64,
     /// Queries whose response was degraded (some source slot errored).
@@ -223,9 +226,14 @@ impl Platform {
         }
     }
 
-    /// Override quotas.
+    /// Override quotas. Every registered app's request-quota bucket is
+    /// re-armed, full, at the new rate.
     pub fn with_quotas(mut self, quotas: QuotaConfig) -> Platform {
         self.quotas = quotas;
+        let now = *self.clock_ms.get_mut();
+        for app in &mut self.apps {
+            app.quota = quota_bucket(&quotas, now);
+        }
         self
     }
 
@@ -302,11 +310,6 @@ impl Platform {
             app.cache.get_mut().clear();
         }
         Arc::get_mut(&mut self.engine)
-    }
-
-    /// The shared circuit breakers (inspection / manual reset).
-    pub fn breakers(&self) -> &symphony_services::BreakerRegistry {
-        &self.breakers
     }
 
     /// Breaker state for one endpoint at the current virtual time.
@@ -446,8 +449,13 @@ impl Platform {
     /// Register a validated application (starts unpublished).
     pub fn register_app(&mut self, config: ApplicationConfig) -> Result<AppId, PlatformError> {
         config.validate()?;
+        if self.quotas.cache_capacity == 0 {
+            let why = "cache_capacity must be at least 1; cache_ttl_ms: 0 turns the L1 off";
+            return Err(PlatformError::InvalidConfig(why.into()));
+        }
         let id = AppId(self.apps.len() as u32);
         let admission = config.admission;
+        let now = self.clock_ms.load(Ordering::SeqCst);
         self.apps.push(HostedApp {
             config,
             published: false,
@@ -455,14 +463,15 @@ impl Platform {
                 self.quotas.cache_capacity,
                 self.quotas.cache_ttl_ms,
             )),
-            metering: Mutex::new(VecDeque::new()),
+            quota: quota_bucket(&self.quotas, now),
             queries: AtomicU64::new(0),
             degraded_queries: AtomicU64::new(0),
             shed_queries: AtomicU64::new(0),
             bucket: Mutex::new(TokenBucket::new(
                 admission.rate_per_sec,
                 admission.burst,
-                self.clock_ms.load(Ordering::SeqCst),
+                1_000,
+                now,
             )),
             inflight: AtomicU32::new(0),
         });
@@ -628,21 +637,14 @@ impl Platform {
         }
         let now = self.clock_ms.load(Ordering::SeqCst);
 
-        // Request quota over the last virtual minute, under this
-        // app's metering lock (requests for other apps don't touch it).
-        {
-            let mut metering = hosted.metering.lock();
-            let window_start = now.saturating_sub(60_000);
-            while metering.front().is_some_and(|&t| t < window_start) {
-                metering.pop_front();
-            }
-            if metering.len() >= self.quotas.requests_per_minute as usize {
-                return Err(PlatformError::QuotaExceeded {
-                    app: hosted.config.name.clone(),
-                    limit: self.quotas.requests_per_minute,
-                });
-            }
-            metering.push_back(now);
+        // Request quota, from this app's own bucket (requests for other
+        // apps don't touch it); an unlimited quota takes no lock.
+        let limit = self.quotas.requests_per_minute;
+        if limit != u32::MAX && !hosted.quota.lock().try_acquire(now) {
+            return Err(PlatformError::QuotaExceeded {
+                app: hosted.config.name.clone(),
+                limit,
+            });
         }
 
         // Responses computed under parent-composition `overrides` are
@@ -948,6 +950,13 @@ impl QueryHost for Platform {
     }
 }
 
+/// An app's request-quota bucket, full at `now_ms`: `requests_per_minute`
+/// tokens of burst, refilled at that rate per virtual minute.
+fn quota_bucket(quotas: &QuotaConfig, now_ms: u64) -> Mutex<TokenBucket> {
+    let rpm = quotas.requests_per_minute;
+    Mutex::new(TokenBucket::new(rpm, rpm, 60_000, now_ms))
+}
+
 /// Stable fingerprint of a pre-resolved override set (sorted by source
 /// name, hashing the full outcome). Appended to the L1 key so that
 /// responses computed under different parent-composition contexts
@@ -1169,6 +1178,53 @@ mod tests {
         // After a virtual minute, capacity returns.
         p.advance_clock(61_000);
         assert!(p.query(id, "a").is_ok());
+    }
+
+    #[test]
+    fn exhausted_quota_refills_one_request_per_interval() {
+        let (mut p, tenant, _) = platform();
+        let id = register_gamer_queen(&mut p, tenant);
+        p.publish(id).unwrap();
+        // Set after registration: the app's bucket is re-armed at 3 per
+        // minute, one token back every 60 000 / 3 = 20 000 virtual ms.
+        let mut p = p.with_quotas(QuotaConfig {
+            requests_per_minute: 3,
+            ..QuotaConfig::default()
+        });
+        for _ in 0..3 {
+            p.query(id, "shooter").unwrap();
+        }
+        let exhausted = |p: &Platform| {
+            matches!(
+                p.query(id, "shooter"),
+                Err(PlatformError::QuotaExceeded { limit: 3, .. })
+            )
+        };
+        assert!(exhausted(&p));
+        p.advance_clock(20_000);
+        assert!(p.query(id, "shooter").is_ok(), "one token came back");
+        assert!(exhausted(&p), "and only one");
+        p = p.with_quotas(QuotaConfig {
+            requests_per_minute: 3,
+            ..QuotaConfig::default()
+        });
+        assert!(p.query(id, "shooter").is_ok(), "with_quotas re-arms");
+    }
+
+    #[test]
+    fn zero_cache_capacity_is_a_config_error() {
+        let (mut p, tenant, _) = platform();
+        let id = register_gamer_queen(&mut p, tenant);
+        let config = p.app(id).unwrap().clone();
+        let mut p = p.with_quotas(QuotaConfig {
+            cache_capacity: 0,
+            ..QuotaConfig::default()
+        });
+        let err = p.register_app(config).unwrap_err();
+        assert!(
+            matches!(&err, PlatformError::InvalidConfig(m) if m.contains("cache_ttl_ms: 0")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! costs in heap traffic must not depend on how many results it shows.
 //! Impressions are counted, not stored — one addition per view — so a
 //! hit that logs 50 of them allocates exactly what a hit that logs 5
-//! does.
+//! does. Nor may it depend on how many hits came before: an unlimited
+//! request quota keeps no per-request history, so 4 096 hits allocate
+//! exactly 4 096 times what one does.
 //!
 //! The counts repeat exactly from run to run, so the comparison is an
 //! equality, not a threshold. This file is its own test binary (the
@@ -10,7 +12,7 @@
 //! `tests/alloc.rs`) and keeps every counted region in one `#[test]`,
 //! on one thread.
 
-use symphony_core::{AppBuilder, AppId, DataSourceDef, Platform};
+use symphony_core::{AppBuilder, AppId, DataSourceDef, Platform, QuotaConfig};
 use symphony_designer::{Canvas, Element};
 use symphony_store::ingest::{ingest, DataFormat};
 use symphony_store::{IndexedTable, TenantId};
@@ -54,7 +56,10 @@ fn l1_hit_allocations_do_not_scale_with_impressions() {
         pages_per_site: 2,
         ..CorpusConfig::default()
     });
-    let mut platform = Platform::new(SearchEngine::new(corpus));
+    let mut platform = Platform::new(SearchEngine::new(corpus)).with_quotas(QuotaConfig {
+        requests_per_minute: u32::MAX,
+        ..QuotaConfig::default()
+    });
     let (tenant, key) = platform.create_tenant("Wide");
     let mut csv = String::from("title\n");
     for i in 0..60 {
@@ -68,8 +73,8 @@ fn l1_hit_allocations_do_not_scale_with_impressions() {
     let large = register(&mut platform, tenant, "Large", 50);
 
     // Same history for both apps — one miss, one hit — so the counted
-    // hit finds their per-app state (metering window, cache, day
-    // counter) at the same size.
+    // hit finds their per-app state (cache, day counter) at the same
+    // size.
     let hit_allocs = |id: AppId, shown: usize| {
         assert!(!platform.query(id, "gadget").unwrap().trace.cache_hit);
         assert!(platform.query(id, "gadget").unwrap().trace.cache_hit);
@@ -90,4 +95,16 @@ fn l1_hit_allocations_do_not_scale_with_impressions() {
     // Every one of them was counted.
     assert_eq!(platform.traffic_summary(small).unwrap().impressions, 3 * 5);
     assert_eq!(platform.traffic_summary(large).unwrap().impressions, 3 * 50);
+
+    let (one, _) = allocations(|| platform.query(small, "gadget").unwrap());
+    let (hits, ()) = allocations(|| {
+        for _ in 0..4_096 {
+            assert!(platform.query(small, "gadget").unwrap().trace.cache_hit);
+        }
+    });
+    assert_eq!(
+        hits,
+        4_096 * one,
+        "4 096 L1 hits allocated {hits}, not 4 096 x {one}: per-request state grew"
+    );
 }

@@ -14,18 +14,17 @@
 //!   └────────────────────────────┴────────────────────────────┘
 //! ```
 //!
+//! Half-open admits every call: each one is a probe, and the first
+//! failure reopens the circuit.
+//!
 //! All transitions are keyed on the *virtual* clock — no wall time —
 //! so breaker behaviour is exactly reproducible in the chaos suite.
-//! The registry shards its endpoint map behind independent mutexes,
-//! matching the platform's lock-sharded serving state: fetches for
-//! unrelated endpoints never contend.
+//! The registry is one endpoint map behind one mutex: a platform
+//! calls a handful of endpoints, and each lookup holds the lock for
+//! a hash probe and a state update.
 
-use crate::hash::{fnv1a, FNV_OFFSET};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-
-/// Number of independently locked shards in a [`BreakerRegistry`].
-const SHARDS: usize = 8;
 
 /// Breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +66,9 @@ pub enum BreakerState {
     Closed,
     /// Calls are rejected fast.
     Open,
-    /// A limited number of probe calls test recovery.
+    /// Every call is admitted as a probe of recovery; the first
+    /// failure reopens the circuit, and `half_open_successes` successes
+    /// close it.
     HalfOpen,
 }
 
@@ -83,17 +84,19 @@ pub(crate) enum Admission {
     },
 }
 
+/// One endpoint's circuit: consecutive failures while closed, the
+/// virtual ms it opened at, probe successes while half-open.
 #[derive(Debug, Clone, Copy)]
 enum Core {
-    Closed { consecutive_failures: u32 },
-    Open { opened_at_ms: u64 },
-    HalfOpen { probe_successes: u32 },
+    Closed { failures: u32 },
+    Open { since_ms: u64 },
+    HalfOpen { successes: u32 },
 }
 
-/// Sharded per-endpoint breaker registry.
+/// Per-endpoint breaker registry.
 pub struct BreakerRegistry {
     config: BreakerConfig,
-    shards: Vec<Mutex<HashMap<String, Core>>>,
+    endpoints: Mutex<HashMap<String, Core>>,
 }
 
 impl std::fmt::Debug for BreakerRegistry {
@@ -104,8 +107,13 @@ impl std::fmt::Debug for BreakerRegistry {
     }
 }
 
-fn shard_of(endpoint: &str) -> usize {
-    (fnv1a(FNV_OFFSET, endpoint.as_bytes()) % SHARDS as u64) as usize
+/// The circuit of `endpoint`, closed the first time it is seen (the
+/// only time its key is allocated).
+fn core_of<'a>(endpoints: &'a mut HashMap<String, Core>, endpoint: &str) -> &'a mut Core {
+    if !endpoints.contains_key(endpoint) {
+        endpoints.insert(endpoint.to_string(), Core::Closed { failures: 0 });
+    }
+    endpoints.get_mut(endpoint).expect("inserted above")
 }
 
 impl BreakerRegistry {
@@ -113,24 +121,22 @@ impl BreakerRegistry {
     pub fn new(config: BreakerConfig) -> BreakerRegistry {
         BreakerRegistry {
             config,
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            endpoints: Mutex::new(HashMap::new()),
         }
     }
 
     /// Should a call to `endpoint` proceed at virtual time `now_ms`?
-    /// An open circuit whose cool-down has elapsed moves to half-open
-    /// and admits the call as a probe.
+    /// An open circuit whose cool-down has elapsed moves to half-open;
+    /// a half-open circuit admits every call as a probe.
     pub(crate) fn admit(&self, endpoint: &str, now_ms: u64) -> Admission {
-        let mut shard = self.shards[shard_of(endpoint)].lock();
-        let core = shard.entry(endpoint.to_string()).or_insert(Core::Closed {
-            consecutive_failures: 0,
-        });
+        let mut endpoints = self.endpoints.lock();
+        let core = core_of(&mut endpoints, endpoint);
         match *core {
             Core::Closed { .. } | Core::HalfOpen { .. } => Admission::Allow,
-            Core::Open { opened_at_ms } => {
-                let reopens_at = opened_at_ms + self.config.open_ms;
+            Core::Open { since_ms } => {
+                let reopens_at = since_ms + self.config.open_ms;
                 if now_ms >= reopens_at {
-                    *core = Core::HalfOpen { probe_successes: 0 };
+                    *core = Core::HalfOpen { successes: 0 };
                     Admission::Allow
                 } else {
                     Admission::FastFail {
@@ -143,46 +149,19 @@ impl BreakerRegistry {
 
     /// Record the result of an admitted call finishing at `now_ms`.
     pub fn record(&self, endpoint: &str, now_ms: u64, success: bool) {
-        let mut shard = self.shards[shard_of(endpoint)].lock();
-        let core = shard.entry(endpoint.to_string()).or_insert(Core::Closed {
-            consecutive_failures: 0,
-        });
+        let mut endpoints = self.endpoints.lock();
+        let core = core_of(&mut endpoints, endpoint);
         *core = match (*core, success) {
-            (Core::Closed { .. }, true) => Core::Closed {
-                consecutive_failures: 0,
+            (Core::Closed { .. }, true) => Core::Closed { failures: 0 },
+            (Core::Closed { failures }, false) => match failures + 1 {
+                f if f >= self.config.failure_threshold => Core::Open { since_ms: now_ms },
+                failures => Core::Closed { failures },
             },
-            (
-                Core::Closed {
-                    consecutive_failures,
-                },
-                false,
-            ) => {
-                let failures = consecutive_failures + 1;
-                if failures >= self.config.failure_threshold {
-                    Core::Open {
-                        opened_at_ms: now_ms,
-                    }
-                } else {
-                    Core::Closed {
-                        consecutive_failures: failures,
-                    }
-                }
-            }
-            (Core::HalfOpen { probe_successes }, true) => {
-                let successes = probe_successes + 1;
-                if successes >= self.config.half_open_successes {
-                    Core::Closed {
-                        consecutive_failures: 0,
-                    }
-                } else {
-                    Core::HalfOpen {
-                        probe_successes: successes,
-                    }
-                }
-            }
-            (Core::HalfOpen { .. }, false) => Core::Open {
-                opened_at_ms: now_ms,
+            (Core::HalfOpen { successes }, true) => match successes + 1 {
+                s if s >= self.config.half_open_successes => Core::Closed { failures: 0 },
+                successes => Core::HalfOpen { successes },
             },
+            (Core::HalfOpen { .. }, false) => Core::Open { since_ms: now_ms },
             // Results may arrive for a circuit that tripped open while
             // the call was in flight; they don't move an open circuit.
             (open @ Core::Open { .. }, _) => open,
@@ -192,12 +171,11 @@ impl BreakerRegistry {
     /// Observe the state of `endpoint` at `now_ms` without mutating it
     /// (an open circuit past its cool-down reports [`BreakerState::HalfOpen`]).
     pub fn state(&self, endpoint: &str, now_ms: u64) -> BreakerState {
-        let shard = self.shards[shard_of(endpoint)].lock();
-        match shard.get(endpoint) {
+        match self.endpoints.lock().get(endpoint) {
             None | Some(Core::Closed { .. }) => BreakerState::Closed,
             Some(Core::HalfOpen { .. }) => BreakerState::HalfOpen,
-            Some(Core::Open { opened_at_ms }) => {
-                if now_ms >= opened_at_ms + self.config.open_ms {
+            Some(Core::Open { since_ms }) => {
+                if now_ms >= since_ms + self.config.open_ms {
                     BreakerState::HalfOpen
                 } else {
                     BreakerState::Open
@@ -208,9 +186,7 @@ impl BreakerRegistry {
 
     /// Forget all endpoint state (admin reset).
     pub fn reset(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+        self.endpoints.lock().clear();
     }
 }
 
@@ -271,6 +247,19 @@ mod tests {
         // ...the second closes it.
         r.record("svc", 1_020, true);
         assert_eq!(r.state("svc", 1_020), BreakerState::Closed);
+    }
+
+    #[test]
+    fn half_open_admits_every_call() {
+        let r = registry();
+        for t in 0..3 {
+            r.record("svc", t, false);
+        }
+        // No probe cap: back-to-back calls past the cool-down are all
+        // admitted, and the circuit stays half-open until results land.
+        assert_eq!(r.admit("svc", 1_002), Admission::Allow);
+        assert_eq!(r.admit("svc", 1_003), Admission::Allow);
+        assert_eq!(r.state("svc", 1_003), BreakerState::HalfOpen);
     }
 
     #[test]
