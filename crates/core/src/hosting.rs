@@ -36,10 +36,11 @@ use crate::monetize::{ClickLog, Impression, InteractionEvent, TrafficSummary};
 use crate::runtime::{
     execute_resilient, fanout_cap, shed_response, ExecCtx, ExecMode, QueryResponse,
 };
-use crate::source::Substrates;
+use crate::source::{DataSourceDef, ResultItem, ScatterSearch, SourceOutcome, Substrates};
 use crate::source_cache::{normalize_query, SourceCache, SourceCacheConfig, SourceCacheStats};
 
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use symphony_ads::{AdServer, CampaignId, Placement};
@@ -171,7 +172,7 @@ pub struct Platform {
     host_url: String,
     /// Distributed web-search backend; when set, web-vertical sources
     /// scatter across shard nodes instead of hitting `engine`.
-    scatter: Option<Arc<dyn crate::source::ScatterSearch>>,
+    scatter: Option<Arc<dyn ScatterSearch>>,
 }
 
 // Compile-time guarantee that the serving path can be shared across
@@ -218,7 +219,7 @@ impl Platform {
     /// then scatter across its shard nodes instead of querying the
     /// local engine; caches are cleared because cached entries were
     /// produced by the other backend.
-    pub fn set_scatter(&mut self, scatter: Arc<dyn crate::source::ScatterSearch>) {
+    pub fn set_scatter(&mut self, scatter: Arc<dyn ScatterSearch>) {
         self.scatter = Some(scatter);
         self.source_cache.clear();
         for app in &mut self.apps {
@@ -227,12 +228,18 @@ impl Platform {
     }
 
     /// Override quotas. Every registered app's request-quota bucket is
-    /// re-armed, full, at the new rate.
+    /// re-armed, full, at the new rate, and its L1 is rebuilt, empty,
+    /// at the new capacity. A `cache_capacity` of 0 is a config error
+    /// the next [`Platform::register_app`] reports; registered apps
+    /// keep their L1 under it.
     pub fn with_quotas(mut self, quotas: QuotaConfig) -> Platform {
         self.quotas = quotas;
         let now = *self.clock_ms.get_mut();
         for app in &mut self.apps {
             app.quota = quota_bucket(&quotas, now);
+            if quotas.cache_capacity > 0 {
+                app.cache = l1(&quotas);
+            }
         }
         self
     }
@@ -417,18 +424,9 @@ impl Platform {
     pub fn maintenance_tick(&mut self) -> MaintenanceSummary {
         let now = self.clock_ms.load(Ordering::SeqCst);
         let mut summary = MaintenanceSummary::default();
-        for space in self.store.spaces_mut() {
-            for table in space.tables_mut() {
-                if let Some(r) = table.maintain_fulltext(now) {
-                    summary.views += 1;
-                    summary.sealed += usize::from(r.sealed);
-                    summary.merges += r.merged_segments;
-                    summary.purged_docs += r.purged_docs;
-                }
-            }
-        }
-        if let Some(engine) = Arc::get_mut(&mut self.engine) {
-            let r = engine.maintain(now);
+        let tables = self.store.spaces_mut().flat_map(|space| space.tables_mut());
+        let web = Arc::get_mut(&mut self.engine).map(|engine| engine.maintain(now));
+        for r in tables.filter_map(|t| t.maintain_fulltext(now)).chain(web) {
             summary.views += 1;
             summary.sealed += usize::from(r.sealed);
             summary.merges += r.merged_segments;
@@ -459,10 +457,7 @@ impl Platform {
         self.apps.push(HostedApp {
             config,
             published: false,
-            cache: Mutex::new(LruTtlCache::new(
-                self.quotas.cache_capacity,
-                self.quotas.cache_ttl_ms,
-            )),
+            cache: l1(&self.quotas),
             quota: quota_bucket(&self.quotas, now),
             queries: AtomicU64::new(0),
             degraded_queries: AtomicU64::new(0),
@@ -480,20 +475,14 @@ impl Platform {
 
     /// Publish an application (it becomes queryable).
     pub fn publish(&mut self, id: AppId) -> Result<(), PlatformError> {
-        let app = self
-            .apps
-            .get_mut(id.0 as usize)
-            .ok_or(PlatformError::AppNotFound(id.0))?;
+        let app = self.hosted_mut(id)?;
         app.published = true;
         Ok(())
     }
 
     /// Unpublish an application (cache cleared).
     pub fn unpublish(&mut self, id: AppId) -> Result<(), PlatformError> {
-        let app = self
-            .apps
-            .get_mut(id.0 as usize)
-            .ok_or(PlatformError::AppNotFound(id.0))?;
+        let app = self.hosted_mut(id)?;
         app.published = false;
         app.cache.get_mut().clear();
         Ok(())
@@ -506,19 +495,13 @@ impl Platform {
 
     /// Copy-paste embed code for an app.
     pub fn embed_code(&self, id: AppId) -> Result<String, PlatformError> {
-        let app = self
-            .apps
-            .get(id.0 as usize)
-            .ok_or(PlatformError::AppNotFound(id.0))?;
+        let app = self.hosted(id)?;
         Ok(embed_snippet(&app.config, id, &self.host_url))
     }
 
     /// Social deployment descriptor for an app.
     pub fn social_manifest(&self, id: AppId) -> Result<SocialManifest, PlatformError> {
-        let app = self
-            .apps
-            .get(id.0 as usize)
-            .ok_or(PlatformError::AppNotFound(id.0))?;
+        let app = self.hosted(id)?;
         Ok(SocialManifest::for_app(&app.config, id, &self.host_url))
     }
 
@@ -553,49 +536,27 @@ impl Platform {
         depth: u32,
     ) -> Result<Arc<QueryResponse>, PlatformError> {
         // Resolve composed primary sources by recursively querying the
-        // referenced apps *before* the main borrow-split below.
-        let composed: Vec<(String, AppId)> = {
-            let config = self
-                .apps
-                .get(id.0 as usize)
-                .map(|a| &a.config)
-                .ok_or(PlatformError::AppNotFound(id.0))?;
-            config
-                .sources
-                .iter()
-                .filter_map(|s| match s.def {
-                    crate::source::DataSourceDef::ComposedApp { app } => {
-                        Some((s.name.clone(), app))
-                    }
-                    _ => None,
-                })
-                .collect()
-        };
-        let mut overrides: std::collections::HashMap<String, crate::source::SourceOutcome> =
-            std::collections::HashMap::new();
-        for (name, child) in composed {
+        // referenced apps.
+        let mut overrides = HashMap::new();
+        for source in &self.hosted(id)?.config.sources {
+            let DataSourceDef::ComposedApp { app: child } = source.def else {
+                continue;
+            };
             let outcome = if depth + 1 >= Self::MAX_COMPOSE_DEPTH {
-                crate::source::SourceOutcome {
-                    items: Vec::new(),
-                    virtual_ms: 0,
-                    error: Some(format!(
-                        "composition depth limit ({}) reached",
-                        Self::MAX_COMPOSE_DEPTH
-                    )),
-                    attempts: 0,
-                }
+                let limit = Self::MAX_COMPOSE_DEPTH;
+                let error = format!("composition depth limit ({limit}) reached");
+                SourceOutcome::failed(error, 0, 0)
             } else {
                 let child_name = self
                     .app(child)
                     .map(|c| c.name.clone())
                     .unwrap_or_else(|| format!("app-{}", child.0));
                 match self.query_at_depth(child, query, depth + 1) {
-                    Ok(resp) => crate::source::SourceOutcome {
-                        items: resp
-                            .impressions
+                    Ok(resp) => SourceOutcome::found(
+                        resp.impressions
                             .iter()
                             .filter(|imp| !imp.is_ad) // never re-syndicate ads
-                            .map(|imp| crate::source::ResultItem {
+                            .map(|imp| ResultItem {
                                 fields: vec![
                                     ("title".to_string(), imp.title.clone()),
                                     ("url".to_string(), imp.url.clone().unwrap_or_default()),
@@ -605,19 +566,13 @@ impl Platform {
                                 score: 0.0,
                             })
                             .collect(),
-                        virtual_ms: resp.virtual_ms,
-                        error: None,
-                        attempts: 1,
-                    },
-                    Err(e) => crate::source::SourceOutcome {
-                        items: Vec::new(),
-                        virtual_ms: 0,
-                        error: Some(e.to_string()),
-                        attempts: 0,
-                    },
+                        resp.virtual_ms,
+                        1,
+                    ),
+                    Err(e) => SourceOutcome::failed(e.to_string(), 0, 0),
                 }
             };
-            overrides.insert(name, outcome);
+            overrides.insert(source.name.clone(), outcome);
         }
         self.query_with_overrides(id, query, overrides)
     }
@@ -626,12 +581,9 @@ impl Platform {
         &self,
         id: AppId,
         query: &str,
-        overrides: std::collections::HashMap<String, crate::source::SourceOutcome>,
+        overrides: HashMap<String, SourceOutcome>,
     ) -> Result<Arc<QueryResponse>, PlatformError> {
-        let hosted = self
-            .apps
-            .get(id.0 as usize)
-            .ok_or(PlatformError::AppNotFound(id.0))?;
+        let hosted = self.hosted(id)?;
         if !hosted.published {
             return Err(PlatformError::NotPublished(hosted.config.name.clone()));
         }
@@ -788,6 +740,18 @@ impl Platform {
             .record_impressions(app, resp.impressions.len() as u64);
     }
 
+    /// The hosted app `id`.
+    fn hosted(&self, id: AppId) -> Result<&HostedApp, PlatformError> {
+        let app = self.apps.get(id.0 as usize);
+        app.ok_or(PlatformError::AppNotFound(id.0))
+    }
+
+    /// The hosted app `id`, mutably.
+    fn hosted_mut(&mut self, id: AppId) -> Result<&mut HostedApp, PlatformError> {
+        let app = self.apps.get_mut(id.0 as usize);
+        app.ok_or(PlatformError::AppNotFound(id.0))
+    }
+
     /// Advance the virtual clock by `ms`, returning the new time.
     fn advance_clock_by(&self, ms: u64) -> u64 {
         self.clock_ms.fetch_add(ms, Ordering::SeqCst) + ms
@@ -804,10 +768,7 @@ impl Platform {
         query: &str,
         impression: &Impression,
     ) -> Result<Option<u32>, PlatformError> {
-        let hosted = self
-            .apps
-            .get(id.0 as usize)
-            .ok_or(PlatformError::AppNotFound(id.0))?;
+        let hosted = self.hosted(id)?;
         let app_name = hosted.config.name.clone();
         let publisher = &hosted.config.monetization.publisher;
         let log_interactions = hosted.config.monetization.log_interactions;
@@ -850,10 +811,7 @@ impl Platform {
     /// Traffic summary for an app, including the degraded-query error
     /// rate.
     pub fn traffic_summary(&self, id: AppId) -> Result<TrafficSummary, PlatformError> {
-        let app = self
-            .apps
-            .get(id.0 as usize)
-            .ok_or(PlatformError::AppNotFound(id.0))?;
+        let app = self.hosted(id)?;
         let mut summary = self.click_log.lock().summarize(&app.config.name);
         summary.queries = app.queries.load(Ordering::Relaxed);
         summary.degraded_queries = app.degraded_queries.load(Ordering::Relaxed);
@@ -863,10 +821,7 @@ impl Platform {
 
     /// Referral-audit CSV for an app.
     pub fn referral_audit_csv(&self, id: AppId) -> Result<String, PlatformError> {
-        let app = self
-            .apps
-            .get(id.0 as usize)
-            .ok_or(PlatformError::AppNotFound(id.0))?;
+        let app = self.hosted(id)?;
         Ok(self.click_log.lock().referral_audit_csv(&app.config.name))
     }
 
@@ -950,6 +905,11 @@ impl QueryHost for Platform {
     }
 }
 
+/// An app's empty L1 result cache under `quotas`.
+fn l1(quotas: &QuotaConfig) -> Mutex<LruTtlCache<String, Arc<QueryResponse>>> {
+    Mutex::new(LruTtlCache::new(quotas.cache_capacity, quotas.cache_ttl_ms))
+}
+
 /// An app's request-quota bucket, full at `now_ms`: `requests_per_minute`
 /// tokens of burst, refilled at that rate per virtual minute.
 fn quota_bucket(quotas: &QuotaConfig, now_ms: u64) -> Mutex<TokenBucket> {
@@ -961,9 +921,7 @@ fn quota_bucket(quotas: &QuotaConfig, now_ms: u64) -> Mutex<TokenBucket> {
 /// name, hashing the full outcome). Appended to the L1 key so that
 /// responses computed under different parent-composition contexts
 /// never collide.
-fn overrides_fingerprint(
-    overrides: &std::collections::HashMap<String, crate::source::SourceOutcome>,
-) -> u64 {
+fn overrides_fingerprint(overrides: &HashMap<String, SourceOutcome>) -> u64 {
     let mut names: Vec<&String> = overrides.keys().collect();
     names.sort();
     let mut h = FNV_OFFSET;
@@ -978,7 +936,7 @@ fn overrides_fingerprint(
 mod tests {
     use super::*;
     use crate::app::AppBuilder;
-    use crate::source::DataSourceDef;
+    use crate::trace::{Outcome, SpanKind};
     use symphony_designer::{Canvas, Element};
     use symphony_store::ingest::{ingest, DataFormat};
     use symphony_web::{Corpus, CorpusConfig, SearchConfig, Topic, Vertical};
@@ -1212,6 +1170,29 @@ mod tests {
     }
 
     #[test]
+    fn with_quotas_rebuilds_registered_l1s_at_the_new_capacity() {
+        let (mut p, tenant, _) = platform();
+        let id = register_gamer_queen(&mut p, tenant);
+        p.publish(id).unwrap();
+        p.query(id, "shooter").unwrap();
+        let p = p.with_quotas(QuotaConfig {
+            cache_capacity: 1,
+            ..QuotaConfig::default()
+        });
+        // Rebuilt empty, and one entry holds only the latest query.
+        assert!(!p.query(id, "shooter").unwrap().trace.cache_hit);
+        p.query(id, "galactic").unwrap();
+        assert!(!p.query(id, "shooter").unwrap().trace.cache_hit);
+        assert!(p.query(id, "shooter").unwrap().trace.cache_hit);
+        // A capacity of 0 is refused without a panic: the L1 stays.
+        let p = p.with_quotas(QuotaConfig {
+            cache_capacity: 0,
+            ..QuotaConfig::default()
+        });
+        assert!(p.query(id, "shooter").unwrap().trace.cache_hit);
+    }
+
+    #[test]
     fn zero_cache_capacity_is_a_config_error() {
         let (mut p, tenant, _) = platform();
         let id = register_gamer_queen(&mut p, tenant);
@@ -1434,12 +1415,16 @@ mod tests {
         let shed = p.query(id, "shooter three").unwrap();
         assert!(shed.trace.shed);
         assert!(shed.trace.degraded);
-        assert_eq!(shed.trace.error_count, 0);
+        assert!(shed.trace.nodes().all(|n| !n.outcome.is_error()));
         assert_eq!(shed.virtual_ms, crate::runtime::SHED_MS);
         // Front-door rejection: the serving clock never saw the query.
         assert_eq!(p.clock_ms(), clock_before);
         assert!(shed.impressions.is_empty());
-        assert!(shed.trace.render().contains("shed"));
+        let refusal = &shed.trace.stages[0];
+        assert_eq!(
+            (refusal.kind, refusal.outcome, refusal.detail.as_str()),
+            (SpanKind::Admission, Outcome::Shed, "rate limit exceeded")
+        );
         // Shed responses are never cached: after the bucket refills,
         // the same query executes for real.
         p.advance_clock(2_000);

@@ -95,3 +95,4 @@ pub use source::{
 pub use source_cache::{
     normalize_query, FetchStatus, Fetched, SourceCache, SourceCacheConfig, SourceCacheStats,
 };
+pub use trace::{Outcome, SpanKind};

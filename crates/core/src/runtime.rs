@@ -20,9 +20,9 @@
 use crate::admission::{FanoutScheduler, Lane};
 use crate::app::{ApplicationConfig, ResiliencePolicy};
 use crate::monetize::Impression;
-use crate::source::{run_source_ctx, SourceCtx, SourceOutcome, Substrates};
-use crate::source_cache::{FetchStatus, Fetched, SourceCache};
-use crate::trace::{ExecutionTrace, TraceNode};
+use crate::source::{run_tagged, tag_plain, SourceCtx, SourceOutcome, Substrates};
+use crate::source_cache::{Fetched, SourceCache};
+use crate::trace::{ExecutionTrace, Outcome, SpanKind, TraceNode};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -39,6 +39,16 @@ pub enum ExecMode {
     Parallel,
     /// Fetches run one after another; virtual time is the sum.
     Sequential,
+}
+
+impl ExecMode {
+    /// Combine stage times: the max in parallel, the sum in sequence.
+    fn combine(self, ms: impl Iterator<Item = u32>) -> u32 {
+        match self {
+            ExecMode::Parallel => ms.max().unwrap_or(0),
+            ExecMode::Sequential => ms.sum(),
+        }
+    }
 }
 
 /// Fixed virtual cost of receiving/dispatching the snippet request.
@@ -131,29 +141,16 @@ fn budget_for(policy: &ResiliencePolicy, consumed: u32) -> Option<u32> {
     }
 }
 
-/// Trace-detail marker for fetches the L2 cache satisfied.
-fn status_suffix(status: FetchStatus) -> &'static str {
-    match status {
-        FetchStatus::Hit => " (L2 hit)",
-        FetchStatus::Coalesced => " (L2 coalesced)",
-        FetchStatus::Uncached | FetchStatus::Miss => "",
-    }
-}
-
 /// Soft outcome for a fetch whose source panicked: the slot
 /// degrades, the query survives.
-fn panic_outcome(source: &str, payload: &(dyn std::any::Any + Send)) -> SourceOutcome {
+fn panic_outcome(source: &str, payload: &(dyn std::any::Any + Send)) -> Fetched {
     let msg = payload
         .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".to_string());
-    SourceOutcome {
-        items: Vec::new(),
-        virtual_ms: 0,
-        error: Some(format!("source {source:?} panicked: {msg}")),
-        attempts: 1,
-    }
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("unknown panic");
+    let outcome = SourceOutcome::failed(format!("source {source:?} panicked: {msg}"), 0, 1);
+    Fetched::uncached((outcome, Some(Outcome::Panicked)))
 }
 
 /// Execute `query` against an application over the given substrates,
@@ -204,22 +201,21 @@ pub fn execute_resilient(
         &mut retry_pool,
         sctx_at,
         |&(source, max), sctx| match overrides.get(source) {
-            Some(pre) => Fetched::uncached(pre.clone()),
+            Some(pre) => Fetched::uncached(tag_plain(pre.clone())),
             None => fetch_slot(app, source, query, max, subs, sctx, ctx.source_cache),
         },
     );
+    let mut stages = vec![TraceNode::stage(SpanKind::Receive, RECEIVE_MS, Vec::new())];
+    for (&(source, max), f) in primary_slots.iter().zip(&fetched) {
+        let kind = SpanKind::Primary { max };
+        stages.push(TraceNode::fetch(kind, source, f, String::new()));
+    }
     let primary: HashMap<&str, Fetched> = primary_slots
         .iter()
         .map(|&(source, _)| source)
         .zip(fetched)
         .collect();
-    let primary_ms = {
-        let iter = primary.values().map(|f| f.charged_ms);
-        match mode {
-            ExecMode::Parallel => iter.max().unwrap_or(0),
-            ExecMode::Sequential => iter.sum(),
-        }
-    };
+    let primary_ms = mode.combine(primary.values().map(|f| f.charged_ms));
 
     // ---- Stage 2: supplemental fan-out ---------------------------
     let mut tasks: Vec<FanoutTask> = Vec::new();
@@ -252,9 +248,8 @@ pub fn execute_resilient(
     }
 
     // Threads the parallel fan-out occupied, the caller included (0
-    // when the L2 answered every slot); surfaces in the trace for the
-    // Fig.-2 report.
-    let mut pool_workers = 0usize;
+    // when the L2 answered every slot); the fan-out stage records it.
+    let mut workers = 0usize;
     let fetch_task = |t: &FanoutTask<'_>, sctx: &SourceCtx<'_>| {
         fetch_slot(app, t.source, &t.query, t.k, subs, sctx, ctx.source_cache)
     };
@@ -304,8 +299,7 @@ pub fn execute_resilient(
                 let grant = ctx
                     .scheduler
                     .map(|s| s.acquire(app.owner.0 as u64, app.admission.weight, want, ctx.lane));
-                let workers = grant.as_ref().map_or(want, |g| g.workers());
-                pool_workers = workers;
+                workers = grant.as_ref().map_or(want, |g| g.workers());
                 let next = AtomicUsize::new(0);
                 let worker = || {
                     let mut local = Vec::new();
@@ -337,48 +331,15 @@ pub fn execute_resilient(
     };
     let mut suppl: HashMap<(&str, usize, &str), Fetched> = HashMap::new();
     let mut fanout_trace: Vec<TraceNode> = Vec::new();
-    for (t, o) in tasks.iter().zip(outcomes) {
-        fanout_trace.push(TraceNode::leaf(
-            format!("supplemental: {} for item #{}", t.source, t.item_idx),
-            o.charged_ms,
-            match &o.outcome.error {
-                Some(e) => format!(
-                    "query {:?} — error: {e}{}",
-                    t.query,
-                    status_suffix(o.status)
-                ),
-                None => format!(
-                    "query {:?} — {} results{}",
-                    t.query,
-                    o.outcome.items.len(),
-                    status_suffix(o.status)
-                ),
-            },
-        ));
-        suppl.insert((t.primary_source, t.item_idx, t.source), o);
+    for (t, f) in tasks.into_iter().zip(outcomes) {
+        let kind = SpanKind::Supplemental { item: t.item_idx };
+        fanout_trace.push(TraceNode::fetch(kind, t.source, &f, t.query));
+        suppl.insert((t.primary_source, t.item_idx, t.source), f);
     }
 
     // ---- Virtual-time accounting ---------------------------------
-    let suppl_ms_iter = suppl.values().map(|f| f.charged_ms);
-    let suppl_ms = match mode {
-        ExecMode::Parallel => suppl_ms_iter.max().unwrap_or(0),
-        ExecMode::Sequential => suppl_ms_iter.sum(),
-    };
+    let suppl_ms = mode.combine(suppl.values().map(|f| f.charged_ms));
     let total_ms = RECEIVE_MS + primary_ms + suppl_ms + MERGE_MS;
-    let error_count = primary
-        .values()
-        .chain(suppl.values())
-        .filter(|f| f.outcome.error.is_some())
-        .count() as u32;
-    let (mut l2_hits, mut l2_misses, mut l2_coalesced) = (0u32, 0u32, 0u32);
-    for f in primary.values().chain(suppl.values()) {
-        match f.status {
-            FetchStatus::Hit => l2_hits += 1,
-            FetchStatus::Miss => l2_misses += 1,
-            FetchStatus::Coalesced => l2_coalesced += 1,
-            FetchStatus::Uncached => {}
-        }
-    }
 
     // ---- Stage 3: merge + format (render to HTML) ----------------
     // One pass into one buffer: every item layout writes into `html`
@@ -426,64 +387,16 @@ pub fn execute_resilient(
     );
 
     // ---- Trace ----------------------------------------------------
-    let mut stages = vec![TraceNode::leaf(
-        "receive query from embedded snippet",
-        RECEIVE_MS,
-        format!("app {:?}", app.name),
-    )];
-    for &(source, max, _) in &primary_specs {
-        let f = &primary[source];
-        stages.push(TraceNode::leaf(
-            format!("primary: {source}"),
-            f.charged_ms,
-            match &f.outcome.error {
-                Some(e) => format!("error: {e}{}", status_suffix(f.status)),
-                None => format!(
-                    "{} results (max {max}){}",
-                    f.outcome.items.len(),
-                    status_suffix(f.status)
-                ),
-            },
-        ));
-    }
     if !fanout_trace.is_empty() {
-        stages.push(TraceNode::group(
-            "supplemental fan-out",
-            suppl_ms,
-            match mode {
-                ExecMode::Parallel => format!(
-                    "parallel: max of {} fetches ({} workers)",
-                    fanout_trace.len(),
-                    pool_workers
-                ),
-                ExecMode::Sequential => {
-                    format!("sequential: sum of {} fetches", fanout_trace.len())
-                }
-            },
-            fanout_trace,
-        ));
+        let kind = SpanKind::Fanout { mode, workers };
+        stages.push(TraceNode::stage(kind, suppl_ms, fanout_trace));
     }
-    stages.push(TraceNode::leaf(
-        "merge + format HTML",
-        MERGE_MS,
-        format!("{} bytes", html.len()),
-    ));
+    let merge = SpanKind::Merge { bytes: html.len() };
+    stages.push(TraceNode::stage(merge, MERGE_MS, Vec::new()));
 
     QueryResponse {
         html,
-        trace: ExecutionTrace {
-            app: app.name.clone(),
-            query: query.to_string(),
-            total_ms,
-            cache_hit: false,
-            error_count,
-            degraded: error_count > 0,
-            shed: false,
-            l2_hits,
-            l2_misses,
-            l2_coalesced,
-            stages,
-        },
+        trace: ExecutionTrace::new(&app.name, query, total_ms, stages),
         virtual_ms: total_ms,
         impressions,
     }
@@ -493,8 +406,7 @@ pub fn execute_resilient(
 /// control: the layout shell renders with every result slot empty —
 /// the same path a fully errored query takes — at a flat [`SHED_MS`]
 /// cost, without consulting any source, breaker, or cache. Each
-/// primary slot carries a `(shed)` marker in its trace detail, like
-/// the `(L2 hit)` suffixes on served fetches.
+/// primary slot's stage ends [`Outcome::Shed`].
 pub(crate) fn shed_response(app: &ApplicationConfig, query: &str, reason: &str) -> QueryResponse {
     let mut html = String::new();
     render_into(
@@ -504,37 +416,26 @@ pub(crate) fn shed_response(app: &ApplicationConfig, query: &str, reason: &str) 
         &|_| None,
         &mut |_, _, _, _| {},
     );
-    let mut stages = vec![TraceNode::leaf(
-        "admission control",
-        SHED_MS,
-        format!("shed: {reason}"),
-    )];
-    for (source, _, _) in app.primary_list_refs() {
-        stages.push(TraceNode::leaf(
-            format!("primary: {source}"),
-            0,
-            "not fetched (shed)",
-        ));
+    let mut stages = vec![TraceNode {
+        outcome: Outcome::Shed,
+        detail: reason.to_string(),
+        ..TraceNode::stage(SpanKind::Admission, SHED_MS, Vec::new())
+    }];
+    for (source, max, _) in app.primary_list_refs() {
+        stages.push(TraceNode {
+            source: Some(source.to_string()),
+            outcome: Outcome::Shed,
+            ..TraceNode::stage(SpanKind::Primary { max }, 0, Vec::new())
+        });
     }
-    stages.push(TraceNode::leaf(
-        "merge + format HTML",
-        0,
-        format!("{} bytes (empty shell)", html.len()),
-    ));
+    let merge = SpanKind::Merge { bytes: html.len() };
+    stages.push(TraceNode::stage(merge, 0, Vec::new()));
     QueryResponse {
         html,
         trace: ExecutionTrace {
-            app: app.name.clone(),
-            query: query.to_string(),
-            total_ms: SHED_MS,
-            cache_hit: false,
-            error_count: 0,
-            degraded: true,
             shed: true,
-            l2_hits: 0,
-            l2_misses: 0,
-            l2_coalesced: 0,
-            stages,
+            degraded: true,
+            ..ExecutionTrace::new(&app.name, query, SHED_MS, stages)
         },
         virtual_ms: SHED_MS,
         impressions: Vec::new(),
@@ -572,20 +473,16 @@ fn fetch_slot(
     cache: Option<&SourceCache>,
 ) -> Fetched {
     let Some(cfg) = app.source(source) else {
-        return Fetched::uncached(SourceOutcome {
-            items: Vec::new(),
-            virtual_ms: 0,
-            error: Some(format!("source {source:?} not configured")),
-            attempts: 0,
-        });
+        let error = format!("source {source:?} not configured");
+        return Fetched::uncached(tag_plain(SourceOutcome::failed(error, 0, 0)));
     };
     let constraint = app.constraint(source);
-    let run = || run_source_ctx(&cfg.def, query, k, subs, constraint, sctx);
+    let run = || run_tagged(&cfg.def, query, k, subs, constraint, sctx);
     std::panic::catch_unwind(AssertUnwindSafe(|| match cache {
-        Some(c) => c.fetch(&cfg.def, Some(app.owner), query, k, constraint, sctx, run),
+        Some(c) => c.fetch_tagged(&cfg.def, Some(app.owner), query, k, constraint, sctx, run),
         None => Fetched::uncached(run()),
     }))
-    .unwrap_or_else(|p| Fetched::uncached(panic_outcome(source, p.as_ref())))
+    .unwrap_or_else(|p| panic_outcome(source, p.as_ref()))
 }
 
 /// The in-order stage runner: fetch `slots` one after another on this
@@ -667,11 +564,29 @@ mod tests {
     use super::*;
     use crate::app::AppBuilder;
     use crate::source::DataSourceDef;
+    use crate::source_cache::FetchStatus;
     use symphony_designer::{Canvas, Element};
     use symphony_services::{CallPolicy, LatencyModel, PricingService, SimulatedTransport};
     use symphony_store::ingest::{ingest, DataFormat};
     use symphony_store::{IndexedTable, Store, TenantId};
     use symphony_web::{Corpus, CorpusConfig, SearchConfig, SearchEngine, Topic, Vertical};
+
+    /// Stages of `trace` that errored.
+    fn errors(trace: &ExecutionTrace) -> usize {
+        trace.nodes().filter(|n| n.outcome.is_error()).count()
+    }
+
+    /// Fetches of `trace` the L2 served with `status`.
+    fn l2_count(trace: &ExecutionTrace, status: FetchStatus) -> usize {
+        trace.nodes().filter(|n| n.l2 == status).count()
+    }
+
+    /// The supplemental fan-out stage of `trace`.
+    fn fanout(trace: &ExecutionTrace) -> Option<&TraceNode> {
+        trace
+            .nodes()
+            .find(|n| matches!(n.kind, SpanKind::Fanout { .. }))
+    }
 
     /// Execute `query` with no overrides and an unlimited context.
     fn execute(
@@ -807,11 +722,27 @@ mod tests {
         assert!(resp.html.contains("review"), "{}", resp.html);
         // Pricing service result.
         assert!(resp.html.contains("(USD)"), "{}", resp.html);
-        // Trace stages present.
-        assert!(resp.trace.find("receive query").is_some());
-        assert!(resp.trace.find("primary: inventory").is_some());
-        assert!(resp.trace.find("supplemental fan-out").is_some());
-        assert!(resp.trace.find("merge + format").is_some());
+        // Trace stages present, in Fig. 2's order.
+        let kinds: Vec<SpanKind> = resp.trace.stages.iter().map(|n| n.kind).collect();
+        assert!(
+            matches!(
+                kinds[..],
+                [
+                    SpanKind::Receive,
+                    SpanKind::Primary { max: 10 },
+                    SpanKind::Fanout {
+                        mode: ExecMode::Parallel,
+                        ..
+                    },
+                    SpanKind::Merge { .. }
+                ]
+            ),
+            "{kinds:?}"
+        );
+        assert_eq!(
+            resp.trace.slot("inventory").unwrap().outcome,
+            Outcome::Ok { results: 1 }
+        );
     }
 
     #[test]
@@ -853,7 +784,7 @@ mod tests {
         let resp = execute(&app, "zzzqqq", subs(&w), ExecMode::Parallel);
         assert!(resp.html.contains("sym-search"));
         assert!(resp.impressions.is_empty());
-        assert!(resp.trace.find("supplemental fan-out").is_none());
+        assert!(fanout(&resp.trace).is_none());
     }
 
     #[test]
@@ -870,8 +801,9 @@ mod tests {
         let resp = execute(&app, "space shooter", partial, ExecMode::Parallel);
         // The primary result still renders; reviews report an error.
         assert!(resp.html.contains("Galactic Raiders"));
-        let fanout = resp.trace.find("supplemental: reviews").unwrap();
-        assert!(fanout.detail.contains("error"));
+        let reviews = resp.trace.slot("reviews").unwrap();
+        assert_eq!(reviews.outcome, Outcome::Failed);
+        assert_eq!(reviews.error.as_deref(), Some("no web engine attached"));
     }
 
     /// Service that tracks peak concurrent in-flight handlers.
@@ -1048,7 +980,7 @@ mod tests {
             scatter: None,
         };
         let resp = execute(&app, "gadget", subs, ExecMode::Parallel);
-        let fanout = resp.trace.find("supplemental fan-out").unwrap();
+        let fanout = fanout(&resp.trace).unwrap();
         assert!(
             fanout.children.len() >= 100,
             "expected a wide fan-out, got {}",
@@ -1065,7 +997,13 @@ mod tests {
             "parallel virtual time must be max-combined, got {}",
             resp.virtual_ms
         );
-        assert!(fanout.detail.contains("workers"), "{}", fanout.detail);
+        assert_eq!(
+            fanout.kind,
+            SpanKind::Fanout {
+                mode: ExecMode::Parallel,
+                workers: fanout_cap(),
+            }
+        );
         assert!(!resp.trace.degraded);
     }
 
@@ -1087,10 +1025,12 @@ mod tests {
         assert!(resp.html.contains("Gadget 2"), "{}", resp.html);
         // Each panicked slot degraded softly.
         assert!(resp.trace.degraded);
-        assert_eq!(resp.trace.error_count, 3);
-        let slot = resp.trace.find("supplemental: unstable").unwrap();
-        assert!(slot.detail.contains("panicked"), "{}", slot.detail);
-        assert!(slot.detail.contains("unstable service blew up"));
+        assert_eq!(errors(&resp.trace), 3);
+        let slot = resp.trace.slot("unstable").unwrap();
+        assert_eq!(slot.kind, SpanKind::Supplemental { item: 0 });
+        assert_eq!(slot.outcome, Outcome::Panicked);
+        let error = slot.error.as_deref().unwrap();
+        assert!(error.contains("unstable service blew up"), "{error}");
     }
 
     /// An app whose only (primary) source is a service registered at
@@ -1123,9 +1063,10 @@ mod tests {
     /// query returns.
     fn assert_primary_panicked(resp: &QueryResponse) {
         assert!(resp.trace.degraded, "{}", resp.trace.render());
-        assert_eq!(resp.trace.error_count, 1);
-        let slot = resp.trace.find("primary: unstable").unwrap();
-        assert!(slot.detail.contains("panicked"), "{}", slot.detail);
+        assert_eq!(errors(&resp.trace), 1);
+        let slot = resp.trace.slot("unstable").unwrap();
+        assert_eq!(slot.kind, SpanKind::Primary { max: 3 });
+        assert_eq!(slot.outcome, Outcome::Panicked);
         assert!(resp.html.contains("sym-"), "{}", resp.html);
     }
 
@@ -1194,16 +1135,12 @@ mod tests {
         // Primary content renders; the 35-ms web fetch is cut for free.
         assert!(resp.html.contains("Galactic Raiders"));
         assert!(resp.trace.degraded);
-        let reviews = resp.trace.find("supplemental: reviews").unwrap();
-        assert!(
-            reviews.detail.contains("deadline cut"),
-            "{}",
-            reviews.detail
-        );
+        let reviews = resp.trace.slot("reviews").unwrap();
+        assert_eq!(reviews.outcome, Outcome::DeadlineCut);
         assert_eq!(reviews.virtual_ms, 0);
         // The fast pricing service still fits in the remaining budget.
-        let pricing = resp.trace.find("supplemental: pricing").unwrap();
-        assert!(pricing.detail.contains("results"), "{}", pricing.detail);
+        let pricing = resp.trace.slot("pricing").unwrap();
+        assert_eq!(pricing.outcome, Outcome::Ok { results: 1 });
     }
 
     #[test]
@@ -1214,14 +1151,18 @@ mod tests {
         assert_eq!(resp.virtual_ms, SHED_MS);
         assert!(resp.trace.shed);
         assert!(resp.trace.degraded);
-        assert_eq!(resp.trace.error_count, 0);
+        assert_eq!(errors(&resp.trace), 0);
         assert!(resp.impressions.is_empty());
         // The layout shell still renders (search box, empty lists).
         assert!(resp.html.contains("sym-search"), "{}", resp.html);
-        // Slots carry the (shed) marker like (L2 hit) suffixes.
-        let slot = resp.trace.find("primary: inventory").unwrap();
-        assert!(slot.detail.contains("(shed)"), "{}", slot.detail);
-        assert!(resp.trace.render().contains("shed"));
+        // Admission refused it, and every primary slot ended shed.
+        let refusal = &resp.trace.stages[0];
+        assert_eq!(
+            (refusal.kind, refusal.outcome, refusal.detail.as_str()),
+            (SpanKind::Admission, Outcome::Shed, "rate limit")
+        );
+        let slot = resp.trace.slot("inventory").unwrap();
+        assert_eq!(slot.outcome, Outcome::Shed);
     }
 
     #[test]
@@ -1270,8 +1211,13 @@ mod tests {
         );
         // Every slot still served; virtual time still max-combined.
         assert!(!resp.trace.degraded);
-        let fanout = resp.trace.find("supplemental fan-out").unwrap();
-        assert!(fanout.detail.contains("workers"), "{}", fanout.detail);
+        assert_eq!(
+            fanout(&resp.trace).unwrap().kind,
+            SpanKind::Fanout {
+                mode: ExecMode::Parallel,
+                workers: fanout_cap().min(4),
+            }
+        );
         // The grant was released once the fan-out finished.
         assert_eq!(pool.outstanding(), (0, 0));
     }
@@ -1305,12 +1251,18 @@ mod tests {
         // No primary hit, so no supplemental task: the scheduler never
         // hears of the query.
         let none = run("zzzqqq");
-        assert!(none.trace.find("supplemental fan-out").is_none());
+        assert!(fanout(&none.trace).is_none());
         assert_eq!(pool.granted(tenant.0 as u64), 0);
         // One task: billed one worker as before, served on this thread.
         let one = run("gadget");
-        let fanout = one.trace.find("supplemental fan-out").unwrap();
-        assert_eq!(fanout.detail, "parallel: max of 1 fetches (1 workers)");
+        let fanout = fanout(&one.trace).unwrap();
+        let parallel = ExecMode::Parallel;
+        assert_eq!(fanout.children.len(), 1);
+        let one_worker = SpanKind::Fanout {
+            mode: parallel,
+            workers: 1,
+        };
+        assert_eq!(fanout.kind, one_worker);
         assert_eq!(pool.granted(tenant.0 as u64), 1);
         assert_eq!(pool.outstanding(), (0, 0));
         assert_eq!(*served.lock(), vec![std::thread::current().id()]);
@@ -1353,7 +1305,8 @@ mod tests {
             )
         };
         let cold = run(0);
-        assert_eq!(cold.trace.l2_misses, 1 + 6, "{}", cold.trace.render());
+        let cold_misses = l2_count(&cold.trace, FetchStatus::Miss);
+        assert_eq!(cold_misses, 1 + 6, "{}", cold.trace.render());
         assert_eq!(served.lock().len(), 6);
         let granted = pool.granted(tenant.0 as u64);
         assert!(granted >= 1);
@@ -1361,12 +1314,18 @@ mod tests {
         // this thread. The scheduler never hears of the query, the
         // service is not called, and the page is the same.
         let warm = run(1_000);
-        assert_eq!(warm.trace.l2_hits, 1 + 6, "{}", warm.trace.render());
+        let warm_hits = l2_count(&warm.trace, FetchStatus::Hit);
+        assert_eq!(warm_hits, 1 + 6, "{}", warm.trace.render());
         assert_eq!(pool.granted(tenant.0 as u64), granted);
         assert_eq!(pool.outstanding(), (0, 0));
         assert_eq!(served.lock().len(), 6);
-        let fanout = warm.trace.find("supplemental fan-out").unwrap();
-        assert_eq!(fanout.detail, "parallel: max of 6 fetches (0 workers)");
+        let fanout = fanout(&warm.trace).unwrap();
+        assert_eq!(fanout.children.len(), 6);
+        let no_worker = SpanKind::Fanout {
+            mode: ExecMode::Parallel,
+            workers: 0,
+        };
+        assert_eq!(fanout.kind, no_worker);
         assert_eq!(warm.html, cold.html);
     }
 
@@ -1431,7 +1390,7 @@ mod tests {
             &ctx,
         );
         assert!(!resp.trace.degraded, "{}", resp.trace.render());
-        assert_eq!(resp.trace.l2_hits as usize, warm);
+        assert_eq!(l2_count(&resp.trace, FetchStatus::Hit), warm);
         // Only the cold slots reached the service ...
         let served = served.lock();
         assert_eq!(served.len(), cold);
@@ -1441,11 +1400,13 @@ mod tests {
         assert!(threads.contains(&std::thread::current().id()));
         assert_eq!(pool.granted(tenant.0 as u64), cap as u64);
         assert_eq!(pool.outstanding(), (0, 0));
-        let fanout = resp.trace.find("supplemental fan-out").unwrap();
-        assert_eq!(
-            fanout.detail,
-            format!("parallel: max of {} fetches ({cap} workers)", warm + cold)
-        );
+        let fanout = fanout(&resp.trace).unwrap();
+        assert_eq!(fanout.children.len(), warm + cold);
+        let cap_workers = SpanKind::Fanout {
+            mode: ExecMode::Parallel,
+            workers: cap,
+        };
+        assert_eq!(fanout.kind, cap_workers);
     }
 
     #[test]
@@ -1454,14 +1415,10 @@ mod tests {
         let app = gamer_queen(&w);
         // "game" in description? Query matching both items:
         let resp = execute(&app, "shooter farming", subs(&w), ExecMode::Parallel);
-        let fanouts: Vec<&str> = resp
-            .trace
-            .find("supplemental fan-out")
+        let fanouts: Vec<&str> = fanout(&resp.trace)
             .map(|n| n.children.iter().map(|c| c.detail.as_str()).collect())
             .unwrap_or_default();
-        assert!(fanouts
-            .iter()
-            .any(|d| d.contains("Galactic Raiders review")));
-        assert!(fanouts.iter().any(|d| d.contains("Farm Story review")));
+        assert!(fanouts.contains(&"Galactic Raiders review"), "{fanouts:?}");
+        assert!(fanouts.contains(&"Farm Story review"), "{fanouts:?}");
     }
 }

@@ -8,6 +8,7 @@
 //! platform substrates, returning uniform field/value records plus the
 //! virtual time the source took.
 
+use crate::trace::Outcome;
 use symphony_ads::AdServer;
 use symphony_services::{
     BreakerRegistry, CallPolicy, ResilienceContext, ServiceClient, ServiceError, ServiceRequest,
@@ -115,6 +116,28 @@ pub struct SourceOutcome {
     /// a breaker fast-fail or a deadline cut before the wire). The
     /// runtime deducts `attempts - 1` from the query's retry budget.
     pub attempts: u32,
+}
+
+impl SourceOutcome {
+    /// `items` found in `virtual_ms` over `attempts` transport attempts.
+    pub(crate) fn found(items: Vec<ResultItem>, virtual_ms: u32, attempts: u32) -> Self {
+        SourceOutcome {
+            items,
+            virtual_ms,
+            error: None,
+            attempts,
+        }
+    }
+
+    /// A soft error: nothing found, `virtual_ms` spent over `attempts`.
+    pub(crate) fn failed(error: String, virtual_ms: u32, attempts: u32) -> Self {
+        SourceOutcome {
+            items: Vec::new(),
+            virtual_ms,
+            error: Some(error),
+            attempts,
+        }
+    }
 }
 
 /// Per-fetch resilience context the runtime threads into
@@ -252,6 +275,27 @@ pub fn run_source_ctx(
     constraint: Option<&symphony_store::Filter>,
     ctx: &SourceCtx<'_>,
 ) -> SourceOutcome {
+    run_tagged(def, query, k, subs, constraint, ctx).0
+}
+
+/// A source outcome tagged with how the fetch failed, when it did.
+pub(crate) type Tagged = (SourceOutcome, Option<Outcome>);
+
+/// Tag an outcome whose failure has no name: any error is `Failed`.
+pub(crate) fn tag_plain(outcome: SourceOutcome) -> Tagged {
+    let failure = outcome.error.is_some().then_some(Outcome::Failed);
+    (outcome, failure)
+}
+
+/// [`run_source_ctx`], with the failure tagged where it happens.
+pub(crate) fn run_tagged(
+    def: &DataSourceDef,
+    query: &str,
+    k: usize,
+    subs: Substrates<'_>,
+    constraint: Option<&symphony_store::Filter>,
+    ctx: &SourceCtx<'_>,
+) -> Tagged {
     // Fixed-cost local sources: cut when the budget can't cover them.
     let fixed_cost = match def {
         DataSourceDef::Proprietary { .. } | DataSourceDef::Hybrid { .. } => Some(PROPRIETARY_MS),
@@ -317,12 +361,7 @@ pub fn run_source_ctx(
                     })
                 })
                 .collect();
-            SourceOutcome {
-                items,
-                virtual_ms: PROPRIETARY_MS,
-                error: None,
-                attempts: 1,
-            }
+            (SourceOutcome::found(items, PROPRIETARY_MS, 1), None)
         }
         DataSourceDef::WebVertical { vertical, config } => {
             if let Some(cluster) = subs.scatter {
@@ -335,12 +374,12 @@ pub fn run_source_ctx(
                         return deadline_cut(budget);
                     }
                 }
-                return SourceOutcome {
+                return tag_plain(SourceOutcome {
                     items: out.results.into_iter().map(web_item).collect(),
                     virtual_ms: out.virtual_ms,
                     error: out.error,
                     attempts: 1,
-                };
+                });
             }
             let Some(engine) = subs.engine else {
                 return soft_err("no web engine attached", 0);
@@ -350,12 +389,7 @@ pub fn run_source_ctx(
                 .into_iter()
                 .map(web_item)
                 .collect();
-            SourceOutcome {
-                items,
-                virtual_ms: WEB_MS,
-                error: None,
-                attempts: 1,
-            }
+            (SourceOutcome::found(items, WEB_MS, 1), None)
         }
         DataSourceDef::Service {
             endpoint,
@@ -375,32 +409,32 @@ pub fn run_source_ctx(
                 breakers: ctx.breakers,
             };
             match client.call_resilient(endpoint, &request, &rctx) {
-                Ok(out) => SourceOutcome {
-                    items: out
-                        .response
-                        .records
-                        .into_iter()
-                        .take(k)
-                        .map(|fields| ResultItem { fields, score: 0.0 })
-                        .collect(),
-                    virtual_ms: out.total_latency_ms,
-                    error: None,
-                    attempts: out.attempts,
-                },
+                Ok(out) => {
+                    let records = out.response.records.into_iter().take(k);
+                    let items = records.map(|fields| ResultItem { fields, score: 0.0 });
+                    let found =
+                        SourceOutcome::found(items.collect(), out.total_latency_ms, out.attempts);
+                    (found, None)
+                }
                 Err((e, burned)) => {
-                    // How many transport attempts the failure consumed
-                    // (the retry budget is charged for each).
-                    let attempts = match &e {
-                        ServiceError::CircuitOpen { .. } => 0,
-                        ServiceError::UnknownEndpoint(_) | ServiceError::Fault(_) => 1,
-                        _ => policy.retries.min(ctx.retries_allowed.unwrap_or(u32::MAX)) + 1,
+                    // What failed, and how many transport attempts it
+                    // consumed (the retry budget is charged for each).
+                    let retried = (policy.retries)
+                        .min(ctx.retries_allowed.unwrap_or(u32::MAX))
+                        .saturating_add(1);
+                    let (failure, attempts) = match &e {
+                        ServiceError::CircuitOpen { .. } => (Outcome::CircuitOpen, 0),
+                        ServiceError::UnknownEndpoint(_) | ServiceError::Fault(_) => {
+                            (Outcome::Failed, 1)
+                        }
+                        ServiceError::TransportFailure { .. } => (Outcome::Failed, retried),
+                        ServiceError::Timeout { .. } => (Outcome::TimedOut, retried),
+                        ServiceError::DeadlineCut { .. } => (Outcome::DeadlineCut, retried),
                     };
-                    SourceOutcome {
-                        items: Vec::new(),
-                        virtual_ms: burned,
-                        error: Some(e.to_string()),
-                        attempts,
-                    }
+                    (
+                        SourceOutcome::failed(e.to_string(), burned, attempts),
+                        Some(failure),
+                    )
                 }
             }
         }
@@ -432,12 +466,7 @@ pub fn run_source_ctx(
                     score: 0.0,
                 })
                 .collect();
-            SourceOutcome {
-                items,
-                virtual_ms: ADS_MS,
-                error: None,
-                attempts: 1,
-            }
+            (SourceOutcome::found(items, ADS_MS, 1), None)
         }
     }
 }
@@ -466,24 +495,18 @@ fn web_item(r: WebResult) -> ResultItem {
     }
 }
 
-fn soft_err(msg: &str, virtual_ms: u32) -> SourceOutcome {
-    SourceOutcome {
-        items: Vec::new(),
-        virtual_ms,
-        error: Some(msg.to_string()),
-        attempts: 1,
-    }
+fn soft_err(msg: &str, virtual_ms: u32) -> Tagged {
+    tag_plain(SourceOutcome::failed(msg.to_string(), virtual_ms, 1))
 }
 
 /// A fetch cut before it started because the remaining deadline
 /// budget cannot cover it: free (0 virtual ms), no attempt made.
-pub(crate) fn deadline_cut(budget_ms: u32) -> SourceOutcome {
-    SourceOutcome {
-        items: Vec::new(),
-        virtual_ms: 0,
-        error: Some(ServiceError::DeadlineCut { budget_ms }.to_string()),
-        attempts: 0,
-    }
+pub(crate) fn deadline_cut(budget_ms: u32) -> Tagged {
+    let error = ServiceError::DeadlineCut { budget_ms }.to_string();
+    (
+        SourceOutcome::failed(error, 0, 0),
+        Some(Outcome::DeadlineCut),
+    )
 }
 
 #[cfg(test)]

@@ -40,7 +40,8 @@
 //! used because singleflight needs a [`Condvar`].
 
 use crate::cache::LruTtlCache;
-use crate::source::{deadline_cut, DataSourceDef, SourceCtx, SourceOutcome};
+use crate::source::{deadline_cut, tag_plain, DataSourceDef, SourceCtx, SourceOutcome, Tagged};
+use crate::trace::Outcome;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use symphony_services::hash::{fnv1a, FNV_OFFSET};
@@ -165,16 +166,20 @@ pub struct Fetched {
     pub attempts_charged: u32,
     /// How the fetch was satisfied.
     pub status: FetchStatus,
+    /// How the fetch failed, when `outcome.error` is set (a served
+    /// error is both a failure and an L2 hit).
+    pub failure: Option<Outcome>,
 }
 
 impl Fetched {
     /// Wrap a directly-executed outcome (no cache involved).
-    pub(crate) fn uncached(outcome: SourceOutcome) -> Fetched {
+    pub(crate) fn uncached((outcome, failure): Tagged) -> Fetched {
         Fetched {
             charged_ms: outcome.virtual_ms,
             attempts_charged: outcome.attempts,
             outcome: Arc::new(outcome),
             status: FetchStatus::Uncached,
+            failure,
         }
     }
 }
@@ -198,10 +203,10 @@ impl FetchKey {
 #[derive(Debug, Clone)]
 struct CachedEntry {
     outcome: Arc<SourceOutcome>,
+    /// Set for error outcomes (short TTL, breaker-coherent serving).
+    failure: Option<Outcome>,
     /// Virtual time the originating execution finished.
     completed_at: u64,
-    /// True for error outcomes (short TTL, breaker-coherent serving).
-    negative: bool,
 }
 
 /// Singleflight slot for one in-flight key.
@@ -214,6 +219,7 @@ enum Flight {
     /// cache proper).
     Done {
         outcome: Arc<SourceOutcome>,
+        failure: Option<Outcome>,
         completed_at: u64,
         remaining: usize,
     },
@@ -381,18 +387,19 @@ impl SourceCache {
         let cached = st
             .cache
             .get(key, now)
-            .filter(|e| !e.negative || self.negative_servable(def, sctx))
-            .map(|e| (e.outcome.clone(), e.completed_at));
+            .filter(|e| e.failure.is_none() || self.negative_servable(def, sctx))
+            .map(|e| ((e.outcome.clone(), e.failure), e.completed_at));
         // 2. A just-finished execution?
-        let (outcome, completed_at) = cached.or_else(|| match st.inflight.get(key) {
+        let (served, completed_at) = cached.or_else(|| match st.inflight.get(key) {
             Some(Flight::Done {
                 outcome,
+                failure,
                 completed_at,
                 ..
-            }) => Some((outcome.clone(), *completed_at)),
+            }) => Some(((outcome.clone(), *failure), *completed_at)),
             _ => None,
         })?;
-        Some(classify(outcome, completed_at, now, sctx, &mut st.counters))
+        Some(classify(served, completed_at, now, sctx, &mut st.counters))
     }
 
     /// The cache's answer for a fetch *if it has one right now*: what
@@ -428,7 +435,8 @@ impl SourceCache {
     /// [`FetchStatus::Coalesced`] charged the remaining wait. Either
     /// way the charge is capped by `sctx.budget_ms` — a request whose
     /// budget cannot cover the wait degrades to a deadline cut, like
-    /// any other over-budget fetch.
+    /// any other over-budget fetch. An error `exec` returns is served
+    /// as [`Outcome::Failed`].
     #[allow(clippy::too_many_arguments)]
     pub fn fetch(
         &self,
@@ -439,6 +447,21 @@ impl SourceCache {
         constraint: Option<&symphony_store::Filter>,
         sctx: &SourceCtx<'_>,
         exec: impl FnOnce() -> SourceOutcome,
+    ) -> Fetched {
+        self.fetch_tagged(def, owner, query, k, constraint, sctx, || tag_plain(exec()))
+    }
+
+    /// [`SourceCache::fetch`] of an execution that tags its failure.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fetch_tagged(
+        &self,
+        def: &DataSourceDef,
+        owner: Option<TenantId>,
+        query: &str,
+        k: usize,
+        constraint: Option<&symphony_store::Filter>,
+        sctx: &SourceCtx<'_>,
+        exec: impl FnOnce() -> Tagged,
     ) -> Fetched {
         let Some((shard, key, hash)) = self.locate(def, owner, query, k, constraint) else {
             return Fetched::uncached(exec());
@@ -482,12 +505,12 @@ impl SourceCache {
             shard,
             key: Some(&key),
         };
-        let outcome = Arc::new(exec());
+        let (outcome, failure) = exec();
+        let outcome = Arc::new(outcome);
         guard.key = None; // completion below also clears the slot
         drop(guard);
 
         let completed_at = now + outcome.virtual_ms as u64;
-        let negative = outcome.error.is_some();
         let mut st = shard.lock();
         match st.inflight.remove(&key) {
             Some(Flight::Running { waiters }) if waiters > 0 => {
@@ -495,6 +518,7 @@ impl SourceCache {
                     key.clone(),
                     Flight::Done {
                         outcome: outcome.clone(),
+                        failure,
                         completed_at,
                         remaining: waiters,
                     },
@@ -507,7 +531,7 @@ impl SourceCache {
         // and would go stale the moment the breaker or budget moves:
         // never cached.
         if outcome.attempts >= 1 {
-            let ttl = if negative {
+            let ttl = if failure.is_some() {
                 self.config.negative_ttl_ms
             } else {
                 self.ttl_for(def)
@@ -515,8 +539,8 @@ impl SourceCache {
             if ttl > 0 {
                 let entry = CachedEntry {
                     outcome: outcome.clone(),
+                    failure,
                     completed_at,
-                    negative,
                 };
                 admit(&mut st, key, entry, now, ttl, hash);
             }
@@ -529,6 +553,7 @@ impl SourceCache {
             attempts_charged: outcome.attempts,
             outcome,
             status: FetchStatus::Miss,
+            failure,
         }
     }
 
@@ -546,7 +571,7 @@ impl SourceCache {
 
 /// Classify a served outcome by virtual time and account for it.
 fn classify(
-    outcome: Arc<SourceOutcome>,
+    (outcome, failure): (Arc<SourceOutcome>, Option<Outcome>),
     completed_at: u64,
     now: u64,
     sctx: &SourceCtx<'_>,
@@ -565,25 +590,23 @@ fn classify(
     };
     match status {
         FetchStatus::Coalesced => counters.coalesced += 1,
-        _ if outcome.error.is_some() => counters.negative_hits += 1,
+        _ if failure.is_some() => counters.negative_hits += 1,
         _ => counters.hits += 1,
     }
     // A served outcome still has to fit the caller's budget.
-    if let Some(budget) = sctx.budget_ms {
-        if charged_ms > budget {
-            return Fetched {
-                outcome: Arc::new(deadline_cut(budget)),
-                charged_ms: 0,
-                attempts_charged: 0,
-                status,
-            };
+    let (outcome, failure, charged_ms) = match sctx.budget_ms {
+        Some(budget) if charged_ms > budget => {
+            let (cut, failure) = deadline_cut(budget);
+            (Arc::new(cut), failure, 0)
         }
-    }
+        _ => (outcome, failure, charged_ms),
+    };
     Fetched {
         outcome,
         charged_ms,
         attempts_charged: 0,
         status,
+        failure,
     }
 }
 
@@ -601,8 +624,8 @@ fn consume_waiter_slot(st: &mut ShardState, key: &FetchKey) {
 /// TinyLFU-gated insert: below capacity always admits; at capacity the
 /// candidate must be estimated more popular than the LRU victim.
 fn admit(st: &mut ShardState, key: FetchKey, entry: CachedEntry, now: u64, ttl: u64, hash: u64) {
-    let at_capacity = st.cache.len() >= st.cache_capacity();
-    if at_capacity {
+    // The sketch is sized from the shard's capacity, and keeps it.
+    if st.cache.len() >= st.sketch.capacity {
         let victim_estimate = st
             .cache
             .peek_lru()
@@ -614,14 +637,6 @@ fn admit(st: &mut ShardState, key: FetchKey, entry: CachedEntry, now: u64, ttl: 
         }
     }
     st.cache.put_with_ttl(key, entry, now, ttl);
-}
-
-impl ShardState {
-    fn cache_capacity(&self) -> usize {
-        // LruTtlCache doesn't expose capacity; mirror it through the
-        // sketch, which is sized from the same number.
-        self.sketch.capacity
-    }
 }
 
 /// Leader cleanup on panic: unpark waiters so they can elect a new
@@ -657,22 +672,17 @@ fn fingerprint(
 ) -> Option<u64> {
     let mut h = fnv1a(FNV_OFFSET, &(k as u64).to_le_bytes());
     match def {
-        DataSourceDef::Proprietary { table } => {
-            h = fnv1a(h, b"proprietary");
+        DataSourceDef::Proprietary { table } | DataSourceDef::Hybrid { table, .. } => {
+            // Tenant-scoped; a hybrid source's baked-in predicate is
+            // part of the outcome, so it keys too.
+            let (tag, filter): (&[u8], _) = match def {
+                DataSourceDef::Hybrid { filter, .. } => (b"hybrid", Some(filter)),
+                _ => (b"proprietary", None),
+            };
+            h = fnv1a(h, tag);
             h = fnv1a(h, &owner?.0.to_le_bytes());
             h = fnv1a(h, table.as_bytes());
-            if let Some(f) = constraint {
-                h = fnv1a(h, format!("{f:?}").as_bytes());
-            }
-        }
-        DataSourceDef::Hybrid { table, filter } => {
-            // Tenant-scoped like proprietary; the source's baked-in
-            // predicate is part of the outcome, so it keys too.
-            h = fnv1a(h, b"hybrid");
-            h = fnv1a(h, &owner?.0.to_le_bytes());
-            h = fnv1a(h, table.as_bytes());
-            h = fnv1a(h, format!("{filter:?}").as_bytes());
-            if let Some(f) = constraint {
+            for f in filter.into_iter().chain(constraint) {
                 h = fnv1a(h, format!("{f:?}").as_bytes());
             }
         }

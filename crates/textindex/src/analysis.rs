@@ -161,50 +161,65 @@ fn emit(
 /// Porter). It only removes plural/participle suffixes when the stem
 /// that remains is long enough to stay recognizable, which keeps it
 /// safe for product catalogs ("rings" -> "ring" but "les" stays "les").
+/// The rules apply until none matches, so a stem is its own stem:
+/// "lapsed" -> "laps" -> "lap", and "breeds" -> "breed" -> "bre" like
+/// "breed" itself.
 ///
 /// Allocation-lean: every rewrite except `ies` -> `y` leaves a prefix
 /// of the input, which is returned as a borrowed slice; the one suffix
-/// substitution stages its result in `buf`. The returned `&str` borrows
+/// substitution stages its result in `buf`, and ends the stripping (no
+/// rule matches a word ending in `y`). The returned `&str` borrows
 /// from `term` or from `buf`.
 fn stem_into<'a>(term: &'a str, buf: &'a mut String) -> &'a str {
-    let t = term;
-    let n = t.len();
-    // Never stem very short tokens or tokens with digits.
-    if n <= 3 || t.bytes().any(|b| b.is_ascii_digit()) {
-        return t;
+    // Never stem tokens with digits.
+    if term.bytes().any(|b| b.is_ascii_digit()) {
+        return term;
     }
-    if let Some(base) = t.strip_suffix("ies") {
-        if base.len() >= 2 {
+    let mut t = term;
+    // Never stem very short tokens.
+    while t.len() > 3 {
+        if let Some(base) = t.strip_suffix("ies").filter(|base| base.len() >= 2) {
             buf.clear();
             buf.push_str(base);
             buf.push('y');
             return buf;
         }
+        match strip_suffix_rule(t) {
+            Some(stem) => t = stem,
+            None => break,
+        }
     }
+    t
+}
+
+/// The first suffix rule other than `ies` -> `y` that matches `t`, as
+/// the prefix of `t` it leaves.
+fn strip_suffix_rule(t: &str) -> Option<&str> {
+    let n = t.len();
     if t.ends_with("sses") {
         // Strip "sses", re-append "ss": a prefix of the original.
-        return &t[..n - 2];
+        return Some(&t[..n - 2]);
     }
     if let Some(base) = t.strip_suffix("ing") {
         if base.len() >= 3 {
-            return undouble(base);
+            return Some(undouble(base));
         }
     }
     if let Some(base) = t.strip_suffix("ed") {
         if base.len() >= 3 {
-            return undouble(base);
+            return Some(undouble(base));
         }
     }
     if let Some(base) = t.strip_suffix("es") {
         if base.len() >= 3 && (base.ends_with('x') || base.ends_with("sh") || base.ends_with("ch"))
         {
-            return base;
+            return Some(base);
         }
     }
     if t.ends_with('s') && !t.ends_with("ss") && !t.ends_with("us") && n >= 4 {
-        return &t[..n - 1];
+        return Some(&t[..n - 1]);
     }
-    t
+    None
 }
 
 /// Collapse a doubled final consonant left behind by suffix stripping
@@ -308,5 +323,18 @@ mod tests {
         assert!(buf.is_empty());
         assert_eq!(stem_into("stories", &mut buf), "story");
         assert_eq!(buf, "story", "ies -> y is the one staged rewrite");
+    }
+
+    #[test]
+    fn a_stem_is_its_own_stem() {
+        for (word, stemmed) in [
+            ("lapsed", "lap"),
+            ("laps", "lap"),
+            ("breeds", "bre"),
+            ("breed", "bre"),
+        ] {
+            assert_eq!(stem(word), stemmed, "{word}");
+            assert_eq!(stem(stemmed), stemmed, "{word}");
+        }
     }
 }

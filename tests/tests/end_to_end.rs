@@ -6,7 +6,7 @@ use symphony_ads::{Ad, Keyword, MatchType};
 use symphony_core::app::AppBuilder;
 use symphony_core::hosting::Platform;
 use symphony_core::source::DataSourceDef;
-use symphony_core::SocialCanvasHost;
+use symphony_core::{Outcome, SocialCanvasHost, SpanKind};
 use symphony_designer::{Canvas, Element};
 use symphony_services::{CallPolicy, LatencyModel, PricingService};
 use symphony_store::ingest::{ingest, DataFormat};
@@ -148,16 +148,25 @@ fn query_merges_all_four_source_kinds() {
 fn supplemental_queries_are_driven_by_primary_fields() {
     let (platform, id) = build_world();
     let resp = platform.query(id, "farming").unwrap();
-    let fanout = resp.trace.find("supplemental fan-out").unwrap();
-    assert!(fanout
+    let fanout = resp
+        .trace
+        .nodes()
+        .find(|n| matches!(n.kind, SpanKind::Fanout { .. }))
+        .unwrap();
+    let queries: Vec<&str> = fanout.children.iter().map(|c| c.detail.as_str()).collect();
+    let review = fanout
         .children
         .iter()
-        .any(|c| c.detail.contains("Farm Story review")));
+        .find(|c| c.detail == "Farm Story review");
+    assert!(
+        matches!(review.map(|c| c.outcome), Some(Outcome::Ok { .. })),
+        "{queries:?}"
+    );
     // The other game did not match; no fan-out for it.
-    assert!(!fanout
-        .children
-        .iter()
-        .any(|c| c.detail.contains("Galactic Raiders")));
+    assert!(
+        !queries.iter().any(|q| q.contains("Galactic Raiders")),
+        "{queries:?}"
+    );
 }
 
 #[test]

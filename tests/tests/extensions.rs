@@ -5,7 +5,7 @@
 use symphony_core::app::AppBuilder;
 use symphony_core::hosting::Platform;
 use symphony_core::source::DataSourceDef;
-use symphony_core::{recommend_sites, PlatformError};
+use symphony_core::{recommend_sites, Outcome, PlatformError, SpanKind};
 use symphony_designer::{Canvas, Element};
 use symphony_store::ingest::{ingest, DataFormat};
 use symphony_store::{CmpOp, Filter, IndexedTable, Value};
@@ -185,7 +185,9 @@ fn composed_app_serves_child_results_through_parent() {
     assert!(resp.html.contains("Galactic Raiders"), "{}", resp.html);
     assert!(resp.html.contains("from GamerQueen"));
     // The child's virtual time is accounted in the parent's stage.
-    let stage = resp.trace.find("primary: gamerqueen").unwrap();
+    let stage = resp.trace.slot("gamerqueen").unwrap();
+    assert!(matches!(stage.kind, SpanKind::Primary { .. }));
+    assert!(matches!(stage.outcome, Outcome::Ok { results: 1.. }));
     assert!(stage.virtual_ms > 0);
     // Both apps logged traffic.
     assert!(platform.traffic_summary(parent).unwrap().impressions > 0);
@@ -355,7 +357,9 @@ fn unpublished_child_degrades_softly() {
     let parent = platform.register_app(parent_cfg).unwrap();
     platform.publish(parent).unwrap();
     let resp = platform.query(parent, "shooter").unwrap();
-    let stage = resp.trace.find("primary: c").unwrap();
-    assert!(stage.detail.contains("not published"), "{}", stage.detail);
+    let stage = resp.trace.slot("c").unwrap();
+    assert_eq!(stage.outcome, Outcome::Failed);
+    let error = stage.error.as_deref().unwrap();
+    assert!(error.contains("not published"), "{error}");
     assert!(resp.impressions.is_empty());
 }

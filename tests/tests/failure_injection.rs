@@ -6,6 +6,7 @@
 use symphony_core::app::AppBuilder;
 use symphony_core::hosting::Platform;
 use symphony_core::source::DataSourceDef;
+use symphony_core::{Outcome, SpanKind};
 use symphony_designer::{Canvas, Element};
 use symphony_services::{
     CallPolicy, LatencyModel, OperationDesc, PricingService, Protocol, Service, ServiceDescription,
@@ -98,8 +99,8 @@ fn flaky_service_degrades_but_primary_survives() {
     );
     let resp = platform.query(id, "shooter").unwrap();
     assert!(resp.html.contains("Galactic Raiders"), "primary lost");
-    let node = resp.trace.find("supplemental: svc").unwrap();
-    assert!(node.detail.contains("error"), "{}", node.detail);
+    let node = resp.trace.slot("svc").unwrap();
+    assert_eq!(node.outcome, Outcome::Failed);
     // The failed attempts burned virtual time that is accounted.
     assert!(node.virtual_ms >= 20);
 }
@@ -127,8 +128,8 @@ fn slow_service_times_out_within_policy_budget() {
         },
     );
     let resp = platform.query(id, "shooter").unwrap();
-    let node = resp.trace.find("supplemental: svc").unwrap();
-    assert!(node.detail.contains("timed out"), "{}", node.detail);
+    let node = resp.trace.slot("svc").unwrap();
+    assert_eq!(node.outcome, Outcome::TimedOut);
     // Two attempts x 150ms cap — the runtime never waits 5 s.
     assert_eq!(node.virtual_ms, 300);
 }
@@ -139,8 +140,10 @@ fn unregistered_endpoint_is_a_soft_error() {
     let id = app_with_service(&mut platform, tenant, "ghost", CallPolicy::default());
     let resp = platform.query(id, "shooter").unwrap();
     assert!(resp.html.contains("Galactic Raiders"));
-    let node = resp.trace.find("supplemental: svc").unwrap();
-    assert!(node.detail.contains("unknown endpoint"));
+    let node = resp.trace.slot("svc").unwrap();
+    assert_eq!(node.outcome, Outcome::Failed);
+    let error = node.error.as_deref().unwrap();
+    assert!(error.contains("unknown endpoint"), "{error}");
 }
 
 #[test]
@@ -171,8 +174,10 @@ fn service_fault_is_not_retried_and_surfaces_in_trace() {
         .register("pricing", Box::new(Faulty), LatencyModel::fast());
     let id = app_with_service(&mut platform, tenant, "pricing", CallPolicy::default());
     let resp = platform.query(id, "shooter").unwrap();
-    let node = resp.trace.find("supplemental: svc").unwrap();
-    assert!(node.detail.contains("backend exploded"));
+    let node = resp.trace.slot("svc").unwrap();
+    assert_eq!(node.outcome, Outcome::Failed);
+    let error = node.error.as_deref().unwrap();
+    assert!(error.contains("backend exploded"), "{error}");
 }
 
 #[test]
@@ -199,8 +204,8 @@ fn panicking_service_is_isolated_to_its_slot() {
     let resp = platform.query(id, "shooter").unwrap();
     assert!(resp.html.contains("Galactic Raiders"), "primary lost");
     assert!(resp.trace.degraded);
-    let node = resp.trace.find("supplemental: svc").unwrap();
-    assert!(node.detail.contains("panicked"), "{}", node.detail);
+    let node = resp.trace.slot("svc").unwrap();
+    assert_eq!(node.outcome, Outcome::Panicked);
     // The platform stays healthy for the next query.
     assert!(platform.query(id, "fast shooter").is_ok());
     let summary = platform.traffic_summary(id).unwrap();
@@ -234,8 +239,11 @@ fn missing_table_app_serves_empty_not_500() {
     platform.publish(id).unwrap();
     let resp = platform.query(id, "anything").unwrap();
     assert!(resp.impressions.is_empty());
-    let node = resp.trace.find("primary: inventory").unwrap();
-    assert!(node.detail.contains("unknown table"));
+    let node = resp.trace.slot("inventory").unwrap();
+    assert_eq!(node.kind, SpanKind::Primary { max: 5 });
+    assert_eq!(node.outcome, Outcome::Failed);
+    let error = node.error.as_deref().unwrap();
+    assert!(error.contains("unknown table"), "{error}");
 }
 
 #[test]
