@@ -42,16 +42,21 @@
 //! rather than approximate. First, per-document scores are accumulated
 //! in the same canonical (clause, token, field) order as the
 //! reference's accumulator, so f32 addition rounds identically. Second,
-//! score upper bounds are inflated by a small slack before any pruning
-//! comparison, so bound arithmetic performed in a different
-//! float-summation order can never under-bound a real score — and a
-//! bound is only ever applied to documents of the segment whose stats
+//! every bound is applied only to documents of the segment whose stats
 //! it was built from, against a threshold that is the true k-th best
-//! score of the documents already seen. The essential partition is
-//! fixed when a window opens and holds for every doc of the window: the
-//! threshold only rises inside it, so a prefix that could not reach the
-//! threshold at the start cannot reach it later. No served query runs
-//! the reference.
+//! score of the documents already seen, and it is one of two kinds.
+//! The window ceiling is *exact*: the un-inflated f32 bounds, summed
+//! in the same canonical order, are at least any document's f32 score
+//! (every IEEE operation is monotone, and so is f32 BM25 in tf up to
+//! [`TF_EXACT_CAP`]), so a window whose ceiling does not exceed the
+//! threshold holds no document that beats it — and a tie loses,
+//! because candidates arrive in doc order and the heap keeps the
+//! smaller id on equal scores. Every other comparison sums bounds in
+//! another order, so it inflates them by a small slack first. The
+//! essential partition is fixed when a window opens and holds for
+//! every doc of the window: the threshold only rises inside it, so a
+//! prefix that could not reach the threshold at the start cannot reach
+//! it later. No served query runs the reference.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -91,17 +96,34 @@ pub struct SearchHit {
     pub score: f32,
 }
 
-/// Relative slack applied to every score upper bound before it is used
-/// in a pruning comparison. BM25 is monotone in term frequency and
-/// field length in exact arithmetic, and bound sums are accumulated in
-/// a different order than canonical scores; the slack (many orders of
-/// magnitude above f32 rounding noise) guarantees an inflated bound is
-/// strictly above any achievable score, so a pruned document can never
-/// have entered the top k — not even as an exact score tie.
+/// Relative slack applied to a score upper bound where its f32 value
+/// alone is not provably at least every score it bounds: the essential
+/// partition and the abandon check (bound sums in bound order, not the
+/// canonical one), phrases, and lists whose tf exceeds
+/// [`TF_EXACT_CAP`]. The slack (many orders of magnitude above f32
+/// rounding noise) makes an inflated bound strictly above any
+/// achievable score.
 const BOUND_SLACK_REL: f32 = 1e-3;
 /// Absolute counterpart of [`BOUND_SLACK_REL`], keeping bounds
 /// strictly positive even for zero-boost fields.
 const BOUND_SLACK_ABS: f32 = 1e-5;
+
+/// Largest tf at which f32 BM25 is provably monotone in tf. Its
+/// quotient has a numerator and a denominator that both rise with tf;
+/// the exact step from tf to tf + 1 is a relative a / (tf (tf + 1 + a))
+/// with a = K1 · norm ≥ 0.3, which exceeds the quotient's few ulps of
+/// rounding error while tf ≤ 512 (at tf ≈ 3 800 and a = K1, f32 values
+/// already fall). A list with a larger tf keeps the inflated bound.
+const TF_EXACT_CAP: u32 = 512;
+
+/// How many times the positive lists' total postings must outnumber a
+/// pushed-down set's members before the set drives the conjunction.
+/// Fitted like the hybrid planner's constants: a driving member costs
+/// a one-document gated window, a probe a filled window's share per
+/// posting, and on the 100 000-row `hybrid_sweep` catalog (its 280
+/// queries under random sets of 0.05–6 %) the two break even at 2–5
+/// postings per member; 4 gave the lowest mean of 1, 2, 3, … 32.
+const SET_DRIVE_RATIO: usize = 4;
 
 /// Widest candidate window, in doc ids: four posting blocks' worth. A
 /// window ends earlier where an essential cursor it reaches leaves its
@@ -271,12 +293,14 @@ impl<'a> Searcher<'a> {
     /// of two ways, by cardinality:
     ///
     /// * **gate** — a set sparser than the query's rarest positive
-    ///   posting list drives the `+must` galloping intersection as a
-    ///   non-scoring conjunctive cursor: the only candidates ever
-    ///   considered are its members, and term cursors `seek` straight
-    ///   to them, skipping whole posting blocks decode-free;
-    /// * **probe** — any denser set would make the executor visit more
-    ///   docs than the term lists themselves hold (and forgo block-max
+    ///   posting list, and [`SET_DRIVE_RATIO`] times sparser than all
+    ///   of them together, drives the `+must` galloping intersection as
+    ///   a non-scoring conjunctive cursor: the only candidates ever
+    ///   considered are its members on some positive list, and term
+    ///   cursors `seek` straight to them, skipping whole posting blocks
+    ///   decode-free;
+    /// * **probe** — any denser set costs more one-document windows
+    ///   than the filled windows it spares (and forgoes block-max
     ///   skipping), so the term cursors keep driving and each candidate
     ///   they produce is checked against the cursor in O(1) amortized.
     ///
@@ -332,7 +356,7 @@ impl<'a> Searcher<'a> {
         filter: impl Fn(DocId) -> bool,
         allowed: Option<&DocSet>,
     ) -> Vec<SearchHit> {
-        let Some((plan, rarest)) = self.plan(query) else {
+        let Some((plan, lists)) = self.plan(query) else {
             return Vec::new();
         };
         let mut carried = Carried {
@@ -341,10 +365,12 @@ impl<'a> Searcher<'a> {
             threshold: f32::NEG_INFINITY,
             filter_cursor: allowed.map(FilterCursor::new),
             // The pushed-down doc-id set: a gate in the conjunction
-            // when it is sparser than every positive list, otherwise a
+            // when it is sparse against the positive lists, otherwise a
             // probe on the candidates the term cursors produce (see
             // `search_docset`). Decided once, on index-wide counts.
-            gate_drives: allowed.is_some_and(|set| set.len() < rarest),
+            gate_drives: allowed.is_some_and(|set| {
+                set.len() < lists.rarest && set.len() * SET_DRIVE_RATIO <= lists.total
+            }),
             // Deletions are rare; one flag check replaces a
             // per-candidate bitmap probe on the common all-live index.
             has_deleted: self.index.live_docs() < self.index.total_docs(),
@@ -373,12 +399,15 @@ impl<'a> Searcher<'a> {
     /// stay in query order — the canonical (clause, token, field) order
     /// the exhaustive accumulator adds contributions in. Returns `None`
     /// when the query provably matches nothing, else the plan and the
-    /// doc frequency of the shortest positive posting list (which
-    /// decides how a pushed-down set is mounted).
-    fn plan(&self, query: &Query) -> Option<(Vec<Planned>, usize)> {
+    /// sizes of its positive posting lists (which decide how a
+    /// pushed-down set is mounted).
+    fn plan(&self, query: &Query) -> Option<(Vec<Planned>, Lists)> {
         let mut plan: Vec<Planned> = Vec::new();
         let mut any_scorer = false;
-        let mut rarest = usize::MAX;
+        let mut lists = Lists {
+            rarest: usize::MAX,
+            total: 0,
+        };
         for clause in &query.clauses {
             let fields: Vec<FieldId> = match &clause.field {
                 Some(name) => match self.index.field_id(name) {
@@ -412,7 +441,7 @@ impl<'a> Searcher<'a> {
                         }
                         let scored: Vec<FieldScore> = fields
                             .iter()
-                            .filter_map(|&f| self.field_score(term, f, &mut rarest))
+                            .filter_map(|&f| self.field_score(term, f, &mut lists))
                             .collect();
                         if scored.is_empty() {
                             // No postings in these fields: a required
@@ -443,16 +472,16 @@ impl<'a> Searcher<'a> {
                     // any local document (same rule as the exhaustive
                     // arm); otherwise it qualifies in every field where
                     // all its tokens have postings. Only a positive
-                    // phrase's lists count towards `rarest`.
-                    let mut unused = usize::MAX;
-                    let shortest = match clause.occur {
+                    // phrase's lists count towards `lists`.
+                    let mut unused = lists;
+                    let sizes = match clause.occur {
                         Occur::MustNot => &mut unused,
-                        _ => &mut rarest,
+                        _ => &mut lists,
                     };
                     let scored: Vec<FieldScore> = match &local {
                         Some(toks) => fields
                             .iter()
-                            .filter_map(|&f| self.phrase_field_score(toks, f, shortest))
+                            .filter_map(|&f| self.phrase_field_score(toks, f, sizes))
                             .collect(),
                         None => Vec::new(),
                     };
@@ -472,18 +501,19 @@ impl<'a> Searcher<'a> {
                 }
             }
         }
-        any_scorer.then_some((plan, rarest))
+        any_scorer.then_some((plan, lists))
     }
 
     /// The query-constant scoring inputs of `(term, field)`, or `None`
     /// when no local document has the term in the field. Folds the
-    /// list's local doc frequency into `rarest`.
-    fn field_score(&self, term: TermId, field: FieldId, rarest: &mut usize) -> Option<FieldScore> {
+    /// list's local doc frequency into `lists`.
+    fn field_score(&self, term: TermId, field: FieldId, lists: &mut Lists) -> Option<FieldScore> {
         let df = self.index.doc_freq(term, field);
         if df == 0 {
             return None;
         }
-        *rarest = (*rarest).min(df);
+        lists.rarest = lists.rarest.min(df);
+        lists.total += df;
         let stat_df = match self.global {
             Some(g) => g.doc_freq(self.index.lexicon().term(term), field),
             None => df,
@@ -504,14 +534,14 @@ impl<'a> Searcher<'a> {
         &self,
         tokens: &[TermId],
         field: FieldId,
-        rarest: &mut usize,
+        lists: &mut Lists,
     ) -> Option<FieldScore> {
-        let mut shortest = *rarest;
+        let mut with = *lists;
         let per_token: Vec<FieldScore> = tokens
             .iter()
-            .map(|&t| self.field_score(t, field, &mut shortest))
+            .map(|&t| self.field_score(t, field, &mut with))
             .collect::<Option<_>>()?;
-        *rarest = shortest;
+        *lists = with;
         let idf = per_token.iter().map(|c| c.idf).sum();
         per_token.first().map(|&c| FieldScore { idf, ..c })
     }
@@ -593,12 +623,14 @@ impl<'a> Searcher<'a> {
     /// be enumerated ahead.
     ///
     /// Rank safety relies on four invariants: candidate docs skipped
-    /// by the essential partition, the window ceiling or the
-    /// partial-sum abandon check have true scores strictly below the
-    /// threshold (inflated bounds, valid for the documents of the
-    /// segment and the block they are applied to, and a partition
-    /// fixed at the window's start, which the rising threshold only
-    /// makes more conservative), surviving candidates are scored by
+    /// by the essential partition or the partial-sum abandon check have
+    /// true scores strictly below the threshold (inflated bounds, and a
+    /// partition fixed at the window's start, which the rising
+    /// threshold only makes more conservative), those skipped by the
+    /// window ceiling at most tie it and lose the tie on doc id (exact
+    /// bounds, summed in canonical order), every bound holding for the
+    /// documents of the segment and the block it is applied to;
+    /// surviving candidates are scored by
     /// summing per-scorer contributions in canonical clause order
     /// (bit-identical f32 rounding), every cursor only ever moves
     /// forward, and the carried threshold is the true k-th best score
@@ -643,8 +675,8 @@ impl<'a> Searcher<'a> {
             acc += slot.1;
             slot.1 = acc;
         }
-        // A candidate writes every slot of `contribs` before it sums
-        // them, so stale values need no reset.
+        // A candidate or a window ceiling writes every slot of
+        // `contribs` before it sums them, so stale values need no reset.
         contribs.resize(scorers.len(), 0.0);
         // One row of `WINDOW` slots per scorer, all zero between
         // windows: a candidate reads its slots and clears them.
@@ -707,18 +739,21 @@ impl<'a> Searcher<'a> {
             next = hi + 1;
 
             // ---- Window skip -----------------------------------------
-            // With a full heap, a ceiling of the non-essential mass plus
-            // the block bound of each essential cursor inside the window
-            // (one past `hi` adds nothing to it) that cannot reach the
-            // threshold rules out the whole window: one seek per
-            // essential cursor skips it without decoding it.
+            // With a full heap, a ceiling of each non-essential scorer's
+            // bound plus the block bound of each essential cursor inside
+            // the window (one past `hi` adds nothing to it) that does
+            // not exceed the threshold rules out the whole window: its
+            // documents can at most tie, and a tie loses to the heap's
+            // smaller ids. One seek per essential cursor skips it
+            // without decoding it. The terms are summed in `contribs`'
+            // canonical order, as scores are: f32 addition is monotone
+            // only for a fixed order.
+            let mut ceil = f32::INFINITY;
             if !must_driven && heap.len() == k {
-                let mut ceil = if ness > 0 { order[ness - 1].1 } else { 0.0 };
-                for &(i, _) in &order[ness..] {
-                    if scorers[i].doc() <= hi {
-                        ceil += self.block_bound(&mut scorers[i]);
-                    }
+                for (at, &(i, _)) in order.iter().enumerate() {
+                    contribs[i] = self.window_ceiling(&mut scorers[i], at >= ness, hi);
                 }
+                ceil = contribs.iter().fold(0.0f32, |a, &b| a + b);
                 if ceil <= *threshold {
                     for &(i, _) in &order[ness..] {
                         scorers[i].seek(next);
@@ -836,6 +871,7 @@ impl<'a> Searcher<'a> {
                     // missed `d` — or were not built because the segment
                     // lacks their term — is exact for non-negative f32).
                     let score = contribs.iter().fold(0.0f32, |a, &b| a + b);
+                    debug_assert!(score <= ceil, "doc {d}: {score} over its window's ceiling");
                     let entry = HeapEntry { score, doc: d };
                     // Admission: a full heap takes only an entry that
                     // beats its worst under the heap order — push-then-
@@ -854,38 +890,42 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Inflated upper bound on `sc`'s contribution to any doc in the
-    /// block its cursor currently sits on: the larger BM25 of the
-    /// block's two `(tf, len)` peaks, never above the static `bound()`.
-    /// Every term cursor on a block has peaks, on a sealed list or a
-    /// memtable one alike; phrases, infinite bounds and an exhausted
-    /// cursor keep the static bound. Rank safety: every live posting of
-    /// the block has a tf at most, and a length at least, one peak's;
-    /// BM25 rises with tf and falls with length, and the same slack
-    /// inflation as the static bound applies, so every true
-    /// contribution in the block is strictly below it. The peaks hold
-    /// no idf or average length, so they never go stale.
+    /// Upper bound on `sc`'s contribution to any doc of the window
+    /// ending at `hi`, exact where [`Searcher::scorer`] says it may be
+    /// (a phrase's is its inflated bound). A non-essential scorer adds
+    /// its list's ceiling, an essential one past `hi` nothing, and an
+    /// essential term cursor inside the window the larger BM25 of its
+    /// block's two `(tf, len)` peaks, never above the list's ceiling
+    /// (the window ends by the block's end). Every term cursor on a
+    /// block has peaks, on a sealed list or a memtable one alike;
+    /// infinite bounds and an exhausted cursor keep the list's.
+    /// Rank safety: every live posting of the block has a tf at most,
+    /// and a length at least, one peak's; f32 BM25 falls with length
+    /// and, up to [`TF_EXACT_CAP`], rises with tf, so the raw peak
+    /// score is at least every contribution in the block (above the
+    /// cap the slack covers the rounding). The peaks hold no idf or
+    /// average length, so they never go stale.
     #[inline]
-    fn block_bound(&self, sc: &mut AnyScorer<'_>) -> f32 {
-        let AnyScorer::Term(t) = sc else {
-            return sc.bound();
+    fn window_ceiling(&self, sc: &mut AnyScorer<'_>, essential: bool, hi: u32) -> f32 {
+        let t = match sc {
+            _ if essential && sc.doc() > hi => return 0.0,
+            AnyScorer::Term(t) if essential && t.bound.is_finite() => t,
+            AnyScorer::Term(t) => return t.ceiling,
+            AnyScorer::Phrase(p) => return p.bound,
         };
-        if !t.bound.is_finite() {
-            return t.bound;
-        }
         let last = t.cursor.block_last_doc();
         if last != t.block_memo_last {
             let Some(peaks) = t.cursor.block_peaks() else {
-                return t.bound;
+                return t.ceiling;
             };
             let raw = peaks
                 .map(|(tf, len)| t.boost * bm25(tf as f32, len as f32, t.avg_len, t.idf))
                 .into_iter()
                 .fold(0.0f32, f32::max);
             t.block_memo_last = last;
-            t.block_memo_bound = (raw * (1.0 + BOUND_SLACK_REL) + BOUND_SLACK_ABS).min(t.bound);
+            t.block_memo_ceiling = if t.exact { raw } else { inflated(raw) }.min(t.ceiling);
         }
-        t.block_memo_bound
+        t.block_memo_ceiling
     }
 
     /// One scorer's BM25 contribution for document `d` — the same
@@ -895,7 +935,7 @@ impl<'a> Searcher<'a> {
     fn clause_score(&self, sc: &Scorer<'_>, d: u32, tf: u32) -> f32 {
         let len = sc.lens[d as usize] as f32;
         let v = sc.boost * bm25(tf as f32, len, sc.avg_len, sc.idf);
-        debug_assert!(v <= sc.bound, "doc {d}: {v} over its segment's bound");
+        debug_assert!(v <= sc.ceiling, "doc {d}: {v} over its segment's bound");
         v
     }
 
@@ -1005,10 +1045,17 @@ impl<'a> Searcher<'a> {
     /// tombstones outnumber live docs) becomes infinite, which keeps
     /// the scorer permanently essential — always evaluated, never
     /// pruned against, hence still exact.
+    ///
+    /// The window ceiling takes the raw bound itself where f32 BM25 is
+    /// monotone over the list: tf at most [`TF_EXACT_CAP`], and a
+    /// positive idf and a non-negative boost, so every operation's
+    /// operands keep their signs and their normal range.
     fn scorer(&self, fs: &FieldScore, list: SegmentList<'a>) -> Scorer<'a> {
         let st = list.stats;
         let raw = fs.boost * bm25(st.max_tf as f32, st.min_len as f32, fs.avg_len, fs.idf);
         let bound = inflated(raw);
+        let exact = st.max_tf <= TF_EXACT_CAP && fs.idf > 0.0 && raw.is_finite() && raw >= 0.0;
+        let ceiling = if exact { raw } else { bound };
         Scorer {
             cursor: list.cursor(),
             lens: self.index.field_lens(fs.field),
@@ -1016,8 +1063,10 @@ impl<'a> Searcher<'a> {
             avg_len: fs.avg_len,
             boost: fs.boost,
             bound,
+            exact,
+            ceiling,
             block_memo_last: NO_DOC,
-            block_memo_bound: bound,
+            block_memo_ceiling: ceiling,
         }
     }
 
@@ -1108,6 +1157,16 @@ struct FieldScore {
     boost: f32,
 }
 
+/// Sizes (index-wide doc frequencies) of a plan's positive posting
+/// lists.
+#[derive(Clone, Copy)]
+struct Lists {
+    /// The shortest list's.
+    rarest: usize,
+    /// Their sum.
+    total: usize,
+}
+
 /// One query clause resolved against the index, ready to be
 /// instantiated over any segment.
 enum Planned {
@@ -1149,7 +1208,8 @@ struct SegmentRun<'a> {
     phrase_exclusions: Vec<PhraseScorer<'a>>,
     /// `(scorer index, bound prefix through it)`, by ascending bound.
     order: Vec<(usize, f32)>,
-    /// One candidate's per-scorer contributions, by scorer index.
+    /// One candidate's per-scorer contributions, or one window's
+    /// ceiling terms, by scorer index.
     contribs: Vec<f32>,
     /// Window rows: scorer `i`'s entry for doc `lo + off` sits at
     /// `i * WINDOW + off` — a term's tf, a verified phrase's
@@ -1207,12 +1267,19 @@ struct Scorer<'a> {
     /// segment's list, from the [`crate::index::TermScoreStats`]
     /// stored with it.
     bound: f32,
+    /// Whether the list's raw f32 bounds hold as they are (see
+    /// [`Searcher::scorer`]).
+    exact: bool,
+    /// What the window ceiling adds for the whole list: the raw bound
+    /// when `exact`, else `bound`.
+    ceiling: f32,
     /// Memoized block-max refinement: the last doc of the block the
-    /// cached bound below was computed for ([`NO_DOC`] = nothing
+    /// cached ceiling below was computed for ([`NO_DOC`] = nothing
     /// cached).
     block_memo_last: u32,
-    /// Inflated bound over the peaks of block `block_memo_last`.
-    block_memo_bound: f32,
+    /// Ceiling over the peaks of block `block_memo_last`, raw or
+    /// inflated as `ceiling` is.
+    block_memo_ceiling: f32,
 }
 
 /// The phrase's token cursors in one qualifying field, intersected by
@@ -1448,7 +1515,8 @@ impl<'a> UnionCursor<'a> {
 
 /// Multi-way galloping intersection step over every `+must` gate: the
 /// smallest doc `>= target` present in every term group *and* every
-/// must-phrase membership conjunction, or `None` once any gate is
+/// must-phrase membership conjunction — and, for a driving set with no
+/// term group, on some scorer's list too — or `None` once any gate is
 /// exhausted.
 ///
 /// `groups` is sorted rarest-first, so each round's first seek comes
@@ -1462,43 +1530,47 @@ fn must_candidate(
     mut filter_gate: Option<&mut FilterCursor<'_>>,
     target: u32,
 ) -> Option<u32> {
+    // A driving set with no `+must` group to intersect also walks the
+    // union of the positive lists: a member none of them holds matches
+    // no positive clause, so it could never enter the heap.
+    let union = filter_gate.is_some() && groups.is_empty();
     let mut d = target;
     loop {
-        let mut changed = false;
+        // Each gate seeks to the round's frontier and raises it; a
+        // round that raises nothing has every gate on `d`. An exhausted
+        // gate raises it to NO_DOC, which every later seek keeps.
+        let start = d;
         // The pushed-down filter seeks first: it is only mounted here
         // when it is the most selective gate, so the posting cursors
         // below only ever gallop to its members.
         if let Some(f) = filter_gate.as_deref_mut() {
-            let got = f.seek(d);
-            if got == NO_DOC {
-                return None;
-            }
-            if got > d {
-                d = got;
-                changed = true;
-            }
+            d = f.seek(d);
         }
         for g in groups.iter_mut() {
-            let got = g.seek(d);
-            if got == NO_DOC {
-                return None;
-            }
-            if got > d {
-                d = got;
-                changed = true;
-            }
+            d = g.seek(d);
         }
         for p in scorers.iter_mut().filter_map(AnyScorer::must_phrase) {
-            let got = p.member_seek(d);
-            if got == NO_DOC {
-                return None;
-            }
-            if got > d {
-                d = got;
-                changed = true;
-            }
+            d = p.member_seek(d);
         }
-        if !changed {
+        if union {
+            // Lists that hold `d` need no further seek here: the
+            // candidate's probes reach them.
+            let mut least = NO_DOC;
+            for sc in scorers.iter_mut() {
+                sc.seek(d);
+                least = least.min(sc.doc());
+                if least == d {
+                    break;
+                }
+            }
+            d = least;
+        }
+        if d == NO_DOC {
+            // Before the filter seeks again: it carries over to later
+            // segments, which pick it up where it stands.
+            return None;
+        }
+        if d == start {
             return Some(d);
         }
     }
@@ -1779,6 +1851,127 @@ mod tests {
         }
         let hits = Searcher::new(&idx).search(&Query::parse("identical"), 3);
         assert_eq!(docs_of(&hits), vec![0, 1, 2]);
+    }
+
+    /// The lemma the exact window ceiling stands on: f32 BM25 never
+    /// falls as tf rises up to [`TF_EXACT_CAP`], and never rises with
+    /// length, at sampled idf, length and average length (`a = K1 ·
+    /// norm` from its 0.3 floor up to tens).
+    #[test]
+    fn f32_bm25_is_monotone_up_to_the_cap() {
+        let mut state = 0x5eed_u64;
+        let mut unit = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        };
+        for _ in 0..400 {
+            let idf = 1e-6 + 12.0 * unit();
+            let len = (1.0 + 4_000.0 * unit() * unit()).floor();
+            let avg_len = 0.5 + 500.0 * unit();
+            for tf in 1..TF_EXACT_CAP {
+                let (tf, next) = (tf as f32, (tf + 1) as f32);
+                let at = bm25(tf, len, avg_len, idf);
+                assert!(at <= bm25(next, len, avg_len, idf), "tf {tf} len {len}");
+                assert!(bm25(tf, len + 1.0, avg_len, idf) <= at, "tf {tf} len {len}");
+            }
+        }
+    }
+
+    /// Above the cap f32 BM25 can fall as tf rises, so a list whose
+    /// largest tf exceeds it keeps the inflated bound. Three documents
+    /// of one length: doc 0 alone in a sealed segment with tf `t + 1`,
+    /// then docs 1 (tf `t + 1`) and 2 (tf `t`, which scores higher in
+    /// f32) in the memtable. Under the raw bound the memtable's window
+    /// would tie doc 0's score and be skipped, losing doc 2.
+    #[test]
+    fn a_tf_above_the_cap_keeps_the_inflated_bound() {
+        // Every doc holds the term: idf = ln(1 + 0.5 / 3.5); every
+        // length is t + 1, so norm = 1.
+        let idf = (1.0f32 + 0.5 / 3.5).ln();
+        let t = (TF_EXACT_CAP..)
+            .find(|&t| {
+                let len = (t + 1) as f32;
+                bm25(t as f32, len, len, idf) > bm25((t + 1) as f32, len, len, idf)
+            })
+            .expect("f32 BM25 falls somewhere above the cap");
+        let mut idx = Index::new(IndexConfig::default());
+        let f = idx.register_field("t", 1.0);
+        let x = |n: u32| vec!["x"; n as usize].join(" ");
+        idx.add(Doc::new().field(f, x(t + 1)));
+        idx.seal();
+        idx.add(Doc::new().field(f, x(t + 1)));
+        idx.add(Doc::new().field(f, x(t) + " y"));
+        let q = Query::parse("x");
+        let hits = Searcher::new(&idx).search(&q, 1);
+        assert_eq!(docs_of(&hits), vec![2], "tf {t} scores above tf {}", t + 1);
+        assert_eq!(hits, Searcher::new(&idx).search_exhaustive(&q, 1, |_| true));
+    }
+
+    /// A corpus of exact ties: every later window can only tie the
+    /// first documents' scores, and the executor still returns the
+    /// smallest ids, in the reference's order.
+    #[test]
+    fn ties_lose_to_the_heaps_smaller_ids() {
+        let mut idx = Index::new(IndexConfig::default());
+        let f = idx.register_field("t", 1.0);
+        for i in 0..2_000 {
+            idx.add(Doc::new().field(f, if i % 2 == 0 { "a b" } else { "a c" }));
+        }
+        idx.optimize();
+        for q in ["a", "a b", "b c"] {
+            let q = Query::parse(q);
+            for k in [1, 3, 10] {
+                let hits = Searcher::new(&idx).search(&q, k);
+                assert_eq!(hits, Searcher::new(&idx).search_exhaustive(&q, k, |_| true));
+            }
+        }
+    }
+
+    /// Work pin for a driving set, counted through the filter closure
+    /// (`search_docset` takes none, so the pin calls the executor with
+    /// both): the set visits only its members that some positive list
+    /// holds — here half of them — instead of opening a window for
+    /// every member.
+    #[test]
+    fn a_driving_set_visits_only_members_on_a_list() {
+        let mut idx = Index::new(IndexConfig::default());
+        let f = idx.register_field("t", 1.0);
+        for i in 0..4_000u32 {
+            let words = match i % 4 {
+                0 => "red filler",
+                1 => "blue filler",
+                _ => "green filler",
+            };
+            idx.add(Doc::new().field(f, words));
+        }
+        idx.optimize();
+        let members: Vec<u32> = (0..4_000).step_by(50).collect();
+        let set = DocSet::from_sorted(members.clone());
+        let on_a_list = |d: u32| d % 4 < 2;
+        for (q, k) in [("red blue", 10), ("red blue", 1_000), ("+red blue", 10)] {
+            let query = Query::parse(q);
+            let seen = std::cell::RefCell::new(Vec::new());
+            let searcher = Searcher::new(&idx);
+            let hits = searcher.search_pruned(
+                &query,
+                k,
+                |d: DocId| {
+                    seen.borrow_mut().push(d.0);
+                    true
+                },
+                Some(&set),
+            );
+            let want: Vec<u32> = members.iter().copied().filter(|&d| on_a_list(d)).collect();
+            let want = match q {
+                "+red blue" => want.into_iter().filter(|d| d % 4 == 0).collect(),
+                _ => want,
+            };
+            assert_eq!(*seen.borrow(), want, "{q} k={k}");
+            let reference = searcher.search_exhaustive(&query, k, |d| set.contains(d));
+            assert_eq!(hits, reference, "{q} k={k}");
+        }
     }
 
     #[test]

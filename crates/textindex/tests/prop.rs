@@ -566,9 +566,10 @@ proptest! {
     /// bit-identical. The set's
     /// density is drawn wide enough to cover both the sorted-vec and
     /// bitset representations, and both of its mountings: thinned to
-    /// one member it is sparser than every posting list and drives the
-    /// intersection as a gate; left whole it is denser than the rarest
-    /// list of most queries and is probed per candidate.
+    /// one member it is sparser than every posting list and, when they
+    /// hold four postings or more, drives the intersection as a gate;
+    /// left whole it is denser than the rarest list of most queries and
+    /// is probed per candidate.
     #[test]
     fn filter_cursor_equals_closure(
         docs in proptest::collection::vec(
@@ -1185,6 +1186,108 @@ proptest! {
                     bits(&searcher.search_exhaustive(&q, k, |d| set.contains(d))),
                     "{} under a set of {}", at, set.len()
                 );
+            }
+        }
+    }
+}
+
+/// Words of the tie-heavy corpora's queries, `t0` (most frequent) to
+/// `t5`.
+const TIE_VOCAB: u64 = 6;
+
+/// Field text of exactly `len` tokens (at least `2 · TIE_VOCAB`):
+/// each vocabulary word twice (one time in two), once or not at all
+/// (one in four each), then filler. Query words therefore have tf 1
+/// or 2, every field of one length normalizes alike, and a document
+/// holding every word of a query twice — the window ceiling itself —
+/// is common.
+fn tie_field(state: &mut u64, len: u64) -> String {
+    let mut words: Vec<String> = Vec::new();
+    for w in 0..TIE_VOCAB {
+        for _ in 0..[0, 1, 2, 2][(splitmix(state) % 4) as usize] {
+            words.push(format!("t{w}"));
+        }
+    }
+    while (words.len() as u64) < len {
+        words.push(format!("pad{}", words.len()));
+    }
+    words.join(" ")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Rank safety where ties are the norm, the catalog's shape: every
+    /// field has one or two lengths, query words have tf 1 or 2, so a
+    /// handful of distinct scores covers thousands of documents and
+    /// most windows can at best tie the threshold — the case the exact
+    /// window ceiling skips. Several hundred to a few thousand
+    /// documents over sealed segments and a memtable tail, with
+    /// tombstones; queries of 2–6 words (now and then `+must` or
+    /// `-not`), at k 1, 3 and 10, plain and under sets of 0.5 %, 5 %
+    /// and 50 % density. Each result equals the reference bit for bit,
+    /// in order.
+    #[test]
+    fn ties_equal_reference(
+        docs in 300u32..3_000,
+        seed in any::<u64>(),
+        two_lengths in any::<bool>(),
+        segments in 1u32..4,
+        memtable in any::<bool>(),
+        tombstone_every in 5u32..60,
+        queries in proptest::collection::vec(
+            proptest::collection::vec((0u8..8, 0..TIE_VOCAB), 2..7),
+            2..3,
+        ),
+    ) {
+        let mut idx = Index::new(IndexConfig::default());
+        let title = idx.register_field("title", 2.0);
+        let body = idx.register_field("body", 1.0);
+        let sealed = if memtable { docs - docs / 8 } else { docs };
+        let mut state = seed;
+        for i in 1..=docs {
+            let long = two_lengths && splitmix(&mut state).is_multiple_of(2);
+            let (t, b) = if long { (14, 18) } else { (12, 12) };
+            let (t, b) = (tie_field(&mut state, t), tie_field(&mut state, b));
+            idx.add(Doc::new().field(title, t).field(body, b));
+            if (1..=segments).any(|s| i == sealed * s / segments) {
+                idx.seal();
+            }
+        }
+        for d in (seed as u32 % tombstone_every..docs).step_by(tombstone_every as usize) {
+            idx.delete(DocId(d));
+        }
+
+        let set = |per_mille: u32| {
+            let mut s = seed ^ 0x5e7;
+            DocSet::from_sorted((0..docs).filter(|_| splitmix(&mut s) % 1_000 < per_mille as u64).collect())
+        };
+        let sets = [set(5), set(50), set(500)];
+        let searcher = Searcher::new(&idx);
+        for words in &queries {
+            let clauses: Vec<String> = words
+                .iter()
+                .map(|&(shape, w)| match shape {
+                    0 => format!("+t{w}"),
+                    1 => format!("-t{w}"),
+                    _ => format!("t{w}"),
+                })
+                .collect();
+            let q = Query::parse(&clauses.join(" "));
+            for k in [1, 3, 10] {
+                let at = format!("{q} k={k} docs={docs} seed={seed}");
+                prop_assert_eq!(
+                    bits(&searcher.search(&q, k)),
+                    bits(&searcher.search_exhaustive(&q, k, |_| true)),
+                    "{}", at
+                );
+                for set in sets.iter().filter(|s| !s.is_empty()) {
+                    prop_assert_eq!(
+                        bits(&searcher.search_docset(&q, k, set)),
+                        bits(&searcher.search_exhaustive(&q, k, |d| set.contains(d))),
+                        "{} under a set of {}", at, set.len()
+                    );
+                }
             }
         }
     }

@@ -64,6 +64,12 @@
 //! same peaks as the compact index's, and its row reads the compact
 //! one. No other row moved: `live`'s memtable lists hold 64 documents,
 //! one partial block, which was the whole list before as well.
+//!
+//! The window ceiling then became exact: un-inflated bounds, so a
+//! window whose documents can at most tie the threshold is skipped.
+//! None of the rows above moved — their lengths and tfs vary, so
+//! their windows rarely top out at an exact tie — and [`TIES`] pins a
+//! catalog where they all do.
 
 use std::cell::Cell;
 
@@ -355,4 +361,41 @@ fn phrases_prune_and_must_phrases_gate() {
     assert_eq!(hits, want, "{query}");
     assert_eq!(s, members, "{query}: serving visits the phrase's members");
     assert_eq!((r, s), (reference, serving), "{query}: reference, serving");
+}
+
+/// A catalog of exact ties: `n` rows whose bodies are all eight words
+/// long, every other one holding [`TIE_QUERY`] once. Every matching
+/// row scores the same, so once ten of them fill the heap every later
+/// window's ceiling equals the threshold, and a tie loses to the
+/// heap's smaller ids.
+const TIE_QUERY: &str = "t";
+
+fn ties(n: u32) -> Index {
+    let mut idx = Index::new(IndexConfig::default());
+    let field = idx.register_field("body", 1.0);
+    for i in 0..n {
+        let first = if i % 2 == 0 { TIE_QUERY } else { "u" };
+        let body = format!("{first} p{} q{} r s v w x", i % 7, i % 11);
+        idx.add(Doc::new().field(field, body));
+    }
+    idx.optimize();
+    idx
+}
+
+/// `(n, reference, serving)` candidates of [`TIE_QUERY`] on
+/// [`ties`]`(n)`. Before window ceilings were exact, every window of
+/// the list was filled and scored, so the serving count was the
+/// reference's, n / 2.
+const TIES: [(u32, usize, usize); 2] = [(2_000, 1_000, 128), (8_000, 4_000, 128)];
+
+#[test]
+fn a_tie_heavy_query_visits_no_more_as_the_catalog_grows() {
+    for (n, reference, serving) in TIES {
+        let idx = ties(n);
+        let (r, want) = candidates(&idx, Reference, TIE_QUERY, K);
+        let (s, hits) = candidates(&idx, Serving, TIE_QUERY, K);
+        assert_eq!(hits, want, "{n} rows");
+        assert_eq!((r, s), (reference, serving), "{n} rows: reference, serving");
+    }
+    assert_eq!(TIES[0].2, TIES[1].2, "four times the rows, the same visits");
 }
