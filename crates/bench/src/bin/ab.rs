@@ -3,32 +3,41 @@
 //!
 //! ```text
 //! ab --base <rev> --workload <name>[,<name>...] --seed <n> --pairs <n>
-//!    [--seconds <s>] [--label <text>] [--allow-checksum-move]
+//!    [--label <text>] [--allow-checksum-move]
 //! ```
 //!
-//! Run from inside the repository. Each run lasts `--seconds`, by
-//! default the `run_seconds` `BENCHMARK.json` sets. The base's ledger
-//! is built from `git archive <rev>` under `target/ab/`, the working
+//! Run from inside the repository. Each run lasts the `run_seconds`
+//! `BENCHMARK.json` sets, on both sides alike. The base's ledger is
+//! built from `git archive <rev>` under `target/ab/`, the working
 //! tree's in place with its own target directory there, so neither
-//! build writes under `benchmark/`. Runs go in ABBA order (base first in odd pairs,
-//! change first in even ones), so a drift of the host over the session
-//! falls on both sides alike. A pair whose two `output_checksum`s
+//! build writes under `benchmark/`. Runs go in ABBA order (base first
+//! in odd pairs, change first in even ones), so a drift of the host
+//! over the session falls on both sides alike. A row records
+//! `run_seconds` and the pair count beside `label`, `commit` and
+//! `base_commit`. A pair whose two `output_checksum`s
 //! differ stops the comparison unless `--allow-checksum-move` says the
 //! change moves them; a run that reports `"correct": false` or any
 //! failed operation always stops it.
 //!
 //! Per end-to-end metric it prints the median [Q1, Q3] of each side,
-//! the pairs the change won and a verdict: `better` when the change
-//! won at least nine pairs in ten and its median beats the base's by
-//! more than the base's interquartile range, `unresolved` when the
-//! base's interquartile range exceeds the metric's bound, `worse` when
-//! the median is worse by more than the bound, `within` otherwise. It
-//! appends one row per (workload, metric) to `BENCH_trajectory.jsonl`
-//! at the repository root.
+//! the pairs the change won and a verdict: `better` when, over at
+//! least ten pairs, the change won at least nine in ten and its median
+//! beats the base's by more than the base's interquartile range
+//! (`too-few-pairs` when all of that holds over fewer pairs),
+//! `unresolved` when the base's interquartile range exceeds the
+//! metric's bound, `worse` when the median is worse by more than the
+//! bound, `within` otherwise. When the working tree has no edits to
+//! tracked files, so that `HEAD` names the measured code, it appends
+//! one row per (workload, metric) to `BENCH_trajectory.jsonl` at the
+//! repository root.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
+
+use symphony_store::formats::json::{parse, to_string, JsonValue};
+
+/// Fewest pairs over which a gain is claimed.
+const MIN_PAIRS_FOR_GAIN: usize = 10;
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -46,7 +55,6 @@ struct Options {
     base: String,
     workloads: Vec<String>,
     seed: u64,
-    seconds: Option<f64>,
     pairs: usize,
     label: String,
     allow_checksum_move: bool,
@@ -60,11 +68,11 @@ impl Options {
         while let Some(a) = it.next() {
             match a.strip_prefix("--") {
                 Some("allow-checksum-move") => allow_checksum_move = true,
-                Some(name) => {
+                Some(name @ ("base" | "workload" | "seed" | "pairs" | "label")) => {
                     let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                     flags.push((name, value));
                 }
-                None => return Err(format!("unexpected argument {a:?}")),
+                _ => return Err(format!("unexpected argument {a:?}")),
             }
         }
         let get = |name: &str| flags.iter().rev().find(|f| f.0 == name).map(|f| f.1);
@@ -75,15 +83,13 @@ impl Options {
                 .map_err(|_| format!("--{name}: not a number"))
         };
         let pairs = num("pairs")? as usize;
-        let seconds = get("seconds").map(|_| num("seconds")).transpose()?;
-        if pairs == 0 || seconds.is_some_and(|s| !(s > 0.0 && s <= 600.0)) {
-            return Err("--pairs must be positive and --seconds lie in (0, 600]".into());
+        if pairs == 0 {
+            return Err("--pairs must be positive".into());
         }
         Ok(Options {
             base: need("base")?.to_string(),
             workloads: need("workload")?.split(',').map(str::to_string).collect(),
             seed: num("seed")? as u64,
-            seconds,
             pairs,
             label: get("label").unwrap_or("").to_string(),
             allow_checksum_move,
@@ -106,22 +112,25 @@ struct Run {
 
 fn run(o: &Options) -> Result<(), String> {
     let root = PathBuf::from(git(None, &["rev-parse", "--show-toplevel"])?);
-    let spec = Json::parse(&read(&root.join("BENCHMARK.json"))?)?;
+    let spec = json(&read(&root.join("BENCHMARK.json"))?)?;
     let metrics = end_to_end(&spec)?;
-    let seconds = o
-        .seconds
-        .or_else(|| spec.get("run_seconds").and_then(Json::num))
-        .ok_or("BENCHMARK.json sets no run_seconds; pass --seconds")?;
+    let seconds = num(get(&spec, "run_seconds")).ok_or("BENCHMARK.json sets no run_seconds")?;
     let base_rev = git(Some(&root), &["rev-parse", &o.base])?;
-    // The change is the working tree: HEAD, marked when it has edits.
-    let mut head = git(Some(&root), &["rev-parse", "HEAD"])?;
-    if !git(
-        Some(&root),
-        &["status", "--porcelain", "--untracked-files=no"],
-    )?
-    .is_empty()
-    {
-        head.push_str("+dirty");
+    // The change is the working tree. Only a tree without edits to
+    // tracked files (but the ledger of rows) is `HEAD`, the commit a
+    // row names.
+    let head = git(Some(&root), &["rev-parse", "HEAD"])?;
+    let status = [
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+        "--",
+        ".",
+        ":!BENCH_trajectory.jsonl",
+    ];
+    let clean = git(Some(&root), &status)?.is_empty();
+    if !clean {
+        eprintln!("ab: the working tree has edits to tracked files, so no rows will be appended");
     }
     let work = root.join("target").join("ab");
     let short = &base_rev[..12];
@@ -137,6 +146,9 @@ fn run(o: &Options) -> Result<(), String> {
     let change_bin = build(&root, &work.join("target-worktree"))?;
 
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let date = today();
+    let text = |s: &str| JsonValue::Str(s.to_string());
+    let count = |n: usize| JsonValue::Num(n as f64);
     let mut rows = String::new();
     for workload in &o.workloads {
         let (mut base, mut change) = (Vec::new(), Vec::new());
@@ -186,21 +198,28 @@ fn run(o: &Options) -> Result<(), String> {
                 format!("{}/{}", cmp.wins, b.len()),
                 cmp.verdict
             );
-            let _ = writeln!(
-                rows,
-                "{{\"label\": {}, \"commit\": \"{head}\", \"base_commit\": \"{base_rev}\", \"date\": \"{}\", \"cpus\": {cpus}, \"seed\": {}, \"seconds\": {}, \"workload\": \"{workload}\", \"metric\": \"{}\", \"base\": {}, \"change\": {}, \"wins\": {}, \"pairs\": {}, \"verdict\": \"{}\"}}",
-                quote(&o.label),
-                today(),
-                o.seed,
-                seconds,
-                m.name,
-                cmp.base.json(),
-                cmp.change.json(),
-                cmp.wins,
-                b.len(),
-                cmp.verdict
-            );
+            let row = JsonValue::Obj(vec![
+                ("label".into(), text(&o.label)),
+                ("commit".into(), text(&head)),
+                ("base_commit".into(), text(&base_rev)),
+                ("date".into(), text(&date)),
+                ("cpus".into(), count(cpus)),
+                ("seed".into(), JsonValue::Num(o.seed as f64)),
+                ("seconds".into(), JsonValue::Num(seconds)),
+                ("workload".into(), text(workload)),
+                ("metric".into(), text(&m.name)),
+                ("base".into(), cmp.base.json()),
+                ("change".into(), cmp.change.json()),
+                ("wins".into(), count(cmp.wins)),
+                ("pairs".into(), count(b.len())),
+                ("verdict".into(), text(cmp.verdict)),
+            ]);
+            rows.push_str(&to_string(&row));
+            rows.push('\n');
         }
+    }
+    if !clean {
+        return Ok(());
     }
     let path = root.join("BENCH_trajectory.jsonl");
     let mut out = std::fs::read_to_string(&path).unwrap_or_default();
@@ -290,46 +309,48 @@ fn ledger(bin: &Path, workload: &str, seed: u64, seconds: f64) -> Result<Run, St
     }
     let text = String::from_utf8_lossy(&out.stdout);
     let result = text.lines().last().unwrap_or_default();
-    let checksum = text
-        .lines()
-        .find_map(|l| l.strip_prefix("#details "))
-        .and_then(|d| Json::parse(d).ok())
-        .and_then(|d| {
-            d.get("output_checksum")
-                .and_then(Json::str)
-                .map(str::to_string)
-        })
-        .ok_or_else(|| format!("{workload}: no output_checksum in the ledger's output"))?;
-    let result = Json::parse(result)?;
-    let correct = result.get("correct") == Some(&Json::Bool(true));
-    let failed = result.get("failed").and_then(Json::num);
-    if !out.status.success() || !correct || failed != Some(0.0) {
+    let details = text.lines().find_map(|l| l.strip_prefix("#details "));
+    let details = details.map(json).transpose()?;
+    let Some(JsonValue::Str(checksum)) = details.as_ref().and_then(|d| get(d, "output_checksum"))
+    else {
+        return Err(format!(
+            "{workload}: no output_checksum in the ledger's output"
+        ));
+    };
+    let checksum = checksum.clone();
+    let result = json(result)?;
+    let correct = get(&result, "correct") == Some(&JsonValue::Bool(true));
+    if !out.status.success() || !correct || num(get(&result, "failed")) != Some(0.0) {
         return Err(format!(
             "{workload}: a run was not correct or had failures ({})",
             bin.display()
         ));
     }
-    let Some(Json::Object(fields)) = result.get("metrics") else {
+    let Some(JsonValue::Obj(fields)) = get(&result, "metrics") else {
         return Err(format!("{workload}: no metrics in the result line"));
     };
     let metrics = fields
         .iter()
-        .filter_map(|(k, v)| Some((k.clone(), v.get("value")?.num()?)))
+        .filter_map(|(k, v)| Some((k.clone(), num(get(v, "value"))?)))
         .collect();
     Ok(Run { checksum, metrics })
 }
 
 /// The end-to-end metrics and their bounds.
-fn end_to_end(spec: &Json) -> Result<Vec<Metric>, String> {
-    let Some(Json::Array(list)) = spec.get("end_to_end") else {
+fn end_to_end(spec: &JsonValue) -> Result<Vec<Metric>, String> {
+    let Some(JsonValue::Arr(list)) = get(spec, "end_to_end") else {
         return Err("BENCHMARK.json has no end_to_end list".into());
+    };
+    let text = |m: &JsonValue, key: &str| match get(m, key) {
+        Some(JsonValue::Str(s)) => Some(s.clone()),
+        _ => None,
     };
     list.iter()
         .map(|m| {
             Some(Metric {
-                name: m.get("name")?.str()?.to_string(),
-                higher_is_better: m.get("better")?.str()? == "higher",
-                bound: m.get("bound")?.num()?,
+                name: text(m, "name")?,
+                higher_is_better: text(m, "better")? == "higher",
+                bound: num(get(m, "bound"))?,
             })
         })
         .collect::<Option<_>>()
@@ -375,11 +396,12 @@ impl Summary {
         format!("{} [{}, {}]", fig(self.median), fig(self.q1), fig(self.q3))
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"median\": {}, \"q1\": {}, \"q3\": {}}}",
-            self.median, self.q1, self.q3
-        )
+    fn json(&self) -> JsonValue {
+        JsonValue::Obj(vec![
+            ("median".into(), JsonValue::Num(self.median)),
+            ("q1".into(), JsonValue::Num(self.q1)),
+            ("q3".into(), JsonValue::Num(self.q3)),
+        ])
     }
 }
 
@@ -428,7 +450,11 @@ fn compare(base: &[f64], change: &[f64], m: &Metric) -> Comparison {
         && better(c.median, b.median)
         && (c.median - b.median).abs() > b.iqr()
     {
-        "better"
+        if base.len() >= MIN_PAIRS_FOR_GAIN {
+            "better"
+        } else {
+            "too-few-pairs"
+        }
     } else if b.iqr() > m.bound * b.median.abs() {
         "unresolved"
     } else if worse > m.bound {
@@ -443,25 +469,6 @@ fn compare(base: &[f64], change: &[f64], m: &Metric) -> Comparison {
         wins,
         verdict,
     }
-}
-
-/// A JSON string literal.
-fn quote(s: &str) -> String {
-    let mut out = String::from("\"");
-    for ch in s.chars() {
-        match ch {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(ch);
-            }
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Today's UTC date, `YYYY-MM-DD`.
@@ -486,167 +493,23 @@ fn civil(days: u64) -> String {
     format!("{year:04}-{month:02}-{day:02}")
 }
 
-/// The JSON the ledger prints and `BENCHMARK.json` holds.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
+/// Parse JSON text (the ledger's lines, `BENCHMARK.json`).
+fn json(text: &str) -> Result<JsonValue, String> {
+    parse(text).map_err(|e| e.to_string())
 }
 
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            s: text.as_bytes(),
-            at: 0,
-        };
-        let v = p.value()?;
-        p.ws();
-        if p.at != p.s.len() {
-            return Err(format!("trailing JSON at byte {}", p.at));
-        }
-        Ok(v)
-    }
-
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|f| f.0 == key).map(|f| &f.1),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
+/// Member `key` of a JSON object.
+fn get<'a>(v: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
+    match v {
+        JsonValue::Obj(members) => members.iter().find(|m| m.0 == key).map(|m| &m.1),
+        _ => None,
     }
 }
 
-struct Parser<'a> {
-    s: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.s.get(self.at).is_some_and(u8::is_ascii_whitespace) {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.ws();
-        if self.s.get(self.at) != Some(&b) {
-            return Err(format!("expected {:?} at byte {}", b as char, self.at));
-        }
-        self.at += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        let rest = &self.s[self.at..];
-        for (word, v) in [
-            ("null", Json::Null),
-            ("true", Json::Bool(true)),
-            ("false", Json::Bool(false)),
-        ] {
-            if rest.starts_with(word.as_bytes()) {
-                self.at += word.len();
-                return Ok(v);
-            }
-        }
-        match rest.first() {
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.at += 1;
-                let mut items = Vec::new();
-                while !self.close(b']', items.is_empty())? {
-                    items.push(self.value()?);
-                }
-                Ok(Json::Array(items))
-            }
-            Some(b'{') => {
-                self.at += 1;
-                let mut fields = Vec::new();
-                while !self.close(b'}', fields.is_empty())? {
-                    self.ws();
-                    let key = self.string()?;
-                    self.eat(b':')?;
-                    fields.push((key, self.value()?));
-                }
-                Ok(Json::Object(fields))
-            }
-            _ => {
-                let len = rest
-                    .iter()
-                    .take_while(|b| b.is_ascii_digit() || b"+-.eE".contains(b))
-                    .count();
-                let text = std::str::from_utf8(&rest[..len]).unwrap_or_default();
-                let n = text
-                    .parse()
-                    .map_err(|_| format!("bad JSON value at byte {}", self.at))?;
-                self.at += len;
-                Ok(Json::Num(n))
-            }
-        }
-    }
-
-    /// Consume the closing `end` (true) or, unless before the `first`
-    /// item, the comma before the next one (false).
-    fn close(&mut self, end: u8, first: bool) -> Result<bool, String> {
-        self.ws();
-        if self.s.get(self.at) == Some(&end) {
-            self.at += 1;
-            return Ok(true);
-        }
-        if !first {
-            self.eat(b',')?;
-        }
-        Ok(false)
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = Vec::new();
-        while let Some(&b) = self.s.get(self.at) {
-            self.at += 1;
-            match b {
-                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
-                b'\\' => {
-                    let esc = *self.s.get(self.at).ok_or("unterminated escape")?;
-                    self.at += 1;
-                    match esc {
-                        b'n' => out.push(b'\n'),
-                        b't' => out.push(b'\t'),
-                        b'r' => out.push(b'\r'),
-                        b'u' => {
-                            let hex = self.s.get(self.at..self.at + 4).ok_or("short \\u")?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).unwrap_or(""), 16)
-                                    .map_err(|_| "bad \\u escape")?;
-                            self.at += 4;
-                            let ch = char::from_u32(code).unwrap_or('\u{fffd}');
-                            out.extend_from_slice(ch.encode_utf8(&mut [0; 4]).as_bytes());
-                        }
-                        other => out.push(other),
-                    }
-                }
-                _ => out.push(b),
-            }
-        }
-        Err("unterminated JSON string".into())
+fn num(v: Option<&JsonValue>) -> Option<f64> {
+    match v {
+        Some(JsonValue::Num(n)) => Some(*n),
+        _ => None,
     }
 }
 
@@ -716,30 +579,19 @@ mod tests {
     }
 
     #[test]
-    fn reads_the_ledger_result_line() {
-        let line = r#"{"correct": true, "attempted": 3, "failed": 0, "metrics": {"p50_us": {"value": 1.5e2, "unit": "us"}, "ops": {"value": -2, "unit": "1/s"}}, "list": [], "s": "a\"bé"}"#;
-        let j = Json::parse(line).unwrap();
-        assert_eq!(j.get("correct"), Some(&Json::Bool(true)));
-        assert_eq!(j.get("failed").and_then(Json::num), Some(0.0));
-        let p50 = j.get("metrics").and_then(|m| m.get("p50_us"));
-        assert_eq!(
-            p50.and_then(|v| v.get("value")).and_then(Json::num),
-            Some(150.0)
-        );
-        assert_eq!(j.get("list"), Some(&Json::Array(Vec::new())));
-        assert_eq!(j.get("s").and_then(Json::str), Some("a\"bé"));
-        assert_eq!(
-            Json::parse("[ 1 ,2 ]"),
-            Ok(Json::Array(vec![Json::Num(1.0), Json::Num(2.0)]))
-        );
-        assert!(Json::parse("[1 2]").is_err());
-        assert!(Json::parse("{\"a\": 1").is_err());
+    fn a_cut_over_fewer_than_ten_pairs_is_too_few_to_claim() {
+        let base = [100.0, 102.0, 98.0, 101.0];
+        let change: Vec<f64> = base.iter().map(|b| b * 0.5).collect();
+        let c = compare(&base, &change, &metric(false));
+        assert_eq!((c.wins, c.verdict), (4, "too-few-pairs"));
+        // A loss is reported over any number of pairs.
+        let c = compare(&base, &change, &metric(true));
+        assert_eq!(c.verdict, "worse");
     }
 
     #[test]
-    fn dates_and_quotes() {
+    fn dates() {
         assert_eq!(civil(0), "1970-01-01");
         assert_eq!(civil(19_782), "2024-02-29");
-        assert_eq!(quote("a\"b\\\n"), "\"a\\\"b\\\\\\u000a\"");
     }
 }

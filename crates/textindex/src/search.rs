@@ -356,7 +356,7 @@ impl<'a> Searcher<'a> {
         filter: impl Fn(DocId) -> bool,
         allowed: Option<&DocSet>,
     ) -> Vec<SearchHit> {
-        let Some((plan, lists)) = self.plan(query) else {
+        let Some((plan, (rarest, total))) = self.plan(query) else {
             return Vec::new();
         };
         let mut carried = Carried {
@@ -368,9 +368,8 @@ impl<'a> Searcher<'a> {
             // when it is sparse against the positive lists, otherwise a
             // probe on the candidates the term cursors produce (see
             // `search_docset`). Decided once, on index-wide counts.
-            gate_drives: allowed.is_some_and(|set| {
-                set.len() < lists.rarest && set.len() * SET_DRIVE_RATIO <= lists.total
-            }),
+            gate_drives: allowed
+                .is_some_and(|set| set.len() < rarest && set.len() * SET_DRIVE_RATIO <= total),
             // Deletions are rare; one flag check replaces a
             // per-candidate bitmap probe on the common all-live index.
             has_deleted: self.index.live_docs() < self.index.total_docs(),
@@ -399,15 +398,12 @@ impl<'a> Searcher<'a> {
     /// stay in query order — the canonical (clause, token, field) order
     /// the exhaustive accumulator adds contributions in. Returns `None`
     /// when the query provably matches nothing, else the plan and the
-    /// sizes of its positive posting lists (which decide how a
-    /// pushed-down set is mounted).
-    fn plan(&self, query: &Query) -> Option<(Vec<Planned>, Lists)> {
+    /// index-wide sizes of its positive posting lists, `(rarest, sum)`
+    /// (which decide how a pushed-down set is mounted).
+    fn plan(&self, query: &Query) -> Option<(Vec<Planned>, (usize, usize))> {
         let mut plan: Vec<Planned> = Vec::new();
         let mut any_scorer = false;
-        let mut lists = Lists {
-            rarest: usize::MAX,
-            total: 0,
-        };
+        let mut lists = (usize::MAX, 0);
         for clause in &query.clauses {
             let fields: Vec<FieldId> = match &clause.field {
                 Some(name) => match self.index.field_id(name) {
@@ -506,14 +502,18 @@ impl<'a> Searcher<'a> {
 
     /// The query-constant scoring inputs of `(term, field)`, or `None`
     /// when no local document has the term in the field. Folds the
-    /// list's local doc frequency into `lists`.
-    fn field_score(&self, term: TermId, field: FieldId, lists: &mut Lists) -> Option<FieldScore> {
+    /// list's local doc frequency into `lists`, `(rarest, sum)`.
+    fn field_score(
+        &self,
+        term: TermId,
+        field: FieldId,
+        lists: &mut (usize, usize),
+    ) -> Option<FieldScore> {
         let df = self.index.doc_freq(term, field);
         if df == 0 {
             return None;
         }
-        lists.rarest = lists.rarest.min(df);
-        lists.total += df;
+        *lists = (lists.0.min(df), lists.1 + df);
         let stat_df = match self.global {
             Some(g) => g.doc_freq(self.index.lexicon().term(term), field),
             None => df,
@@ -534,7 +534,7 @@ impl<'a> Searcher<'a> {
         &self,
         tokens: &[TermId],
         field: FieldId,
-        lists: &mut Lists,
+        lists: &mut (usize, usize),
     ) -> Option<FieldScore> {
         let mut with = *lists;
         let per_token: Vec<FieldScore> = tokens
@@ -796,7 +796,7 @@ impl<'a> Searcher<'a> {
             // ---- Candidates, in doc order ----------------------------
             for (w, &word) in mask[..words].iter().enumerate() {
                 let mut bits = word;
-                while bits != 0 {
+                'candidate: while bits != 0 {
                     let off = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let d = lo + off as u32;
@@ -848,14 +848,12 @@ impl<'a> Searcher<'a> {
                         contribs[i] = v;
                         running += v;
                     }
-                    let mut abandoned = false;
                     for j in (0..ness).rev() {
                         if heap.len() == k && running + order[j].1 <= *threshold {
                             // Even granting every unprobed scorer its
                             // full bound, `d` stays (strictly) under the
                             // threshold.
-                            abandoned = true;
-                            break;
+                            continue 'candidate;
                         }
                         let i = order[j].0;
                         scorers[i].seek(d);
@@ -863,7 +861,7 @@ impl<'a> Searcher<'a> {
                         contribs[i] = v;
                         running += v;
                     }
-                    if abandoned || !matched {
+                    if !matched {
                         continue;
                     }
                     // Canonical-order sum: bit-identical to the
@@ -923,7 +921,8 @@ impl<'a> Searcher<'a> {
                 .into_iter()
                 .fold(0.0f32, f32::max);
             t.block_memo_last = last;
-            t.block_memo_ceiling = if t.exact { raw } else { inflated(raw) }.min(t.ceiling);
+            let exact = t.ceiling < t.bound;
+            t.block_memo_ceiling = if exact { raw } else { inflated(raw) }.min(t.ceiling);
         }
         t.block_memo_ceiling
     }
@@ -945,14 +944,11 @@ impl<'a> Searcher<'a> {
     /// verification succeeded, not mere token co-occurrence.
     fn score_at(&self, sc: &mut AnyScorer<'_>, d: u32, matched: &mut bool) -> f32 {
         match sc {
-            AnyScorer::Term(t) => {
-                if t.cursor.doc() == d {
-                    *matched = true;
-                    self.clause_score(t, d, t.cursor.tf())
-                } else {
-                    0.0
-                }
+            AnyScorer::Term(t) if t.cursor.doc() == d => {
+                *matched = true;
+                self.clause_score(t, d, t.cursor.tf())
             }
+            AnyScorer::Term(_) => 0.0,
             AnyScorer::Phrase(p) => {
                 if p.member == d {
                     if let Some((count, first)) = p.verify(d) {
@@ -1063,7 +1059,6 @@ impl<'a> Searcher<'a> {
             avg_len: fs.avg_len,
             boost: fs.boost,
             bound,
-            exact,
             ceiling,
             block_memo_last: NO_DOC,
             block_memo_ceiling: ceiling,
@@ -1100,15 +1095,10 @@ impl<'a> Searcher<'a> {
                 .collect(),
             Some(g) => analyze(raw)
                 .into_iter()
-                .filter_map(|t| {
-                    if self.index.field_ids().any(|f| g.has_postings(&t.term, f)) {
-                        Some(self.index.lexicon().get(&t.term))
-                    } else {
-                        // Dead in the whole union: dropped, exactly
-                        // like a never-indexed term on a single index.
-                        None
-                    }
-                })
+                // Dead in the whole union: dropped, exactly like a
+                // never-indexed term on a single index.
+                .filter(|t| self.index.field_ids().any(|f| g.has_postings(&t.term, f)))
+                .map(|t| self.index.lexicon().get(&t.term))
                 .collect(),
         }
     }
@@ -1155,16 +1145,6 @@ struct FieldScore {
     idf: f32,
     avg_len: f32,
     boost: f32,
-}
-
-/// Sizes (index-wide doc frequencies) of a plan's positive posting
-/// lists.
-#[derive(Clone, Copy)]
-struct Lists {
-    /// The shortest list's.
-    rarest: usize,
-    /// Their sum.
-    total: usize,
 }
 
 /// One query clause resolved against the index, ready to be
@@ -1267,11 +1247,9 @@ struct Scorer<'a> {
     /// segment's list, from the [`crate::index::TermScoreStats`]
     /// stored with it.
     bound: f32,
-    /// Whether the list's raw f32 bounds hold as they are (see
-    /// [`Searcher::scorer`]).
-    exact: bool,
     /// What the window ceiling adds for the whole list: the raw bound
-    /// when `exact`, else `bound`.
+    /// where its f32 value holds as it is (see [`Searcher::scorer`]),
+    /// else `bound`; so it is below `bound` exactly when it is raw.
     ceiling: f32,
     /// Memoized block-max refinement: the last doc of the block the
     /// cached ceiling below was computed for ([`NO_DOC`] = nothing
