@@ -1,7 +1,8 @@
 #!/bin/sh
 # Fail when a tracked file brings back a name listed in
-# ci/retired-names.txt (its header gives the format). git grep sees
-# tracked files only: `git add -N` new files before running this.
+# ci/retired-names.txt (its header gives the format). The gates stage
+# of ci/verify.sh runs it. git grep sees tracked files only: `git add -N`
+# new files before running this.
 #
 #   sh ci/retired-names.sh
 cd "$(git rev-parse --show-toplevel)" || exit 2

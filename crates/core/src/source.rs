@@ -42,11 +42,12 @@ pub enum DataSourceDef {
     /// A hybrid structured + full-text source: one of the designer's
     /// indexed tables queried through the selectivity-planned hybrid
     /// engine (`symphony_store::hybrid`), with a structured predicate
-    /// baked into the source definition. Unlike [`Proprietary`]
-    /// (closure post-filter over an over-fetched list), the predicate
-    /// reaches the text executor as an index-resolved skip cursor when
-    /// it is selective — and the result is exact, never truncated by
-    /// an over-fetch guess.
+    /// baked into the source definition. The predicate reaches the
+    /// text executor as an index-resolved skip cursor when it is
+    /// selective — and the result is exact, never truncated by an
+    /// over-fetch guess. It composes conjunctively with the runtime's
+    /// per-query constraint; a [`Proprietary`] source under a
+    /// constraint runs the same hybrid query over the constraint alone.
     ///
     /// [`Proprietary`]: DataSourceDef::Proprietary
     Hybrid {

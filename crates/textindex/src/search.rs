@@ -264,30 +264,13 @@ impl<'a> Searcher<'a> {
     /// score (ties broken by ascending doc id, so results are
     /// deterministic).
     pub fn search(&self, query: &Query, k: usize) -> Vec<SearchHit> {
-        self.search_filtered(query, k, |_| true)
-    }
-
-    /// Like [`Searcher::search`] but only documents accepted by
-    /// `filter` are returned. This is the hook `symphony-store` uses
-    /// for an opaque predicate on record ids (visibility scopes, the
-    /// search-first hybrid plan); a restriction that resolves to a set
-    /// of doc ids — `symphony-web`'s site restriction, a resolved table
-    /// filter — goes through [`Searcher::search_docset`] instead.
-    /// The filter must be pure: the executor calls it only for
-    /// candidates that survive pruning, in no promised order.
-    pub fn search_filtered(
-        &self,
-        query: &Query,
-        k: usize,
-        filter: impl Fn(DocId) -> bool,
-    ) -> Vec<SearchHit> {
         if query.is_empty() || k == 0 {
             return Vec::new();
         }
-        self.search_pruned(query, k, filter, None)
+        self.search_pruned(query, k, |_| true, None)
     }
 
-    /// Like [`Searcher::search_filtered`], but the restriction is a
+    /// Like [`Searcher::search`], but the restriction is a
     /// materialized [`DocSet`] instead of an opaque closure. The pruned
     /// executor walks the set with a `FilterCursor` and mounts it one
     /// of two ways, by cardinality:
@@ -308,8 +291,8 @@ impl<'a> Searcher<'a> {
     /// surviving candidates are scored in canonical clause order.
     ///
     /// Returns bit-identical `(doc, score)` lists to
-    /// `search_filtered(query, k, |d| allowed.contains(d))` (a
-    /// property test asserts this for both mountings).
+    /// `search_filtered_with_threshold(query, k, |d| allowed.contains(d))`
+    /// (a property test asserts this for both mountings).
     pub fn search_docset(&self, query: &Query, k: usize, allowed: &DocSet) -> Vec<SearchHit> {
         if query.is_empty() || k == 0 || allowed.is_empty() {
             return Vec::new();
@@ -317,11 +300,14 @@ impl<'a> Searcher<'a> {
         self.search_pruned(query, k, |_| true, Some(allowed))
     }
 
-    /// Like [`Searcher::search_filtered`], additionally returning the
-    /// executor's final MaxScore threshold: the k-th best score when
-    /// the result list is full, `NEG_INFINITY` otherwise (the pruned
-    /// executor's `threshold` variable ends at exactly this value —
-    /// it is the min-heap's worst member once `k` docs are held).
+    /// Like [`Searcher::search`], but only documents accepted by
+    /// `filter` are returned, and the executor's final MaxScore
+    /// threshold comes with them: the k-th best score when the result
+    /// list is full, `NEG_INFINITY` otherwise (the pruned executor's
+    /// `threshold` variable ends at exactly this value — it is the
+    /// min-heap's worst member once `k` docs are held). The filter
+    /// must be pure: the executor calls it only for candidates that
+    /// survive pruning, in no promised order.
     ///
     /// A scatter-gather merge uses it as a *merge bound*: every
     /// document this searcher did **not** return scores at or below
@@ -335,12 +321,11 @@ impl<'a> Searcher<'a> {
         k: usize,
         filter: impl Fn(DocId) -> bool,
     ) -> (Vec<SearchHit>, f32) {
-        let hits = self.search_filtered(query, k, filter);
-        let bound = if hits.len() == k && k > 0 {
-            hits[k - 1].score
-        } else {
-            f32::NEG_INFINITY
-        };
+        if query.is_empty() || k == 0 {
+            return (Vec::new(), f32::NEG_INFINITY);
+        }
+        let hits = self.search_pruned(query, k, filter, None);
+        let bound = hits.get(k - 1).map_or(f32::NEG_INFINITY, |h| h.score);
         (hits, bound)
     }
 
@@ -1816,7 +1801,9 @@ mod tests {
     #[test]
     fn filter_is_applied() {
         let idx = index();
-        let hits = Searcher::new(&idx).search_filtered(&Query::parse("space"), 10, |d| d.0 != 0);
+        let hits = Searcher::new(&idx)
+            .search_filtered_with_threshold(&Query::parse("space"), 10, |d| d.0 != 0)
+            .0;
         assert_eq!(docs_of(&hits), vec![2]);
     }
 
@@ -2037,7 +2024,9 @@ mod tests {
         for q in QUERIES {
             let query = Query::parse(q);
             let filter = |d: DocId| d.0.is_multiple_of(2);
-            let pruned = Searcher::new(&idx).search_filtered(&query, 3, filter);
+            let pruned = Searcher::new(&idx)
+                .search_filtered_with_threshold(&query, 3, filter)
+                .0;
             let exhaustive = Searcher::new(&idx).search_exhaustive(&query, 3, filter);
             assert_eq!(pruned, exhaustive, "query {q:?}");
         }

@@ -554,7 +554,7 @@ proptest! {
         prop_assert_eq!(pruned, searcher.search_exhaustive(&q, k, |_| true));
 
         let filter = |d: DocId| d.0.is_multiple_of(2);
-        let pruned = searcher.search_filtered(&q, k, filter);
+        let pruned = searcher.search_filtered_with_threshold(&q, k, filter).0;
         prop_assert_eq!(pruned, searcher.search_exhaustive(&q, k, filter));
     }
 
@@ -607,7 +607,7 @@ proptest! {
         let searcher = Searcher::new(&idx);
         let via_set = searcher.search_docset(&q, k, &set);
         let closure = |d: DocId| allowed.binary_search(&d.0).is_ok();
-        let via_closure = searcher.search_filtered(&q, k, closure);
+        let via_closure = searcher.search_filtered_with_threshold(&q, k, closure).0;
         let via_closure_ex = searcher.search_exhaustive(&q, k, closure);
 
         let key = |hits: &[symphony_text::SearchHit]| {
@@ -1103,9 +1103,11 @@ proptest! {
             // Same check under a caller filter (expressed in live
             // ordinals so both indexes accept the same documents).
             let fa = Searcher::new(&idx)
-                .search_filtered(&query, 50, |d| ordinal(d).is_ok_and(|i| i % 2 == 0));
+                .search_filtered_with_threshold(&query, 50, |d| ordinal(d).is_ok_and(|i| i % 2 == 0))
+                .0;
             let fb = Searcher::new(&rebuilt)
-                .search_filtered(&query, 50, |d| d.0.is_multiple_of(2));
+                .search_filtered_with_threshold(&query, 50, |d| d.0.is_multiple_of(2))
+                .0;
             prop_assert_eq!(
                 fa.iter()
                     .map(|h| (ordinal(h.doc).unwrap(), h.score.to_bits()))
@@ -1176,7 +1178,7 @@ proptest! {
                 "{}", at
             );
             prop_assert_eq!(
-                bits(&searcher.search_filtered(&q, k, filter)),
+                bits(&searcher.search_filtered_with_threshold(&q, k, filter).0),
                 bits(&searcher.search_exhaustive(&q, k, filter)),
                 "{} filtered", at
             );

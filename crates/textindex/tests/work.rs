@@ -1,11 +1,11 @@
 //! Work guard for pruning on a live index: candidates, not clocks.
 //!
-//! `search_filtered`'s closure is called once per candidate that
-//! survives the executor's block-max window skip (and `search_exhaustive`'s
-//! once per matching document), so a counting closure *is* the
-//! candidate counter — no hook in the product code. Every figure
-//! is a count over a fixed corpus and query list and repeats exactly
-//! on any host.
+//! `search_filtered_with_threshold`'s closure is called once per
+//! candidate that survives the executor's block-max window skip (and
+//! `search_exhaustive`'s once per matching document), so a counting
+//! closure *is* the candidate counter — no hook in the product code.
+//! Every figure is a count over a fixed corpus and query list and
+//! repeats exactly on any host.
 //!
 //! The same 4 064 documents are laid out four ways: `compact` (one
 //! sealed segment), `live` (4 000 sealed, then 64 short, dense ones in
@@ -170,7 +170,7 @@ fn candidates(
     let (searcher, query) = (Searcher::new(idx), Query::parse(query));
     let hits = match executor {
         Reference => searcher.search_exhaustive(&query, k, count),
-        Serving => searcher.search_filtered(&query, k, count),
+        Serving => searcher.search_filtered_with_threshold(&query, k, count).0,
     };
     let hits = hits.iter().map(|h| (h.doc, h.score.to_bits())).collect();
     (seen.get(), hits)

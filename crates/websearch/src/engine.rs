@@ -769,16 +769,15 @@ impl SearchEngine {
         if let Some(global) = &self.global {
             searcher = searcher.with_global_stats(&global[vertical as usize]);
         }
-        let (hits, bound) = if config.site_restrict.is_empty() {
-            searcher.search_filtered_with_threshold(&query, depth, |_| true)
+        let hits = if config.site_restrict.is_empty() {
+            searcher.search(&query, depth)
         } else {
             let allowed = self.restricted_docs(vi, &config.site_restrict);
-            let hits = searcher.search_docset(&query, depth, &allowed);
-            // The merge bound as `search_filtered_with_threshold`
-            // computes it: the worst score kept when the pool is full.
-            let bound = hits.get(depth - 1).map_or(f32::NEG_INFINITY, |h| h.score);
-            (hits, bound)
+            searcher.search_docset(&query, depth, &allowed)
         };
+        // The merge bound as `search_filtered_with_threshold` computes
+        // it: the worst score kept when the pool is full.
+        let bound = hits.get(depth - 1).map_or(f32::NEG_INFINITY, |h| h.score);
 
         // Resolve this query's boost table once; per-hit lookups then
         // borrow the URL instead of building an owned key.

@@ -15,17 +15,11 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use symphony_tests::repo_root;
 
 const KINDS: &[&str] = &[
     "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "union",
 ];
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("tests/ sits in the repository root")
-        .to_path_buf()
-}
 
 /// Every `.rs` file under `dir`, sorted so the scan is deterministic.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
