@@ -6,7 +6,8 @@
 //! bounds cannot reach the current top-k threshold is only probed via
 //! `seek`, while the essential cursors copy each window's term
 //! frequencies into rows and mark a candidate mask — a window whose
-//! block-max ceiling cannot reach the threshold is skipped whole, and
+//! block-max ceiling cannot reach the threshold is skipped whole, a
+//! posting whose tf is below its block's floor is not copied, and
 //! only candidates that pass the cheap rejections are scored. `+must`
 //! clauses drive a non-scoring galloping intersection instead, and
 //! `-must-not` clauses are seek-along exclusion cursors. The segment
@@ -38,7 +39,7 @@
 //! score)` lists to the term-at-a-time reference in
 //! `search/exhaustive.rs`, which scores every matching document into a
 //! hash map and extracts the top k; property-based differential tests
-//! in `tests/prop.rs` assert the equality. Two details make it exact
+//! in `tests/prop.rs` assert the equality. Three details make it exact
 //! rather than approximate. First, per-document scores are accumulated
 //! in the same canonical (clause, token, field) order as the
 //! reference's accumulator, so f32 addition rounds identically. Second,
@@ -56,7 +57,15 @@
 //! essential partition is fixed when a window opens and holds for
 //! every doc of the window: the threshold only rises inside it, so a
 //! prefix that could not reach the threshold at the start cannot reach
-//! it later. No served query runs the reference.
+//! it later. Third, a window's tf floors refuse only documents that
+//! cannot beat it: an essential term with an exact ceiling fills a
+//! posting only if its tf reaches the least tf whose BM25 at the
+//! block's least length, folded in canonical order with the other
+//! ceiling terms, exceeds the threshold. By the same monotonicity a
+//! document below the floor scores at most that fold at the floor
+//! minus one, so it at most ties; marked by another scorer, it scores
+//! 0 for the refused one, still no more. No served query runs the
+//! reference.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -612,9 +621,11 @@ impl<'a> Searcher<'a> {
     /// true scores strictly below the threshold (inflated bounds, and a
     /// partition fixed at the window's start, which the rising
     /// threshold only makes more conservative), those skipped by the
-    /// window ceiling at most tie it and lose the tie on doc id (exact
-    /// bounds, summed in canonical order), every bound holding for the
-    /// documents of the segment and the block it is applied to;
+    /// window ceiling or left unfilled below a tf floor at most tie it
+    /// and lose the tie on doc id (exact bounds, summed in canonical
+    /// order; a floor is set only with a full heap, from the threshold
+    /// at the window's start, which only rises), every bound holding
+    /// for the documents of the segment and the block it is applied to;
     /// surviving candidates are scored by
     /// summing per-scorer contributions in canonical clause order
     /// (bit-identical f32 rounding), every cursor only ever moves
@@ -635,6 +646,7 @@ impl<'a> Searcher<'a> {
             phrase_exclusions,
             order,
             contribs,
+            floors,
             rows,
         } = run;
         let Carried {
@@ -663,6 +675,9 @@ impl<'a> Searcher<'a> {
         // A candidate or a window ceiling writes every slot of
         // `contribs` before it sums them, so stale values need no reset.
         contribs.resize(scorers.len(), 0.0);
+        // Floor 1 fills every posting; a full heap sets each window's.
+        floors.clear();
+        floors.resize(scorers.len(), 1);
         // One row of `WINDOW` slots per scorer, all zero between
         // windows: a candidate reads its slots and clears them.
         rows.resize(scorers.len() * WINDOW, 0);
@@ -745,13 +760,17 @@ impl<'a> Searcher<'a> {
                     }
                     continue;
                 }
+                for &(i, _) in &order[ness..] {
+                    floors[i] = tf_floor(&scorers[i], i, hi, contribs, *threshold);
+                }
             }
 
             // ---- Fill ------------------------------------------------
             // Essential cursors leave the window behind them: a term
-            // copies its tfs into its row, a phrase verifies each member
-            // (its cursors cannot come back) and stores a match's
-            // contribution as f32 bits. Either marks its docs.
+            // copies each tf that reaches its floor into its row, a
+            // phrase verifies each member (its cursors cannot come back)
+            // and stores a match's contribution as f32 bits. Either
+            // marks its docs.
             let words = (hi - lo) as usize / 64 + 1;
             mask[..words].fill(0);
             if must_driven {
@@ -765,7 +784,14 @@ impl<'a> Searcher<'a> {
                     mask[off / 64] |= 1 << (off % 64);
                 };
                 match &mut scorers[i] {
-                    AnyScorer::Term(t) => t.cursor.drain_through(hi, &mut put),
+                    AnyScorer::Term(t) => {
+                        let floor = floors[i];
+                        t.cursor.drain_through(hi, |d, tf| {
+                            if tf >= floor {
+                                put(d, tf);
+                            }
+                        });
+                    }
                     AnyScorer::Phrase(p) => {
                         while p.member <= hi {
                             let m = p.member;
@@ -906,6 +932,7 @@ impl<'a> Searcher<'a> {
                 .into_iter()
                 .fold(0.0f32, f32::max);
             t.block_memo_last = last;
+            (t.block_memo_max_tf, t.block_memo_min_len) = (peaks[0].0, peaks[1].1);
             let exact = t.ceiling < t.bound;
             t.block_memo_ceiling = if exact { raw } else { inflated(raw) }.min(t.ceiling);
         }
@@ -1047,6 +1074,8 @@ impl<'a> Searcher<'a> {
             ceiling,
             block_memo_last: NO_DOC,
             block_memo_ceiling: ceiling,
+            block_memo_max_tf: 0,
+            block_memo_min_len: 1,
         }
     }
 
@@ -1176,6 +1205,8 @@ struct SegmentRun<'a> {
     /// One candidate's per-scorer contributions, or one window's
     /// ceiling terms, by scorer index.
     contribs: Vec<f32>,
+    /// One window's [`tf_floor`] per essential scorer, by scorer index.
+    floors: Vec<u32>,
     /// Window rows: scorer `i`'s entry for doc `lo + off` sits at
     /// `i * WINDOW + off` — a term's tf, a verified phrase's
     /// contribution as f32 bits — and is 0 where the scorer has none.
@@ -1217,6 +1248,31 @@ fn inflated(raw: f32) -> f32 {
     }
 }
 
+/// Scorer `i`'s tf floor in the window ending at `hi` (see the module
+/// doc): the least tf whose BM25 at the block's least non-zero length,
+/// folded with the other ceiling terms in `contribs`, exceeds
+/// `threshold`; 1 unless `i` is a term with an exact ceiling inside the
+/// window. Binary search: the fold rises with tf up to [`TF_EXACT_CAP`].
+fn tf_floor(sc: &AnyScorer<'_>, i: usize, hi: u32, contribs: &mut [f32], threshold: f32) -> u32 {
+    let AnyScorer::Term(t) = sc else { return 1 };
+    if t.ceiling >= t.bound || t.cursor.doc() > hi {
+        return 1;
+    }
+    let (ceiling, len) = (contribs[i], t.block_memo_min_len as f32);
+    let (mut lo, mut up) = (1, t.block_memo_max_tf.min(TF_EXACT_CAP) + 1);
+    while lo < up {
+        let mid = lo + (up - lo) / 2;
+        contribs[i] = t.boost * bm25(mid as f32, len, t.avg_len, t.idf);
+        if contribs.iter().fold(0.0f32, |a, &b| a + b) > threshold {
+            up = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    contribs[i] = ceiling;
+    lo
+}
+
 /// One scoring cursor of the pruned executor: a posting cursor plus
 /// everything needed to turn a `(doc, tf)` pair into a BM25
 /// contribution, and the (inflated) upper bound on that contribution.
@@ -1243,6 +1299,10 @@ struct Scorer<'a> {
     /// Ceiling over the peaks of block `block_memo_last`, raw or
     /// inflated as `ceiling` is.
     block_memo_ceiling: f32,
+    /// That block's largest tf and least non-zero length (peak B's),
+    /// the ingredients of its tf floor (see [`tf_floor`]).
+    block_memo_max_tf: u32,
+    block_memo_min_len: u32,
 }
 
 /// The phrase's token cursors in one qualifying field, intersected by

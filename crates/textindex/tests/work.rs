@@ -1,8 +1,9 @@
 //! Work guard for pruning on a live index: candidates, not clocks.
 //!
 //! `search_filtered_with_threshold`'s closure is called once per
-//! candidate that survives the executor's block-max window skip (and
-//! `search_exhaustive`'s once per matching document), so a counting
+//! candidate that survives the executor's block-max window skip and
+//! the fill's tf floors (and `search_exhaustive`'s once per matching
+//! document), so a counting
 //! closure *is* the candidate counter — no hook in the product code.
 //! Every figure is a count over a fixed corpus and query list and
 //! repeats exactly on any host.
@@ -70,6 +71,19 @@
 //! None of the rows above moved — their lengths and tfs vary, so
 //! their windows rarely top out at an exact tie — and [`TIES`] pins a
 //! catalog where they all do.
+//!
+//! A window with a full heap then came to fill only the postings whose
+//! tf reaches their block's floor: the least tf that, at the block's
+//! least length and beside every other scorer's ceiling term, beats
+//! the threshold. At parent commit 8b59760 [`CATALOG`]'s pruned count
+//! was 4 224, now 304: nearly every posting of its one-word query has
+//! tf 1 or 2, and only a block's few higher ones can still rank. Of
+//! [`CANDIDATES`] only `w0 w9` moved, from 1 493 / 1 488 / 1 476 /
+//! 1 493 (compact, live, five, fresh) to 1 292 / 1 287 / 1 240 /
+//! 1 292; no other row moved. [`FLOORS`] pins the effect on a list
+//! where a few high tfs stand among tfs of 1–3, and makes no test
+//! redundant: [`CATALOG`] counts what the window skip and the floors
+//! leave together, and [`TIES`] a list where every tf is 1.
 
 use std::cell::Cell;
 
@@ -91,7 +105,7 @@ const QUERIES: [&str; 5] = [
 /// Candidates per query of [`QUERIES`]: exhaustive (any layout), then
 /// the pruned executor on `compact`, `live`, `five` and `fresh`.
 const CANDIDATES: [[usize; 5]; 5] = [
-    [3_643, 1_493, 1_488, 1_476, 1_493],
+    [3_643, 1_292, 1_287, 1_240, 1_292],
     [3_235, 1_000, 1_000, 1_000, 1_000],
     [3_802, 1_420, 1_420, 1_337, 1_420],
     [2_934, 1_128, 1_128, 1_073, 1_128],
@@ -251,7 +265,7 @@ const CATALOG_QUERY: &str = "c0";
 /// block bound at `(block max tf, list min length)` and every scored
 /// candidate pushed onto the heap (parent commit 6fc6ed0) the pruned
 /// executor considered 6 272.
-const CATALOG: (usize, usize) = (6_862, 4_224);
+const CATALOG: (usize, usize) = (6_862, 304);
 
 fn catalog() -> Index {
     let mut idx = Index::new(IndexConfig::default());
@@ -398,4 +412,69 @@ fn a_tie_heavy_query_visits_no_more_as_the_catalog_grows() {
         assert_eq!((r, s), (reference, serving), "{n} rows: reference, serving");
     }
     assert_eq!(TIES[0].2, TIES[1].2, "four times the rows, the same visits");
+}
+
+/// A catalog where the query's word is on every row, as a category
+/// word is: `n` rows of [`FLOOR_LEN`] words, row `i` holding
+/// [`TIE_QUERY`] [`HIGH_TF`] times when `i % 400 == 200` and 1–3
+/// times otherwise, padded with filler. Once the first block has
+/// filled the heap with tf-3 rows, a block holding a high-tf row opens
+/// its window, and only that row's tf reaches the block's floor.
+const FLOOR_LEN: u32 = 12;
+const HIGH_TF: u32 = 6;
+
+fn floor_tf(i: u32) -> u32 {
+    if i % 400 == 200 {
+        HIGH_TF
+    } else {
+        1 + i % 3
+    }
+}
+
+fn floored(n: u32) -> Index {
+    let mut idx = Index::new(IndexConfig::default());
+    let field = idx.register_field("body", 1.0);
+    for i in 0..n {
+        let tf = floor_tf(i);
+        let words: Vec<String> = (0..FLOOR_LEN)
+            .map(|j| {
+                if j < tf {
+                    TIE_QUERY.to_string()
+                } else {
+                    format!("f{}", (i * 7 + j * 13) % 50)
+                }
+            })
+            .collect();
+        idx.add(Doc::new().field(field, words.join(" ")));
+    }
+    idx.optimize();
+    idx
+}
+
+/// `(reference, serving)` candidates of [`TIE_QUERY`] on
+/// [`floored`]`(8 000)`: the first block's 128 rows, then one window
+/// per high-tf row until ten of them hold the heap. Without tf floors
+/// each such window put all of its 128 rows to the filter.
+const FLOORS: (usize, usize) = (8_000, 138);
+
+#[test]
+fn a_low_tf_posting_never_reaches_the_filter() {
+    let idx = floored(FLOORS.0 as u32);
+    let seen = std::cell::RefCell::new(Vec::new());
+    let record = |d: DocId| {
+        seen.borrow_mut().push(d.0);
+        true
+    };
+    let query = Query::parse(TIE_QUERY);
+    let (r, want) = candidates(&idx, Reference, TIE_QUERY, K);
+    let hits = Searcher::new(&idx)
+        .search_filtered_with_threshold(&query, K, record)
+        .0;
+    let hits: Vec<_> = hits.iter().map(|h| (h.doc, h.score.to_bits())).collect();
+    assert_eq!(hits, want);
+    let seen = seen.into_inner();
+    let late = |&&d: &&u32| d >= BLOCK_SIZE as u32 && floor_tf(d) < HIGH_TF;
+    let low = seen.iter().filter(late).count();
+    assert_eq!(low, 0, "low-tf rows past the first block");
+    assert_eq!((r, seen.len()), FLOORS, "reference, serving");
 }
